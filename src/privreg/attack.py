@@ -6,6 +6,11 @@ current parameters, and tries to reconstruct the training input.  For a
 single linear neuron with bias the clean gradient factors as
 (2*(y-t)*x, 2*(y-t)), so x falls out of one division; the iterative
 attack instead descends on ||grad_model(x_hat, t_hat) - g_tilde||^2.
+The iterative attack supports one linear output unit, with or without
+bias, whose objective and gradient have closed forms.  Its restarts, and
+in a sweep every (mechanism, trial, restart), run as the rows of one
+batched descent that reproduces the one-restart-at-a-time loop bit for
+bit.
 
 Nothing here assumes which training mechanism leaks least; the sweep just
 measures reconstruction quality per mechanism under fixed seeds.
@@ -18,10 +23,8 @@ from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .model import (Dataset, ModelSpec, ParameterSet, backward, forward,
-                    quadratic_loss)
+from .model import Dataset, ModelSpec, ParameterSet, forward, quadratic_loss
 from .numerics import RngStream
 from .optimizers import (GradientRecord, NoiseSpec, TrainConfig,
                          initial_params_for, train)
@@ -56,9 +59,13 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _require_linear_with_bias(spec: ModelSpec):
+def _require_linear(spec: ModelSpec, attack: str):
     if spec.n_layers != 1 or spec.output_dim != 1 or spec.activation != "identity":
-        raise ValueError("closed-form inversion needs a single linear output unit")
+        raise ValueError(f"{attack} needs a single linear output unit")
+
+
+def _require_linear_with_bias(spec: ModelSpec):
+    _require_linear(spec, "closed-form inversion")
     if not spec.include_bias:
         raise ValueError("closed-form inversion needs a bias term")
 
@@ -85,54 +92,113 @@ def invert_linear_gradient(record: GradientRecord, spec: ModelSpec) -> np.ndarra
     return g[:d] / g_bias
 
 
-def _matching_objective(spec: ModelSpec, params: ParameterSet,
-                        target: np.ndarray):
-    """J(x, t) = ||grad_model(x, t; theta) - target||^2 and its gradient.
+def _check_descent(iters: int, step: float, restarts: int):
+    if iters < 1 or restarts < 1:
+        raise ValueError("iters and restarts must be >= 1")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
 
-    Single linear layers get the exact analytic gradient; other
-    architectures fall back to central differences on J.
+
+def _objective_and_gradient(theta: np.ndarray, bias: np.ndarray,
+                            target: np.ndarray, x: np.ndarray, t: np.ndarray):
+    """Per row, J(x, t) = ||grad_model(x, t; theta, bias) - target||^2 and
+    its gradient (gx, gt), for one linear output unit.
+
+    Rows of theta and x are (R, d); bias and t are (R,), with bias all
+    zero for a model without one; target is (R, d + 1) with a bias and
+    (R, d) without.  With r = theta.x + bias - t the model gradient is
+    (2r*x, 2r), so diff = grad_model - target is formed once and serves
+    both J and its gradient.  Every dot product goes through np.vecdot,
+    which sums a row in the same order as np.dot on that row, so each row
+    is bit-identical to evaluating it on its own.
     """
-    d = spec.input_dim
+    d = x.shape[1]
+    r = (np.vecdot(theta, x) + bias) - t
+    two_r = 2.0 * r
+    diff = np.empty_like(target)
+    diff[:, :d] = two_r[:, None] * x - target[:, :d]
+    dw = diff[:, :d]
+    xdw = np.vecdot(x, dw)
+    gx = (4.0 * xdw)[:, None] * theta + (4.0 * r)[:, None] * dw
+    gt = -4.0 * xdw
+    if target.shape[1] > d:
+        db = two_r - target[:, d]
+        diff[:, d] = db
+        gx = gx + (4.0 * db)[:, None] * theta
+        gt = gt - 4.0 * db
+    return np.vecdot(diff, diff), gx, gt
 
-    def model_grad(x: np.ndarray, t: float) -> np.ndarray:
-        trace = forward(spec, params, x)
-        return backward(spec, params, trace, np.array([t]))
 
-    def objective(x: np.ndarray, t: float) -> float:
-        diff = model_grad(x, t) - target
-        return float(np.dot(diff, diff))
+def _descend(theta: np.ndarray, bias: np.ndarray, target: np.ndarray,
+             x: np.ndarray, t: np.ndarray, iters: int, step: float):
+    """Fixed-step descent on J for every row at once.
 
-    linear = (spec.n_layers == 1 and spec.output_dim == 1
-              and spec.activation == "identity")
-    if linear:
-        theta = params.weights(0).ravel()
-        bias = params.bias(0)
-        b0 = float(bias[0]) if bias is not None else 0.0
-        has_bias = bias is not None
+    Each row keeps the semantics of a lone restart: it stops when J turns
+    non-finite or worsens DIVERGENCE_PATIENCE steps in a row (diverged),
+    or when J drops below 1e-26; its best iterate is the first one with
+    the lowest J.  Stopped rows leave the working arrays, so each step
+    costs only the rows still running.
 
-        def gradient(x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-            r = float(theta @ x) + b0 - t
-            dw = 2.0 * r * x - target[:d]
-            gx = 4.0 * float(x @ dw) * theta + 4.0 * r * dw
-            gt = -4.0 * float(dw @ x)
-            if has_bias:
-                db = 2.0 * r - target[d]
-                gx = gx + 4.0 * db * theta
-                gt -= 4.0 * db
-            return gx, gt
-    else:
-        def gradient(x: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-            h = 1e-6
-            gx = np.empty(d)
-            for i in range(d):
-                bump = np.zeros(d)
-                bump[i] = h * max(1.0, abs(x[i]))
-                gx[i] = (objective(x + bump, t) - objective(x - bump, t)) / (2 * bump[i])
-            ht = h * max(1.0, abs(t))
-            gt = (objective(x, t + ht) - objective(x, t - ht)) / (2 * ht)
-            return gx, gt
+    Returns per row the best J (inf if none was finite), its x and t, and
+    whether the row diverged.
+    """
+    n, d = x.shape
+    best_obj = np.full(n, math.inf)
+    best_x = np.zeros((n, d))
+    best_t = np.zeros(n)
+    diverged = np.zeros(n, dtype=bool)
+    rows = np.arange(n)
+    streak = np.zeros(n, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj, gx, gt = _objective_and_gradient(theta, bias, target, x, t)
+        better = obj < best_obj
+        best_obj[better], best_x[better], best_t[better] = obj[better], x[better], t[better]
+        for _ in range(iters):
+            if rows.size == 0:
+                break
+            x = x - step * gx
+            t = t - step * gt
+            new_obj, gx, gt = _objective_and_gradient(theta, bias, target, x, t)
+            finite = np.isfinite(new_obj)
+            better = finite & (new_obj < best_obj[rows])
+            won = rows[better]
+            best_obj[won], best_x[won], best_t[won] = new_obj[better], x[better], t[better]
+            streak = np.where(new_obj > obj, streak + 1, 0)
+            obj = new_obj
+            failed = ~finite | (streak >= DIVERGENCE_PATIENCE)
+            done = failed | (obj < 1e-26)
+            if done.any():
+                diverged[rows[failed]] = True
+                keep = ~done
+                rows, x, t, gx, gt, obj, streak, theta, bias, target = (
+                    a[keep] for a in (rows, x, t, gx, gt, obj, streak,
+                                      theta, bias, target))
+    return best_obj, best_x, best_t, diverged
 
-    return objective, gradient
+
+def _invert_records(theta: np.ndarray, bias: np.ndarray, target: np.ndarray,
+                    seeds: list[int], iters: int, step: float, restarts: int):
+    """Gradient matching for N records in one descent of N * restarts rows.
+
+    Record i has parameters theta[i], bias[i], observed gradient target[i]
+    and starts RngStream(seeds[i], r) for r < restarts.  Returns per record
+    the best x (N, d), t and J over its restarts (the first restart wins a
+    tie) and whether every restart diverged.
+    """
+    n, d = theta.shape
+    x0 = np.empty((n * restarts, d))
+    t0 = np.empty(n * restarts)
+    for i, seed in enumerate(seeds):
+        for r in range(restarts):
+            rng = RngStream(seed, r)
+            x0[i * restarts + r] = rng.normal(0.0, 1.0, d)
+            t0[i * restarts + r] = rng.normal(0.0, 1.0, 1)[0]
+    best_obj, best_x, best_t, diverged = _descend(
+        np.repeat(theta, restarts, axis=0), np.repeat(bias, restarts),
+        np.repeat(target, restarts, axis=0), x0, t0, iters, step)
+    pick = np.arange(n) * restarts + np.argmin(best_obj.reshape(n, restarts), axis=1)
+    return (best_x[pick], best_t[pick], best_obj[pick],
+            diverged.reshape(n, restarts).all(axis=1))
 
 
 def invert_gradient_iterative(record: GradientRecord, spec: ModelSpec,
@@ -142,62 +208,33 @@ def invert_gradient_iterative(record: GradientRecord, spec: ModelSpec,
     """Gradient-matching reconstruction of (input, target) from one gradient.
 
     Plain fixed-step descent on ||grad_model(x, t) - g_tilde||^2 from
-    seeded random starts; the best iterate across restarts wins.  A
-    restart that worsens its objective for DIVERGENCE_PATIENCE straight
-    steps is abandoned; if every restart diverges a
-    ConvergenceFailureError carrying the best iterate is raised.
+    seeded random starts, all restarts stepped together; the best iterate
+    across restarts wins.  Only a single linear output unit is supported,
+    with or without bias.  A restart that worsens its objective for
+    DIVERGENCE_PATIENCE straight steps is abandoned; if every restart
+    diverges a ConvergenceFailureError carrying the best iterate is raised.
     """
+    _require_linear(spec, "gradient matching")
+    if params.spec != spec:
+        raise ValueError("parameters were built for a different architecture")
     if record.batch_indices.size != 1:
         raise ValueError("gradient matching here assumes a batch of one example")
-    if iters < 1 or restarts < 1:
-        raise ValueError("iters and restarts must be >= 1")
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
-
+    _check_descent(iters, step, restarts)
     target = np.asarray(record.noisy, dtype=np.float64)
-    objective, gradient = _matching_objective(spec, params, target)
-    d = spec.input_dim
+    if target.shape != (params.flat.size,):
+        raise ValueError(f"gradient has {target.size} coordinates, "
+                         f"expected {params.flat.size}")
 
-    best_obj = math.inf
-    best_x = np.zeros(d)
-    best_t = 0.0
-    all_diverged = True
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(restarts):
-            rng = RngStream(seed, r)
-            x = rng.normal(0.0, 1.0, d)
-            t = float(rng.normal(0.0, 1.0, 1)[0])
-            obj = objective(x, t)
-            if obj < best_obj:
-                best_obj, best_x, best_t = obj, x.copy(), t
-            worse_streak = 0
-            diverged = False
-            for _ in range(iters):
-                gx, gt = gradient(x, t)
-                x = x - step * gx
-                t = t - step * gt
-                new_obj = objective(x, t)
-                if not math.isfinite(new_obj):
-                    diverged = True
-                    break
-                if new_obj < best_obj:
-                    best_obj, best_x, best_t = new_obj, x.copy(), t
-                worse_streak = worse_streak + 1 if new_obj > obj else 0
-                obj = new_obj
-                if worse_streak >= DIVERGENCE_PATIENCE:
-                    diverged = True
-                    break
-                if obj < 1e-26:
-                    break
-            if not diverged:
-                all_diverged = False
-
-    if all_diverged:
+    bias = params.bias(0)
+    x, t, obj, all_diverged = _invert_records(
+        params.weights(0), np.zeros(1) if bias is None else bias,
+        target[None, :], [seed], iters, step, restarts)
+    if all_diverged[0]:
         raise ConvergenceFailureError(
-            f"all {restarts} restarts diverged (best objective {best_obj:.3e})",
-            best_x=best_x, best_t=best_t, best_objective=best_obj,
+            f"all {restarts} restarts diverged (best objective {obj[0]:.3e})",
+            best_x=x[0], best_t=float(t[0]), best_objective=float(obj[0]),
         )
-    return best_x, best_t
+    return x[0], float(t[0])
 
 
 @dataclass
@@ -209,6 +246,23 @@ class MembershipResult:
     non_member_scores: np.ndarray
     threshold: float
     accuracy: float
+
+
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties given the mean of the ranks they span.
+
+    A NaN anywhere makes every rank NaN, so the AUC built on them is NaN.
+    """
+    if np.isnan(values).any():
+        return np.full(values.size, math.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    group = np.cumsum(starts) - 1
+    bounds = np.append(np.flatnonzero(starts), values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
 
 
 def membership_inference(spec: ModelSpec, params: ParameterSet,
@@ -233,7 +287,7 @@ def membership_inference(spec: ModelSpec, params: ParameterSet,
     s_mem = scores(members)
     s_non = scores(non_members)
     n1, n0 = s_mem.size, s_non.size
-    ranks = rankdata(np.concatenate([s_mem, s_non]))
+    ranks = _midranks(np.concatenate([s_mem, s_non]))
     auc = float((ranks[:n1].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
     correct = int((s_mem >= threshold).sum()) + int((s_non < threshold).sum())
     return MembershipResult(auc=auc, member_scores=s_mem, non_member_scores=s_non,
@@ -296,42 +350,37 @@ def leakage_sweep(spec: ModelSpec, data: Dataset,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _require_linear_with_bias(spec)
+    _check_descent(iters, step, restarts)
 
-    reports = []
+    x_true, x_cf, theta, bias, target, seeds = [], [], [], [], [], []
     for noise, reg in mechanisms:
-        label = mechanism_label(noise, reg)
-        by_attack: dict[str, tuple[list, list, list]] = {
-            "closed_form": ([], [], []),
-            "iterative": ([], [], []),
-        }
         for k in range(trials):
             config = TrainConfig(eta=eta, batch_size=1, epochs=1, seed=seed + k,
                                  noise=noise, reg=reg, record_gradients=True,
                                  record_cap=1)
-            report = train(spec, data, config)
-            record = report.records[0]
-            x_true = data.examples[int(record.batch_indices[0])].x
+            record = train(spec, data, config).records[0]
             params0 = initial_params_for(spec, config)
+            x_true.append(data.examples[int(record.batch_indices[0])].x)
+            x_cf.append(invert_linear_gradient(record, spec))
+            theta.append(params0.weights(0).ravel())
+            bias.append(params0.bias(0)[0])
+            target.append(record.noisy)
+            seeds.append(seed + k)
+    # A record whose restarts all diverged is still an attack outcome: it
+    # is scored on its best iterate instead of aborting the sweep.
+    d = spec.input_dim
+    x_it = _invert_records(np.reshape(theta, (-1, d)), np.array(bias),
+                           np.reshape(target, (-1, d + 1)), seeds, iters, step,
+                           restarts)[0]
 
-            x_cf = invert_linear_gradient(record, spec)
-            try:
-                x_it, _ = invert_gradient_iterative(record, spec, params0,
-                                                    iters=iters, step=step,
-                                                    seed=seed + k, restarts=restarts)
-            except ConvergenceFailureError as exc:
-                # A diverged descent is still an attack outcome: score its
-                # best iterate instead of aborting the sweep.
-                x_it = exc.best_x
-            for name, x_hat in (("closed_form", x_cf), ("iterative", x_it)):
-                mse_list, cos_list, success_list = by_attack[name]
-                cos = cosine_similarity(x_hat, x_true)
-                mse_list.append(float(np.mean((x_hat - x_true) ** 2)))
-                cos_list.append(cos)
-                success_list.append(cos >= COSINE_SUCCESS)
-
-        for name in ("closed_form", "iterative"):
-            mse_list, cos_list, success_list = by_attack[name]
-            reports.append(LeakageReport(mechanism=label, attack=name,
-                                         mse=mse_list, cosine=cos_list,
-                                         success=success_list))
+    reports = []
+    for m, (noise, reg) in enumerate(mechanisms):
+        label = mechanism_label(noise, reg)
+        trial_rows = range(m * trials, (m + 1) * trials)
+        for name, x_hat in (("closed_form", x_cf), ("iterative", x_it)):
+            cos = [cosine_similarity(x_hat[i], x_true[i]) for i in trial_rows]
+            mse = [float(np.mean((x_hat[i] - x_true[i]) ** 2)) for i in trial_rows]
+            reports.append(LeakageReport(mechanism=label, attack=name, mse=mse,
+                                         cosine=cos,
+                                         success=[c >= COSINE_SUCCESS for c in cos]))
     return reports

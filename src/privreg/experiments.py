@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -378,7 +379,7 @@ def _parse_attack(obj) -> AttackConfig:
         _check_keys(entry, path, (), ("noise", "reg"))
         mechanisms.append((_parse_noise(entry.get("noise", {}), f"{path}.noise"),
                            _parse_reg(entry.get("reg", {}), f"{path}.reg")))
-    return AttackConfig(
+    config = AttackConfig(
         seed=_typed(obj, "seed", "attack", int, required=True),
         trials=_typed(obj, "trials", "attack", int, required=True),
         mechanisms=tuple(mechanisms),
@@ -388,6 +389,14 @@ def _parse_attack(obj) -> AttackConfig:
         restarts=_typed(obj, "restarts", "attack", int, 10),
         membership=_typed(obj, "membership", "attack", bool, False),
     )
+    for key in ("trials", "iters", "restarts"):
+        if getattr(config, key) < 1:
+            raise ConfigError(f"field 'attack.{key}' must be >= 1")
+    for key in ("step", "eta"):
+        value = getattr(config, key)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"field 'attack.{key}' must be finite and > 0")
+    return config
 
 
 def _parse_output(obj) -> OutputConfig:

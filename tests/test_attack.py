@@ -1,9 +1,16 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from statistics import median
 
 import numpy as np
 import pytest
 
-from privreg.attack import (ConvergenceFailureError, NoLeakageError,
+import privreg.attack
+from privreg.attack import (DIVERGENCE_PATIENCE, ConvergenceFailureError,
+                            NoLeakageError, _midranks, _objective_and_gradient,
                             cosine_similarity, invert_gradient_iterative,
                             invert_linear_gradient, leakage_sweep,
                             mechanism_label, membership_inference)
@@ -11,7 +18,8 @@ from privreg.experiments import generate_dataset
 from privreg.model import (Dataset, Example, ModelSpec, ParameterSet, backward,
                            forward, init_params)
 from privreg.numerics import RngStream
-from privreg.optimizers import GradientRecord, NoiseSpec
+from privreg.optimizers import (GradientRecord, NoiseSpec, TrainConfig,
+                                initial_params_for, train)
 from privreg.regularizers import RegSpec
 
 BIAS_SPEC = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=True)
@@ -22,6 +30,69 @@ def clean_record(spec, params, x, t):
     g = backward(spec, params, trace, np.atleast_1d(t))
     return GradientRecord(step=0, clean=g, noisy=g.copy(),
                           batch_indices=np.array([0]))
+
+
+def reference_inversion(record, spec, params, iters, step, seed, restarts):
+    """The one-restart-at-a-time descent the batched attack must reproduce.
+
+    Returns (best_x, best_t, best_objective, all_diverged, stops), where
+    stops names why each restart ended: "iters", "converged", "patience"
+    or "nonfinite".
+    """
+    target = np.asarray(record.noisy, dtype=np.float64)
+    d = spec.input_dim
+    theta = params.weights(0).ravel()
+    bias = params.bias(0)
+    b0 = float(bias[0]) if bias is not None else 0.0
+
+    def objective(x, t):
+        diff = backward(spec, params, forward(spec, params, x), np.array([t])) - target
+        return float(np.dot(diff, diff))
+
+    def gradient(x, t):
+        r = float(theta @ x) + b0 - t
+        dw = 2.0 * r * x - target[:d]
+        gx = 4.0 * float(x @ dw) * theta + 4.0 * r * dw
+        gt = -4.0 * float(dw @ x)
+        if bias is not None:
+            db = 2.0 * r - target[d]
+            gx = gx + 4.0 * db * theta
+            gt -= 4.0 * db
+        return gx, gt
+
+    best_obj, best_x, best_t = math.inf, np.zeros(d), 0.0
+    stops = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(restarts):
+            rng = RngStream(seed, r)
+            x = rng.normal(0.0, 1.0, d)
+            t = float(rng.normal(0.0, 1.0, 1)[0])
+            obj = objective(x, t)
+            if obj < best_obj:
+                best_obj, best_x, best_t = obj, x.copy(), t
+            worse_streak = 0
+            stop = "iters"
+            for _ in range(iters):
+                gx, gt = gradient(x, t)
+                x = x - step * gx
+                t = t - step * gt
+                new_obj = objective(x, t)
+                if not math.isfinite(new_obj):
+                    stop = "nonfinite"
+                    break
+                if new_obj < best_obj:
+                    best_obj, best_x, best_t = new_obj, x.copy(), t
+                worse_streak = worse_streak + 1 if new_obj > obj else 0
+                obj = new_obj
+                if worse_streak >= DIVERGENCE_PATIENCE:
+                    stop = "patience"
+                    break
+                if obj < 1e-26:
+                    stop = "converged"
+                    break
+            stops.append(stop)
+    all_diverged = all(stop in ("nonfinite", "patience") for stop in stops)
+    return best_x, best_t, best_obj, all_diverged, stops
 
 
 class TestClosedFormInversion:
@@ -93,23 +164,43 @@ class TestIterativeInversion:
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
     def test_analytic_objective_gradient_matches_finite_differences(self):
-        from privreg.attack import _matching_objective
-        params = ParameterSet(BIAS_SPEC, np.array([0.5, -1.0, 0.1]))
-        record = clean_record(BIAS_SPEC, params, np.array([2.0, 1.0]), 1.0)
-        objective, gradient = _matching_objective(BIAS_SPEC, params, record.noisy)
-        rng = RngStream(71)
-        for _ in range(5):
-            x = rng.normal(0.0, 1.0, 2)
-            t = float(rng.normal(0.0, 1.0, 1)[0])
-            gx, gt = gradient(x, t)
-            h = 1e-6
-            for i in range(2):
-                bump = np.zeros(2)
-                bump[i] = h
-                fd = (objective(x + bump, t) - objective(x - bump, t)) / (2 * h)
-                assert fd == pytest.approx(gx[i], rel=1e-4, abs=1e-6)
-            fd_t = (objective(x, t + h) - objective(x, t - h)) / (2 * h)
-            assert fd_t == pytest.approx(gt, rel=1e-4, abs=1e-6)
+        no_bias = ModelSpec(layer_sizes=(3, 1), activation="identity",
+                            include_bias=False)
+        for spec in (BIAS_SPEC, no_bias):
+            params = init_params(spec, RngStream(72))
+            d = spec.input_dim
+            record = clean_record(spec, params, RngStream(73).normal(0.0, 1.0, d), 1.0)
+            theta = params.weights(0)
+            bias = np.zeros(1) if params.bias(0) is None else params.bias(0)
+            target = record.noisy[None, :]
+
+            def rows(x, t):
+                return _objective_and_gradient(theta, bias, target, x[None, :],
+                                               np.array([t]))
+
+            rng = RngStream(71)
+            for _ in range(5):
+                x = rng.normal(0.0, 1.0, d)
+                t = float(rng.normal(0.0, 1.0, 1)[0])
+                obj, gx, gt = rows(x, t)
+                diff = backward(spec, params, forward(spec, params, x),
+                                np.array([t])) - record.noisy
+                assert obj[0] == float(np.dot(diff, diff))
+                h = 1e-6
+                for i in range(d):
+                    bump = np.zeros(d)
+                    bump[i] = h
+                    fd = (rows(x + bump, t)[0][0] - rows(x - bump, t)[0][0]) / (2 * h)
+                    assert fd == pytest.approx(gx[0, i], rel=1e-4, abs=1e-6)
+                fd_t = (rows(x, t + h)[0][0] - rows(x, t - h)[0][0]) / (2 * h)
+                assert fd_t == pytest.approx(gt[0], rel=1e-4, abs=1e-6)
+
+    def test_rejects_nonlinear_model(self):
+        spec = ModelSpec(layer_sizes=(2, 3, 1), activation="tanh")
+        params = init_params(spec, RngStream(5))
+        record = clean_record(spec, params, np.array([1.0, -1.0]), 0.5)
+        with pytest.raises(ValueError, match="single linear output unit"):
+            invert_gradient_iterative(record, spec, params, iters=10, seed=0)
 
     def test_total_divergence_carries_best_iterate(self):
         params = ParameterSet(BIAS_SPEC, np.array([0.5, -1.0, 0.1]))
@@ -140,6 +231,101 @@ class TestIterativeInversion:
                 values.append(cosine_similarity(x_hat, x))
             cosines[sigma] = median(values)
         assert cosines[0.5] <= cosines[0.0]
+
+
+def _reference_case(name):
+    """(record, spec, params, iters, step, seed, restarts, expected stop)."""
+    if name in ("clean", "patience", "patience_all_diverged",
+                "patience_at_last_step", "overflow"):
+        spec = BIAS_SPEC
+        params = ParameterSet(spec, np.array([0.5, -1.0, 0.1]))
+        record = clean_record(spec, params, np.array([2.0, 1.0]), 1.0)
+        return {
+            "clean": (record, spec, params, 300, 0.02, 0, 4, "iters"),
+            # Just past the stability edge of the minimum: the objective
+            # grows slowly enough to stay finite for the whole streak.
+            "patience": (record, spec, params, 3000, 0.0172, 0, 4, "patience"),
+            "patience_all_diverged": (record, spec, params, 3000, 0.0172, 1, 4,
+                                      "patience"),
+            # The streak reaches DIVERGENCE_PATIENCE on the final step, so the
+            # lone restart counts as diverged; one step fewer and it would not.
+            "patience_at_last_step": (record, spec, params, 257, 0.0172, 1, 1,
+                                      "patience"),
+            "overflow": (record, spec, params, 500, 1e6, 1, 3, "nonfinite"),
+        }[name]
+    d, bias, sigma = {"iid_noisy": (3, True, 0.5), "no_bias": (3, False, 0.0),
+                      "odd_d": (5, True, 0.3), "converged": (2, True, 0.0)}[name]
+    spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=bias)
+    params = init_params(spec, RngStream(101))
+    record = clean_record(spec, params, RngStream(201).normal(0.0, 1.0, d), 0.7)
+    if sigma:
+        noisy = record.clean + RngStream(301).normal(0.0, sigma, record.clean.size)
+        record = GradientRecord(step=0, clean=record.clean, noisy=noisy,
+                                batch_indices=np.array([0]))
+    stop = "converged" if name == "converged" else "iters"
+    return record, spec, params, 1500 if name == "converged" else 400, 0.01, 1, 4, stop
+
+
+class TestBatchedDescentMatchesReference:
+    @pytest.mark.parametrize("name", [
+        "clean", "iid_noisy", "no_bias", "odd_d", "converged", "patience",
+        "patience_all_diverged", "patience_at_last_step", "overflow",
+    ])
+    def test_bit_identical_to_one_restart_at_a_time(self, name):
+        record, spec, params, iters, step, seed, restarts, stop = _reference_case(name)
+        ref_x, ref_t, ref_obj, ref_failed, stops = reference_inversion(
+            record, spec, params, iters, step, seed, restarts)
+        assert stop in stops
+        try:
+            x, t = invert_gradient_iterative(record, spec, params, iters=iters,
+                                             step=step, seed=seed,
+                                             restarts=restarts)
+        except ConvergenceFailureError as exc:
+            assert ref_failed
+            x, t = exc.best_x, exc.best_t
+            assert exc.best_objective == ref_obj
+        else:
+            assert not ref_failed
+        assert np.array_equal(x, ref_x)
+        assert t == ref_t
+
+    def test_sweep_matches_per_record_inversion(self, monkeypatch):
+        spec = ModelSpec(layer_sizes=(4, 1), activation="identity", include_bias=True)
+        data = generate_dataset("noisy_linear", 20, 4, 0.3, seed=8)
+        mechanisms = [(NoiseSpec(mode="none"), RegSpec()),
+                      (NoiseSpec(mode="iid", sigma=0.5), RegSpec()),
+                      (NoiseSpec(mode="proportional", sigma=0.5), RegSpec())]
+        trials, seed, kwargs = 4, 100, dict(iters=300, step=0.05, restarts=2)
+        scored = []
+
+        def recording_cosine(x_hat, x_true):
+            scored.append(x_hat)
+            return cosine_similarity(x_hat, x_true)
+
+        monkeypatch.setattr(privreg.attack, "cosine_similarity", recording_cosine)
+        leakage_sweep(spec, data, mechanisms, trials=trials, seed=seed, **kwargs)
+        # Per mechanism the sweep scores the closed-form x_hat of every
+        # trial, then the iterative ones.
+        swept = [scored[2 * trials * m + trials + k]
+                 for m in range(len(mechanisms)) for k in range(trials)]
+
+        outcomes = set()
+        for m, (noise, reg) in enumerate(mechanisms):
+            for k in range(trials):
+                config = TrainConfig(eta=0.1, batch_size=1, epochs=1, seed=seed + k,
+                                     noise=noise, reg=reg, record_gradients=True,
+                                     record_cap=1)
+                record = train(spec, data, config).records[0]
+                params0 = initial_params_for(spec, config)
+                try:
+                    x, _ = invert_gradient_iterative(record, spec, params0,
+                                                     seed=seed + k, **kwargs)
+                    outcomes.add("returned")
+                except ConvergenceFailureError as exc:
+                    x = exc.best_x
+                    outcomes.add("all restarts diverged")
+                assert np.array_equal(swept[m * trials + k], x)
+        assert outcomes == {"returned", "all restarts diverged"}
 
 
 class TestMembershipInference:
@@ -174,6 +360,41 @@ class TestMembershipInference:
         data = generate_dataset("noisy_linear", 20, 3, 0.2, seed=5)
         result = membership_inference(spec, zero, data, data, threshold=-1.0)
         assert result.auc == 0.5
+
+    def test_auc_equals_pairwise_count_with_ties(self):
+        spec = ModelSpec(layer_sizes=(1, 1), activation="identity", include_bias=False)
+        params = ParameterSet(spec, np.array([1.0]))
+        for case in range(20):
+            rng = RngStream(500 + case)
+            n = 3 + int(rng.uniform(1)[0] * 10)
+
+            def draw():
+                # Integer inputs and targets give integer losses, so scores tie.
+                return Dataset([Example(np.floor(rng.uniform(1) * 3),
+                                        np.floor(rng.uniform(1) * 3))
+                                for _ in range(n)], dim=1)
+
+            result = membership_inference(spec, params, draw(), draw(), threshold=-1.0)
+            wins = sum(1.0 if a > b else 0.5 if a == b else 0.0
+                       for a in result.member_scores for b in result.non_member_scores)
+            assert result.auc == wins / (n * n)
+
+    def test_midranks_match_scipy_rankdata(self):
+        from scipy.stats import rankdata
+        for case in range(200):
+            rng = RngStream(600 + case)
+            n = 1 + int(rng.uniform(1)[0] * 40)
+            values = np.floor(rng.uniform(n) * (1 + case % 7)) - 2.0
+            assert np.array_equal(_midranks(values), rankdata(values))
+        assert np.isnan(_midranks(np.array([1.0, math.nan, 0.0]))).all()
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        src = Path(privreg.attack.__file__).resolve().parent.parent
+        probe = "import sys, privreg.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
     def test_validation(self):
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)

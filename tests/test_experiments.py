@@ -149,6 +149,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"attack.mechanisms\[0\].regs"):
             parse_config(cfg, "attack")
 
+    @pytest.mark.parametrize("field,value", [
+        ("trials", 0), ("iters", 0), ("restarts", 0), ("step", -0.01), ("eta", 0),
+    ])
+    def test_attack_field_out_of_range_exits_2(self, tmp_path, capsys, field, value):
+        cfg = {
+            "experiment_id": "x",
+            "model": {"layer_sizes": [2, 1]},
+            "data": {"kind": "noisy_linear", "n": 10, "d": 2,
+                     "noise_level": 0.3, "seed": 1},
+            "attack": {"seed": 1, "trials": 1, "iters": 5, "restarts": 1,
+                       "mechanisms": [{"noise": {"mode": "none"}}], field: value},
+            "output": {"directory": str(tmp_path / "out")},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("attack", cfg_path) == 2
+        assert f"attack.{field}" in json.loads(capsys.readouterr().err)["message"]
+
     def test_unused_sections_still_validated(self, tmp_path):
         cfg = minimal_verify_config(tmp_path)
         cfg["model"] = {"layer_sizes": [0, 1]}
