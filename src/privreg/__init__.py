@@ -11,19 +11,19 @@ __version__ = "0.1.0"
 
 from .attack import (ConvergenceFailureError, LeakageReport, MembershipResult,
                      NoLeakageError, cosine_similarity, invert_gradient_iterative,
-                     invert_linear_gradient, leakage_sweep, mechanism_label,
+                     invert_linear_gradient, leakage_sweep,
                      membership_inference)
 from .experiments import (ConfigError, ExperimentConfig, ResultRow,
                           generate_dataset, load_dataset, parse_config,
                           read_result_rows, run, write_result_rows)
-from .model import (Dataset, Example, ForwardTrace, ModelSpec, ParameterSet,
-                    backward, forward, init_params, per_example_gradients,
-                    quadratic_loss)
+from .model import (Dataset, ForwardTrace, ModelSpec, NonFiniteParametersError,
+                    ParameterSet, backward, forward, init_params, quadratic_loss)
 from .numerics import (MomentSummary, RngStream, SingularMatrixError, bessel_k0,
                        gaussian_sample, moments, solve_linear_system)
 from .optimizers import (GradientRecord, NoiseSpec, TrainConfig, TrainReport,
-                         add_iid_noise, add_proportional_noise, clip_gradient,
-                         dataset_loss, initial_params_for, sgd_step, train)
+                         TrainingDivergedError, add_iid_noise,
+                         add_proportional_noise, clip_gradient, dataset_loss,
+                         initial_params_for, mechanism_label, sgd_step, train)
 from .oracle import (IdentityCheck, McEstimate, ProductDensityReport,
                      analytic_post_update_loss, backprop_grad_check,
                      check_cross_term_vanishes, check_moment_identities,

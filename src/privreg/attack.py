@@ -27,7 +27,7 @@ import numpy as np
 from .model import Dataset, ModelSpec, ParameterSet, forward, quadratic_loss
 from .numerics import RngStream
 from .optimizers import (GradientRecord, NoiseSpec, TrainConfig,
-                         initial_params_for, train)
+                         initial_params_for, mechanism_label, train)
 from .regularizers import RegSpec
 
 COSINE_SUCCESS = 0.99
@@ -279,10 +279,7 @@ def membership_inference(spec: ModelSpec, params: ParameterSet,
         raise ValueError("member and non-member sets must have equal size")
 
     def scores(data: Dataset) -> np.ndarray:
-        return np.array([
-            -quadratic_loss(forward(spec, params, ex.x).output, ex.t)
-            for ex in data
-        ])
+        return -quadratic_loss(forward(spec, params, data.x).output, data.t)
 
     s_mem = scores(members)
     s_non = scores(non_members)
@@ -325,17 +322,6 @@ class LeakageReport:
         return float(np.mean(self.success))
 
 
-def mechanism_label(noise: NoiseSpec, reg: RegSpec) -> str:
-    label = f"noise={noise.mode}:sigma={noise.sigma:g}"
-    if noise.clip_c is not None:
-        label += f":clip={noise.clip_c:g}"
-    kappa = "derived" if reg.kappa_mode == "derived" else f"{reg.kappa:g}"
-    label += f"|l2={reg.lam:g}|pdp={kappa}"
-    if reg.input_kappa > 0:
-        label += f"|input={reg.input_kappa:g}"
-    return label
-
-
 def leakage_sweep(spec: ModelSpec, data: Dataset,
                   mechanisms: list[tuple[NoiseSpec, RegSpec]], trials: int,
                   seed: int, eta: float = 0.1, iters: int = 800,
@@ -360,7 +346,7 @@ def leakage_sweep(spec: ModelSpec, data: Dataset,
                                  record_cap=1)
             record = train(spec, data, config).records[0]
             params0 = initial_params_for(spec, config)
-            x_true.append(data.examples[int(record.batch_indices[0])].x)
+            x_true.append(data.x[int(record.batch_indices[0])])
             x_cf.append(invert_linear_gradient(record, spec))
             theta.append(params0.weights(0).ravel())
             bias.append(params0.bias(0)[0])

@@ -42,10 +42,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .attack import leakage_sweep, mechanism_label, membership_inference
-from .model import Dataset, Example, ModelSpec, ParameterSet
+from .attack import leakage_sweep, membership_inference
+from .model import Dataset, ModelSpec, ParameterSet
 from .numerics import RngStream
-from .optimizers import NoiseSpec, TrainConfig, initial_params_for, train
+from .optimizers import (NoiseSpec, TrainConfig, initial_params_for,
+                         mechanism_label, train)
 from .oracle import (DEFAULT_Z_THRESHOLD, backprop_grad_check,
                      check_cross_term_vanishes, check_moment_identities,
                      check_product_density, equivalence_chain_residuals,
@@ -147,8 +148,7 @@ def generate_dataset(kind: str, n: int, d: int, noise_level: float,
         x = _standardize_columns(x)
         t = labels
 
-    examples = [Example(x[i], np.array([t[i]])) for i in range(n)]
-    return Dataset(examples=examples, dim=d)
+    return Dataset(x, t[:, None])
 
 
 def _standardize_columns(x: np.ndarray) -> np.ndarray:
@@ -159,20 +159,39 @@ def _standardize_columns(x: np.ndarray) -> np.ndarray:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Read a dataset CSV with header x0,...,x{d-1},t."""
+    """Read a dataset CSV with header x0,...,x{d-1},t.
+
+    Every row must hold d + 1 finite numbers.  A file that breaks this, or
+    holds no rows, raises ConfigError naming the file and the 1-based line.
+    """
+    def bad(line: int, problem: str) -> ConfigError:
+        return ConfigError(f"field 'data.path': {path}, line {line}: {problem}")
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "t" or any(h != f"x{i}" for i, h in enumerate(header[:-1])):
-            raise ValueError(f"dataset header must be x0,...,x{{d-1}},t, got {header}")
-        d = len(header) - 1
-        examples = []
+        header = next(reader, None)
+        if header is None:
+            raise bad(1, "empty file, expected the header x0,...,x{d-1},t")
+        if (len(header) < 2 or header[-1] != "t"
+                or any(h != f"x{i}" for i, h in enumerate(header[:-1]))):
+            raise bad(reader.line_num,
+                      f"dataset header must be x0,...,x{{d-1}},t, got {header}")
+        width = len(header)
+        rows = []
         for rec in reader:
-            vals = [float(v) for v in rec]
-            examples.append(Example(np.array(vals[:d]), np.array([vals[d]])))
-    if not examples:
-        raise ValueError(f"dataset file {path} has no rows")
-    return Dataset(examples=examples, dim=d)
+            if len(rec) != width:
+                raise bad(reader.line_num, f"expected {width} values, got {len(rec)}")
+            try:
+                vals = [float(v) for v in rec]
+            except ValueError as exc:
+                raise bad(reader.line_num, str(exc)) from None
+            if not all(math.isfinite(v) for v in vals):
+                raise bad(reader.line_num, f"values must be finite, got {rec}")
+            rows.append(vals)
+        if not rows:
+            raise bad(reader.line_num + 1, "no data rows after the header")
+    table = np.array(rows)
+    return Dataset(table[:, :-1], table[:, -1:])
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +620,7 @@ def _trajectory_identity(oc: OracleConfig) -> list[tuple[str, float, float]]:
                           float(np.abs(a.noisy - b.noisy).max()),
                           float(np.abs(a.batch_indices - b.batch_indices).max()))
 
-    mean_input_sq = float(np.mean([dp_input_penalty(ex.x, 0.7) for ex in data]))
+    mean_input_sq = float(np.mean(dp_input_penalty(data.x, 0.7)))
     shift_residual = max(abs((s - p) - mean_input_sq)
                          for p, s in zip(plain.epoch_losses, shifted.epoch_losses))
     return [("trajectory_param_diff", param_diff, 0.0),
@@ -690,8 +709,8 @@ def _cmd_attack(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
 def _membership_rows(config: ExperimentConfig, data: Dataset) -> list[ResultRow]:
     ac = config.attack
     half = len(data) // 2
-    members = Dataset(examples=data.examples[:half], dim=data.dim)
-    fresh = Dataset(examples=data.examples[half:2 * half], dim=data.dim)
+    members = Dataset(data.x[:half], data.t[:half])
+    fresh = Dataset(data.x[half:2 * half], data.t[half:2 * half])
     rows = []
     for noise, reg in ac.mechanisms:
         label = mechanism_label(noise, reg)
@@ -799,6 +818,9 @@ def run(command: str, config_path: str | Path, out_dir: str | None = None,
         rows, ok = _COMMAND_IMPLS[command](config)
         write_result_rows(directory / f"{command}_results.csv", rows)
         _write_manifest(directory / f"{command}_manifest.json", config, command)
+    except ConfigError as exc:  # input files named by the config, read at run time
+        print(_error_report(type(exc).__name__, str(exc)), file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001  (boundary: report and signal failure)
         print(_error_report(type(exc).__name__, str(exc)), file=sys.stderr)
         return 1

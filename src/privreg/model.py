@@ -1,4 +1,4 @@
-"""Small dense feed-forward models with explicit forward/backward passes.
+"""Small dense feed-forward models with explicit, batched forward/backward passes.
 
 A model is a chain of affine layers; hidden layers share one activation,
 the output layer is always linear.  Parameters live in a single flat
@@ -7,6 +7,14 @@ noise mechanisms and regularizers coordinate-aligned.  The loss is the
 plain squared error sum((y - t)^2), so a one-layer linear model with
 scalar output has per-weight gradient 2*(y - t)*x_i and bias gradient
 2*(y - t).
+
+Every pass works on a batch: forward takes (B, d) inputs and keeps (B, .)
+activations, and backward returns one gradient per example as a (B, P)
+array.  A single input is a batch of one row.  Each example's arithmetic
+is the same as on its own: matrix-vector products are stacked,
+(W @ a[:, :, None])[..., 0], which runs the same BLAS gemv per row as
+W @ a on one vector, and dot products go through np.vecdot, which sums a
+row as np.dot does.  A plain (B, d) @ W.T would sum in another order.
 """
 
 from __future__ import annotations
@@ -59,6 +67,10 @@ class LayerSlices:
     fan_in: int
     fan_out: int
 
+    def weight_matrix(self, flat: np.ndarray) -> np.ndarray:
+        """This layer's (fan_out, fan_in) weight view of a flat vector."""
+        return flat[self.weights].reshape(self.fan_out, self.fan_in)
+
 
 @lru_cache(maxsize=None)
 def layout(spec: ModelSpec) -> tuple[LayerSlices, ...]:
@@ -76,9 +88,14 @@ def layout(spec: ModelSpec) -> tuple[LayerSlices, ...]:
     return tuple(slices)
 
 
+@lru_cache(maxsize=None)
 def n_params(spec: ModelSpec) -> int:
     last = layout(spec)[-1]
     return (last.bias or last.weights).stop
+
+
+class NonFiniteParametersError(ValueError):
+    """A parameter vector holds NaN or infinity."""
 
 
 @dataclass
@@ -94,11 +111,10 @@ class ParameterSet:
         if self.flat.size != expected:
             raise ValueError(f"expected {expected} parameters, got {self.flat.size}")
         if not np.isfinite(self.flat).all():
-            raise ValueError("parameters must be finite")
+            raise NonFiniteParametersError("parameters must be finite")
 
     def weights(self, layer: int) -> np.ndarray:
-        ls = layout(self.spec)[layer]
-        return self.flat[ls.weights].reshape(ls.fan_out, ls.fan_in)
+        return layout(self.spec)[layer].weight_matrix(self.flat)
 
     def bias(self, layer: int) -> np.ndarray | None:
         ls = layout(self.spec)[layer]
@@ -108,44 +124,32 @@ class ParameterSet:
         return ParameterSet(self.spec, self.flat.copy())
 
 
-@dataclass(frozen=True)
-class Example:
+@dataclass
+class Dataset:
+    """Examples as rows: inputs x of shape (n, d), targets t of shape (n, k)."""
+
     x: np.ndarray
     t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=np.float64)))
-        object.__setattr__(self, "t", np.atleast_1d(np.asarray(self.t, dtype=np.float64)))
+        self.x = np.ascontiguousarray(self.x, dtype=np.float64)
+        self.t = np.ascontiguousarray(self.t, dtype=np.float64)
+        if self.x.ndim != 2 or self.t.ndim != 2:
+            raise ValueError(f"x and t must be 2-D, got shapes {self.x.shape} and {self.t.shape}")
+        if self.x.shape[0] != self.t.shape[0]:
+            raise ValueError(f"{self.x.shape[0]} inputs but {self.t.shape[0]} targets")
 
-
-@dataclass
-class Dataset:
-    """Ordered examples sharing one feature dimension."""
-
-    examples: list[Example]
-    dim: int
-
-    def __post_init__(self):
-        for i, ex in enumerate(self.examples):
-            if ex.x.shape != (self.dim,):
-                raise ValueError(f"example {i} has dimension {ex.x.shape[0]}, expected {self.dim}")
+    @property
+    def dim(self) -> int:
+        return self.x.shape[1]
 
     def __len__(self) -> int:
-        return len(self.examples)
-
-    def __iter__(self):
-        return iter(self.examples)
-
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(X, T) with one example per row."""
-        x = np.stack([ex.x for ex in self.examples])
-        t = np.stack([ex.t for ex in self.examples])
-        return x, t
+        return self.x.shape[0]
 
 
 @dataclass
 class ForwardTrace:
-    """Per-layer incoming activations, pre-activations, and outputs."""
+    """Per-layer incoming activations, pre-activations, and outputs, each (B, .)."""
 
     inputs: list[np.ndarray] = field(default_factory=list)
     pre: list[np.ndarray] = field(default_factory=list)
@@ -188,20 +192,27 @@ def _activate_prime(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (z > 0.0).astype(np.float64)
 
 
+def _matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """w @ a[i] for every row a[i], each row bit-identical to one gemv."""
+    return (w @ a[:, :, None])[..., 0]
+
+
 def forward(spec: ModelSpec, params: ParameterSet, x: np.ndarray) -> ForwardTrace:
-    """Run the network on one input, keeping every intermediate value."""
+    """Run the network on a (B, d) batch, keeping every intermediate value."""
     if params.spec != spec:
         raise ValueError("parameters were built for a different architecture")
-    a = np.asarray(x, dtype=np.float64).ravel()
-    if a.shape != (spec.input_dim,):
-        raise ValueError(f"input has dimension {a.shape[0]}, expected {spec.input_dim}")
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2 or a.shape[1] != spec.input_dim:
+        raise ValueError(f"input batch has shape {a.shape}, expected (B, {spec.input_dim})")
+    if a.shape[0] == 0:
+        raise ValueError("batch must be nonempty")
+    layers = layout(spec)
     trace = ForwardTrace()
-    for layer in range(spec.n_layers):
-        z = params.weights(layer) @ a
-        b = params.bias(layer)
-        if b is not None:
-            z = z + b
-        act = spec.activation if layer < spec.n_layers - 1 else "identity"
+    for layer, ls in enumerate(layers):
+        z = _matvec(ls.weight_matrix(params.flat), a)
+        if ls.bias is not None:
+            z = z + params.flat[ls.bias]
+        act = spec.activation if layer < len(layers) - 1 else "identity"
         trace.inputs.append(a)
         trace.pre.append(z)
         a = _activate(act, z)
@@ -209,51 +220,43 @@ def forward(spec: ModelSpec, params: ParameterSet, x: np.ndarray) -> ForwardTrac
     return trace
 
 
-def quadratic_loss(y: np.ndarray, t: np.ndarray) -> float:
-    """Squared Euclidean distance; (y - t)^2 in the scalar case."""
+def quadratic_loss(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance over the last axis: one loss per row of a
+    (B, k) batch, or a scalar for one (k,) output."""
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if y.shape != t.shape:
         raise ValueError(f"output shape {y.shape} does not match target shape {t.shape}")
     diff = y - t
-    return float(np.dot(diff, diff))
+    return np.vecdot(diff, diff)
 
 
 def backward(spec: ModelSpec, params: ParameterSet, trace: ForwardTrace,
              t: np.ndarray) -> np.ndarray:
-    """Exact gradient of quadratic_loss(output, t) w.r.t. the flat parameters."""
-    if len(trace.pre) != spec.n_layers or len(trace.inputs) != spec.n_layers:
+    """Exact per-example gradients of quadratic_loss(output, t) w.r.t. the
+    flat parameters: row i of the (B, P) result belongs to example i, and
+    their mean is the gradient of the mean batch loss."""
+    layers = layout(spec)
+    if len(trace.pre) != len(layers) or len(trace.inputs) != len(layers):
         raise ValueError("trace depth does not match the architecture")
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    t = np.asarray(t, dtype=np.float64)
     y = trace.output
     if y.shape != t.shape:
         raise ValueError(f"target shape {t.shape} does not match output shape {y.shape}")
-    if trace.inputs[0].shape != (spec.input_dim,):
+    if trace.inputs[0].shape[1:] != (spec.input_dim,):
         raise ValueError("trace input dimension does not match the architecture")
 
-    grad = np.zeros(n_params(spec))
+    batch = y.shape[0]
+    grad = np.empty((batch, n_params(spec)))
     delta = 2.0 * (y - t)  # output layer is linear
-    for layer in range(spec.n_layers - 1, -1, -1):
-        ls = layout(spec)[layer]
+    for layer in range(len(layers) - 1, -1, -1):
+        ls = layers[layer]
         a_in = trace.inputs[layer]
-        grad[ls.weights] = np.outer(delta, a_in).ravel()
+        grad[:, ls.weights] = (delta[:, :, None] * a_in[:, None, :]).reshape(batch, -1)
         if ls.bias is not None:
-            grad[ls.bias] = delta
+            grad[:, ls.bias] = delta
         if layer > 0:
-            act = spec.activation
-            back = params.weights(layer).T @ delta
-            delta = back * _activate_prime(act, trace.pre[layer - 1], trace.post[layer - 1])
+            back = _matvec(ls.weight_matrix(params.flat).T, delta)
+            delta = back * _activate_prime(spec.activation, trace.pre[layer - 1],
+                                           trace.post[layer - 1])
     return grad
-
-
-def per_example_gradients(spec: ModelSpec, params: ParameterSet,
-                          batch: list[Example]) -> list[np.ndarray]:
-    """One quadratic-loss gradient per example; their mean is the gradient
-    of the mean batch loss."""
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    grads = []
-    for ex in batch:
-        trace = forward(spec, params, ex.x)
-        grads.append(backward(spec, params, trace, ex.t))
-    return grads

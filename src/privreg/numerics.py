@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -150,6 +149,8 @@ def _k0_series(z: float) -> float:
 def _k0_quadrature(z: float) -> float:
     # K0(z) = exp(-z) * integral_0^inf exp(-z*(cosh t - 1)) dt; the integrand
     # is below 3e-20 once z*(cosh t - 1) > 45, so the tail past T is ignorable.
+    from scipy.integrate import quad  # slow to import; only K0 above z = 2 needs it
+
     upper = math.acosh(1.0 + 45.0 / z)
     value, _ = quad(lambda t: math.exp(-z * (math.cosh(t) - 1.0)), 0.0, upper,
                     epsabs=0.0, epsrel=1e-12, limit=200)

@@ -12,9 +12,13 @@ Four mechanisms share one loop:
                                 product term folded into each per-example
                                 gradient, no noise required
 
-Order per batch: per-example loss gradient, plus penalty gradients, then
-optional per-example clipping, average, one optional noise draw, step.
-Penalties belong to the loss, so they come before the privacy mechanics.
+Order per batch: one forward/backward pass over the batch's (B, d) rows
+gives the (B, P) per-example loss gradients; penalty gradients are added
+row by row, each row is clipped by its norm, the rows are averaged, then
+one optional noise draw and the step.  Penalties belong to the loss, so
+they come before the privacy mechanics.  Every row is computed exactly as
+the example would be on its own (see privreg.model), so batch size never
+changes an example's gradient bits.
 
 A run is deterministic given its seed.  Three fixed substreams are used:
 STREAM_INIT for parameter init, STREAM_SHUFFLE for epoch permutations,
@@ -23,14 +27,14 @@ STREAM_NOISE for gradient noise.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .model import (Dataset, Example, ModelSpec, ParameterSet, backward,
-                    forward, init_params, quadratic_loss)
+from .model import (Dataset, ModelSpec, NonFiniteParametersError, ParameterSet,
+                    backward, forward, init_params, quadratic_loss)
 from .numerics import RngStream
 from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
                            pdp_grad, pdp_penalty)
@@ -107,16 +111,31 @@ class TrainReport:
     epoch_losses: list[float]
     final_params: ParameterSet
     records: list[GradientRecord] | None
-    epoch_seconds: list[float] = field(default_factory=list)
+
+
+class TrainingDivergedError(ArithmeticError):
+    """Training produced non-finite parameters or a non-finite epoch loss."""
+
+
+def mechanism_label(noise: NoiseSpec, reg: RegSpec) -> str:
+    label = f"noise={noise.mode}:sigma={noise.sigma:g}"
+    if noise.clip_c is not None:
+        label += f":clip={noise.clip_c:g}"
+    kappa = "derived" if reg.kappa_mode == "derived" else f"{reg.kappa:g}"
+    label += f"|l2={reg.lam:g}|pdp={kappa}"
+    if reg.input_kappa > 0:
+        label += f"|input={reg.input_kappa:g}"
+    return label
 
 
 def clip_gradient(g: np.ndarray, c: float) -> np.ndarray:
-    """Rescale g to norm at most c, preserving direction: g / max(1, |g|/c)."""
+    """Rescale each gradient (the last axis; one per row of a (B, P) batch)
+    to norm at most c, preserving direction: g / max(1, |g|/c)."""
     if not c > 0:
         raise ValueError(f"clip threshold must be positive, got {c}")
     g = np.asarray(g, dtype=np.float64)
-    norm = float(np.linalg.norm(g))
-    return g / max(1.0, norm / c)
+    norm = np.sqrt(np.vecdot(g, g))
+    return g / np.maximum(1.0, norm / c)[..., None]
 
 
 def add_iid_noise(g: np.ndarray, sigma: float, rng: RngStream) -> np.ndarray:
@@ -165,30 +184,28 @@ def initial_params_for(spec: ModelSpec, config: TrainConfig) -> ParameterSet:
     return init_params(spec, RngStream(config.seed, STREAM_INIT))
 
 
-def _example_loss(spec: ModelSpec, params: ParameterSet, ex: Example,
-                  reg: RegSpec, kappa: float) -> float:
-    trace = forward(spec, params, ex.x)
-    loss = quadratic_loss(trace.output, ex.t)
-    if reg.lam > 0:
-        loss += l2_penalty(params, reg.lam)
-    if kappa > 0:
-        loss += pdp_penalty(params, ex.x, kappa, trace)
-    if reg.input_kappa > 0:
-        loss += dp_input_penalty(ex.x, reg.input_kappa)
-    return loss
-
-
 def dataset_loss(spec: ModelSpec, params: ParameterSet, data: Dataset,
                  reg: RegSpec = RegSpec(), kappa: float | None = None) -> float:
     """Mean per-example loss over the dataset, penalties included."""
     k = reg.kappa if kappa is None else kappa
-    return float(np.mean([_example_loss(spec, params, ex, reg, k) for ex in data]))
+    trace = forward(spec, params, data.x)
+    losses = quadratic_loss(trace.output, data.t)
+    if reg.lam > 0:
+        losses = losses + l2_penalty(params, reg.lam)
+    if k > 0:
+        losses = losses + pdp_penalty(params, data.x, k, trace)
+    if reg.input_kappa > 0:
+        losses = losses + dp_input_penalty(data.x, reg.input_kappa)
+    return float(np.mean(losses))
 
 
 def _batched(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
     return [order[i:i + batch_size] for i in range(0, order.size, batch_size)]
 
 
+# Divergence is raised naming where it happened; numpy's overflow warnings
+# on the way there would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
           init: ParameterSet | None = None) -> TrainReport:
     """Run the configured mechanism and report per-epoch losses.
@@ -197,7 +214,9 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
     shuffle stream, the last partial batch kept, and one noise draw per
     batch applied to the averaged gradient.  Proportional noise scales
     with the pre-update parameters.  Pass `init` to start from explicit
-    parameters instead of the seeded default.
+    parameters instead of the seeded default.  Raises
+    TrainingDivergedError, naming the epoch, step and mechanism, when the
+    parameters or an epoch loss stop being finite.
     """
     if len(data) == 0:
         raise ValueError("dataset must be nonempty")
@@ -212,12 +231,15 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
     noise_rng = RngStream(config.seed, STREAM_NOISE)
     params = init.copy() if init is not None else initial_params_for(spec, config)
 
+    def diverged(epoch: int, step: int, what: str) -> TrainingDivergedError:
+        return TrainingDivergedError(
+            f"training diverged in epoch {epoch + 1} of {config.epochs} at step "
+            f"{step} under {mechanism_label(noise, reg)}: {what} became non-finite")
+
     records: list[GradientRecord] | None = [] if config.record_gradients else None
     epoch_losses: list[float] = []
-    epoch_seconds: list[float] = []
     step = 0
-    for _ in range(config.epochs):
-        started = time.perf_counter()
+    for epoch in range(config.epochs):
         order = shuffle_rng.permutation(len(data))
         for batch_idx in _batched(order, config.batch_size):
             eta = config.eta_at(step)
@@ -225,19 +247,16 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
             if reg.kappa_mode == "derived":
                 kappa = eta * eta * noise.sigma * noise.sigma
 
-            grads = []
-            for i in batch_idx:
-                ex = data.examples[i]
-                trace = forward(spec, params, ex.x)
-                g = backward(spec, params, trace, ex.t)
-                if reg.lam > 0:
-                    g = g + l2_grad(params, reg.lam)
-                if kappa > 0:
-                    g = g + pdp_grad(params, ex.x, kappa, trace)
-                if noise.clip_c is not None:
-                    g = clip_gradient(g, noise.clip_c)
-                grads.append(g)
-            g_clean = np.mean(grads, axis=0)
+            x = data.x[batch_idx]
+            trace = forward(spec, params, x)
+            grads = backward(spec, params, trace, data.t[batch_idx])
+            if reg.lam > 0:
+                grads = grads + l2_grad(params, reg.lam)
+            if kappa > 0:
+                grads = grads + pdp_grad(params, x, kappa, trace)
+            if noise.clip_c is not None:
+                grads = clip_gradient(grads, noise.clip_c)
+            g_clean = grads.mean(axis=0)
 
             if noise.mode == "iid":
                 g_tilde = add_iid_noise(g_clean, noise.sigma, noise_rng)
@@ -250,14 +269,18 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
                 records.append(GradientRecord(step=step, clean=g_clean.copy(),
                                               noisy=g_tilde.copy(),
                                               batch_indices=batch_idx.copy()))
-            params = sgd_step(params, g_tilde, eta)
+            try:
+                params = sgd_step(params, g_tilde, eta)
+            except NonFiniteParametersError:
+                raise diverged(epoch, step, "the parameters") from None
             step += 1
 
         kappa = reg.kappa
         if reg.kappa_mode == "derived":
             kappa = config.eta_at(step) ** 2 * noise.sigma ** 2
-        epoch_losses.append(dataset_loss(spec, params, data, reg, kappa))
-        epoch_seconds.append(time.perf_counter() - started)
+        loss = dataset_loss(spec, params, data, reg, kappa)
+        if not math.isfinite(loss):
+            raise diverged(epoch, step - 1, "the epoch loss")
+        epoch_losses.append(loss)
 
-    return TrainReport(epoch_losses=epoch_losses, final_params=params,
-                       records=records, epoch_seconds=epoch_seconds)
+    return TrainReport(epoch_losses=epoch_losses, final_params=params, records=records)

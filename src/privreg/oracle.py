@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model import Dataset, ModelSpec, ParameterSet
 from .numerics import RngStream, bessel_k0, gaussian_sample, solve_linear_system
@@ -272,6 +271,8 @@ def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
     raw_counts, _ = np.histogram(u, bins=edges)
     counts = np.delete(raw_counts, bins).astype(np.float64)  # drop the (-lo, lo) gap
 
+    from scipy.integrate import quad  # slow to import; only this check needs it
+
     scale = sigma_x * sigma_y
     density = lambda v: bessel_k0(v / scale) / (np.pi * scale)
     pos_mass = np.array([quad(density, a, b, epsabs=0.0, epsrel=1e-10)[0]
@@ -307,7 +308,7 @@ def regularized_least_squares_oracle(data: Dataset, kappa: float) -> ParameterSe
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     if len(data) == 0:
         raise ValueError("dataset must be nonempty")
-    x, t = data.matrices()
+    x, t = data.x, data.t
     if t.shape[1] != 1:
         raise ValueError("closed form needs scalar targets")
     gram = x.T @ x + kappa * np.diag((x * x).sum(axis=0))
@@ -349,19 +350,22 @@ def grad_check(kind: str, params: ParameterSet, x: np.ndarray,
         raise ValueError(f"unknown penalty kind {kind!r}")
     spec = params.spec
 
+    row = np.asarray(x, dtype=np.float64)[None, :]
+
     if kind == "l2":
         f = lambda th: l2_penalty(ParameterSet(spec, th), lam)
         analytic = l2_grad(params, lam)
     elif kind == "pdp":
-        f = lambda th: pdp_penalty(ParameterSet(spec, th), x, kappa)
-        analytic = pdp_grad(params, x, kappa)
+        f = lambda th: pdp_penalty(ParameterSet(spec, th), row, kappa)[0]
+        analytic = pdp_grad(params, row, kappa)[0]
     elif kind == "dp_input":
         f = lambda th: dp_input_penalty(x, kappa)
         analytic = np.zeros_like(params.flat)
     else:
         f = lambda th: (l2_penalty(ParameterSet(spec, th), lam)
-                        + pdp_penalty(ParameterSet(spec, th), x, kappa))
-        analytic = combined_grad(params, x, lam, kappa, np.zeros_like(params.flat))
+                        + pdp_penalty(ParameterSet(spec, th), row, kappa)[0])
+        analytic = combined_grad(params, row, lam, kappa,
+                                 np.zeros_like(params.flat))[0]
 
     fd = finite_difference_gradient(f, params.flat, h_scale)
     return _max_rel_err(analytic, fd)
@@ -372,12 +376,15 @@ def backprop_grad_check(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
     """Worst relative error of backward() against central differences of the loss."""
     from .model import backward, forward, quadratic_loss
 
+    row = np.asarray(x, dtype=np.float64)[None, :]
+    target = np.atleast_1d(np.asarray(t, dtype=np.float64))[None, :]
+
     def loss_at(th: np.ndarray) -> float:
         p = ParameterSet(spec, th)
-        return quadratic_loss(forward(spec, p, x).output, t)
+        return quadratic_loss(forward(spec, p, row).output, target)[0]
 
-    trace = forward(spec, params, x)
-    analytic = backward(spec, params, trace, t)
+    trace = forward(spec, params, row)
+    analytic = backward(spec, params, trace, target)[0]
     fd = finite_difference_gradient(loss_at, params.flat, h_scale)
     return _max_rel_err(analytic, fd)
 
@@ -445,5 +452,5 @@ def equivalence_chain_residuals(setup: LinearSetup) -> tuple[float, float]:
     prop_gap = analytic_post_update_loss(setup.params, setup.x, setup.t, setup.eta,
                                          NoiseSpec(mode="proportional", sigma=setup.sigma)) - clean
     iid_resid = abs(iid_gap - dp_input_penalty(xv, kappa))
-    prop_resid = abs(prop_gap - pdp_penalty(setup.params, setup.x, kappa))
-    return iid_resid, prop_resid
+    prop_resid = abs(prop_gap - pdp_penalty(setup.params, setup.x[None, :], kappa)[0])
+    return float(iid_resid), float(prop_resid)

@@ -18,6 +18,9 @@ For multi-layer models each weight pairs with its own incoming activation
 (biases with the constant 1).  The pairing vector is treated as fixed when
 differentiating, mirroring how the noise mechanism scales with the current
 parameter values without being differentiated through.
+
+The input-dependent terms work on a (B, d) batch, one value or one (P,)
+gradient row per example; a single input is a batch of one row.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ForwardTrace, ParameterSet, forward, layout, n_params
+from .model import ForwardTrace, ModelSpec, ParameterSet, forward, layout, n_params
 
 KAPPA_MODES = ("explicit", "derived")
 
@@ -72,66 +75,70 @@ def l2_grad(params: ParameterSet, lam: float) -> np.ndarray:
     return 2.0 * lam * params.flat
 
 
-def dp_input_penalty(x: np.ndarray, kappa: float) -> float:
-    """kappa * sum(x^2).  Constant in the parameters, so its parameter
-    gradient is identically zero."""
+def dp_input_penalty(x: np.ndarray, kappa: float) -> np.ndarray:
+    """kappa * sum(x^2) over the last axis, one value per row of a batch.
+    Constant in the parameters, so its parameter gradient is identically
+    zero."""
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    return float(kappa * np.dot(x, x))
+    x = np.asarray(x, dtype=np.float64)
+    return kappa * np.vecdot(x, x)
 
 
-def paired_input_squares(params: ParameterSet, x: np.ndarray,
-                         trace: ForwardTrace | None = None) -> np.ndarray:
-    """Squared incoming activation for every parameter coordinate.
+def paired_input_squares(spec: ModelSpec, trace: ForwardTrace) -> np.ndarray:
+    """Squared incoming activation for every parameter coordinate, (B, P).
 
     Weight (i, j) of a layer gets the square of that layer's j-th input
-    activation; bias coordinates get 1.  For a one-layer model this is
-    x^2 tiled across output units.  Pass a trace from forward() on the
-    same (params, x) to avoid recomputing it.
+    activation; bias coordinates get 1.  For a one-layer model each row is
+    x^2 tiled across output units.
     """
-    spec = params.spec
-    if trace is None:
-        trace = forward(spec, params, x)
-    squares = np.empty(n_params(spec))
+    batch = trace.inputs[0].shape[0]
+    squares = np.empty((batch, n_params(spec)))
     for layer, ls in enumerate(layout(spec)):
         a = trace.inputs[layer]
-        sq = a * a
-        squares[ls.weights] = np.tile(sq, ls.fan_out)
+        squares[:, ls.weights] = np.tile(a * a, (1, ls.fan_out))
         if ls.bias is not None:
-            squares[ls.bias] = 1.0
+            squares[:, ls.bias] = 1.0
     return squares
 
 
+def _squares(params: ParameterSet, x: np.ndarray,
+             trace: ForwardTrace | None) -> np.ndarray:
+    if trace is None:
+        trace = forward(params.spec, params, x)
+    return paired_input_squares(params.spec, trace)
+
+
 def pdp_penalty(params: ParameterSet, x: np.ndarray, kappa: float,
-                trace: ForwardTrace | None = None) -> float:
-    """kappa * sum_i theta_i^2 * x_i^2, biases paired with constant 1."""
+                trace: ForwardTrace | None = None) -> np.ndarray:
+    """kappa * sum_i theta_i^2 * x_i^2 per row of the (B, d) batch x,
+    biases paired with constant 1.  Pass a trace from forward() on the same
+    (params, x) to avoid recomputing it."""
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    squares = paired_input_squares(params, x, trace)
     theta = params.flat
-    return float(kappa * np.dot(theta * theta, squares))
+    return kappa * np.vecdot(theta * theta, _squares(params, x, trace))
 
 
 def pdp_grad(params: ParameterSet, x: np.ndarray, kappa: float,
              trace: ForwardTrace | None = None) -> np.ndarray:
-    """Coordinate-wise 2 * kappa * x_i^2 * theta_i (2 * kappa * theta_i on biases)."""
+    """Coordinate-wise 2 * kappa * x_i^2 * theta_i (2 * kappa * theta_i on
+    biases), one (P,) row per row of the batch x."""
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    squares = paired_input_squares(params, x, trace)
-    return 2.0 * kappa * squares * params.flat
+    return 2.0 * kappa * _squares(params, x, trace) * params.flat
 
 
 def combined_grad(params: ParameterSet, x: np.ndarray, lam: float, kappa: float,
                   base_grad: np.ndarray,
                   trace: ForwardTrace | None = None) -> np.ndarray:
-    """base_grad + 2 * (lam + kappa * x_i^2) * theta_i per coordinate."""
+    """base_grad + 2 * (lam + kappa * x_i^2) * theta_i per coordinate, one
+    row per row of the batch x."""
     if lam < 0 or kappa < 0:
         raise ValueError("penalty coefficients must be nonnegative")
-    base = np.asarray(base_grad, dtype=np.float64).ravel()
-    if base.shape != params.flat.shape:
+    base = np.asarray(base_grad, dtype=np.float64)
+    if base.shape[-1:] != params.flat.shape:
         raise ValueError(
             f"base gradient shape {base.shape} does not match parameters {params.flat.shape}"
         )
-    squares = paired_input_squares(params, x, trace)
-    return base + 2.0 * (lam + kappa * squares) * params.flat
+    return base + 2.0 * (lam + kappa * _squares(params, x, trace)) * params.flat

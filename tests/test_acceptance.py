@@ -14,7 +14,7 @@ import numpy as np
 from privreg.attack import (cosine_similarity, invert_gradient_iterative,
                             invert_linear_gradient, leakage_sweep)
 from privreg.experiments import generate_dataset, run
-from privreg.model import (Dataset, Example, ModelSpec, ParameterSet, backward,
+from privreg.model import (Dataset, ModelSpec, ParameterSet, backward,
                            forward, init_params)
 from privreg.numerics import RngStream
 from privreg.optimizers import (GradientRecord, NoiseSpec, TrainConfig,
@@ -75,7 +75,7 @@ def test_c3_input_penalty_leaves_trajectory_bit_identical():
         np.array_equal(a.clean, b.clean) and np.array_equal(a.noisy, b.noisy)
         and np.array_equal(a.batch_indices, b.batch_indices)
         for a, b in zip(plain.records, shifted.records))
-    mean_shift = float(np.mean([dp_input_penalty(ex.x, 0.7) for ex in data]))
+    mean_shift = float(np.mean(dp_input_penalty(data.x, 0.7)))
     losses_shift = all(abs((b - a) - mean_shift) <= 1e-12
                        for a, b in zip(plain.epoch_losses, shifted.epoch_losses))
     report("C3 zero-gradient trajectory identity",
@@ -145,7 +145,7 @@ def test_c6_trained_parameters_match_normal_equations():
     including the hand-checked (0.75, 0.75) instance."""
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     t = np.array([1.0, 1.0, 2.0])
-    hand = Dataset([Example(x[i], np.array([t[i]])) for i in range(3)], dim=2)
+    hand = Dataset(x, t[:, None])
     spec2 = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=False)
     config = TrainConfig(eta=0.2, batch_size=3, epochs=300, seed=661,
                          reg=RegSpec(kappa=0.5))
@@ -191,8 +191,8 @@ def test_c8_leakage_baselines_and_noise_trend():
     spec = ModelSpec(layer_sizes=(4, 1), activation="identity", include_bias=True)
     params = ParameterSet(spec, np.array([0.5, -1.0, 0.3, 0.1, 0.2]))
     x = np.array([2.0, 1.0, -0.5, 0.8])
-    trace = forward(spec, params, x)
-    g = backward(spec, params, trace, np.array([1.0]))
+    trace = forward(spec, params, x[None, :])
+    g = backward(spec, params, trace, np.array([[1.0]]))[0]
     record = GradientRecord(step=0, clean=g, noisy=g.copy(),
                             batch_indices=np.array([0]))
     exact_mse = float(np.mean((invert_linear_gradient(record, spec) - x) ** 2))

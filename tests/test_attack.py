@@ -15,8 +15,8 @@ from privreg.attack import (DIVERGENCE_PATIENCE, ConvergenceFailureError,
                             invert_linear_gradient, leakage_sweep,
                             mechanism_label, membership_inference)
 from privreg.experiments import generate_dataset
-from privreg.model import (Dataset, Example, ModelSpec, ParameterSet, backward,
-                           forward, init_params)
+from privreg.model import (Dataset, ModelSpec, ParameterSet, backward, forward,
+                           init_params)
 from privreg.numerics import RngStream
 from privreg.optimizers import (GradientRecord, NoiseSpec, TrainConfig,
                                 initial_params_for, train)
@@ -26,8 +26,8 @@ BIAS_SPEC = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=Tr
 
 
 def clean_record(spec, params, x, t):
-    trace = forward(spec, params, x)
-    g = backward(spec, params, trace, np.atleast_1d(t))
+    trace = forward(spec, params, x[None, :])
+    g = backward(spec, params, trace, np.atleast_1d(t)[None, :])[0]
     return GradientRecord(step=0, clean=g, noisy=g.copy(),
                           batch_indices=np.array([0]))
 
@@ -46,7 +46,8 @@ def reference_inversion(record, spec, params, iters, step, seed, restarts):
     b0 = float(bias[0]) if bias is not None else 0.0
 
     def objective(x, t):
-        diff = backward(spec, params, forward(spec, params, x), np.array([t])) - target
+        diff = backward(spec, params, forward(spec, params, x[None, :]),
+                        np.array([[t]]))[0] - target
         return float(np.dot(diff, diff))
 
     def gradient(x, t):
@@ -106,7 +107,7 @@ class TestClosedFormInversion:
     def test_loss_minimum_reveals_nothing(self):
         params = ParameterSet(BIAS_SPEC, np.array([0.5, -1.0, 0.1]))
         x = np.array([2.0, 1.0])
-        y = forward(BIAS_SPEC, params, x).output[0]
+        y = forward(BIAS_SPEC, params, x[None, :]).output[0, 0]
         record = clean_record(BIAS_SPEC, params, x, y)
         with pytest.raises(NoLeakageError):
             invert_linear_gradient(record, BIAS_SPEC)
@@ -183,8 +184,8 @@ class TestIterativeInversion:
                 x = rng.normal(0.0, 1.0, d)
                 t = float(rng.normal(0.0, 1.0, 1)[0])
                 obj, gx, gt = rows(x, t)
-                diff = backward(spec, params, forward(spec, params, x),
-                                np.array([t])) - record.noisy
+                diff = backward(spec, params, forward(spec, params, x[None, :]),
+                                np.array([[t]]))[0] - record.noisy
                 assert obj[0] == float(np.dot(diff, diff))
                 h = 1e-6
                 for i in range(d):
@@ -333,23 +334,22 @@ class TestMembershipInference:
         spec = ModelSpec(layer_sizes=(5, 1), activation="identity", include_bias=True)
         params = init_params(spec, RngStream(2))
         pool = generate_dataset("noisy_linear", 200, 5, 0.5, seed=3)
-        members = Dataset(examples=pool.examples[:100], dim=5)
-        fresh = Dataset(examples=pool.examples[100:], dim=5)
+        members = Dataset(pool.x[:100], pool.t[:100])
+        fresh = Dataset(pool.x[100:], pool.t[100:])
         result = membership_inference(spec, params, members, fresh, threshold=-1.0)
         assert abs(result.auc - 0.5) <= 0.1
 
     def test_memorizing_model_is_detectable(self):
         from privreg.optimizers import TrainConfig, train
         eye = np.eye(16)
-        members = Dataset([Example(eye[i], np.array([1.0 if i % 2 else -1.0]))
-                           for i in range(16)], dim=16)
+        signs = np.where(np.arange(16) % 2, 1.0, -1.0)[:, None]
+        members = Dataset(eye, signs)
         spec = ModelSpec(layer_sizes=(16, 1), activation="identity",
                          include_bias=False)
         report = train(spec, members, TrainConfig(eta=0.4, batch_size=16,
                                                   epochs=100, seed=6))
-        fresh = Dataset([Example(RngStream(77, i).normal(0.0, 1.0, 16),
-                                 np.array([1.0 if i % 2 else -1.0]))
-                         for i in range(16)], dim=16)
+        fresh = Dataset(np.stack([RngStream(77, i).normal(0.0, 1.0, 16)
+                                  for i in range(16)]), signs)
         result = membership_inference(spec, report.final_params, members, fresh,
                                       threshold=-0.5)
         assert result.auc > 0.9
@@ -370,9 +370,10 @@ class TestMembershipInference:
 
             def draw():
                 # Integer inputs and targets give integer losses, so scores tie.
-                return Dataset([Example(np.floor(rng.uniform(1) * 3),
-                                        np.floor(rng.uniform(1) * 3))
-                                for _ in range(n)], dim=1)
+                rows = [(np.floor(rng.uniform(1) * 3), np.floor(rng.uniform(1) * 3))
+                        for _ in range(n)]
+                return Dataset(np.stack([x for x, _ in rows]),
+                               np.stack([t for _, t in rows]))
 
             result = membership_inference(spec, params, draw(), draw(), threshold=-1.0)
             wins = sum(1.0 if a > b else 0.5 if a == b else 0.0
@@ -390,20 +391,21 @@ class TestMembershipInference:
 
     def test_cli_import_leaves_scipy_stats_out(self):
         src = Path(privreg.attack.__file__).resolve().parent.parent
-        probe = "import sys, privreg.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                             text=True, check=True,
-                             env={**os.environ, "PYTHONPATH": str(src)})
-        assert out.stdout.strip() == "False"
+        for module in ("scipy.stats", "scipy.integrate"):
+            probe = f"import sys, privreg.cli; print({module!r} in sys.modules)"
+            out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                 text=True, check=True,
+                                 env={**os.environ, "PYTHONPATH": str(src)})
+            assert out.stdout.strip() == "False", f"importing privreg.cli loads {module}"
 
     def test_validation(self):
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
         params = ParameterSet(spec, np.zeros(3))
         data = generate_dataset("linear_regression", 10, 3, 0.0, seed=1)
-        short = Dataset(examples=data.examples[:5], dim=3)
+        short = Dataset(data.x[:5], data.t[:5])
         with pytest.raises(ValueError):
             membership_inference(spec, params, data, short, threshold=0.0)
-        empty = Dataset(examples=[], dim=3)
+        empty = Dataset(np.empty((0, 3)), np.empty((0, 1)))
         with pytest.raises(ValueError):
             membership_inference(spec, params, empty, empty, threshold=0.0)
 

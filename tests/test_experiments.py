@@ -14,35 +14,34 @@ class TestGenerateDataset:
     def test_same_seed_identical(self):
         a = generate_dataset("noisy_linear", 50, 4, 0.3, seed=3)
         b = generate_dataset("noisy_linear", 50, 4, 0.3, seed=3)
-        for ea, eb in zip(a, b):
-            assert np.array_equal(ea.x, eb.x) and np.array_equal(ea.t, eb.t)
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.t, b.t)
 
     def test_noiseless_linear_is_exactly_realizable(self):
         data = generate_dataset("linear_regression", 100, 5, 0.0, seed=3)
         theta = regularized_least_squares_oracle(data, 0.0).flat
-        x, t = data.matrices()
+        x, t = data.x, data.t
         residual_mse = float(np.mean((x @ theta - t[:, 0]) ** 2))
         assert residual_mse <= 1e-20
         assert np.linalg.matrix_rank(x) == 5
 
     def test_features_are_standardized(self):
         data = generate_dataset("noisy_linear", 500, 3, 0.2, seed=7)
-        x, _ = data.matrices()
+        x = data.x
         assert np.abs(x.mean(axis=0)).max() <= 1e-12
         assert np.abs(x.std(axis=0) - 1.0).max() <= 1e-12
 
     def test_noisy_linear_residual_variance(self):
         data = generate_dataset("noisy_linear", 10_000, 5, 0.1, seed=9)
         theta = regularized_least_squares_oracle(data, 0.0).flat
-        x, t = data.matrices()
+        x, t = data.x, data.t
         residual_var = float(np.var(x @ theta - t[:, 0]))
         assert abs(residual_var - 0.01) <= 0.2 * 0.01
 
     def test_clusters_have_pm_one_targets(self):
         data = generate_dataset("clusters", 40, 3, 0.5, seed=11)
-        targets = sorted({float(ex.t[0]) for ex in data})
+        targets = sorted({float(t) for t in data.t[:, 0]})
         assert targets == [-1.0, 1.0]
-        x, _ = data.matrices()
+        x = data.x
         assert np.abs(x.mean(axis=0)).max() <= 1e-12
 
     def test_invalid_inputs(self):
@@ -58,8 +57,8 @@ class TestDatasetFileRoundTrip:
         path.write_text("x0,x1,t\n1.5,-2.0,0.25\n0.0,3.25,-1.0\n", encoding="utf-8")
         data = load_dataset(path)
         assert data.dim == 2 and len(data) == 2
-        assert np.array_equal(data.examples[0].x, np.array([1.5, -2.0]))
-        assert data.examples[1].t[0] == -1.0
+        assert np.array_equal(data.x[0], np.array([1.5, -2.0]))
+        assert data.t[1, 0] == -1.0
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -240,6 +239,49 @@ class TestRun:
         assert run("train", cfg_path) == 2
         err = json.loads(capsys.readouterr().err)
         assert "train.learning_rate" in err["message"]
+
+    @pytest.mark.parametrize("eta,epochs,where", [
+        (100.0, 3, "epoch 3 of 3 at step 89"),   # losses overflow first
+        (1e200, 1, "epoch 1 of 1 at step 1"),    # one step overflows the parameters
+    ])
+    def test_diverged_training_exits_1_naming_where(self, tmp_path, capsys, eta,
+                                                     epochs, where):
+        cfg = minimal_train_config(tmp_path / "out")
+        cfg["train"].update(eta=eta, epochs=epochs, batch_size=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("train", cfg_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TrainingDivergedError"
+        assert where in err["message"]
+        assert "noise=iid:sigma=0.1|l2=0|pdp=0" in err["message"]
+        what = "epoch loss" if eta == 100.0 else "parameters"
+        assert f"{what} became non-finite" in err["message"]
+        assert not (tmp_path / "out" / "train_results.csv").exists()
+
+    @pytest.mark.parametrize("content,line,problem", [
+        ("x0,x1,t\n1,2,3\n4,5,6,7\n", 3, "expected 3 values, got 4"),
+        ("x0,x1,t\n1,2,3\n4,5\n", 3, "expected 3 values, got 2"),
+        ("x0,x1,t\n1,2,3\n4,abc,6\n", 3, "abc"),
+        ("x0,x1,t\n1,nan,3\n", 2, "finite"),
+        ("", 1, "empty file"),
+    ])
+    def test_bad_dataset_csv_exits_2_naming_file_and_line(self, tmp_path, capsys,
+                                                          content, line, problem):
+        data_path = tmp_path / "bad.csv"
+        data_path.write_text(content, encoding="utf-8")
+        cfg = minimal_train_config(tmp_path / "out")
+        cfg["model"]["layer_sizes"] = [2, 1]
+        cfg["data"] = {"path": str(data_path)}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("train", cfg_path) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        message = err["message"]
+        assert "data.path" in message and "bad.csv" in message
+        assert f"line {line}:" in message and problem in message
+        assert not (tmp_path / "out" / "train_results.csv").exists()
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         cfg = minimal_train_config(tmp_path / "out")

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from privreg.model import (Dataset, Example, ModelSpec, ParameterSet, backward,
-                           forward, init_params, per_example_gradients,
-                           quadratic_loss)
+from privreg.model import (Dataset, ModelSpec, ParameterSet, backward, forward,
+                           init_params, quadratic_loss)
 from privreg.numerics import RngStream
 from privreg.oracle import backprop_grad_check
 
@@ -14,33 +13,41 @@ def params(values, spec=LINEAR2):
     return ParameterSet(spec, np.asarray(values, dtype=float))
 
 
+def row(*values):
+    """A batch of one example."""
+    return np.array([values], dtype=float)
+
+
 class TestForward:
     def test_linear_hand_case(self):
-        trace = forward(LINEAR2, params([0.5, -1.0]), np.array([2.0, 1.0]))
-        assert trace.output[0] == 0.0
+        trace = forward(LINEAR2, params([0.5, -1.0]), row(2.0, 1.0))
+        assert trace.output[0, 0] == 0.0
 
     def test_zero_parameters(self):
-        trace = forward(LINEAR2, params([0.0, 0.0]), np.array([3.0, -7.0]))
-        assert trace.output[0] == 0.0
+        trace = forward(LINEAR2, params([0.0, 0.0]), row(3.0, -7.0))
+        assert trace.output[0, 0] == 0.0
 
     def test_basis_vector_extracts_coordinate(self):
         theta = np.array([0.3, -2.0, 1.7])
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = 1.0
-            trace = forward(spec, params(theta, spec), e)
-            assert trace.output[0] == theta[i]
+        trace = forward(spec, params(theta, spec), np.eye(3))
+        assert np.array_equal(trace.output[:, 0], theta)
 
     def test_repeated_calls_identical(self):
         spec = ModelSpec(layer_sizes=(3, 4, 1), activation="tanh")
         p = init_params(spec, RngStream(3))
-        x = np.array([0.1, -0.2, 0.5])
+        x = row(0.1, -0.2, 0.5)
         assert np.array_equal(forward(spec, p, x).output, forward(spec, p, x).output)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            forward(LINEAR2, params([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+            forward(LINEAR2, params([1.0, 2.0]), row(1.0, 2.0, 3.0))
+
+    def test_input_must_be_a_nonempty_batch(self):
+        with pytest.raises(ValueError):
+            forward(LINEAR2, params([1.0, 2.0]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            forward(LINEAR2, params([1.0, 2.0]), np.empty((0, 2)))
 
 
 class TestQuadraticLoss:
@@ -51,6 +58,11 @@ class TestQuadraticLoss:
     def test_perfect_fit(self):
         assert quadratic_loss(np.array([2.0, -1.0]), np.array([2.0, -1.0])) == 0.0
 
+    def test_one_loss_per_row(self):
+        y = np.array([[0.0, 1.0], [3.0, 1.0]])
+        t = np.array([[1.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(quadratic_loss(y, t), [1.0, 5.0])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             quadratic_loss(np.array([1.0]), np.array([1.0, 2.0]))
@@ -59,23 +71,23 @@ class TestQuadraticLoss:
 class TestBackward:
     def test_linear_hand_case(self):
         p = params([0.5, -1.0])
-        x = np.array([2.0, 1.0])
-        g = backward(LINEAR2, p, forward(LINEAR2, p, x), np.array([1.0]))
-        assert np.array_equal(g, np.array([-4.0, -2.0]))
+        x = row(2.0, 1.0)
+        g = backward(LINEAR2, p, forward(LINEAR2, p, x), row(1.0))
+        assert np.array_equal(g, np.array([[-4.0, -2.0]]))
 
     def test_zero_gradient_at_minimum(self):
         p = params([0.5, -1.0])
-        x = np.array([2.0, 1.0])
+        x = row(2.0, 1.0)
         trace = forward(LINEAR2, p, x)
         g = backward(LINEAR2, p, trace, trace.output)
-        assert np.array_equal(g, np.zeros(2))
+        assert np.array_equal(g, np.zeros((1, 2)))
 
     def test_bias_gradient_is_twice_residual(self):
         spec = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=True)
         p = params([0.5, -1.0, 0.1], spec)
-        x = np.array([2.0, 1.0])
-        g = backward(spec, p, forward(spec, p, x), np.array([1.0]))
-        assert np.allclose(g, [-3.6, -1.8, -1.8])
+        x = row(2.0, 1.0)
+        g = backward(spec, p, forward(spec, p, x), row(1.0))
+        assert np.allclose(g, [[-3.6, -1.8, -1.8]])
 
     @pytest.mark.parametrize("layer_sizes,activation,bias", [
         ((3, 1), "identity", False),
@@ -97,33 +109,41 @@ class TestBackward:
         # one hidden relu unit: y = w2 * relu(w1 * x); active for w1*x > 0
         spec = ModelSpec(layer_sizes=(1, 1, 1), activation="relu", include_bias=False)
         p = params([2.0, 3.0], spec)
-        x = np.array([1.5])
+        x = row(1.5)
         trace = forward(spec, p, x)
-        assert trace.output[0] == 9.0
-        g = backward(spec, p, trace, np.array([0.0]))
+        assert trace.output[0, 0] == 9.0
+        g = backward(spec, p, trace, row(0.0))
         # dL/dw2 = 2y * relu(w1 x) = 54; dL/dw1 = 2y * w2 * x = 81
-        assert np.allclose(g, [81.0, 54.0])
+        assert np.allclose(g, [[81.0, 54.0]])
 
     def test_mismatched_trace_rejected(self):
         p = params([0.5, -1.0])
-        trace = forward(LINEAR2, p, np.array([2.0, 1.0]))
+        trace = forward(LINEAR2, p, row(2.0, 1.0))
         other = ModelSpec(layer_sizes=(2, 3, 1), activation="tanh")
         with pytest.raises(ValueError):
-            backward(other, init_params(other, RngStream(0)), trace, np.array([1.0]))
+            backward(other, init_params(other, RngStream(0)), trace, row(1.0))
+
+    def test_target_shape_must_match_output(self):
+        p = params([0.5, -1.0])
+        trace = forward(LINEAR2, p, np.array([[2.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            backward(LINEAR2, p, trace, np.array([1.0, 2.0]))
 
 
 class TestPerExampleGradients:
     def test_singleton_batch_equals_backward(self):
         p = params([0.5, -1.0])
-        ex = Example(np.array([2.0, 1.0]), np.array([1.0]))
-        [g] = per_example_gradients(LINEAR2, p, [ex])
-        expected = backward(LINEAR2, p, forward(LINEAR2, p, ex.x), ex.t)
-        assert np.array_equal(g, expected)
+        [g] = backward(LINEAR2, p, forward(LINEAR2, p, row(2.0, 1.0)), row(1.0))
+        # 2 * (y - t) * x with y = 0
+        assert np.array_equal(g, np.array([-4.0, -2.0]))
+        x = np.array([[2.0, 1.0], [0.5, 3.0]])
+        pair = backward(LINEAR2, p, forward(LINEAR2, p, x), np.array([[1.0], [2.0]]))
+        assert np.array_equal(pair[0], g)
 
     def test_identical_examples_identical_gradients(self):
         p = params([0.5, -1.0])
-        ex = Example(np.array([2.0, 1.0]), np.array([1.0]))
-        g1, g2 = per_example_gradients(LINEAR2, p, [ex, ex])
+        x = np.array([[2.0, 1.0], [2.0, 1.0]])
+        g1, g2 = backward(LINEAR2, p, forward(LINEAR2, p, x), np.ones((2, 1)))
         assert np.array_equal(g1, g2)
 
     def test_mean_equals_batch_gradient_of_mean_loss(self):
@@ -135,14 +155,76 @@ class TestPerExampleGradients:
         theta = rng.normal(0.0, 1.0, d)
         spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=False)
         p = ParameterSet(spec, theta)
-        batch = [Example(x[i], np.array([t[i]])) for i in range(n)]
-        mean_grad = np.mean(per_example_gradients(spec, p, batch), axis=0)
+        grads = backward(spec, p, forward(spec, p, x), t[:, None])
+        assert grads.shape == (n, d)
+        mean_grad = grads.mean(axis=0)
         matrix_grad = (2.0 / n) * x.T @ (x @ theta - t)
         assert np.abs(mean_grad - matrix_grad).max() <= 1e-12
 
+    def test_rows_match_single_row_passes_bit_for_bit(self):
+        spec = ModelSpec(layer_sizes=(3, 4, 2), activation="relu")
+        p = init_params(spec, RngStream(6))
+        rng = RngStream(7)
+        x = rng.normal(0.0, 1.0, 11 * 3).reshape(11, 3)
+        t = rng.normal(0.0, 1.0, 11 * 2).reshape(11, 2)
+        grads = backward(spec, p, forward(spec, p, x), t)
+        for i in range(11):
+            [single] = backward(spec, p, forward(spec, p, x[i:i + 1]), t[i:i + 1])
+            assert np.array_equal(grads[i], single)
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            per_example_gradients(LINEAR2, params([1.0, 2.0]), [])
+            backward(LINEAR2, params([1.0, 2.0]),
+                     forward(LINEAR2, params([1.0, 2.0]), np.empty((0, 2))),
+                     np.empty((0, 1)))
+
+
+class TestStackedProductsMatchPerRowProducts:
+    """The batched core relies on two facts of the installed numpy/BLAS:
+    a stacked product (W @ a[:, :, None])[..., 0] runs, per row, the same
+    gemv as W @ a on that row alone (also for W.T), and np.vecdot sums a
+    row as np.dot does.  Training output is byte-identical across batch
+    sizes only while both hold."""
+
+    # (fan_in, fan_out) of every layer the package's configs, benchmark and
+    # tests build, plus a few wider ones.
+    SHAPES = [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (3, 4), (4, 2), (4, 6),
+              (6, 1), (5, 16), (16, 1), (16, 7), (7, 1), (4, 8), (8, 1),
+              (3, 6), (6, 2), (4, 9), (9, 1), (16, 16), (33, 5)]
+
+    @pytest.mark.parametrize("fan_in,fan_out", SHAPES)
+    def test_stacked_matvec_equals_per_row_gemv(self, fan_in, fan_out):
+        rng = RngStream(fan_in, fan_out)
+        w = rng.normal(0.0, 1.0, fan_out * fan_in).reshape(fan_out, fan_in)
+        for batch in (1, 2, 7, 25, 29):
+            a = rng.normal(0.0, 1.0, batch * fan_in).reshape(batch, fan_in)
+            d = rng.normal(0.0, 1.0, batch * fan_out).reshape(batch, fan_out)
+            stacked = (w @ a[:, :, None])[..., 0]
+            back = (w.T @ d[:, :, None])[..., 0]
+            for i in range(batch):
+                assert np.array_equal(stacked[i], w @ a[i]), (
+                    f"stacked W @ a differs from per-row gemv for W {w.shape}, "
+                    f"batch {batch}: this numpy/BLAS build breaks the batched "
+                    f"core's bit-identity with per-example arithmetic")
+                assert np.array_equal(back[i], w.T @ d[i]), (
+                    f"stacked W.T @ d differs from per-row gemv for W {w.shape}, "
+                    f"batch {batch}: this numpy/BLAS build breaks the batched "
+                    f"core's bit-identity with per-example arithmetic")
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 6, 17, 21, 33, 97, 113])
+    def test_vecdot_equals_dot(self, size):
+        rng = RngStream(size, 1)
+        a = rng.normal(0.0, 1.0, 9 * size).reshape(9, size)
+        b = rng.normal(0.0, 1.0, 9 * size).reshape(9, size)
+        rows = np.vecdot(a, b)
+        shared = np.vecdot(b[0], a)
+        for i in range(9):
+            assert rows[i] == np.dot(a[i], b[i]), (
+                f"np.vecdot differs from np.dot on rows of {size}: this numpy/BLAS "
+                f"build breaks the batched core's bit-identity")
+            assert shared[i] == np.dot(b[0], a[i]), (
+                f"np.vecdot with a broadcast operand differs from np.dot on rows of "
+                f"{size}: this numpy/BLAS build breaks the batched core's bit-identity")
 
 
 class TestStructures:
@@ -172,8 +254,14 @@ class TestStructures:
         assert np.abs(a.flat).max() > 0
 
     def test_dataset_dimension_check(self):
+        data = Dataset(np.ones((4, 3)), np.zeros((4, 1)))
+        assert data.dim == 3 and len(data) == 4
         with pytest.raises(ValueError):
-            Dataset(examples=[Example(np.ones(3), np.array([1.0]))], dim=2)
+            Dataset(np.ones((4, 3)), np.zeros((3, 1)))
+        with pytest.raises(ValueError):
+            Dataset(np.ones(3), np.zeros((1, 1)))
+        with pytest.raises(ValueError):
+            Dataset(np.ones((4, 3)), np.zeros(4))
 
     def test_model_spec_validation(self):
         with pytest.raises(ValueError):

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from privreg.experiments import generate_dataset
-from privreg.model import Dataset, Example, ModelSpec, ParameterSet
+from privreg.model import Dataset, ModelSpec, ParameterSet, layout, n_params
 from privreg.numerics import RngStream
-from privreg.optimizers import (NoiseSpec, TrainConfig, add_iid_noise,
-                                add_proportional_noise, clip_gradient,
-                                dataset_loss, initial_params_for, sgd_step,
-                                train)
+from privreg.optimizers import (STREAM_NOISE, STREAM_SHUFFLE, NoiseSpec,
+                                TrainConfig, add_iid_noise, add_proportional_noise,
+                                clip_gradient, dataset_loss,
+                                initial_params_for, sgd_step, train)
 from privreg.oracle import regularized_least_squares_oracle
 from privreg.regularizers import RegSpec, dp_input_penalty
 
@@ -30,6 +30,10 @@ class TestClipGradient:
 
     def test_zero_gradient(self):
         assert np.array_equal(clip_gradient(np.zeros(3), 1.0), np.zeros(3))
+
+    def test_clips_each_row_by_its_own_norm(self):
+        g = np.array([[3.0, 4.0], [0.3, 0.4], [0.0, 0.0]])
+        assert np.allclose(clip_gradient(g, 2.5), [[1.5, 2.0], [0.3, 0.4], [0.0, 0.0]])
 
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -146,7 +150,7 @@ class TestTrain:
     def test_pdp_training_matches_normal_equations_hand_instance(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         t = np.array([1.0, 1.0, 2.0])
-        data = Dataset([Example(x[i], np.array([t[i]])) for i in range(3)], dim=2)
+        data = Dataset(x, t[:, None])
         config = TrainConfig(eta=0.2, batch_size=3, epochs=300, seed=5,
                              reg=RegSpec(kappa=0.5))
         report = train(LINEAR2, data, config)
@@ -177,7 +181,7 @@ class TestTrain:
         for ra, rb in zip(plain.records, shifted.records):
             assert np.array_equal(ra.clean, rb.clean)
             assert np.array_equal(ra.noisy, rb.noisy)
-        mean_shift = np.mean([dp_input_penalty(ex.x, 0.4) for ex in data])
+        mean_shift = np.mean(dp_input_penalty(data.x, 0.4))
         for la, lb in zip(plain.epoch_losses, shifted.epoch_losses):
             assert lb - la == pytest.approx(mean_shift, abs=1e-12)
 
@@ -248,7 +252,6 @@ class TestTrain:
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
         report = train(spec, data, TrainConfig(eta=0.05, batch_size=6, epochs=7, seed=1))
         assert len(report.epoch_losses) == 7
-        assert len(report.epoch_seconds) == 7
 
     def test_validation_errors(self):
         data = small_dataset(n=4)
@@ -256,7 +259,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(spec, data, TrainConfig(eta=0.1, batch_size=5, epochs=1, seed=0))
         with pytest.raises(ValueError):
-            train(spec, Dataset(examples=[], dim=3),
+            train(spec, Dataset(np.empty((0, 3)), np.empty((0, 1))),
                   TrainConfig(eta=0.1, batch_size=1, epochs=1, seed=0))
         wrong_dim = ModelSpec(layer_sizes=(4, 1), activation="identity",
                               include_bias=False)
@@ -278,6 +281,161 @@ class TestTrain:
         report = train(spec, data, config)
         assert report.epoch_losses[-1] == pytest.approx(
             dataset_loss(spec, report.final_params, data), abs=1e-15)
+
+
+# --- reference: the one-example-at-a-time loop that train() batches -------
+
+
+def _ref_forward(spec, params, x):
+    """Per-layer (inputs, pre-activations, outputs) of one input vector."""
+    inputs, pre, post = [], [], []
+    a = x
+    for layer in range(spec.n_layers):
+        z = params.weights(layer) @ a
+        b = params.bias(layer)
+        if b is not None:
+            z = z + b
+        act = spec.activation if layer < spec.n_layers - 1 else "identity"
+        inputs.append(a)
+        pre.append(z)
+        a = np.tanh(z) if act == "tanh" else np.maximum(z, 0.0) if act == "relu" else z
+        post.append(a)
+    return inputs, pre, post
+
+
+def _ref_gradient(spec, params, inputs, pre, post, t):
+    grad = np.zeros(n_params(spec))
+    delta = 2.0 * (post[-1] - t)
+    for layer in range(spec.n_layers - 1, -1, -1):
+        ls = layout(spec)[layer]
+        grad[ls.weights] = np.outer(delta, inputs[layer]).ravel()
+        if ls.bias is not None:
+            grad[ls.bias] = delta
+        if layer > 0:
+            back = params.weights(layer).T @ delta
+            if spec.activation == "tanh":
+                prime = 1.0 - post[layer - 1] * post[layer - 1]
+            elif spec.activation == "relu":
+                prime = (pre[layer - 1] > 0.0).astype(np.float64)
+            else:
+                prime = np.ones_like(pre[layer - 1])
+            delta = back * prime
+    return grad
+
+
+def _ref_squares(spec, inputs):
+    squares = np.empty(n_params(spec))
+    for layer, ls in enumerate(layout(spec)):
+        squares[ls.weights] = np.tile(inputs[layer] * inputs[layer], ls.fan_out)
+        if ls.bias is not None:
+            squares[ls.bias] = 1.0
+    return squares
+
+
+def _ref_example_loss(spec, params, x, t, reg, kappa):
+    inputs, _, post = _ref_forward(spec, params, x)
+    diff = post[-1] - t
+    loss = float(np.dot(diff, diff))
+    if reg.lam > 0:
+        loss += float(reg.lam * np.dot(params.flat, params.flat))
+    if kappa > 0:
+        loss += float(kappa * np.dot(params.flat * params.flat,
+                                     _ref_squares(spec, inputs)))
+    if reg.input_kappa > 0:
+        loss += float(reg.input_kappa * np.dot(x, x))
+    return loss
+
+
+def reference_train(spec, data, config):
+    """train() as it was before batching: forward, backward, penalties and
+    clipping one example at a time.  Returns (epoch losses, final params,
+    records as (step, clean, noisy, batch indices))."""
+    noise, reg = config.noise, config.reg
+    shuffle_rng = RngStream(config.seed, STREAM_SHUFFLE)
+    noise_rng = RngStream(config.seed, STREAM_NOISE)
+    params = initial_params_for(spec, config)
+    losses, records = [], []
+    step = 0
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(len(data))
+        for start in range(0, order.size, config.batch_size):
+            batch_idx = order[start:start + config.batch_size]
+            eta = config.eta_at(step)
+            kappa = reg.kappa
+            if reg.kappa_mode == "derived":
+                kappa = eta * eta * noise.sigma * noise.sigma
+            grads = []
+            for i in batch_idx:
+                inputs, pre, post = _ref_forward(spec, params, data.x[i])
+                g = _ref_gradient(spec, params, inputs, pre, post, data.t[i])
+                if reg.lam > 0:
+                    g = g + 2.0 * reg.lam * params.flat
+                if kappa > 0:
+                    g = g + 2.0 * kappa * _ref_squares(spec, inputs) * params.flat
+                if noise.clip_c is not None:
+                    g = g / max(1.0, float(np.linalg.norm(g)) / noise.clip_c)
+                grads.append(g)
+            g_clean = np.mean(grads, axis=0)
+            if noise.mode == "iid":
+                g_tilde = add_iid_noise(g_clean, noise.sigma, noise_rng)
+            elif noise.mode == "proportional":
+                g_tilde = add_proportional_noise(g_clean, params, noise.sigma, noise_rng)
+            else:
+                g_tilde = g_clean
+            records.append((step, g_clean.copy(), g_tilde.copy(), batch_idx.copy()))
+            params = sgd_step(params, g_tilde, eta)
+            step += 1
+        kappa = reg.kappa
+        if reg.kappa_mode == "derived":
+            kappa = config.eta_at(step) ** 2 * noise.sigma ** 2
+        losses.append(float(np.mean([
+            _ref_example_loss(spec, params, data.x[i], data.t[i], reg, kappa)
+            for i in range(len(data))])))
+    return losses, params, records
+
+
+REFERENCE_N = 15
+REFERENCE_MODELS = {
+    "linear": ModelSpec(layer_sizes=(4, 1), include_bias=False),
+    "linear-bias": ModelSpec(layer_sizes=(4, 1), include_bias=True),
+    "tanh": ModelSpec(layer_sizes=(5, 16, 1), activation="tanh"),
+    "relu-2out": ModelSpec(layer_sizes=(3, 4, 2), activation="relu"),
+    "tanh-2hidden": ModelSpec(layer_sizes=(4, 6, 5, 1), activation="tanh"),
+}
+REFERENCE_MECHANISMS = {
+    "plain": {},
+    "iid-clip": {"noise": NoiseSpec(mode="iid", sigma=0.3, clip_c=0.5)},
+    "proportional": {"noise": NoiseSpec(mode="proportional", sigma=0.5)},
+    "pdp-derived-l2": {"noise": NoiseSpec(mode="none", sigma=0.5),
+                       "reg": RegSpec(lam=0.01, kappa_mode="derived")},
+    "input-kappa": {"noise": NoiseSpec(mode="iid", sigma=0.2),
+                    "reg": RegSpec(input_kappa=0.4)},
+}
+
+
+class TestTrainMatchesPerExampleReference:
+    @pytest.mark.parametrize("batch_size", [1, 7, REFERENCE_N])
+    @pytest.mark.parametrize("mechanism", sorted(REFERENCE_MECHANISMS))
+    @pytest.mark.parametrize("model", sorted(REFERENCE_MODELS))
+    def test_bit_identical(self, model, mechanism, batch_size):
+        spec = REFERENCE_MODELS[model]
+        rng = RngStream(len(model), len(mechanism))
+        data = Dataset(
+            rng.normal(0.0, 1.0, REFERENCE_N * spec.input_dim).reshape(REFERENCE_N, -1),
+            rng.normal(0.0, 1.0, REFERENCE_N * spec.output_dim).reshape(REFERENCE_N, -1))
+        config = TrainConfig(eta=0.05, batch_size=batch_size, epochs=3, seed=17,
+                             record_gradients=True, record_cap=10 ** 6,
+                             **REFERENCE_MECHANISMS[mechanism])
+        losses, params, records = reference_train(spec, data, config)
+        report = train(spec, data, config)
+        assert report.epoch_losses == losses
+        assert np.array_equal(report.final_params.flat, params.flat)
+        assert len(report.records) == len(records)
+        for got, (step, clean, noisy, batch_idx) in zip(report.records, records):
+            assert got.step == step
+            assert np.array_equal(got.clean, clean)
+            assert np.array_equal(got.noisy, noisy)
+            assert np.array_equal(got.batch_indices, batch_idx)
 
 
 class TestSpecs:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from privreg.model import Dataset, Example, ModelSpec, ParameterSet
+from privreg.model import Dataset, ModelSpec, ParameterSet
 from privreg.numerics import RngStream, SingularMatrixError, bessel_k0
 from privreg.optimizers import NoiseSpec
 from privreg.oracle import (analytic_post_update_loss, backprop_grad_check,
@@ -137,7 +137,7 @@ class TestRegularizedLeastSquaresOracle:
         rng = RngStream(14)
         x = rng.normal(0.0, 1.0, 30 * 3).reshape(30, 3)
         t = rng.normal(0.0, 1.0, 30)
-        data = Dataset([Example(x[i], np.array([t[i]])) for i in range(30)], dim=3)
+        data = Dataset(x, t[:, None])
         theta = regularized_least_squares_oracle(data, 0.0).flat
         lstsq, *_ = np.linalg.lstsq(x, t, rcond=None)
         assert np.abs(theta - lstsq).max() <= 1e-10
@@ -145,7 +145,7 @@ class TestRegularizedLeastSquaresOracle:
     def test_hand_instance(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         t = np.array([1.0, 1.0, 2.0])
-        data = Dataset([Example(x[i], np.array([t[i]])) for i in range(3)], dim=2)
+        data = Dataset(x, t[:, None])
         theta = regularized_least_squares_oracle(data, 0.5).flat
         assert np.allclose(theta, [0.75, 0.75], atol=1e-12)
 
@@ -153,14 +153,14 @@ class TestRegularizedLeastSquaresOracle:
         rng = RngStream(15)
         x = rng.normal(0.0, 1.0, 20 * 3).reshape(20, 3)
         t = rng.normal(0.0, 1.0, 20)
-        data = Dataset([Example(x[i], np.array([t[i]])) for i in range(20)], dim=3)
+        data = Dataset(x, t[:, None])
         norms = [np.linalg.norm(regularized_least_squares_oracle(data, k).flat)
                  for k in (0.0, 1.0, 10.0, 100.0)]
         assert all(a > b for a, b in zip(norms, norms[1:]))
 
     def test_singular_system_raises(self):
         x = np.array([[1.0, 1.0], [2.0, 2.0]])
-        data = Dataset([Example(x[i], np.array([1.0])) for i in range(2)], dim=2)
+        data = Dataset(x, np.ones((2, 1)))
         with pytest.raises(SingularMatrixError):
             regularized_least_squares_oracle(data, 0.0)
 

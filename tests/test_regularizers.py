@@ -3,12 +3,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from privreg.model import ModelSpec, ParameterSet
+from privreg.model import ModelSpec, ParameterSet, forward
 from privreg.numerics import RngStream
 from privreg.oracle import grad_check
 from privreg.regularizers import (RegSpec, combined_grad, dp_input_penalty,
                                   l2_grad, l2_penalty, paired_input_squares,
                                   pdp_grad, pdp_penalty)
+
+
+def row(*values):
+    """A batch of one example."""
+    return np.array([values], dtype=float)
 
 
 def linear_params(values):
@@ -46,6 +51,10 @@ class TestInputPenalty:
     def test_zero_input(self):
         assert dp_input_penalty(np.zeros(4), 0.5) == 0.0
 
+    def test_one_value_per_row(self):
+        x = np.array([[2.0, 1.0], [0.0, 3.0]])
+        assert np.array_equal(dp_input_penalty(x, 0.5), [2.5, 4.5])
+
     def test_parameter_gradient_is_exactly_zero(self):
         p = linear_params([1.2, -0.7, 3.0])
         x = np.array([0.5, 2.0, -1.0])
@@ -59,84 +68,94 @@ class TestInputPenalty:
 class TestPdp:
     def test_hand_case(self):
         p = linear_params([1.0, 2.0])
-        x = np.array([3.0, 1.0])
-        assert pdp_penalty(p, x, 0.1) == pytest.approx(1.3)
-        assert np.allclose(pdp_grad(p, x, 0.1), [1.8, 0.4])
+        x = row(3.0, 1.0)
+        assert pdp_penalty(p, x, 0.1)[0] == pytest.approx(1.3)
+        assert np.allclose(pdp_grad(p, x, 0.1), [[1.8, 0.4]])
 
     def test_all_ones_input_reduces_to_l2(self):
         p = linear_params([0.3, -1.4, 2.2])
-        assert pdp_penalty(p, np.ones(3), 0.17) == l2_penalty(p, 0.17)
+        assert pdp_penalty(p, np.ones((1, 3)), 0.17)[0] == l2_penalty(p, 0.17)
 
     def test_zero_parameters(self):
         p = linear_params([0.0, 0.0])
-        assert pdp_penalty(p, np.array([5.0, -3.0]), 0.4) == 0.0
+        assert pdp_penalty(p, row(5.0, -3.0), 0.4)[0] == 0.0
 
     def test_zero_coefficient_gradient(self):
         p = linear_params([1.0, 2.0])
-        assert np.array_equal(pdp_grad(p, np.array([3.0, 1.0]), 0.0), np.zeros(2))
+        assert np.array_equal(pdp_grad(p, row(3.0, 1.0), 0.0), np.zeros((1, 2)))
 
     def test_positive_when_enabled(self):
         p = linear_params([1.0, -2.0])
-        assert pdp_penalty(p, np.array([3.0, 1.0]), 0.1) > 0
+        assert pdp_penalty(p, row(3.0, 1.0), 0.1)[0] > 0
 
     def test_bias_pairs_with_constant_one(self):
         spec = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=True)
         p = ParameterSet(spec, np.array([1.0, 2.0, 3.0]))
-        x = np.array([2.0, 0.5])
+        x = row(2.0, 0.5)
         # weights pair with x^2, bias with 1: 0.1*(1*4 + 4*0.25 + 9*1)
-        assert pdp_penalty(p, x, 0.1) == pytest.approx(1.4)
-        assert np.allclose(pdp_grad(p, x, 0.1), [0.8, 0.1, 0.6])
+        assert pdp_penalty(p, x, 0.1)[0] == pytest.approx(1.4)
+        assert np.allclose(pdp_grad(p, x, 0.1), [[0.8, 0.1, 0.6]])
 
     def test_multilayer_pairing_uses_layer_inputs(self):
         spec = ModelSpec(layer_sizes=(2, 2, 1), activation="identity",
                          include_bias=False)
         p = ParameterSet(spec, np.array([1.0, 0.0, 0.0, 1.0, 2.0, -1.0]))
-        x = np.array([3.0, 1.0])
-        squares = paired_input_squares(p, x)
+        squares = paired_input_squares(spec, forward(spec, p, row(3.0, 1.0)))
         # first layer is the identity map, so layer-2 inputs are x again
-        assert np.allclose(squares, [9.0, 1.0, 9.0, 1.0, 9.0, 1.0])
+        assert np.allclose(squares, [[9.0, 1.0, 9.0, 1.0, 9.0, 1.0]])
+
+    def test_one_row_per_example(self):
+        spec = ModelSpec(layer_sizes=(2, 3, 1), activation="tanh")
+        p = ParameterSet(spec, RngStream(3).normal(0.0, 1.0, 13))
+        x = RngStream(4).normal(0.0, 1.0, 10).reshape(5, 2)
+        penalties = pdp_penalty(p, x, 0.3)
+        grads = pdp_grad(p, x, 0.3)
+        assert penalties.shape == (5,) and grads.shape == (5, 13)
+        for i in range(5):
+            assert pdp_penalty(p, x[i:i + 1], 0.3)[0] == penalties[i]
+            assert np.array_equal(pdp_grad(p, x[i:i + 1], 0.3)[0], grads[i])
 
     @given(st.floats(-3.0, 3.0))
     def test_parameter_scaling_is_quadratic(self, c):
         theta = np.array([0.7, -1.1, 0.4])
-        x = np.array([1.5, 0.3, -2.0])
-        base = pdp_penalty(linear_params(theta), x, 0.2)
-        scaled = pdp_penalty(linear_params(c * theta), x, 0.2)
+        x = row(1.5, 0.3, -2.0)
+        base = pdp_penalty(linear_params(theta), x, 0.2)[0]
+        scaled = pdp_penalty(linear_params(c * theta), x, 0.2)[0]
         assert scaled == pytest.approx(c * c * base, rel=1e-12, abs=1e-12)
 
     @given(st.floats(-3.0, 3.0))
     def test_input_scaling_is_quadratic(self, c):
         p = linear_params([0.7, -1.1, 0.4])
-        x = np.array([1.5, 0.3, -2.0])
-        base = pdp_penalty(p, x, 0.2)
-        assert pdp_penalty(p, c * x, 0.2) == pytest.approx(c * c * base,
-                                                           rel=1e-12, abs=1e-12)
+        x = row(1.5, 0.3, -2.0)
+        base = pdp_penalty(p, x, 0.2)[0]
+        assert pdp_penalty(p, c * x, 0.2)[0] == pytest.approx(c * c * base,
+                                                              rel=1e-12, abs=1e-12)
 
 
 class TestCombined:
     def test_hand_case(self):
         p = linear_params([1.0, 2.0])
-        x = np.array([3.0, 1.0])
+        x = row(3.0, 1.0)
         out = combined_grad(p, x, 0.05, 0.1, np.zeros(2))
-        assert np.allclose(out, [1.9, 0.6])
+        assert np.allclose(out, [[1.9, 0.6]])
 
     def test_reduces_to_pdp_when_lam_zero(self):
         p = linear_params([0.4, -0.9])
-        x = np.array([1.0, 2.0])
+        x = row(1.0, 2.0)
         base = np.array([0.3, -0.2])
         out = combined_grad(p, x, 0.0, 0.25, base)
         assert np.allclose(out, base + pdp_grad(p, x, 0.25))
 
     def test_reduces_to_l2_when_kappa_zero(self):
         p = linear_params([0.4, -0.9])
-        x = np.array([1.0, 2.0])
+        x = row(1.0, 2.0)
         base = np.array([0.3, -0.2])
         out = combined_grad(p, x, 0.07, 0.0, base)
         assert np.allclose(out, base + l2_grad(p, 0.07))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            combined_grad(linear_params([1.0, 2.0]), np.array([1.0, 2.0]),
+            combined_grad(linear_params([1.0, 2.0]), row(1.0, 2.0),
                           0.1, 0.1, np.zeros(3))
 
 
@@ -171,5 +190,5 @@ class TestRegSpec:
             p = linear_params(rng.normal(0.0, 1.0, 3))
             x = rng.normal(0.0, 1.0, 3)
             assert l2_penalty(p, 0.2) >= 0
-            assert pdp_penalty(p, x, 0.2) >= 0
+            assert pdp_penalty(p, x[None, :], 0.2)[0] >= 0
             assert dp_input_penalty(x, 0.2) >= 0
