@@ -19,7 +19,7 @@ from .experiments import (ConfigError, ExperimentConfig, ResultRow,
 from .model import (Dataset, ForwardTrace, ModelSpec, NonFiniteParametersError,
                     ParameterSet, backward, forward, init_params, quadratic_loss)
 from .numerics import (MomentSummary, RngStream, SingularMatrixError, bessel_k0,
-                       gaussian_sample, moments, solve_linear_system)
+                       moments, solve_linear_system)
 from .optimizers import (GradientRecord, NoiseSpec, TrainConfig, TrainReport,
                          TrainingDivergedError, add_iid_noise,
                          add_proportional_noise, clip_gradient, dataset_loss,

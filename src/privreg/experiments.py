@@ -37,22 +37,23 @@ import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy
 
 from . import __version__
 from .attack import leakage_sweep, membership_inference
-from .model import Dataset, ModelSpec, ParameterSet
+from .model import ACTIVATIONS, Dataset, ModelSpec, ParameterSet
 from .numerics import RngStream
-from .optimizers import (NoiseSpec, TrainConfig, initial_params_for,
+from .optimizers import (NOISE_MODES, NoiseSpec, TrainConfig, initial_params_for,
                          mechanism_label, train)
 from .oracle import (DEFAULT_Z_THRESHOLD, backprop_grad_check,
                      check_cross_term_vanishes, check_moment_identities,
                      check_product_density, equivalence_chain_residuals,
                      grad_check, post_update_identity_checks,
                      random_linear_setups)
-from .regularizers import RegSpec, dp_input_penalty
+from .regularizers import KAPPA_MODES, RegSpec, dp_input_penalty
 
 COMMANDS = ("train", "verify", "attack", "moments", "report")
 OUT_DIR_ENV = "PRIVREG_OUT"
@@ -91,20 +92,49 @@ def write_result_rows(path: Path, rows: list[ResultRow]) -> None:
                              "" if r.stderr is None else _fmt(r.stderr), str(r.seed)])
 
 
-def read_result_rows(path: Path) -> list[ResultRow]:
+def read_result_rows(path: Path, field: str = "report.inputs") -> list[ResultRow]:
+    """Read a result CSV written by write_result_rows; a bad file raises
+    ConfigError naming `field`, the file and the 1-based line."""
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header} in {path}")
-        for rec in reader:
+    for line, rec in _read_csv(path, field, ",".join(CSV_HEADER),
+                               lambda header: tuple(header) == CSV_HEADER):
+        try:
             rows.append(ResultRow(
                 experiment_id=rec[0], mechanism=rec[1], metric=rec[2],
                 value=float(rec[3]), stderr=None if rec[4] == "" else float(rec[4]),
                 seed=int(rec[5]),
             ))
+        except ValueError as exc:
+            raise _file_error(field, path, line, str(exc)) from None
     return rows
+
+
+def _file_error(field: str, path, line: int, problem: str) -> ConfigError:
+    return ConfigError(f"field '{field}': {path}, line {line}: {problem}")
+
+
+def _read_csv(path, field: str, header_text: str,
+              header_ok: Callable[[list[str]], bool]) -> list[tuple[int, list[str]]]:
+    """(1-based line, record) for every row of a CSV file after its header.
+
+    An empty file, a header that fails `header_ok`, or a row not as long as
+    the header raises ConfigError naming `field`, the file and the line.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise _file_error(field, path, 1, f"empty file, expected the header {header_text}")
+        if not header_ok(header):
+            raise _file_error(field, path, reader.line_num,
+                              f"header must be {header_text}, got {header}")
+        records = []
+        for rec in reader:
+            if len(rec) != len(header):
+                raise _file_error(field, path, reader.line_num,
+                                  f"expected {len(header)} values, got {len(rec)}")
+            records.append((reader.line_num, rec))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -164,38 +194,31 @@ def load_dataset(path: str | Path) -> Dataset:
     Every row must hold d + 1 finite numbers.  A file that breaks this, or
     holds no rows, raises ConfigError naming the file and the 1-based line.
     """
-    def bad(line: int, problem: str) -> ConfigError:
-        return ConfigError(f"field 'data.path': {path}, line {line}: {problem}")
+    def header_ok(header: list[str]) -> bool:
+        return (len(header) >= 2 and header[-1] == "t"
+                and all(h == f"x{i}" for i, h in enumerate(header[:-1])))
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise bad(1, "empty file, expected the header x0,...,x{d-1},t")
-        if (len(header) < 2 or header[-1] != "t"
-                or any(h != f"x{i}" for i, h in enumerate(header[:-1]))):
-            raise bad(reader.line_num,
-                      f"dataset header must be x0,...,x{{d-1}},t, got {header}")
-        width = len(header)
-        rows = []
-        for rec in reader:
-            if len(rec) != width:
-                raise bad(reader.line_num, f"expected {width} values, got {len(rec)}")
-            try:
-                vals = [float(v) for v in rec]
-            except ValueError as exc:
-                raise bad(reader.line_num, str(exc)) from None
-            if not all(math.isfinite(v) for v in vals):
-                raise bad(reader.line_num, f"values must be finite, got {rec}")
-            rows.append(vals)
-        if not rows:
-            raise bad(reader.line_num + 1, "no data rows after the header")
+    rows = []
+    for line, rec in _read_csv(path, "data.path", "x0,...,x{d-1},t", header_ok):
+        try:
+            vals = [float(v) for v in rec]
+        except ValueError as exc:
+            raise _file_error("data.path", path, line, str(exc)) from None
+        if not all(math.isfinite(v) for v in vals):
+            raise _file_error("data.path", path, line, f"values must be finite, got {rec}")
+        rows.append(vals)
+    if not rows:
+        raise _file_error("data.path", path, 2, "no data rows after the header")
     table = np.array(rows)
     return Dataset(table[:, :-1], table[:, -1:])
 
 
 # ---------------------------------------------------------------------------
 # config parsing
+#
+# Each section is a table of fields.  One walker checks a raw JSON object
+# against its table and builds the section's dataclass from the keys that
+# are present, so the dataclasses stay the only home of defaults.
 
 
 @dataclass(frozen=True)
@@ -206,11 +229,6 @@ class DataConfig:
     noise_level: float = 0.0
     seed: int = 0
     path: str | None = None
-
-    def build(self) -> Dataset:
-        if self.path is not None:
-            return load_dataset(self.path)
-        return generate_dataset(self.kind, self.n, self.d, self.noise_level, self.seed)
 
 
 @dataclass(frozen=True)
@@ -241,7 +259,6 @@ class AttackConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str
-    formats: tuple[str, ...] = ("csv",)
 
 
 @dataclass(frozen=True)
@@ -262,178 +279,159 @@ class ExperimentConfig:
     report: ReportConfig | None = None
 
 
-def _check_keys(obj, path: str, required: tuple[str, ...], optional: tuple[str, ...]):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"'{path}' must be an object")
-    allowed = set(required) | set(optional)
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown field '{path}.{key}'")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"missing field '{path}.{key}'")
+@dataclass(frozen=True)
+class Field:
+    """One config field: its JSON type, whether it must be present, a range
+    rule (text for the message, predicate), the spec of list elements or of
+    object members, and what builds an object from its checked members."""
+
+    kind: type
+    required: bool = False
+    rule: tuple[str, Callable] | None = None
+    items: Field | None = None
+    fields: dict[str, Field] | None = None
+    build: Callable | None = None
 
 
-def _typed(obj, key, path, kind, default=None, required=False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"missing field '{path}.{key}'")
-        return default
-    value = obj[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"field '{path}.{key}' must be {kind.__name__}")
-    if not isinstance(value, kind):
-        raise ConfigError(f"field '{path}.{key}' must be {kind.__name__}")
+def _at_least(low: int) -> tuple[str, Callable]:
+    return f">= {low}", lambda v: v >= low
+
+
+def _one_of(choices: tuple[str, ...]) -> tuple[str, Callable]:
+    return f"one of {choices}", lambda v: v in choices
+
+
+_POSITIVE = ("> 0", lambda v: v > 0)
+_NONNEGATIVE = _at_least(0)
+_NONEMPTY = ("nonempty", lambda v: len(v) > 0)
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def _check(spec: Field, value, path: str):
+    """`value` checked against `spec`: ints widen to floats, lists become
+    tuples, and objects are built from their checked members."""
+    if spec.kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"field '{path}' must be finite") from None
+    if not isinstance(value, spec.kind) or (isinstance(value, bool) and spec.kind is not bool):
+        raise ConfigError(f"field '{path}' must be {_KIND_NAMES[spec.kind]}")
+    if spec.kind is float and not math.isfinite(value):
+        raise ConfigError(f"field '{path}' must be finite, got {value}")
+    if spec.items is not None:
+        value = tuple(_check(spec.items, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if spec.rule is not None and not spec.rule[1](value):
+        raise ConfigError(f"field '{path}' must be {spec.rule[0]}")
+    if spec.fields is not None:
+        members = _check_members(spec.fields, value, path)
+        try:
+            value = spec.build(**members)
+        except ValueError as exc:
+            raise ConfigError(f"invalid '{path}': {exc}") from exc
     return value
 
 
-def _parse_noise(obj, path) -> NoiseSpec:
-    _check_keys(obj, path, (), ("mode", "sigma", "clip_c"))
-    clip = obj.get("clip_c")
-    if clip is not None:
-        clip = _typed(obj, "clip_c", path, float)
-    try:
-        return NoiseSpec(mode=_typed(obj, "mode", path, str, "none"),
-                         sigma=_typed(obj, "sigma", path, float, 0.0),
-                         clip_c=clip)
-    except ValueError as exc:
-        raise ConfigError(f"invalid '{path}': {exc}") from exc
+def _check_members(fields: dict[str, Field], obj: dict, path: str) -> dict:
+    """The checked members of an object; the root object has path ''."""
+    where = path or "config"
+    for key in obj:
+        if key not in fields:
+            raise ConfigError(f"unknown field '{where}.{key}'")
+    for key, spec in fields.items():
+        if spec.required and key not in obj:
+            raise ConfigError(f"missing field '{where}.{key}'")
+    return {key: _check(fields[key], value, f"{path}.{key}" if path else key)
+            for key, value in obj.items()}
 
 
-def _parse_reg(obj, path) -> RegSpec:
-    _check_keys(obj, path, (), ("lambda", "kappa", "kappa_mode", "input_kappa"))
-    try:
-        return RegSpec(lam=_typed(obj, "lambda", path, float, 0.0),
-                       kappa=_typed(obj, "kappa", path, float, 0.0),
-                       kappa_mode=_typed(obj, "kappa_mode", path, str, "explicit"),
-                       input_kappa=_typed(obj, "input_kappa", path, float, 0.0))
-    except ValueError as exc:
-        raise ConfigError(f"invalid '{path}': {exc}") from exc
+def _reg_spec(**members) -> RegSpec:
+    if "lambda" in members:
+        members["lam"] = members.pop("lambda")
+    return RegSpec(**members)
 
 
-def _parse_model(obj) -> ModelSpec:
-    _check_keys(obj, "model", ("layer_sizes",), ("activation", "include_bias"))
-    sizes = _typed(obj, "layer_sizes", "model", list, required=True)
-    if not all(isinstance(s, int) and not isinstance(s, bool) for s in sizes):
-        raise ConfigError("field 'model.layer_sizes' must be a list of integers")
-    try:
-        return ModelSpec(layer_sizes=tuple(sizes),
-                         activation=_typed(obj, "activation", "model", str, "identity"),
-                         include_bias=_typed(obj, "include_bias", "model", bool, True))
-    except ValueError as exc:
-        raise ConfigError(f"invalid 'model': {exc}") from exc
+def _mechanism(noise=NoiseSpec(), reg=RegSpec()) -> tuple[NoiseSpec, RegSpec]:
+    return noise, reg
 
 
-def _parse_data(obj) -> DataConfig:
-    _check_keys(obj, "data", (), ("kind", "n", "d", "noise_level", "seed", "path"))
-    if "path" in obj:
-        if len(obj) > 1:
+def _data_config(**members) -> DataConfig:
+    if "path" in members:
+        if len(members) > 1:
             raise ConfigError("field 'data.path' excludes generator fields")
-        return DataConfig(path=_typed(obj, "path", "data", str, required=True))
-    for key in ("kind", "n", "d", "seed"):
-        if key not in obj:
-            raise ConfigError(f"missing field 'data.{key}'")
-    kind = _typed(obj, "kind", "data", str, required=True)
-    if kind not in DATASET_KINDS:
-        raise ConfigError(f"field 'data.kind' must be one of {DATASET_KINDS}")
-    return DataConfig(kind=kind,
-                      n=_typed(obj, "n", "data", int, required=True),
-                      d=_typed(obj, "d", "data", int, required=True),
-                      noise_level=_typed(obj, "noise_level", "data", float, 0.0),
-                      seed=_typed(obj, "seed", "data", int, required=True))
+    else:
+        for key in ("kind", "n", "d", "seed"):
+            if key not in members:
+                raise ConfigError(f"missing field 'data.{key}'")
+    return DataConfig(**members)
 
 
-def _parse_train(obj) -> TrainConfig:
-    _check_keys(obj, "train", ("eta", "batch_size", "epochs", "seed"),
-                ("noise", "reg", "record_gradients", "record_cap"))
-    try:
-        return TrainConfig(
-            eta=_typed(obj, "eta", "train", float, required=True),
-            batch_size=_typed(obj, "batch_size", "train", int, required=True),
-            epochs=_typed(obj, "epochs", "train", int, required=True),
-            seed=_typed(obj, "seed", "train", int, required=True),
-            noise=_parse_noise(obj.get("noise", {}), "train.noise"),
-            reg=_parse_reg(obj.get("reg", {}), "train.reg"),
-            record_gradients=_typed(obj, "record_gradients", "train", bool, False),
-            record_cap=_typed(obj, "record_cap", "train", int, 128),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"invalid 'train': {exc}") from exc
-
-
-def _parse_oracle(obj) -> OracleConfig:
-    _check_keys(obj, "oracle", ("seed",),
-                ("replicas", "configs", "threshold", "sigmas", "bins",
-                 "product_replicas", "trajectory_epochs", "expectation_replicas"))
-    sigmas = obj.get("sigmas", [0.5, 1.0, 2.0])
-    if (not isinstance(sigmas, list) or not sigmas
-            or not all(isinstance(s, (int, float)) and not isinstance(s, bool) for s in sigmas)):
-        raise ConfigError("field 'oracle.sigmas' must be a nonempty list of numbers")
-    return OracleConfig(
-        seed=_typed(obj, "seed", "oracle", int, required=True),
-        replicas=_typed(obj, "replicas", "oracle", int, 1_000_000),
-        configs=_typed(obj, "configs", "oracle", int, 50),
-        threshold=_typed(obj, "threshold", "oracle", float, DEFAULT_Z_THRESHOLD),
-        sigmas=tuple(float(s) for s in sigmas),
-        bins=_typed(obj, "bins", "oracle", int, 40),
-        product_replicas=_typed(obj, "product_replicas", "oracle", int, 1_000_000),
-        trajectory_epochs=_typed(obj, "trajectory_epochs", "oracle", int, 10),
-        expectation_replicas=_typed(obj, "expectation_replicas", "oracle", int, 10_000),
-    )
-
-
-def _parse_attack(obj) -> AttackConfig:
-    _check_keys(obj, "attack", ("seed", "trials", "mechanisms"),
-                ("eta", "iters", "step", "restarts", "membership"))
-    mechanisms_raw = _typed(obj, "mechanisms", "attack", list, required=True)
-    if not mechanisms_raw:
-        raise ConfigError("field 'attack.mechanisms' must be a nonempty list")
-    mechanisms = []
-    for i, entry in enumerate(mechanisms_raw):
-        path = f"attack.mechanisms[{i}]"
-        _check_keys(entry, path, (), ("noise", "reg"))
-        mechanisms.append((_parse_noise(entry.get("noise", {}), f"{path}.noise"),
-                           _parse_reg(entry.get("reg", {}), f"{path}.reg")))
-    config = AttackConfig(
-        seed=_typed(obj, "seed", "attack", int, required=True),
-        trials=_typed(obj, "trials", "attack", int, required=True),
-        mechanisms=tuple(mechanisms),
-        eta=_typed(obj, "eta", "attack", float, 0.1),
-        iters=_typed(obj, "iters", "attack", int, 800),
-        step=_typed(obj, "step", "attack", float, 0.02),
-        restarts=_typed(obj, "restarts", "attack", int, 10),
-        membership=_typed(obj, "membership", "attack", bool, False),
-    )
-    for key in ("trials", "iters", "restarts"):
-        if getattr(config, key) < 1:
-            raise ConfigError(f"field 'attack.{key}' must be >= 1")
-    for key in ("step", "eta"):
-        value = getattr(config, key)
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"field 'attack.{key}' must be finite and > 0")
-    return config
-
-
-def _parse_output(obj) -> OutputConfig:
-    _check_keys(obj, "output", ("directory",), ("formats",))
-    formats = obj.get("formats", ["csv"])
-    if not isinstance(formats, list) or any(f != "csv" for f in formats):
-        raise ConfigError("field 'output.formats' supports only [\"csv\"]")
-    return OutputConfig(directory=_typed(obj, "directory", "output", str, required=True),
-                        formats=tuple(formats))
-
-
-def _parse_report(obj) -> ReportConfig:
-    _check_keys(obj, "report", ("inputs",), ())
-    inputs = _typed(obj, "inputs", "report", list, required=True)
-    if not inputs or not all(isinstance(p, str) for p in inputs):
-        raise ConfigError("field 'report.inputs' must be a nonempty list of paths")
-    return ReportConfig(inputs=tuple(inputs))
-
+_SEED = Field(int, True, _NONNEGATIVE)
+_NOISE = Field(dict, fields={
+    "mode": Field(str, rule=_one_of(NOISE_MODES)),
+    "sigma": Field(float, rule=_NONNEGATIVE),
+    "clip_c": Field(float, rule=_POSITIVE),
+}, build=NoiseSpec)
+_REG = Field(dict, fields={
+    "lambda": Field(float, rule=_NONNEGATIVE),
+    "kappa": Field(float, rule=_NONNEGATIVE),
+    "kappa_mode": Field(str, rule=_one_of(KAPPA_MODES)),
+    "input_kappa": Field(float, rule=_NONNEGATIVE),
+}, build=_reg_spec)
+_SECTIONS = {
+    "experiment_id": Field(str, True),
+    "output": Field(dict, True, fields={"directory": Field(str, True)}, build=OutputConfig),
+    "model": Field(dict, fields={
+        "layer_sizes": Field(list, True, ("a list of at least 2 sizes", lambda v: len(v) >= 2),
+                             items=Field(int, rule=_at_least(1))),
+        "activation": Field(str, rule=_one_of(ACTIVATIONS)),
+        "include_bias": Field(bool),
+    }, build=ModelSpec),
+    "data": Field(dict, fields={
+        "kind": Field(str, rule=_one_of(DATASET_KINDS)),
+        "n": Field(int, rule=_at_least(1)),
+        "d": Field(int, rule=_at_least(1)),
+        "noise_level": Field(float, rule=_NONNEGATIVE),
+        "seed": Field(int, rule=_NONNEGATIVE),
+        "path": Field(str),
+    }, build=_data_config),
+    "train": Field(dict, fields={
+        "eta": Field(float, True, _POSITIVE),
+        "batch_size": Field(int, True, _at_least(1)),
+        "epochs": Field(int, True, _at_least(1)),
+        "seed": _SEED,
+        "noise": _NOISE,
+        "reg": _REG,
+        "record_gradients": Field(bool),
+        "record_cap": Field(int, rule=_NONNEGATIVE),
+    }, build=TrainConfig),
+    "oracle": Field(dict, fields={
+        "seed": _SEED,
+        "replicas": Field(int, rule=_at_least(2)),
+        "configs": Field(int, rule=_at_least(1)),
+        "threshold": Field(float, rule=_POSITIVE),
+        "sigmas": Field(list, rule=_NONEMPTY, items=Field(float, rule=_POSITIVE)),
+        "bins": Field(int, rule=_at_least(10)),
+        "product_replicas": Field(int, rule=_at_least(2)),
+        "trajectory_epochs": Field(int, rule=_at_least(1)),
+        "expectation_replicas": Field(int, rule=_at_least(1)),
+    }, build=OracleConfig),
+    "attack": Field(dict, fields={
+        "seed": _SEED,
+        "trials": Field(int, True, _at_least(1)),
+        "mechanisms": Field(list, True, _NONEMPTY, items=Field(dict, fields={
+            "noise": _NOISE, "reg": _REG}, build=_mechanism)),
+        "eta": Field(float, rule=_POSITIVE),
+        "iters": Field(int, rule=_at_least(1)),
+        "step": Field(float, rule=_POSITIVE),
+        "restarts": Field(int, rule=_at_least(1)),
+        "membership": Field(bool),
+    }, build=AttackConfig),
+    "report": Field(dict, fields={
+        "inputs": Field(list, True, _NONEMPTY, items=Field(str)),
+    }, build=ReportConfig),
+}
 
 _REQUIRED_SECTIONS = {
     "train": ("model", "data", "train", "output"),
@@ -443,58 +441,94 @@ _REQUIRED_SECTIONS = {
     "report": ("report", "output"),
 }
 
-_SECTION_PARSERS = {
-    "model": _parse_model,
-    "data": _parse_data,
-    "train": _parse_train,
-    "oracle": _parse_oracle,
-    "attack": _parse_attack,
-    "output": _parse_output,
-    "report": _parse_report,
-}
-
 
 def parse_config(raw: dict, command: str) -> ExperimentConfig:
     """Validate the raw config dict for one subcommand.
 
     Every present section is validated (typos fail even in unused
-    sections); the command's required sections must be present.
+    sections); the command's required sections must be present, and the
+    model must fit the command and, when generated, the data.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    _check_keys(raw, "config", ("experiment_id", "output"),
-                ("model", "data", "train", "oracle", "attack", "report"))
-    experiment_id = _typed(raw, "experiment_id", "config", str, required=True)
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    config = ExperimentConfig(raw=raw, **_check_members(_SECTIONS, raw, ""))
     for section in _REQUIRED_SECTIONS[command]:
         if section not in raw:
             raise ConfigError(f"missing field 'config.{section}' (required by {command})")
-    parsed = {name: parser(raw[name])
-              for name, parser in _SECTION_PARSERS.items() if name in raw}
-    return ExperimentConfig(experiment_id=experiment_id, raw=raw,
-                            output=parsed["output"],
-                            model=parsed.get("model"), data=parsed.get("data"),
-                            train=parsed.get("train"), oracle=parsed.get("oracle"),
-                            attack=parsed.get("attack"), report=parsed.get("report"))
+    if command in ("train", "attack"):
+        _check_model_use(config, command)
+        if config.data.path is None:
+            _check_data_fit(config, command, config.data.n, config.data.d)
+    return config
+
+
+def _check_model_use(config: ExperimentConfig, command: str) -> None:
+    """Rules between the model and the command, whatever the data."""
+    sizes = config.model.layer_sizes
+    if sizes[-1] != 1:
+        raise ConfigError(f"field 'model.layer_sizes' must end in 1, got {list(sizes)}: "
+                          "every dataset has one target column")
+    if command == "attack":
+        if len(sizes) != 2:
+            raise ConfigError(f"field 'model.layer_sizes' must be [d, 1] for attack, "
+                              f"got {list(sizes)}: the inversions need one linear unit")
+        if config.model.activation != "identity":
+            raise ConfigError("field 'model.activation' must be 'identity' for attack")
+        if not config.model.include_bias:
+            raise ConfigError("field 'model.include_bias' must be true for attack: "
+                              "closed-form inversion divides by the bias gradient")
+
+
+def _check_data_fit(config: ExperimentConfig, command: str, n: int, d: int,
+                    rows: str = "data.n", features: str = "data.d") -> None:
+    """Rules between the model, the command and the data's n rows of d
+    features, checked at parse time for generated data and after loading
+    for a data file; `rows` and `features` say where n and d come from."""
+    if config.model.layer_sizes[0] != d:
+        raise ConfigError(f"field 'model.layer_sizes[0]' must equal {features} ({d}), "
+                          f"got {config.model.layer_sizes[0]}")
+    if command == "train" and config.train.batch_size > n:
+        raise ConfigError(f"field 'train.batch_size' must be <= {rows} ({n}), "
+                          f"got {config.train.batch_size}")
+    if command == "attack" and config.attack.membership and n < 2:
+        raise ConfigError(f"field 'attack.membership' needs {rows} >= 2 to split the "
+                          f"data into members and non-members, got {n}")
+
+
+def _seeded_sections(config: ExperimentConfig) -> dict:
+    """The present sections whose seed the run uses; a data file has none."""
+    sections = {name: getattr(config, name) for name in ("data", "train", "oracle", "attack")}
+    return {name: section for name, section in sections.items()
+            if section is not None and not (name == "data" and section.path is not None)}
 
 
 def apply_seed_override(config: ExperimentConfig, seed: int) -> ExperimentConfig:
     """Replace every section seed with one explicit value."""
-    updates = {}
-    for name in ("data", "train", "oracle", "attack"):
-        section = getattr(config, name)
-        if section is not None and getattr(section, "seed", None) is not None:
-            if name == "data" and section.path is not None:
-                continue
-            updates[name] = replace(section, seed=seed)
-    return replace(config, **updates)
+    _check(_SEED, seed, "--seed")
+    return replace(config, **{name: replace(section, seed=seed)
+                              for name, section in _seeded_sections(config).items()})
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
 
+def _load_data(config: ExperimentConfig, command: str) -> Dataset:
+    """The configured dataset; a data file is checked against the model
+    once loaded, as generated data was at parse time."""
+    dc = config.data
+    if dc.path is None:
+        return generate_dataset(dc.kind, dc.n, dc.d, dc.noise_level, dc.seed)
+    data = load_dataset(dc.path)
+    _check_data_fit(config, command, len(data), data.dim, f"the number of rows in {dc.path}",
+                    f"the number of x columns in {dc.path}")
+    return data
+
+
 def _cmd_train(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
-    data = config.data.build()
+    data = _load_data(config, "train")
     report = train(config.model, data, config.train)
     mech = mechanism_label(config.train.noise, config.train.reg)
     seed = config.train.seed
@@ -564,7 +598,7 @@ def _cmd_verify(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
             check = check_cross_term_vanishes(
                 setup.params, setup.x, setup.t, setup.eta,
                 NoiseSpec(mode=mode, sigma=setup.sigma),
-                max(oc.replicas, 2), oc.seed + 2000 + i, threshold=oc.threshold)
+                oc.replicas, oc.seed + 2000 + i, threshold=oc.threshold)
             rows.append(ResultRow(eid, mode, "cross_term_z", check.z, None,
                                   check.estimate.seed))
             ok = ok and check.passed
@@ -679,7 +713,7 @@ def _grad_check_suite(seed: int) -> list[tuple[str, float, float]]:
 
 def _cmd_attack(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
     ac = config.attack
-    data = config.data.build()
+    data = _load_data(config, "attack")
     reports = leakage_sweep(config.model, data, list(ac.mechanisms), ac.trials,
                             ac.seed, eta=ac.eta, iters=ac.iters, step=ac.step,
                             restarts=ac.restarts)
@@ -726,8 +760,8 @@ def _membership_rows(config: ExperimentConfig, data: Dataset) -> list[ResultRow]
 
 def _cmd_report(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
     groups: dict[tuple[str, str, str], list[ResultRow]] = {}
-    for path in config.report.inputs:
-        for row in read_result_rows(Path(path)):
+    for i, path in enumerate(config.report.inputs):
+        for row in read_result_rows(Path(path), f"report.inputs[{i}]"):
             groups.setdefault((row.experiment_id, row.mechanism, row.metric),
                               []).append(row)
     rows = []
@@ -759,22 +793,13 @@ _COMMAND_IMPLS = {
 # orchestration
 
 
-def _collect_seeds(config: ExperimentConfig) -> dict:
-    seeds = {}
-    for name in ("data", "train", "oracle", "attack"):
-        section = getattr(config, name)
-        if section is not None and getattr(section, "seed", None) is not None:
-            seeds[name] = section.seed
-    return seeds
-
-
 def _write_manifest(path: Path, config: ExperimentConfig, command: str) -> None:
     canonical = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
     manifest = {
         "experiment_id": config.experiment_id,
         "command": command,
         "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-        "seeds": _collect_seeds(config),
+        "seeds": {name: s.seed for name, s in _seeded_sections(config).items()},
         "versions": {
             "privreg": __version__,
             "numpy": np.__version__,
@@ -803,8 +828,6 @@ def run(command: str, config_path: str | Path, out_dir: str | None = None,
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
         config = parse_config(raw, command)
         if seed_override is not None:
             config = apply_seed_override(config, seed_override)
@@ -818,12 +841,10 @@ def run(command: str, config_path: str | Path, out_dir: str | None = None,
         rows, ok = _COMMAND_IMPLS[command](config)
         write_result_rows(directory / f"{command}_results.csv", rows)
         _write_manifest(directory / f"{command}_manifest.json", config, command)
-    except ConfigError as exc:  # input files named by the config, read at run time
-        print(_error_report(type(exc).__name__, str(exc)), file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001  (boundary: report and signal failure)
         print(_error_report(type(exc).__name__, str(exc)), file=sys.stderr)
-        return 1
+        # A ConfigError here comes from an input file the config names.
+        return 2 if isinstance(exc, ConfigError) else 1
     if not ok:
         print(_error_report("VerificationFailure",
                             f"{command} checks failed; see {directory}"), file=sys.stderr)

@@ -80,11 +80,6 @@ class RngStream:
         return self._gen.permutation(int(n))
 
 
-def gaussian_sample(rng: RngStream, mean: float, std: float, n: int) -> np.ndarray:
-    """n i.i.d. draws from N(mean, std^2); std = 0 yields the constant mean."""
-    return rng.normal(mean, std, n)
-
-
 @dataclass(frozen=True)
 class MomentSummary:
     """Raw moments and population variance of a sample."""

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import Dataset, ModelSpec, ParameterSet
-from .numerics import RngStream, bessel_k0, gaussian_sample, solve_linear_system
+from .numerics import RngStream, bessel_k0, solve_linear_system
 from .optimizers import NoiseSpec
 from .regularizers import (combined_grad, dp_input_penalty, l2_grad,
                            l2_penalty, pdp_grad, pdp_penalty)
@@ -109,32 +109,19 @@ def _clean_one_step(theta: np.ndarray, xv: np.ndarray, t: float,
 
 
 def _noise_matrix(theta: np.ndarray, noise: NoiseSpec, replicas: int,
-                  seed: int, n_streams: int = 1) -> np.ndarray:
-    """(replicas, dim) noise draws; rows are independent replicas.
-
-    Replicas are split across n_streams substreams and concatenated in
-    stream order, so a parallel evaluation reduces to the same matrix.
-    """
+                  seed: int) -> np.ndarray:
+    """(replicas, dim) noise draws from stream 0; rows are independent replicas."""
     dim = theta.size
     if noise.mode == "none" or noise.sigma == 0:
         return np.zeros((replicas, dim))
-    counts = [replicas // n_streams] * n_streams
-    counts[-1] += replicas - sum(counts)
-    blocks = []
-    for j, count in enumerate(counts):
-        if count == 0:
-            continue
-        z = RngStream(seed, j).normal(0.0, 1.0, count * dim).reshape(count, dim)
-        blocks.append(z)
-    z = np.vstack(blocks)
+    z = RngStream(seed, 0).normal(0.0, 1.0, replicas * dim).reshape(replicas, dim)
     if noise.mode == "iid":
         return noise.sigma * z
     return noise.sigma * theta * z  # per-column scale |theta_i| * sigma
 
 
 def mc_post_update_loss(params: ParameterSet, x: np.ndarray, t, eta: float,
-                        noise: NoiseSpec, replicas: int, seed: int,
-                        n_streams: int = 1) -> McEstimate:
+                        noise: NoiseSpec, replicas: int, seed: int) -> McEstimate:
     """Sampled E[(y_tilde' - t)^2] after one noisy update of a linear neuron.
 
     Each replica draws fresh gradient noise, applies theta' = theta -
@@ -147,7 +134,7 @@ def mc_post_update_loss(params: ParameterSet, x: np.ndarray, t, eta: float,
     theta, xv = _linear_neuron_vectors(params, x)
     t = _scalar_target(t)
     _, y1 = _clean_one_step(theta, xv, t, eta)
-    eps = _noise_matrix(theta, noise, replicas, seed, n_streams)
+    eps = _noise_matrix(theta, noise, replicas, seed)
     losses = (y1 - t - eta * (eps @ xv)) ** 2
     stderr = float(losses.std(ddof=1) / np.sqrt(replicas))
     return McEstimate(mean=float(losses.mean()), stderr=stderr,
@@ -205,7 +192,7 @@ def check_moment_identities(sigma: float, replicas: int, seed: int,
         raise ValueError(f"sigma must be positive, got {sigma}")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    x = gaussian_sample(RngStream(seed, 0), 0.0, sigma, replicas)
+    x = RngStream(seed, 0).normal(0.0, sigma, replicas)
     w = x * x
     n = replicas
     s2, s4 = sigma ** 2, sigma ** 4
@@ -262,8 +249,8 @@ def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
     if not (0 < lo < hi):
         raise ValueError(f"degenerate bins: support must satisfy 0 < lo < hi, got {support}")
 
-    x = gaussian_sample(RngStream(seed, 0), 0.0, sigma_x, replicas)
-    y = gaussian_sample(RngStream(seed, 1), 0.0, sigma_y, replicas)
+    x = RngStream(seed, 0).normal(0.0, sigma_x, replicas)
+    y = RngStream(seed, 1).normal(0.0, sigma_y, replicas)
     u = x * y
 
     pos_edges = np.linspace(lo, hi, bins + 1)

@@ -55,11 +55,6 @@ class RegSpec:
         if self.kappa_mode not in KAPPA_MODES:
             raise ValueError(f"unknown kappa_mode {self.kappa_mode!r}")
 
-    @property
-    def enabled(self) -> bool:
-        return (self.lam > 0 or self.kappa > 0 or self.input_kappa > 0
-                or self.kappa_mode == "derived")
-
 
 def l2_penalty(params: ParameterSet, lam: float) -> float:
     """lam * sum(theta^2)."""

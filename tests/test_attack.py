@@ -391,7 +391,7 @@ class TestMembershipInference:
 
     def test_cli_import_leaves_scipy_stats_out(self):
         src = Path(privreg.attack.__file__).resolve().parent.parent
-        for module in ("scipy.stats", "scipy.integrate"):
+        for module in ("scipy.stats", "scipy.integrate", "jsonschema", "pydantic"):
             probe = f"import sys, privreg.cli; print({module!r} in sys.modules)"
             out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                                  text=True, check=True,

@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from privreg.cli import main as cli_main
 from privreg.experiments import (ConfigError, ResultRow, apply_seed_override,
@@ -104,6 +111,40 @@ def minimal_train_config(out_dir):
         "train": {"eta": 0.05, "batch_size": 10, "epochs": 3, "seed": 11,
                   "noise": {"mode": "iid", "sigma": 0.1}},
         "output": {"directory": str(out_dir)},
+    }
+
+
+def small_attack_config(out_dir):
+    return {
+        "experiment_id": "atk",
+        "model": {"layer_sizes": [3, 1], "include_bias": True},
+        "data": {"kind": "noisy_linear", "n": 12, "d": 3,
+                 "noise_level": 0.3, "seed": 8},
+        "attack": {"seed": 100, "trials": 3, "iters": 150, "step": 0.01,
+                   "restarts": 2, "mechanisms": [
+                       {"noise": {"mode": "none"}},
+                       {"noise": {"mode": "iid", "sigma": 0.5}}]},
+        "output": {"directory": str(out_dir)},
+    }
+
+
+def small_moments_config(out_dir):
+    return {
+        "experiment_id": "cli",
+        "oracle": {"seed": 5, "replicas": 20000, "sigmas": [1.0],
+                   "bins": 12, "product_replicas": 30000},
+        "output": {"directory": str(out_dir)},
+    }
+
+
+def small_report_config(directory):
+    """A report over two one-row result CSVs it writes into `directory`."""
+    write_result_rows(directory / "a.csv", [ResultRow("e", "m", "loss", 1.0, None, 1)])
+    write_result_rows(directory / "b.csv", [ResultRow("e", "m", "loss", 3.0, None, 2)])
+    return {
+        "experiment_id": "rep",
+        "report": {"inputs": [str(directory / "a.csv"), str(directory / "b.csv")]},
+        "output": {"directory": str(directory / "out")},
     }
 
 
@@ -293,17 +334,7 @@ class TestRun:
         assert "missing.csv" in err["message"]
 
     def test_attack_command_writes_aggregates(self, tmp_path):
-        cfg = {
-            "experiment_id": "atk",
-            "model": {"layer_sizes": [3, 1], "include_bias": True},
-            "data": {"kind": "noisy_linear", "n": 12, "d": 3,
-                     "noise_level": 0.3, "seed": 8},
-            "attack": {"seed": 100, "trials": 3, "iters": 150, "step": 0.01,
-                       "restarts": 2, "mechanisms": [
-                           {"noise": {"mode": "none"}},
-                           {"noise": {"mode": "iid", "sigma": 0.5}}]},
-            "output": {"directory": str(tmp_path / "out")},
-        }
+        cfg = small_attack_config(tmp_path / "out")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run("attack", cfg_path) == 0
@@ -315,15 +346,7 @@ class TestRun:
         assert len(mechanisms) == 2
 
     def test_report_aggregates_means(self, tmp_path, capsys):
-        rows_a = [ResultRow("e", "m", "loss", 1.0, None, 1)]
-        rows_b = [ResultRow("e", "m", "loss", 3.0, None, 2)]
-        write_result_rows(tmp_path / "a.csv", rows_a)
-        write_result_rows(tmp_path / "b.csv", rows_b)
-        cfg = {
-            "experiment_id": "rep",
-            "report": {"inputs": [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]},
-            "output": {"directory": str(tmp_path / "out")},
-        }
+        cfg = small_report_config(tmp_path)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run("report", cfg_path) == 0
@@ -351,12 +374,7 @@ class TestShippedConfigs:
 
 class TestCli:
     def test_cli_runs_moments(self, tmp_path):
-        cfg = {
-            "experiment_id": "cli",
-            "oracle": {"seed": 5, "replicas": 20000, "sigmas": [1.0],
-                       "bins": 12, "product_replicas": 30000},
-            "output": {"directory": str(tmp_path / "out")},
-        }
+        cfg = small_moments_config(tmp_path / "out")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli_main(["moments", "--config", str(cfg_path)]) == 0
@@ -369,6 +387,175 @@ class TestCli:
         manifest = json.loads((tmp_path / "out" / "train_manifest.json").read_text())
         assert manifest["seeds"]["train"] == 123
 
+    def test_manifest_names_only_seeds_in_use(self, tmp_path):
+        (tmp_path / "data.csv").write_text("x0,x1,x2,t\n1,2,3,4\n5,6,7,8\n",
+                                           encoding="utf-8")
+        cfg = minimal_train_config(tmp_path / "out")
+        cfg["data"] = {"path": str(tmp_path / "data.csv")}
+        cfg["train"]["batch_size"] = 2
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["train", "--config", str(cfg_path), "--seed", "7"]) == 0
+        manifest = json.loads((tmp_path / "out" / "train_manifest.json").read_text())
+        assert manifest["seeds"] == {"train": 7}
+
     def test_cli_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
             cli_main(["tune", "--config", "x.json"])
+
+
+SMALL_CONFIGS = {
+    "train": lambda directory: minimal_train_config(directory / "out"),
+    "verify": lambda directory: minimal_verify_config(directory / "out"),
+    "attack": lambda directory: small_attack_config(directory / "out"),
+    "moments": lambda directory: small_moments_config(directory / "out"),
+    "report": small_report_config,
+}
+RESULT_HEADER = "experiment_id,mechanism,metric,value,stderr,seed\n"
+NAN, INF = float("nan"), float("inf")
+
+
+def _set(cfg, path, value):
+    """Set the value at a dotted path; integer parts index lists."""
+    *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+    reduce(getitem, parents, cfg)[last] = value
+
+
+def _probe(id, command, changes, field, *also, files=None, seed=None):
+    return pytest.param(command, changes, files or {}, seed, field, also, id=id)
+
+
+BOUNDARY_PROBES = [
+    # non-finite numbers (JSON NaN / Infinity), bool-as-int, choices
+    _probe("sigma-nan", "train", {"train.noise.sigma": NAN}, "train.noise.sigma"),
+    _probe("eta-inf", "train", {"train.eta": INF}, "train.eta"),
+    _probe("epochs-bool", "train", {"train.epochs": True}, "train.epochs"),
+    _probe("noise-mode", "train", {"train.noise.mode": "gaussian"}, "train.noise.mode"),
+    _probe("mechanism-sigma-inf", "attack",
+           {"attack.mechanisms.0.noise.sigma": INF}, "attack.mechanisms[0].noise.sigma"),
+    # ranges
+    _probe("data-n-negative", "train", {"data.n": -5}, "data.n"),
+    _probe("data-d-zero", "train", {"data.d": 0}, "data.d"),
+    _probe("data-seed-negative", "train", {"data.seed": -1}, "data.seed"),
+    _probe("train-seed-negative", "train", {"train.seed": -1}, "train.seed"),
+    _probe("seed-flag-negative", "train", {}, "--seed", seed=-3),
+    _probe("record-cap-negative", "train", {"train.record_cap": -1}, "train.record_cap"),
+    _probe("clip-zero", "train", {"train.noise.clip_c": 0}, "train.noise.clip_c"),
+    _probe("kappa-negative", "train", {"train.reg": {"kappa": -1}}, "train.reg.kappa"),
+    _probe("layer-sizes-short", "train", {"model.layer_sizes": [3]}, "model.layer_sizes"),
+    _probe("oracle-seed-negative", "verify", {"oracle.seed": -1}, "oracle.seed"),
+    _probe("configs-zero", "verify", {"oracle.configs": 0}, "oracle.configs"),
+    _probe("expectation-replicas-zero", "verify", {"oracle.expectation_replicas": 0},
+           "oracle.expectation_replicas"),
+    _probe("threshold-negative", "verify", {"oracle.threshold": -1}, "oracle.threshold"),
+    _probe("replicas-one", "verify", {"oracle.replicas": 1}, "oracle.replicas"),
+    _probe("bins-nine", "verify", {"oracle.bins": 9}, "oracle.bins"),
+    _probe("trajectory-epochs-zero", "verify", {"oracle.trajectory_epochs": 0},
+           "oracle.trajectory_epochs"),
+    _probe("sigma-item-zero", "verify", {"oracle.sigmas": [1.0, 0.0]}, "oracle.sigmas[1]"),
+    _probe("sigmas-empty", "moments", {"oracle.sigmas": []}, "oracle.sigmas"),
+    _probe("product-replicas-one", "moments", {"oracle.product_replicas": 1},
+           "oracle.product_replicas"),
+    _probe("attack-seed-negative", "attack", {"attack.seed": -1}, "attack.seed"),
+    _probe("mechanisms-empty", "attack", {"attack.mechanisms": []}, "attack.mechanisms"),
+    _probe("output-formats", "train", {"output.formats": ["csv"]}, "output.formats"),
+    # cross-field rules
+    _probe("d-mismatch", "train", {"data.d": 2}, "model.layer_sizes[0]", "data.d"),
+    _probe("batch-exceeds-n", "train", {"train.batch_size": 40}, "train.batch_size",
+           "data.n"),
+    _probe("two-outputs", "train", {"model.layer_sizes": [3, 2]}, "model.layer_sizes"),
+    _probe("attack-hidden-layer", "attack", {"model.layer_sizes": [3, 4, 1]},
+           "model.layer_sizes"),
+    _probe("attack-no-bias", "attack", {"model.include_bias": False}, "model.include_bias"),
+    _probe("attack-tanh", "attack", {"model.activation": "tanh"}, "model.activation"),
+    _probe("membership-one-row", "attack", {"attack.membership": True, "data.n": 1},
+           "attack.membership", "data.n"),
+    _probe("file-d-mismatch", "train", {"data": {"path": "data.csv"}},
+           "model.layer_sizes[0]", "data.csv", files={"data.csv": "x0,x1,t\n1,2,3\n"}),
+    _probe("file-batch-exceeds-rows", "train",
+           {"data": {"path": "data.csv"}, "model.layer_sizes": [2, 1]},
+           "train.batch_size", "data.csv", files={"data.csv": "x0,x1,t\n1,2,3\n"}),
+    # report inputs
+    _probe("report-empty-csv", "report", {}, "report.inputs[0]", "a.csv", "line 1:",
+           files={"a.csv": ""}),
+    _probe("report-wrong-header", "report", {}, "report.inputs[1]", "b.csv", "line 1:",
+           files={"b.csv": "a,b\n"}),
+    _probe("report-short-row", "report", {}, "report.inputs[0]", "a.csv", "line 2:",
+           files={"a.csv": RESULT_HEADER + "e,m,loss,1.0\n"}),
+    _probe("report-long-row", "report", {}, "report.inputs[0]", "line 3:",
+           files={"a.csv": RESULT_HEADER + "e,m,loss,1,,1\ne,m,loss,1,,1,7\n"}),
+    _probe("report-not-a-number", "report", {}, "report.inputs[1]", "line 2:",
+           files={"b.csv": RESULT_HEADER + "e,m,loss,abc,,1\n"}),
+]
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("command,changes,files,seed,field,also", BOUNDARY_PROBES)
+    def test_bad_input_exits_2_naming_the_field(self, tmp_path, monkeypatch, capsys,
+                                                command, changes, files, seed, field,
+                                                also):
+        monkeypatch.chdir(tmp_path)
+        cfg = SMALL_CONFIGS[command](tmp_path)
+        for path, value in changes.items():
+            _set(cfg, path, value)
+        for name, content in files.items():
+            (tmp_path / name).write_text(content, encoding="utf-8")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(command, cfg_path, seed_override=seed) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"'{field}'" in err["message"]
+        assert all(part in err["message"] for part in also), err["message"]
+        assert not (tmp_path / "out" / f"{command}_results.csv").exists()
+
+
+MUTATION_MENU = (-1, 0, 1, 2.5, NAN, INF, "x", True, None, [], {})
+
+
+def _nodes(obj, path=()):
+    """(path, value) of `obj` and of every value nested in it."""
+    yield path, obj
+    if isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _nodes(value, path + (key,))
+
+
+class TestConfigMutations:
+    """Any one mutation of a small working config ends in exit 0, a config
+    error (exit 2), or a failure the program names (exit 1): never in an
+    exception from deep inside the run."""
+
+    @pytest.mark.parametrize("command", ["train", "attack", "moments", "report"])
+    @settings(max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_config_fails_only_at_the_boundary(self, tmp_path, monkeypatch,
+                                                       command, data):
+        monkeypatch.chdir(tmp_path)
+        cfg = SMALL_CONFIGS[command](tmp_path)
+        nodes = list(_nodes(cfg))
+        action = data.draw(st.sampled_from(["delete", "add", "replace"]))
+        if action == "add":
+            path = data.draw(st.sampled_from([p for p, v in nodes if isinstance(v, dict)]))
+            reduce(getitem, path, cfg)["extra_field"] = 1
+        else:
+            *parents, last = data.draw(st.sampled_from([p for p, _ in nodes if p]))
+            parent = reduce(getitem, parents, cfg)
+            if action == "delete":
+                del parent[last]
+            else:
+                parent[last] = copy.deepcopy(data.draw(st.sampled_from(MUTATION_MENU)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = run(command, cfg_path, out_dir=str(tmp_path / "out"))
+        if code == 0:
+            return
+        error = json.loads(stderr.getvalue().splitlines()[-1])["error"]
+        allowed = {2: {"ConfigError"},
+                   1: {"VerificationFailure", "TrainingDivergedError"}}[code]
+        if command == "report":
+            allowed |= {"FileNotFoundError"}  # an input file that does not exist: exit 1
+        assert error in allowed, (code, stderr.getvalue(), cfg)

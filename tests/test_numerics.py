@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privreg.numerics import (MomentSummary, RngStream, SingularMatrixError,
-                              bessel_k0, gaussian_sample, moments,
-                              solve_linear_system)
+                              bessel_k0, moments, solve_linear_system)
 
 
 def k0_series_oracle(z: float) -> float:
@@ -63,25 +62,25 @@ class TestRngStream:
 
 class TestGaussianSample:
     def test_zero_std_returns_zeros(self):
-        out = gaussian_sample(RngStream(1), 0.0, 0.0, 3)
+        out = RngStream(1).normal(0.0, 0.0, 3)
         assert np.array_equal(out, np.zeros(3))
 
     def test_zero_std_returns_constant_mean(self):
-        out = gaussian_sample(RngStream(1), 5.0, 0.0, 1)
+        out = RngStream(1).normal(5.0, 0.0, 1)
         assert np.array_equal(out, np.array([5.0]))
 
     def test_seeded_sample_variance(self):
         # Var = sigma^2 = 4 with stderr ~ sigma^2 * sqrt(2/n)
-        out = gaussian_sample(RngStream(7), 0.0, 2.0, 10 ** 6)
+        out = RngStream(7).normal(0.0, 2.0, 10 ** 6)
         assert 3.98 <= out.var(ddof=1) <= 4.02
 
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
-            gaussian_sample(RngStream(1), 0.0, -0.1, 4)
+            RngStream(1).normal(0.0, -0.1, 4)
 
     def test_empty_request_rejected(self):
         with pytest.raises(ValueError):
-            gaussian_sample(RngStream(1), 0.0, 1.0, 0)
+            RngStream(1).normal(0.0, 1.0, 0)
 
 
 class TestMoments:
@@ -102,7 +101,7 @@ class TestMoments:
 
     @pytest.mark.parametrize("sigma", [1.0, 2.0])
     def test_gaussian_moments_at_one_million(self, sigma):
-        x = gaussian_sample(RngStream(11), 0.0, sigma, 10 ** 6)
+        x = RngStream(11).normal(0.0, sigma, 10 ** 6)
         summary = moments(x)
         n = summary.n
         sq = x * x

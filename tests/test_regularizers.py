@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from privreg.model import ModelSpec, ParameterSet, forward
 from privreg.numerics import RngStream
+from privreg.optimizers import NoiseSpec, mechanism_label
 from privreg.oracle import grad_check
 from privreg.regularizers import (RegSpec, combined_grad, dp_input_penalty,
                                   l2_grad, l2_penalty, paired_input_squares,
@@ -176,7 +177,7 @@ class TestGradientsAgainstFiniteDifferences:
 
 class TestRegSpec:
     def test_defaults_disabled(self):
-        assert not RegSpec().enabled
+        assert mechanism_label(NoiseSpec(), RegSpec()) == "noise=none:sigma=0|l2=0|pdp=0"
 
     def test_validation(self):
         with pytest.raises(ValueError):
