@@ -18,8 +18,7 @@ from .experiments import (ConfigError, ExperimentConfig, ResultRow,
                           read_result_rows, run, write_result_rows)
 from .model import (Dataset, ForwardTrace, ModelSpec, NonFiniteParametersError,
                     ParameterSet, backward, forward, init_params, quadratic_loss)
-from .numerics import (MomentSummary, RngStream, SingularMatrixError, bessel_k0,
-                       moments, solve_linear_system)
+from .numerics import RngStream
 from .optimizers import (GradientRecord, NoiseSpec, TrainConfig, TrainReport,
                          TrainingDivergedError, add_iid_noise,
                          add_proportional_noise, clip_gradient, dataset_loss,

@@ -101,12 +101,21 @@ def read_result_rows(path: Path, field: str = "report.inputs") -> list[ResultRow
         try:
             rows.append(ResultRow(
                 experiment_id=rec[0], mechanism=rec[1], metric=rec[2],
-                value=float(rec[3]), stderr=None if rec[4] == "" else float(rec[4]),
-                seed=int(rec[5]),
+                value=_cell_number(rec[3]),
+                stderr=None if rec[4] == "" else _cell_number(rec[4]),
+                seed=_cell_number(rec[5], int),
             ))
         except ValueError as exc:
             raise _file_error(field, path, line, str(exc)) from None
     return rows
+
+
+def _cell_number(cell: str, kind: type = float):
+    """kind(cell), without the digit separators, blanks and non-ASCII digits
+    that float() and int() allow."""
+    if "_" in cell or cell != cell.strip() or not cell.isascii():
+        raise ValueError(f"{cell!r} is not a plain ASCII number (no '_', no blanks)")
+    return kind(cell)
 
 
 def _file_error(field: str, path, line: int, problem: str) -> ConfigError:
@@ -201,7 +210,7 @@ def load_dataset(path: str | Path) -> Dataset:
     rows = []
     for line, rec in _read_csv(path, "data.path", "x0,...,x{d-1},t", header_ok):
         try:
-            vals = [float(v) for v in rec]
+            vals = [_cell_number(v) for v in rec]
         except ValueError as exc:
             raise _file_error("data.path", path, line, str(exc)) from None
         if not all(math.isfinite(v) for v in vals):

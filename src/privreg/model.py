@@ -38,6 +38,9 @@ class ModelSpec:
     include_bias: bool = True
 
     def __post_init__(self):
+        if any(isinstance(s, bool) or not isinstance(s, (int, np.integer))
+               for s in self.layer_sizes):
+            raise ValueError(f"layer sizes must be integers, got {tuple(self.layer_sizes)}")
         sizes = tuple(int(s) for s in self.layer_sizes)
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2:

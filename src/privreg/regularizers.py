@@ -14,10 +14,14 @@ but, being independent of the parameters, steers nothing.  The
 parameter-input product is the analogous expected-loss shift when the
 per-coordinate noise scale is theta_i * sigma, and that one does steer.
 
-For multi-layer models each weight pairs with its own incoming activation
-(biases with the constant 1).  The pairing vector is treated as fixed when
-differentiating, mirroring how the noise mechanism scales with the current
-parameter values without being differentiated through.
+Both identities hold for one linear output unit only.  Off it the shift
+is, to second order, (1/2) * kappa * sum_i theta_i^2 * H_ii (proportional)
+or (1/2) * kappa * sum_i H_ii (iid), H the loss Hessian: on a (3, 4, 1)
+tanh net the parameter-input product is ~22x the Monte Carlo shift.  The
+terms are still computed there, each weight paired with its own incoming
+activation (biases with the constant 1).  The pairing vector is treated
+as fixed when differentiating, mirroring how the noise mechanism scales
+with the current parameter values without being differentiated through.
 
 The input-dependent terms work on a (B, d) batch, one value or one (P,)
 gradient row per example; a single input is a batch of one row.

@@ -398,6 +398,16 @@ class TestMembershipInference:
                                  env={**os.environ, "PYTHONPATH": str(src)})
             assert out.stdout.strip() == "False", f"importing privreg.cli loads {module}"
 
+    def test_product_density_check_leaves_scipy_integrate_out(self):
+        src = Path(privreg.attack.__file__).resolve().parent.parent
+        probe = ("import sys; from privreg.oracle import check_product_density; "
+                 "check_product_density(1.0, 1.0, replicas=1000, bins=10, seed=0); "
+                 "print('scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
+
     def test_validation(self):
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
         params = ParameterSet(spec, np.zeros(3))

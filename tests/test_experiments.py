@@ -305,6 +305,10 @@ class TestRun:
         ("x0,x1,t\n1,2,3\n4,5\n", 3, "expected 3 values, got 2"),
         ("x0,x1,t\n1,2,3\n4,abc,6\n", 3, "abc"),
         ("x0,x1,t\n1,nan,3\n", 2, "finite"),
+        ("x0,x1,t\n1,2,3\n4,1_0,6\n", 3, "'1_0'"),
+        ("x0,x1,t\n1, 2 ,3\n", 2, "' 2 '"),
+        ("x0,x1,t\n1,2,\t3\n", 2, "'\\t3'"),
+        ("x0,x1,t\n1,2,\uff13\n", 2, "not a plain ASCII number"),
         ("", 1, "empty file"),
     ])
     def test_bad_dataset_csv_exits_2_naming_file_and_line(self, tmp_path, capsys,
@@ -486,6 +490,14 @@ BOUNDARY_PROBES = [
            files={"a.csv": RESULT_HEADER + "e,m,loss,1,,1\ne,m,loss,1,,1,7\n"}),
     _probe("report-not-a-number", "report", {}, "report.inputs[1]", "line 2:",
            files={"b.csv": RESULT_HEADER + "e,m,loss,abc,,1\n"}),
+    _probe("report-digit-separator", "report", {}, "report.inputs[1]", "line 2:", "'1_0'",
+           files={"b.csv": RESULT_HEADER + "e,m,loss,1_0,,1\n"}),
+    _probe("report-blank-value", "report", {}, "report.inputs[0]", "line 3:", "' 2 '",
+           files={"a.csv": RESULT_HEADER + "e,m,loss,1,,1\ne,m,loss, 2 ,,1\n"}),
+    _probe("report-blank-stderr", "report", {}, "report.inputs[0]", "line 2:", "'0.1 '",
+           files={"a.csv": RESULT_HEADER + "e,m,loss,1,0.1 ,1\n"}),
+    _probe("report-seed-separator", "report", {}, "report.inputs[1]", "line 2:", "'1_0'",
+           files={"b.csv": RESULT_HEADER + "e,m,loss,1,,1_0\n"}),
 ]
 
 

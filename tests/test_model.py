@@ -269,4 +269,8 @@ class TestStructures:
         with pytest.raises(ValueError):
             ModelSpec(layer_sizes=(3, 0))
         with pytest.raises(ValueError):
+            ModelSpec(layer_sizes=(2.7, 1))
+        with pytest.raises(ValueError):
+            ModelSpec(layer_sizes=(True, 1))
+        with pytest.raises(ValueError):
             ModelSpec(layer_sizes=(3, 1), activation="gelu")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy import special
+from scipy.integrate import quad
 
 from privreg.model import Dataset, ModelSpec, ParameterSet
-from privreg.numerics import RngStream, SingularMatrixError, bessel_k0
+from privreg.numerics import RngStream
 from privreg.optimizers import NoiseSpec
 from privreg.oracle import (analytic_post_update_loss, backprop_grad_check,
                             check_cross_term_vanishes, check_moment_identities,
@@ -104,10 +106,52 @@ class TestMomentIdentities:
             check_moment_identities(0.0, replicas=100, seed=0)
 
 
+def quad_bin_masses(sigma_x, sigma_y, edges):
+    """Reference mass of the K0 product density on each interval of `edges`,
+    by adaptive quadrature of scipy's K0 per bin."""
+    scale = sigma_x * sigma_y
+    density = lambda v: special.k0(v / scale) / (np.pi * scale)
+    return np.array([quad(density, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                     for a, b in zip(edges[:-1], edges[1:])])
+
+
 class TestProductDensity:
     def test_analytic_density_value(self):
         # unit sigmas: density at u=1 is K0(1)/pi = 0.42102443824/pi
-        assert bessel_k0(1.0) / np.pi == pytest.approx(0.1340162410, abs=1e-9)
+        assert special.k0(1.0) / np.pi == pytest.approx(0.1340162410, abs=1e-9)
+
+    @pytest.mark.parametrize("sigma_x,sigma_y,bins,support", [
+        (1.0, 1.0, 40, (0.05, 4.0)),
+        (1.0, 1.0, 20, (0.05, 4.0)),
+        (0.7, 1.3, 15, (0.05, 3.0)),
+        (0.7, 1.3, 40, (0.05, 4.0)),
+        (2.0, 1.0, 40, (0.05, 4.0)),
+    ])
+    def test_masses_match_quadrature_near_unit_scale(self, sigma_x, sigma_y, bins,
+                                                     support):
+        report = check_product_density(sigma_x, sigma_y, replicas=100, bins=bins,
+                                       seed=0, support=support)
+        reference = quad_bin_masses(sigma_x, sigma_y, report.edges[bins + 1:])
+        assert np.array_equal(report.expected[:bins], report.expected[bins:][::-1])
+        assert np.abs(report.expected[bins:] / reference - 1.0).max() <= 1e-11
+
+    @pytest.mark.parametrize("sigma_x,sigma_y", [(0.25, 1.0), (0.5, 0.5), (0.5, 0.3)])
+    def test_masses_within_stated_absolute_bound_at_small_scales(self, sigma_x, sigma_y):
+        report = check_product_density(sigma_x, sigma_y, replicas=100, bins=40, seed=0)
+        reference = quad_bin_masses(sigma_x, sigma_y, report.edges[41:])
+        assert np.abs(report.expected[40:] - reference).max() <= 3e-13
+
+    def test_unresolvable_tail_bins_rejected(self):
+        # at scale 0.1 the bins near |u| = 4 hold ~1e-19, below the 3e-13 accuracy
+        with pytest.raises(ValueError, match="narrow the support"):
+            check_product_density(0.1, 1.0, replicas=100, bins=40, seed=0)
+
+    def test_masses_sum_to_one_over_a_wide_support(self):
+        # the mass outside (1e-12, 20) is (2/pi) * (int_0^1e-12 K0 + int_20^inf K0)
+        # = (2/pi) * (2.875e-11 + 5.609e-10) = 3.754e-10
+        report = check_product_density(1.0, 1.0, replicas=100, bins=200, seed=0,
+                                       support=(1e-12, 20.0))
+        assert report.expected.sum() == pytest.approx(1.0 - 3.754e-10, abs=1e-12)
 
     def test_histogram_matches_density(self):
         report = check_product_density(1.0, 1.0, replicas=200_000, bins=20, seed=11)
@@ -161,7 +205,7 @@ class TestRegularizedLeastSquaresOracle:
     def test_singular_system_raises(self):
         x = np.array([[1.0, 1.0], [2.0, 2.0]])
         data = Dataset(x, np.ones((2, 1)))
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(np.linalg.LinAlgError):
             regularized_least_squares_oracle(data, 0.0)
 
 
