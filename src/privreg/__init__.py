@@ -19,10 +19,10 @@ from .experiments import (ConfigError, ExperimentConfig, ResultRow,
 from .model import (Dataset, ForwardTrace, ModelSpec, NonFiniteParametersError,
                     ParameterSet, backward, forward, init_params, quadratic_loss)
 from .numerics import RngStream
-from .optimizers import (GradientRecord, NoiseSpec, TrainConfig, TrainReport,
-                         TrainingDivergedError, add_iid_noise,
-                         add_proportional_noise, clip_gradient, dataset_loss,
-                         initial_params_for, mechanism_label, sgd_step, train)
+from .optimizers import (GradientRecord, NoiseSpec, Step, TrainConfig,
+                         TrainReport, TrainingDivergedError, clip_gradient,
+                         dataset_loss, gradient_noise, initial_params_for,
+                         mechanism_label, mechanism_step, train)
 from .oracle import (IdentityCheck, McEstimate, ProductDensityReport,
                      analytic_post_update_loss, backprop_grad_check,
                      check_cross_term_vanishes, check_moment_identities,

@@ -4,8 +4,9 @@ One JSON config file drives every subcommand; unknown fields are rejected
 so typos cannot silently change a run.  Results land as CSV rows with the
 fixed header ``experiment_id,mechanism,metric,value,stderr,seed`` (UTF-8,
 LF, 17 significant digits) next to a JSON manifest recording the config
-hash, seeds, and library versions.  Reruns of the same config produce
-byte-identical CSVs; only manifest timestamps differ.
+hash, seeds, library versions and the run's telemetry (seconds per phase,
+peak RSS, failed checks).  Reruns of the same config produce
+byte-identical CSVs; only the manifest's timestamp and telemetry differ.
 
 Metric vocabulary by subcommand:
 
@@ -33,10 +34,13 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -46,8 +50,9 @@ from . import __version__
 from .attack import leakage_sweep, membership_inference
 from .model import ACTIVATIONS, Dataset, ModelSpec, ParameterSet
 from .numerics import RngStream
-from .optimizers import (NOISE_MODES, NoiseSpec, TrainConfig, initial_params_for,
-                         mechanism_label, train)
+from .optimizers import (NOISE_MODES, STREAM_NOISE, STREAM_SHUFFLE, NoiseSpec,
+                         TrainConfig, gradient_noise, initial_params_for,
+                         mechanism_label, mechanism_step, train)
 from .oracle import (DEFAULT_Z_THRESHOLD, backprop_grad_check,
                      check_cross_term_vanishes, check_moment_identities,
                      check_product_density, equivalence_chain_residuals,
@@ -536,7 +541,29 @@ def _load_data(config: ExperimentConfig, command: str) -> Dataset:
     return data
 
 
-def _cmd_train(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
+class RunTelemetry:
+    """What a run says about itself in its manifest, never in its CSV:
+    wall seconds per phase, and every failed check as (name, value, bound),
+    a check passing when value <= bound."""
+
+    def __init__(self):
+        self.timings: dict[str, float] = {}
+        self.failed_checks: list[tuple[str, float, float]] = []
+
+    @contextmanager
+    def phase(self, name: str):
+        started = perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = self.timings.get(name, 0.0) + perf_counter() - started
+
+    def gate(self, name: str, value: float, bound: float) -> None:
+        if not value <= bound:
+            self.failed_checks.append((name, float(value), float(bound)))
+
+
+def _cmd_train(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
     data = _load_data(config, "train")
     report = train(config.model, data, config.train)
     mech = mechanism_label(config.train.noise, config.train.reg)
@@ -547,12 +574,12 @@ def _cmd_train(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
                           report.epoch_losses[-1], None, seed))
     rows.append(ResultRow(config.experiment_id, mech, "final_param_norm",
                           float(np.linalg.norm(report.final_params.flat)), None, seed))
-    return rows, True
+    return rows
 
 
-def _moment_rows(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
+def _moment_rows(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
     oc = config.oracle
-    rows, ok = [], True
+    rows = []
     for sigma in oc.sigmas:
         mech = f"gaussian(sigma={sigma:g})"
         for check in check_moment_identities(sigma, oc.replicas, oc.seed,
@@ -560,7 +587,7 @@ def _moment_rows(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
             metric = check.name.split("[")[0] + "_z"
             rows.append(ResultRow(config.experiment_id, mech, metric, check.z,
                                   None, oc.seed))
-            ok = ok and check.passed
+            telemetry.gate(check.name, abs(check.z), check.threshold)
 
     density = check_product_density(1.0, 1.0, oc.product_replicas, oc.bins,
                                     oc.seed + 1)
@@ -571,78 +598,84 @@ def _moment_rows(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
                           density.chi2, None, oc.seed + 1))
     rows.append(ResultRow(config.experiment_id, mech, "product_density_symmetry_max_z",
                           float(np.abs(density.symmetry_z).max()), None, oc.seed + 1))
-    ok = ok and density.max_abs_z <= 4.0
-    return rows, ok
+    telemetry.gate("product_density_max_abs_z", density.max_abs_z, 4.0)
+    return rows
 
 
-def _cmd_moments(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
-    rows, ok = _moment_rows(config)
+def _cmd_moments(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
+    rows = _moment_rows(config, telemetry)
+    ok = not telemetry.failed_checks
     rows.append(ResultRow(config.experiment_id, "all", "moments_pass",
                           1.0 if ok else 0.0, None, config.oracle.seed))
-    return rows, ok
+    return rows
 
 
-def _cmd_verify(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
+def _cmd_verify(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
     oc = config.oracle
     eid = config.experiment_id
     rows: list[ResultRow] = []
-    ok = True
+    gate, phase = telemetry.gate, telemetry.phase
 
     # Expected post-update loss identities, both noise shapes.
-    setups = random_linear_setups(oc.configs, oc.seed)
-    for mode in ("iid", "proportional"):
-        checks = post_update_identity_checks(setups, mode, oc.replicas,
-                                             oc.seed + 1000, threshold=oc.threshold)
-        for check in checks:
-            rows.append(ResultRow(eid, mode, "post_update_loss_z", check.z, None,
-                                  check.estimate.seed))
-            rows.append(ResultRow(eid, mode, "post_update_loss_mc",
-                                  check.estimate.mean, check.estimate.stderr,
-                                  check.estimate.seed))
-            ok = ok and check.passed
+    with phase("post_update_mc"):
+        setups = random_linear_setups(oc.configs, oc.seed)
+        for mode in ("iid", "proportional"):
+            checks = post_update_identity_checks(setups, mode, oc.replicas,
+                                                 oc.seed + 1000, threshold=oc.threshold)
+            for check in checks:
+                rows.append(ResultRow(eid, mode, "post_update_loss_z", check.z, None,
+                                      check.estimate.seed))
+                rows.append(ResultRow(eid, mode, "post_update_loss_mc",
+                                      check.estimate.mean, check.estimate.stderr,
+                                      check.estimate.seed))
+                gate(check.name, abs(check.z), check.threshold)
 
     # Cross term has mean zero.
-    for mode in ("iid", "proportional"):
-        for i, setup in enumerate(setups[:10]):
-            check = check_cross_term_vanishes(
-                setup.params, setup.x, setup.t, setup.eta,
-                NoiseSpec(mode=mode, sigma=setup.sigma),
-                oc.replicas, oc.seed + 2000 + i, threshold=oc.threshold)
-            rows.append(ResultRow(eid, mode, "cross_term_z", check.z, None,
-                                  check.estimate.seed))
-            ok = ok and check.passed
+    with phase("cross_term"):
+        for mode in ("iid", "proportional"):
+            for i, setup in enumerate(setups[:10]):
+                check = check_cross_term_vanishes(
+                    setup.params, setup.x, setup.t, setup.eta,
+                    NoiseSpec(mode=mode, sigma=setup.sigma),
+                    oc.replicas, oc.seed + 2000 + i, threshold=oc.threshold)
+                rows.append(ResultRow(eid, mode, "cross_term_z", check.z, None,
+                                      check.estimate.seed))
+                gate(f"{check.name}[{i}]", abs(check.z), check.threshold)
 
     # Analytic noisy-minus-clean gap equals the matching penalty.
-    for mode_name, idx in (("iid", 0), ("proportional", 1)):
-        residual = max(equivalence_chain_residuals(s)[idx] for s in setups)
-        rows.append(ResultRow(eid, mode_name, "equivalence_residual", residual,
-                              None, oc.seed))
-        ok = ok and residual <= 1e-12
+    with phase("equivalence"):
+        for mode_name, idx in (("iid", 0), ("proportional", 1)):
+            residual = max(equivalence_chain_residuals(s)[idx] for s in setups)
+            rows.append(ResultRow(eid, mode_name, "equivalence_residual", residual,
+                                  None, oc.seed))
+            gate(f"equivalence_residual[{mode_name}]", residual, 1e-12)
 
     # Input-only penalty leaves the trajectory bit-identical.
-    traj = _trajectory_identity(oc)
-    for metric, value, bound in traj:
-        rows.append(ResultRow(eid, "input_penalty", metric, value, None, oc.seed))
-        ok = ok and value <= bound
+    with phase("trajectory"):
+        for metric, value, bound in _trajectory_identity(oc):
+            rows.append(ResultRow(eid, "input_penalty", metric, value, None, oc.seed))
+            gate(metric, value, bound)
 
     # One noisy step averages to the clean step.
-    err, bound = _step_expectation(oc)
+    with phase("step_expectation"):
+        err, bound = _step_expectation(oc)
     rows.append(ResultRow(eid, "iid", "step_expectation_err", err, None, oc.seed))
     rows.append(ResultRow(eid, "iid", "step_expectation_bound", bound, None, oc.seed))
-    ok = ok and err <= bound
+    gate("step_expectation_err", err, bound)
 
     # Penalty gradients and backprop against finite differences.
-    for kind, worst, bound in _grad_check_suite(oc.seed):
-        rows.append(ResultRow(eid, "gradients", f"grad_check_{kind}_max_rel_err",
-                              worst, None, oc.seed))
-        ok = ok and worst <= bound
+    with phase("grad_checks"):
+        for kind, worst, bound in _grad_check_suite(oc.seed):
+            metric = f"grad_check_{kind}_max_rel_err"
+            rows.append(ResultRow(eid, "gradients", metric, worst, None, oc.seed))
+            gate(metric, worst, bound)
 
-    moment_rows, moments_ok = _moment_rows(config)
-    rows.extend(moment_rows)
-    ok = ok and moments_ok
+    with phase("moments_and_product_density"):
+        rows.extend(_moment_rows(config, telemetry))
 
+    ok = not telemetry.failed_checks
     rows.append(ResultRow(eid, "all", "verify_pass", 1.0 if ok else 0.0, None, oc.seed))
-    return rows, ok
+    return rows
 
 
 def _trajectory_identity(oc: OracleConfig) -> list[tuple[str, float, float]]:
@@ -672,7 +705,12 @@ def _trajectory_identity(oc: OracleConfig) -> list[tuple[str, float, float]]:
 
 
 def _step_expectation(oc: OracleConfig) -> tuple[float, float]:
-    """Mean of one noisy step over many noise seeds vs the clean step."""
+    """Mean of one noisy step over many noise seeds vs the clean step.
+
+    Replica k is the one-batch epoch train() runs under seed + 100 + k,
+    with that seed's shuffle order and noise draw; all replicas are taken
+    as one batched mechanism_step from the shared start.
+    """
     eta, sigma = 0.1, 0.3
     data = generate_dataset("noisy_linear", 8, 3, 0.1, oc.seed + 41)
     spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
@@ -681,12 +719,14 @@ def _step_expectation(oc: OracleConfig) -> tuple[float, float]:
     clean = train(spec, data, base, init=init).final_params.flat
 
     n = oc.expectation_replicas
-    total = np.zeros_like(clean)
-    for k in range(n):
-        config = replace(base, seed=oc.seed + 100 + k,
-                         noise=NoiseSpec(mode="iid", sigma=sigma))
-        total += train(spec, data, config, init=init).final_params.flat
-    err = float(np.abs(total / n - clean).max())
+    noise = NoiseSpec(mode="iid", sigma=sigma)
+    seeds = range(oc.seed + 100, oc.seed + 100 + n)
+    orders = np.stack([RngStream(s, STREAM_SHUFFLE).permutation(len(data)) for s in seeds])
+    z = np.stack([gradient_noise(noise, RngStream(s, STREAM_NOISE), clean.shape)
+                  for s in seeds])
+    noisy = mechanism_step(spec, init, data.x[orders], data.t[orders], eta, noise,
+                           RegSpec(), z).params
+    err = float(np.abs(noisy.sum(axis=0) / n - clean).max())
     bound = 3.0 * eta * sigma / np.sqrt(n)
     return err, bound
 
@@ -720,7 +760,7 @@ def _grad_check_suite(seed: int) -> list[tuple[str, float, float]]:
             ("backprop", backprop_worst, 1e-6)]
 
 
-def _cmd_attack(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
+def _cmd_attack(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
     ac = config.attack
     data = _load_data(config, "attack")
     reports = leakage_sweep(config.model, data, list(ac.mechanisms), ac.trials,
@@ -746,7 +786,7 @@ def _cmd_attack(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
 
     if ac.membership:
         rows.extend(_membership_rows(config, data))
-    return rows, True
+    return rows
 
 
 def _membership_rows(config: ExperimentConfig, data: Dataset) -> list[ResultRow]:
@@ -767,7 +807,7 @@ def _membership_rows(config: ExperimentConfig, data: Dataset) -> list[ResultRow]
     return rows
 
 
-def _cmd_report(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
+def _cmd_report(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
     groups: dict[tuple[str, str, str], list[ResultRow]] = {}
     for i, path in enumerate(config.report.inputs):
         for row in read_result_rows(Path(path), f"report.inputs[{i}]"):
@@ -786,7 +826,7 @@ def _cmd_report(config: ExperimentConfig) -> tuple[list[ResultRow], bool]:
         count = len(groups[(r.experiment_id, r.mechanism, r.metric)])
         print(f"{r.mechanism:<{mech_width}}  {r.metric:<{metric_width}}  "
               f"{r.value:>14.6g}  (n={count})")
-    return rows, True
+    return rows
 
 
 _COMMAND_IMPLS = {
@@ -802,7 +842,11 @@ _COMMAND_IMPLS = {
 # orchestration
 
 
-def _write_manifest(path: Path, config: ExperimentConfig, command: str) -> None:
+def _write_manifest(path: Path, config: ExperimentConfig, command: str,
+                    telemetry: RunTelemetry) -> None:
+    """The run's record beside its CSV: config hash, seeds, versions, and
+    telemetry (seconds per phase, the process's peak RSS so far, failed
+    checks), which only the manifest carries."""
     canonical = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
     manifest = {
         "experiment_id": config.experiment_id,
@@ -816,10 +860,23 @@ def _write_manifest(path: Path, config: ExperimentConfig, command: str) -> None:
             "python": sys.version.split()[0],
         },
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        "timings": telemetry.timings,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "failed_checks": [list(check) for check in telemetry.failed_checks],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _failure_message(command: str, failed: list[tuple[str, float, float]],
+                     directory: Path) -> str:
+    """The first five failed checks by name; the manifest lists them all."""
+    named = "; ".join(f"{name} = {value:.6g} > {bound:.6g}"
+                      for name, value, bound in failed[:5])
+    more = f"; and {len(failed) - 5} more" if len(failed) > 5 else ""
+    return (f"{command} failed {len(failed)} check(s): {named}{more}; "
+            f"all are listed in {directory / f'{command}_manifest.json'}")
 
 
 def _error_report(kind: str, message: str) -> str:
@@ -847,15 +904,17 @@ def run(command: str, config_path: str | Path, out_dir: str | None = None,
     directory = Path(out_dir or os.environ.get(OUT_DIR_ENV) or config.output.directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        rows, ok = _COMMAND_IMPLS[command](config)
+        telemetry = RunTelemetry()
+        rows = _COMMAND_IMPLS[command](config, telemetry)
         write_result_rows(directory / f"{command}_results.csv", rows)
-        _write_manifest(directory / f"{command}_manifest.json", config, command)
+        _write_manifest(directory / f"{command}_manifest.json", config, command, telemetry)
     except Exception as exc:  # noqa: BLE001  (boundary: report and signal failure)
         print(_error_report(type(exc).__name__, str(exc)), file=sys.stderr)
         # A ConfigError here comes from an input file the config names.
         return 2 if isinstance(exc, ConfigError) else 1
-    if not ok:
+    if telemetry.failed_checks:
         print(_error_report("VerificationFailure",
-                            f"{command} checks failed; see {directory}"), file=sys.stderr)
+                            _failure_message(command, telemetry.failed_checks, directory)),
+              file=sys.stderr)
         return 1
     return 0

@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# Box-Muller pairs computed per pass over the scratch: 2**15 pairs keep the
+# three scratch rows (768 KB) in cache.
+BOX_MULLER_PAIRS = 1 << 15
+
 
 class RngStream:
     """Deterministic random stream keyed by (seed, stream_id).
@@ -50,16 +54,41 @@ class RngStream:
             raise ValueError(f"need n >= 1, got {n}")
         if std == 0:
             return np.full(n, float(mean))
-        pairs = (n + 1) // 2
-        u = self._gen.random(2 * pairs)
-        u1 = 1.0 - u[0::2]  # (0, 1]: log-safe
-        u2 = u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * np.pi) * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(angle)
-        out[1::2] = r * np.sin(angle)
-        return float(mean) + float(std) * out[:n]
+        out = np.empty(n + n % 2)
+        self._box_muller(out)
+        if std != 1:  # a product with 1 is exact, so skipping it changes no bit
+            out *= float(std)
+        out += float(mean)
+        return out[:n] if n % 2 else out
+
+    def _box_muller(self, out: np.ndarray) -> None:
+        """Fill the even-length `out` with standard normals, in place.
+
+        Works through BOX_MULLER_PAIRS pairs at a time, so the scratch stays
+        in cache.  Every pair is computed on its own (cos and sin of one
+        angle, from the uniforms 2i and 2i+1), so chunking changes no bit.
+        log, cos and sin run on contiguous arrays, as they always have:
+        numpy may pick another loop for strided input, and loops can differ
+        by an ulp.
+        """
+        width = min(out.size // 2, BOX_MULLER_PAIRS)
+        r, angle, cos = np.empty(width), np.empty(width), np.empty(width)
+        for start in range(0, out.size, 2 * width):
+            chunk = out[start:start + 2 * width]
+            if chunk.size < 2 * width:  # the last chunk is shorter
+                k = chunk.size // 2
+                r, angle, cos = r[:k], angle[:k], cos[:k]
+            self._gen.random(out=chunk)
+            even, odd = chunk[0::2], chunk[1::2]
+            np.subtract(1.0, even, r)  # (0, 1]: log-safe
+            np.log(r, r)
+            np.multiply(-2.0, r, r)
+            np.sqrt(r, r)
+            np.multiply(2.0 * np.pi, odd, angle)
+            np.cos(angle, cos)
+            np.sin(angle, angle)
+            np.multiply(r, cos, even)
+            np.multiply(r, angle, odd)
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform random permutation of range(n)."""

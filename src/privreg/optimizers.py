@@ -12,13 +12,15 @@ Four mechanisms share one loop:
                                 product term folded into each per-example
                                 gradient, no noise required
 
-Order per batch: one forward/backward pass over the batch's (B, d) rows
-gives the (B, P) per-example loss gradients; penalty gradients are added
-row by row, each row is clipped by its norm, the rows are averaged, then
-one optional noise draw and the step.  Penalties belong to the loss, so
-they come before the privacy mechanics.  Every row is computed exactly as
-the example would be on its own (see privreg.model), so batch size never
-changes an example's gradient bits.
+Order per batch (mechanism_step): one forward/backward pass over the
+batch's (B, d) rows gives the (B, P) per-example loss gradients; penalty
+gradients are added row by row, each row is clipped by its norm, the rows
+are averaged, then one optional noise draw and the step.  Penalties
+belong to the loss, so they come before the privacy mechanics.  Every row
+is computed exactly as the example would be on its own (see
+privreg.model), so batch size never changes an example's gradient bits.
+mechanism_step also takes R noise rows (or R batches) at once: that is
+how the oracle samples many noisy steps from one starting point.
 
 A run is deterministic given its seed.  Three fixed substreams are used:
 STREAM_INIT for parameter init, STREAM_SHUFFLE for epoch permutations,
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -138,45 +140,80 @@ def clip_gradient(g: np.ndarray, c: float) -> np.ndarray:
     return g / np.maximum(1.0, norm / c)[..., None]
 
 
-def add_iid_noise(g: np.ndarray, sigma: float, rng: RngStream) -> np.ndarray:
-    """g plus one N(0, sigma^2) draw per coordinate."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    g = np.asarray(g, dtype=np.float64)
-    if sigma == 0:
-        return g.copy()
-    return g + rng.normal(0.0, sigma, g.size)
+def gradient_noise(noise: NoiseSpec, rng: RngStream,
+                   shape: tuple[int, ...]) -> np.ndarray | None:
+    """Standard normals of the given shape for mechanism_step to scale, or
+    None when the mechanism adds no noise (mode "none" or sigma 0) and so
+    draws nothing.  train() draws one (P,) row per batch."""
+    if noise.mode == "none" or noise.sigma == 0:
+        return None
+    return rng.normal(0.0, 1.0, math.prod(shape)).reshape(shape)
 
 
-def add_proportional_noise(g: np.ndarray, params: ParameterSet, sigma: float,
-                           rng: RngStream) -> np.ndarray:
-    """g plus per-coordinate noise of standard deviation |theta_i| * sigma.
+class Step(NamedTuple):
+    """One step of a mechanism: the averaged batch gradient before and after
+    the noise, and the parameters it steps to.  With R noise rows, `noisy`
+    and `params` hold one (P,) row per noise row."""
 
-    Coordinates with theta_i = 0 receive exactly zero noise.
+    clean: np.ndarray
+    noisy: np.ndarray
+    params: np.ndarray
+
+
+def mechanism_step(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
+                   t: np.ndarray, eta: float, noise: NoiseSpec, reg: RegSpec,
+                   z: np.ndarray | None = None) -> Step:
+    """One step of the configured mechanism on a batch of examples.
+
+    x is a (B, d) batch with (B, k) targets t, or (R, B, d) with (R, B, k)
+    for R batches stepped from the same parameters.  Each example's loss
+    gradient gets the penalty gradients and is clipped by its norm; the
+    batch is averaged; the noise sigma * z (mode "iid") or sigma * theta * z
+    (mode "proportional", theta pre-update) is added, z being standard
+    normals from gradient_noise() with a trailing (P,) axis, or None for a
+    noiseless step; then theta - eta * g.  Every example's gradient is
+    computed exactly as on its own (see privreg.model), so batch size and
+    the number of batches never change its bits.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != params.flat.shape:
-        raise ValueError(
-            f"gradient shape {g.shape} does not match parameters {params.flat.shape}"
-        )
-    if sigma == 0:
-        return g.copy()
-    z = rng.normal(0.0, 1.0, g.size)
-    return g + sigma * params.flat * z
-
-
-def sgd_step(params: ParameterSet, g_tilde: np.ndarray, eta: float) -> ParameterSet:
-    """theta - eta * g_tilde as a new ParameterSet."""
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    g = np.asarray(g_tilde, dtype=np.float64)
-    if g.shape != params.flat.shape:
-        raise ValueError(
-            f"gradient shape {g.shape} does not match parameters {params.flat.shape}"
-        )
-    return ParameterSet(params.spec, params.flat - eta * g)
+    x = np.asarray(x, dtype=np.float64)
+    batches = x.shape[:-2]  # () for one batch, (R,) for R batches
+    rows = x.reshape(-1, x.shape[-1]) if batches else x
+    trace = forward(spec, params, rows)
+    grads = backward(spec, params, trace, np.reshape(t, (len(rows), -1)) if batches else t)
+    kappa = reg.kappa
+    if reg.kappa_mode == "derived":
+        kappa = eta * eta * noise.sigma * noise.sigma
+    if reg.lam > 0:
+        grads = grads + l2_grad(params, reg.lam)
+    if kappa > 0:
+        grads = grads + pdp_grad(params, rows, kappa, trace)
+    if noise.clip_c is not None:
+        grads = clip_gradient(grads, noise.clip_c)
+    if batches:
+        grads = grads.reshape(x.shape[:-1] + (-1,))
+    # np.mean's sum and division, without its per-call overhead
+    clean = np.add.reduce(grads, axis=-2)
+    clean /= grads.shape[-2]
+
+    if z is None:
+        noisy = clean
+    else:
+        if noise.mode == "none":
+            raise ValueError("noise mode 'none' takes no noise rows")
+        if z.shape[-1:] != params.flat.shape:
+            raise ValueError(f"noise rows of shape {z.shape} do not match "
+                             f"parameters {params.flat.shape}")
+        scale = noise.sigma * params.flat if noise.mode == "proportional" else noise.sigma
+        # In place, as fresh (R, P) temporaries cost more than the arithmetic;
+        # addition commutes, so these are the bits of clean + scale * z and
+        # of theta - eta * noisy.
+        noisy = scale * z
+        noisy += clean
+    stepped = np.multiply(eta, noisy)
+    np.subtract(params.flat, stepped, stepped)
+    return Step(clean, noisy, stepped)
 
 
 def initial_params_for(spec: ModelSpec, config: TrainConfig) -> ParameterSet:
@@ -243,34 +280,15 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
         order = shuffle_rng.permutation(len(data))
         for batch_idx in _batched(order, config.batch_size):
             eta = config.eta_at(step)
-            kappa = reg.kappa
-            if reg.kappa_mode == "derived":
-                kappa = eta * eta * noise.sigma * noise.sigma
-
-            x = data.x[batch_idx]
-            trace = forward(spec, params, x)
-            grads = backward(spec, params, trace, data.t[batch_idx])
-            if reg.lam > 0:
-                grads = grads + l2_grad(params, reg.lam)
-            if kappa > 0:
-                grads = grads + pdp_grad(params, x, kappa, trace)
-            if noise.clip_c is not None:
-                grads = clip_gradient(grads, noise.clip_c)
-            g_clean = grads.mean(axis=0)
-
-            if noise.mode == "iid":
-                g_tilde = add_iid_noise(g_clean, noise.sigma, noise_rng)
-            elif noise.mode == "proportional":
-                g_tilde = add_proportional_noise(g_clean, params, noise.sigma, noise_rng)
-            else:
-                g_tilde = g_clean
-
+            z = gradient_noise(noise, noise_rng, params.flat.shape)
+            taken = mechanism_step(spec, params, data.x[batch_idx], data.t[batch_idx],
+                                   eta, noise, reg, z)
             if records is not None and len(records) < config.record_cap:
-                records.append(GradientRecord(step=step, clean=g_clean.copy(),
-                                              noisy=g_tilde.copy(),
+                records.append(GradientRecord(step=step, clean=taken.clean.copy(),
+                                              noisy=taken.noisy.copy(),
                                               batch_indices=batch_idx.copy()))
             try:
-                params = sgd_step(params, g_tilde, eta)
+                params = ParameterSet(spec, taken.params)
             except NonFiniteParametersError:
                 raise diverged(epoch, step, "the parameters") from None
             step += 1

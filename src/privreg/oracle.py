@@ -12,6 +12,14 @@ updated once by theta' = theta - eta * (g + eps):
   Var[X^2] = 2*sigma^4; and the product of two independent centered
   normals has density K0(|u|/(sx*sy)) / (pi*sx*sy).
 
+The post-update and cross-term Monte Carlo runs the trainer's own step
+(optimizers.mechanism_step: gradient, clip, mean, noise, step) once per
+replica, R noise rows at a time, and scores the stepped parameters, so a
+trainer bug in the noise scale, in which theta scales proportional noise,
+in bias handling or in clipping fails the check.  The closed forms are
+written out independently, with the bias folded in as a constant-1 feature
+and the clean gradient clipped when noise.clip_c is set.
+
 Monte Carlo estimates are compared to the closed forms through z-scores;
 gradients are compared to central finite differences.  Every sampler is
 seeded, so a check either passes forever or fails forever.
@@ -26,8 +34,8 @@ import numpy as np
 
 from .model import Dataset, ModelSpec, ParameterSet
 from .numerics import RngStream
-from .optimizers import NoiseSpec
-from .regularizers import (combined_grad, dp_input_penalty, l2_grad,
+from .optimizers import NoiseSpec, clip_gradient, gradient_noise, mechanism_step
+from .regularizers import (RegSpec, combined_grad, dp_input_penalty, l2_grad,
                            l2_penalty, pdp_grad, pdp_penalty)
 
 DEFAULT_Z_THRESHOLD = 3.0
@@ -99,46 +107,59 @@ def _scalar_target(t) -> float:
     return float(t[0])
 
 
-def _clean_one_step(theta: np.ndarray, xv: np.ndarray, t: float,
-                    eta: float) -> tuple[np.ndarray, float]:
-    """Noiseless update and its post-update output."""
-    y0 = float(theta @ xv)
-    g = 2.0 * (y0 - t) * xv
-    theta1 = theta - eta * g
-    return theta1, float(theta1 @ xv)
+# Noise rows stepped per pass of the Monte Carlo loop.  2**14 rows keep a
+# pass's temporaries in cache, and an even row count makes every pass but
+# the last draw an even number of normals, so the passes together draw
+# exactly what one call for all the rows would (see RngStream.normal).
+MC_CHUNK_ROWS = 1 << 14
 
 
-def _noise_matrix(theta: np.ndarray, noise: NoiseSpec, replicas: int,
-                  seed: int) -> np.ndarray:
-    """(replicas, dim) noise draws from stream 0; rows are independent replicas."""
-    dim = theta.size
-    if noise.mode == "none" or noise.sigma == 0:
-        return np.zeros((replicas, dim))
-    z = RngStream(seed, 0).normal(0.0, 1.0, replicas * dim).reshape(replicas, dim)
-    if noise.mode == "iid":
-        return noise.sigma * z
-    return noise.sigma * theta * z  # per-column scale |theta_i| * sigma
+def _noisy_step_residuals(params: ParameterSet, x: np.ndarray, t, eta: float,
+                          noise: NoiseSpec, replicas: int,
+                          seed: int) -> tuple[float, np.ndarray]:
+    """y' - t after the trainer's noiseless step, and after each of
+    `replicas` noisy steps from the same parameters.
+
+    The noise rows come from stream 0 of `seed`, MC_CHUNK_ROWS at a time,
+    and each pass scores its rows into one preallocated (replicas,) vector.
+    mechanism_step refuses eta <= 0 for both callers.
+    """
+    if replicas < 2:
+        raise ValueError("need at least 2 replicas")
+    theta, xv = _linear_neuron_vectors(params, x)
+    t = _scalar_target(t)
+    spec = params.spec
+    batch, target, reg = xv[None, :spec.input_dim], np.array([[t]]), RegSpec()
+    residuals = np.empty(replicas)
+    clean = float(mechanism_step(spec, params, batch, target, eta, noise, reg).params @ xv)
+    rng = RngStream(seed, 0)
+    for start in range(0, replicas, MC_CHUNK_ROWS):
+        rows = residuals[start:start + MC_CHUNK_ROWS]
+        z = gradient_noise(noise, rng, (rows.size, theta.size))
+        if z is None:
+            residuals.fill(clean)
+            break
+        step = mechanism_step(spec, params, batch, target, eta, noise, reg, z)
+        np.matmul(step.params, xv, out=rows)
+    residuals -= t
+    return clean - t, residuals
+
+
+def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
 
 
 def mc_post_update_loss(params: ParameterSet, x: np.ndarray, t, eta: float,
                         noise: NoiseSpec, replicas: int, seed: int) -> McEstimate:
     """Sampled E[(y_tilde' - t)^2] after one noisy update of a linear neuron.
 
-    Each replica draws fresh gradient noise, applies theta' = theta -
-    eta*(g + eps), and scores the post-update output against the target.
+    Each replica is one step of the trainer's mechanism (mechanism_step)
+    with fresh gradient noise, scored by its post-update output against
+    the target.
     """
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    theta, xv = _linear_neuron_vectors(params, x)
-    t = _scalar_target(t)
-    _, y1 = _clean_one_step(theta, xv, t, eta)
-    eps = _noise_matrix(theta, noise, replicas, seed)
-    losses = (y1 - t - eta * (eps @ xv)) ** 2
-    stderr = float(losses.std(ddof=1) / np.sqrt(replicas))
-    return McEstimate(mean=float(losses.mean()), stderr=stderr,
-                      replicas=replicas, seed=seed)
+    _, residuals = _noisy_step_residuals(params, x, t, eta, noise, replicas, seed)
+    mean, stderr = _mean_and_stderr(np.square(residuals, out=residuals))
+    return McEstimate(mean=mean, stderr=stderr, replicas=replicas, seed=seed)
 
 
 def analytic_post_update_loss(params: ParameterSet, x: np.ndarray, t,
@@ -147,14 +168,19 @@ def analytic_post_update_loss(params: ParameterSet, x: np.ndarray, t,
 
     (y_clean' - t)^2 plus eta^2*sigma^2*sum(x^2) for homogeneous noise, or
     plus eta^2*sigma^2*sum(theta^2*x^2) for parameter-proportional noise
-    (theta taken pre-update).  Mode "none" returns the clean value.
+    (theta taken pre-update).  Mode "none" returns the clean value.  The
+    clean step uses the gradient clipped to noise.clip_c when that is set:
+    the noise comes after the clip, so the identity holds with the clipped
+    gradient (Abadi et al. 2016).
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     theta, xv = _linear_neuron_vectors(params, x)
     t = _scalar_target(t)
-    _, y1 = _clean_one_step(theta, xv, t, eta)
-    clean = (y1 - t) ** 2
+    g = 2.0 * (float(theta @ xv) - t) * xv
+    if noise.clip_c is not None:
+        g = clip_gradient(g, noise.clip_c)
+    clean = (float((theta - eta * g) @ xv) - t) ** 2
     scale = eta * eta * noise.sigma * noise.sigma
     if noise.mode == "iid":
         return clean + scale * float(xv @ xv)
@@ -170,18 +196,15 @@ def check_cross_term_vanishes(params: ParameterSet, x: np.ndarray, t, eta: float
 
     Because the noise is centered, the expansion of the expected
     post-update loss drops this term; its Monte Carlo mean must sit
-    within `threshold` standard errors of zero.
+    within `threshold` standard errors of zero.  Each replica is one step
+    of the trainer's mechanism, and eta*(eps.x) is read off as the clean
+    post-update output minus the noisy one.
     """
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
-    theta, xv = _linear_neuron_vectors(params, x)
-    t = _scalar_target(t)
-    _, y1 = _clean_one_step(theta, xv, t, eta)
-    eps = _noise_matrix(theta, noise, replicas, seed)
-    values = 2.0 * (y1 - t) * eta * (eps @ xv)
-    stderr = float(values.std(ddof=1) / np.sqrt(replicas))
-    return _check(f"cross_term[{noise.mode}]", 0.0, float(values.mean()), stderr,
-                  replicas, seed, threshold)
+    clean, residuals = _noisy_step_residuals(params, x, t, eta, noise, replicas, seed)
+    values = np.subtract(clean, residuals, out=residuals)
+    values *= 2.0 * clean
+    mean, stderr = _mean_and_stderr(values)
+    return _check(f"cross_term[{noise.mode}]", 0.0, mean, stderr, replicas, seed, threshold)
 
 
 def check_moment_identities(sigma: float, replicas: int, seed: int,

@@ -13,7 +13,8 @@ import numpy as np
 
 from privreg.attack import (cosine_similarity, invert_gradient_iterative,
                             invert_linear_gradient, leakage_sweep)
-from privreg.experiments import generate_dataset, run
+from privreg.experiments import (RunTelemetry, _cmd_verify, generate_dataset,
+                                 parse_config, run, write_result_rows)
 from privreg.model import (Dataset, ModelSpec, ParameterSet, backward,
                            forward, init_params)
 from privreg.numerics import RngStream
@@ -286,3 +287,32 @@ def test_c9_subcommand_reruns_are_byte_identical(tmp_path):
 
     report("C9 deterministic subcommand output", all_identical,
            ", ".join(details))
+
+
+def test_c9_telemetry_leaves_csv_bytes_unchanged(tmp_path):
+    """verify's telemetry (phase timings, peak RSS, failed checks) goes to
+    the manifest only: rerun after rerun the CSV holds exactly the bytes of
+    its result rows."""
+    cfg = {"experiment_id": "acc",
+           "oracle": {"seed": 994, "replicas": 4000, "configs": 4,
+                      "sigmas": [1.0], "bins": 12, "product_replicas": 30000,
+                      "expectation_replicas": 400, "trajectory_epochs": 2},
+           "output": {"directory": str(tmp_path / "out")}}
+    cfg_path = tmp_path / "verify.json"
+    cfg_path.write_text(json.dumps(cfg))
+    csvs, manifests = [], []
+    for _ in range(2):
+        assert run("verify", cfg_path) == 0
+        csvs.append((tmp_path / "out" / "verify_results.csv").read_bytes())
+        manifests.append(json.loads((tmp_path / "out" / "verify_manifest.json").read_text()))
+    write_result_rows(tmp_path / "rows.csv",
+                      _cmd_verify(parse_config(cfg, "verify"), RunTelemetry()))
+    rows_only = (tmp_path / "rows.csv").read_bytes()
+    header = rows_only.split(b"\n", 1)[0]
+    telemetry_keys = all(m["timings"] and m["peak_rss_mb"] > 0 and m["failed_checks"] == []
+                         for m in manifests)
+    report("C9 telemetry stays out of the CSV",
+           csvs[0] == csvs[1] == rows_only and telemetry_keys
+           and header == b"experiment_id,mechanism,metric,value,stderr,seed",
+           f"{len(rows_only)} CSV bytes identical over 2 reruns and the rows alone; "
+           f"manifest phases {sorted(manifests[0]['timings'])}")

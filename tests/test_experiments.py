@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+from dataclasses import replace
 from functools import reduce
 from operator import getitem
 
@@ -11,9 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from privreg.cli import main as cli_main
-from privreg.experiments import (ConfigError, ResultRow, apply_seed_override,
+from privreg.experiments import (ConfigError, OracleConfig, ResultRow,
+                                 _step_expectation, apply_seed_override,
                                  generate_dataset, load_dataset, parse_config,
                                  read_result_rows, run, write_result_rows)
+from privreg.model import ModelSpec
+from privreg.optimizers import NoiseSpec, TrainConfig, initial_params_for, train
 from privreg.oracle import regularized_least_squares_oracle
 
 
@@ -231,6 +235,55 @@ class TestRun:
         manifest = json.loads((tmp_path / "out" / "verify_manifest.json").read_text())
         assert manifest["command"] == "verify"
         assert manifest["seeds"] == {"oracle": 42}
+
+    def test_verify_manifest_carries_telemetry(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_verify_config(tmp_path / "out")))
+        assert run("verify", cfg_path) == 0
+        manifest = json.loads((tmp_path / "out" / "verify_manifest.json").read_text())
+        assert set(manifest["timings"]) == {
+            "post_update_mc", "cross_term", "equivalence", "trajectory",
+            "step_expectation", "grad_checks", "moments_and_product_density"}
+        assert all(seconds >= 0 for seconds in manifest["timings"].values())
+        assert manifest["peak_rss_mb"] > 0
+        assert manifest["failed_checks"] == []
+
+    def test_failing_verify_names_its_failed_checks(self, tmp_path, capsys):
+        cfg = minimal_verify_config(tmp_path / "out")
+        cfg["oracle"]["threshold"] = 1e-9  # no sampled z-score is that close to 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("verify", cfg_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "VerificationFailure"
+        assert "post_update_loss[iid][0] = " in err["message"]
+        assert "verify_manifest.json" in err["message"]
+        manifest = json.loads((tmp_path / "out" / "verify_manifest.json").read_text())
+        failed = {name: (value, bound) for name, value, bound in manifest["failed_checks"]}
+        assert {f"post_update_loss[{mode}][{i}]" for mode in ("iid", "proportional")
+                for i in range(4)} <= set(failed)
+        assert {f"cross_term[{mode}][{i}]" for mode in ("iid", "proportional")
+                for i in range(4)} <= set(failed)
+        assert all(value > bound == 1e-9 for value, bound in failed.values())
+        rows = read_result_rows(tmp_path / "out" / "verify_results.csv")
+        assert [r.value for r in rows if r.metric == "verify_pass"] == [0.0]
+
+    def test_step_expectation_matches_loop_of_train_calls(self):
+        oc = OracleConfig(seed=77, expectation_replicas=300)
+        eta, sigma = 0.1, 0.3
+        data = generate_dataset("noisy_linear", 8, 3, 0.1, oc.seed + 41)
+        spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
+        base = TrainConfig(eta=eta, batch_size=8, epochs=1, seed=oc.seed + 42)
+        init = initial_params_for(spec, base)
+        clean = train(spec, data, base, init=init).final_params.flat
+        total = np.zeros_like(clean)
+        for k in range(oc.expectation_replicas):
+            config = replace(base, seed=oc.seed + 100 + k,
+                             noise=NoiseSpec(mode="iid", sigma=sigma))
+            total += train(spec, data, config, init=init).final_params.flat
+        err = float(np.abs(total / oc.expectation_replicas - clean).max())
+        bound = 3.0 * eta * sigma / np.sqrt(oc.expectation_replicas)
+        assert np.array_equal(_step_expectation(oc), (err, bound))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

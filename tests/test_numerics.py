@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privreg import numerics
 from privreg.numerics import RngStream
 
 
@@ -66,6 +67,53 @@ class TestGaussianSample:
         assert abs((sq * sq).mean() - 3 * sigma ** 4) <= 3 * stderr_m4
         # spread of X^2 is 2*sigma^4
         assert abs(sq.var(ddof=1) - 2 * sigma ** 4) <= 0.05 * 2 * sigma ** 4
+
+
+def reference_normal(stream, mean, std, n):
+    """RngStream.normal as it was before the chunked, in-place core: one
+    block of uniforms, then Box-Muller on fresh arrays."""
+    if std == 0:
+        return np.full(n, float(mean))
+    pairs = (n + 1) // 2
+    u = stream._gen.random(2 * pairs)
+    u1 = 1.0 - u[0::2]
+    u2 = u[1::2]
+    r = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(angle)
+    out[1::2] = r * np.sin(angle)
+    return float(mean) + float(std) * out[:n]
+
+
+class TestChunkedBoxMuller:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 113, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
+                                   4 * numerics.BOX_MULLER_PAIRS + 3, 10 ** 6])
+    @pytest.mark.parametrize("mean,std", [(0.0, 1.0), (1.5, 0.3), (-2.0, 4.0)])
+    def test_same_bits_as_reference(self, n, mean, std):
+        got = RngStream(31, 2).normal(mean, std, n)
+        want = reference_normal(RngStream(31, 2), mean, std, n)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("pairs", [1, 3, 64])
+    def test_same_bits_at_any_chunk_width(self, monkeypatch, pairs):
+        monkeypatch.setattr(numerics, "BOX_MULLER_PAIRS", pairs)
+        for n in (1, 5, 113, 1001):
+            got = RngStream(32, 0).normal(0.5, 2.0, n)
+            assert got.tobytes() == reference_normal(RngStream(32, 0), 0.5, 2.0, n).tobytes()
+
+    def test_zero_std_draws_nothing(self):
+        stream = RngStream(33)
+        assert np.array_equal(stream.normal(-1.25, 0.0, 7), np.full(7, -1.25))
+        assert np.array_equal(stream.normal(0.0, 1.0, 6),
+                              reference_normal(RngStream(33), 0.0, 1.0, 6))
+
+    def test_even_calls_compose_across_a_chunk_boundary(self):
+        width = 2 * numerics.BOX_MULLER_PAIRS
+        split = RngStream(34, 1)
+        parts = [split.normal(0.0, 1.0, m) for m in (width - 6, 10, width + 2, 2)]
+        joined = reference_normal(RngStream(34, 1), 0.0, 1.0, 2 * width + 8)
+        assert np.concatenate(parts).tobytes() == joined.tobytes()
 
 
 @settings(max_examples=30)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from privreg.experiments import generate_dataset
-from privreg.model import Dataset, ModelSpec, ParameterSet, layout, n_params
+from privreg.model import Dataset, ModelSpec, ParameterSet, forward, layout, n_params
 from privreg.numerics import RngStream
 from privreg.optimizers import (STREAM_NOISE, STREAM_SHUFFLE, NoiseSpec,
-                                TrainConfig, add_iid_noise, add_proportional_noise,
-                                clip_gradient, dataset_loss,
-                                initial_params_for, sgd_step, train)
+                                TrainConfig, clip_gradient, dataset_loss,
+                                gradient_noise, initial_params_for,
+                                mechanism_step, train)
 from privreg.oracle import regularized_least_squares_oracle
 from privreg.regularizers import RegSpec, dp_input_penalty
 
@@ -50,72 +50,122 @@ class TestClipGradient:
             assert np.allclose(clipped * scale, g)
 
 
+# x = (2, 1): the parameters below give exact outputs, and a target equal to
+# the model's own output makes the loss gradient exactly zero, so the step
+# is the noise alone.
+X_ROW = np.array([[2.0, 1.0]])
+
+
+def noise_step(theta, noise, z, eta=0.1):
+    """mechanism_step at zero loss gradient: the noisy gradient is the noise."""
+    p = ParameterSet(LINEAR2, np.asarray(theta, dtype=np.float64))
+    target = forward(LINEAR2, p, X_ROW).output
+    return mechanism_step(LINEAR2, p, X_ROW, target, eta, noise, RegSpec(), z)
+
+
 class TestNoise:
     def test_iid_zero_sigma_is_identity(self):
-        g = np.array([1.0, -2.0])
-        assert np.array_equal(add_iid_noise(g, 0.0, RngStream(1)), g)
+        noise = NoiseSpec(mode="iid", sigma=0.0)
+        assert gradient_noise(noise, RngStream(1), (2,)) is None
+        p = ParameterSet(LINEAR2, np.array([0.5, -1.0]))
+        step = mechanism_step(LINEAR2, p, X_ROW, np.array([[1.0]]), 0.1, noise, RegSpec())
+        assert np.array_equal(step.noisy, step.clean)
+        assert np.array_equal(step.clean, [-4.0, -2.0])
 
     def test_iid_statistics(self):
         sigma, replicas = 0.3, 10 ** 5
-        g = np.zeros(2)
-        rng = RngStream(55)
-        deltas = np.array([add_iid_noise(g, sigma, rng) for _ in range(replicas)])
+        noise = NoiseSpec(mode="iid", sigma=sigma)
+        deltas = noise_step([0.5, -1.0], noise,
+                            gradient_noise(noise, RngStream(55), (replicas, 2))).noisy
+        assert deltas.shape == (replicas, 2)
         assert np.abs(deltas.mean(axis=0)).max() <= 3 * sigma / math.sqrt(replicas)
         var = deltas.var(axis=0, ddof=1)
         assert np.abs(var - sigma ** 2).max() <= 0.05 * sigma ** 2
 
     def test_proportional_zero_parameter_coordinate_gets_no_noise(self):
         p = ParameterSet(LINEAR2, np.array([0.0, 2.0]))
-        g = np.array([1.0, 1.0])
-        noisy = add_proportional_noise(g, p, 0.8, RngStream(2))
-        assert noisy[0] == g[0]
-        assert noisy[1] != g[1]
+        noise = NoiseSpec(mode="proportional", sigma=0.8)
+        step = mechanism_step(LINEAR2, p, X_ROW, np.array([[1.0]]), 0.1, noise, RegSpec(),
+                              gradient_noise(noise, RngStream(2), (2,)))
+        assert step.noisy[0] == step.clean[0]
+        assert step.noisy[1] != step.clean[1]
 
     def test_proportional_statistics(self):
-        theta = np.array([1.0, 2.0])
-        p = ParameterSet(LINEAR2, theta)
         sigma, replicas = 0.5, 10 ** 5
-        rng = RngStream(56)
-        deltas = np.array([add_proportional_noise(np.zeros(2), p, sigma, rng)
-                           for _ in range(replicas)])
+        noise = NoiseSpec(mode="proportional", sigma=sigma)
+        deltas = noise_step([1.0, 2.0], noise,
+                            gradient_noise(noise, RngStream(56), (replicas, 2))).noisy
         stds = deltas.std(axis=0, ddof=1)
         assert np.abs(stds - np.array([0.5, 1.0])).max() <= 0.05 * 1.0
         assert abs(stds[0] - 0.5) <= 0.05 * 0.5
 
     def test_proportional_zero_sigma_is_identity(self):
-        p = ParameterSet(LINEAR2, np.array([1.0, 2.0]))
-        g = np.array([3.0, 4.0])
-        assert np.array_equal(add_proportional_noise(g, p, 0.0, RngStream(3)), g)
+        noise = NoiseSpec(mode="proportional", sigma=0.0)
+        assert gradient_noise(noise, RngStream(3), (2,)) is None
+        step = noise_step([1.0, 2.0], noise, None)
+        assert np.array_equal(step.noisy, step.clean)
 
     def test_shape_mismatch_rejected(self):
-        p = ParameterSet(LINEAR2, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            add_proportional_noise(np.ones(3), p, 0.1, RngStream(4))
+            noise_step([1.0, 2.0], NoiseSpec(mode="proportional", sigma=0.1), np.ones((4, 3)))
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            add_iid_noise(np.ones(2), -0.1, RngStream(5))
+            NoiseSpec(mode="iid", sigma=-0.1)
+
+    def test_noise_rows_rejected_without_noise(self):
+        assert gradient_noise(NoiseSpec(mode="none", sigma=0.5), RngStream(4), (2,)) is None
+        with pytest.raises(ValueError, match="no noise rows"):
+            noise_step([1.0, 2.0], NoiseSpec(mode="none", sigma=0.5), np.ones((1, 2)))
+
+    def test_rows_drawn_at_once_match_rows_drawn_one_by_one(self):
+        noise = NoiseSpec(mode="iid", sigma=0.3)
+        at_once = gradient_noise(noise, RngStream(57), (9, 2))
+        one_rng = RngStream(57)
+        one_by_one = np.stack([gradient_noise(noise, one_rng, (2,)) for _ in range(9)])
+        assert np.array_equal(at_once, one_by_one)
 
 
 class TestSgdStep:
     def test_hand_case(self):
         p = ParameterSet(LINEAR2, np.array([0.5, -1.0]))
-        out = sgd_step(p, np.array([-4.0, -2.0]), 0.1)
-        assert np.allclose(out.flat, [0.9, -0.8])
+        step = mechanism_step(LINEAR2, p, X_ROW, np.array([[1.0]]), 0.1,
+                              NoiseSpec(), RegSpec())
+        assert np.array_equal(step.clean, [-4.0, -2.0])
+        assert np.allclose(step.params, [0.9, -0.8])
 
     def test_zero_gradient_is_stationary(self):
-        p = ParameterSet(LINEAR2, np.array([0.5, -1.0]))
-        assert np.array_equal(sgd_step(p, np.zeros(2), 0.1).flat, p.flat)
+        step = noise_step([0.5, -1.0], NoiseSpec(), None)
+        assert np.array_equal(step.params, [0.5, -1.0])
 
     @given(arrays(np.float64, 2, elements=st.floats(-10, 10)))
     def test_opposite_steps_cancel(self, g):
-        p = ParameterSet(LINEAR2, np.array([0.5, -1.0]))
-        back = sgd_step(sgd_step(p, g, 0.1), -g, 0.1)
-        assert np.allclose(back.flat, p.flat, atol=1e-15)
+        unit = NoiseSpec(mode="iid", sigma=1.0)
+        there = noise_step([0.5, -1.0], unit, g)
+        back = noise_step(there.params, unit, -g)
+        assert np.array_equal(there.noisy, g)
+        assert np.allclose(back.params, [0.5, -1.0], atol=1e-15)
 
     def test_nonpositive_eta_rejected(self):
         with pytest.raises(ValueError):
-            sgd_step(ParameterSet(LINEAR2, np.zeros(2)), np.zeros(2), 0.0)
+            noise_step([0.0, 0.0], NoiseSpec(), None, eta=0.0)
+
+    def test_batches_step_as_one(self):
+        # R batches from one start give, row by row, the bits of R single steps
+        rng = RngStream(58)
+        spec = ModelSpec(layer_sizes=(3, 4, 1), activation="tanh")
+        p = ParameterSet(spec, rng.normal(0.0, 1.0, n_params(spec)))
+        x = rng.normal(0.0, 1.0, 5 * 6 * 3).reshape(5, 6, 3)
+        t = rng.normal(0.0, 1.0, 5 * 6).reshape(5, 6, 1)
+        noise = NoiseSpec(mode="proportional", sigma=0.4, clip_c=0.8)
+        reg = RegSpec(lam=0.01)
+        z = gradient_noise(noise, rng, (5, n_params(spec)))
+        batched = mechanism_step(spec, p, x, t, 0.05, noise, reg, z)
+        for r in range(5):
+            single = mechanism_step(spec, p, x[r], t[r], 0.05, noise, reg, z[r])
+            assert np.array_equal(batched.clean[r], single.clean)
+            assert np.array_equal(batched.noisy[r], single.noisy)
+            assert np.array_equal(batched.params[r], single.params)
 
 
 def small_dataset(seed=9, n=24, d=3, noise=0.0):
@@ -376,14 +426,14 @@ def reference_train(spec, data, config):
                     g = g / max(1.0, float(np.linalg.norm(g)) / noise.clip_c)
                 grads.append(g)
             g_clean = np.mean(grads, axis=0)
-            if noise.mode == "iid":
-                g_tilde = add_iid_noise(g_clean, noise.sigma, noise_rng)
-            elif noise.mode == "proportional":
-                g_tilde = add_proportional_noise(g_clean, params, noise.sigma, noise_rng)
-            else:
-                g_tilde = g_clean
+            g_tilde = g_clean
+            if noise.mode == "iid" and noise.sigma > 0:
+                g_tilde = g_clean + noise_rng.normal(0.0, noise.sigma, g_clean.size)
+            elif noise.mode == "proportional" and noise.sigma > 0:
+                z = noise_rng.normal(0.0, 1.0, g_clean.size)
+                g_tilde = g_clean + noise.sigma * params.flat * z
             records.append((step, g_clean.copy(), g_tilde.copy(), batch_idx.copy()))
-            params = sgd_step(params, g_tilde, eta)
+            params = ParameterSet(spec, params.flat - eta * g_tilde)
             step += 1
         kappa = reg.kappa
         if reg.kappa_mode == "derived":

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import special
@@ -5,6 +7,7 @@ from scipy.integrate import quad
 
 from privreg.model import Dataset, ModelSpec, ParameterSet
 from privreg.numerics import RngStream
+from privreg import oracle
 from privreg.optimizers import NoiseSpec
 from privreg.oracle import (analytic_post_update_loss, backprop_grad_check,
                             check_cross_term_vanishes, check_moment_identities,
@@ -18,6 +21,8 @@ THETA = ParameterSet(LINEAR2, np.array([0.5, -1.0]))
 X = np.array([2.0, 1.0])
 IID = NoiseSpec(mode="iid", sigma=0.2)
 PROP = NoiseSpec(mode="proportional", sigma=0.2)
+BIASED = ParameterSet(ModelSpec(layer_sizes=(2, 1), include_bias=True),
+                      np.array([0.5, -1.0, 0.3]))
 
 
 class TestAnalyticPostUpdateLoss:
@@ -55,10 +60,56 @@ class TestMcPostUpdateLoss:
         est = mc_post_update_loss(THETA, X, 1.0, 0.1, PROP, replicas=200_000, seed=4)
         assert abs(est.mean - 0.0008) <= 3 * est.stderr
 
-    def test_stream_split_reduces_identically(self):
-        a = mc_post_update_loss(THETA, X, 1.0, 0.1, IID, replicas=10_000, seed=5)
-        b = mc_post_update_loss(THETA, X, 1.0, 0.1, IID, replicas=10_000, seed=5)
-        assert (a.mean, a.stderr) == (b.mean, b.stderr)
+    def test_stream_split_reduces_identically(self, monkeypatch):
+        # R = 10,001 is a multiple of no chunk size here, and R * d is odd
+        theta = ParameterSet(ModelSpec(layer_sizes=(3, 1)), np.array([0.5, -1.0, 0.25, 0.1]))
+        x, replicas = np.array([2.0, 1.0, -0.5]), 10_001
+
+        def estimates(noise, chunk_rows):
+            monkeypatch.setattr(oracle, "MC_CHUNK_ROWS", chunk_rows)
+            loss = mc_post_update_loss(theta, x, 1.0, 0.1, noise, replicas, seed=5)
+            cross = check_cross_term_vanishes(theta, x, 1.0, 0.1, noise, replicas, seed=5)
+            return loss.mean, loss.stderr, cross.estimate
+
+        for noise in (IID, PROP):
+            one_block = estimates(noise, replicas)
+            for chunk_rows in (2, 64, 1000, 4096):
+                assert replicas % chunk_rows and (replicas * x.size) % 2
+                assert estimates(noise, chunk_rows) == one_block
+
+    def test_chunk_rows_even(self):
+        # every chunk but the last must draw an even count to compose
+        assert oracle.MC_CHUNK_ROWS % 2 == 0
+
+    @pytest.mark.parametrize("mode", ["iid", "proportional"])
+    def test_bias_neuron_matches_analytic(self, mode):
+        noise = NoiseSpec(mode=mode, sigma=0.4)
+        est = mc_post_update_loss(BIASED, X, 0.3, 0.15, noise, replicas=200_000, seed=21)
+        analytic = analytic_post_update_loss(BIASED, X, 0.3, 0.15, noise)
+        assert abs(est.mean - analytic) <= 3 * est.stderr
+
+    @pytest.mark.parametrize("mode", ["iid", "proportional"])
+    @pytest.mark.parametrize("model", ["plain", "bias"])
+    def test_clipped_step_matches_analytic(self, mode, model):
+        params = BIASED if model == "bias" else THETA
+        noise = NoiseSpec(mode=mode, sigma=0.4, clip_c=0.5)
+        # the unclipped gradient 2*(y - t)*x has norm 4.9 or more here: the clip acts
+        assert analytic_post_update_loss(params, X, 1.3, 0.15, noise) != \
+            analytic_post_update_loss(params, X, 1.3, 0.15, replace(noise, clip_c=None))
+        est = mc_post_update_loss(params, X, 1.3, 0.15, noise, replicas=200_000, seed=22)
+        analytic = analytic_post_update_loss(params, X, 1.3, 0.15, noise)
+        assert abs(est.mean - analytic) <= 3 * est.stderr
+
+    def test_steps_through_the_trainer(self, monkeypatch):
+        # a trainer that doubled its noise would fail the identity
+        real_step = oracle.mechanism_step
+
+        def doubled(spec, params, x, t, eta, noise, reg, z=None):
+            return real_step(spec, params, x, t, eta, noise, reg, None if z is None else 2 * z)
+
+        monkeypatch.setattr(oracle, "mechanism_step", doubled)
+        est = mc_post_update_loss(THETA, X, 1.0, 0.1, IID, replicas=200_000, seed=3)
+        assert abs(est.mean - 0.002) > 3 * est.stderr
 
     def test_bias_folds_into_constant_feature(self):
         spec = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=True)
@@ -83,6 +134,19 @@ class TestCrossTerm:
                                           NoiseSpec(mode="none"), replicas=100, seed=7)
         assert check.estimate.mean == 0.0
         assert check.z == 0.0
+
+    @pytest.mark.parametrize("eta", [0.0, -0.1])
+    def test_nonpositive_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            check_cross_term_vanishes(THETA, X, 0.7, eta, IID, replicas=100, seed=8)
+        with pytest.raises(ValueError, match="eta must be positive"):
+            mc_post_update_loss(THETA, X, 0.7, eta, IID, replicas=100, seed=8)
+
+    @pytest.mark.parametrize("noise", [IID, PROP, NoiseSpec(mode="iid", sigma=0.2, clip_c=0.5)])
+    def test_bias_neuron_zero_mean(self, noise):
+        check = check_cross_term_vanishes(BIASED, X, 0.7, 0.1, noise,
+                                          replicas=200_000, seed=9)
+        assert check.passed
 
     def test_zero_input_annihilates(self):
         check = check_cross_term_vanishes(THETA, np.zeros(2), 0.7, 0.1, IID,
