@@ -30,6 +30,5 @@ from .oracle import (IdentityCheck, McEstimate, ProductDensityReport,
                      finite_difference_gradient, grad_check,
                      mc_post_update_loss, post_update_identity_checks,
                      random_linear_setups, regularized_least_squares_oracle)
-from .regularizers import (RegSpec, combined_grad, dp_input_penalty, l2_grad,
-                           l2_penalty, paired_input_squares, pdp_grad,
-                           pdp_penalty)
+from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
+                           pdp_grad, pdp_penalty)

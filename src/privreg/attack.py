@@ -26,8 +26,9 @@ import numpy as np
 
 from .model import Dataset, ModelSpec, ParameterSet, forward, quadratic_loss
 from .numerics import RngStream
-from .optimizers import (GradientRecord, NoiseSpec, TrainConfig,
-                         initial_params_for, mechanism_label, train)
+from .optimizers import (STREAM_NOISE, STREAM_SHUFFLE, GradientRecord, NoiseSpec,
+                         TrainConfig, gradient_noise, initial_params_for,
+                         mechanism_label, mechanism_step)
 from .regularizers import RegSpec
 
 COSINE_SUCCESS = 0.99
@@ -60,7 +61,7 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _require_linear(spec: ModelSpec, attack: str):
-    if spec.n_layers != 1 or spec.output_dim != 1 or spec.activation != "identity":
+    if not spec.is_linear_unit:
         raise ValueError(f"{attack} needs a single linear output unit")
 
 
@@ -326,8 +327,9 @@ def leakage_sweep(spec: ModelSpec, data: Dataset,
                   mechanisms: list[tuple[NoiseSpec, RegSpec]], trials: int,
                   seed: int, eta: float = 0.1, iters: int = 800,
                   step: float = 0.02, restarts: int = 10) -> list[LeakageReport]:
-    """Train one batch-1 epoch per (mechanism, trial), attack the first
-    recorded gradient with both inverters, and aggregate.
+    """Per (mechanism, trial), take the first step of a batch-1 train() run
+    (its first shuffled example, first noise draw and starting
+    parameters), attack its gradient with both inverters, and aggregate.
 
     Trial k reuses seed + k for every mechanism, so identical mechanism
     entries produce identical reports and different mechanisms see the
@@ -341,12 +343,14 @@ def leakage_sweep(spec: ModelSpec, data: Dataset,
     x_true, x_cf, theta, bias, target, seeds = [], [], [], [], [], []
     for noise, reg in mechanisms:
         for k in range(trials):
-            config = TrainConfig(eta=eta, batch_size=1, epochs=1, seed=seed + k,
-                                 noise=noise, reg=reg, record_gradients=True,
-                                 record_cap=1)
-            record = train(spec, data, config).records[0]
-            params0 = initial_params_for(spec, config)
-            x_true.append(data.x[int(record.batch_indices[0])])
+            params0 = initial_params_for(spec, TrainConfig(eta=eta, seed=seed + k))
+            first = RngStream(seed + k, STREAM_SHUFFLE).permutation(len(data))[:1]
+            z = gradient_noise(noise, RngStream(seed + k, STREAM_NOISE), params0.flat.shape)
+            taken = mechanism_step(spec, params0, data.x[first], data.t[first], eta,
+                                   noise, reg, z)
+            record = GradientRecord(step=0, clean=taken.clean, noisy=taken.noisy,
+                                    batch_indices=first)
+            x_true.append(data.x[first[0]])
             x_cf.append(invert_linear_gradient(record, spec))
             theta.append(params0.weights(0).ravel())
             bias.append(params0.bias(0)[0])

@@ -48,7 +48,7 @@ import scipy
 
 from . import __version__
 from .attack import leakage_sweep, membership_inference
-from .model import ACTIVATIONS, Dataset, ModelSpec, ParameterSet
+from .model import ACTIVATIONS, Dataset, ModelSpec, ParameterSet, init_params
 from .numerics import RngStream
 from .optimizers import (NOISE_MODES, STREAM_NOISE, STREAM_SHUFFLE, NoiseSpec,
                          TrainConfig, gradient_noise, initial_params_for,
@@ -417,8 +417,6 @@ _SECTIONS = {
         "seed": _SEED,
         "noise": _NOISE,
         "reg": _REG,
-        "record_gradients": Field(bool),
-        "record_cap": Field(int, rule=_NONNEGATIVE),
     }, build=TrainConfig),
     "oracle": Field(dict, fields={
         "seed": _SEED,
@@ -485,14 +483,25 @@ def _check_model_use(config: ExperimentConfig, command: str) -> None:
         raise ConfigError(f"field 'model.layer_sizes' must end in 1, got {list(sizes)}: "
                           "every dataset has one target column")
     if command == "attack":
-        if len(sizes) != 2:
-            raise ConfigError(f"field 'model.layer_sizes' must be [d, 1] for attack, "
-                              f"got {list(sizes)}: the inversions need one linear unit")
-        if config.model.activation != "identity":
+        if not config.model.is_linear_unit:
+            if len(sizes) != 2:
+                raise ConfigError(f"field 'model.layer_sizes' must be [d, 1] for attack, "
+                                  f"got {list(sizes)}: the inversions need one linear unit")
             raise ConfigError("field 'model.activation' must be 'identity' for attack")
         if not config.model.include_bias:
             raise ConfigError("field 'model.include_bias' must be true for attack: "
                               "closed-form inversion divides by the bias gradient")
+    if command == "train" and not config.model.is_linear_unit:
+        # The parameter-input product stands in for proportional noise on
+        # one linear output unit only (see privreg.regularizers).
+        reg, sigma = config.train.reg, config.train.noise.sigma
+        if reg.kappa_mode == "explicit" and reg.kappa > 0:
+            raise ConfigError(f"field 'train.reg.kappa' must be 0 unless the model is a "
+                              f"single linear output unit, got {reg.kappa}")
+        if reg.kappa_mode == "derived" and sigma > 0:
+            raise ConfigError("field 'train.reg.kappa_mode' must not be 'derived' with "
+                              "train.noise.sigma > 0 unless the model is a single "
+                              "linear output unit")
 
 
 def _check_data_fit(config: ExperimentConfig, command: str, n: int, d: int,
@@ -683,7 +692,7 @@ def _trajectory_identity(oc: OracleConfig) -> list[tuple[str, float, float]]:
     data = generate_dataset("noisy_linear", 100, 5, 0.2, oc.seed + 31)
     spec = ModelSpec(layer_sizes=(5, 1), activation="identity", include_bias=True)
     base = TrainConfig(eta=0.05, batch_size=10, epochs=oc.trajectory_epochs,
-                       seed=oc.seed + 32, record_gradients=True, record_cap=2048)
+                       seed=oc.seed + 32, record_gradients=True)
     with_term = replace(base, reg=RegSpec(input_kappa=0.7))
     plain = train(spec, data, base)
     shifted = train(spec, data, with_term)
@@ -745,10 +754,10 @@ def _grad_check_suite(seed: int) -> list[tuple[str, float, float]]:
             worst[kind] = max(worst[kind], grad_check(kind, params, x, lam, kappa))
 
     backprop_worst = 0.0
+    spec = ModelSpec(layer_sizes=(4, 6, 1), activation="tanh", include_bias=True)
+    init_rng = RngStream(seed, 8)
     for _ in range(5):
-        spec = ModelSpec(layer_sizes=(4, 6, 1), activation="tanh", include_bias=True)
-        from .model import init_params
-        params = init_params(spec, RngStream(seed, 8))
+        params = init_params(spec, init_rng)
         x = rng.normal(0.0, 1.0, 4)
         t = rng.normal(0.0, 1.0, 1)
         backprop_worst = max(backprop_worst,

@@ -62,6 +62,28 @@ class ModelSpec:
     def output_dim(self) -> int:
         return self.layer_sizes[-1]
 
+    @property
+    def is_linear_unit(self) -> bool:
+        """One affine layer to one output, no activation: the only model for
+        which the paper's penalty identities, the oracle's closed forms and
+        the gradient inversions hold."""
+        return self.n_layers == 1 and self.output_dim == 1 and self.activation == "identity"
+
+
+def linear_unit_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """A linear unit's (B, P) features for a (B, d) batch: each input row,
+    then a constant 1 for the bias, so that the output is features @ theta.
+    Raises ValueError for any model that is not a linear unit."""
+    if not spec.is_linear_unit:
+        raise ValueError(f"a single linear output unit is needed, got layer sizes "
+                         f"{spec.layer_sizes} with activation {spec.activation!r}")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ValueError(f"input batch has shape {x.shape}, expected (B, {spec.input_dim})")
+    if not spec.include_bias:
+        return x
+    return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
+
 
 @dataclass(frozen=True)
 class LayerSlices:

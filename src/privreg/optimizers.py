@@ -10,7 +10,8 @@ Four mechanisms share one loop:
                                 using the pre-update parameter values
 * penalty-based SGD             weight decay and/or the parameter-input
                                 product term folded into each per-example
-                                gradient, no noise required
+                                gradient, no noise required; the product
+                                term needs a single linear output unit
 
 Order per batch (mechanism_step): one forward/backward pass over the
 batch's (B, d) rows gives the (B, P) per-example loss gradients; penalty
@@ -79,7 +80,6 @@ class TrainConfig:
     noise: NoiseSpec = NoiseSpec()
     reg: RegSpec = RegSpec()
     record_gradients: bool = False
-    record_cap: int = 128
 
     def __post_init__(self):
         if not callable(self.eta) and not self.eta > 0:
@@ -88,8 +88,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.record_cap < 0:
-            raise ValueError("record_cap must be nonnegative")
 
     def eta_at(self, step: int) -> float:
         eta = self.eta(step) if callable(self.eta) else self.eta
@@ -188,7 +186,7 @@ def mechanism_step(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
     if reg.lam > 0:
         grads = grads + l2_grad(params, reg.lam)
     if kappa > 0:
-        grads = grads + pdp_grad(params, rows, kappa, trace)
+        grads = grads + pdp_grad(params, rows, kappa)
     if noise.clip_c is not None:
         grads = clip_gradient(grads, noise.clip_c)
     if batches:
@@ -230,7 +228,7 @@ def dataset_loss(spec: ModelSpec, params: ParameterSet, data: Dataset,
     if reg.lam > 0:
         losses = losses + l2_penalty(params, reg.lam)
     if k > 0:
-        losses = losses + pdp_penalty(params, data.x, k, trace)
+        losses = losses + pdp_penalty(params, data.x, k)
     if reg.input_kappa > 0:
         losses = losses + dp_input_penalty(data.x, reg.input_kappa)
     return float(np.mean(losses))
@@ -283,7 +281,7 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
             z = gradient_noise(noise, noise_rng, params.flat.shape)
             taken = mechanism_step(spec, params, data.x[batch_idx], data.t[batch_idx],
                                    eta, noise, reg, z)
-            if records is not None and len(records) < config.record_cap:
+            if records is not None:
                 records.append(GradientRecord(step=step, clean=taken.clean.copy(),
                                               noisy=taken.noisy.copy(),
                                               batch_indices=batch_idx.copy()))

@@ -32,11 +32,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import Dataset, ModelSpec, ParameterSet
+from .model import Dataset, ModelSpec, ParameterSet, linear_unit_features
 from .numerics import RngStream
 from .optimizers import NoiseSpec, clip_gradient, gradient_noise, mechanism_step
-from .regularizers import (RegSpec, combined_grad, dp_input_penalty, l2_grad,
-                           l2_penalty, pdp_grad, pdp_penalty)
+from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
+                           pdp_grad, pdp_penalty)
 
 DEFAULT_Z_THRESHOLD = 3.0
 
@@ -88,16 +88,8 @@ def _linear_neuron_vectors(params: ParameterSet, x: np.ndarray) -> tuple[np.ndar
 
     The closed forms hold for one linear output unit only.
     """
-    spec = params.spec
-    if spec.n_layers != 1 or spec.output_dim != 1 or spec.activation != "identity":
-        raise ValueError("closed forms cover a single linear output unit only")
     x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape != (spec.input_dim,):
-        raise ValueError(f"input has dimension {x.shape[0]}, expected {spec.input_dim}")
-    theta = params.flat
-    if spec.include_bias:
-        x = np.concatenate([x, [1.0]])
-    return theta, x
+    return params.flat, linear_unit_features(params.spec, x[None, :])[0]
 
 
 def _scalar_target(t) -> float:
@@ -362,7 +354,10 @@ PENALTY_KINDS = ("l2", "pdp", "dp_input", "combined")
 def grad_check(kind: str, params: ParameterSet, x: np.ndarray,
                lam: float = 0.0, kappa: float = 0.0,
                h_scale: float = 1e-5) -> float:
-    """Worst relative error of a penalty gradient against central differences."""
+    """Worst relative error of a penalty gradient against central differences.
+
+    Kind "combined" checks l2_grad + pdp_grad, the sum mechanism_step adds.
+    """
     if kind not in PENALTY_KINDS:
         raise ValueError(f"unknown penalty kind {kind!r}")
     spec = params.spec
@@ -381,8 +376,7 @@ def grad_check(kind: str, params: ParameterSet, x: np.ndarray,
     else:
         f = lambda th: (l2_penalty(ParameterSet(spec, th), lam)
                         + pdp_penalty(ParameterSet(spec, th), row, kappa)[0])
-        analytic = combined_grad(params, row, lam, kappa,
-                                 np.zeros_like(params.flat))[0]
+        analytic = l2_grad(params, lam) + pdp_grad(params, row, kappa)[0]
 
     fd = finite_difference_gradient(f, params.flat, h_scale)
     return _max_rel_err(analytic, fd)

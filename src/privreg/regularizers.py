@@ -1,11 +1,10 @@
 """Penalty terms and their exact parameter gradients.
 
-Four terms appear in training losses here:
+Three terms appear in training losses here:
 
 * classic weight decay        lam * sum_i theta_i^2
 * input-only term             kappa * sum_i x_i^2        (parameter gradient: zero)
 * parameter-input product     kappa * sum_i theta_i^2 * x_i^2
-* the combination, whose gradient is base + 2*(lam + kappa*x_i^2)*theta_i
 
 The input-only term is what adding homogeneous Gaussian gradient noise of
 variance sigma^2 does to the expected loss of a linear neuron trained with
@@ -13,15 +12,14 @@ learning rate eta (with kappa = eta^2 * sigma^2): it shifts loss values
 but, being independent of the parameters, steers nothing.  The
 parameter-input product is the analogous expected-loss shift when the
 per-coordinate noise scale is theta_i * sigma, and that one does steer.
+The bias pairs with the constant 1 feature.
 
 Both identities hold for one linear output unit only.  Off it the shift
 is, to second order, (1/2) * kappa * sum_i theta_i^2 * H_ii (proportional)
 or (1/2) * kappa * sum_i H_ii (iid), H the loss Hessian: on a (3, 4, 1)
-tanh net the parameter-input product is ~22x the Monte Carlo shift.  The
-terms are still computed there, each weight paired with its own incoming
-activation (biases with the constant 1).  The pairing vector is treated
-as fixed when differentiating, mirroring how the noise mechanism scales
-with the current parameter values without being differentiated through.
+tanh net the parameter-input product is ~22x the Monte Carlo shift.  So
+pdp_penalty and pdp_grad raise ValueError on any other model.  The
+input-only term steers nothing and stays accepted everywhere.
 
 The input-dependent terms work on a (B, d) batch, one value or one (P,)
 gradient row per example; a single input is a batch of one row.
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ForwardTrace, ModelSpec, ParameterSet, forward, layout, n_params
+from .model import ParameterSet, linear_unit_features
 
 KAPPA_MODES = ("explicit", "derived")
 
@@ -84,60 +82,22 @@ def dp_input_penalty(x: np.ndarray, kappa: float) -> np.ndarray:
     return kappa * np.vecdot(x, x)
 
 
-def paired_input_squares(spec: ModelSpec, trace: ForwardTrace) -> np.ndarray:
-    """Squared incoming activation for every parameter coordinate, (B, P).
-
-    Weight (i, j) of a layer gets the square of that layer's j-th input
-    activation; bias coordinates get 1.  For a one-layer model each row is
-    x^2 tiled across output units.
-    """
-    batch = trace.inputs[0].shape[0]
-    squares = np.empty((batch, n_params(spec)))
-    for layer, ls in enumerate(layout(spec)):
-        a = trace.inputs[layer]
-        squares[:, ls.weights] = np.tile(a * a, (1, ls.fan_out))
-        if ls.bias is not None:
-            squares[:, ls.bias] = 1.0
-    return squares
-
-
-def _squares(params: ParameterSet, x: np.ndarray,
-             trace: ForwardTrace | None) -> np.ndarray:
-    if trace is None:
-        trace = forward(params.spec, params, x)
-    return paired_input_squares(params.spec, trace)
-
-
-def pdp_penalty(params: ParameterSet, x: np.ndarray, kappa: float,
-                trace: ForwardTrace | None = None) -> np.ndarray:
+def pdp_penalty(params: ParameterSet, x: np.ndarray, kappa: float) -> np.ndarray:
     """kappa * sum_i theta_i^2 * x_i^2 per row of the (B, d) batch x,
-    biases paired with constant 1.  Pass a trace from forward() on the same
-    (params, x) to avoid recomputing it."""
+    biases paired with constant 1.  Raises ValueError unless the model is
+    a single linear output unit."""
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
+    f = linear_unit_features(params.spec, x)
     theta = params.flat
-    return kappa * np.vecdot(theta * theta, _squares(params, x, trace))
+    return kappa * np.vecdot(theta * theta, f * f)
 
 
-def pdp_grad(params: ParameterSet, x: np.ndarray, kappa: float,
-             trace: ForwardTrace | None = None) -> np.ndarray:
+def pdp_grad(params: ParameterSet, x: np.ndarray, kappa: float) -> np.ndarray:
     """Coordinate-wise 2 * kappa * x_i^2 * theta_i (2 * kappa * theta_i on
-    biases), one (P,) row per row of the batch x."""
+    the bias), one (P,) row per row of the batch x.  Raises ValueError
+    unless the model is a single linear output unit."""
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    return 2.0 * kappa * _squares(params, x, trace) * params.flat
-
-
-def combined_grad(params: ParameterSet, x: np.ndarray, lam: float, kappa: float,
-                  base_grad: np.ndarray,
-                  trace: ForwardTrace | None = None) -> np.ndarray:
-    """base_grad + 2 * (lam + kappa * x_i^2) * theta_i per coordinate, one
-    row per row of the batch x."""
-    if lam < 0 or kappa < 0:
-        raise ValueError("penalty coefficients must be nonnegative")
-    base = np.asarray(base_grad, dtype=np.float64)
-    if base.shape[-1:] != params.flat.shape:
-        raise ValueError(
-            f"base gradient shape {base.shape} does not match parameters {params.flat.shape}"
-        )
-    return base + 2.0 * (lam + kappa * _squares(params, x, trace)) * params.flat
+    f = linear_unit_features(params.spec, x)
+    return 2.0 * kappa * (f * f) * params.flat

@@ -314,8 +314,7 @@ class TestBatchedDescentMatchesReference:
         for m, (noise, reg) in enumerate(mechanisms):
             for k in range(trials):
                 config = TrainConfig(eta=0.1, batch_size=1, epochs=1, seed=seed + k,
-                                     noise=noise, reg=reg, record_gradients=True,
-                                     record_cap=1)
+                                     noise=noise, reg=reg, record_gradients=True)
                 record = train(spec, data, config).records[0]
                 params0 = initial_params_for(spec, config)
                 try:

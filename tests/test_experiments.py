@@ -5,6 +5,7 @@ import json
 from dataclasses import replace
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from privreg.cli import main as cli_main
-from privreg.experiments import (ConfigError, OracleConfig, ResultRow,
+from privreg.experiments import (COMMANDS, ConfigError, OracleConfig, ResultRow,
                                  _step_expectation, apply_seed_override,
                                  generate_dataset, load_dataset, parse_config,
                                  read_result_rows, run, write_result_rows)
@@ -413,19 +414,21 @@ class TestRun:
         assert "loss" in capsys.readouterr().out
 
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# Every shipped config, with the subcommand its name starts with
+# (train_dpsgd.json -> train).
+SHIPPED_CONFIGS = [(path.name, path.stem.split("_")[0])
+                   for path in sorted(CONFIG_DIR.glob("*.json"))]
+
+
 class TestShippedConfigs:
-    @pytest.mark.parametrize("name,command", [
-        ("verify.json", "verify"),
-        ("train_dpsgd.json", "train"),
-        ("train_pdp_reg.json", "train"),
-        ("attack.json", "attack"),
-        ("moments.json", "moments"),
-        ("report.json", "report"),
-    ])
+    def test_every_config_names_a_command(self):
+        assert len(SHIPPED_CONFIGS) >= 6
+        assert {command for _, command in SHIPPED_CONFIGS} <= set(COMMANDS)
+
+    @pytest.mark.parametrize("name,command", SHIPPED_CONFIGS)
     def test_config_parses_for_its_command(self, name, command):
-        from pathlib import Path
-        path = Path(__file__).resolve().parent.parent / "configs" / name
-        config = parse_config(json.loads(path.read_text()), command)
+        config = parse_config(json.loads((CONFIG_DIR / name).read_text()), command)
         assert config.experiment_id
 
 
@@ -455,6 +458,23 @@ class TestCli:
         assert cli_main(["train", "--config", str(cfg_path), "--seed", "7"]) == 0
         manifest = json.loads((tmp_path / "out" / "train_manifest.json").read_text())
         assert manifest["seeds"] == {"train": 7}
+
+    @pytest.mark.parametrize("noise,reg", [
+        ({"mode": "none"}, {"kappa_mode": "derived"}),
+        ({"mode": "none", "sigma": 0.0}, {"kappa_mode": "derived", "kappa": 0.2}),
+        ({"mode": "iid", "sigma": 0.1}, {"input_kappa": 0.4}),
+        ({"mode": "proportional", "sigma": 0.5}, {"lambda": 0.01}),
+    ], ids=["derived-sigma-0", "derived-ignores-kappa", "iid-input-kappa",
+            "proportional-l2"])
+    def test_multilayer_model_trains_without_the_pdp_penalty(self, tmp_path, noise, reg):
+        # Effective kappa 0 keeps a (3, 4, 1) tanh net trainable.
+        cfg = minimal_train_config(tmp_path / "out")
+        cfg["model"] = {"layer_sizes": [3, 4, 1], "activation": "tanh"}
+        cfg["train"].update(noise=noise, reg=reg)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli_main(["train", "--config", str(cfg_path)]) == 0
+        assert (tmp_path / "out" / "train_results.csv").exists()
 
     def test_cli_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
@@ -497,6 +517,13 @@ BOUNDARY_PROBES = [
     _probe("train-seed-negative", "train", {"train.seed": -1}, "train.seed"),
     _probe("seed-flag-negative", "train", {}, "--seed", seed=-3),
     _probe("record-cap-negative", "train", {"train.record_cap": -1}, "train.record_cap"),
+    _probe("pdp-kappa-off-linear-unit", "train",
+           {"model": {"layer_sizes": [3, 4, 1], "activation": "tanh"},
+            "train.reg": {"kappa": 0.1}}, "train.reg.kappa"),
+    _probe("pdp-derived-off-linear-unit", "train",
+           {"model": {"layer_sizes": [3, 4, 1], "activation": "tanh"},
+            "train.noise.sigma": 0.5, "train.reg": {"kappa_mode": "derived"}},
+           "train.reg.kappa_mode"),
     _probe("clip-zero", "train", {"train.noise.clip_c": 0}, "train.noise.clip_c"),
     _probe("kappa-negative", "train", {"train.reg": {"kappa": -1}}, "train.reg.kappa"),
     _probe("layer-sizes-short", "train", {"model.layer_sizes": [3]}, "model.layer_sizes"),

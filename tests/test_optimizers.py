@@ -373,24 +373,19 @@ def _ref_gradient(spec, params, inputs, pre, post, t):
     return grad
 
 
-def _ref_squares(spec, inputs):
-    squares = np.empty(n_params(spec))
-    for layer, ls in enumerate(layout(spec)):
-        squares[ls.weights] = np.tile(inputs[layer] * inputs[layer], ls.fan_out)
-        if ls.bias is not None:
-            squares[ls.bias] = 1.0
-    return squares
+def _ref_squares(spec, x):
+    """A linear unit's squared features: x_i^2 per weight, 1 for the bias."""
+    return np.concatenate([x * x, np.ones(int(spec.include_bias))])
 
 
 def _ref_example_loss(spec, params, x, t, reg, kappa):
-    inputs, _, post = _ref_forward(spec, params, x)
+    post = _ref_forward(spec, params, x)[2]
     diff = post[-1] - t
     loss = float(np.dot(diff, diff))
     if reg.lam > 0:
         loss += float(reg.lam * np.dot(params.flat, params.flat))
     if kappa > 0:
-        loss += float(kappa * np.dot(params.flat * params.flat,
-                                     _ref_squares(spec, inputs)))
+        loss += float(kappa * np.dot(params.flat * params.flat, _ref_squares(spec, x)))
     if reg.input_kappa > 0:
         loss += float(reg.input_kappa * np.dot(x, x))
     return loss
@@ -421,7 +416,7 @@ def reference_train(spec, data, config):
                 if reg.lam > 0:
                     g = g + 2.0 * reg.lam * params.flat
                 if kappa > 0:
-                    g = g + 2.0 * kappa * _ref_squares(spec, inputs) * params.flat
+                    g = g + 2.0 * kappa * _ref_squares(spec, data.x[i]) * params.flat
                 if noise.clip_c is not None:
                     g = g / max(1.0, float(np.linalg.norm(g)) / noise.clip_c)
                 grads.append(g)
@@ -461,21 +456,30 @@ REFERENCE_MECHANISMS = {
     "input-kappa": {"noise": NoiseSpec(mode="iid", sigma=0.2),
                     "reg": RegSpec(input_kappa=0.4)},
 }
+# The parameter-input product holds for one linear output unit only, and
+# train() refuses it on any other model.
+PDP_REFUSED = sorted(m for m, spec in REFERENCE_MODELS.items() if not spec.is_linear_unit)
+REFERENCE_CASES = [(model, mechanism) for model in sorted(REFERENCE_MODELS)
+                   for mechanism in sorted(REFERENCE_MECHANISMS)
+                   if not (model in PDP_REFUSED and mechanism == "pdp-derived-l2")]
+
+
+def reference_data(model, mechanism):
+    spec = REFERENCE_MODELS[model]
+    rng = RngStream(len(model), len(mechanism))
+    return Dataset(
+        rng.normal(0.0, 1.0, REFERENCE_N * spec.input_dim).reshape(REFERENCE_N, -1),
+        rng.normal(0.0, 1.0, REFERENCE_N * spec.output_dim).reshape(REFERENCE_N, -1))
 
 
 class TestTrainMatchesPerExampleReference:
     @pytest.mark.parametrize("batch_size", [1, 7, REFERENCE_N])
-    @pytest.mark.parametrize("mechanism", sorted(REFERENCE_MECHANISMS))
-    @pytest.mark.parametrize("model", sorted(REFERENCE_MODELS))
+    @pytest.mark.parametrize("model,mechanism", REFERENCE_CASES)
     def test_bit_identical(self, model, mechanism, batch_size):
         spec = REFERENCE_MODELS[model]
-        rng = RngStream(len(model), len(mechanism))
-        data = Dataset(
-            rng.normal(0.0, 1.0, REFERENCE_N * spec.input_dim).reshape(REFERENCE_N, -1),
-            rng.normal(0.0, 1.0, REFERENCE_N * spec.output_dim).reshape(REFERENCE_N, -1))
+        data = reference_data(model, mechanism)
         config = TrainConfig(eta=0.05, batch_size=batch_size, epochs=3, seed=17,
-                             record_gradients=True, record_cap=10 ** 6,
-                             **REFERENCE_MECHANISMS[mechanism])
+                             record_gradients=True, **REFERENCE_MECHANISMS[mechanism])
         losses, params, records = reference_train(spec, data, config)
         report = train(spec, data, config)
         assert report.epoch_losses == losses
@@ -486,6 +490,15 @@ class TestTrainMatchesPerExampleReference:
             assert np.array_equal(got.clean, clean)
             assert np.array_equal(got.noisy, noisy)
             assert np.array_equal(got.batch_indices, batch_idx)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, REFERENCE_N])
+    @pytest.mark.parametrize("model", PDP_REFUSED)
+    def test_pdp_refused_off_a_linear_unit(self, model, batch_size):
+        data = reference_data(model, "pdp-derived-l2")
+        config = TrainConfig(eta=0.05, batch_size=batch_size, epochs=3, seed=17,
+                             **REFERENCE_MECHANISMS["pdp-derived-l2"])
+        with pytest.raises(ValueError, match="single linear output unit"):
+            train(REFERENCE_MODELS[model], data, config)
 
 
 class TestSpecs:

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from privreg.model import ModelSpec, ParameterSet, forward
+from privreg.model import Dataset, ModelSpec, ParameterSet, init_params
 from privreg.numerics import RngStream
-from privreg.optimizers import NoiseSpec, mechanism_label
+from privreg.optimizers import NoiseSpec, TrainConfig, mechanism_label, train
 from privreg.oracle import grad_check
-from privreg.regularizers import (RegSpec, combined_grad, dp_input_penalty,
-                                  l2_grad, l2_penalty, paired_input_squares,
+from privreg.regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
                                   pdp_grad, pdp_penalty)
 
 
@@ -97,21 +96,29 @@ class TestPdp:
         assert pdp_penalty(p, x, 0.1)[0] == pytest.approx(1.4)
         assert np.allclose(pdp_grad(p, x, 0.1), [[0.8, 0.1, 0.6]])
 
-    def test_multilayer_pairing_uses_layer_inputs(self):
-        spec = ModelSpec(layer_sizes=(2, 2, 1), activation="identity",
-                         include_bias=False)
-        p = ParameterSet(spec, np.array([1.0, 0.0, 0.0, 1.0, 2.0, -1.0]))
-        squares = paired_input_squares(spec, forward(spec, p, row(3.0, 1.0)))
-        # first layer is the identity map, so layer-2 inputs are x again
-        assert np.allclose(squares, [[9.0, 1.0, 9.0, 1.0, 9.0, 1.0]])
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(layer_sizes=(3, 4, 1), activation="tanh"),
+        ModelSpec(layer_sizes=(3, 4, 2), activation="relu"),
+    ], ids=["tanh-3-4-1", "relu-3-4-2"])
+    def test_refused_off_a_linear_unit(self, spec):
+        # The identity behind the term holds for one linear output unit only.
+        p = init_params(spec, RngStream(3))
+        x = RngStream(4).normal(0.0, 1.0, 6).reshape(2, 3)
+        with pytest.raises(ValueError, match="single linear output unit"):
+            pdp_penalty(p, x, 0.1)
+        with pytest.raises(ValueError, match="single linear output unit"):
+            pdp_grad(p, x, 0.1)
+        data = Dataset(x, np.zeros((2, spec.output_dim)))
+        with pytest.raises(ValueError, match="single linear output unit"):
+            train(spec, data, TrainConfig(eta=0.05, reg=RegSpec(kappa=0.1)))
 
     def test_one_row_per_example(self):
-        spec = ModelSpec(layer_sizes=(2, 3, 1), activation="tanh")
-        p = ParameterSet(spec, RngStream(3).normal(0.0, 1.0, 13))
+        spec = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=True)
+        p = ParameterSet(spec, RngStream(3).normal(0.0, 1.0, 3))
         x = RngStream(4).normal(0.0, 1.0, 10).reshape(5, 2)
         penalties = pdp_penalty(p, x, 0.3)
         grads = pdp_grad(p, x, 0.3)
-        assert penalties.shape == (5,) and grads.shape == (5, 13)
+        assert penalties.shape == (5,) and grads.shape == (5, 3)
         for i in range(5):
             assert pdp_penalty(p, x[i:i + 1], 0.3)[0] == penalties[i]
             assert np.array_equal(pdp_grad(p, x[i:i + 1], 0.3)[0], grads[i])
@@ -135,29 +142,11 @@ class TestPdp:
 
 class TestCombined:
     def test_hand_case(self):
+        # the sum mechanism_step adds: 2*(lam + kappa*x_i^2)*theta_i
         p = linear_params([1.0, 2.0])
         x = row(3.0, 1.0)
-        out = combined_grad(p, x, 0.05, 0.1, np.zeros(2))
+        out = l2_grad(p, 0.05) + pdp_grad(p, x, 0.1)
         assert np.allclose(out, [[1.9, 0.6]])
-
-    def test_reduces_to_pdp_when_lam_zero(self):
-        p = linear_params([0.4, -0.9])
-        x = row(1.0, 2.0)
-        base = np.array([0.3, -0.2])
-        out = combined_grad(p, x, 0.0, 0.25, base)
-        assert np.allclose(out, base + pdp_grad(p, x, 0.25))
-
-    def test_reduces_to_l2_when_kappa_zero(self):
-        p = linear_params([0.4, -0.9])
-        x = row(1.0, 2.0)
-        base = np.array([0.3, -0.2])
-        out = combined_grad(p, x, 0.07, 0.0, base)
-        assert np.allclose(out, base + l2_grad(p, 0.07))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            combined_grad(linear_params([1.0, 2.0]), row(1.0, 2.0),
-                          0.1, 0.1, np.zeros(3))
 
 
 class TestGradientsAgainstFiniteDifferences:
