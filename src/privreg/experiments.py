@@ -4,8 +4,9 @@ One JSON config file drives every subcommand; unknown fields are rejected
 so typos cannot silently change a run.  Results land as CSV rows with the
 fixed header ``experiment_id,mechanism,metric,value,stderr,seed`` (UTF-8,
 LF, 17 significant digits) next to a JSON manifest recording the config
-hash, seeds, library versions and the run's telemetry (seconds per phase,
-peak RSS, failed checks).  Reruns of the same config produce
+hash, seeds, library versions, the CSV's row count and the run's
+telemetry (seconds per phase for train and verify, peak RSS, failed
+checks).  Reruns of the same config produce
 byte-identical CSVs; only the manifest's timestamp and telemetry differ.
 
 Metric vocabulary by subcommand:
@@ -484,10 +485,8 @@ def _check_model_use(config: ExperimentConfig, command: str) -> None:
                           "every dataset has one target column")
     if command == "attack":
         if not config.model.is_linear_unit:
-            if len(sizes) != 2:
-                raise ConfigError(f"field 'model.layer_sizes' must be [d, 1] for attack, "
-                                  f"got {list(sizes)}: the inversions need one linear unit")
-            raise ConfigError("field 'model.activation' must be 'identity' for attack")
+            raise ConfigError(f"field 'model.layer_sizes' must be [d, 1] for attack, "
+                              f"got {list(sizes)}: the inversions need one linear unit")
         if not config.model.include_bias:
             raise ConfigError("field 'model.include_bias' must be true for attack: "
                               "closed-form inversion divides by the bias gradient")
@@ -573,8 +572,10 @@ class RunTelemetry:
 
 
 def _cmd_train(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
-    data = _load_data(config, "train")
-    report = train(config.model, data, config.train)
+    with telemetry.phase("load_data"):
+        data = _load_data(config, "train")
+    with telemetry.phase("train"):
+        report = train(config.model, data, config.train)
     mech = mechanism_label(config.train.noise, config.train.reg)
     seed = config.train.seed
     rows = [ResultRow(config.experiment_id, mech, "epoch_loss", loss, None, seed)
@@ -852,10 +853,10 @@ _COMMAND_IMPLS = {
 
 
 def _write_manifest(path: Path, config: ExperimentConfig, command: str,
-                    telemetry: RunTelemetry) -> None:
-    """The run's record beside its CSV: config hash, seeds, versions, and
-    telemetry (seconds per phase, the process's peak RSS so far, failed
-    checks), which only the manifest carries."""
+                    telemetry: RunTelemetry, rows: int) -> None:
+    """The run's record beside its CSV: config hash, seeds, versions, the
+    CSV's row count, and telemetry (seconds per phase, the process's peak
+    RSS so far, failed checks), which only the manifest carries."""
     canonical = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
     manifest = {
         "experiment_id": config.experiment_id,
@@ -869,6 +870,7 @@ def _write_manifest(path: Path, config: ExperimentConfig, command: str,
             "python": sys.version.split()[0],
         },
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        "rows": rows,
         "timings": telemetry.timings,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "failed_checks": [list(check) for check in telemetry.failed_checks],
@@ -916,7 +918,8 @@ def run(command: str, config_path: str | Path, out_dir: str | None = None,
         telemetry = RunTelemetry()
         rows = _COMMAND_IMPLS[command](config, telemetry)
         write_result_rows(directory / f"{command}_results.csv", rows)
-        _write_manifest(directory / f"{command}_manifest.json", config, command, telemetry)
+        _write_manifest(directory / f"{command}_manifest.json", config, command, telemetry,
+                        len(rows))
     except Exception as exc:  # noqa: BLE001  (boundary: report and signal failure)
         print(_error_report(type(exc).__name__, str(exc)), file=sys.stderr)
         # A ConfigError here comes from an input file the config names.

@@ -20,7 +20,6 @@ row as np.dot does.  A plain (B, d) @ W.T would sum in another order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,12 +29,31 @@ ACTIVATIONS = ("identity", "tanh", "relu")
 
 
 @dataclass(frozen=True)
+class LayerSlices:
+    weights: slice
+    bias: slice | None
+    fan_in: int
+    fan_out: int
+
+    def weight_matrix(self, flat: np.ndarray) -> np.ndarray:
+        """This layer's (fan_out, fan_in) weight view of a flat vector."""
+        return flat[self.weights].reshape(self.fan_out, self.fan_in)
+
+
+@dataclass(frozen=True)
 class ModelSpec:
-    """Architecture: layer sizes (input first), hidden activation, bias flag."""
+    """Architecture: layer sizes (input first), hidden activation, bias flag.
+
+    `layout` (flat-vector slices for each layer's weight and bias blocks) and
+    `n_params` are worked out once, when the spec is made, so the passes
+    read them without hashing or comparing the spec.
+    """
 
     layer_sizes: tuple[int, ...]
     activation: str = "identity"
     include_bias: bool = True
+    layout: tuple[LayerSlices, ...] = field(init=False, repr=False, compare=False)
+    n_params: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(isinstance(s, bool) or not isinstance(s, (int, np.integer))
@@ -49,6 +67,18 @@ class ModelSpec:
             raise ValueError(f"all layer sizes must be >= 1, got {sizes}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        slices = []
+        offset = 0
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            w = slice(offset, offset + fan_in * fan_out)
+            offset = w.stop
+            b = None
+            if self.include_bias:
+                b = slice(offset, offset + fan_out)
+                offset = b.stop
+            slices.append(LayerSlices(weights=w, bias=b, fan_in=fan_in, fan_out=fan_out))
+        object.__setattr__(self, "layout", tuple(slices))
+        object.__setattr__(self, "n_params", offset)
 
     @property
     def n_layers(self) -> int:
@@ -64,10 +94,11 @@ class ModelSpec:
 
     @property
     def is_linear_unit(self) -> bool:
-        """One affine layer to one output, no activation: the only model for
-        which the paper's penalty identities, the oracle's closed forms and
-        the gradient inversions hold."""
-        return self.n_layers == 1 and self.output_dim == 1 and self.activation == "identity"
+        """One affine layer to one output: the only model for which the
+        paper's penalty identities, the oracle's closed forms and the
+        gradient inversions hold.  The activation plays no part, as it
+        applies to hidden layers only and the output layer is linear."""
+        return self.n_layers == 1 and self.output_dim == 1
 
 
 def linear_unit_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
@@ -76,47 +107,13 @@ def linear_unit_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     Raises ValueError for any model that is not a linear unit."""
     if not spec.is_linear_unit:
         raise ValueError(f"a single linear output unit is needed, got layer sizes "
-                         f"{spec.layer_sizes} with activation {spec.activation!r}")
+                         f"{spec.layer_sizes}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"input batch has shape {x.shape}, expected (B, {spec.input_dim})")
     if not spec.include_bias:
         return x
     return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
-
-
-@dataclass(frozen=True)
-class LayerSlices:
-    weights: slice
-    bias: slice | None
-    fan_in: int
-    fan_out: int
-
-    def weight_matrix(self, flat: np.ndarray) -> np.ndarray:
-        """This layer's (fan_out, fan_in) weight view of a flat vector."""
-        return flat[self.weights].reshape(self.fan_out, self.fan_in)
-
-
-@lru_cache(maxsize=None)
-def layout(spec: ModelSpec) -> tuple[LayerSlices, ...]:
-    """Flat-vector slices for each layer's weight block and bias block."""
-    slices = []
-    offset = 0
-    for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
-        w = slice(offset, offset + fan_in * fan_out)
-        offset = w.stop
-        b = None
-        if spec.include_bias:
-            b = slice(offset, offset + fan_out)
-            offset = b.stop
-        slices.append(LayerSlices(weights=w, bias=b, fan_in=fan_in, fan_out=fan_out))
-    return tuple(slices)
-
-
-@lru_cache(maxsize=None)
-def n_params(spec: ModelSpec) -> int:
-    last = layout(spec)[-1]
-    return (last.bias or last.weights).stop
 
 
 class NonFiniteParametersError(ValueError):
@@ -132,17 +129,17 @@ class ParameterSet:
 
     def __post_init__(self):
         self.flat = np.asarray(self.flat, dtype=np.float64).ravel()
-        expected = n_params(self.spec)
+        expected = self.spec.n_params
         if self.flat.size != expected:
             raise ValueError(f"expected {expected} parameters, got {self.flat.size}")
         if not np.isfinite(self.flat).all():
             raise NonFiniteParametersError("parameters must be finite")
 
     def weights(self, layer: int) -> np.ndarray:
-        return layout(self.spec)[layer].weight_matrix(self.flat)
+        return self.spec.layout[layer].weight_matrix(self.flat)
 
     def bias(self, layer: int) -> np.ndarray | None:
-        ls = layout(self.spec)[layer]
+        ls = self.spec.layout[layer]
         return None if ls.bias is None else self.flat[ls.bias]
 
     def copy(self) -> "ParameterSet":
@@ -191,8 +188,8 @@ def init_params(spec: ModelSpec, rng: RngStream) -> ParameterSet:
     Keeps early training near the linear regime and avoids an all-zero
     vector, which would silence parameter-proportional noise entirely.
     """
-    flat = np.empty(n_params(spec))
-    for ls in layout(spec):
+    flat = np.empty(spec.n_params)
+    for ls in spec.layout:
         r = 1.0 / np.sqrt(ls.fan_in)
         width = ls.weights.stop - ls.weights.start
         flat[ls.weights] = rng.uniform(width) * (2.0 * r) - r
@@ -224,14 +221,14 @@ def _matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def forward(spec: ModelSpec, params: ParameterSet, x: np.ndarray) -> ForwardTrace:
     """Run the network on a (B, d) batch, keeping every intermediate value."""
-    if params.spec != spec:
+    if params.spec is not spec and params.spec != spec:
         raise ValueError("parameters were built for a different architecture")
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != spec.input_dim:
         raise ValueError(f"input batch has shape {a.shape}, expected (B, {spec.input_dim})")
     if a.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    layers = layout(spec)
+    layers = spec.layout
     trace = ForwardTrace()
     for layer, ls in enumerate(layers):
         z = _matvec(ls.weight_matrix(params.flat), a)
@@ -261,7 +258,7 @@ def backward(spec: ModelSpec, params: ParameterSet, trace: ForwardTrace,
     """Exact per-example gradients of quadratic_loss(output, t) w.r.t. the
     flat parameters: row i of the (B, P) result belongs to example i, and
     their mean is the gradient of the mean batch loss."""
-    layers = layout(spec)
+    layers = spec.layout
     if len(trace.pre) != len(layers) or len(trace.inputs) != len(layers):
         raise ValueError("trace depth does not match the architecture")
     t = np.asarray(t, dtype=np.float64)
@@ -272,7 +269,7 @@ def backward(spec: ModelSpec, params: ParameterSet, trace: ForwardTrace,
         raise ValueError("trace input dimension does not match the architecture")
 
     batch = y.shape[0]
-    grad = np.empty((batch, n_params(spec)))
+    grad = np.empty((batch, spec.n_params))
     delta = 2.0 * (y - t)  # output layer is linear
     for layer in range(len(layers) - 1, -1, -1):
         ls = layers[layer]

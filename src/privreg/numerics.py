@@ -44,8 +44,12 @@ class RngStream:
         """n draws from N(mean, std^2) via Box-Muller.
 
         std == 0 returns the constant `mean` without consuming draws.
-        Calls with even n compose: k calls of size m consume the same
-        uniforms as one call of size k*m and yield the same values.
+        Box-Muller turns uniforms into deviates two at a time, so an odd n
+        consumes n + 1 uniforms and drops the last deviate: a call of size
+        n draws exactly what a call of size n + n % 2 draws and returns its
+        first n values.  Calls therefore compose: k calls of an even size m
+        consume the same uniforms as one call of size k*m and yield the
+        same values, and normal_rows pads an odd size to compose as well.
         """
         if std < 0:
             raise ValueError(f"std must be nonnegative, got {std}")
@@ -60,6 +64,14 @@ class RngStream:
             out *= float(std)
         out += float(mean)
         return out[:n] if n % 2 else out
+
+    def normal_rows(self, rows: int, width: int) -> np.ndarray:
+        """A (rows, width) block of standard normals, drawn in one call,
+        whose row i holds the bits of the i-th of `rows` successive
+        normal(0, 1, width) calls.  Each row is drawn width + width % 2
+        wide, as such a call draws, and the pad column is dropped."""
+        padded = width + width % 2
+        return self.normal(0.0, 1.0, rows * padded).reshape(rows, padded)[:, :width]
 
     def _box_muller(self, out: np.ndarray) -> None:
         """Fill the even-length `out` with standard normals, in place.

@@ -25,19 +25,23 @@ how the oracle samples many noisy steps from one starting point.
 
 A run is deterministic given its seed.  Three fixed substreams are used:
 STREAM_INIT for parameter init, STREAM_SHUFFLE for epoch permutations,
-STREAM_NOISE for gradient noise.
+STREAM_NOISE for gradient noise.  train() draws its noise in blocks of
+about NOISE_BLOCK normals, one call per block rather than one per step;
+RngStream.normal_rows pads each row as a per-step call would, so step s
+gets the bits it would get from the s-th of one draw per step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .model import (Dataset, ModelSpec, NonFiniteParametersError, ParameterSet,
-                    backward, forward, init_params, quadratic_loss)
+from .model import (Dataset, ModelSpec, ParameterSet, backward, forward,
+                    init_params, quadratic_loss)
 from .numerics import RngStream
 from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
                            pdp_grad, pdp_penalty)
@@ -47,6 +51,11 @@ NOISE_MODES = ("none", "iid", "proportional")
 STREAM_INIT = 0
 STREAM_SHUFFLE = 1
 STREAM_NOISE = 2
+
+# Standard normals per block of train()'s noise draws: a block holds
+# NOISE_BLOCK // P whole (P,) rows (at least one), so a run makes one
+# RngStream.normal call per block instead of one per step.
+NOISE_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -64,6 +73,11 @@ class NoiseSpec:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if self.clip_c is not None and not self.clip_c > 0:
             raise ValueError(f"clip_c must be positive, got {self.clip_c}")
+
+    @property
+    def adds_noise(self) -> bool:
+        """Whether a step draws and adds noise: mode "none" and sigma 0 do not."""
+        return self.mode != "none" and self.sigma > 0
 
 
 @dataclass(frozen=True)
@@ -142,8 +156,9 @@ def gradient_noise(noise: NoiseSpec, rng: RngStream,
                    shape: tuple[int, ...]) -> np.ndarray | None:
     """Standard normals of the given shape for mechanism_step to scale, or
     None when the mechanism adds no noise (mode "none" or sigma 0) and so
-    draws nothing.  train() draws one (P,) row per batch."""
-    if noise.mode == "none" or noise.sigma == 0:
+    draws nothing.  train() takes the bits of one (P,) call per batch from
+    blocks drawn by _noise_rows."""
+    if not noise.adds_noise:
         return None
     return rng.normal(0.0, 1.0, math.prod(shape)).reshape(shape)
 
@@ -234,8 +249,18 @@ def dataset_loss(spec: ModelSpec, params: ParameterSet, data: Dataset,
     return float(np.mean(losses))
 
 
-def _batched(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    return [order[i:i + batch_size] for i in range(0, order.size, batch_size)]
+def _noise_rows(noise: NoiseSpec, rng: RngStream, steps: int,
+                width: int) -> Iterator[np.ndarray | None]:
+    """train()'s noise, one (width,) row per step, or None per step when
+    the mechanism adds none.  Row s holds the bits of the s-th of `steps`
+    gradient_noise(noise, rng, (width,)) calls; the rows are drawn lazily,
+    a block of about NOISE_BLOCK normals at a time (RngStream.normal_rows)."""
+    if not noise.adds_noise:
+        return itertools.repeat(None, steps)
+    per_block = max(1, NOISE_BLOCK // width)
+    return itertools.chain.from_iterable(
+        rng.normal_rows(min(per_block, steps - start), width)
+        for start in range(0, steps, per_block))
 
 
 # Divergence is raised naming where it happened; numpy's overflow warnings
@@ -246,8 +271,9 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
     """Run the configured mechanism and report per-epoch losses.
 
     Deterministic given config.seed: one full shuffle per epoch from the
-    shuffle stream, the last partial batch kept, and one noise draw per
-    batch applied to the averaged gradient.  Proportional noise scales
+    shuffle stream, the last partial batch kept, and one (P,) noise row per
+    batch applied to the averaged gradient (drawn in blocks, with the bits
+    of one draw per batch).  Proportional noise scales
     with the pre-update parameters.  Pass `init` to start from explicit
     parameters instead of the seeded default.  Raises
     TrainingDivergedError, naming the epoch, step and mechanism, when the
@@ -262,8 +288,11 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
 
     noise = config.noise
     reg = config.reg
+    n = len(data)
     shuffle_rng = RngStream(config.seed, STREAM_SHUFFLE)
-    noise_rng = RngStream(config.seed, STREAM_NOISE)
+    noise_rows = _noise_rows(noise, RngStream(config.seed, STREAM_NOISE),
+                             config.epochs * -(-n // config.batch_size), spec.n_params)
+    # One ParameterSet for the run, its flat vector rebound after each step.
     params = init.copy() if init is not None else initial_params_for(spec, config)
 
     def diverged(epoch: int, step: int, what: str) -> TrainingDivergedError:
@@ -275,20 +304,18 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
     epoch_losses: list[float] = []
     step = 0
     for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(data))
-        for batch_idx in _batched(order, config.batch_size):
-            eta = config.eta_at(step)
-            z = gradient_noise(noise, noise_rng, params.flat.shape)
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch_idx = order[start:start + config.batch_size]
             taken = mechanism_step(spec, params, data.x[batch_idx], data.t[batch_idx],
-                                   eta, noise, reg, z)
+                                   config.eta_at(step), noise, reg, next(noise_rows))
             if records is not None:
                 records.append(GradientRecord(step=step, clean=taken.clean.copy(),
                                               noisy=taken.noisy.copy(),
                                               batch_indices=batch_idx.copy()))
-            try:
-                params = ParameterSet(spec, taken.params)
-            except NonFiniteParametersError:
-                raise diverged(epoch, step, "the parameters") from None
+            if not np.isfinite(taken.params).all():
+                raise diverged(epoch, step, "the parameters")
+            params.flat = taken.params
             step += 1
 
         kappa = reg.kappa

@@ -13,8 +13,9 @@ import numpy as np
 
 from privreg.attack import (cosine_similarity, invert_gradient_iterative,
                             invert_linear_gradient, leakage_sweep)
-from privreg.experiments import (RunTelemetry, _cmd_verify, generate_dataset,
-                                 parse_config, run, write_result_rows)
+from privreg.experiments import (RunTelemetry, _cmd_train, _cmd_verify,
+                                 generate_dataset, parse_config, run,
+                                 write_result_rows)
 from privreg.model import (Dataset, ModelSpec, ParameterSet, backward,
                            forward, init_params)
 from privreg.numerics import RngStream
@@ -316,3 +317,33 @@ def test_c9_telemetry_leaves_csv_bytes_unchanged(tmp_path):
            and header == b"experiment_id,mechanism,metric,value,stderr,seed",
            f"{len(rows_only)} CSV bytes identical over 2 reruns and the rows alone; "
            f"manifest phases {sorted(manifests[0]['timings'])}")
+
+
+def test_c9_train_telemetry_leaves_csv_bytes_unchanged(tmp_path):
+    """train's telemetry (phase timings, row count, peak RSS) goes to the
+    manifest only: rerun after rerun the CSV holds exactly the bytes of its
+    result rows."""
+    cfg = {"experiment_id": "acc",
+           "model": {"layer_sizes": [5, 16, 1], "activation": "tanh"},
+           "data": {"kind": "noisy_linear", "n": 60, "d": 5, "noise_level": 0.2,
+                    "seed": 995},
+           "train": {"eta": 0.05, "batch_size": 1, "epochs": 4, "seed": 996,
+                     "noise": {"mode": "proportional", "sigma": 0.5}},
+           "output": {"directory": str(tmp_path / "out")}}
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(cfg))
+    csvs, manifests = [], []
+    for _ in range(2):
+        assert run("train", cfg_path) == 0
+        csvs.append((tmp_path / "out" / "train_results.csv").read_bytes())
+        manifests.append(json.loads((tmp_path / "out" / "train_manifest.json").read_text()))
+    rows = _cmd_train(parse_config(cfg, "train"), RunTelemetry())
+    write_result_rows(tmp_path / "rows.csv", rows)
+    rows_only = (tmp_path / "rows.csv").read_bytes()
+    telemetry_keys = all(set(m["timings"]) == {"load_data", "train"}
+                         and m["rows"] == len(rows) and m["peak_rss_mb"] > 0
+                         and m["failed_checks"] == [] for m in manifests)
+    report("C9 train telemetry stays out of the CSV",
+           csvs[0] == csvs[1] == rows_only and telemetry_keys,
+           f"{len(rows_only)} CSV bytes identical over 2 reruns and the rows alone; "
+           f"{len(rows)} rows; manifest phases {sorted(manifests[0]['timings'])}")

@@ -476,6 +476,47 @@ class TestCli:
         assert cli_main(["train", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "train_results.csv").exists()
 
+    @pytest.mark.parametrize("command,changes", [
+        ("attack", {}),
+        ("train", {"train.reg": {"kappa": 0.1}}),
+        ("train", {"train.noise.sigma": 0.5, "train.reg": {"kappa_mode": "derived"}}),
+    ], ids=["attack", "train-kappa", "train-derived"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_one_layer_model_of_any_activation_is_a_linear_unit(self, tmp_path, command,
+                                                                changes, activation):
+        # The activation applies to hidden layers only, so on [d, 1] it changes
+        # nothing: the run is accepted and writes the identity model's bytes.
+        csvs = []
+        for name in ("identity", activation):
+            cfg = SMALL_CONFIGS[command](tmp_path / name)
+            for path, value in changes.items():
+                _set(cfg, path, value)
+            cfg["model"]["activation"] = name
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            assert run(command, cfg_path) == 0
+            csvs.append((tmp_path / name / "out" / f"{command}_results.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_train_manifest_carries_phases_and_rows(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_train_config(tmp_path / "out")))
+        assert run("train", cfg_path) == 0
+        manifest = json.loads((tmp_path / "out" / "train_manifest.json").read_text())
+        assert set(manifest["timings"]) == {"load_data", "train"}
+        assert all(seconds >= 0 for seconds in manifest["timings"].values())
+        assert manifest["rows"] == 3 + 2  # one epoch_loss per epoch, final loss and norm
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_manifest_counts_its_csv_rows(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIGS[command](tmp_path)))
+        assert run(command, cfg_path) == 0
+        csv_lines = (tmp_path / "out" / f"{command}_results.csv").read_text().splitlines()
+        manifest = json.loads((tmp_path / "out" / f"{command}_manifest.json").read_text())
+        assert manifest["rows"] == len(csv_lines) - 1 > 0
+
     def test_cli_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
             cli_main(["tune", "--config", "x.json"])
@@ -551,7 +592,6 @@ BOUNDARY_PROBES = [
     _probe("attack-hidden-layer", "attack", {"model.layer_sizes": [3, 4, 1]},
            "model.layer_sizes"),
     _probe("attack-no-bias", "attack", {"model.include_bias": False}, "model.include_bias"),
-    _probe("attack-tanh", "attack", {"model.activation": "tanh"}, "model.activation"),
     _probe("membership-one-row", "attack", {"attack.membership": True, "data.n": 1},
            "attack.membership", "data.n"),
     _probe("file-d-mismatch", "train", {"data": {"path": "data.csv"}},

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from privreg.model import (Dataset, ModelSpec, ParameterSet, backward, forward,
-                           init_params, quadratic_loss)
+                           init_params, linear_unit_features, quadratic_loss)
 from privreg.numerics import RngStream
 from privreg.oracle import backprop_grad_check
 
@@ -48,6 +50,38 @@ class TestForward:
             forward(LINEAR2, params([1.0, 2.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             forward(LINEAR2, params([1.0, 2.0]), np.empty((0, 2)))
+
+    def test_equal_spec_accepted_other_spec_rejected(self):
+        spec = ModelSpec(layer_sizes=(3, 4, 1), activation="tanh")
+        p = init_params(spec, RngStream(4))
+        twin = ModelSpec(layer_sizes=(3, 4, 1), activation="tanh")
+        assert twin is not spec
+        x = row(0.1, -0.2, 0.5)
+        assert np.array_equal(forward(twin, p, x).output, forward(spec, p, x).output)
+        with pytest.raises(ValueError, match="different architecture"):
+            forward(ModelSpec(layer_sizes=(3, 4, 1), activation="relu"), p, x)
+
+
+class TestLinearUnit:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_activation_is_never_applied_on_one_layer(self, activation, bias):
+        identity = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=bias)
+        other = ModelSpec(layer_sizes=(3, 1), activation=activation, include_bias=bias)
+        theta = init_params(identity, RngStream(6)).flat * 40.0  # outputs far past tanh's knee
+        x = RngStream(7).normal(0.0, 3.0, 5 * 3).reshape(5, 3)
+        got = forward(other, ParameterSet(other, theta), x).output
+        assert np.array_equal(got, forward(identity, ParameterSet(identity, theta), x).output)
+        assert np.abs(got).max() > 2.0 and got.min() < 0.0
+        assert other.is_linear_unit
+        assert np.array_equal(linear_unit_features(other, x), linear_unit_features(identity, x))
+
+    @pytest.mark.parametrize("sizes", [(3, 4, 1), (3, 2)])
+    def test_hidden_layer_or_two_outputs_is_not_one(self, sizes):
+        spec = ModelSpec(layer_sizes=sizes)
+        assert not spec.is_linear_unit
+        with pytest.raises(ValueError, match="single linear output unit"):
+            linear_unit_features(spec, np.ones((1, 3)))
 
 
 class TestQuadraticLoss:
@@ -262,6 +296,21 @@ class TestStructures:
             Dataset(np.ones(3), np.zeros((1, 1)))
         with pytest.raises(ValueError):
             Dataset(np.ones((4, 3)), np.zeros(4))
+
+    @pytest.mark.parametrize("sizes,bias,expected", [((2, 3, 1), True, 13), ((4, 1), False, 4),
+                                                     ((5, 16, 1), True, 113)])
+    def test_layout_is_worked_out_once(self, sizes, bias, expected):
+        spec = ModelSpec(layer_sizes=sizes, activation="tanh", include_bias=bias)
+        assert spec.n_params == expected
+        assert spec.layout is spec.layout and len(spec.layout) == len(sizes) - 1
+        last = spec.layout[-1]
+        assert (last.bias or last.weights).stop == expected
+        twin = ModelSpec(layer_sizes=list(sizes), activation="tanh", include_bias=bias)
+        assert twin == spec and hash(twin) == hash(spec)
+        assert "layout" not in repr(spec)
+        other = replace(spec, include_bias=not bias)
+        assert other != spec
+        assert other.n_params == expected + (-1 if bias else 1) * sum(sizes[1:])
 
     def test_model_spec_validation(self):
         with pytest.raises(ValueError):

@@ -116,6 +116,24 @@ class TestChunkedBoxMuller:
         assert np.concatenate(parts).tobytes() == joined.tobytes()
 
 
+class TestNormalRows:
+    @pytest.mark.parametrize("width", range(1, 10))
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_rows_are_the_bits_of_one_call_per_row(self, rows, width):
+        block_rng, per_call = RngStream(35, 2), RngStream(35, 2)
+        block = block_rng.normal_rows(rows, width)
+        assert block.shape == (rows, width)
+        for row in block:
+            assert row.tobytes() == per_call.normal(0.0, 1.0, width).tobytes()
+        # both streams stand at the same place afterwards
+        assert block_rng.normal(0.0, 1.0, 3).tobytes() == per_call.normal(0.0, 1.0, 3).tobytes()
+
+    def test_odd_call_consumes_the_next_even_count(self):
+        odd, even = RngStream(36), RngStream(36)
+        assert odd.normal(0.0, 1.0, 5).tobytes() == even.normal(0.0, 1.0, 6)[:5].tobytes()
+        assert odd.normal(0.0, 1.0, 4).tobytes() == even.normal(0.0, 1.0, 4).tobytes()
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_reproducibility_across_stream_reconstruction(seed):

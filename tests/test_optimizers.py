@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from privreg.experiments import generate_dataset
-from privreg.model import Dataset, ModelSpec, ParameterSet, forward, layout, n_params
+from privreg.model import Dataset, ModelSpec, ParameterSet, forward
 from privreg.numerics import RngStream
-from privreg.optimizers import (STREAM_NOISE, STREAM_SHUFFLE, NoiseSpec,
-                                TrainConfig, clip_gradient, dataset_loss,
-                                gradient_noise, initial_params_for,
-                                mechanism_step, train)
+from privreg.optimizers import (NOISE_BLOCK, STREAM_NOISE, STREAM_SHUFFLE,
+                                NoiseSpec, TrainConfig, TrainingDivergedError,
+                                clip_gradient, dataset_loss, gradient_noise,
+                                initial_params_for, mechanism_step, train)
 from privreg.oracle import regularized_least_squares_oracle
 from privreg.regularizers import RegSpec, dp_input_penalty
 
 LINEAR2 = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=False)
+LINEAR3 = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
 
 
 class TestClipGradient:
@@ -154,12 +155,12 @@ class TestSgdStep:
         # R batches from one start give, row by row, the bits of R single steps
         rng = RngStream(58)
         spec = ModelSpec(layer_sizes=(3, 4, 1), activation="tanh")
-        p = ParameterSet(spec, rng.normal(0.0, 1.0, n_params(spec)))
+        p = ParameterSet(spec, rng.normal(0.0, 1.0, spec.n_params))
         x = rng.normal(0.0, 1.0, 5 * 6 * 3).reshape(5, 6, 3)
         t = rng.normal(0.0, 1.0, 5 * 6).reshape(5, 6, 1)
         noise = NoiseSpec(mode="proportional", sigma=0.4, clip_c=0.8)
         reg = RegSpec(lam=0.01)
-        z = gradient_noise(noise, rng, (5, n_params(spec)))
+        z = gradient_noise(noise, rng, (5, spec.n_params))
         batched = mechanism_step(spec, p, x, t, 0.05, noise, reg, z)
         for r in range(5):
             single = mechanism_step(spec, p, x[r], t[r], 0.05, noise, reg, z[r])
@@ -333,6 +334,86 @@ class TestTrain:
             dataset_loss(spec, report.final_params, data), abs=1e-15)
 
 
+class TestNoiseBlocks:
+    """train() draws its noise in blocks; each step's row must still hold
+    the bits of one normal(0, 1, P) call per step on the noise stream."""
+
+    @pytest.mark.parametrize("spec,batch_size", [
+        (ModelSpec(layer_sizes=(5, 16, 1), activation="tanh"), 1),      # P = 113
+        (ModelSpec(layer_sizes=(5, 16, 1), activation="tanh"), 7),
+        (ModelSpec(layer_sizes=(5, 1), include_bias=False), 1),         # P = 5
+        (ModelSpec(layer_sizes=(5, 1), include_bias=True), 3),          # P = 6
+    ], ids=["P113-batch1", "P113-batch7", "P5-batch1", "P6-batch3"])
+    def test_rows_match_one_draw_per_step(self, spec, batch_size):
+        n, sigma = 20, 0.3
+        per_block = NOISE_BLOCK // spec.n_params
+        steps_per_epoch = -(-n // batch_size)
+        epochs = -(-(3 * per_block + 5) // steps_per_epoch)  # past 3 block boundaries
+        rng = RngStream(59, spec.n_params)
+        data = Dataset(rng.normal(0.0, 1.0, n * 5).reshape(n, 5),
+                       rng.normal(0.0, 1.0, n).reshape(n, 1))
+        config = TrainConfig(eta=1e-3, batch_size=batch_size, epochs=epochs, seed=61,
+                             noise=NoiseSpec(mode="iid", sigma=sigma, clip_c=1.0),
+                             record_gradients=True)
+        records = train(spec, data, config).records
+        assert len(records) == epochs * steps_per_epoch > 3 * per_block
+        per_step = RngStream(config.seed, STREAM_NOISE)
+        for record in records:
+            z = per_step.normal(0.0, 1.0, spec.n_params)
+            assert np.array_equal(record.noisy, sigma * z + record.clean)
+
+    @pytest.mark.parametrize("noise", [NoiseSpec(mode="none", sigma=0.5),
+                                       NoiseSpec(mode="iid", sigma=0.0)])
+    def test_noiseless_mechanisms_draw_nothing(self, monkeypatch, noise):
+        data = small_dataset(n=6)
+
+        def no_draws(*args):
+            raise AssertionError("a noiseless run drew normals")
+        monkeypatch.setattr(RngStream, "normal", no_draws)
+        config = TrainConfig(eta=0.05, epochs=2, seed=4, noise=noise, record_gradients=True)
+        report = train(LINEAR3, data, config)
+        assert all(np.array_equal(r.noisy, r.clean) for r in report.records)
+
+
+class TestOneParameterSetPerRun:
+    def test_caller_init_is_not_aliased(self):
+        init = ParameterSet(LINEAR3, np.array([0.1, -0.2, 0.3]))
+        before = init.flat.copy()
+        report = train(LINEAR3, small_dataset(), TrainConfig(eta=0.05, epochs=2, seed=5),
+                       init=init)
+        assert np.array_equal(init.flat, before)
+        assert report.final_params is not init
+        assert not np.shares_memory(report.final_params.flat, init.flat)
+
+    @pytest.mark.parametrize("eta,step", [(1e200, 1), (1e150, 2), (1e100, 3)])
+    def test_divergence_names_epoch_and_step(self, eta, step):
+        config = TrainConfig(eta=eta, epochs=3, seed=6)
+        with pytest.raises(TrainingDivergedError, match=rf"epoch 1 of 3 at step {step} "
+                                                        r"under noise=none.*the parameters"):
+            train(LINEAR3, small_dataset(), config)
+
+
+class TestOneLayerActivation:
+    """On one layer the activation is never applied (the output layer is
+    linear), so a (3, 1) tanh or relu model is a linear unit."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("reg", [RegSpec(kappa=0.2), RegSpec(lam=0.01, kappa_mode="derived")],
+                             ids=["kappa", "derived"])
+    def test_pdp_training_matches_the_identity_model(self, activation, reg):
+        data = small_dataset(seed=12, n=15, noise=0.1)
+        identity = ModelSpec(layer_sizes=(3, 1), activation="identity")
+        other = ModelSpec(layer_sizes=(3, 1), activation=activation)
+        config = TrainConfig(eta=0.05, batch_size=4, epochs=3, seed=8,
+                             noise=NoiseSpec(mode="none", sigma=0.5), reg=reg,
+                             record_gradients=True)
+        want = train(identity, data, config)
+        got = train(other, data, config)
+        assert got.epoch_losses == want.epoch_losses
+        assert np.array_equal(got.final_params.flat, want.final_params.flat)
+        assert all(np.array_equal(a.noisy, b.noisy) for a, b in zip(got.records, want.records))
+
+
 # --- reference: the one-example-at-a-time loop that train() batches -------
 
 
@@ -354,10 +435,10 @@ def _ref_forward(spec, params, x):
 
 
 def _ref_gradient(spec, params, inputs, pre, post, t):
-    grad = np.zeros(n_params(spec))
+    grad = np.zeros(spec.n_params)
     delta = 2.0 * (post[-1] - t)
     for layer in range(spec.n_layers - 1, -1, -1):
-        ls = layout(spec)[layer]
+        ls = spec.layout[layer]
         grad[ls.weights] = np.outer(delta, inputs[layer]).ravel()
         if ls.bias is not None:
             grad[ls.bias] = delta
