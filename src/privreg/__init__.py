@@ -26,9 +26,9 @@ from .optimizers import (GradientRecord, NoiseSpec, Step, TrainConfig,
 from .oracle import (IdentityCheck, McEstimate, ProductDensityReport,
                      analytic_post_update_loss, backprop_grad_check,
                      check_cross_term_vanishes, check_moment_identities,
-                     check_product_density, equivalence_chain_residuals,
-                     finite_difference_gradient, grad_check,
-                     mc_post_update_loss, post_update_identity_checks,
-                     random_linear_setups, regularized_least_squares_oracle)
+                     check_post_update_loss, check_product_density,
+                     equivalence_chain_residuals, finite_difference_gradient,
+                     grad_check, mc_post_update_loss, random_linear_setups,
+                     regularized_least_squares_oracle)
 from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
                            pdp_grad, pdp_penalty)

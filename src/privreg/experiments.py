@@ -5,8 +5,8 @@ so typos cannot silently change a run.  Results land as CSV rows with the
 fixed header ``experiment_id,mechanism,metric,value,stderr,seed`` (UTF-8,
 LF, 17 significant digits) next to a JSON manifest recording the config
 hash, seeds, library versions, the CSV's row count and the run's
-telemetry (seconds per phase for train and verify, peak RSS, failed
-checks).  Reruns of the same config produce
+telemetry (seconds per phase for train, verify and attack, verify's
+lanes, peak RSS, failed checks).  Reruns of the same config produce
 byte-identical CSVs; only the manifest's timestamp and telemetry differ.
 
 Metric vocabulary by subcommand:
@@ -40,6 +40,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Callable
@@ -54,11 +55,11 @@ from .numerics import RngStream
 from .optimizers import (NOISE_MODES, STREAM_NOISE, STREAM_SHUFFLE, NoiseSpec,
                          TrainConfig, gradient_noise, initial_params_for,
                          mechanism_label, mechanism_step, train)
-from .oracle import (DEFAULT_Z_THRESHOLD, backprop_grad_check,
-                     check_cross_term_vanishes, check_moment_identities,
+from .oracle import (DEFAULT_Z_THRESHOLD, IdentityCheck, LinearSetup,
+                     backprop_grad_check, check_cross_term_vanishes,
+                     check_moment_identities, check_post_update_loss,
                      check_product_density, equivalence_chain_residuals,
-                     grad_check, post_update_identity_checks,
-                     random_linear_setups)
+                     grad_check, random_linear_setups)
 from .regularizers import KAPPA_MODES, RegSpec, dp_input_penalty
 
 COMMANDS = ("train", "verify", "attack", "moments", "report")
@@ -551,11 +552,13 @@ def _load_data(config: ExperimentConfig, command: str) -> Dataset:
 
 class RunTelemetry:
     """What a run says about itself in its manifest, never in its CSV:
-    wall seconds per phase, and every failed check as (name, value, bound),
-    a check passing when value <= bound."""
+    wall seconds per phase, lanes per phase run in lanes (see _in_lanes),
+    and every failed check as (name, value, bound), a check passing when
+    value <= bound."""
 
     def __init__(self):
         self.timings: dict[str, float] = {}
+        self.lanes: dict[str, int] = {}
         self.failed_checks: list[tuple[str, float, float]] = []
 
     @contextmanager
@@ -620,6 +623,78 @@ def _cmd_moments(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resu
     return rows
 
 
+def _lane_count(jobs: int) -> int:
+    """Lanes for `jobs` jobs: one per CPU this process may run on, at most
+    one per job.  Where the platform has no sched_getaffinity (macOS,
+    Windows), every CPU counts."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(jobs, len(os.sched_getaffinity(0)))
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _in_lanes(jobs: list[Callable[[], object]]) -> list:
+    """Every job's result, in job order, from jobs run side by side.
+
+    A lane is the calling thread or one of _lane_count(len(jobs)) - 1 worker
+    threads.  Each lane takes the first job no lane has started and runs it
+    whole, then the next.  The jobs mapped here are Monte Carlo checks that
+    share no state (each draws from its own seeded stream) and spend their
+    time in numpy loops that release the GIL, so they overlap and return
+    the bits a serial run would.  Once a job raises, no lane starts
+    another, and the error raised is that of the lowest-numbered failed
+    job: every job before it ran, so it is the error a serial run meets.
+    """
+    workers = _lane_count(len(jobs)) - 1
+    if workers < 1:
+        return [job() for job in jobs]
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    results: list = [None] * len(jobs)
+    errors: dict[int, Exception] = {}
+    unstarted = iter(range(len(jobs)))
+    lock, stop = threading.Lock(), threading.Event()
+
+    def lane() -> None:
+        while not stop.is_set():
+            with lock:
+                i = next(unstarted, None)
+            if i is None:
+                return
+            try:
+                results[i] = jobs[i]()
+            except Exception as exc:  # noqa: BLE001  (re-raised below, in job order)
+                with lock:
+                    errors[i] = exc
+                stop.set()
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(lane) for _ in range(workers)]
+        try:
+            lane()
+        finally:
+            stop.set()  # an interrupt in this lane stops the others after their job
+        for future in futures:
+            future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _setup_checks(check: Callable[..., IdentityCheck], setups: list[LinearSetup],
+                  modes: tuple[str, ...], replicas: int, seed: int,
+                  threshold: float) -> dict[tuple[str, int], IdentityCheck]:
+    """check(params, x, t, eta, noise, replicas, seed + i, threshold) for
+    setup i under each noise mode, run in lanes, keyed (mode, i) in the
+    order mode by mode, then setup by setup."""
+    keys = [(mode, i) for mode in modes for i in range(len(setups))]
+    jobs = [partial(check, setups[i].params, setups[i].x, setups[i].t, setups[i].eta,
+                    NoiseSpec(mode=mode, sigma=setups[i].sigma), replicas, seed + i,
+                    threshold)
+            for mode, i in keys]
+    return dict(zip(keys, _in_lanes(jobs)))
+
+
 def _cmd_verify(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
     oc = config.oracle
     eid = config.experiment_id
@@ -629,28 +704,26 @@ def _cmd_verify(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
     # Expected post-update loss identities, both noise shapes.
     with phase("post_update_mc"):
         setups = random_linear_setups(oc.configs, oc.seed)
-        for mode in ("iid", "proportional"):
-            checks = post_update_identity_checks(setups, mode, oc.replicas,
-                                                 oc.seed + 1000, threshold=oc.threshold)
-            for check in checks:
-                rows.append(ResultRow(eid, mode, "post_update_loss_z", check.z, None,
-                                      check.estimate.seed))
-                rows.append(ResultRow(eid, mode, "post_update_loss_mc",
-                                      check.estimate.mean, check.estimate.stderr,
-                                      check.estimate.seed))
-                gate(check.name, abs(check.z), check.threshold)
+        checks = _setup_checks(check_post_update_loss, setups, ("iid", "proportional"),
+                               oc.replicas, oc.seed + 1000, oc.threshold)
+        telemetry.lanes["post_update_mc"] = _lane_count(len(checks))
+        for (mode, i), check in checks.items():
+            rows.append(ResultRow(eid, mode, "post_update_loss_z", check.z, None,
+                                  check.estimate.seed))
+            rows.append(ResultRow(eid, mode, "post_update_loss_mc",
+                                  check.estimate.mean, check.estimate.stderr,
+                                  check.estimate.seed))
+            gate(f"{check.name}[{i}]", abs(check.z), check.threshold)
 
     # Cross term has mean zero.
     with phase("cross_term"):
-        for mode in ("iid", "proportional"):
-            for i, setup in enumerate(setups[:10]):
-                check = check_cross_term_vanishes(
-                    setup.params, setup.x, setup.t, setup.eta,
-                    NoiseSpec(mode=mode, sigma=setup.sigma),
-                    oc.replicas, oc.seed + 2000 + i, threshold=oc.threshold)
-                rows.append(ResultRow(eid, mode, "cross_term_z", check.z, None,
-                                      check.estimate.seed))
-                gate(f"{check.name}[{i}]", abs(check.z), check.threshold)
+        checks = _setup_checks(check_cross_term_vanishes, setups[:10], ("iid", "proportional"),
+                               oc.replicas, oc.seed + 2000, oc.threshold)
+        telemetry.lanes["cross_term"] = _lane_count(len(checks))
+        for (mode, i), check in checks.items():
+            rows.append(ResultRow(eid, mode, "cross_term_z", check.z, None,
+                                  check.estimate.seed))
+            gate(f"{check.name}[{i}]", abs(check.z), check.threshold)
 
     # Analytic noisy-minus-clean gap equals the matching penalty.
     with phase("equivalence"):
@@ -772,10 +845,12 @@ def _grad_check_suite(seed: int) -> list[tuple[str, float, float]]:
 
 def _cmd_attack(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
     ac = config.attack
-    data = _load_data(config, "attack")
-    reports = leakage_sweep(config.model, data, list(ac.mechanisms), ac.trials,
-                            ac.seed, eta=ac.eta, iters=ac.iters, step=ac.step,
-                            restarts=ac.restarts)
+    with telemetry.phase("load_data"):
+        data = _load_data(config, "attack")
+    with telemetry.phase("sweep"):
+        reports = leakage_sweep(config.model, data, list(ac.mechanisms), ac.trials,
+                                ac.seed, eta=ac.eta, iters=ac.iters, step=ac.step,
+                                restarts=ac.restarts)
     eid = config.experiment_id
     rows = []
     for rep in reports:
@@ -795,7 +870,8 @@ def _cmd_attack(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
                               rep.success_rate, None, ac.seed))
 
     if ac.membership:
-        rows.extend(_membership_rows(config, data))
+        with telemetry.phase("membership"):
+            rows.extend(_membership_rows(config, data))
     return rows
 
 
@@ -855,8 +931,9 @@ _COMMAND_IMPLS = {
 def _write_manifest(path: Path, config: ExperimentConfig, command: str,
                     telemetry: RunTelemetry, rows: int) -> None:
     """The run's record beside its CSV: config hash, seeds, versions, the
-    CSV's row count, and telemetry (seconds per phase, the process's peak
-    RSS so far, failed checks), which only the manifest carries."""
+    CSV's row count, and telemetry (seconds per phase, lanes per phase run
+    in lanes, the process's peak RSS so far, failed checks), which only the
+    manifest carries."""
     canonical = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
     manifest = {
         "experiment_id": config.experiment_id,
@@ -872,6 +949,7 @@ def _write_manifest(path: Path, config: ExperimentConfig, command: str,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "rows": rows,
         "timings": telemetry.timings,
+        "lanes": telemetry.lanes,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "failed_checks": [list(check) for check in telemetry.failed_checks],
     }

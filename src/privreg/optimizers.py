@@ -307,8 +307,9 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch_idx = order[start:start + config.batch_size]
+            eta = config.eta_at(step)
             taken = mechanism_step(spec, params, data.x[batch_idx], data.t[batch_idx],
-                                   config.eta_at(step), noise, reg, next(noise_rows))
+                                   eta, noise, reg, next(noise_rows))
             if records is not None:
                 records.append(GradientRecord(step=step, clean=taken.clean.copy(),
                                               noisy=taken.noisy.copy(),
@@ -319,8 +320,8 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
             step += 1
 
         kappa = reg.kappa
-        if reg.kappa_mode == "derived":
-            kappa = config.eta_at(step) ** 2 * noise.sigma ** 2
+        if reg.kappa_mode == "derived":  # at the rate of the epoch's last step
+            kappa = eta ** 2 * noise.sigma ** 2
         loss = dataset_loss(spec, params, data, reg, kappa)
         if not math.isfinite(loss):
             raise diverged(epoch, step - 1, "the epoch loss")

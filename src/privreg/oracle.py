@@ -28,7 +28,7 @@ seeded, so a check either passes forever or fails forever.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -99,10 +99,11 @@ def _scalar_target(t) -> float:
     return float(t[0])
 
 
-# Noise rows stepped per pass of the Monte Carlo loop.  2**14 rows keep a
-# pass's temporaries in cache, and an even row count makes every pass but
-# the last draw an even number of normals, so the passes together draw
-# exactly what one call for all the rows would (see RngStream.normal).
+# Replicas per pass of a Monte Carlo loop (noise rows stepped, or product
+# draws binned).  2**14 rows keep a pass's temporaries in cache, and an even
+# row count makes every pass but the last draw an even number of normals, so
+# the passes together draw exactly what one call for all the rows would (see
+# RngStream.normal).
 MC_CHUNK_ROWS = 1 << 14
 
 
@@ -137,8 +138,26 @@ def _noisy_step_residuals(params: ParameterSet, x: np.ndarray, t, eta: float,
     return clean - t, residuals
 
 
+def _mean_and_var(values: np.ndarray) -> tuple[np.float64, np.float64]:
+    """values.mean() and values.var(ddof=1), bit for bit, computed in place.
+
+    The steps are those of numpy's _mean and _var (sum over n; deviations
+    from that mean, squared, summed over n - 1), but the deviations are
+    formed in `values` itself rather than in a fresh (n,) temporary, so
+    `values` is left holding the squared deviations.
+    """
+    n = values.size
+    mean = np.add.reduce(values) / n
+    values -= mean
+    np.square(values, out=values)
+    return mean, np.add.reduce(values) / (n - 1)
+
+
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
+    """values.mean() and values.std(ddof=1) / sqrt(n), bit for bit; `values`
+    is overwritten (see _mean_and_var)."""
+    mean, var = _mean_and_var(values)
+    return float(mean), float(np.sqrt(var) / np.sqrt(values.size))
 
 
 def mc_post_update_loss(params: ParameterSet, x: np.ndarray, t, eta: float,
@@ -181,6 +200,17 @@ def analytic_post_update_loss(params: ParameterSet, x: np.ndarray, t,
     return clean
 
 
+def check_post_update_loss(params: ParameterSet, x: np.ndarray, t, eta: float,
+                           noise: NoiseSpec, replicas: int, seed: int,
+                           threshold: float = DEFAULT_Z_THRESHOLD) -> IdentityCheck:
+    """Monte Carlo (mc_post_update_loss) against closed-form
+    (analytic_post_update_loss) expected loss after one noisy step."""
+    analytic = analytic_post_update_loss(params, x, t, eta, noise)
+    est = mc_post_update_loss(params, x, t, eta, noise, replicas, seed)
+    return _check(f"post_update_loss[{noise.mode}]", analytic, est.mean, est.stderr,
+                  replicas, seed, threshold)
+
+
 def check_cross_term_vanishes(params: ParameterSet, x: np.ndarray, t, eta: float,
                               noise: NoiseSpec, replicas: int, seed: int,
                               threshold: float = DEFAULT_Z_THRESHOLD) -> IdentityCheck:
@@ -207,25 +237,31 @@ def check_moment_identities(sigma: float, replicas: int, seed: int,
         raise ValueError(f"sigma must be positive, got {sigma}")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    x = RngStream(seed, 0).normal(0.0, sigma, replicas)
-    w = x * x
     n = replicas
     s2, s4 = sigma ** 2, sigma ** 4
-
-    checks = [
-        _check(f"second_moment[sigma={sigma:g}]", s2, float(w.mean()),
-               float(w.std(ddof=1) / np.sqrt(n)), n, seed, threshold),
-        _check(f"fourth_moment[sigma={sigma:g}]", 3.0 * s4, float((w * w).mean()),
-               float((w * w).std(ddof=1) / np.sqrt(n)), n, seed, threshold),
-    ]
+    # Two (n,) buffers in all: the draws, squared in place into w, and one
+    # scratch buffer, each summarised in place with numpy's bits.
+    w = RngStream(seed, 0).normal(0.0, sigma, n)
+    np.multiply(w, w, out=w)
+    scratch = np.multiply(w, w)
+    fourth_mean, fourth_stderr = _mean_and_stderr(scratch)
     # Var[s^2_W] ~ (mu4_W - var_W^2*(n-3)/(n-1)) / n, moments estimated in-sample.
-    var_w = float(w.var(ddof=1))
-    centered = w - w.mean()
-    mu4_w = float((centered ** 4).mean())
+    # mu4_W is the mean of (w - w.mean()) ** 4, which differs in its bits
+    # from squaring the squared deviations, so it is taken first.
+    centered = np.subtract(w, np.add.reduce(w) / n, out=scratch)
+    mu4_w = float(np.add.reduce(np.power(centered, 4, out=centered)) / n)
+    mean_w, var_w = _mean_and_var(w)
+    var_w = float(var_w)
     stderr = float(np.sqrt(max(mu4_w - var_w ** 2 * (n - 3) / (n - 1), 0.0) / n))
-    checks.append(_check(f"variance_of_square[sigma={sigma:g}]", 2.0 * s4,
-                         var_w, stderr, n, seed, threshold))
-    return checks
+
+    return [
+        _check(f"second_moment[sigma={sigma:g}]", s2, float(mean_w),
+               float(np.sqrt(var_w) / np.sqrt(n)), n, seed, threshold),
+        _check(f"fourth_moment[sigma={sigma:g}]", 3.0 * s4, fourth_mean, fourth_stderr,
+               n, seed, threshold),
+        _check(f"variance_of_square[sigma={sigma:g}]", 2.0 * s4, var_w, stderr,
+               n, seed, threshold),
+    ]
 
 
 @dataclass
@@ -281,11 +317,17 @@ def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
                          "resolves; narrow the support")
     expected = np.concatenate([pos_mass[::-1], pos_mass])
 
-    x = RngStream(seed, 0).normal(0.0, sigma_x, replicas)
-    y = RngStream(seed, 1).normal(0.0, sigma_y, replicas)
-    u = x * y
+    # X and Y are drawn and binned MC_CHUNK_ROWS at a time: every call but
+    # the last draws an even number of normals, so the calls together draw
+    # what one call of `replicas` would, and the integer counts add exactly.
+    x_rng, y_rng = RngStream(seed, 0), RngStream(seed, 1)
     edges = np.concatenate([-pos_edges[::-1], pos_edges])
-    raw_counts, _ = np.histogram(u, bins=edges)
+    raw_counts = np.zeros(edges.size - 1, dtype=np.intp)
+    for start in range(0, replicas, MC_CHUNK_ROWS):
+        rows = min(MC_CHUNK_ROWS, replicas - start)
+        u = x_rng.normal(0.0, sigma_x, rows)
+        u *= y_rng.normal(0.0, sigma_y, rows)
+        raw_counts += np.histogram(u, bins=edges)[0]
     counts = np.delete(raw_counts, bins).astype(np.float64)  # drop the (-lo, lo) gap
 
     mean_counts = replicas * expected
@@ -429,22 +471,6 @@ def random_linear_setups(n: int, seed: int, dim_range: tuple[int, int] = (2, 6),
         setups.append(LinearSetup(params=ParameterSet(spec, theta), x=x, t=t,
                                   eta=eta, sigma=sigma))
     return setups
-
-
-def post_update_identity_checks(setups: Sequence[LinearSetup], mode: str,
-                                replicas: int, seed: int,
-                                threshold: float = DEFAULT_Z_THRESHOLD) -> list[IdentityCheck]:
-    """Monte Carlo vs closed-form expected post-update loss, one check per setup."""
-    checks = []
-    for i, s in enumerate(setups):
-        noise = NoiseSpec(mode=mode, sigma=s.sigma)
-        analytic = analytic_post_update_loss(s.params, s.x, s.t, s.eta, noise)
-        est = mc_post_update_loss(s.params, s.x, s.t, s.eta, noise, replicas, seed + i)
-        z = _z_score(est.mean, est.stderr, analytic)
-        checks.append(IdentityCheck(name=f"post_update_loss[{mode}][{i}]",
-                                    analytic=analytic, estimate=est, z=z,
-                                    passed=abs(z) <= threshold, threshold=threshold))
-    return checks
 
 
 def equivalence_chain_residuals(setup: LinearSetup) -> tuple[float, float]:

@@ -14,16 +14,16 @@ import numpy as np
 from privreg.attack import (cosine_similarity, invert_gradient_iterative,
                             invert_linear_gradient, leakage_sweep)
 from privreg.experiments import (RunTelemetry, _cmd_train, _cmd_verify,
-                                 generate_dataset, parse_config, run,
-                                 write_result_rows)
+                                 _setup_checks, generate_dataset, parse_config,
+                                 run, write_result_rows)
 from privreg.model import (Dataset, ModelSpec, ParameterSet, backward,
                            forward, init_params)
 from privreg.numerics import RngStream
 from privreg.optimizers import (GradientRecord, NoiseSpec, TrainConfig,
                                 initial_params_for, train)
 from privreg.oracle import (backprop_grad_check, check_moment_identities,
-                            check_product_density, grad_check,
-                            post_update_identity_checks, random_linear_setups,
+                            check_post_update_loss, check_product_density,
+                            grad_check, random_linear_setups,
                             regularized_least_squares_oracle)
 from privreg.regularizers import RegSpec, dp_input_penalty
 
@@ -41,7 +41,8 @@ def test_c1_iid_noise_expected_loss_identity():
     (y'-t)^2 + eta^2 sigma^2 sum(x^2) within |z| <= 3 on 50 random setups."""
     started = time.perf_counter()
     setups = random_linear_setups(50, seed=SETUP_SEED)
-    checks = post_update_identity_checks(setups, "iid", 1_000_000, seed=MC_SEED)
+    checks = _setup_checks(check_post_update_loss, setups, ("iid",), 1_000_000,
+                           MC_SEED, 3.0).values()
     elapsed = time.perf_counter() - started
     worst = max(abs(c.z) for c in checks)
     report("C1 iid expected-loss identity",
@@ -53,8 +54,8 @@ def test_c1_iid_noise_expected_loss_identity():
 def test_c2_proportional_noise_expected_loss_identity():
     """Same protocol against (y'-t)^2 + eta^2 sigma^2 sum(theta^2 x^2)."""
     setups = random_linear_setups(50, seed=SETUP_SEED)
-    checks = post_update_identity_checks(setups, "proportional", 1_000_000,
-                                         seed=MC_SEED)
+    checks = _setup_checks(check_post_update_loss, setups, ("proportional",), 1_000_000,
+                           MC_SEED, 3.0).values()
     worst = max(abs(c.z) for c in checks)
     report("C2 proportional expected-loss identity", worst <= 3.0,
            f"max |z| = {worst:.2f} over {len(checks)} setups at 1e6 replicas")

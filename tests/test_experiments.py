@@ -2,6 +2,10 @@ import contextlib
 import copy
 import io
 import json
+import os
+import sys
+import threading
+import time
 from dataclasses import replace
 from functools import reduce
 from operator import getitem
@@ -12,9 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from privreg import experiments
 from privreg.cli import main as cli_main
 from privreg.experiments import (COMMANDS, ConfigError, OracleConfig, ResultRow,
-                                 _step_expectation, apply_seed_override,
+                                 _in_lanes, _step_expectation, apply_seed_override,
                                  generate_dataset, load_dataset, parse_config,
                                  read_result_rows, run, write_result_rows)
 from privreg.model import ModelSpec
@@ -246,6 +251,8 @@ class TestRun:
             "post_update_mc", "cross_term", "equivalence", "trajectory",
             "step_expectation", "grad_checks", "moments_and_product_density"}
         assert all(seconds >= 0 for seconds in manifest["timings"].values())
+        lanes = min(8, len(os.sched_getaffinity(0)))  # 4 setups x 2 noise shapes
+        assert manifest["lanes"] == {"post_update_mc": lanes, "cross_term": lanes}
         assert manifest["peak_rss_mb"] > 0
         assert manifest["failed_checks"] == []
 
@@ -268,6 +275,67 @@ class TestRun:
         assert all(value > bound == 1e-9 for value, bound in failed.values())
         rows = read_result_rows(tmp_path / "out" / "verify_results.csv")
         assert [r.value for r in rows if r.metric == "verify_pass"] == [0.0]
+
+    def test_lane_count_leaves_verify_csv_bytes_unchanged(self, tmp_path, monkeypatch):
+        # 4 lanes on any host: more lanes than cores, switching threads as
+        # often as the interpreter allows.
+        csvs = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 4):
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: set(range(cpus)))
+                out = tmp_path / f"cpus{cpus}"
+                cfg_path = tmp_path / f"cpus{cpus}.json"
+                cfg = minimal_verify_config(out)
+                cfg["oracle"]["replicas"] = 40_000  # three noise chunks per check
+                cfg_path.write_text(json.dumps(cfg))
+                codes = []
+                runner = threading.Thread(target=lambda: codes.append(run("verify", cfg_path)))
+                runner.start()
+                runner.join(timeout=120)
+                assert not runner.is_alive() and codes == [0]
+                manifest = json.loads((out / "verify_manifest.json").read_text())
+                assert manifest["lanes"] == {"post_update_mc": cpus, "cross_term": cpus}
+                csvs[cpus] = (out / "verify_results.csv").read_bytes()
+        finally:
+            sys.setswitchinterval(switch)
+        assert csvs[1] == csvs[4]
+
+    def test_error_in_a_worker_lane_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        caller, real = threading.current_thread(), experiments.check_cross_term_vanishes
+        raised = []
+
+        def check(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                raised.append(args[6])
+                raise FloatingPointError(f"injected at seed {args[6]}")
+            time.sleep(0.05)  # leave jobs for the worker lanes
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "check_cross_term_vanishes", check)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_verify_config(tmp_path / "out")))
+        assert run("verify", cfg_path) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert raised and err == {"error": "FloatingPointError",
+                                  "message": f"injected at seed {min(raised)}"}
+        assert not (tmp_path / "out" / "verify_results.csv").exists()
+
+    def test_lanes_keep_job_order_and_raise_the_first_failure(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+        def job(i):
+            time.sleep(0.001 * (i % 3))
+            if i in (5, 9):
+                raise ValueError(f"job {i}")
+            return i * i
+
+        assert _in_lanes([lambda i=i: i * i for i in range(20)]) == [i * i for i in range(20)]
+        with pytest.raises(ValueError, match="job 5"):
+            _in_lanes([lambda i=i: job(i) for i in range(20)])
 
     def test_step_expectation_matches_loop_of_train_calls(self):
         oc = OracleConfig(seed=77, expectation_replicas=300)
@@ -506,6 +574,17 @@ class TestCli:
         assert set(manifest["timings"]) == {"load_data", "train"}
         assert all(seconds >= 0 for seconds in manifest["timings"].values())
         assert manifest["rows"] == 3 + 2  # one epoch_loss per epoch, final loss and norm
+
+    def test_attack_manifest_carries_phases(self, tmp_path):
+        cfg = small_attack_config(tmp_path / "out")
+        cfg["attack"]["membership"] = True
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("attack", cfg_path) == 0
+        manifest = json.loads((tmp_path / "out" / "attack_manifest.json").read_text())
+        assert set(manifest["timings"]) == {"load_data", "sweep", "membership"}
+        assert all(seconds >= 0 for seconds in manifest["timings"].values())
+        assert manifest["lanes"] == {}
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_every_manifest_counts_its_csv_rows(self, tmp_path, monkeypatch, command):

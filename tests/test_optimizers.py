@@ -298,6 +298,20 @@ class TestTrain:
         assert np.array_equal(a.final_params.flat, b.final_params.flat)
         assert a.epoch_losses == b.epoch_losses
 
+    def test_derived_kappa_takes_the_rate_of_the_epochs_last_step(self):
+        # The schedule ends with the epoch, so the rate of the step after it
+        # (0) must not set the epoch loss's kappa.
+        data = small_dataset(seed=28, n=8, d=3, noise=0.2)
+        sigma = 0.4
+        scheduled = TrainConfig(eta=lambda s: 0.1 if s < 8 else 0.0, batch_size=1,
+                                epochs=1, seed=32, noise=NoiseSpec(mode="none", sigma=sigma),
+                                reg=RegSpec(kappa_mode="derived"))
+        report = train(LINEAR3, data, scheduled)
+        constant = train(LINEAR3, data, replace(scheduled, eta=0.1))
+        assert np.array_equal(report.final_params.flat, constant.final_params.flat)
+        assert report.epoch_losses == [dataset_loss(LINEAR3, report.final_params, data,
+                                                    scheduled.reg, 0.1 ** 2 * sigma ** 2)]
+
     def test_epoch_count_matches_config(self):
         data = small_dataset()
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)

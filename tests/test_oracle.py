@@ -5,16 +5,17 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
+from privreg.experiments import _setup_checks
 from privreg.model import Dataset, ModelSpec, ParameterSet
 from privreg.numerics import RngStream
 from privreg import oracle
 from privreg.optimizers import NoiseSpec
-from privreg.oracle import (analytic_post_update_loss, backprop_grad_check,
-                            check_cross_term_vanishes, check_moment_identities,
+from privreg.oracle import (MC_CHUNK_ROWS, analytic_post_update_loss,
+                            backprop_grad_check, check_cross_term_vanishes,
+                            check_moment_identities, check_post_update_loss,
                             check_product_density, equivalence_chain_residuals,
                             finite_difference_gradient, mc_post_update_loss,
-                            post_update_identity_checks, random_linear_setups,
-                            regularized_least_squares_oracle)
+                            random_linear_setups, regularized_least_squares_oracle)
 
 LINEAR2 = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=False)
 THETA = ParameterSet(LINEAR2, np.array([0.5, -1.0]))
@@ -169,6 +170,33 @@ class TestMomentIdentities:
         with pytest.raises(ValueError):
             check_moment_identities(0.0, replicas=100, seed=0)
 
+    @pytest.mark.parametrize("sigma,replicas", [(0.5, 2), (1.0, 100_001), (2.0, 65_537)])
+    def test_in_place_summaries_give_numpys_bits(self, sigma, replicas):
+        # the reference is the whole-array form, with numpy's mean/std/var
+        x = RngStream(31, 0).normal(0.0, sigma, replicas)
+        w = x * x
+        n = replicas
+        var_w = float(w.var(ddof=1))
+        mu4_w = float(((w - w.mean()) ** 4).mean())
+        expected = [
+            (float(w.mean()), float(w.std(ddof=1) / np.sqrt(n))),
+            (float((w * w).mean()), float((w * w).std(ddof=1) / np.sqrt(n))),
+            (var_w, float(np.sqrt(max(mu4_w - var_w ** 2 * (n - 3) / (n - 1), 0.0) / n))),
+        ]
+        checks = check_moment_identities(sigma, replicas, seed=31)
+        assert [(c.estimate.mean, c.estimate.stderr) for c in checks] == expected
+
+
+class TestMeanAndStderr:
+    @pytest.mark.parametrize("n", [2, 1001, 65_537, 1_000_000])
+    @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e6])
+    def test_equals_numpy(self, n, scale):
+        values = RngStream(n, 3).normal(0.7 * scale, scale, n)
+        expected = (float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)))
+        buffer = values.copy()
+        assert oracle._mean_and_stderr(buffer) == expected
+        assert np.array_equal(buffer, np.square(values - values.mean()))
+
 
 def quad_bin_masses(sigma_x, sigma_y, edges):
     """Reference mass of the K0 product density on each interval of `edges`,
@@ -232,6 +260,15 @@ class TestProductDensity:
                                        support=(0.05, 3.0))
         assert report.max_abs_z <= 4.0
 
+    @pytest.mark.parametrize("replicas", [MC_CHUNK_ROWS, 3 * MC_CHUNK_ROWS + 7])
+    def test_chunked_counts_equal_one_histogram(self, replicas):
+        report = check_product_density(0.7, 1.3, replicas, bins=15, seed=14,
+                                       support=(0.05, 3.0))
+        x = RngStream(14, 0).normal(0.0, 0.7, replicas)
+        y = RngStream(14, 1).normal(0.0, 1.3, replicas)
+        whole, _ = np.histogram(x * y, bins=report.edges)
+        assert np.array_equal(report.counts, np.delete(whole, 15).astype(np.float64))
+
     def test_degenerate_bins_rejected(self):
         with pytest.raises(ValueError):
             check_product_density(1.0, 1.0, replicas=100, bins=20, seed=0,
@@ -289,11 +326,12 @@ class TestFiniteDifferences:
 class TestRandomizedIdentitySuite:
     def test_fifty_setups_pass_both_modes(self):
         setups = random_linear_setups(50, seed=2024)
-        for mode in ("iid", "proportional"):
-            checks = post_update_identity_checks(setups, mode, replicas=20_000,
-                                                 seed=900)
-            zs = np.array([c.z for c in checks])
-            assert np.abs(zs).max() <= 3.0, f"{mode}: max |z| = {np.abs(zs).max()}"
+        checks = _setup_checks(check_post_update_loss, setups, ("iid", "proportional"),
+                               20_000, 900, 3.0)
+        for (mode, i), check in checks.items():
+            assert check.name == f"post_update_loss[{mode}]"
+            assert check.estimate.seed == 900 + i
+            assert abs(check.z) <= 3.0, f"{mode}[{i}]: z = {check.z}"
 
     def test_equivalence_chain_is_algebraic(self):
         for setup in random_linear_setups(50, seed=2025):
