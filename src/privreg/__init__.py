@@ -9,9 +9,8 @@ inversion and membership inference.
 
 __version__ = "0.1.0"
 
-from .attack import (ConvergenceFailureError, LeakageReport, MembershipResult,
-                     NoLeakageError, cosine_similarity, invert_gradient_iterative,
-                     invert_linear_gradient, leakage_sweep,
+from .attack import (LeakageReport, MembershipResult, NoLeakageError,
+                     cosine_similarity, invert_linear_gradient, leakage_sweep,
                      membership_inference)
 from .experiments import (ConfigError, ExperimentConfig, ResultRow,
                           generate_dataset, load_dataset, parse_config,
@@ -28,7 +27,6 @@ from .oracle import (IdentityCheck, McEstimate, ProductDensityReport,
                      check_cross_term_vanishes, check_moment_identities,
                      check_post_update_loss, check_product_density,
                      equivalence_chain_residuals, finite_difference_gradient,
-                     grad_check, mc_post_update_loss, random_linear_setups,
-                     regularized_least_squares_oracle)
+                     grad_check, mc_post_update_loss, random_linear_setups)
 from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
                            pdp_grad, pdp_penalty)

@@ -2,15 +2,14 @@
 
 The attacker model is an honest-but-curious aggregator: it observes the
 post-mechanism gradient g_tilde of a batch-1 step together with the
-current parameters, and tries to reconstruct the training input.  For a
-single linear neuron with bias the clean gradient factors as
-(2*(y-t)*x, 2*(y-t)), so x falls out of one division; the iterative
-attack instead descends on ||grad_model(x_hat, t_hat) - g_tilde||^2.
-The iterative attack supports one linear output unit, with or without
-bias, whose objective and gradient have closed forms.  Its restarts, and
-in a sweep every (mechanism, trial, restart), run as the rows of one
-batched descent that reproduces the one-restart-at-a-time loop bit for
-bit.
+current parameters, and tries to reconstruct the training input.  Both
+attacks run inside leakage_sweep, on one linear output unit with a bias.
+The unit's clean gradient is (2*(y-t)*x, 2*(y-t)), so x falls out of one
+division; the iterative attack instead descends on
+||grad_model(x_hat, t_hat) - g_tilde||^2, whose value and gradient have
+closed forms for such a unit.  Every (mechanism, trial, restart) of a
+sweep is a row of one batched descent that reproduces the
+one-restart-at-a-time loop bit for bit.
 
 Nothing here assumes which training mechanism leaks least; the sweep just
 measures reconstruction quality per mechanism under fixed seeds.
@@ -40,17 +39,6 @@ class NoLeakageError(RuntimeError):
     """The observed gradient carries no recoverable input (bias gradient ~ 0)."""
 
 
-class ConvergenceFailureError(RuntimeError):
-    """Every descent restart diverged; best iterate attached."""
-
-    def __init__(self, message: str, best_x: np.ndarray, best_t: float,
-                 best_objective: float):
-        super().__init__(message)
-        self.best_x = best_x
-        self.best_t = best_t
-        self.best_objective = best_objective
-
-
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -60,13 +48,9 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _require_linear(spec: ModelSpec, attack: str):
-    if not spec.is_linear_unit:
-        raise ValueError(f"{attack} needs a single linear output unit")
-
-
 def _require_linear_with_bias(spec: ModelSpec):
-    _require_linear(spec, "closed-form inversion")
+    if not spec.is_linear_unit:
+        raise ValueError("closed-form inversion needs a single linear output unit")
     if not spec.include_bias:
         raise ValueError("closed-form inversion needs a bias term")
 
@@ -91,13 +75,6 @@ def invert_linear_gradient(record: GradientRecord, spec: ModelSpec) -> np.ndarra
             "minimum and its gradient reveals nothing"
         )
     return g[:d] / g_bias
-
-
-def _check_descent(iters: int, step: float, restarts: int):
-    if iters < 1 or restarts < 1:
-        raise ValueError("iters and restarts must be >= 1")
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
 
 
 def _objective_and_gradient(theta: np.ndarray, bias: np.ndarray,
@@ -140,20 +117,17 @@ def _descend(theta: np.ndarray, bias: np.ndarray, target: np.ndarray,
     the lowest J.  Stopped rows leave the working arrays, so each step
     costs only the rows still running.
 
-    Returns per row the best J (inf if none was finite), its x and t, and
-    whether the row diverged.
+    Returns per row the best J (inf if none was finite) and its x.
     """
     n, d = x.shape
     best_obj = np.full(n, math.inf)
     best_x = np.zeros((n, d))
-    best_t = np.zeros(n)
-    diverged = np.zeros(n, dtype=bool)
     rows = np.arange(n)
     streak = np.zeros(n, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         obj, gx, gt = _objective_and_gradient(theta, bias, target, x, t)
         better = obj < best_obj
-        best_obj[better], best_x[better], best_t[better] = obj[better], x[better], t[better]
+        best_obj[better], best_x[better] = obj[better], x[better]
         for _ in range(iters):
             if rows.size == 0:
                 break
@@ -163,18 +137,16 @@ def _descend(theta: np.ndarray, bias: np.ndarray, target: np.ndarray,
             finite = np.isfinite(new_obj)
             better = finite & (new_obj < best_obj[rows])
             won = rows[better]
-            best_obj[won], best_x[won], best_t[won] = new_obj[better], x[better], t[better]
+            best_obj[won], best_x[won] = new_obj[better], x[better]
             streak = np.where(new_obj > obj, streak + 1, 0)
             obj = new_obj
-            failed = ~finite | (streak >= DIVERGENCE_PATIENCE)
-            done = failed | (obj < 1e-26)
+            done = ~finite | (streak >= DIVERGENCE_PATIENCE) | (obj < 1e-26)
             if done.any():
-                diverged[rows[failed]] = True
                 keep = ~done
                 rows, x, t, gx, gt, obj, streak, theta, bias, target = (
                     a[keep] for a in (rows, x, t, gx, gt, obj, streak,
                                       theta, bias, target))
-    return best_obj, best_x, best_t, diverged
+    return best_obj, best_x
 
 
 def _invert_records(theta: np.ndarray, bias: np.ndarray, target: np.ndarray,
@@ -183,8 +155,8 @@ def _invert_records(theta: np.ndarray, bias: np.ndarray, target: np.ndarray,
 
     Record i has parameters theta[i], bias[i], observed gradient target[i]
     and starts RngStream(seeds[i], r) for r < restarts.  Returns per record
-    the best x (N, d), t and J over its restarts (the first restart wins a
-    tie) and whether every restart diverged.
+    the best x (N, d) and its J over the restarts (the first restart wins a
+    tie).  A record whose restarts all diverged still has its best x.
     """
     n, d = theta.shape
     x0 = np.empty((n * restarts, d))
@@ -194,59 +166,21 @@ def _invert_records(theta: np.ndarray, bias: np.ndarray, target: np.ndarray,
             rng = RngStream(seed, r)
             x0[i * restarts + r] = rng.normal(0.0, 1.0, d)
             t0[i * restarts + r] = rng.normal(0.0, 1.0, 1)[0]
-    best_obj, best_x, best_t, diverged = _descend(
+    best_obj, best_x = _descend(
         np.repeat(theta, restarts, axis=0), np.repeat(bias, restarts),
         np.repeat(target, restarts, axis=0), x0, t0, iters, step)
     pick = np.arange(n) * restarts + np.argmin(best_obj.reshape(n, restarts), axis=1)
-    return (best_x[pick], best_t[pick], best_obj[pick],
-            diverged.reshape(n, restarts).all(axis=1))
-
-
-def invert_gradient_iterative(record: GradientRecord, spec: ModelSpec,
-                              params: ParameterSet, iters: int = 2000,
-                              step: float = 0.02, seed: int = 0,
-                              restarts: int = 10) -> tuple[np.ndarray, float]:
-    """Gradient-matching reconstruction of (input, target) from one gradient.
-
-    Plain fixed-step descent on ||grad_model(x, t) - g_tilde||^2 from
-    seeded random starts, all restarts stepped together; the best iterate
-    across restarts wins.  Only a single linear output unit is supported,
-    with or without bias.  A restart that worsens its objective for
-    DIVERGENCE_PATIENCE straight steps is abandoned; if every restart
-    diverges a ConvergenceFailureError carrying the best iterate is raised.
-    """
-    _require_linear(spec, "gradient matching")
-    if params.spec != spec:
-        raise ValueError("parameters were built for a different architecture")
-    if record.batch_indices.size != 1:
-        raise ValueError("gradient matching here assumes a batch of one example")
-    _check_descent(iters, step, restarts)
-    target = np.asarray(record.noisy, dtype=np.float64)
-    if target.shape != (params.flat.size,):
-        raise ValueError(f"gradient has {target.size} coordinates, "
-                         f"expected {params.flat.size}")
-
-    bias = params.bias(0)
-    x, t, obj, all_diverged = _invert_records(
-        params.weights(0), np.zeros(1) if bias is None else bias,
-        target[None, :], [seed], iters, step, restarts)
-    if all_diverged[0]:
-        raise ConvergenceFailureError(
-            f"all {restarts} restarts diverged (best objective {obj[0]:.3e})",
-            best_x=x[0], best_t=float(t[0]), best_objective=float(obj[0]),
-        )
-    return x[0], float(t[0])
+    return best_x[pick], best_obj[pick]
 
 
 @dataclass
 class MembershipResult:
-    """Loss-threshold membership attack outcome."""
+    """Loss-score membership attack outcome: the AUC of -loss, members
+    against non-members, and the scores it ranks."""
 
     auc: float
     member_scores: np.ndarray
     non_member_scores: np.ndarray
-    threshold: float
-    accuracy: float
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -267,12 +201,10 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 
 
 def membership_inference(spec: ModelSpec, params: ParameterSet,
-                         members: Dataset, non_members: Dataset,
-                         threshold: float) -> MembershipResult:
+                         members: Dataset, non_members: Dataset) -> MembershipResult:
     """Score each example by -loss and rank members against non-members.
 
-    AUC uses midranks, so constant scores give exactly 0.5; accuracy
-    predicts "member" when the score reaches the threshold.
+    AUC uses midranks, so constant scores give exactly 0.5.
     """
     if len(members) == 0 or len(non_members) == 0:
         raise ValueError("member and non-member sets must be nonempty")
@@ -287,9 +219,7 @@ def membership_inference(spec: ModelSpec, params: ParameterSet,
     n1, n0 = s_mem.size, s_non.size
     ranks = _midranks(np.concatenate([s_mem, s_non]))
     auc = float((ranks[:n1].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
-    correct = int((s_mem >= threshold).sum()) + int((s_non < threshold).sum())
-    return MembershipResult(auc=auc, member_scores=s_mem, non_member_scores=s_non,
-                            threshold=threshold, accuracy=correct / (n1 + n0))
+    return MembershipResult(auc=auc, member_scores=s_mem, non_member_scores=s_non)
 
 
 @dataclass
@@ -338,7 +268,10 @@ def leakage_sweep(spec: ModelSpec, data: Dataset,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _require_linear_with_bias(spec)
-    _check_descent(iters, step, restarts)
+    if iters < 1 or restarts < 1:
+        raise ValueError("iters and restarts must be >= 1")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
 
     x_true, x_cf, theta, bias, target, seeds = [], [], [], [], [], []
     for noise, reg in mechanisms:
@@ -356,8 +289,8 @@ def leakage_sweep(spec: ModelSpec, data: Dataset,
             bias.append(params0.bias(0)[0])
             target.append(record.noisy)
             seeds.append(seed + k)
-    # A record whose restarts all diverged is still an attack outcome: it
-    # is scored on its best iterate instead of aborting the sweep.
+    # A record whose restarts all diverged is still an attack outcome,
+    # scored on its best iterate.
     d = spec.input_dim
     x_it = _invert_records(np.reshape(theta, (-1, d)), np.array(bias),
                            np.reshape(target, (-1, d + 1)), seeds, iters, step,

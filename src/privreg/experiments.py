@@ -886,8 +886,7 @@ def _membership_rows(config: ExperimentConfig, data: Dataset) -> list[ResultRow]
         train_config = TrainConfig(eta=ac.eta, batch_size=min(8, half), epochs=50,
                                    seed=ac.seed, noise=noise, reg=reg)
         report = train(config.model, members, train_config)
-        result = membership_inference(config.model, report.final_params, members,
-                                      fresh, threshold=-1.0)
+        result = membership_inference(config.model, report.final_params, members, fresh)
         rows.append(ResultRow(config.experiment_id, label, "membership_auc",
                               result.auc, None, ac.seed))
     return rows
@@ -972,6 +971,23 @@ def _error_report(kind: str, message: str) -> str:
     return json.dumps({"error": kind, "message": message}, sort_keys=True)
 
 
+def _output_directory(out_dir: str | None, config: ExperimentConfig) -> Path:
+    """Create the output directory run() picks; ConfigError names its source."""
+    env_dir = os.environ.get(OUT_DIR_ENV)
+    if out_dir:
+        source, directory = "--out", Path(out_dir)
+    elif env_dir:
+        source, directory = f"${OUT_DIR_ENV}", Path(env_dir)
+    else:
+        source, directory = "field 'output.directory'", Path(config.output.directory)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{source}: cannot create output directory {str(directory)!r}: "
+                          f"{exc.strerror or exc}") from None
+    return directory
+
+
 def run(command: str, config_path: str | Path, out_dir: str | None = None,
         seed_override: int | None = None) -> int:
     """Execute one subcommand from a config file.
@@ -990,9 +1006,8 @@ def run(command: str, config_path: str | Path, out_dir: str | None = None,
         print(_error_report(type(exc).__name__, str(exc)), file=sys.stderr)
         return 2
 
-    directory = Path(out_dir or os.environ.get(OUT_DIR_ENV) or config.output.directory)
     try:
-        directory.mkdir(parents=True, exist_ok=True)
+        directory = _output_directory(out_dir, config)
         telemetry = RunTelemetry()
         rows = _COMMAND_IMPLS[command](config, telemetry)
         write_result_rows(directory / f"{command}_results.csv", rows)
@@ -1000,7 +1015,7 @@ def run(command: str, config_path: str | Path, out_dir: str | None = None,
                         len(rows))
     except Exception as exc:  # noqa: BLE001  (boundary: report and signal failure)
         print(_error_report(type(exc).__name__, str(exc)), file=sys.stderr)
-        # A ConfigError here comes from an input file the config names.
+        # A ConfigError here names the output directory or an input file.
         return 2 if isinstance(exc, ConfigError) else 1
     if telemetry.failed_checks:
         print(_error_report("VerificationFailure",

@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -84,10 +85,11 @@ class NoiseSpec:
 class TrainConfig:
     """Everything a training run needs besides the model and the data.
 
-    eta may be a positive float or a callable step -> eta_t for schedules.
+    eta is the one fixed learning rate of the run: the penalty weight that
+    stands in for the noise, kappa = eta^2 * sigma^2, needs a constant eta.
     """
 
-    eta: float | Callable[[int], float]
+    eta: float
     batch_size: int = 1
     epochs: int = 1
     seed: int = 0
@@ -96,18 +98,12 @@ class TrainConfig:
     record_gradients: bool = False
 
     def __post_init__(self):
-        if not callable(self.eta) and not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not isinstance(self.eta, numbers.Real) or not self.eta > 0:
+            raise ValueError(f"eta must be a positive number, got {self.eta!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-
-    def eta_at(self, step: int) -> float:
-        eta = self.eta(step) if callable(self.eta) else self.eta
-        if not eta > 0:
-            raise ValueError(f"learning rate must stay positive, got {eta} at step {step}")
-        return float(eta)
 
 
 @dataclass
@@ -268,14 +264,15 @@ def _noise_rows(noise: NoiseSpec, rng: RngStream, steps: int,
 @np.errstate(over="ignore", invalid="ignore")
 def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
           init: ParameterSet | None = None) -> TrainReport:
-    """Run the configured mechanism and report per-epoch losses.
+    """Run the configured mechanism at config.eta; report per-epoch losses.
 
     Deterministic given config.seed: one full shuffle per epoch from the
     shuffle stream, the last partial batch kept, and one (P,) noise row per
     batch applied to the averaged gradient (drawn in blocks, with the bits
     of one draw per batch).  Proportional noise scales
-    with the pre-update parameters.  Pass `init` to start from explicit
-    parameters instead of the seeded default.  Raises
+    with the pre-update parameters.  A derived kappa is eta^2 * sigma^2,
+    worked out once per run for the epoch losses.  Pass `init` to start
+    from explicit parameters instead of the seeded default.  Raises
     TrainingDivergedError, naming the epoch, step and mechanism, when the
     parameters or an epoch loss stop being finite.
     """
@@ -288,6 +285,8 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
 
     noise = config.noise
     reg = config.reg
+    eta = config.eta
+    kappa = eta ** 2 * noise.sigma ** 2 if reg.kappa_mode == "derived" else reg.kappa
     n = len(data)
     shuffle_rng = RngStream(config.seed, STREAM_SHUFFLE)
     noise_rows = _noise_rows(noise, RngStream(config.seed, STREAM_NOISE),
@@ -307,7 +306,6 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch_idx = order[start:start + config.batch_size]
-            eta = config.eta_at(step)
             taken = mechanism_step(spec, params, data.x[batch_idx], data.t[batch_idx],
                                    eta, noise, reg, next(noise_rows))
             if records is not None:
@@ -319,9 +317,6 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
             params.flat = taken.params
             step += 1
 
-        kappa = reg.kappa
-        if reg.kappa_mode == "derived":  # at the rate of the epoch's last step
-            kappa = eta ** 2 * noise.sigma ** 2
         loss = dataset_loss(spec, params, data, reg, kappa)
         if not math.isfinite(loss):
             raise diverged(epoch, step - 1, "the epoch loss")

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import Dataset, ModelSpec, ParameterSet, linear_unit_features
+from .model import ModelSpec, ParameterSet, linear_unit_features
 from .numerics import RngStream
 from .optimizers import NoiseSpec, clip_gradient, gradient_noise, mechanism_step
 from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
@@ -348,26 +348,6 @@ def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
     )
 
 
-def regularized_least_squares_oracle(data: Dataset, kappa: float) -> ParameterSet:
-    """Exact minimizer of sum_n (theta.x_n - t_n)^2 + kappa * sum_n sum_i theta_i^2 x_ni^2.
-
-    Solves (X'X + kappa*D) theta = X't with D the diagonal of column-wise
-    sums of squares.  Independent of the SGD path: training with the
-    matching penalty must converge here.
-    """
-    if kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    if len(data) == 0:
-        raise ValueError("dataset must be nonempty")
-    x, t = data.x, data.t
-    if t.shape[1] != 1:
-        raise ValueError("closed form needs scalar targets")
-    gram = x.T @ x + kappa * np.diag((x * x).sum(axis=0))
-    theta = np.linalg.solve(gram, x.T @ t[:, 0])
-    spec = ModelSpec(layer_sizes=(data.dim, 1), activation="identity", include_bias=False)
-    return ParameterSet(spec, theta)
-
-
 def finite_difference_gradient(f: Callable[[np.ndarray], float], theta: np.ndarray,
                                h_scale: float = 1e-5) -> np.ndarray:
     """Central differences with per-coordinate step h_scale * max(1, |theta_i|)."""
@@ -453,20 +433,18 @@ class LinearSetup:
     sigma: float
 
 
-def random_linear_setups(n: int, seed: int, dim_range: tuple[int, int] = (2, 6),
-                         eta_range: tuple[float, float] = (0.02, 0.3),
-                         sigma_range: tuple[float, float] = (0.05, 0.5)) -> list[LinearSetup]:
-    """Seeded draws of (theta, x, t, eta, sigma) for the randomized suite."""
+def random_linear_setups(n: int, seed: int) -> list[LinearSetup]:
+    """Seeded draws of (theta, x, t, eta, sigma) for the randomized suite:
+    dimension 2..6, eta in [0.02, 0.3), sigma in [0.05, 0.5)."""
     rng = RngStream(seed, 0)
     setups = []
     for _ in range(n):
-        d = int(dim_range[0] + rng.uniform(1)[0] * (dim_range[1] - dim_range[0] + 1))
-        d = min(d, dim_range[1])
+        d = min(int(2 + rng.uniform(1)[0] * 5), 6)
         theta = rng.normal(0.0, 1.0, d)
         x = rng.normal(0.0, 1.0, d)
         t = float(rng.normal(0.0, 1.0, 1)[0])
-        eta = float(eta_range[0] + rng.uniform(1)[0] * (eta_range[1] - eta_range[0]))
-        sigma = float(sigma_range[0] + rng.uniform(1)[0] * (sigma_range[1] - sigma_range[0]))
+        eta = float(0.02 + rng.uniform(1)[0] * (0.3 - 0.02))
+        sigma = float(0.05 + rng.uniform(1)[0] * (0.5 - 0.05))
         spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=False)
         setups.append(LinearSetup(params=ParameterSet(spec, theta), x=x, t=t,
                                   eta=eta, sigma=sigma))

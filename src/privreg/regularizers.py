@@ -40,9 +40,9 @@ KAPPA_MODES = ("explicit", "derived")
 class RegSpec:
     """Coefficients for the penalty terms added to a training loss.
 
-    kappa_mode "derived" replaces kappa with eta_t^2 * sigma^2 at every
-    step, using the active learning rate and noise scale; "explicit" uses
-    kappa as given.  input_kappa weights the input-only term, which shifts
+    kappa_mode "derived" replaces kappa with eta^2 * sigma^2, from the
+    run's fixed learning rate and noise scale; "explicit" uses kappa as
+    given.  input_kappa weights the input-only term, which shifts
     reported losses but never the trajectory.
     """
 

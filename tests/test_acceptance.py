@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from privreg.attack import (cosine_similarity, invert_gradient_iterative,
+from privreg.attack import (_invert_records, cosine_similarity,
                             invert_linear_gradient, leakage_sweep)
 from privreg.experiments import (RunTelemetry, _cmd_train, _cmd_verify,
                                  _setup_checks, generate_dataset, parse_config,
@@ -23,9 +23,9 @@ from privreg.optimizers import (GradientRecord, NoiseSpec, TrainConfig,
                                 initial_params_for, train)
 from privreg.oracle import (backprop_grad_check, check_moment_identities,
                             check_post_update_loss, check_product_density,
-                            grad_check, random_linear_setups,
-                            regularized_least_squares_oracle)
+                            grad_check, random_linear_setups)
 from privreg.regularizers import RegSpec, dp_input_penalty
+from reference_solvers import regularized_least_squares_oracle
 
 SETUP_SEED = 20260810
 MC_SEED = 7000
@@ -199,9 +199,9 @@ def test_c8_leakage_baselines_and_noise_trend():
     record = GradientRecord(step=0, clean=g, noisy=g.copy(),
                             batch_indices=np.array([0]))
     exact_mse = float(np.mean((invert_linear_gradient(record, spec) - x) ** 2))
-    x_it, _ = invert_gradient_iterative(record, spec, params, iters=2000,
-                                        step=0.02, seed=881)
-    iterative_cosine = cosine_similarity(x_it, x)
+    x_it, _ = _invert_records(params.weights(0), params.bias(0), record.noisy[None, :],
+                              [881], iters=2000, step=0.02, restarts=10)
+    iterative_cosine = cosine_similarity(x_it[0], x)
 
     data = generate_dataset("noisy_linear", 24, 4, 0.3, seed=882)
     mechanisms = [(NoiseSpec(mode="iid", sigma=s), RegSpec())

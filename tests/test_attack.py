@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import privreg.attack
-from privreg.attack import (DIVERGENCE_PATIENCE, ConvergenceFailureError,
-                            NoLeakageError, _midranks, _objective_and_gradient,
-                            cosine_similarity, invert_gradient_iterative,
+from privreg.attack import (DIVERGENCE_PATIENCE, NoLeakageError, _invert_records,
+                            _midranks, _objective_and_gradient, cosine_similarity,
                             invert_linear_gradient, leakage_sweep,
                             mechanism_label, membership_inference)
 from privreg.experiments import generate_dataset
@@ -32,12 +31,21 @@ def clean_record(spec, params, x, t):
                           batch_indices=np.array([0]))
 
 
+def invert_one(record, params, iters, step, seed, restarts=10):
+    """Gradient matching on one record, as leakage_sweep runs it: the best
+    x over the restarts and its objective."""
+    bias = params.bias(0)
+    x, obj = _invert_records(params.weights(0), np.zeros(1) if bias is None else bias,
+                             np.asarray(record.noisy)[None, :], [seed], iters, step,
+                             restarts)
+    return x[0], obj[0]
+
+
 def reference_inversion(record, spec, params, iters, step, seed, restarts):
     """The one-restart-at-a-time descent the batched attack must reproduce.
 
-    Returns (best_x, best_t, best_objective, all_diverged, stops), where
-    stops names why each restart ended: "iters", "converged", "patience"
-    or "nonfinite".
+    Returns (best_x, best_objective, stops), where stops names why each
+    restart ended: "iters", "converged", "patience" or "nonfinite".
     """
     target = np.asarray(record.noisy, dtype=np.float64)
     d = spec.input_dim
@@ -61,7 +69,7 @@ def reference_inversion(record, spec, params, iters, step, seed, restarts):
             gt -= 4.0 * db
         return gx, gt
 
-    best_obj, best_x, best_t = math.inf, np.zeros(d), 0.0
+    best_obj, best_x = math.inf, np.zeros(d)
     stops = []
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(restarts):
@@ -70,7 +78,7 @@ def reference_inversion(record, spec, params, iters, step, seed, restarts):
             t = float(rng.normal(0.0, 1.0, 1)[0])
             obj = objective(x, t)
             if obj < best_obj:
-                best_obj, best_x, best_t = obj, x.copy(), t
+                best_obj, best_x = obj, x.copy()
             worse_streak = 0
             stop = "iters"
             for _ in range(iters):
@@ -82,7 +90,7 @@ def reference_inversion(record, spec, params, iters, step, seed, restarts):
                     stop = "nonfinite"
                     break
                 if new_obj < best_obj:
-                    best_obj, best_x, best_t = new_obj, x.copy(), t
+                    best_obj, best_x = new_obj, x.copy()
                 worse_streak = worse_streak + 1 if new_obj > obj else 0
                 obj = new_obj
                 if worse_streak >= DIVERGENCE_PATIENCE:
@@ -92,8 +100,7 @@ def reference_inversion(record, spec, params, iters, step, seed, restarts):
                     stop = "converged"
                     break
             stops.append(stop)
-    all_diverged = all(stop in ("nonfinite", "patience") for stop in stops)
-    return best_x, best_t, best_obj, all_diverged, stops
+    return best_x, best_obj, stops
 
 
 class TestClosedFormInversion:
@@ -145,8 +152,7 @@ class TestIterativeInversion:
         params = ParameterSet(BIAS_SPEC, np.array([0.5, -1.0, 0.1]))
         x = np.array([2.0, 1.0])
         record = clean_record(BIAS_SPEC, params, x, 1.0)
-        x_hat, _ = invert_gradient_iterative(record, BIAS_SPEC, params,
-                                             iters=2000, step=0.02, seed=0)
+        x_hat, _ = invert_one(record, params, iters=2000, step=0.02, seed=0)
         assert cosine_similarity(x_hat, x) >= 0.999
         closed = invert_linear_gradient(record, BIAS_SPEC)
         assert cosine_similarity(x_hat, closed) >= 0.999
@@ -158,10 +164,8 @@ class TestIterativeInversion:
         noisy_free = GradientRecord(step=0, clean=record.clean,
                                     noisy=record.clean.copy(),
                                     batch_indices=np.array([0]))
-        a = invert_gradient_iterative(record, BIAS_SPEC, params, iters=500,
-                                      step=0.02, seed=3)
-        b = invert_gradient_iterative(noisy_free, BIAS_SPEC, params, iters=500,
-                                      step=0.02, seed=3)
+        a = invert_one(record, params, iters=500, step=0.02, seed=3)
+        b = invert_one(noisy_free, params, iters=500, step=0.02, seed=3)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
     def test_analytic_objective_gradient_matches_finite_differences(self):
@@ -196,23 +200,6 @@ class TestIterativeInversion:
                 fd_t = (rows(x, t + h)[0][0] - rows(x, t - h)[0][0]) / (2 * h)
                 assert fd_t == pytest.approx(gt[0], rel=1e-4, abs=1e-6)
 
-    def test_rejects_nonlinear_model(self):
-        spec = ModelSpec(layer_sizes=(2, 3, 1), activation="tanh")
-        params = init_params(spec, RngStream(5))
-        record = clean_record(spec, params, np.array([1.0, -1.0]), 0.5)
-        with pytest.raises(ValueError, match="single linear output unit"):
-            invert_gradient_iterative(record, spec, params, iters=10, seed=0)
-
-    def test_total_divergence_carries_best_iterate(self):
-        params = ParameterSet(BIAS_SPEC, np.array([0.5, -1.0, 0.1]))
-        record = clean_record(BIAS_SPEC, params, np.array([2.0, 1.0]), 1.0)
-        with pytest.raises(ConvergenceFailureError) as excinfo:
-            invert_gradient_iterative(record, BIAS_SPEC, params, iters=500,
-                                      step=1e6, seed=1, restarts=3)
-        err = excinfo.value
-        assert err.best_x.shape == (2,)
-        assert np.isfinite(err.best_objective)
-
     def test_monotonicity_across_noise_levels(self):
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=True)
         params = init_params(spec, RngStream(81))
@@ -226,9 +213,8 @@ class TestIterativeInversion:
                 record = GradientRecord(step=0, clean=base.clean,
                                         noisy=base.clean + noise,
                                         batch_indices=np.array([0]))
-                x_hat, _ = invert_gradient_iterative(record, spec, params,
-                                                     iters=400, step=0.01,
-                                                     seed=trial, restarts=4)
+                x_hat, _ = invert_one(record, params, iters=400, step=0.01,
+                                      seed=trial, restarts=4)
                 values.append(cosine_similarity(x_hat, x))
             cosines[sigma] = median(values)
         assert cosines[0.5] <= cosines[0.0]
@@ -249,7 +235,8 @@ def _reference_case(name):
             "patience_all_diverged": (record, spec, params, 3000, 0.0172, 1, 4,
                                       "patience"),
             # The streak reaches DIVERGENCE_PATIENCE on the final step, so the
-            # lone restart counts as diverged; one step fewer and it would not.
+            # lone restart stops for patience; one step fewer and it would run
+            # out of steps instead.
             "patience_at_last_step": (record, spec, params, 257, 0.0172, 1, 1,
                                       "patience"),
             "overflow": (record, spec, params, 500, 1e6, 1, 3, "nonfinite"),
@@ -274,21 +261,12 @@ class TestBatchedDescentMatchesReference:
     ])
     def test_bit_identical_to_one_restart_at_a_time(self, name):
         record, spec, params, iters, step, seed, restarts, stop = _reference_case(name)
-        ref_x, ref_t, ref_obj, ref_failed, stops = reference_inversion(
-            record, spec, params, iters, step, seed, restarts)
+        ref_x, ref_obj, stops = reference_inversion(record, spec, params, iters, step,
+                                                    seed, restarts)
         assert stop in stops
-        try:
-            x, t = invert_gradient_iterative(record, spec, params, iters=iters,
-                                             step=step, seed=seed,
-                                             restarts=restarts)
-        except ConvergenceFailureError as exc:
-            assert ref_failed
-            x, t = exc.best_x, exc.best_t
-            assert exc.best_objective == ref_obj
-        else:
-            assert not ref_failed
+        x, obj = invert_one(record, params, iters, step, seed, restarts)
         assert np.array_equal(x, ref_x)
-        assert t == ref_t
+        assert obj == ref_obj
 
     def test_sweep_matches_per_record_inversion(self, monkeypatch):
         spec = ModelSpec(layer_sizes=(4, 1), activation="identity", include_bias=True)
@@ -317,14 +295,12 @@ class TestBatchedDescentMatchesReference:
                                      noise=noise, reg=reg, record_gradients=True)
                 record = train(spec, data, config).records[0]
                 params0 = initial_params_for(spec, config)
-                try:
-                    x, _ = invert_gradient_iterative(record, spec, params0,
-                                                     seed=seed + k, **kwargs)
-                    outcomes.add("returned")
-                except ConvergenceFailureError as exc:
-                    x = exc.best_x
-                    outcomes.add("all restarts diverged")
+                x, _ = invert_one(record, params0, seed=seed + k, **kwargs)
                 assert np.array_equal(swept[m * trials + k], x)
+                stops = reference_inversion(record, spec, params0, seed=seed + k,
+                                            **kwargs)[2]
+                outcomes.add("all restarts diverged"
+                             if set(stops) <= {"nonfinite", "patience"} else "returned")
         assert outcomes == {"returned", "all restarts diverged"}
 
 
@@ -335,7 +311,7 @@ class TestMembershipInference:
         pool = generate_dataset("noisy_linear", 200, 5, 0.5, seed=3)
         members = Dataset(pool.x[:100], pool.t[:100])
         fresh = Dataset(pool.x[100:], pool.t[100:])
-        result = membership_inference(spec, params, members, fresh, threshold=-1.0)
+        result = membership_inference(spec, params, members, fresh)
         assert abs(result.auc - 0.5) <= 0.1
 
     def test_memorizing_model_is_detectable(self):
@@ -349,15 +325,14 @@ class TestMembershipInference:
                                                   epochs=100, seed=6))
         fresh = Dataset(np.stack([RngStream(77, i).normal(0.0, 1.0, 16)
                                   for i in range(16)]), signs)
-        result = membership_inference(spec, report.final_params, members, fresh,
-                                      threshold=-0.5)
+        result = membership_inference(spec, report.final_params, members, fresh)
         assert result.auc > 0.9
 
     def test_constant_scores_give_exact_half(self):
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
         zero = ParameterSet(spec, np.zeros(3))
         data = generate_dataset("noisy_linear", 20, 3, 0.2, seed=5)
-        result = membership_inference(spec, zero, data, data, threshold=-1.0)
+        result = membership_inference(spec, zero, data, data)
         assert result.auc == 0.5
 
     def test_auc_equals_pairwise_count_with_ties(self):
@@ -374,7 +349,7 @@ class TestMembershipInference:
                 return Dataset(np.stack([x for x, _ in rows]),
                                np.stack([t for _, t in rows]))
 
-            result = membership_inference(spec, params, draw(), draw(), threshold=-1.0)
+            result = membership_inference(spec, params, draw(), draw())
             wins = sum(1.0 if a > b else 0.5 if a == b else 0.0
                        for a in result.member_scores for b in result.non_member_scores)
             assert result.auc == wins / (n * n)
@@ -413,10 +388,10 @@ class TestMembershipInference:
         data = generate_dataset("linear_regression", 10, 3, 0.0, seed=1)
         short = Dataset(data.x[:5], data.t[:5])
         with pytest.raises(ValueError):
-            membership_inference(spec, params, data, short, threshold=0.0)
+            membership_inference(spec, params, data, short)
         empty = Dataset(np.empty((0, 3)), np.empty((0, 1)))
         with pytest.raises(ValueError):
-            membership_inference(spec, params, empty, empty, threshold=0.0)
+            membership_inference(spec, params, empty, empty)
 
 
 class TestLeakageSweep:

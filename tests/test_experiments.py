@@ -24,7 +24,7 @@ from privreg.experiments import (COMMANDS, ConfigError, OracleConfig, ResultRow,
                                  read_result_rows, run, write_result_rows)
 from privreg.model import ModelSpec
 from privreg.optimizers import NoiseSpec, TrainConfig, initial_params_for, train
-from privreg.oracle import regularized_least_squares_oracle
+from reference_solvers import regularized_least_squares_oracle
 
 
 class TestGenerateDataset:
@@ -385,6 +385,31 @@ class TestRun:
         monkeypatch.setenv("PRIVREG_OUT", str(tmp_path / "from_env"))
         assert run("train", cfg_path) == 0
         assert (tmp_path / "from_env" / "train_results.csv").exists()
+        assert not (tmp_path / "from_config").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
+    @pytest.mark.parametrize("source", ["--out", "$PRIVREG_OUT", "output.directory"])
+    def test_uncreatable_out_dir_exits_2_naming_its_source(self, tmp_path, monkeypatch,
+                                                           capsys, source, below):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        blocked = str(blocker / below) if below else str(blocker)
+        cfg = minimal_train_config(blocked if source == "output.directory"
+                                   else tmp_path / "from_config")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        monkeypatch.delenv("PRIVREG_OUT", raising=False)
+        if source == "$PRIVREG_OUT":
+            monkeypatch.setenv("PRIVREG_OUT", blocked)
+        argv = ["train", "--config", str(cfg_path)]
+        if source == "--out":
+            argv += ["--out", blocked]
+        assert cli_main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        named = "field 'output.directory'" if source == "output.directory" else source
+        assert err["message"].startswith(f"{named}: cannot create output directory")
+        assert repr(blocked) in err["message"]
         assert not (tmp_path / "from_config").exists()
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):

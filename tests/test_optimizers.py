@@ -14,8 +14,8 @@ from privreg.optimizers import (NOISE_BLOCK, STREAM_NOISE, STREAM_SHUFFLE,
                                 NoiseSpec, TrainConfig, TrainingDivergedError,
                                 clip_gradient, dataset_loss, gradient_noise,
                                 initial_params_for, mechanism_step, train)
-from privreg.oracle import regularized_least_squares_oracle
 from privreg.regularizers import RegSpec, dp_input_penalty
+from reference_solvers import regularized_least_squares_oracle
 
 LINEAR2 = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=False)
 LINEAR3 = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
@@ -298,20 +298,6 @@ class TestTrain:
         assert np.array_equal(a.final_params.flat, b.final_params.flat)
         assert a.epoch_losses == b.epoch_losses
 
-    def test_derived_kappa_takes_the_rate_of_the_epochs_last_step(self):
-        # The schedule ends with the epoch, so the rate of the step after it
-        # (0) must not set the epoch loss's kappa.
-        data = small_dataset(seed=28, n=8, d=3, noise=0.2)
-        sigma = 0.4
-        scheduled = TrainConfig(eta=lambda s: 0.1 if s < 8 else 0.0, batch_size=1,
-                                epochs=1, seed=32, noise=NoiseSpec(mode="none", sigma=sigma),
-                                reg=RegSpec(kappa_mode="derived"))
-        report = train(LINEAR3, data, scheduled)
-        constant = train(LINEAR3, data, replace(scheduled, eta=0.1))
-        assert np.array_equal(report.final_params.flat, constant.final_params.flat)
-        assert report.epoch_losses == [dataset_loss(LINEAR3, report.final_params, data,
-                                                    scheduled.reg, 0.1 ** 2 * sigma ** 2)]
-
     def test_epoch_count_matches_config(self):
         data = small_dataset()
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
@@ -330,14 +316,6 @@ class TestTrain:
                               include_bias=False)
         with pytest.raises(ValueError):
             train(wrong_dim, data, TrainConfig(eta=0.1, batch_size=1, epochs=1, seed=0))
-
-    def test_schedule_callable_is_honored(self):
-        data = small_dataset(n=8)
-        spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
-        config = TrainConfig(eta=lambda step: 0.1 / (1 + step), batch_size=8,
-                             epochs=2, seed=2)
-        report = train(spec, data, config)
-        assert len(report.epoch_losses) == 2
 
     def test_dataset_loss_matches_epoch_loss(self):
         data = small_dataset(seed=33, n=10, d=3)
@@ -500,7 +478,7 @@ def reference_train(spec, data, config):
         order = shuffle_rng.permutation(len(data))
         for start in range(0, order.size, config.batch_size):
             batch_idx = order[start:start + config.batch_size]
-            eta = config.eta_at(step)
+            eta = config.eta
             kappa = reg.kappa
             if reg.kappa_mode == "derived":
                 kappa = eta * eta * noise.sigma * noise.sigma
@@ -527,7 +505,7 @@ def reference_train(spec, data, config):
             step += 1
         kappa = reg.kappa
         if reg.kappa_mode == "derived":
-            kappa = config.eta_at(step) ** 2 * noise.sigma ** 2
+            kappa = config.eta ** 2 * noise.sigma ** 2
         losses.append(float(np.mean([
             _ref_example_loss(spec, params, data.x[i], data.t[i], reg, kappa)
             for i in range(len(data))])))
@@ -608,6 +586,8 @@ class TestSpecs:
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(eta=0.0)
+        with pytest.raises(ValueError, match="eta"):
+            TrainConfig(eta=lambda step: 0.1)
         with pytest.raises(ValueError):
             TrainConfig(eta=0.1, batch_size=0)
         with pytest.raises(ValueError):

@@ -15,7 +15,8 @@ from privreg.oracle import (MC_CHUNK_ROWS, analytic_post_update_loss,
                             check_moment_identities, check_post_update_loss,
                             check_product_density, equivalence_chain_residuals,
                             finite_difference_gradient, mc_post_update_loss,
-                            random_linear_setups, regularized_least_squares_oracle)
+                            random_linear_setups)
+from reference_solvers import regularized_least_squares_oracle
 
 LINEAR2 = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=False)
 THETA = ParameterSet(LINEAR2, np.array([0.5, -1.0]))
