@@ -9,7 +9,7 @@ inversion and membership inference.
 
 __version__ = "0.1.0"
 
-from .attack import (LeakageReport, MembershipResult, NoLeakageError,
+from .attack import (LeakageReport, NoLeakageError,
                      cosine_similarity, invert_linear_gradient, leakage_sweep,
                      membership_inference)
 from .experiments import (ConfigError, ExperimentConfig, ResultRow,

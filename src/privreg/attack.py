@@ -7,9 +7,10 @@ attacks run inside leakage_sweep, on one linear output unit with a bias.
 The unit's clean gradient is (2*(y-t)*x, 2*(y-t)), so x falls out of one
 division; the iterative attack instead descends on
 ||grad_model(x_hat, t_hat) - g_tilde||^2, whose value and gradient have
-closed forms for such a unit.  Every (mechanism, trial, restart) of a
-sweep is a row of one batched descent that reproduces the
-one-restart-at-a-time loop bit for bit.
+closed forms for such a unit.  Every (mechanism, trial) of a sweep is a
+row of one gradient array, inverted in closed form by one division, and
+every (mechanism, trial, restart) is a row of one batched descent that
+reproduces the one-restart-at-a-time loop bit for bit.
 
 Nothing here assumes which training mechanism leaks least; the sweep just
 measures reconstruction quality per mechanism under fixed seeds.
@@ -19,15 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import median
 
 import numpy as np
 
 from .model import Dataset, ModelSpec, ParameterSet, forward, quadratic_loss
 from .numerics import RngStream
-from .optimizers import (STREAM_NOISE, STREAM_SHUFFLE, GradientRecord, NoiseSpec,
-                         TrainConfig, gradient_noise, initial_params_for,
-                         mechanism_label, mechanism_step)
+from .optimizers import (STREAM_NOISE, STREAM_SHUFFLE, NoiseSpec, TrainConfig,
+                         initial_params_for, mechanism_label, mechanism_step)
 from .regularizers import RegSpec
 
 COSINE_SUCCESS = 0.99
@@ -39,13 +38,15 @@ class NoLeakageError(RuntimeError):
     """The observed gradient carries no recoverable input (bias gradient ~ 0)."""
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of each row of a with the same row of b (along the last
+    axis), 0 where either row is all zero.  np.vecdot sums a row as
+    np.dot and np.linalg.norm do, so a row gets the bits it would alone."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na, nb = np.sqrt(np.vecdot(a, a)), np.sqrt(np.vecdot(b, b))
+    zero = (na == 0) | (nb == 0)
+    return np.where(zero, 0.0, np.vecdot(a, b) / np.where(zero, 1.0, na * nb))
 
 
 def _require_linear_with_bias(spec: ModelSpec):
@@ -55,36 +56,32 @@ def _require_linear_with_bias(spec: ModelSpec):
         raise ValueError("closed-form inversion needs a bias term")
 
 
-def invert_linear_gradient(record: GradientRecord, spec: ModelSpec) -> np.ndarray:
-    """Recover the input of a batch-1 linear-neuron step from its gradient.
+def invert_linear_gradient(g: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """Recover the inputs of batch-1 linear-neuron steps from their gradients.
 
-    With g_w = 2*(y-t)*x and g_b = 2*(y-t), the input is g_w / g_b; exact
-    on clean gradients whenever the example is off the loss minimum.
+    g holds one (d + 1,) gradient per row.  With g_w = 2*(y-t)*x and
+    g_b = 2*(y-t), each input is g_w / g_b; exact on clean gradients
+    whenever the example is off the loss minimum.
     """
     _require_linear_with_bias(spec)
-    if record.batch_indices.size != 1:
-        raise ValueError("closed-form inversion needs a batch of one example")
-    g = np.asarray(record.noisy, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
     d = spec.input_dim
-    if g.shape != (d + 1,):
-        raise ValueError(f"gradient has {g.size} coordinates, expected {d + 1}")
-    g_bias = g[d]
-    if abs(g_bias) < NO_LEAKAGE_EPS:
-        raise NoLeakageError(
-            "bias gradient is numerically zero: the example sits at the loss "
-            "minimum and its gradient reveals nothing"
-        )
-    return g[:d] / g_bias
+    if g.shape[-1] != d + 1:
+        raise ValueError(f"gradient has {g.shape[-1]} coordinates, expected {d + 1}")
+    g_bias = g[..., d:]
+    if (np.abs(g_bias) < NO_LEAKAGE_EPS).any():
+        raise NoLeakageError("bias gradient is numerically zero: the example sits at "
+                             "the loss minimum and its gradient reveals nothing")
+    return g[..., :d] / g_bias
 
 
 def _objective_and_gradient(theta: np.ndarray, bias: np.ndarray,
                             target: np.ndarray, x: np.ndarray, t: np.ndarray):
     """Per row, J(x, t) = ||grad_model(x, t; theta, bias) - target||^2 and
-    its gradient (gx, gt), for one linear output unit.
+    its gradient (gx, gt), for one linear output unit with a bias.
 
-    Rows of theta and x are (R, d); bias and t are (R,), with bias all
-    zero for a model without one; target is (R, d + 1) with a bias and
-    (R, d) without.  With r = theta.x + bias - t the model gradient is
+    Rows of theta and x are (R, d); bias and t are (R,); target is
+    (R, d + 1).  With r = theta.x + bias - t the model gradient is
     (2r*x, 2r), so diff = grad_model - target is formed once and serves
     both J and its gradient.  Every dot product goes through np.vecdot,
     which sums a row in the same order as np.dot on that row, so each row
@@ -95,15 +92,11 @@ def _objective_and_gradient(theta: np.ndarray, bias: np.ndarray,
     two_r = 2.0 * r
     diff = np.empty_like(target)
     diff[:, :d] = two_r[:, None] * x - target[:, :d]
+    diff[:, d] = db = two_r - target[:, d]
     dw = diff[:, :d]
     xdw = np.vecdot(x, dw)
-    gx = (4.0 * xdw)[:, None] * theta + (4.0 * r)[:, None] * dw
-    gt = -4.0 * xdw
-    if target.shape[1] > d:
-        db = two_r - target[:, d]
-        diff[:, d] = db
-        gx = gx + (4.0 * db)[:, None] * theta
-        gt = gt - 4.0 * db
+    gx = (4.0 * xdw)[:, None] * theta + (4.0 * r)[:, None] * dw + (4.0 * db)[:, None] * theta
+    gt = -4.0 * xdw - 4.0 * db
     return np.vecdot(diff, diff), gx, gt
 
 
@@ -149,38 +142,30 @@ def _descend(theta: np.ndarray, bias: np.ndarray, target: np.ndarray,
     return best_obj, best_x
 
 
+def _restart_starts(seed: int, restarts: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The descent's starting (x, t) for restarts r < restarts: x is one
+    normal(0, 1, d) call of RngStream(seed, r), t one draw after it."""
+    rngs = [RngStream(seed, r) for r in range(restarts)]
+    x0 = np.array([rng.normal(0.0, 1.0, d) for rng in rngs])
+    return x0, np.array([rng.normal(0.0, 1.0, 1)[0] for rng in rngs])
+
+
 def _invert_records(theta: np.ndarray, bias: np.ndarray, target: np.ndarray,
-                    seeds: list[int], iters: int, step: float, restarts: int):
-    """Gradient matching for N records in one descent of N * restarts rows.
+                    x0: np.ndarray, t0: np.ndarray, iters: int, step: float) -> np.ndarray:
+    """Gradient matching for N records in one descent of N * R rows.
 
     Record i has parameters theta[i], bias[i], observed gradient target[i]
-    and starts RngStream(seeds[i], r) for r < restarts.  Returns per record
-    the best x (N, d) and its J over the restarts (the first restart wins a
-    tie).  A record whose restarts all diverged still has its best x.
+    and R restarts from x0[i] (R, d) and t0[i] (R,).  Returns per record
+    the best x (N, d), the restart with the lowest J winning (the first on
+    a tie); a record whose restarts all diverged still has its best x.
     """
-    n, d = theta.shape
-    x0 = np.empty((n * restarts, d))
-    t0 = np.empty(n * restarts)
-    for i, seed in enumerate(seeds):
-        for r in range(restarts):
-            rng = RngStream(seed, r)
-            x0[i * restarts + r] = rng.normal(0.0, 1.0, d)
-            t0[i * restarts + r] = rng.normal(0.0, 1.0, 1)[0]
+    n, restarts, d = x0.shape
     best_obj, best_x = _descend(
         np.repeat(theta, restarts, axis=0), np.repeat(bias, restarts),
-        np.repeat(target, restarts, axis=0), x0, t0, iters, step)
+        np.repeat(target, restarts, axis=0), x0.reshape(-1, d), t0.reshape(-1),
+        iters, step)
     pick = np.arange(n) * restarts + np.argmin(best_obj.reshape(n, restarts), axis=1)
-    return best_x[pick], best_obj[pick]
-
-
-@dataclass
-class MembershipResult:
-    """Loss-score membership attack outcome: the AUC of -loss, members
-    against non-members, and the scores it ranks."""
-
-    auc: float
-    member_scores: np.ndarray
-    non_member_scores: np.ndarray
+    return best_x[pick]
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -201,8 +186,8 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 
 
 def membership_inference(spec: ModelSpec, params: ParameterSet,
-                         members: Dataset, non_members: Dataset) -> MembershipResult:
-    """Score each example by -loss and rank members against non-members.
+                         members: Dataset, non_members: Dataset) -> float:
+    """The AUC of -loss as a score of members against non-members.
 
     AUC uses midranks, so constant scores give exactly 0.5.
     """
@@ -218,19 +203,18 @@ def membership_inference(spec: ModelSpec, params: ParameterSet,
     s_non = scores(non_members)
     n1, n0 = s_mem.size, s_non.size
     ranks = _midranks(np.concatenate([s_mem, s_non]))
-    auc = float((ranks[:n1].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
-    return MembershipResult(auc=auc, member_scores=s_mem, non_member_scores=s_non)
+    return float((ranks[:n1].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
 
 @dataclass
 class LeakageReport:
-    """Reconstruction quality of one attack against one mechanism."""
+    """Reconstruction quality of one attack against one mechanism, one
+    entry per trial."""
 
     mechanism: str
     attack: str
-    mse: list[float]
-    cosine: list[float]
-    success: list[bool]
+    mse: np.ndarray
+    cosine: np.ndarray
 
     @property
     def mean_mse(self) -> float:
@@ -238,7 +222,7 @@ class LeakageReport:
 
     @property
     def median_mse(self) -> float:
-        return float(median(self.mse))
+        return float(np.median(self.mse))
 
     @property
     def mean_cosine(self) -> float:
@@ -246,11 +230,11 @@ class LeakageReport:
 
     @property
     def median_cosine(self) -> float:
-        return float(median(self.cosine))
+        return float(np.median(self.cosine))
 
     @property
     def success_rate(self) -> float:
-        return float(np.mean(self.success))
+        return float(np.mean(self.cosine >= COSINE_SUCCESS))
 
 
 def leakage_sweep(spec: ModelSpec, data: Dataset,
@@ -258,10 +242,11 @@ def leakage_sweep(spec: ModelSpec, data: Dataset,
                   seed: int, eta: float = 0.1, iters: int = 800,
                   step: float = 0.02, restarts: int = 10) -> list[LeakageReport]:
     """Per (mechanism, trial), take the first step of a batch-1 train() run
-    (its first shuffled example, first noise draw and starting
+    (its first shuffled example, first noise row and starting
     parameters), attack its gradient with both inverters, and aggregate.
 
-    Trial k reuses seed + k for every mechanism, so identical mechanism
+    Trial k draws its start, example, noise row and restart starts once,
+    from seed + k, and every mechanism steps from them: identical mechanism
     entries produce identical reports and different mechanisms see the
     same data order and underlying noise draws.
     """
@@ -273,37 +258,36 @@ def leakage_sweep(spec: ModelSpec, data: Dataset,
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
 
-    x_true, x_cf, theta, bias, target, seeds = [], [], [], [], [], []
-    for noise, reg in mechanisms:
-        for k in range(trials):
-            params0 = initial_params_for(spec, TrainConfig(eta=eta, seed=seed + k))
-            first = RngStream(seed + k, STREAM_SHUFFLE).permutation(len(data))[:1]
-            z = gradient_noise(noise, RngStream(seed + k, STREAM_NOISE), params0.flat.shape)
-            taken = mechanism_step(spec, params0, data.x[first], data.t[first], eta,
-                                   noise, reg, z)
-            record = GradientRecord(step=0, clean=taken.clean, noisy=taken.noisy,
-                                    batch_indices=first)
-            x_true.append(data.x[first[0]])
-            x_cf.append(invert_linear_gradient(record, spec))
-            theta.append(params0.weights(0).ravel())
-            bias.append(params0.bias(0)[0])
-            target.append(record.noisy)
-            seeds.append(seed + k)
-    # A record whose restarts all diverged is still an attack outcome,
-    # scored on its best iterate.
     d = spec.input_dim
-    x_it = _invert_records(np.reshape(theta, (-1, d)), np.array(bias),
-                           np.reshape(target, (-1, d + 1)), seeds, iters, step,
-                           restarts)[0]
+    params0 = [initial_params_for(spec, TrainConfig(eta=eta, seed=seed + k))
+               for k in range(trials)]
+    first = np.array([RngStream(seed + k, STREAM_SHUFFLE).permutation(len(data))[:1]
+                      for k in range(trials)])
+    z = [RngStream(seed + k, STREAM_NOISE).normal(0.0, 1.0, spec.n_params)
+         for k in range(trials)]
+    starts = [_restart_starts(seed + k, restarts, d) for k in range(trials)]
+    x0, t0 = np.array([x for x, _ in starts]), np.array([t for _, t in starts])
+    target = np.array([
+        mechanism_step(spec, params0[k], data.x[first[k]], data.t[first[k]], eta,
+                       noise, reg, z[k] if noise.adds_noise else None).noisy
+        for noise, reg in mechanisms for k in range(trials)])
+
+    # Row i * trials + k is mechanism i on trial k.
+    m = len(mechanisms)
+    x_true = np.tile(data.x[first[:, 0]], (m, 1))
+    x_cf = invert_linear_gradient(target, spec)
+    x_it = _invert_records(
+        np.tile([p.weights(0).ravel() for p in params0], (m, 1)),
+        np.tile([p.bias(0)[0] for p in params0], m), target,
+        np.tile(x0, (m, 1, 1)), np.tile(t0, (m, 1)), iters, step)
 
     reports = []
-    for m, (noise, reg) in enumerate(mechanisms):
+    for i, (noise, reg) in enumerate(mechanisms):
         label = mechanism_label(noise, reg)
-        trial_rows = range(m * trials, (m + 1) * trials)
+        rows = slice(i * trials, (i + 1) * trials)
         for name, x_hat in (("closed_form", x_cf), ("iterative", x_it)):
-            cos = [cosine_similarity(x_hat[i], x_true[i]) for i in trial_rows]
-            mse = [float(np.mean((x_hat[i] - x_true[i]) ** 2)) for i in trial_rows]
-            reports.append(LeakageReport(mechanism=label, attack=name, mse=mse,
-                                         cosine=cos,
-                                         success=[c >= COSINE_SUCCESS for c in cos]))
+            reports.append(LeakageReport(
+                mechanism=label, attack=name,
+                mse=np.mean((x_hat[rows] - x_true[rows]) ** 2, axis=1),
+                cosine=cosine_similarity(x_hat[rows], x_true[rows])))
     return reports

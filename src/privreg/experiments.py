@@ -52,9 +52,9 @@ from . import __version__
 from .attack import leakage_sweep, membership_inference
 from .model import ACTIVATIONS, Dataset, ModelSpec, ParameterSet, init_params
 from .numerics import RngStream
-from .optimizers import (NOISE_MODES, STREAM_NOISE, STREAM_SHUFFLE, NoiseSpec,
-                         TrainConfig, gradient_noise, initial_params_for,
-                         mechanism_label, mechanism_step, train)
+from .optimizers import (NOISE_MODES, NoiseSpec, TrainConfig, gradient_noise,
+                         initial_params_for, mechanism_label, mechanism_step,
+                         train)
 from .oracle import (DEFAULT_Z_THRESHOLD, IdentityCheck, LinearSetup,
                      backprop_grad_check, check_cross_term_vanishes,
                      check_moment_identities, check_post_update_loss,
@@ -65,7 +65,7 @@ from .regularizers import KAPPA_MODES, RegSpec, dp_input_penalty
 COMMANDS = ("train", "verify", "attack", "moments", "report")
 OUT_DIR_ENV = "PRIVREG_OUT"
 CSV_HEADER = ("experiment_id", "mechanism", "metric", "value", "stderr", "seed")
-DATASET_KINDS = ("linear_regression", "noisy_linear", "clusters")
+DATASET_KINDS = ("noisy_linear", "clusters")
 
 
 class ConfigError(ValueError):
@@ -161,10 +161,10 @@ def generate_dataset(kind: str, n: int, d: int, noise_level: float,
                      seed: int) -> Dataset:
     """Synthetic regression data with per-column standardized features.
 
-    linear_regression: t = w*.x for a hidden seeded w* (noiseless, so a
-    least-squares fit recovers w* exactly).  noisy_linear adds
-    N(0, noise_level^2) to the targets.  clusters: two Gaussian blobs of
-    spread noise_level around opposite centers, targets +/-1.
+    noisy_linear: t = w*.x + N(0, noise_level^2) for a hidden seeded w*
+    (at noise_level 0 a least-squares fit recovers w* exactly).  clusters:
+    two Gaussian blobs of spread noise_level around opposite centers,
+    targets +/-1.
     """
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
@@ -177,12 +177,12 @@ def generate_dataset(kind: str, n: int, d: int, noise_level: float,
     target_noise = RngStream(seed, 1)
     hidden = RngStream(seed, 2)
 
-    if kind in ("linear_regression", "noisy_linear"):
+    if kind == "noisy_linear":
         x = features.normal(0.0, 1.0, n * d).reshape(n, d)
         x = _standardize_columns(x)
         w_star = hidden.normal(0.0, 1.0, d)
         t = x @ w_star
-        if kind == "noisy_linear" and noise_level > 0:
+        if noise_level > 0:
             t = t + target_noise.normal(0.0, noise_level, n)
     else:
         direction = hidden.normal(0.0, 1.0, d)
@@ -788,27 +788,22 @@ def _trajectory_identity(oc: OracleConfig) -> list[tuple[str, float, float]]:
 
 
 def _step_expectation(oc: OracleConfig) -> tuple[float, float]:
-    """Mean of one noisy step over many noise seeds vs the clean step.
+    """Mean of many noisy steps vs the clean step, all from one start.
 
-    Replica k is the one-batch epoch train() runs under seed + 100 + k,
-    with that seed's shuffle order and noise draw; all replicas are taken
-    as one batched mechanism_step from the shared start.
+    The clean step is one full batch of the data in stored order; the
+    noisy steps are the same batch with each of n rows of one noise block
+    from RngStream(seed + 100, 0), taken as one mechanism_step.
     """
     eta, sigma = 0.1, 0.3
     data = generate_dataset("noisy_linear", 8, 3, 0.1, oc.seed + 41)
     spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
-    base = TrainConfig(eta=eta, batch_size=8, epochs=1, seed=oc.seed + 42)
-    init = initial_params_for(spec, base)
-    clean = train(spec, data, base, init=init).final_params.flat
+    init = initial_params_for(spec, TrainConfig(eta=eta, seed=oc.seed + 42))
+    noise = NoiseSpec(mode="iid", sigma=sigma)
+    clean = mechanism_step(spec, init, data.x, data.t, eta, noise, RegSpec()).params
 
     n = oc.expectation_replicas
-    noise = NoiseSpec(mode="iid", sigma=sigma)
-    seeds = range(oc.seed + 100, oc.seed + 100 + n)
-    orders = np.stack([RngStream(s, STREAM_SHUFFLE).permutation(len(data)) for s in seeds])
-    z = np.stack([gradient_noise(noise, RngStream(s, STREAM_NOISE), clean.shape)
-                  for s in seeds])
-    noisy = mechanism_step(spec, init, data.x[orders], data.t[orders], eta, noise,
-                           RegSpec(), z).params
+    z = gradient_noise(noise, RngStream(oc.seed + 100, 0), (n, spec.n_params))
+    noisy = mechanism_step(spec, init, data.x, data.t, eta, noise, RegSpec(), z).params
     err = float(np.abs(noisy.sum(axis=0) / n - clean).max())
     bound = 3.0 * eta * sigma / np.sqrt(n)
     return err, bound
@@ -855,19 +850,13 @@ def _cmd_attack(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
     rows = []
     for rep in reports:
         prefix = rep.attack
-        for cos in rep.cosine:
-            rows.append(ResultRow(eid, rep.mechanism, f"{prefix}_cosine", cos,
+        values = [("cosine", cos) for cos in rep.cosine.tolist()] + [
+            ("cosine_median", rep.median_cosine), ("cosine_mean", rep.mean_cosine),
+            ("mse_median", rep.median_mse), ("mse_mean", rep.mean_mse),
+            ("success_rate", rep.success_rate)]
+        for metric, value in values:
+            rows.append(ResultRow(eid, rep.mechanism, f"{prefix}_{metric}", value,
                                   None, ac.seed))
-        rows.append(ResultRow(eid, rep.mechanism, f"{prefix}_cosine_median",
-                              rep.median_cosine, None, ac.seed))
-        rows.append(ResultRow(eid, rep.mechanism, f"{prefix}_cosine_mean",
-                              rep.mean_cosine, None, ac.seed))
-        rows.append(ResultRow(eid, rep.mechanism, f"{prefix}_mse_median",
-                              rep.median_mse, None, ac.seed))
-        rows.append(ResultRow(eid, rep.mechanism, f"{prefix}_mse_mean",
-                              rep.mean_mse, None, ac.seed))
-        rows.append(ResultRow(eid, rep.mechanism, f"{prefix}_success_rate",
-                              rep.success_rate, None, ac.seed))
 
     if ac.membership:
         with telemetry.phase("membership"):
@@ -886,9 +875,9 @@ def _membership_rows(config: ExperimentConfig, data: Dataset) -> list[ResultRow]
         train_config = TrainConfig(eta=ac.eta, batch_size=min(8, half), epochs=50,
                                    seed=ac.seed, noise=noise, reg=reg)
         report = train(config.model, members, train_config)
-        result = membership_inference(config.model, report.final_params, members, fresh)
-        rows.append(ResultRow(config.experiment_id, label, "membership_auc",
-                              result.auc, None, ac.seed))
+        auc = membership_inference(config.model, report.final_params, members, fresh)
+        rows.append(ResultRow(config.experiment_id, label, "membership_auc", auc,
+                              None, ac.seed))
     return rows
 
 

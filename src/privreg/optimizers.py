@@ -20,8 +20,8 @@ are averaged, then one optional noise draw and the step.  Penalties
 belong to the loss, so they come before the privacy mechanics.  Every row
 is computed exactly as the example would be on its own (see
 privreg.model), so batch size never changes an example's gradient bits.
-mechanism_step also takes R noise rows (or R batches) at once: that is
-how the oracle samples many noisy steps from one starting point.
+mechanism_step also takes R noise rows at once: that is how the oracle
+samples many noisy steps from one starting point.
 
 A run is deterministic given its seed.  Three fixed substreams are used:
 STREAM_INIT for parameter init, STREAM_SHUFFLE for epoch permutations,
@@ -100,10 +100,10 @@ class TrainConfig:
     def __post_init__(self):
         if not isinstance(self.eta, numbers.Real) or not self.eta > 0:
             raise ValueError(f"eta must be a positive number, got {self.eta!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("batch_size", "epochs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -174,37 +174,29 @@ def mechanism_step(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
                    z: np.ndarray | None = None) -> Step:
     """One step of the configured mechanism on a batch of examples.
 
-    x is a (B, d) batch with (B, k) targets t, or (R, B, d) with (R, B, k)
-    for R batches stepped from the same parameters.  Each example's loss
+    x is a (B, d) batch with (B, k) targets t.  Each example's loss
     gradient gets the penalty gradients and is clipped by its norm; the
     batch is averaged; the noise sigma * z (mode "iid") or sigma * theta * z
     (mode "proportional", theta pre-update) is added, z being standard
-    normals from gradient_noise() with a trailing (P,) axis, or None for a
-    noiseless step; then theta - eta * g.  Every example's gradient is
-    computed exactly as on its own (see privreg.model), so batch size and
-    the number of batches never change its bits.
+    normals from gradient_noise(), one (P,) row or R of them as (R, P), or
+    None for a noiseless step; then theta - eta * g.  Every example's
+    gradient is computed exactly as on its own (see privreg.model), so
+    batch size never changes its bits.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     x = np.asarray(x, dtype=np.float64)
-    batches = x.shape[:-2]  # () for one batch, (R,) for R batches
-    rows = x.reshape(-1, x.shape[-1]) if batches else x
-    trace = forward(spec, params, rows)
-    grads = backward(spec, params, trace, np.reshape(t, (len(rows), -1)) if batches else t)
-    kappa = reg.kappa
-    if reg.kappa_mode == "derived":
-        kappa = eta * eta * noise.sigma * noise.sigma
+    grads = backward(spec, params, forward(spec, params, x), t)
+    kappa = reg.effective_kappa(eta, noise.sigma)
     if reg.lam > 0:
         grads = grads + l2_grad(params, reg.lam)
     if kappa > 0:
-        grads = grads + pdp_grad(params, rows, kappa)
+        grads = grads + pdp_grad(params, x, kappa)
     if noise.clip_c is not None:
         grads = clip_gradient(grads, noise.clip_c)
-    if batches:
-        grads = grads.reshape(x.shape[:-1] + (-1,))
     # np.mean's sum and division, without its per-call overhead
-    clean = np.add.reduce(grads, axis=-2)
-    clean /= grads.shape[-2]
+    clean = np.add.reduce(grads, axis=0)
+    clean /= len(grads)
 
     if z is None:
         noisy = clean
@@ -269,9 +261,9 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
     Deterministic given config.seed: one full shuffle per epoch from the
     shuffle stream, the last partial batch kept, and one (P,) noise row per
     batch applied to the averaged gradient (drawn in blocks, with the bits
-    of one draw per batch).  Proportional noise scales
-    with the pre-update parameters.  A derived kappa is eta^2 * sigma^2,
-    worked out once per run for the epoch losses.  Pass `init` to start
+    of one draw per batch).  Proportional noise scales with the pre-update
+    parameters.  The epoch losses take the kappa the steps take
+    (RegSpec.effective_kappa).  Pass `init` to start
     from explicit parameters instead of the seeded default.  Raises
     TrainingDivergedError, naming the epoch, step and mechanism, when the
     parameters or an epoch loss stop being finite.
@@ -286,7 +278,7 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
     noise = config.noise
     reg = config.reg
     eta = config.eta
-    kappa = eta ** 2 * noise.sigma ** 2 if reg.kappa_mode == "derived" else reg.kappa
+    kappa = reg.effective_kappa(eta, noise.sigma)
     n = len(data)
     shuffle_rng = RngStream(config.seed, STREAM_SHUFFLE)
     noise_rows = _noise_rows(noise, RngStream(config.seed, STREAM_NOISE),

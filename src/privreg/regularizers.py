@@ -57,6 +57,10 @@ class RegSpec:
         if self.kappa_mode not in KAPPA_MODES:
             raise ValueError(f"unknown kappa_mode {self.kappa_mode!r}")
 
+    def effective_kappa(self, eta: float, sigma: float) -> float:
+        """The product-term weight of a run at rate eta and noise scale sigma."""
+        return eta * eta * sigma * sigma if self.kappa_mode == "derived" else self.kappa
+
 
 def l2_penalty(params: ParameterSet, lam: float) -> float:
     """lam * sum(theta^2)."""

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from privreg.attack import (_invert_records, cosine_similarity,
+from privreg.attack import (_invert_records, _restart_starts, cosine_similarity,
                             invert_linear_gradient, leakage_sweep)
 from privreg.experiments import (RunTelemetry, _cmd_train, _cmd_verify,
                                  _setup_checks, generate_dataset, parse_config,
@@ -19,8 +19,7 @@ from privreg.experiments import (RunTelemetry, _cmd_train, _cmd_verify,
 from privreg.model import (Dataset, ModelSpec, ParameterSet, backward,
                            forward, init_params)
 from privreg.numerics import RngStream
-from privreg.optimizers import (GradientRecord, NoiseSpec, TrainConfig,
-                                initial_params_for, train)
+from privreg.optimizers import NoiseSpec, TrainConfig, initial_params_for, train
 from privreg.oracle import (backprop_grad_check, check_moment_identities,
                             check_post_update_loss, check_product_density,
                             grad_check, random_linear_setups)
@@ -195,13 +194,12 @@ def test_c8_leakage_baselines_and_noise_trend():
     params = ParameterSet(spec, np.array([0.5, -1.0, 0.3, 0.1, 0.2]))
     x = np.array([2.0, 1.0, -0.5, 0.8])
     trace = forward(spec, params, x[None, :])
-    g = backward(spec, params, trace, np.array([[1.0]]))[0]
-    record = GradientRecord(step=0, clean=g, noisy=g.copy(),
-                            batch_indices=np.array([0]))
-    exact_mse = float(np.mean((invert_linear_gradient(record, spec) - x) ** 2))
-    x_it, _ = _invert_records(params.weights(0), params.bias(0), record.noisy[None, :],
-                              [881], iters=2000, step=0.02, restarts=10)
-    iterative_cosine = cosine_similarity(x_it[0], x)
+    g = backward(spec, params, trace, np.array([[1.0]]))
+    exact_mse = float(np.mean((invert_linear_gradient(g, spec)[0] - x) ** 2))
+    x0, t0 = _restart_starts(881, 10, 4)
+    x_it = _invert_records(params.weights(0), params.bias(0), g, x0[None], t0[None],
+                           iters=2000, step=0.02)
+    iterative_cosine = float(cosine_similarity(x_it[0], x))
 
     data = generate_dataset("noisy_linear", 24, 4, 0.3, seed=882)
     mechanisms = [(NoiseSpec(mode="iid", sigma=s), RegSpec())

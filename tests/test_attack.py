@@ -9,49 +9,45 @@ import numpy as np
 import pytest
 
 import privreg.attack
-from privreg.attack import (DIVERGENCE_PATIENCE, NoLeakageError, _invert_records,
-                            _midranks, _objective_and_gradient, cosine_similarity,
-                            invert_linear_gradient, leakage_sweep,
+from privreg.attack import (COSINE_SUCCESS, DIVERGENCE_PATIENCE, NoLeakageError,
+                            _descend, _invert_records, _midranks,
+                            _objective_and_gradient, _restart_starts,
+                            cosine_similarity, invert_linear_gradient, leakage_sweep,
                             mechanism_label, membership_inference)
 from privreg.experiments import generate_dataset
 from privreg.model import (Dataset, ModelSpec, ParameterSet, backward, forward,
-                           init_params)
+                           init_params, quadratic_loss)
 from privreg.numerics import RngStream
-from privreg.optimizers import (GradientRecord, NoiseSpec, TrainConfig,
-                                initial_params_for, train)
+from privreg.optimizers import NoiseSpec, TrainConfig, initial_params_for, train
 from privreg.regularizers import RegSpec
 
 BIAS_SPEC = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=True)
 
 
-def clean_record(spec, params, x, t):
+def clean_gradient(spec, params, x, t):
+    """The (P,) loss gradient of one example."""
     trace = forward(spec, params, x[None, :])
-    g = backward(spec, params, trace, np.atleast_1d(t)[None, :])[0]
-    return GradientRecord(step=0, clean=g, noisy=g.copy(),
-                          batch_indices=np.array([0]))
+    return backward(spec, params, trace, np.atleast_1d(t)[None, :])[0]
 
 
-def invert_one(record, params, iters, step, seed, restarts=10):
-    """Gradient matching on one record, as leakage_sweep runs it: the best
-    x over the restarts and its objective."""
-    bias = params.bias(0)
-    x, obj = _invert_records(params.weights(0), np.zeros(1) if bias is None else bias,
-                             np.asarray(record.noisy)[None, :], [seed], iters, step,
-                             restarts)
-    return x[0], obj[0]
+def invert_one(g, params, iters, step, seed, restarts=10):
+    """Gradient matching on one observed gradient g, as leakage_sweep runs
+    it for a trial of seed `seed`: the best x over the restarts."""
+    x0, t0 = _restart_starts(seed, restarts, params.spec.input_dim)
+    return _invert_records(params.weights(0), params.bias(0), np.asarray(g)[None, :],
+                           x0[None], t0[None], iters, step)[0]
 
 
-def reference_inversion(record, spec, params, iters, step, seed, restarts):
+def reference_inversion(g, spec, params, iters, step, seed, restarts):
     """The one-restart-at-a-time descent the batched attack must reproduce.
 
     Returns (best_x, best_objective, stops), where stops names why each
     restart ended: "iters", "converged", "patience" or "nonfinite".
     """
-    target = np.asarray(record.noisy, dtype=np.float64)
+    target = np.asarray(g, dtype=np.float64)
     d = spec.input_dim
     theta = params.weights(0).ravel()
-    bias = params.bias(0)
-    b0 = float(bias[0]) if bias is not None else 0.0
+    b0 = float(params.bias(0)[0])
 
     def objective(x, t):
         diff = backward(spec, params, forward(spec, params, x[None, :]),
@@ -61,12 +57,9 @@ def reference_inversion(record, spec, params, iters, step, seed, restarts):
     def gradient(x, t):
         r = float(theta @ x) + b0 - t
         dw = 2.0 * r * x - target[:d]
-        gx = 4.0 * float(x @ dw) * theta + 4.0 * r * dw
-        gt = -4.0 * float(dw @ x)
-        if bias is not None:
-            db = 2.0 * r - target[d]
-            gx = gx + 4.0 * db * theta
-            gt -= 4.0 * db
+        db = 2.0 * r - target[d]
+        gx = 4.0 * float(x @ dw) * theta + 4.0 * r * dw + 4.0 * db * theta
+        gt = -4.0 * float(dw @ x) - 4.0 * db
         return gx, gt
 
     best_obj, best_x = math.inf, np.zeros(d)
@@ -106,18 +99,21 @@ def reference_inversion(record, spec, params, iters, step, seed, restarts):
 class TestClosedFormInversion:
     def test_hand_case(self):
         params = ParameterSet(BIAS_SPEC, np.array([0.5, -1.0, 0.1]))
-        record = clean_record(BIAS_SPEC, params, np.array([2.0, 1.0]), 1.0)
-        assert np.allclose(record.noisy, [-3.6, -1.8, -1.8])
-        assert np.array_equal(invert_linear_gradient(record, BIAS_SPEC),
-                              np.array([2.0, 1.0]))
+        g = clean_gradient(BIAS_SPEC, params, np.array([2.0, 1.0]), 1.0)
+        assert np.allclose(g, [-3.6, -1.8, -1.8])
+        assert np.array_equal(invert_linear_gradient(g, BIAS_SPEC), np.array([2.0, 1.0]))
 
     def test_loss_minimum_reveals_nothing(self):
         params = ParameterSet(BIAS_SPEC, np.array([0.5, -1.0, 0.1]))
         x = np.array([2.0, 1.0])
         y = forward(BIAS_SPEC, params, x[None, :]).output[0, 0]
-        record = clean_record(BIAS_SPEC, params, x, y)
+        g = clean_gradient(BIAS_SPEC, params, x, y)
         with pytest.raises(NoLeakageError):
-            invert_linear_gradient(record, BIAS_SPEC)
+            invert_linear_gradient(g, BIAS_SPEC)
+        # one such row among informative ones still reveals nothing
+        informative = clean_gradient(BIAS_SPEC, params, x, 1.0)
+        with pytest.raises(NoLeakageError):
+            invert_linear_gradient(np.stack([informative, g]), BIAS_SPEC)
 
     def test_exact_on_random_instances(self):
         rng = RngStream(61)
@@ -128,145 +124,159 @@ class TestClosedFormInversion:
             params = ParameterSet(spec, rng.normal(0.0, 1.0, d + 1))
             x = rng.normal(0.0, 1.0, d)
             t = float(rng.normal(0.0, 1.0, 1)[0])
-            record = clean_record(spec, params, x, t)
-            if abs(record.noisy[-1]) < 1e-12:
+            g = clean_gradient(spec, params, x, t)
+            if abs(g[-1]) < 1e-12:
                 continue
-            recon = invert_linear_gradient(record, spec)
+            recon = invert_linear_gradient(g, spec)
             assert float(np.mean((recon - x) ** 2)) <= 1e-20
 
-    def test_requires_bias_and_single_example(self):
+    def test_rows_invert_as_one_division_each(self):
+        rng = RngStream(62)
+        g = rng.normal(0.0, 1.0, 40 * 5).reshape(40, 5)
+        spec = ModelSpec(layer_sizes=(4, 1), activation="identity", include_bias=True)
+        rows = invert_linear_gradient(g, spec)
+        for i in range(40):
+            assert np.array_equal(rows[i], g[i, :4] / g[i, 4])
+
+    def test_requires_bias_and_matching_width(self):
         no_bias = ModelSpec(layer_sizes=(2, 1), activation="identity",
                             include_bias=False)
-        record = GradientRecord(step=0, clean=np.ones(2), noisy=np.ones(2),
-                                batch_indices=np.array([0]))
         with pytest.raises(ValueError):
-            invert_linear_gradient(record, no_bias)
-        wide = GradientRecord(step=0, clean=np.ones(3), noisy=np.ones(3),
-                              batch_indices=np.array([0, 1]))
+            invert_linear_gradient(np.ones((1, 2)), no_bias)
         with pytest.raises(ValueError):
-            invert_linear_gradient(wide, BIAS_SPEC)
+            invert_linear_gradient(np.ones((1, 4)), BIAS_SPEC)
+
+
+class TestPerRowScores:
+    def test_cosine_and_mse_rows_match_one_row_at_a_time(self):
+        # The sweep scores all trials at once; each row must get the bits
+        # of the one-vector formulas it replaced.
+        rng = RngStream(63)
+        for d in (1, 2, 3, 4, 5, 8, 17):
+            a = rng.normal(0.0, 1.0, 300 * d).reshape(300, d)
+            b = rng.normal(0.0, 1.0, 300 * d).reshape(300, d) * rng.uniform(300)[:, None]
+            a[:3] = 0.0  # zero rows score 0
+            cos = cosine_similarity(a, b)
+            mse = np.mean((a - b) ** 2, axis=1)
+            for i in range(300):
+                na, nb = float(np.linalg.norm(a[i])), float(np.linalg.norm(b[i]))
+                one = 0.0 if na == 0 or nb == 0 else float(np.dot(a[i], b[i]) / (na * nb))
+                assert cos[i] == one
+                assert mse[i] == float(np.mean((a[i] - b[i]) ** 2))
 
 
 class TestIterativeInversion:
     def test_clean_gradients_recover_input(self):
         params = ParameterSet(BIAS_SPEC, np.array([0.5, -1.0, 0.1]))
         x = np.array([2.0, 1.0])
-        record = clean_record(BIAS_SPEC, params, x, 1.0)
-        x_hat, _ = invert_one(record, params, iters=2000, step=0.02, seed=0)
+        g = clean_gradient(BIAS_SPEC, params, x, 1.0)
+        x_hat = invert_one(g, params, iters=2000, step=0.02, seed=0)
         assert cosine_similarity(x_hat, x) >= 0.999
-        closed = invert_linear_gradient(record, BIAS_SPEC)
+        closed = invert_linear_gradient(g, BIAS_SPEC)
         assert cosine_similarity(x_hat, closed) >= 0.999
 
     def test_zero_sigma_record_equals_clean_case(self):
         params = ParameterSet(BIAS_SPEC, np.array([0.4, 0.8, -0.2]))
         x = np.array([1.0, -2.0])
-        record = clean_record(BIAS_SPEC, params, x, 0.5)
-        noisy_free = GradientRecord(step=0, clean=record.clean,
-                                    noisy=record.clean.copy(),
-                                    batch_indices=np.array([0]))
-        a = invert_one(record, params, iters=500, step=0.02, seed=3)
-        b = invert_one(noisy_free, params, iters=500, step=0.02, seed=3)
-        assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+        g = clean_gradient(BIAS_SPEC, params, x, 0.5)
+        noise_free = g + 0.0 * RngStream(4).normal(0.0, 1.0, g.size)
+        a = invert_one(g, params, iters=500, step=0.02, seed=3)
+        b = invert_one(noise_free, params, iters=500, step=0.02, seed=3)
+        assert np.array_equal(a, b)
 
     def test_analytic_objective_gradient_matches_finite_differences(self):
-        no_bias = ModelSpec(layer_sizes=(3, 1), activation="identity",
-                            include_bias=False)
-        for spec in (BIAS_SPEC, no_bias):
-            params = init_params(spec, RngStream(72))
-            d = spec.input_dim
-            record = clean_record(spec, params, RngStream(73).normal(0.0, 1.0, d), 1.0)
-            theta = params.weights(0)
-            bias = np.zeros(1) if params.bias(0) is None else params.bias(0)
-            target = record.noisy[None, :]
+        spec = BIAS_SPEC
+        params = init_params(spec, RngStream(72))
+        d = spec.input_dim
+        g = clean_gradient(spec, params, RngStream(73).normal(0.0, 1.0, d), 1.0)
+        theta = params.weights(0)
+        bias = params.bias(0)
+        target = g[None, :]
 
-            def rows(x, t):
-                return _objective_and_gradient(theta, bias, target, x[None, :],
-                                               np.array([t]))
+        def rows(x, t):
+            return _objective_and_gradient(theta, bias, target, x[None, :],
+                                           np.array([t]))
 
-            rng = RngStream(71)
-            for _ in range(5):
-                x = rng.normal(0.0, 1.0, d)
-                t = float(rng.normal(0.0, 1.0, 1)[0])
-                obj, gx, gt = rows(x, t)
-                diff = backward(spec, params, forward(spec, params, x[None, :]),
-                                np.array([[t]]))[0] - record.noisy
-                assert obj[0] == float(np.dot(diff, diff))
-                h = 1e-6
-                for i in range(d):
-                    bump = np.zeros(d)
-                    bump[i] = h
-                    fd = (rows(x + bump, t)[0][0] - rows(x - bump, t)[0][0]) / (2 * h)
-                    assert fd == pytest.approx(gx[0, i], rel=1e-4, abs=1e-6)
-                fd_t = (rows(x, t + h)[0][0] - rows(x, t - h)[0][0]) / (2 * h)
-                assert fd_t == pytest.approx(gt[0], rel=1e-4, abs=1e-6)
+        rng = RngStream(71)
+        for _ in range(5):
+            x = rng.normal(0.0, 1.0, d)
+            t = float(rng.normal(0.0, 1.0, 1)[0])
+            obj, gx, gt = rows(x, t)
+            diff = backward(spec, params, forward(spec, params, x[None, :]),
+                            np.array([[t]]))[0] - g
+            assert obj[0] == float(np.dot(diff, diff))
+            h = 1e-6
+            for i in range(d):
+                bump = np.zeros(d)
+                bump[i] = h
+                fd = (rows(x + bump, t)[0][0] - rows(x - bump, t)[0][0]) / (2 * h)
+                assert fd == pytest.approx(gx[0, i], rel=1e-4, abs=1e-6)
+            fd_t = (rows(x, t + h)[0][0] - rows(x, t - h)[0][0]) / (2 * h)
+            assert fd_t == pytest.approx(gt[0], rel=1e-4, abs=1e-6)
 
     def test_monotonicity_across_noise_levels(self):
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=True)
         params = init_params(spec, RngStream(81))
         x = np.array([1.0, -0.5, 2.0])
-        base = clean_record(spec, params, x, 1.5)
+        base = clean_gradient(spec, params, x, 1.5)
         cosines = {}
         for sigma in (0.0, 0.5):
             values = []
             for trial in range(30):
                 noise = RngStream(900 + trial, 0).normal(0.0, sigma, 4)
-                record = GradientRecord(step=0, clean=base.clean,
-                                        noisy=base.clean + noise,
-                                        batch_indices=np.array([0]))
-                x_hat, _ = invert_one(record, params, iters=400, step=0.01,
-                                      seed=trial, restarts=4)
+                x_hat = invert_one(base + noise, params, iters=400, step=0.01,
+                                   seed=trial, restarts=4)
                 values.append(cosine_similarity(x_hat, x))
             cosines[sigma] = median(values)
         assert cosines[0.5] <= cosines[0.0]
 
 
 def _reference_case(name):
-    """(record, spec, params, iters, step, seed, restarts, expected stop)."""
+    """(gradient, spec, params, iters, step, seed, restarts, expected stop)."""
     if name in ("clean", "patience", "patience_all_diverged",
                 "patience_at_last_step", "overflow"):
         spec = BIAS_SPEC
         params = ParameterSet(spec, np.array([0.5, -1.0, 0.1]))
-        record = clean_record(spec, params, np.array([2.0, 1.0]), 1.0)
+        g = clean_gradient(spec, params, np.array([2.0, 1.0]), 1.0)
         return {
-            "clean": (record, spec, params, 300, 0.02, 0, 4, "iters"),
+            "clean": (g, spec, params, 300, 0.02, 0, 4, "iters"),
             # Just past the stability edge of the minimum: the objective
             # grows slowly enough to stay finite for the whole streak.
-            "patience": (record, spec, params, 3000, 0.0172, 0, 4, "patience"),
-            "patience_all_diverged": (record, spec, params, 3000, 0.0172, 1, 4,
-                                      "patience"),
+            "patience": (g, spec, params, 3000, 0.0172, 0, 4, "patience"),
+            "patience_all_diverged": (g, spec, params, 3000, 0.0172, 1, 4, "patience"),
             # The streak reaches DIVERGENCE_PATIENCE on the final step, so the
             # lone restart stops for patience; one step fewer and it would run
             # out of steps instead.
-            "patience_at_last_step": (record, spec, params, 257, 0.0172, 1, 1,
-                                      "patience"),
-            "overflow": (record, spec, params, 500, 1e6, 1, 3, "nonfinite"),
+            "patience_at_last_step": (g, spec, params, 257, 0.0172, 1, 1, "patience"),
+            "overflow": (g, spec, params, 500, 1e6, 1, 3, "nonfinite"),
         }[name]
-    d, bias, sigma = {"iid_noisy": (3, True, 0.5), "no_bias": (3, False, 0.0),
-                      "odd_d": (5, True, 0.3), "converged": (2, True, 0.0)}[name]
-    spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=bias)
+    d, sigma = {"iid_noisy": (3, 0.5), "odd_d": (5, 0.3), "converged": (2, 0.0)}[name]
+    spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=True)
     params = init_params(spec, RngStream(101))
-    record = clean_record(spec, params, RngStream(201).normal(0.0, 1.0, d), 0.7)
+    g = clean_gradient(spec, params, RngStream(201).normal(0.0, 1.0, d), 0.7)
     if sigma:
-        noisy = record.clean + RngStream(301).normal(0.0, sigma, record.clean.size)
-        record = GradientRecord(step=0, clean=record.clean, noisy=noisy,
-                                batch_indices=np.array([0]))
+        g = g + RngStream(301).normal(0.0, sigma, g.size)
     stop = "converged" if name == "converged" else "iters"
-    return record, spec, params, 1500 if name == "converged" else 400, 0.01, 1, 4, stop
+    return g, spec, params, 1500 if name == "converged" else 400, 0.01, 1, 4, stop
 
 
 class TestBatchedDescentMatchesReference:
     @pytest.mark.parametrize("name", [
-        "clean", "iid_noisy", "no_bias", "odd_d", "converged", "patience",
+        "clean", "iid_noisy", "odd_d", "converged", "patience",
         "patience_all_diverged", "patience_at_last_step", "overflow",
     ])
     def test_bit_identical_to_one_restart_at_a_time(self, name):
-        record, spec, params, iters, step, seed, restarts, stop = _reference_case(name)
-        ref_x, ref_obj, stops = reference_inversion(record, spec, params, iters, step,
+        g, spec, params, iters, step, seed, restarts, stop = _reference_case(name)
+        ref_x, ref_obj, stops = reference_inversion(g, spec, params, iters, step,
                                                     seed, restarts)
         assert stop in stops
-        x, obj = invert_one(record, params, iters, step, seed, restarts)
-        assert np.array_equal(x, ref_x)
-        assert obj == ref_obj
+        assert np.array_equal(invert_one(g, params, iters, step, seed, restarts), ref_x)
+        x0, t0 = _restart_starts(seed, restarts, spec.input_dim)
+        best_obj, _ = _descend(np.repeat(params.weights(0), restarts, axis=0),
+                               np.repeat(params.bias(0), restarts),
+                               np.repeat(g[None, :], restarts, axis=0), x0, t0,
+                               iters, step)
+        assert best_obj.min() == ref_obj
 
     def test_sweep_matches_per_record_inversion(self, monkeypatch):
         spec = ModelSpec(layer_sizes=(4, 1), activation="identity", include_bias=True)
@@ -283,25 +293,45 @@ class TestBatchedDescentMatchesReference:
 
         monkeypatch.setattr(privreg.attack, "cosine_similarity", recording_cosine)
         leakage_sweep(spec, data, mechanisms, trials=trials, seed=seed, **kwargs)
-        # Per mechanism the sweep scores the closed-form x_hat of every
-        # trial, then the iterative ones.
-        swept = [scored[2 * trials * m + trials + k]
-                 for m in range(len(mechanisms)) for k in range(trials)]
+        # Per mechanism the sweep scores the closed-form x_hat rows of its
+        # trials, then the iterative ones.
+        swept = [scored[2 * m + 1][k] for m in range(len(mechanisms))
+                 for k in range(trials)]
 
         outcomes = set()
         for m, (noise, reg) in enumerate(mechanisms):
             for k in range(trials):
                 config = TrainConfig(eta=0.1, batch_size=1, epochs=1, seed=seed + k,
                                      noise=noise, reg=reg, record_gradients=True)
-                record = train(spec, data, config).records[0]
+                noisy = train(spec, data, config).records[0].noisy
                 params0 = initial_params_for(spec, config)
-                x, _ = invert_one(record, params0, seed=seed + k, **kwargs)
+                x = invert_one(noisy, params0, seed=seed + k, **kwargs)
                 assert np.array_equal(swept[m * trials + k], x)
-                stops = reference_inversion(record, spec, params0, seed=seed + k,
+                stops = reference_inversion(noisy, spec, params0, seed=seed + k,
                                             **kwargs)[2]
                 outcomes.add("all restarts diverged"
                              if set(stops) <= {"nonfinite", "patience"} else "returned")
         assert outcomes == {"returned", "all restarts diverged"}
+
+    def test_sweep_draws_each_trial_once(self, monkeypatch):
+        # Per trial: one init, one shuffle, one noise stream and one per
+        # restart, shared by every mechanism.
+        made = []
+        init = RngStream.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        spec = ModelSpec(layer_sizes=(4, 1), activation="identity", include_bias=True)
+        data = generate_dataset("noisy_linear", 20, 4, 0.3, seed=8)
+        mechanisms = [(NoiseSpec(mode="none"), RegSpec()),
+                      (NoiseSpec(mode="iid", sigma=0.5), RegSpec()),
+                      (NoiseSpec(mode="proportional", sigma=0.5), RegSpec())]
+        monkeypatch.setattr(RngStream, "__init__", counting)
+        leakage_sweep(spec, data, mechanisms, trials=2, seed=100, iters=5, step=0.05,
+                      restarts=10)
+        assert len(made) == 2 * (10 + 3)
 
 
 class TestMembershipInference:
@@ -311,8 +341,7 @@ class TestMembershipInference:
         pool = generate_dataset("noisy_linear", 200, 5, 0.5, seed=3)
         members = Dataset(pool.x[:100], pool.t[:100])
         fresh = Dataset(pool.x[100:], pool.t[100:])
-        result = membership_inference(spec, params, members, fresh)
-        assert abs(result.auc - 0.5) <= 0.1
+        assert abs(membership_inference(spec, params, members, fresh) - 0.5) <= 0.1
 
     def test_memorizing_model_is_detectable(self):
         from privreg.optimizers import TrainConfig, train
@@ -325,15 +354,13 @@ class TestMembershipInference:
                                                   epochs=100, seed=6))
         fresh = Dataset(np.stack([RngStream(77, i).normal(0.0, 1.0, 16)
                                   for i in range(16)]), signs)
-        result = membership_inference(spec, report.final_params, members, fresh)
-        assert result.auc > 0.9
+        assert membership_inference(spec, report.final_params, members, fresh) > 0.9
 
     def test_constant_scores_give_exact_half(self):
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
         zero = ParameterSet(spec, np.zeros(3))
         data = generate_dataset("noisy_linear", 20, 3, 0.2, seed=5)
-        result = membership_inference(spec, zero, data, data)
-        assert result.auc == 0.5
+        assert membership_inference(spec, zero, data, data) == 0.5
 
     def test_auc_equals_pairwise_count_with_ties(self):
         spec = ModelSpec(layer_sizes=(1, 1), activation="identity", include_bias=False)
@@ -349,10 +376,14 @@ class TestMembershipInference:
                 return Dataset(np.stack([x for x, _ in rows]),
                                np.stack([t for _, t in rows]))
 
-            result = membership_inference(spec, params, draw(), draw())
+            members, non_members = draw(), draw()
+
+            def scores(data):
+                return -quadratic_loss(forward(spec, params, data.x).output, data.t)
+
             wins = sum(1.0 if a > b else 0.5 if a == b else 0.0
-                       for a in result.member_scores for b in result.non_member_scores)
-            assert result.auc == wins / (n * n)
+                       for a in scores(members) for b in scores(non_members))
+            assert membership_inference(spec, params, members, non_members) == wins / (n * n)
 
     def test_midranks_match_scipy_rankdata(self):
         from scipy.stats import rankdata
@@ -385,7 +416,7 @@ class TestMembershipInference:
     def test_validation(self):
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
         params = ParameterSet(spec, np.zeros(3))
-        data = generate_dataset("linear_regression", 10, 3, 0.0, seed=1)
+        data = generate_dataset("noisy_linear", 10, 3, 0.0, seed=1)
         short = Dataset(data.x[:5], data.t[:5])
         with pytest.raises(ValueError):
             membership_inference(spec, params, data, short)
@@ -415,8 +446,8 @@ class TestLeakageSweep:
         reports = leakage_sweep(self.spec, self.data, [mech, mech], trials=5,
                                 seed=100, iters=200, step=0.01, restarts=3)
         first = [r for r in reports if r.attack == "closed_form"]
-        assert first[0].cosine == first[1].cosine
-        assert first[0].mse == first[1].mse
+        assert np.array_equal(first[0].cosine, first[1].cosine)
+        assert np.array_equal(first[0].mse, first[1].mse)
 
     def test_sweep_is_deterministic(self):
         mechanisms = [(NoiseSpec(mode="iid", sigma=0.5), RegSpec()),
@@ -427,8 +458,9 @@ class TestLeakageSweep:
                           iters=200, step=0.01, restarts=3)
         for ra, rb in zip(a, b):
             assert ra.mechanism == rb.mechanism and ra.attack == rb.attack
-            assert ra.cosine == rb.cosine
-            assert ra.mse == rb.mse
+            assert np.array_equal(ra.cosine, rb.cosine)
+            assert np.array_equal(ra.mse, rb.mse)
+            assert ra.success_rate == float(np.mean(ra.cosine >= COSINE_SUCCESS))
 
     def test_noise_degrades_median_cosine(self):
         mechanisms = [(NoiseSpec(mode="iid", sigma=s), RegSpec())

@@ -6,7 +6,6 @@ import os
 import sys
 import threading
 import time
-from dataclasses import replace
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -22,8 +21,8 @@ from privreg.experiments import (COMMANDS, ConfigError, OracleConfig, ResultRow,
                                  _in_lanes, _step_expectation, apply_seed_override,
                                  generate_dataset, load_dataset, parse_config,
                                  read_result_rows, run, write_result_rows)
-from privreg.model import ModelSpec
-from privreg.optimizers import NoiseSpec, TrainConfig, initial_params_for, train
+from privreg.numerics import RngStream
+from privreg.optimizers import gradient_noise
 from reference_solvers import regularized_least_squares_oracle
 
 
@@ -34,7 +33,7 @@ class TestGenerateDataset:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.t, b.t)
 
     def test_noiseless_linear_is_exactly_realizable(self):
-        data = generate_dataset("linear_regression", 100, 5, 0.0, seed=3)
+        data = generate_dataset("noisy_linear", 100, 5, 0.0, seed=3)
         theta = regularized_least_squares_oracle(data, 0.0).flat
         x, t = data.x, data.t
         residual_mse = float(np.mean((x @ theta - t[:, 0]) ** 2))
@@ -117,7 +116,7 @@ def minimal_train_config(out_dir):
     return {
         "experiment_id": "t",
         "model": {"layer_sizes": [3, 1], "include_bias": False},
-        "data": {"kind": "linear_regression", "n": 30, "d": 3, "seed": 5},
+        "data": {"kind": "noisy_linear", "n": 30, "d": 3, "seed": 5},
         "train": {"eta": 0.05, "batch_size": 10, "epochs": 3, "seed": 11,
                   "noise": {"mode": "iid", "sigma": 0.1}},
         "output": {"directory": str(out_dir)},
@@ -337,22 +336,29 @@ class TestRun:
         with pytest.raises(ValueError, match="job 5"):
             _in_lanes([lambda i=i: job(i) for i in range(20)])
 
-    def test_step_expectation_matches_loop_of_train_calls(self):
-        oc = OracleConfig(seed=77, expectation_replicas=300)
-        eta, sigma = 0.1, 0.3
-        data = generate_dataset("noisy_linear", 8, 3, 0.1, oc.seed + 41)
-        spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
-        base = TrainConfig(eta=eta, batch_size=8, epochs=1, seed=oc.seed + 42)
-        init = initial_params_for(spec, base)
-        clean = train(spec, data, base, init=init).final_params.flat
-        total = np.zeros_like(clean)
-        for k in range(oc.expectation_replicas):
-            config = replace(base, seed=oc.seed + 100 + k,
-                             noise=NoiseSpec(mode="iid", sigma=sigma))
-            total += train(spec, data, config, init=init).final_params.flat
-        err = float(np.abs(total / oc.expectation_replicas - clean).max())
-        bound = 3.0 * eta * sigma / np.sqrt(oc.expectation_replicas)
-        assert np.array_equal(_step_expectation(oc), (err, bound))
+    def test_step_expectation_fails_on_biased_noise(self, monkeypatch):
+        oc = OracleConfig(seed=77)
+        err, bound = _step_expectation(oc)
+        assert err <= bound
+
+        def biased(noise, rng, shape):
+            return gradient_noise(noise, rng, shape) + 0.1
+
+        monkeypatch.setattr(experiments, "gradient_noise", biased)
+        err, bound = _step_expectation(oc)
+        assert err > bound
+
+    def test_step_expectation_makes_a_fixed_number_of_streams(self, monkeypatch):
+        made = []
+        init = RngStream.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RngStream, "__init__", counting)
+        _step_expectation(OracleConfig(seed=77, expectation_replicas=1000))
+        assert len(made) <= 5
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -653,6 +659,7 @@ BOUNDARY_PROBES = [
     _probe("eta-inf", "train", {"train.eta": INF}, "train.eta"),
     _probe("epochs-bool", "train", {"train.epochs": True}, "train.epochs"),
     _probe("noise-mode", "train", {"train.noise.mode": "gaussian"}, "train.noise.mode"),
+    _probe("data-kind-removed", "train", {"data.kind": "linear_regression"}, "data.kind"),
     _probe("mechanism-sigma-inf", "attack",
            {"attack.mechanisms.0.noise.sigma": INF}, "attack.mechanisms[0].noise.sigma"),
     # ranges

@@ -151,27 +151,9 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             noise_step([0.0, 0.0], NoiseSpec(), None, eta=0.0)
 
-    def test_batches_step_as_one(self):
-        # R batches from one start give, row by row, the bits of R single steps
-        rng = RngStream(58)
-        spec = ModelSpec(layer_sizes=(3, 4, 1), activation="tanh")
-        p = ParameterSet(spec, rng.normal(0.0, 1.0, spec.n_params))
-        x = rng.normal(0.0, 1.0, 5 * 6 * 3).reshape(5, 6, 3)
-        t = rng.normal(0.0, 1.0, 5 * 6).reshape(5, 6, 1)
-        noise = NoiseSpec(mode="proportional", sigma=0.4, clip_c=0.8)
-        reg = RegSpec(lam=0.01)
-        z = gradient_noise(noise, rng, (5, spec.n_params))
-        batched = mechanism_step(spec, p, x, t, 0.05, noise, reg, z)
-        for r in range(5):
-            single = mechanism_step(spec, p, x[r], t[r], 0.05, noise, reg, z[r])
-            assert np.array_equal(batched.clean[r], single.clean)
-            assert np.array_equal(batched.noisy[r], single.noisy)
-            assert np.array_equal(batched.params[r], single.params)
-
 
 def small_dataset(seed=9, n=24, d=3, noise=0.0):
-    kind = "noisy_linear" if noise > 0 else "linear_regression"
-    return generate_dataset(kind, n, d, noise, seed)
+    return generate_dataset("noisy_linear", n, d, noise, seed)
 
 
 class TestTrain:
@@ -284,10 +266,13 @@ class TestTrain:
         err = np.abs(total / replicas - clean).max()
         assert err <= 3 * eta * sigma / math.sqrt(replicas)
 
-    def test_derived_kappa_equals_explicit_eta_sq_sigma_sq(self):
+    # At (0.158, 1.9), eta**2 * sigma**2 and eta * eta * sigma * sigma
+    # differ in the last bit, so an epoch loss worked out one way and the
+    # steps the other would disagree.
+    @pytest.mark.parametrize("eta, sigma", [(0.05, 0.4), (0.158, 1.9)])
+    def test_derived_kappa_equals_explicit_eta_sq_sigma_sq(self, eta, sigma):
         data = small_dataset(seed=27, n=20, d=3, noise=0.2)
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
-        eta, sigma = 0.05, 0.4
         derived = TrainConfig(eta=eta, batch_size=5, epochs=5, seed=31,
                               noise=NoiseSpec(mode="none", sigma=sigma),
                               reg=RegSpec(kappa_mode="derived"))
@@ -588,7 +573,8 @@ class TestSpecs:
             TrainConfig(eta=0.0)
         with pytest.raises(ValueError, match="eta"):
             TrainConfig(eta=lambda step: 0.1)
-        with pytest.raises(ValueError):
-            TrainConfig(eta=0.1, batch_size=0)
-        with pytest.raises(ValueError):
-            TrainConfig(eta=0.1, epochs=0)
+        for field in ("batch_size", "epochs"):
+            for value in (0, 2.5, 2.0, True, "2"):
+                with pytest.raises(ValueError, match=field):
+                    TrainConfig(eta=0.1, **{field: value})
+            assert getattr(TrainConfig(eta=0.1, **{field: np.int64(3)}), field) == 3
