@@ -25,8 +25,8 @@ import numpy as np
 
 from .model import Dataset, ModelSpec, ParameterSet, forward, quadratic_loss
 from .numerics import RngStream
-from .optimizers import (STREAM_NOISE, STREAM_SHUFFLE, NoiseSpec, TrainConfig,
-                         initial_params_for, mechanism_label, mechanism_step)
+from .optimizers import (STREAM_NOISE, STREAM_SHUFFLE, NoiseSpec, initial_params_for,
+                         mechanism_label, mechanism_step)
 from .regularizers import RegSpec
 
 COSINE_SUCCESS = 0.99
@@ -185,8 +185,8 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def membership_inference(spec: ModelSpec, params: ParameterSet,
-                         members: Dataset, non_members: Dataset) -> float:
+def membership_inference(params: ParameterSet, members: Dataset,
+                         non_members: Dataset) -> float:
     """The AUC of -loss as a score of members against non-members.
 
     AUC uses midranks, so constant scores give exactly 0.5.
@@ -197,7 +197,7 @@ def membership_inference(spec: ModelSpec, params: ParameterSet,
         raise ValueError("member and non-member sets must have equal size")
 
     def scores(data: Dataset) -> np.ndarray:
-        return -quadratic_loss(forward(spec, params, data.x).output, data.t)
+        return -quadratic_loss(forward(params, data.x).output, data.t)
 
     s_mem = scores(members)
     s_non = scores(non_members)
@@ -259,8 +259,7 @@ def leakage_sweep(spec: ModelSpec, data: Dataset,
         raise ValueError(f"step must be positive, got {step}")
 
     d = spec.input_dim
-    params0 = [initial_params_for(spec, TrainConfig(eta=eta, seed=seed + k))
-               for k in range(trials)]
+    params0 = [initial_params_for(spec, seed + k) for k in range(trials)]
     first = np.array([RngStream(seed + k, STREAM_SHUFFLE).permutation(len(data))[:1]
                       for k in range(trials)])
     z = [RngStream(seed + k, STREAM_NOISE).normal(0.0, 1.0, spec.n_params)
@@ -268,8 +267,8 @@ def leakage_sweep(spec: ModelSpec, data: Dataset,
     starts = [_restart_starts(seed + k, restarts, d) for k in range(trials)]
     x0, t0 = np.array([x for x, _ in starts]), np.array([t for _, t in starts])
     target = np.array([
-        mechanism_step(spec, params0[k], data.x[first[k]], data.t[first[k]], eta,
-                       noise, reg, z[k] if noise.adds_noise else None).noisy
+        mechanism_step(params0[k], data.x[first[k]], data.t[first[k]], eta, noise, reg,
+                       z[k] if noise.adds_noise else None).noisy
         for noise, reg in mechanisms for k in range(trials)])
 
     # Row i * trials + k is mechanism i on trial k.

@@ -5,9 +5,9 @@ so typos cannot silently change a run.  Results land as CSV rows with the
 fixed header ``experiment_id,mechanism,metric,value,stderr,seed`` (UTF-8,
 LF, 17 significant digits) next to a JSON manifest recording the config
 hash, seeds, library versions, the CSV's row count and the run's
-telemetry (seconds per phase for train, verify and attack, verify's
-lanes, peak RSS, failed checks).  Reruns of the same config produce
-byte-identical CSVs; only the manifest's timestamp and telemetry differ.
+telemetry (seconds per phase for every subcommand, verify's lanes, peak
+RSS, failed checks).  Reruns of the same config produce byte-identical
+CSVs; only the manifest's timestamp and telemetry differ.
 
 Metric vocabulary by subcommand:
 
@@ -616,7 +616,8 @@ def _moment_rows(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resu
 
 
 def _cmd_moments(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
-    rows = _moment_rows(config, telemetry)
+    with telemetry.phase("moments_and_product_density"):
+        rows = _moment_rows(config, telemetry)
     ok = not telemetry.failed_checks
     rows.append(ResultRow(config.experiment_id, "all", "moments_pass",
                           1.0 if ok else 0.0, None, config.oracle.seed))
@@ -643,6 +644,14 @@ def _in_lanes(jobs: list[Callable[[], object]]) -> list:
     the bits a serial run would.  Once a job raises, no lane starts
     another, and the error raised is that of the lowest-numbered failed
     job: every job before it ran, so it is the error a serial run meets.
+
+    The calling thread runs jobs, rather than only waiting on a pool, to
+    keep peak memory down: glibc gives each thread its own malloc arena,
+    and memory freed on the calling thread is reused by the serial phases
+    after it.  On the benchmark's verify-mc pass (seed 1, 2 CPUs) a
+    ThreadPoolExecutor.map in which the caller only waits peaked at
+    81.2-81.7 MB against 67.7-68.5 MB for this function, with the same CSV
+    bytes; under MALLOC_ARENA_MAX=1 both peaked at 61.4-61.8 MB.
     """
     workers = _lane_count(len(jobs)) - 1
     if workers < 1:
@@ -727,8 +736,9 @@ def _cmd_verify(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
 
     # Analytic noisy-minus-clean gap equals the matching penalty.
     with phase("equivalence"):
+        residuals = [equivalence_chain_residuals(s) for s in setups]
         for mode_name, idx in (("iid", 0), ("proportional", 1)):
-            residual = max(equivalence_chain_residuals(s)[idx] for s in setups)
+            residual = max(r[idx] for r in residuals)
             rows.append(ResultRow(eid, mode_name, "equivalence_residual", residual,
                                   None, oc.seed))
             gate(f"equivalence_residual[{mode_name}]", residual, 1e-12)
@@ -797,13 +807,13 @@ def _step_expectation(oc: OracleConfig) -> tuple[float, float]:
     eta, sigma = 0.1, 0.3
     data = generate_dataset("noisy_linear", 8, 3, 0.1, oc.seed + 41)
     spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
-    init = initial_params_for(spec, TrainConfig(eta=eta, seed=oc.seed + 42))
+    init = initial_params_for(spec, oc.seed + 42)
     noise = NoiseSpec(mode="iid", sigma=sigma)
-    clean = mechanism_step(spec, init, data.x, data.t, eta, noise, RegSpec()).params
+    clean = mechanism_step(init, data.x, data.t, eta, noise, RegSpec()).params
 
     n = oc.expectation_replicas
     z = gradient_noise(noise, RngStream(oc.seed + 100, 0), (n, spec.n_params))
-    noisy = mechanism_step(spec, init, data.x, data.t, eta, noise, RegSpec(), z).params
+    noisy = mechanism_step(init, data.x, data.t, eta, noise, RegSpec(), z).params
     err = float(np.abs(noisy.sum(axis=0) / n - clean).max())
     bound = 3.0 * eta * sigma / np.sqrt(n)
     return err, bound
@@ -830,7 +840,7 @@ def _grad_check_suite(seed: int) -> list[tuple[str, float, float]]:
         x = rng.normal(0.0, 1.0, 4)
         t = rng.normal(0.0, 1.0, 1)
         backprop_worst = max(backprop_worst,
-                             backprop_grad_check(spec, params, x, t, h_scale=1e-6))
+                             backprop_grad_check(params, x, t, h_scale=1e-6))
 
     return [("l2", worst["l2"], 1e-8), ("pdp", worst["pdp"], 1e-8),
             ("combined", worst["combined"], 1e-8),
@@ -875,7 +885,7 @@ def _membership_rows(config: ExperimentConfig, data: Dataset) -> list[ResultRow]
         train_config = TrainConfig(eta=ac.eta, batch_size=min(8, half), epochs=50,
                                    seed=ac.seed, noise=noise, reg=reg)
         report = train(config.model, members, train_config)
-        auc = membership_inference(config.model, report.final_params, members, fresh)
+        auc = membership_inference(report.final_params, members, fresh)
         rows.append(ResultRow(config.experiment_id, label, "membership_auc", auc,
                               None, ac.seed))
     return rows
@@ -883,17 +893,19 @@ def _membership_rows(config: ExperimentConfig, data: Dataset) -> list[ResultRow]
 
 def _cmd_report(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
     groups: dict[tuple[str, str, str], list[ResultRow]] = {}
-    for i, path in enumerate(config.report.inputs):
-        for row in read_result_rows(Path(path), f"report.inputs[{i}]"):
-            groups.setdefault((row.experiment_id, row.mechanism, row.metric),
-                              []).append(row)
+    with telemetry.phase("read_inputs"):
+        for i, path in enumerate(config.report.inputs):
+            for row in read_result_rows(Path(path), f"report.inputs[{i}]"):
+                groups.setdefault((row.experiment_id, row.mechanism, row.metric),
+                                  []).append(row)
     rows = []
-    for (eid, mech, metric) in sorted(groups):
-        bucket = groups[(eid, mech, metric)]
-        values = np.array([r.value for r in bucket])
-        stderr = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else None
-        rows.append(ResultRow(eid, mech, metric, float(values.mean()), stderr,
-                              bucket[0].seed))
+    with telemetry.phase("aggregate"):
+        for (eid, mech, metric) in sorted(groups):
+            bucket = groups[(eid, mech, metric)]
+            values = np.array([r.value for r in bucket])
+            stderr = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else None
+            rows.append(ResultRow(eid, mech, metric, float(values.mean()), stderr,
+                                  bucket[0].seed))
     mech_width = max((len(r.mechanism) for r in rows), default=10)
     metric_width = max((len(r.metric) for r in rows), default=10)
     for r in rows:

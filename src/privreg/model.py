@@ -8,13 +8,14 @@ plain squared error sum((y - t)^2), so a one-layer linear model with
 scalar output has per-weight gradient 2*(y - t)*x_i and bias gradient
 2*(y - t).
 
-Every pass works on a batch: forward takes (B, d) inputs and keeps (B, .)
-activations, and backward returns one gradient per example as a (B, P)
-array.  A single input is a batch of one row.  Each example's arithmetic
-is the same as on its own: matrix-vector products are stacked,
-(W @ a[:, :, None])[..., 0], which runs the same BLAS gemv per row as
-W @ a on one vector, and dot products go through np.vecdot, which sums a
-row as np.dot does.  A plain (B, d) @ W.T would sum in another order.
+Every pass works on a batch: forward runs params.spec on (B, d) inputs and
+keeps (B, .) activations in a trace that carries params, and backward
+returns one gradient per example as a (B, P) array.  A single input is a
+batch of one row.  Each example's arithmetic is the same as on its own:
+matrix-vector products are stacked, (W @ a[:, :, None])[..., 0], which
+runs the same BLAS gemv per row as W @ a on one vector, and dot products
+go through np.vecdot, which sums a row as np.dot does.  A plain
+(B, d) @ W.T would sum in another order.
 """
 
 from __future__ import annotations
@@ -171,9 +172,11 @@ class Dataset:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer incoming activations, pre-activations, and outputs, each (B, .)."""
+    """A pass's parameters, its (B, d) input x (layer l > 0 takes post[l - 1]),
+    and per-layer pre-activations and outputs, each (B, .)."""
 
-    inputs: list[np.ndarray] = field(default_factory=list)
+    params: ParameterSet
+    x: np.ndarray
     pre: list[np.ndarray] = field(default_factory=list)
     post: list[np.ndarray] = field(default_factory=list)
 
@@ -219,23 +222,21 @@ def _matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (w @ a[:, :, None])[..., 0]
 
 
-def forward(spec: ModelSpec, params: ParameterSet, x: np.ndarray) -> ForwardTrace:
-    """Run the network on a (B, d) batch, keeping every intermediate value."""
-    if params.spec is not spec and params.spec != spec:
-        raise ValueError("parameters were built for a different architecture")
+def forward(params: ParameterSet, x: np.ndarray) -> ForwardTrace:
+    """Run params.spec on a (B, d) batch, keeping every intermediate value."""
+    spec = params.spec
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != spec.input_dim:
         raise ValueError(f"input batch has shape {a.shape}, expected (B, {spec.input_dim})")
     if a.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     layers = spec.layout
-    trace = ForwardTrace()
+    trace = ForwardTrace(params, a)
     for layer, ls in enumerate(layers):
         z = _matvec(ls.weight_matrix(params.flat), a)
         if ls.bias is not None:
             z = z + params.flat[ls.bias]
         act = spec.activation if layer < len(layers) - 1 else "identity"
-        trace.inputs.append(a)
         trace.pre.append(z)
         a = _activate(act, z)
         trace.post.append(a)
@@ -253,32 +254,28 @@ def quadratic_loss(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.vecdot(diff, diff)
 
 
-def backward(spec: ModelSpec, params: ParameterSet, trace: ForwardTrace,
-             t: np.ndarray) -> np.ndarray:
+def backward(trace: ForwardTrace, t: np.ndarray) -> np.ndarray:
     """Exact per-example gradients of quadratic_loss(output, t) w.r.t. the
-    flat parameters: row i of the (B, P) result belongs to example i, and
-    their mean is the gradient of the mean batch loss."""
+    trace's flat parameters: row i of the (B, P) result belongs to example
+    i, and their mean is the gradient of the mean batch loss."""
+    spec = trace.params.spec
     layers = spec.layout
-    if len(trace.pre) != len(layers) or len(trace.inputs) != len(layers):
-        raise ValueError("trace depth does not match the architecture")
     t = np.asarray(t, dtype=np.float64)
     y = trace.output
     if y.shape != t.shape:
         raise ValueError(f"target shape {t.shape} does not match output shape {y.shape}")
-    if trace.inputs[0].shape[1:] != (spec.input_dim,):
-        raise ValueError("trace input dimension does not match the architecture")
 
     batch = y.shape[0]
     grad = np.empty((batch, spec.n_params))
     delta = 2.0 * (y - t)  # output layer is linear
     for layer in range(len(layers) - 1, -1, -1):
         ls = layers[layer]
-        a_in = trace.inputs[layer]
+        a_in = trace.post[layer - 1] if layer > 0 else trace.x
         grad[:, ls.weights] = (delta[:, :, None] * a_in[:, None, :]).reshape(batch, -1)
         if ls.bias is not None:
             grad[:, ls.bias] = delta
         if layer > 0:
-            back = _matvec(ls.weight_matrix(params.flat).T, delta)
+            back = _matvec(ls.weight_matrix(trace.params.flat).T, delta)
             delta = back * _activate_prime(spec.activation, trace.pre[layer - 1],
                                            trace.post[layer - 1])
     return grad

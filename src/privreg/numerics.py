@@ -6,6 +6,8 @@ run is fully reproducible from its (seed, stream_id) pairs.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 # Box-Muller pairs computed per pass over the scratch: 2**15 pairs keep the
@@ -26,8 +28,9 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if seed < 0 or stream_id < 0:
-            raise ValueError("seed and stream_id must be nonnegative")
+        for name, value in (("seed", seed), ("stream_id", stream_id)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))

@@ -100,17 +100,16 @@ class TrainConfig:
     def __post_init__(self):
         if not isinstance(self.eta, numbers.Real) or not self.eta > 0:
             raise ValueError(f"eta must be a positive number, got {self.eta!r}")
-        for name in ("batch_size", "epochs"):
+        for name, low in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
 class GradientRecord:
-    """Averaged batch gradient before and after the privacy mechanism."""
+    """One step's averaged batch gradient before and after the privacy mechanism."""
 
-    step: int
     clean: np.ndarray
     noisy: np.ndarray
     batch_indices: np.ndarray
@@ -169,9 +168,8 @@ class Step(NamedTuple):
     params: np.ndarray
 
 
-def mechanism_step(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
-                   t: np.ndarray, eta: float, noise: NoiseSpec, reg: RegSpec,
-                   z: np.ndarray | None = None) -> Step:
+def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: float,
+                   noise: NoiseSpec, reg: RegSpec, z: np.ndarray | None = None) -> Step:
     """One step of the configured mechanism on a batch of examples.
 
     x is a (B, d) batch with (B, k) targets t.  Each example's loss
@@ -186,7 +184,7 @@ def mechanism_step(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     x = np.asarray(x, dtype=np.float64)
-    grads = backward(spec, params, forward(spec, params, x), t)
+    grads = backward(forward(params, x), t)
     kappa = reg.effective_kappa(eta, noise.sigma)
     if reg.lam > 0:
         grads = grads + l2_grad(params, reg.lam)
@@ -217,16 +215,16 @@ def mechanism_step(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
     return Step(clean, noisy, stepped)
 
 
-def initial_params_for(spec: ModelSpec, config: TrainConfig) -> ParameterSet:
-    """The parameter vector train() starts from under this config."""
-    return init_params(spec, RngStream(config.seed, STREAM_INIT))
+def initial_params_for(spec: ModelSpec, seed: int) -> ParameterSet:
+    """The parameter vector train() starts from under this seed."""
+    return init_params(spec, RngStream(seed, STREAM_INIT))
 
 
-def dataset_loss(spec: ModelSpec, params: ParameterSet, data: Dataset,
-                 reg: RegSpec = RegSpec(), kappa: float | None = None) -> float:
+def dataset_loss(params: ParameterSet, data: Dataset, reg: RegSpec = RegSpec(),
+                 kappa: float | None = None) -> float:
     """Mean per-example loss over the dataset, penalties included."""
     k = reg.kappa if kappa is None else kappa
-    trace = forward(spec, params, data.x)
+    trace = forward(params, data.x)
     losses = quadratic_loss(trace.output, data.t)
     if reg.lam > 0:
         losses = losses + l2_penalty(params, reg.lam)
@@ -263,7 +261,7 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
     batch applied to the averaged gradient (drawn in blocks, with the bits
     of one draw per batch).  Proportional noise scales with the pre-update
     parameters.  The epoch losses take the kappa the steps take
-    (RegSpec.effective_kappa).  Pass `init` to start
+    (RegSpec.effective_kappa).  Pass `init`, built for `spec`, to start
     from explicit parameters instead of the seeded default.  Raises
     TrainingDivergedError, naming the epoch, step and mechanism, when the
     parameters or an epoch loss stop being finite.
@@ -274,6 +272,8 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
         raise ValueError(f"dataset dimension {data.dim} does not match model input {spec.input_dim}")
     if config.batch_size > len(data):
         raise ValueError("batch_size exceeds dataset size")
+    if init is not None and init.spec != spec:
+        raise ValueError(f"init was built for {init.spec}, not for the model {spec}")
 
     noise = config.noise
     reg = config.reg
@@ -284,7 +284,7 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
     noise_rows = _noise_rows(noise, RngStream(config.seed, STREAM_NOISE),
                              config.epochs * -(-n // config.batch_size), spec.n_params)
     # One ParameterSet for the run, its flat vector rebound after each step.
-    params = init.copy() if init is not None else initial_params_for(spec, config)
+    params = init.copy() if init is not None else initial_params_for(spec, config.seed)
 
     def diverged(epoch: int, step: int, what: str) -> TrainingDivergedError:
         return TrainingDivergedError(
@@ -298,10 +298,10 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch_idx = order[start:start + config.batch_size]
-            taken = mechanism_step(spec, params, data.x[batch_idx], data.t[batch_idx],
+            taken = mechanism_step(params, data.x[batch_idx], data.t[batch_idx],
                                    eta, noise, reg, next(noise_rows))
             if records is not None:
-                records.append(GradientRecord(step=step, clean=taken.clean.copy(),
+                records.append(GradientRecord(clean=taken.clean.copy(),
                                               noisy=taken.noisy.copy(),
                                               batch_indices=batch_idx.copy()))
             if not np.isfinite(taken.params).all():
@@ -309,7 +309,7 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
             params.flat = taken.params
             step += 1
 
-        loss = dataset_loss(spec, params, data, reg, kappa)
+        loss = dataset_loss(params, data, reg, kappa)
         if not math.isfinite(loss):
             raise diverged(epoch, step - 1, "the epoch loss")
         epoch_losses.append(loss)

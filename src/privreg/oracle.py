@@ -121,10 +121,9 @@ def _noisy_step_residuals(params: ParameterSet, x: np.ndarray, t, eta: float,
         raise ValueError("need at least 2 replicas")
     theta, xv = _linear_neuron_vectors(params, x)
     t = _scalar_target(t)
-    spec = params.spec
-    batch, target, reg = xv[None, :spec.input_dim], np.array([[t]]), RegSpec()
+    batch, target, reg = xv[None, :params.spec.input_dim], np.array([[t]]), RegSpec()
     residuals = np.empty(replicas)
-    clean = float(mechanism_step(spec, params, batch, target, eta, noise, reg).params @ xv)
+    clean = float(mechanism_step(params, batch, target, eta, noise, reg).params @ xv)
     rng = RngStream(seed, 0)
     for start in range(0, replicas, MC_CHUNK_ROWS):
         rows = residuals[start:start + MC_CHUNK_ROWS]
@@ -132,7 +131,7 @@ def _noisy_step_residuals(params: ParameterSet, x: np.ndarray, t, eta: float,
         if z is None:
             residuals.fill(clean)
             break
-        step = mechanism_step(spec, params, batch, target, eta, noise, reg, z)
+        step = mechanism_step(params, batch, target, eta, noise, reg, z)
         np.matmul(step.params, xv, out=rows)
     residuals -= t
     return clean - t, residuals
@@ -271,9 +270,7 @@ class ProductDensityReport:
     edges: np.ndarray          # signed bin edges, negative side then positive
     counts: np.ndarray         # observed count per signed bin
     expected: np.ndarray       # expected probability mass per signed bin
-    z_scores: np.ndarray       # (count - n*p) / sqrt(n*p*(1-p)) per bin
-    max_abs_z: float
-    max_abs_deviation: float   # max |observed - expected| probability mass
+    max_abs_z: float           # max over bins of |count - n*p| / sqrt(n*p*(1-p))
     chi2: float
     symmetry_z: np.ndarray     # mirror-bin (pos - neg)/sqrt(pos + neg)
     replicas: int
@@ -341,9 +338,7 @@ def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
         sym = np.where(totals > 0, (pos_counts - neg_counts) / np.sqrt(totals), 0.0)
 
     return ProductDensityReport(
-        edges=edges, counts=counts, expected=expected, z_scores=z,
-        max_abs_z=float(np.abs(z).max()),
-        max_abs_deviation=float(np.abs(counts / replicas - expected).max()),
+        edges=edges, counts=counts, expected=expected, max_abs_z=float(np.abs(z).max()),
         chi2=chi2, symmetry_z=sym, replicas=replicas, seed=seed,
     )
 
@@ -404,8 +399,8 @@ def grad_check(kind: str, params: ParameterSet, x: np.ndarray,
     return _max_rel_err(analytic, fd)
 
 
-def backprop_grad_check(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
-                        t, h_scale: float = 1e-6) -> float:
+def backprop_grad_check(params: ParameterSet, x: np.ndarray, t,
+                        h_scale: float = 1e-6) -> float:
     """Worst relative error of backward() against central differences of the loss."""
     from .model import backward, forward, quadratic_loss
 
@@ -413,11 +408,10 @@ def backprop_grad_check(spec: ModelSpec, params: ParameterSet, x: np.ndarray,
     target = np.atleast_1d(np.asarray(t, dtype=np.float64))[None, :]
 
     def loss_at(th: np.ndarray) -> float:
-        p = ParameterSet(spec, th)
-        return quadratic_loss(forward(spec, p, row).output, target)[0]
+        p = ParameterSet(params.spec, th)
+        return quadratic_loss(forward(p, row).output, target)[0]
 
-    trace = forward(spec, params, row)
-    analytic = backward(spec, params, trace, target)[0]
+    analytic = backward(forward(params, row), target)[0]
     fd = finite_difference_gradient(loss_at, params.flat, h_scale)
     return _max_rel_err(analytic, fd)
 

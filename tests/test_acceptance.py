@@ -93,7 +93,7 @@ def test_c4_noisy_step_averages_to_clean_step():
     data = generate_dataset("noisy_linear", 8, 3, 0.1, seed=441)
     spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
     base = TrainConfig(eta=eta, batch_size=8, epochs=1, seed=442)
-    init = initial_params_for(spec, base)
+    init = initial_params_for(spec, base.seed)
     clean = train(spec, data, base, init=init).final_params.flat
     total = np.zeros(3)
     for k in range(replicas):
@@ -134,7 +134,7 @@ def test_c5_gradient_formulas_match_finite_differences():
         x = rng.normal(0.0, 1.0, 4)
         t = rng.normal(0.0, 1.0, 1)
         worst_backprop = max(worst_backprop,
-                             backprop_grad_check(spec, params, x, t, h_scale=1e-6))
+                             backprop_grad_check(params, x, t, h_scale=1e-6))
 
     report("C5 gradient correctness",
            worst_penalty <= 1e-8 and worst_backprop <= 1e-6,
@@ -193,8 +193,8 @@ def test_c8_leakage_baselines_and_noise_trend():
     spec = ModelSpec(layer_sizes=(4, 1), activation="identity", include_bias=True)
     params = ParameterSet(spec, np.array([0.5, -1.0, 0.3, 0.1, 0.2]))
     x = np.array([2.0, 1.0, -0.5, 0.8])
-    trace = forward(spec, params, x[None, :])
-    g = backward(spec, params, trace, np.array([[1.0]]))
+    trace = forward(params, x[None, :])
+    g = backward(trace, np.array([[1.0]]))
     exact_mse = float(np.mean((invert_linear_gradient(g, spec)[0] - x) ** 2))
     x0, t0 = _restart_starts(881, 10, 4)
     x_it = _invert_records(params.weights(0), params.bias(0), g, x0[None], t0[None],

@@ -24,10 +24,10 @@ from privreg.regularizers import RegSpec
 BIAS_SPEC = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=True)
 
 
-def clean_gradient(spec, params, x, t):
+def clean_gradient(params, x, t):
     """The (P,) loss gradient of one example."""
-    trace = forward(spec, params, x[None, :])
-    return backward(spec, params, trace, np.atleast_1d(t)[None, :])[0]
+    trace = forward(params, x[None, :])
+    return backward(trace, np.atleast_1d(t)[None, :])[0]
 
 
 def invert_one(g, params, iters, step, seed, restarts=10):
@@ -50,8 +50,7 @@ def reference_inversion(g, spec, params, iters, step, seed, restarts):
     b0 = float(params.bias(0)[0])
 
     def objective(x, t):
-        diff = backward(spec, params, forward(spec, params, x[None, :]),
-                        np.array([[t]]))[0] - target
+        diff = backward(forward(params, x[None, :]), np.array([[t]]))[0] - target
         return float(np.dot(diff, diff))
 
     def gradient(x, t):
@@ -99,19 +98,19 @@ def reference_inversion(g, spec, params, iters, step, seed, restarts):
 class TestClosedFormInversion:
     def test_hand_case(self):
         params = ParameterSet(BIAS_SPEC, np.array([0.5, -1.0, 0.1]))
-        g = clean_gradient(BIAS_SPEC, params, np.array([2.0, 1.0]), 1.0)
+        g = clean_gradient(params, np.array([2.0, 1.0]), 1.0)
         assert np.allclose(g, [-3.6, -1.8, -1.8])
         assert np.array_equal(invert_linear_gradient(g, BIAS_SPEC), np.array([2.0, 1.0]))
 
     def test_loss_minimum_reveals_nothing(self):
         params = ParameterSet(BIAS_SPEC, np.array([0.5, -1.0, 0.1]))
         x = np.array([2.0, 1.0])
-        y = forward(BIAS_SPEC, params, x[None, :]).output[0, 0]
-        g = clean_gradient(BIAS_SPEC, params, x, y)
+        y = forward(params, x[None, :]).output[0, 0]
+        g = clean_gradient(params, x, y)
         with pytest.raises(NoLeakageError):
             invert_linear_gradient(g, BIAS_SPEC)
         # one such row among informative ones still reveals nothing
-        informative = clean_gradient(BIAS_SPEC, params, x, 1.0)
+        informative = clean_gradient(params, x, 1.0)
         with pytest.raises(NoLeakageError):
             invert_linear_gradient(np.stack([informative, g]), BIAS_SPEC)
 
@@ -124,7 +123,7 @@ class TestClosedFormInversion:
             params = ParameterSet(spec, rng.normal(0.0, 1.0, d + 1))
             x = rng.normal(0.0, 1.0, d)
             t = float(rng.normal(0.0, 1.0, 1)[0])
-            g = clean_gradient(spec, params, x, t)
+            g = clean_gradient(params, x, t)
             if abs(g[-1]) < 1e-12:
                 continue
             recon = invert_linear_gradient(g, spec)
@@ -169,7 +168,7 @@ class TestIterativeInversion:
     def test_clean_gradients_recover_input(self):
         params = ParameterSet(BIAS_SPEC, np.array([0.5, -1.0, 0.1]))
         x = np.array([2.0, 1.0])
-        g = clean_gradient(BIAS_SPEC, params, x, 1.0)
+        g = clean_gradient(params, x, 1.0)
         x_hat = invert_one(g, params, iters=2000, step=0.02, seed=0)
         assert cosine_similarity(x_hat, x) >= 0.999
         closed = invert_linear_gradient(g, BIAS_SPEC)
@@ -178,7 +177,7 @@ class TestIterativeInversion:
     def test_zero_sigma_record_equals_clean_case(self):
         params = ParameterSet(BIAS_SPEC, np.array([0.4, 0.8, -0.2]))
         x = np.array([1.0, -2.0])
-        g = clean_gradient(BIAS_SPEC, params, x, 0.5)
+        g = clean_gradient(params, x, 0.5)
         noise_free = g + 0.0 * RngStream(4).normal(0.0, 1.0, g.size)
         a = invert_one(g, params, iters=500, step=0.02, seed=3)
         b = invert_one(noise_free, params, iters=500, step=0.02, seed=3)
@@ -188,7 +187,7 @@ class TestIterativeInversion:
         spec = BIAS_SPEC
         params = init_params(spec, RngStream(72))
         d = spec.input_dim
-        g = clean_gradient(spec, params, RngStream(73).normal(0.0, 1.0, d), 1.0)
+        g = clean_gradient(params, RngStream(73).normal(0.0, 1.0, d), 1.0)
         theta = params.weights(0)
         bias = params.bias(0)
         target = g[None, :]
@@ -202,8 +201,7 @@ class TestIterativeInversion:
             x = rng.normal(0.0, 1.0, d)
             t = float(rng.normal(0.0, 1.0, 1)[0])
             obj, gx, gt = rows(x, t)
-            diff = backward(spec, params, forward(spec, params, x[None, :]),
-                            np.array([[t]]))[0] - g
+            diff = backward(forward(params, x[None, :]), np.array([[t]]))[0] - g
             assert obj[0] == float(np.dot(diff, diff))
             h = 1e-6
             for i in range(d):
@@ -218,7 +216,7 @@ class TestIterativeInversion:
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=True)
         params = init_params(spec, RngStream(81))
         x = np.array([1.0, -0.5, 2.0])
-        base = clean_gradient(spec, params, x, 1.5)
+        base = clean_gradient(params, x, 1.5)
         cosines = {}
         for sigma in (0.0, 0.5):
             values = []
@@ -237,7 +235,7 @@ def _reference_case(name):
                 "patience_at_last_step", "overflow"):
         spec = BIAS_SPEC
         params = ParameterSet(spec, np.array([0.5, -1.0, 0.1]))
-        g = clean_gradient(spec, params, np.array([2.0, 1.0]), 1.0)
+        g = clean_gradient(params, np.array([2.0, 1.0]), 1.0)
         return {
             "clean": (g, spec, params, 300, 0.02, 0, 4, "iters"),
             # Just past the stability edge of the minimum: the objective
@@ -253,7 +251,7 @@ def _reference_case(name):
     d, sigma = {"iid_noisy": (3, 0.5), "odd_d": (5, 0.3), "converged": (2, 0.0)}[name]
     spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=True)
     params = init_params(spec, RngStream(101))
-    g = clean_gradient(spec, params, RngStream(201).normal(0.0, 1.0, d), 0.7)
+    g = clean_gradient(params, RngStream(201).normal(0.0, 1.0, d), 0.7)
     if sigma:
         g = g + RngStream(301).normal(0.0, sigma, g.size)
     stop = "converged" if name == "converged" else "iters"
@@ -304,7 +302,7 @@ class TestBatchedDescentMatchesReference:
                 config = TrainConfig(eta=0.1, batch_size=1, epochs=1, seed=seed + k,
                                      noise=noise, reg=reg, record_gradients=True)
                 noisy = train(spec, data, config).records[0].noisy
-                params0 = initial_params_for(spec, config)
+                params0 = initial_params_for(spec, seed + k)
                 x = invert_one(noisy, params0, seed=seed + k, **kwargs)
                 assert np.array_equal(swept[m * trials + k], x)
                 stops = reference_inversion(noisy, spec, params0, seed=seed + k,
@@ -341,7 +339,7 @@ class TestMembershipInference:
         pool = generate_dataset("noisy_linear", 200, 5, 0.5, seed=3)
         members = Dataset(pool.x[:100], pool.t[:100])
         fresh = Dataset(pool.x[100:], pool.t[100:])
-        assert abs(membership_inference(spec, params, members, fresh) - 0.5) <= 0.1
+        assert abs(membership_inference(params, members, fresh) - 0.5) <= 0.1
 
     def test_memorizing_model_is_detectable(self):
         from privreg.optimizers import TrainConfig, train
@@ -354,13 +352,13 @@ class TestMembershipInference:
                                                   epochs=100, seed=6))
         fresh = Dataset(np.stack([RngStream(77, i).normal(0.0, 1.0, 16)
                                   for i in range(16)]), signs)
-        assert membership_inference(spec, report.final_params, members, fresh) > 0.9
+        assert membership_inference(report.final_params, members, fresh) > 0.9
 
     def test_constant_scores_give_exact_half(self):
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
         zero = ParameterSet(spec, np.zeros(3))
         data = generate_dataset("noisy_linear", 20, 3, 0.2, seed=5)
-        assert membership_inference(spec, zero, data, data) == 0.5
+        assert membership_inference(zero, data, data) == 0.5
 
     def test_auc_equals_pairwise_count_with_ties(self):
         spec = ModelSpec(layer_sizes=(1, 1), activation="identity", include_bias=False)
@@ -379,11 +377,11 @@ class TestMembershipInference:
             members, non_members = draw(), draw()
 
             def scores(data):
-                return -quadratic_loss(forward(spec, params, data.x).output, data.t)
+                return -quadratic_loss(forward(params, data.x).output, data.t)
 
             wins = sum(1.0 if a > b else 0.5 if a == b else 0.0
                        for a in scores(members) for b in scores(non_members))
-            assert membership_inference(spec, params, members, non_members) == wins / (n * n)
+            assert membership_inference(params, members, non_members) == wins / (n * n)
 
     def test_midranks_match_scipy_rankdata(self):
         from scipy.stats import rankdata
@@ -419,10 +417,10 @@ class TestMembershipInference:
         data = generate_dataset("noisy_linear", 10, 3, 0.0, seed=1)
         short = Dataset(data.x[:5], data.t[:5])
         with pytest.raises(ValueError):
-            membership_inference(spec, params, data, short)
+            membership_inference(params, data, short)
         empty = Dataset(np.empty((0, 3)), np.empty((0, 1)))
         with pytest.raises(ValueError):
-            membership_inference(spec, params, empty, empty)
+            membership_inference(params, empty, empty)
 
 
 class TestLeakageSweep:

@@ -617,6 +617,24 @@ class TestCli:
         assert all(seconds >= 0 for seconds in manifest["timings"].values())
         assert manifest["lanes"] == {}
 
+    def test_moments_manifest_carries_its_phase(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_moments_config(tmp_path / "out")))
+        assert run("moments", cfg_path) == 0
+        manifest = json.loads((tmp_path / "out" / "moments_manifest.json").read_text())
+        assert set(manifest["timings"]) == {"moments_and_product_density"}
+        assert all(seconds >= 0 for seconds in manifest["timings"].values())
+        assert manifest["lanes"] == {}
+
+    def test_report_manifest_carries_phases(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_report_config(tmp_path)))
+        assert run("report", cfg_path) == 0
+        manifest = json.loads((tmp_path / "out" / "report_manifest.json").read_text())
+        assert set(manifest["timings"]) == {"read_inputs", "aggregate"}
+        assert all(seconds >= 0 for seconds in manifest["timings"].values())
+        assert manifest["rows"] == 1
+
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_every_manifest_counts_its_csv_rows(self, tmp_path, monkeypatch, command):
         monkeypatch.chdir(tmp_path)

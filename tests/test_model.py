@@ -6,6 +6,7 @@ import pytest
 from privreg.model import (Dataset, ModelSpec, ParameterSet, backward, forward,
                            init_params, linear_unit_features, quadratic_loss)
 from privreg.numerics import RngStream
+from privreg.optimizers import TrainConfig, train
 from privreg.oracle import backprop_grad_check
 
 LINEAR2 = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=False)
@@ -22,44 +23,46 @@ def row(*values):
 
 class TestForward:
     def test_linear_hand_case(self):
-        trace = forward(LINEAR2, params([0.5, -1.0]), row(2.0, 1.0))
+        trace = forward(params([0.5, -1.0]), row(2.0, 1.0))
         assert trace.output[0, 0] == 0.0
 
     def test_zero_parameters(self):
-        trace = forward(LINEAR2, params([0.0, 0.0]), row(3.0, -7.0))
+        trace = forward(params([0.0, 0.0]), row(3.0, -7.0))
         assert trace.output[0, 0] == 0.0
 
     def test_basis_vector_extracts_coordinate(self):
         theta = np.array([0.3, -2.0, 1.7])
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
-        trace = forward(spec, params(theta, spec), np.eye(3))
+        trace = forward(params(theta, spec), np.eye(3))
         assert np.array_equal(trace.output[:, 0], theta)
 
     def test_repeated_calls_identical(self):
         spec = ModelSpec(layer_sizes=(3, 4, 1), activation="tanh")
         p = init_params(spec, RngStream(3))
         x = row(0.1, -0.2, 0.5)
-        assert np.array_equal(forward(spec, p, x).output, forward(spec, p, x).output)
+        assert np.array_equal(forward(p, x).output, forward(p, x).output)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            forward(LINEAR2, params([1.0, 2.0]), row(1.0, 2.0, 3.0))
+            forward(params([1.0, 2.0]), row(1.0, 2.0, 3.0))
 
     def test_input_must_be_a_nonempty_batch(self):
         with pytest.raises(ValueError):
-            forward(LINEAR2, params([1.0, 2.0]), np.array([1.0, 2.0]))
+            forward(params([1.0, 2.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            forward(LINEAR2, params([1.0, 2.0]), np.empty((0, 2)))
+            forward(params([1.0, 2.0]), np.empty((0, 2)))
 
-    def test_equal_spec_accepted_other_spec_rejected(self):
+    def test_train_init_equal_spec_accepted_other_spec_rejected(self):
         spec = ModelSpec(layer_sizes=(3, 4, 1), activation="tanh")
         p = init_params(spec, RngStream(4))
         twin = ModelSpec(layer_sizes=(3, 4, 1), activation="tanh")
         assert twin is not spec
-        x = row(0.1, -0.2, 0.5)
-        assert np.array_equal(forward(twin, p, x).output, forward(spec, p, x).output)
-        with pytest.raises(ValueError, match="different architecture"):
-            forward(ModelSpec(layer_sizes=(3, 4, 1), activation="relu"), p, x)
+        data = Dataset(RngStream(5).normal(0.0, 1.0, 12).reshape(4, 3), np.ones((4, 1)))
+        config = TrainConfig(eta=0.1, batch_size=2, epochs=1, seed=6)
+        got = train(twin, data, config, init=p).final_params.flat
+        assert np.array_equal(got, train(spec, data, config, init=p).final_params.flat)
+        with pytest.raises(ValueError, match="init"):
+            train(ModelSpec(layer_sizes=(3, 4, 1), activation="relu"), data, config, init=p)
 
 
 class TestLinearUnit:
@@ -70,8 +73,8 @@ class TestLinearUnit:
         other = ModelSpec(layer_sizes=(3, 1), activation=activation, include_bias=bias)
         theta = init_params(identity, RngStream(6)).flat * 40.0  # outputs far past tanh's knee
         x = RngStream(7).normal(0.0, 3.0, 5 * 3).reshape(5, 3)
-        got = forward(other, ParameterSet(other, theta), x).output
-        assert np.array_equal(got, forward(identity, ParameterSet(identity, theta), x).output)
+        got = forward(ParameterSet(other, theta), x).output
+        assert np.array_equal(got, forward(ParameterSet(identity, theta), x).output)
         assert np.abs(got).max() > 2.0 and got.min() < 0.0
         assert other.is_linear_unit
         assert np.array_equal(linear_unit_features(other, x), linear_unit_features(identity, x))
@@ -106,21 +109,21 @@ class TestBackward:
     def test_linear_hand_case(self):
         p = params([0.5, -1.0])
         x = row(2.0, 1.0)
-        g = backward(LINEAR2, p, forward(LINEAR2, p, x), row(1.0))
+        g = backward(forward(p, x), row(1.0))
         assert np.array_equal(g, np.array([[-4.0, -2.0]]))
 
     def test_zero_gradient_at_minimum(self):
         p = params([0.5, -1.0])
         x = row(2.0, 1.0)
-        trace = forward(LINEAR2, p, x)
-        g = backward(LINEAR2, p, trace, trace.output)
+        trace = forward(p, x)
+        g = backward(trace, trace.output)
         assert np.array_equal(g, np.zeros((1, 2)))
 
     def test_bias_gradient_is_twice_residual(self):
         spec = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=True)
         p = params([0.5, -1.0, 0.1], spec)
         x = row(2.0, 1.0)
-        g = backward(spec, p, forward(spec, p, x), row(1.0))
+        g = backward(forward(p, x), row(1.0))
         assert np.allclose(g, [[-3.6, -1.8, -1.8]])
 
     @pytest.mark.parametrize("layer_sizes,activation,bias", [
@@ -137,47 +140,49 @@ class TestBackward:
         rng = RngStream(42, sum(layer_sizes))
         x = rng.normal(0.0, 1.0, spec.input_dim)
         t = rng.normal(0.0, 1.0, spec.output_dim)
-        assert backprop_grad_check(spec, p, x, t, h_scale=1e-6) <= 1e-6
+        assert backprop_grad_check(p, x, t, h_scale=1e-6) <= 1e-6
 
     def test_relu_hand_case(self):
         # one hidden relu unit: y = w2 * relu(w1 * x); active for w1*x > 0
         spec = ModelSpec(layer_sizes=(1, 1, 1), activation="relu", include_bias=False)
         p = params([2.0, 3.0], spec)
         x = row(1.5)
-        trace = forward(spec, p, x)
+        trace = forward(p, x)
         assert trace.output[0, 0] == 9.0
-        g = backward(spec, p, trace, row(0.0))
+        g = backward(trace, row(0.0))
         # dL/dw2 = 2y * relu(w1 x) = 54; dL/dw1 = 2y * w2 * x = 81
         assert np.allclose(g, [[81.0, 54.0]])
 
-    def test_mismatched_trace_rejected(self):
-        p = params([0.5, -1.0])
-        trace = forward(LINEAR2, p, row(2.0, 1.0))
-        other = ModelSpec(layer_sizes=(2, 3, 1), activation="tanh")
-        with pytest.raises(ValueError):
-            backward(other, init_params(other, RngStream(0)), trace, row(1.0))
+    def test_trace_carries_its_parameters(self):
+        spec = ModelSpec(layer_sizes=(2, 3, 1), activation="tanh")
+        p = init_params(spec, RngStream(0))
+        trace = forward(p, row(2.0, 1.0))
+        assert trace.params is p
+        assert backward(trace, row(1.0)).shape == (1, spec.n_params)
+        with pytest.raises(ValueError, match="target shape"):
+            backward(trace, row(1.0, 2.0))
 
     def test_target_shape_must_match_output(self):
         p = params([0.5, -1.0])
-        trace = forward(LINEAR2, p, np.array([[2.0, 1.0], [0.0, 1.0]]))
+        trace = forward(p, np.array([[2.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
-            backward(LINEAR2, p, trace, np.array([1.0, 2.0]))
+            backward(trace, np.array([1.0, 2.0]))
 
 
 class TestPerExampleGradients:
     def test_singleton_batch_equals_backward(self):
         p = params([0.5, -1.0])
-        [g] = backward(LINEAR2, p, forward(LINEAR2, p, row(2.0, 1.0)), row(1.0))
+        [g] = backward(forward(p, row(2.0, 1.0)), row(1.0))
         # 2 * (y - t) * x with y = 0
         assert np.array_equal(g, np.array([-4.0, -2.0]))
         x = np.array([[2.0, 1.0], [0.5, 3.0]])
-        pair = backward(LINEAR2, p, forward(LINEAR2, p, x), np.array([[1.0], [2.0]]))
+        pair = backward(forward(p, x), np.array([[1.0], [2.0]]))
         assert np.array_equal(pair[0], g)
 
     def test_identical_examples_identical_gradients(self):
         p = params([0.5, -1.0])
         x = np.array([[2.0, 1.0], [2.0, 1.0]])
-        g1, g2 = backward(LINEAR2, p, forward(LINEAR2, p, x), np.ones((2, 1)))
+        g1, g2 = backward(forward(p, x), np.ones((2, 1)))
         assert np.array_equal(g1, g2)
 
     def test_mean_equals_batch_gradient_of_mean_loss(self):
@@ -189,7 +194,7 @@ class TestPerExampleGradients:
         theta = rng.normal(0.0, 1.0, d)
         spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=False)
         p = ParameterSet(spec, theta)
-        grads = backward(spec, p, forward(spec, p, x), t[:, None])
+        grads = backward(forward(p, x), t[:, None])
         assert grads.shape == (n, d)
         mean_grad = grads.mean(axis=0)
         matrix_grad = (2.0 / n) * x.T @ (x @ theta - t)
@@ -201,16 +206,14 @@ class TestPerExampleGradients:
         rng = RngStream(7)
         x = rng.normal(0.0, 1.0, 11 * 3).reshape(11, 3)
         t = rng.normal(0.0, 1.0, 11 * 2).reshape(11, 2)
-        grads = backward(spec, p, forward(spec, p, x), t)
+        grads = backward(forward(p, x), t)
         for i in range(11):
-            [single] = backward(spec, p, forward(spec, p, x[i:i + 1]), t[i:i + 1])
+            [single] = backward(forward(p, x[i:i + 1]), t[i:i + 1])
             assert np.array_equal(grads[i], single)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            backward(LINEAR2, params([1.0, 2.0]),
-                     forward(LINEAR2, params([1.0, 2.0]), np.empty((0, 2))),
-                     np.empty((0, 1)))
+            backward(forward(params([1.0, 2.0]), np.empty((0, 2))), np.empty((0, 1)))
 
 
 class TestStackedProductsMatchPerRowProducts:

@@ -33,6 +33,13 @@ class TestRngStream:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RngStream(-1)
+        for seed, stream_id, name in ((2.7, 1, "seed"), (True, 0, "seed"), (2.0, 0, "seed"),
+                                      (2, 1.5, "stream_id"), (2, False, "stream_id"),
+                                      (2, -1, "stream_id")):
+            with pytest.raises(ValueError, match=name):
+                RngStream(seed, stream_id)
+        assert np.array_equal(RngStream(np.int64(2), np.uint8(1)).uniform(3),
+                              RngStream(2, 1).uniform(3))
 
 
 class TestGaussianSample:

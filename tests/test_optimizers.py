@@ -60,8 +60,8 @@ X_ROW = np.array([[2.0, 1.0]])
 def noise_step(theta, noise, z, eta=0.1):
     """mechanism_step at zero loss gradient: the noisy gradient is the noise."""
     p = ParameterSet(LINEAR2, np.asarray(theta, dtype=np.float64))
-    target = forward(LINEAR2, p, X_ROW).output
-    return mechanism_step(LINEAR2, p, X_ROW, target, eta, noise, RegSpec(), z)
+    target = forward(p, X_ROW).output
+    return mechanism_step(p, X_ROW, target, eta, noise, RegSpec(), z)
 
 
 class TestNoise:
@@ -69,7 +69,7 @@ class TestNoise:
         noise = NoiseSpec(mode="iid", sigma=0.0)
         assert gradient_noise(noise, RngStream(1), (2,)) is None
         p = ParameterSet(LINEAR2, np.array([0.5, -1.0]))
-        step = mechanism_step(LINEAR2, p, X_ROW, np.array([[1.0]]), 0.1, noise, RegSpec())
+        step = mechanism_step(p, X_ROW, np.array([[1.0]]), 0.1, noise, RegSpec())
         assert np.array_equal(step.noisy, step.clean)
         assert np.array_equal(step.clean, [-4.0, -2.0])
 
@@ -86,7 +86,7 @@ class TestNoise:
     def test_proportional_zero_parameter_coordinate_gets_no_noise(self):
         p = ParameterSet(LINEAR2, np.array([0.0, 2.0]))
         noise = NoiseSpec(mode="proportional", sigma=0.8)
-        step = mechanism_step(LINEAR2, p, X_ROW, np.array([[1.0]]), 0.1, noise, RegSpec(),
+        step = mechanism_step(p, X_ROW, np.array([[1.0]]), 0.1, noise, RegSpec(),
                               gradient_noise(noise, RngStream(2), (2,)))
         assert step.noisy[0] == step.clean[0]
         assert step.noisy[1] != step.clean[1]
@@ -130,8 +130,7 @@ class TestNoise:
 class TestSgdStep:
     def test_hand_case(self):
         p = ParameterSet(LINEAR2, np.array([0.5, -1.0]))
-        step = mechanism_step(LINEAR2, p, X_ROW, np.array([[1.0]]), 0.1,
-                              NoiseSpec(), RegSpec())
+        step = mechanism_step(p, X_ROW, np.array([[1.0]]), 0.1, NoiseSpec(), RegSpec())
         assert np.array_equal(step.clean, [-4.0, -2.0])
         assert np.allclose(step.params, [0.9, -0.8])
 
@@ -256,7 +255,7 @@ class TestTrain:
         data = small_dataset(seed=23, n=8, d=3, noise=0.1)
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
         base = TrainConfig(eta=eta, batch_size=8, epochs=1, seed=25)
-        init = initial_params_for(spec, base)
+        init = initial_params_for(spec, base.seed)
         clean = train(spec, data, base, init=init).final_params.flat
         total = np.zeros(3)
         for k in range(replicas):
@@ -308,7 +307,7 @@ class TestTrain:
         config = TrainConfig(eta=0.05, batch_size=10, epochs=1, seed=3)
         report = train(spec, data, config)
         assert report.epoch_losses[-1] == pytest.approx(
-            dataset_loss(spec, report.final_params, data), abs=1e-15)
+            dataset_loss(report.final_params, data), abs=1e-15)
 
 
 class TestNoiseBlocks:
@@ -452,13 +451,12 @@ def _ref_example_loss(spec, params, x, t, reg, kappa):
 def reference_train(spec, data, config):
     """train() as it was before batching: forward, backward, penalties and
     clipping one example at a time.  Returns (epoch losses, final params,
-    records as (step, clean, noisy, batch indices))."""
+    records as (clean, noisy, batch indices), one per step)."""
     noise, reg = config.noise, config.reg
     shuffle_rng = RngStream(config.seed, STREAM_SHUFFLE)
     noise_rng = RngStream(config.seed, STREAM_NOISE)
-    params = initial_params_for(spec, config)
+    params = initial_params_for(spec, config.seed)
     losses, records = [], []
-    step = 0
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(len(data))
         for start in range(0, order.size, config.batch_size):
@@ -485,9 +483,8 @@ def reference_train(spec, data, config):
             elif noise.mode == "proportional" and noise.sigma > 0:
                 z = noise_rng.normal(0.0, 1.0, g_clean.size)
                 g_tilde = g_clean + noise.sigma * params.flat * z
-            records.append((step, g_clean.copy(), g_tilde.copy(), batch_idx.copy()))
+            records.append((g_clean.copy(), g_tilde.copy(), batch_idx.copy()))
             params = ParameterSet(spec, params.flat - eta * g_tilde)
-            step += 1
         kappa = reg.kappa
         if reg.kappa_mode == "derived":
             kappa = config.eta ** 2 * noise.sigma ** 2
@@ -543,8 +540,7 @@ class TestTrainMatchesPerExampleReference:
         assert report.epoch_losses == losses
         assert np.array_equal(report.final_params.flat, params.flat)
         assert len(report.records) == len(records)
-        for got, (step, clean, noisy, batch_idx) in zip(report.records, records):
-            assert got.step == step
+        for got, (clean, noisy, batch_idx) in zip(report.records, records):
             assert np.array_equal(got.clean, clean)
             assert np.array_equal(got.noisy, noisy)
             assert np.array_equal(got.batch_indices, batch_idx)
@@ -578,3 +574,7 @@ class TestSpecs:
                 with pytest.raises(ValueError, match=field):
                     TrainConfig(eta=0.1, **{field: value})
             assert getattr(TrainConfig(eta=0.1, **{field: np.int64(3)}), field) == 3
+        for value in (-1, 2.7, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="seed"):
+                TrainConfig(eta=0.1, seed=value)
+        assert TrainConfig(eta=0.1, seed=np.int64(0)).seed == 0

@@ -106,8 +106,8 @@ class TestMcPostUpdateLoss:
         # a trainer that doubled its noise would fail the identity
         real_step = oracle.mechanism_step
 
-        def doubled(spec, params, x, t, eta, noise, reg, z=None):
-            return real_step(spec, params, x, t, eta, noise, reg, None if z is None else 2 * z)
+        def doubled(params, x, t, eta, noise, reg, z=None):
+            return real_step(params, x, t, eta, noise, reg, None if z is None else 2 * z)
 
         monkeypatch.setattr(oracle, "mechanism_step", doubled)
         est = mc_post_update_loss(THETA, X, 1.0, 0.1, IID, replicas=200_000, seed=3)
@@ -321,7 +321,7 @@ class TestFiniteDifferences:
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
         p = ParameterSet(spec, np.array([1.0, 2.0, 3.0]))
         x = np.array([0.5, -1.0, 2.0])
-        assert backprop_grad_check(spec, p, x, np.array([1.0])) <= 1e-8
+        assert backprop_grad_check(p, x, np.array([1.0])) <= 1e-8
 
 
 class TestRandomizedIdentitySuite:
