@@ -22,7 +22,7 @@ from .optimizers import (GradientRecord, NoiseSpec, Step, TrainConfig,
                          TrainReport, TrainingDivergedError, clip_gradient,
                          dataset_loss, gradient_noise, initial_params_for,
                          mechanism_label, mechanism_step, train)
-from .oracle import (IdentityCheck, McEstimate, ProductDensityReport,
+from .oracle import (IdentityCheck, ProductDensityReport,
                      analytic_post_update_loss, backprop_grad_check,
                      check_cross_term_vanishes, check_moment_identities,
                      check_post_update_loss, check_product_density,

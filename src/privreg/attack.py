@@ -144,10 +144,10 @@ def _descend(theta: np.ndarray, bias: np.ndarray, target: np.ndarray,
 
 def _restart_starts(seed: int, restarts: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The descent's starting (x, t) for restarts r < restarts: x is one
-    normal(0, 1, d) call of RngStream(seed, r), t one draw after it."""
+    normal(1, d) call of RngStream(seed, r), t one draw after it."""
     rngs = [RngStream(seed, r) for r in range(restarts)]
-    x0 = np.array([rng.normal(0.0, 1.0, d) for rng in rngs])
-    return x0, np.array([rng.normal(0.0, 1.0, 1)[0] for rng in rngs])
+    x0 = np.array([rng.normal(1.0, d) for rng in rngs])
+    return x0, np.array([rng.normal(1.0, 1)[0] for rng in rngs])
 
 
 def _invert_records(theta: np.ndarray, bias: np.ndarray, target: np.ndarray,
@@ -239,8 +239,8 @@ class LeakageReport:
 
 def leakage_sweep(spec: ModelSpec, data: Dataset,
                   mechanisms: list[tuple[NoiseSpec, RegSpec]], trials: int,
-                  seed: int, eta: float = 0.1, iters: int = 800,
-                  step: float = 0.02, restarts: int = 10) -> list[LeakageReport]:
+                  seed: int, *, eta: float, iters: int, step: float,
+                  restarts: int) -> list[LeakageReport]:
     """Per (mechanism, trial), take the first step of a batch-1 train() run
     (its first shuffled example, first noise row and starting
     parameters), attack its gradient with both inverters, and aggregate.
@@ -262,7 +262,7 @@ def leakage_sweep(spec: ModelSpec, data: Dataset,
     params0 = [initial_params_for(spec, seed + k) for k in range(trials)]
     first = np.array([RngStream(seed + k, STREAM_SHUFFLE).permutation(len(data))[:1]
                       for k in range(trials)])
-    z = [RngStream(seed + k, STREAM_NOISE).normal(0.0, 1.0, spec.n_params)
+    z = [RngStream(seed + k, STREAM_NOISE).normal(1.0, spec.n_params)
          for k in range(trials)]
     starts = [_restart_starts(seed + k, restarts, d) for k in range(trials)]
     x0, t0 = np.array([x for x, _ in starts]), np.array([t for _, t in starts])

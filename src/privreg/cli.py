@@ -14,15 +14,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train, verify, and attack private-SGD mechanisms from a JSON config.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    help_by_command = {
-        "train": "train one model per the config and record losses",
-        "verify": "run every statistical and algebraic identity check",
-        "attack": "run the gradient-leakage sweep over mechanisms",
-        "moments": "run the Gaussian moment and product-density checks",
-        "report": "aggregate result CSVs into a summary table",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=help_by_command[name])
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None,
                        help="output directory (overrides $PRIVREG_OUT and the config)")

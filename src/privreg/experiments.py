@@ -55,14 +55,12 @@ from .numerics import RngStream
 from .optimizers import (NOISE_MODES, NoiseSpec, TrainConfig, gradient_noise,
                          initial_params_for, mechanism_label, mechanism_step,
                          train)
-from .oracle import (DEFAULT_Z_THRESHOLD, IdentityCheck, LinearSetup,
-                     backprop_grad_check, check_cross_term_vanishes,
-                     check_moment_identities, check_post_update_loss,
-                     check_product_density, equivalence_chain_residuals,
-                     grad_check, random_linear_setups)
+from .oracle import (IdentityCheck, LinearSetup, backprop_grad_check,
+                     check_cross_term_vanishes, check_moment_identities,
+                     check_post_update_loss, check_product_density,
+                     equivalence_chain_residuals, grad_check, random_linear_setups)
 from .regularizers import KAPPA_MODES, RegSpec, dp_input_penalty
 
-COMMANDS = ("train", "verify", "attack", "moments", "report")
 OUT_DIR_ENV = "PRIVREG_OUT"
 CSV_HEADER = ("experiment_id", "mechanism", "metric", "value", "stderr", "seed")
 DATASET_KINDS = ("noisy_linear", "clusters")
@@ -178,18 +176,18 @@ def generate_dataset(kind: str, n: int, d: int, noise_level: float,
     hidden = RngStream(seed, 2)
 
     if kind == "noisy_linear":
-        x = features.normal(0.0, 1.0, n * d).reshape(n, d)
+        x = features.normal(1.0, n * d).reshape(n, d)
         x = _standardize_columns(x)
-        w_star = hidden.normal(0.0, 1.0, d)
+        w_star = hidden.normal(1.0, d)
         t = x @ w_star
         if noise_level > 0:
-            t = t + target_noise.normal(0.0, noise_level, n)
+            t = t + target_noise.normal(noise_level, n)
     else:
-        direction = hidden.normal(0.0, 1.0, d)
+        direction = hidden.normal(1.0, d)
         direction = direction / max(np.linalg.norm(direction), 1e-12)
         n_pos = n // 2
         labels = np.concatenate([np.ones(n_pos), -np.ones(n - n_pos)])
-        x = features.normal(0.0, noise_level, n * d).reshape(n, d)
+        x = features.normal(noise_level, n * d).reshape(n, d)
         x = x + np.outer(labels, 1.5 * direction)
         x = _standardize_columns(x)
         t = labels
@@ -252,7 +250,7 @@ class OracleConfig:
     seed: int
     replicas: int = 1_000_000
     configs: int = 50
-    threshold: float = DEFAULT_Z_THRESHOLD
+    threshold: float = 3.0
     sigmas: tuple[float, ...] = (0.5, 1.0, 2.0)
     bins: int = 40
     product_replicas: int = 1_000_000
@@ -447,15 +445,6 @@ _SECTIONS = {
     }, build=ReportConfig),
 }
 
-_REQUIRED_SECTIONS = {
-    "train": ("model", "data", "train", "output"),
-    "verify": ("oracle", "output"),
-    "attack": ("model", "data", "attack", "output"),
-    "moments": ("oracle", "output"),
-    "report": ("report", "output"),
-}
-
-
 def parse_config(raw: dict, command: str) -> ExperimentConfig:
     """Validate the raw config dict for one subcommand.
 
@@ -468,7 +457,7 @@ def parse_config(raw: dict, command: str) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     config = ExperimentConfig(raw=raw, **_check_members(_SECTIONS, raw, ""))
-    for section in _REQUIRED_SECTIONS[command]:
+    for section in COMMANDS[command].sections:
         if section not in raw:
             raise ConfigError(f"missing field 'config.{section}' (required by {command})")
     if command in ("train", "attack"):
@@ -591,15 +580,17 @@ def _cmd_train(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Result
 
 
 def _moment_rows(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
+    """The moment checks, sigma i drawing from seed + 3000 + i, and the
+    product density, drawing from seed + 1."""
     oc = config.oracle
     rows = []
-    for sigma in oc.sigmas:
+    for i, sigma in enumerate(oc.sigmas):
         mech = f"gaussian(sigma={sigma:g})"
-        for check in check_moment_identities(sigma, oc.replicas, oc.seed,
-                                             threshold=oc.threshold):
+        for check in check_moment_identities(sigma, oc.replicas, oc.seed + 3000 + i,
+                                             oc.threshold):
             metric = check.name.split("[")[0] + "_z"
             rows.append(ResultRow(config.experiment_id, mech, metric, check.z,
-                                  None, oc.seed))
+                                  None, check.seed))
             telemetry.gate(check.name, abs(check.z), check.threshold)
 
     density = check_product_density(1.0, 1.0, oc.product_replicas, oc.bins,
@@ -718,10 +709,9 @@ def _cmd_verify(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
         telemetry.lanes["post_update_mc"] = _lane_count(len(checks))
         for (mode, i), check in checks.items():
             rows.append(ResultRow(eid, mode, "post_update_loss_z", check.z, None,
-                                  check.estimate.seed))
-            rows.append(ResultRow(eid, mode, "post_update_loss_mc",
-                                  check.estimate.mean, check.estimate.stderr,
-                                  check.estimate.seed))
+                                  check.seed))
+            rows.append(ResultRow(eid, mode, "post_update_loss_mc", check.mean,
+                                  check.stderr, check.seed))
             gate(f"{check.name}[{i}]", abs(check.z), check.threshold)
 
     # Cross term has mean zero.
@@ -730,8 +720,7 @@ def _cmd_verify(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
                                oc.replicas, oc.seed + 2000, oc.threshold)
         telemetry.lanes["cross_term"] = _lane_count(len(checks))
         for (mode, i), check in checks.items():
-            rows.append(ResultRow(eid, mode, "cross_term_z", check.z, None,
-                                  check.estimate.seed))
+            rows.append(ResultRow(eid, mode, "cross_term_z", check.z, None, check.seed))
             gate(f"{check.name}[{i}]", abs(check.z), check.threshold)
 
     # Analytic noisy-minus-clean gap equals the matching penalty.
@@ -825,8 +814,8 @@ def _grad_check_suite(seed: int) -> list[tuple[str, float, float]]:
     for _ in range(20):
         d = 2 + int(rng.uniform(1)[0] * 5)
         spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=False)
-        params = ParameterSet(spec, rng.normal(0.0, 1.0, d))
-        x = rng.normal(0.0, 1.0, d)
+        params = ParameterSet(spec, rng.normal(1.0, d))
+        x = rng.normal(1.0, d)
         lam = float(rng.uniform(1)[0] * 0.2)
         kappa = float(rng.uniform(1)[0] * 0.2)
         for kind in worst:
@@ -837,10 +826,9 @@ def _grad_check_suite(seed: int) -> list[tuple[str, float, float]]:
     init_rng = RngStream(seed, 8)
     for _ in range(5):
         params = init_params(spec, init_rng)
-        x = rng.normal(0.0, 1.0, 4)
-        t = rng.normal(0.0, 1.0, 1)
-        backprop_worst = max(backprop_worst,
-                             backprop_grad_check(params, x, t, h_scale=1e-6))
+        x = rng.normal(1.0, 4)
+        t = rng.normal(1.0, 1)
+        backprop_worst = max(backprop_worst, backprop_grad_check(params, x, t))
 
     return [("l2", worst["l2"], 1e-8), ("pdp", worst["pdp"], 1e-8),
             ("combined", worst["combined"], 1e-8),
@@ -915,12 +903,27 @@ def _cmd_report(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
     return rows
 
 
-_COMMAND_IMPLS = {
-    "train": _cmd_train,
-    "verify": _cmd_verify,
-    "attack": _cmd_attack,
-    "moments": _cmd_moments,
-    "report": _cmd_report,
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: the config sections it requires, the function that
+    runs it, and its line of CLI help."""
+
+    sections: tuple[str, ...]
+    run: Callable[[ExperimentConfig, RunTelemetry], list[ResultRow]]
+    help: str
+
+
+COMMANDS = {
+    "train": Command(("model", "data", "train", "output"), _cmd_train,
+                     "train one model per the config and record losses"),
+    "verify": Command(("oracle", "output"), _cmd_verify,
+                      "run every statistical and algebraic identity check"),
+    "attack": Command(("model", "data", "attack", "output"), _cmd_attack,
+                      "run the gradient-leakage sweep over mechanisms"),
+    "moments": Command(("oracle", "output"), _cmd_moments,
+                       "run the Gaussian moment and product-density checks"),
+    "report": Command(("report", "output"), _cmd_report,
+                      "aggregate result CSVs into a summary table"),
 }
 
 
@@ -1010,7 +1013,7 @@ def run(command: str, config_path: str | Path, out_dir: str | None = None,
     try:
         directory = _output_directory(out_dir, config)
         telemetry = RunTelemetry()
-        rows = _COMMAND_IMPLS[command](config, telemetry)
+        rows = COMMANDS[command].run(config, telemetry)
         write_result_rows(directory / f"{command}_results.csv", rows)
         _write_manifest(directory / f"{command}_manifest.json", config, command, telemetry,
                         len(rows))

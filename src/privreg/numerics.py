@@ -41,12 +41,12 @@ class RngStream:
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
-        return self._gen.random(int(n))
+        return self._gen.random(_count(n))
 
-    def normal(self, mean: float, std: float, n: int) -> np.ndarray:
-        """n draws from N(mean, std^2) via Box-Muller.
+    def normal(self, std: float, n: int) -> np.ndarray:
+        """n draws from N(0, std^2) via Box-Muller.
 
-        std == 0 returns the constant `mean` without consuming draws.
+        std == 0 returns zeros without consuming draws.
         Box-Muller turns uniforms into deviates two at a time, so an odd n
         consumes n + 1 uniforms and drops the last deviate: a call of size
         n draws exactly what a call of size n + n % 2 draws and returns its
@@ -56,25 +56,24 @@ class RngStream:
         """
         if std < 0:
             raise ValueError(f"std must be nonnegative, got {std}")
-        n = int(n)
+        n = _count(n)
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         if std == 0:
-            return np.full(n, float(mean))
+            return np.zeros(n)
         out = np.empty(n + n % 2)
         self._box_muller(out)
         if std != 1:  # a product with 1 is exact, so skipping it changes no bit
             out *= float(std)
-        out += float(mean)
         return out[:n] if n % 2 else out
 
     def normal_rows(self, rows: int, width: int) -> np.ndarray:
         """A (rows, width) block of standard normals, drawn in one call,
         whose row i holds the bits of the i-th of `rows` successive
-        normal(0, 1, width) calls.  Each row is drawn width + width % 2
+        normal(1, width) calls.  Each row is drawn width + width % 2
         wide, as such a call draws, and the pad column is dropped."""
         padded = width + width % 2
-        return self.normal(0.0, 1.0, rows * padded).reshape(rows, padded)[:, :width]
+        return self.normal(1.0, rows * padded).reshape(rows, padded)[:, :width]
 
     def _box_muller(self, out: np.ndarray) -> None:
         """Fill the even-length `out` with standard normals, in place.
@@ -107,4 +106,12 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform random permutation of range(n)."""
-        return self._gen.permutation(int(n))
+        return self._gen.permutation(_count(n))
+
+
+def _count(n) -> int:
+    """n as an int; a bool or a non-integral n raises ValueError, where
+    int() would truncate it."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    return int(n)

@@ -155,7 +155,7 @@ def gradient_noise(noise: NoiseSpec, rng: RngStream,
     blocks drawn by _noise_rows."""
     if not noise.adds_noise:
         return None
-    return rng.normal(0.0, 1.0, math.prod(shape)).reshape(shape)
+    return rng.normal(1.0, math.prod(shape)).reshape(shape)
 
 
 class Step(NamedTuple):
@@ -220,16 +220,16 @@ def initial_params_for(spec: ModelSpec, seed: int) -> ParameterSet:
     return init_params(spec, RngStream(seed, STREAM_INIT))
 
 
-def dataset_loss(params: ParameterSet, data: Dataset, reg: RegSpec = RegSpec(),
-                 kappa: float | None = None) -> float:
-    """Mean per-example loss over the dataset, penalties included."""
-    k = reg.kappa if kappa is None else kappa
+def dataset_loss(params: ParameterSet, data: Dataset, reg: RegSpec,
+                 kappa: float) -> float:
+    """Mean per-example loss over the dataset, penalties included, with
+    `kappa` the weight of the parameter-input product term."""
     trace = forward(params, data.x)
     losses = quadratic_loss(trace.output, data.t)
     if reg.lam > 0:
         losses = losses + l2_penalty(params, reg.lam)
-    if k > 0:
-        losses = losses + pdp_penalty(params, data.x, k)
+    if kappa > 0:
+        losses = losses + pdp_penalty(params, data.x, kappa)
     if reg.input_kappa > 0:
         losses = losses + dp_input_penalty(data.x, reg.input_kappa)
     return float(np.mean(losses))

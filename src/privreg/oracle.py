@@ -38,35 +38,20 @@ from .optimizers import NoiseSpec, clip_gradient, gradient_noise, mechanism_step
 from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
                            pdp_grad, pdp_penalty)
 
-DEFAULT_Z_THRESHOLD = 3.0
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """Monte Carlo mean with its standard error."""
-
-    mean: float
-    stderr: float
-    replicas: int
-    seed: int
-
-    def __post_init__(self):
-        if self.replicas < 2:
-            raise ValueError("need at least 2 replicas")
-        if self.stderr < 0:
-            raise ValueError("stderr must be nonnegative")
-
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """One analytic value against one Monte Carlo estimate."""
+    """One analytic value against the Monte Carlo mean and standard error
+    drawn from `seed`, z-scored and gated at |z| <= threshold."""
 
     name: str
     analytic: float
-    estimate: McEstimate
+    mean: float
+    stderr: float
+    seed: int
     z: float
     passed: bool
-    threshold: float = DEFAULT_Z_THRESHOLD
+    threshold: float
 
 
 def _z_score(mc_mean: float, stderr: float, analytic: float) -> float:
@@ -75,12 +60,11 @@ def _z_score(mc_mean: float, stderr: float, analytic: float) -> float:
     return (mc_mean - analytic) / stderr
 
 
-def _check(name: str, analytic: float, mean: float, stderr: float,
-           replicas: int, seed: int, threshold: float) -> IdentityCheck:
+def _check(name: str, analytic: float, mean: float, stderr: float, seed: int,
+           threshold: float) -> IdentityCheck:
     z = _z_score(mean, stderr, analytic)
-    return IdentityCheck(name=name, analytic=analytic,
-                         estimate=McEstimate(mean, stderr, replicas, seed),
-                         z=z, passed=abs(z) <= threshold, threshold=threshold)
+    return IdentityCheck(name=name, analytic=analytic, mean=mean, stderr=stderr,
+                         seed=seed, z=z, passed=abs(z) <= threshold, threshold=threshold)
 
 
 def _linear_neuron_vectors(params: ParameterSet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,16 +144,16 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def mc_post_update_loss(params: ParameterSet, x: np.ndarray, t, eta: float,
-                        noise: NoiseSpec, replicas: int, seed: int) -> McEstimate:
-    """Sampled E[(y_tilde' - t)^2] after one noisy update of a linear neuron.
+                        noise: NoiseSpec, replicas: int, seed: int) -> tuple[float, float]:
+    """Sampled E[(y_tilde' - t)^2] after one noisy update of a linear
+    neuron, as (mean, standard error).
 
     Each replica is one step of the trainer's mechanism (mechanism_step)
     with fresh gradient noise, scored by its post-update output against
     the target.
     """
     _, residuals = _noisy_step_residuals(params, x, t, eta, noise, replicas, seed)
-    mean, stderr = _mean_and_stderr(np.square(residuals, out=residuals))
-    return McEstimate(mean=mean, stderr=stderr, replicas=replicas, seed=seed)
+    return _mean_and_stderr(np.square(residuals, out=residuals))
 
 
 def analytic_post_update_loss(params: ParameterSet, x: np.ndarray, t,
@@ -201,18 +185,18 @@ def analytic_post_update_loss(params: ParameterSet, x: np.ndarray, t,
 
 def check_post_update_loss(params: ParameterSet, x: np.ndarray, t, eta: float,
                            noise: NoiseSpec, replicas: int, seed: int,
-                           threshold: float = DEFAULT_Z_THRESHOLD) -> IdentityCheck:
+                           threshold: float) -> IdentityCheck:
     """Monte Carlo (mc_post_update_loss) against closed-form
     (analytic_post_update_loss) expected loss after one noisy step."""
     analytic = analytic_post_update_loss(params, x, t, eta, noise)
-    est = mc_post_update_loss(params, x, t, eta, noise, replicas, seed)
-    return _check(f"post_update_loss[{noise.mode}]", analytic, est.mean, est.stderr,
-                  replicas, seed, threshold)
+    mean, stderr = mc_post_update_loss(params, x, t, eta, noise, replicas, seed)
+    return _check(f"post_update_loss[{noise.mode}]", analytic, mean, stderr, seed,
+                  threshold)
 
 
 def check_cross_term_vanishes(params: ParameterSet, x: np.ndarray, t, eta: float,
                               noise: NoiseSpec, replicas: int, seed: int,
-                              threshold: float = DEFAULT_Z_THRESHOLD) -> IdentityCheck:
+                              threshold: float) -> IdentityCheck:
     """Zero-mean check of the cross term 2*(y-t)*eta*(eps.x).
 
     Because the noise is centered, the expansion of the expected
@@ -225,11 +209,11 @@ def check_cross_term_vanishes(params: ParameterSet, x: np.ndarray, t, eta: float
     values = np.subtract(clean, residuals, out=residuals)
     values *= 2.0 * clean
     mean, stderr = _mean_and_stderr(values)
-    return _check(f"cross_term[{noise.mode}]", 0.0, mean, stderr, replicas, seed, threshold)
+    return _check(f"cross_term[{noise.mode}]", 0.0, mean, stderr, seed, threshold)
 
 
 def check_moment_identities(sigma: float, replicas: int, seed: int,
-                            threshold: float = DEFAULT_Z_THRESHOLD) -> list[IdentityCheck]:
+                            threshold: float) -> list[IdentityCheck]:
     """E[X^2] = sigma^2, E[X^4] = 3*sigma^4, Var[X^2] = 2*sigma^4 for
     X ~ N(0, sigma^2), each as a z-scored sample check."""
     if not sigma > 0:
@@ -240,7 +224,7 @@ def check_moment_identities(sigma: float, replicas: int, seed: int,
     s2, s4 = sigma ** 2, sigma ** 4
     # Two (n,) buffers in all: the draws, squared in place into w, and one
     # scratch buffer, each summarised in place with numpy's bits.
-    w = RngStream(seed, 0).normal(0.0, sigma, n)
+    w = RngStream(seed, 0).normal(sigma, n)
     np.multiply(w, w, out=w)
     scratch = np.multiply(w, w)
     fourth_mean, fourth_stderr = _mean_and_stderr(scratch)
@@ -255,11 +239,11 @@ def check_moment_identities(sigma: float, replicas: int, seed: int,
 
     return [
         _check(f"second_moment[sigma={sigma:g}]", s2, float(mean_w),
-               float(np.sqrt(var_w) / np.sqrt(n)), n, seed, threshold),
+               float(np.sqrt(var_w) / np.sqrt(n)), seed, threshold),
         _check(f"fourth_moment[sigma={sigma:g}]", 3.0 * s4, fourth_mean, fourth_stderr,
-               n, seed, threshold),
+               seed, threshold),
         _check(f"variance_of_square[sigma={sigma:g}]", 2.0 * s4, var_w, stderr,
-               n, seed, threshold),
+               seed, threshold),
     ]
 
 
@@ -277,19 +261,37 @@ class ProductDensityReport:
     seed: int
 
 
+def _bin_masses(sigma_x: float, sigma_y: float, pos_edges: np.ndarray) -> np.ndarray:
+    """Mass of the K0 product density on each interval of the positive,
+    increasing `pos_edges`.
+
+    A bin's mass is the difference of F(u/(sx*sy))/pi at its edges,
+    F(v) = int_0^v K0 = (pi*v/2)(K0 L_-1 + K1 L_0)(v) with L the modified
+    Struve function (Abramowitz & Stegun 11.1.8).  Each mass is within
+    3e-13 absolute: <= 1e-12 relative at sx*sy ~ 1, looser in far-tail
+    bins at small scales (1.8e-6 on a 5e-9 bin at sx*sy = 0.25).  A bin
+    whose mass comes out nonpositive raises ValueError.
+    """
+    from scipy import special  # slow to import; only this check needs it
+
+    v = pos_edges / (sigma_x * sigma_y)
+    cumulative = (0.5 * v) * (special.k0(v) * special.modstruve(-1, v)  # F(v) / pi
+                              + special.k1(v) * special.modstruve(0, v))
+    mass = np.diff(cumulative)
+    if not (mass > 0).all():
+        cut = pos_edges[np.argmin(mass > 0)]
+        raise ValueError(f"the bin from |u| = {cut:.4g} holds less mass than the closed form "
+                         f"resolves at sigma_x * sigma_y = {sigma_x * sigma_y:g}")
+    return mass
+
+
 def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
-                          bins: int, seed: int,
-                          support: tuple[float, float] = (0.05, 4.0)) -> ProductDensityReport:
+                          bins: int, seed: int) -> ProductDensityReport:
     """Compare samples of X*Y to the K0 product-of-normals density.
 
-    `bins` intervals of |u| over `support` are mirrored into signed bins;
-    the support must exclude zero, where the density has a log
-    singularity.  A bin's expected mass is the difference of F(|u|/(sx*sy))/pi
-    at its edges, F(v) = int_0^v K0 = (pi*v/2)(K0 L_-1 + K1 L_0)(v) with L
-    the modified Struve function (Abramowitz & Stegun 11.1.8).  Each mass
-    is within 3e-13 absolute: <= 1e-12 relative at sx*sy ~ 1, looser in
-    far-tail bins at small scales (1.8e-6 on a 5e-9 bin at sx*sy = 0.25).
-    A bin whose mass comes out nonpositive raises ValueError.
+    `bins` intervals of |u| over [0.05, 4] are mirrored into signed bins,
+    each expected to hold its closed-form mass (_bin_masses).  The range
+    excludes zero, where the density has a log singularity.
     """
     if not (sigma_x > 0 and sigma_y > 0):
         raise ValueError("sigmas must be positive")
@@ -297,21 +299,9 @@ def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
         raise ValueError(f"need at least 10 bins, got {bins}")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    lo, hi = float(support[0]), float(support[1])
-    if not (0 < lo < hi):
-        raise ValueError(f"degenerate bins: support must satisfy 0 < lo < hi, got {support}")
 
-    from scipy import special  # slow to import; only this check needs it
-
-    pos_edges = np.linspace(lo, hi, bins + 1)
-    v = pos_edges / (sigma_x * sigma_y)
-    cumulative = (0.5 * v) * (special.k0(v) * special.modstruve(-1, v)  # F(v) / pi
-                              + special.k1(v) * special.modstruve(0, v))
-    pos_mass = np.diff(cumulative)
-    if not (pos_mass > 0).all():
-        cut = pos_edges[np.argmin(pos_mass > 0)]
-        raise ValueError(f"the bin from |u| = {cut:.4g} holds less mass than the closed form "
-                         "resolves; narrow the support")
+    pos_edges = np.linspace(0.05, 4.0, bins + 1)
+    pos_mass = _bin_masses(sigma_x, sigma_y, pos_edges)
     expected = np.concatenate([pos_mass[::-1], pos_mass])
 
     # X and Y are drawn and binned MC_CHUNK_ROWS at a time: every call but
@@ -322,8 +312,8 @@ def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
     raw_counts = np.zeros(edges.size - 1, dtype=np.intp)
     for start in range(0, replicas, MC_CHUNK_ROWS):
         rows = min(MC_CHUNK_ROWS, replicas - start)
-        u = x_rng.normal(0.0, sigma_x, rows)
-        u *= y_rng.normal(0.0, sigma_y, rows)
+        u = x_rng.normal(sigma_x, rows)
+        u *= y_rng.normal(sigma_y, rows)
         raw_counts += np.histogram(u, bins=edges)[0]
     counts = np.delete(raw_counts, bins).astype(np.float64)  # drop the (-lo, lo) gap
 
@@ -344,7 +334,7 @@ def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float], theta: np.ndarray,
-                               h_scale: float = 1e-5) -> np.ndarray:
+                               h_scale: float) -> np.ndarray:
     """Central differences with per-coordinate step h_scale * max(1, |theta_i|)."""
     if not h_scale > 0:
         raise ValueError(f"h_scale must be positive, got {h_scale}")
@@ -369,8 +359,7 @@ PENALTY_KINDS = ("l2", "pdp", "dp_input", "combined")
 
 
 def grad_check(kind: str, params: ParameterSet, x: np.ndarray,
-               lam: float = 0.0, kappa: float = 0.0,
-               h_scale: float = 1e-5) -> float:
+               lam: float = 0.0, kappa: float = 0.0) -> float:
     """Worst relative error of a penalty gradient against central differences.
 
     Kind "combined" checks l2_grad + pdp_grad, the sum mechanism_step adds.
@@ -395,12 +384,11 @@ def grad_check(kind: str, params: ParameterSet, x: np.ndarray,
                         + pdp_penalty(ParameterSet(spec, th), row, kappa)[0])
         analytic = l2_grad(params, lam) + pdp_grad(params, row, kappa)[0]
 
-    fd = finite_difference_gradient(f, params.flat, h_scale)
+    fd = finite_difference_gradient(f, params.flat, 1e-5)
     return _max_rel_err(analytic, fd)
 
 
-def backprop_grad_check(params: ParameterSet, x: np.ndarray, t,
-                        h_scale: float = 1e-6) -> float:
+def backprop_grad_check(params: ParameterSet, x: np.ndarray, t) -> float:
     """Worst relative error of backward() against central differences of the loss."""
     from .model import backward, forward, quadratic_loss
 
@@ -412,7 +400,7 @@ def backprop_grad_check(params: ParameterSet, x: np.ndarray, t,
         return quadratic_loss(forward(p, row).output, target)[0]
 
     analytic = backward(forward(params, row), target)[0]
-    fd = finite_difference_gradient(loss_at, params.flat, h_scale)
+    fd = finite_difference_gradient(loss_at, params.flat, 1e-6)
     return _max_rel_err(analytic, fd)
 
 
@@ -434,9 +422,9 @@ def random_linear_setups(n: int, seed: int) -> list[LinearSetup]:
     setups = []
     for _ in range(n):
         d = min(int(2 + rng.uniform(1)[0] * 5), 6)
-        theta = rng.normal(0.0, 1.0, d)
-        x = rng.normal(0.0, 1.0, d)
-        t = float(rng.normal(0.0, 1.0, 1)[0])
+        theta = rng.normal(1.0, d)
+        x = rng.normal(1.0, d)
+        t = float(rng.normal(1.0, 1)[0])
         eta = float(0.02 + rng.uniform(1)[0] * (0.3 - 0.02))
         sigma = float(0.05 + rng.uniform(1)[0] * (0.5 - 0.05))
         spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=False)

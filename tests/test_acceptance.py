@@ -115,8 +115,8 @@ def test_c5_gradient_formulas_match_finite_differences():
         d = 2 + int(rng.uniform(1)[0] * 5)
         spec = ModelSpec(layer_sizes=(d, 1), activation="identity",
                          include_bias=False)
-        params = ParameterSet(spec, rng.normal(0.0, 1.0, d))
-        x = rng.normal(0.0, 1.0, d)
+        params = ParameterSet(spec, rng.normal(1.0, d))
+        x = rng.normal(1.0, d)
         lam = float(rng.uniform(1)[0] * 0.3)
         kappa = float(rng.uniform(1)[0] * 0.3)
         for kind in ("l2", "pdp", "combined"):
@@ -131,10 +131,9 @@ def test_c5_gradient_formulas_match_finite_differences():
         spec = ModelSpec(layer_sizes=sizes, activation=activation,
                          include_bias=bool(trial % 3))
         params = init_params(spec, RngStream(552, trial))
-        x = rng.normal(0.0, 1.0, 4)
-        t = rng.normal(0.0, 1.0, 1)
-        worst_backprop = max(worst_backprop,
-                             backprop_grad_check(params, x, t, h_scale=1e-6))
+        x = rng.normal(1.0, 4)
+        t = rng.normal(1.0, 1)
+        worst_backprop = max(worst_backprop, backprop_grad_check(params, x, t))
 
     report("C5 gradient correctness",
            worst_penalty <= 1e-8 and worst_backprop <= 1e-6,
@@ -177,7 +176,7 @@ def test_c7_gaussian_moments_and_product_density():
     bin-integrated K0 density."""
     worst = 0.0
     for sigma in (0.5, 1.0, 2.0):
-        checks = check_moment_identities(sigma, 1_000_000, seed=2101)
+        checks = check_moment_identities(sigma, 1_000_000, seed=2101, threshold=3.0)
         worst = max(worst, max(abs(c.z) for c in checks))
     density = check_product_density(1.0, 1.0, 1_000_000, 40, seed=2151)
     report("C7 Gaussian moment and product-density checks",
@@ -205,7 +204,7 @@ def test_c8_leakage_baselines_and_noise_trend():
     mechanisms = [(NoiseSpec(mode="iid", sigma=s), RegSpec())
                   for s in (0.0, 0.1, 0.5, 1.0)]
     reports = leakage_sweep(spec, data, mechanisms, trials=30, seed=883,
-                            iters=800, step=0.01, restarts=10)
+                            eta=0.1, iters=800, step=0.01, restarts=10)
     closed = [r for r in reports if r.attack == "closed_form"]
     medians = [r.median_cosine for r in closed]
     monotone = all(a >= b for a, b in zip(medians, medians[1:]))

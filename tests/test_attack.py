@@ -66,8 +66,8 @@ def reference_inversion(g, spec, params, iters, step, seed, restarts):
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(restarts):
             rng = RngStream(seed, r)
-            x = rng.normal(0.0, 1.0, d)
-            t = float(rng.normal(0.0, 1.0, 1)[0])
+            x = rng.normal(1.0, d)
+            t = float(rng.normal(1.0, 1)[0])
             obj = objective(x, t)
             if obj < best_obj:
                 best_obj, best_x = obj, x.copy()
@@ -120,9 +120,9 @@ class TestClosedFormInversion:
             d = 2 + int(rng.uniform(1)[0] * 6)
             spec = ModelSpec(layer_sizes=(d, 1), activation="identity",
                              include_bias=True)
-            params = ParameterSet(spec, rng.normal(0.0, 1.0, d + 1))
-            x = rng.normal(0.0, 1.0, d)
-            t = float(rng.normal(0.0, 1.0, 1)[0])
+            params = ParameterSet(spec, rng.normal(1.0, d + 1))
+            x = rng.normal(1.0, d)
+            t = float(rng.normal(1.0, 1)[0])
             g = clean_gradient(params, x, t)
             if abs(g[-1]) < 1e-12:
                 continue
@@ -131,7 +131,7 @@ class TestClosedFormInversion:
 
     def test_rows_invert_as_one_division_each(self):
         rng = RngStream(62)
-        g = rng.normal(0.0, 1.0, 40 * 5).reshape(40, 5)
+        g = rng.normal(1.0, 40 * 5).reshape(40, 5)
         spec = ModelSpec(layer_sizes=(4, 1), activation="identity", include_bias=True)
         rows = invert_linear_gradient(g, spec)
         for i in range(40):
@@ -152,8 +152,8 @@ class TestPerRowScores:
         # of the one-vector formulas it replaced.
         rng = RngStream(63)
         for d in (1, 2, 3, 4, 5, 8, 17):
-            a = rng.normal(0.0, 1.0, 300 * d).reshape(300, d)
-            b = rng.normal(0.0, 1.0, 300 * d).reshape(300, d) * rng.uniform(300)[:, None]
+            a = rng.normal(1.0, 300 * d).reshape(300, d)
+            b = rng.normal(1.0, 300 * d).reshape(300, d) * rng.uniform(300)[:, None]
             a[:3] = 0.0  # zero rows score 0
             cos = cosine_similarity(a, b)
             mse = np.mean((a - b) ** 2, axis=1)
@@ -178,7 +178,7 @@ class TestIterativeInversion:
         params = ParameterSet(BIAS_SPEC, np.array([0.4, 0.8, -0.2]))
         x = np.array([1.0, -2.0])
         g = clean_gradient(params, x, 0.5)
-        noise_free = g + 0.0 * RngStream(4).normal(0.0, 1.0, g.size)
+        noise_free = g + 0.0 * RngStream(4).normal(1.0, g.size)
         a = invert_one(g, params, iters=500, step=0.02, seed=3)
         b = invert_one(noise_free, params, iters=500, step=0.02, seed=3)
         assert np.array_equal(a, b)
@@ -187,7 +187,7 @@ class TestIterativeInversion:
         spec = BIAS_SPEC
         params = init_params(spec, RngStream(72))
         d = spec.input_dim
-        g = clean_gradient(params, RngStream(73).normal(0.0, 1.0, d), 1.0)
+        g = clean_gradient(params, RngStream(73).normal(1.0, d), 1.0)
         theta = params.weights(0)
         bias = params.bias(0)
         target = g[None, :]
@@ -198,8 +198,8 @@ class TestIterativeInversion:
 
         rng = RngStream(71)
         for _ in range(5):
-            x = rng.normal(0.0, 1.0, d)
-            t = float(rng.normal(0.0, 1.0, 1)[0])
+            x = rng.normal(1.0, d)
+            t = float(rng.normal(1.0, 1)[0])
             obj, gx, gt = rows(x, t)
             diff = backward(forward(params, x[None, :]), np.array([[t]]))[0] - g
             assert obj[0] == float(np.dot(diff, diff))
@@ -221,7 +221,7 @@ class TestIterativeInversion:
         for sigma in (0.0, 0.5):
             values = []
             for trial in range(30):
-                noise = RngStream(900 + trial, 0).normal(0.0, sigma, 4)
+                noise = RngStream(900 + trial, 0).normal(sigma, 4)
                 x_hat = invert_one(base + noise, params, iters=400, step=0.01,
                                    seed=trial, restarts=4)
                 values.append(cosine_similarity(x_hat, x))
@@ -251,9 +251,9 @@ def _reference_case(name):
     d, sigma = {"iid_noisy": (3, 0.5), "odd_d": (5, 0.3), "converged": (2, 0.0)}[name]
     spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=True)
     params = init_params(spec, RngStream(101))
-    g = clean_gradient(params, RngStream(201).normal(0.0, 1.0, d), 0.7)
+    g = clean_gradient(params, RngStream(201).normal(1.0, d), 0.7)
     if sigma:
-        g = g + RngStream(301).normal(0.0, sigma, g.size)
+        g = g + RngStream(301).normal(sigma, g.size)
     stop = "converged" if name == "converged" else "iters"
     return g, spec, params, 1500 if name == "converged" else 400, 0.01, 1, 4, stop
 
@@ -290,7 +290,7 @@ class TestBatchedDescentMatchesReference:
             return cosine_similarity(x_hat, x_true)
 
         monkeypatch.setattr(privreg.attack, "cosine_similarity", recording_cosine)
-        leakage_sweep(spec, data, mechanisms, trials=trials, seed=seed, **kwargs)
+        leakage_sweep(spec, data, mechanisms, trials=trials, seed=seed, eta=0.1, **kwargs)
         # Per mechanism the sweep scores the closed-form x_hat rows of its
         # trials, then the iterative ones.
         swept = [scored[2 * m + 1][k] for m in range(len(mechanisms))
@@ -327,8 +327,8 @@ class TestBatchedDescentMatchesReference:
                       (NoiseSpec(mode="iid", sigma=0.5), RegSpec()),
                       (NoiseSpec(mode="proportional", sigma=0.5), RegSpec())]
         monkeypatch.setattr(RngStream, "__init__", counting)
-        leakage_sweep(spec, data, mechanisms, trials=2, seed=100, iters=5, step=0.05,
-                      restarts=10)
+        leakage_sweep(spec, data, mechanisms, trials=2, seed=100, eta=0.1, iters=5,
+                      step=0.05, restarts=10)
         assert len(made) == 2 * (10 + 3)
 
 
@@ -350,7 +350,7 @@ class TestMembershipInference:
                          include_bias=False)
         report = train(spec, members, TrainConfig(eta=0.4, batch_size=16,
                                                   epochs=100, seed=6))
-        fresh = Dataset(np.stack([RngStream(77, i).normal(0.0, 1.0, 16)
+        fresh = Dataset(np.stack([RngStream(77, i).normal(1.0, 16)
                                   for i in range(16)]), signs)
         assert membership_inference(report.final_params, members, fresh) > 0.9
 
@@ -432,7 +432,7 @@ class TestLeakageSweep:
     def test_clean_mechanism_is_fully_recovered(self):
         mechanisms = [(NoiseSpec(mode="none"), RegSpec())]
         reports = leakage_sweep(self.spec, self.data, mechanisms, trials=10,
-                                seed=100, iters=600, step=0.01, restarts=6)
+                                seed=100, eta=0.1, iters=600, step=0.01, restarts=6)
         closed = next(r for r in reports if r.attack == "closed_form")
         iterative = next(r for r in reports if r.attack == "iterative")
         assert closed.mean_cosine >= 0.999
@@ -442,7 +442,7 @@ class TestLeakageSweep:
     def test_identical_mechanisms_identical_reports(self):
         mech = (NoiseSpec(mode="iid", sigma=0.3), RegSpec())
         reports = leakage_sweep(self.spec, self.data, [mech, mech], trials=5,
-                                seed=100, iters=200, step=0.01, restarts=3)
+                                seed=100, eta=0.1, iters=200, step=0.01, restarts=3)
         first = [r for r in reports if r.attack == "closed_form"]
         assert np.array_equal(first[0].cosine, first[1].cosine)
         assert np.array_equal(first[0].mse, first[1].mse)
@@ -451,9 +451,9 @@ class TestLeakageSweep:
         mechanisms = [(NoiseSpec(mode="iid", sigma=0.5), RegSpec()),
                       (NoiseSpec(mode="proportional", sigma=0.5), RegSpec())]
         a = leakage_sweep(self.spec, self.data, mechanisms, trials=5, seed=100,
-                          iters=200, step=0.01, restarts=3)
+                          eta=0.1, iters=200, step=0.01, restarts=3)
         b = leakage_sweep(self.spec, self.data, mechanisms, trials=5, seed=100,
-                          iters=200, step=0.01, restarts=3)
+                          eta=0.1, iters=200, step=0.01, restarts=3)
         for ra, rb in zip(a, b):
             assert ra.mechanism == rb.mechanism and ra.attack == rb.attack
             assert np.array_equal(ra.cosine, rb.cosine)
@@ -464,7 +464,7 @@ class TestLeakageSweep:
         mechanisms = [(NoiseSpec(mode="iid", sigma=s), RegSpec())
                       for s in (0.0, 0.5)]
         reports = leakage_sweep(self.spec, self.data, mechanisms, trials=10,
-                                seed=100, iters=200, step=0.01, restarts=3)
+                                seed=100, eta=0.1, iters=200, step=0.01, restarts=3)
         closed = [r for r in reports if r.attack == "closed_form"]
         assert closed[1].median_cosine <= closed[0].median_cosine
 

@@ -241,6 +241,22 @@ class TestRun:
         assert manifest["command"] == "verify"
         assert manifest["seeds"] == {"oracle": 42}
 
+    def test_each_sigma_draws_its_own_moments_and_verify_writes_the_same(self, tmp_path):
+        gaussian_rows = {}
+        for command in ("moments", "verify"):
+            cfg = minimal_verify_config(tmp_path / command)
+            cfg["oracle"]["sigmas"] = [0.5, 1.0, 2.0]
+            cfg_path = tmp_path / f"{command}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            assert run(command, cfg_path) == 0
+            gaussian_rows[command] = [
+                r for r in read_result_rows(tmp_path / command / f"{command}_results.csv")
+                if r.mechanism.startswith("gaussian(")]
+        rows = gaussian_rows["moments"]
+        assert rows == gaussian_rows["verify"]
+        assert len({r.value for r in rows}) == len(rows) == 9
+        assert [r.seed for r in rows] == [42 + 3000 + i for i in range(3) for _ in range(3)]
+
     def test_verify_manifest_carries_telemetry(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(minimal_verify_config(tmp_path / "out")))

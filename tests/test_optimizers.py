@@ -307,12 +307,14 @@ class TestTrain:
         config = TrainConfig(eta=0.05, batch_size=10, epochs=1, seed=3)
         report = train(spec, data, config)
         assert report.epoch_losses[-1] == pytest.approx(
-            dataset_loss(report.final_params, data), abs=1e-15)
+            dataset_loss(report.final_params, data, config.reg,
+                         config.reg.effective_kappa(config.eta, config.noise.sigma)),
+            abs=1e-15)
 
 
 class TestNoiseBlocks:
     """train() draws its noise in blocks; each step's row must still hold
-    the bits of one normal(0, 1, P) call per step on the noise stream."""
+    the bits of one normal(1, P) call per step on the noise stream."""
 
     @pytest.mark.parametrize("spec,batch_size", [
         (ModelSpec(layer_sizes=(5, 16, 1), activation="tanh"), 1),      # P = 113
@@ -326,8 +328,8 @@ class TestNoiseBlocks:
         steps_per_epoch = -(-n // batch_size)
         epochs = -(-(3 * per_block + 5) // steps_per_epoch)  # past 3 block boundaries
         rng = RngStream(59, spec.n_params)
-        data = Dataset(rng.normal(0.0, 1.0, n * 5).reshape(n, 5),
-                       rng.normal(0.0, 1.0, n).reshape(n, 1))
+        data = Dataset(rng.normal(1.0, n * 5).reshape(n, 5),
+                       rng.normal(1.0, n).reshape(n, 1))
         config = TrainConfig(eta=1e-3, batch_size=batch_size, epochs=epochs, seed=61,
                              noise=NoiseSpec(mode="iid", sigma=sigma, clip_c=1.0),
                              record_gradients=True)
@@ -335,7 +337,7 @@ class TestNoiseBlocks:
         assert len(records) == epochs * steps_per_epoch > 3 * per_block
         per_step = RngStream(config.seed, STREAM_NOISE)
         for record in records:
-            z = per_step.normal(0.0, 1.0, spec.n_params)
+            z = per_step.normal(1.0, spec.n_params)
             assert np.array_equal(record.noisy, sigma * z + record.clean)
 
     @pytest.mark.parametrize("noise", [NoiseSpec(mode="none", sigma=0.5),
@@ -479,9 +481,9 @@ def reference_train(spec, data, config):
             g_clean = np.mean(grads, axis=0)
             g_tilde = g_clean
             if noise.mode == "iid" and noise.sigma > 0:
-                g_tilde = g_clean + noise_rng.normal(0.0, noise.sigma, g_clean.size)
+                g_tilde = g_clean + noise_rng.normal(noise.sigma, g_clean.size)
             elif noise.mode == "proportional" and noise.sigma > 0:
-                z = noise_rng.normal(0.0, 1.0, g_clean.size)
+                z = noise_rng.normal(1.0, g_clean.size)
                 g_tilde = g_clean + noise.sigma * params.flat * z
             records.append((g_clean.copy(), g_tilde.copy(), batch_idx.copy()))
             params = ParameterSet(spec, params.flat - eta * g_tilde)
@@ -523,8 +525,8 @@ def reference_data(model, mechanism):
     spec = REFERENCE_MODELS[model]
     rng = RngStream(len(model), len(mechanism))
     return Dataset(
-        rng.normal(0.0, 1.0, REFERENCE_N * spec.input_dim).reshape(REFERENCE_N, -1),
-        rng.normal(0.0, 1.0, REFERENCE_N * spec.output_dim).reshape(REFERENCE_N, -1))
+        rng.normal(1.0, REFERENCE_N * spec.input_dim).reshape(REFERENCE_N, -1),
+        rng.normal(1.0, REFERENCE_N * spec.output_dim).reshape(REFERENCE_N, -1))
 
 
 class TestTrainMatchesPerExampleReference:

@@ -1,5 +1,6 @@
-"""The package exports nothing that only its tests use, and its public
-functions take each model input from one source.
+"""The package exports nothing that only its tests use, its public
+functions take each model input from one source, and no public parameter
+has a default that only tests override.
 
 Every public top-level function and class of privreg must be named by
 package code outside its own definition.  Re-exports in __init__ do not
@@ -58,3 +59,71 @@ def test_no_public_function_takes_both_a_spec_and_parameters():
                     and {"ModelSpec", "ParameterSet"} <= names):
                 both.append(f"{path.stem}.{fn.name}")
     assert both == [], f"public functions taking both a ModelSpec and a ParameterSet: {both}"
+
+
+# Defaulted parameters that no package call passes on purpose: train's init
+# is the seam the fixed-start tests use, and main's argv is the entry point.
+UNPASSED_DEFAULTS_ALLOWED = {"optimizers.train.init", "cli.main.argv"}
+
+
+def _public_callables(tree: ast.Module):
+    """(qualified name, call name, whether a call binds self, definition) for
+    every public function and every public method or __init__ of a public
+    class; a call of the class is a call of its __init__."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, False, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    yield f"{node.name}.__init__", node.name, True, fn
+                elif isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield f"{node.name}.{fn.name}", fn.name, True, fn
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """(name, positional index or None) of each parameter with a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    params = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+    return params + [(arg.arg, None) for arg, default in
+                     zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+
+
+def _passes(call: ast.Call, name: str, index: int | None, binds_self: bool) -> bool:
+    """Whether `call` passes the parameter, by keyword or by position; a
+    *args or **kwargs at the call may pass anything."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index - binds_self < len(call.args)
+
+
+def test_every_default_is_passed_by_some_package_call():
+    """A defaulted parameter that no package code passes is an option only
+    tests set, or a second home for a default; calls are matched by the
+    name called, whatever the module."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = (func.id if isinstance(func, ast.Name)
+                          else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(callee, []).append(node)
+    unpassed = {
+        f"{module}.{qualified}.{name}"
+        for module, tree in trees.items()
+        for qualified, callee, binds_self, fn in _public_callables(tree)
+        for name, index in _defaulted(fn)
+        if not any(_passes(call, name, index, binds_self) for call in calls.get(callee, []))
+    }
+    assert unpassed == UNPASSED_DEFAULTS_ALLOWED, (
+        f"defaulted parameters no package call passes: "
+        f"{sorted(unpassed - UNPASSED_DEFAULTS_ALLOWED)}; "
+        f"allowed but now passed or gone: {sorted(UNPASSED_DEFAULTS_ALLOWED - unpassed)}")

@@ -103,7 +103,7 @@ class TestPdp:
     def test_refused_off_a_linear_unit(self, spec):
         # The identity behind the term holds for one linear output unit only.
         p = init_params(spec, RngStream(3))
-        x = RngStream(4).normal(0.0, 1.0, 6).reshape(2, 3)
+        x = RngStream(4).normal(1.0, 6).reshape(2, 3)
         with pytest.raises(ValueError, match="single linear output unit"):
             pdp_penalty(p, x, 0.1)
         with pytest.raises(ValueError, match="single linear output unit"):
@@ -114,8 +114,8 @@ class TestPdp:
 
     def test_one_row_per_example(self):
         spec = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=True)
-        p = ParameterSet(spec, RngStream(3).normal(0.0, 1.0, 3))
-        x = RngStream(4).normal(0.0, 1.0, 10).reshape(5, 2)
+        p = ParameterSet(spec, RngStream(3).normal(1.0, 3))
+        x = RngStream(4).normal(1.0, 10).reshape(5, 2)
         penalties = pdp_penalty(p, x, 0.3)
         grads = pdp_grad(p, x, 0.3)
         assert penalties.shape == (5,) and grads.shape == (5, 3)
@@ -157,8 +157,8 @@ class TestGradientsAgainstFiniteDifferences:
         rng = RngStream(23)
         for trial in range(25):
             d = 2 + int(rng.uniform(1)[0] * 5)
-            p = linear_params(rng.normal(0.0, 1.0, d))
-            x = rng.normal(0.0, 1.0, d)
+            p = linear_params(rng.normal(1.0, d))
+            x = rng.normal(1.0, d)
             lam = float(rng.uniform(1)[0] * 0.3)
             kappa = float(rng.uniform(1)[0] * 0.3)
             assert grad_check(kind, p, x, lam, kappa) <= bound
@@ -177,8 +177,8 @@ class TestRegSpec:
     def test_penalties_nonnegative(self):
         rng = RngStream(31)
         for _ in range(20):
-            p = linear_params(rng.normal(0.0, 1.0, 3))
-            x = rng.normal(0.0, 1.0, 3)
+            p = linear_params(rng.normal(1.0, 3))
+            x = rng.normal(1.0, 3)
             assert l2_penalty(p, 0.2) >= 0
             assert pdp_penalty(p, x[None, :], 0.2)[0] >= 0
             assert dp_input_penalty(x, 0.2) >= 0
