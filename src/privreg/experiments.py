@@ -40,7 +40,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Callable
@@ -58,7 +57,8 @@ from .optimizers import (NOISE_MODES, NoiseSpec, TrainConfig, gradient_noise,
 from .oracle import (IdentityCheck, LinearSetup, backprop_grad_check,
                      check_cross_term_vanishes, check_moment_identities,
                      check_post_update_loss, check_product_density,
-                     equivalence_chain_residuals, grad_check, random_linear_setups)
+                     equivalence_chain_residuals, grad_check, mc_lanes,
+                     random_linear_setups)
 from .regularizers import KAPPA_MODES, RegSpec, dp_input_penalty
 
 OUT_DIR_ENV = "PRIVREG_OUT"
@@ -541,7 +541,7 @@ def _load_data(config: ExperimentConfig, command: str) -> Dataset:
 
 class RunTelemetry:
     """What a run says about itself in its manifest, never in its CSV:
-    wall seconds per phase, lanes per phase run in lanes (see _in_lanes),
+    wall seconds per phase, lanes per phase run in lanes (see oracle.mc_lanes),
     and every failed check as (name, value, bound), a check passing when
     value <= bound."""
 
@@ -615,84 +615,20 @@ def _cmd_moments(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resu
     return rows
 
 
-def _lane_count(jobs: int) -> int:
-    """Lanes for `jobs` jobs: one per CPU this process may run on, at most
-    one per job.  Where the platform has no sched_getaffinity (macOS,
-    Windows), every CPU counts."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(jobs, len(os.sched_getaffinity(0)))
-    return min(jobs, os.cpu_count() or 1)
-
-
-def _in_lanes(jobs: list[Callable[[], object]]) -> list:
-    """Every job's result, in job order, from jobs run side by side.
-
-    A lane is the calling thread or one of _lane_count(len(jobs)) - 1 worker
-    threads.  Each lane takes the first job no lane has started and runs it
-    whole, then the next.  The jobs mapped here are Monte Carlo checks that
-    share no state (each draws from its own seeded stream) and spend their
-    time in numpy loops that release the GIL, so they overlap and return
-    the bits a serial run would.  Once a job raises, no lane starts
-    another, and the error raised is that of the lowest-numbered failed
-    job: every job before it ran, so it is the error a serial run meets.
-
-    The calling thread runs jobs, rather than only waiting on a pool, to
-    keep peak memory down: glibc gives each thread its own malloc arena,
-    and memory freed on the calling thread is reused by the serial phases
-    after it.  On the benchmark's verify-mc pass (seed 1, 2 CPUs) a
-    ThreadPoolExecutor.map in which the caller only waits peaked at
-    81.2-81.7 MB against 67.7-68.5 MB for this function, with the same CSV
-    bytes; under MALLOC_ARENA_MAX=1 both peaked at 61.4-61.8 MB.
-    """
-    workers = _lane_count(len(jobs)) - 1
-    if workers < 1:
-        return [job() for job in jobs]
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
-    results: list = [None] * len(jobs)
-    errors: dict[int, Exception] = {}
-    unstarted = iter(range(len(jobs)))
-    lock, stop = threading.Lock(), threading.Event()
-
-    def lane() -> None:
-        while not stop.is_set():
-            with lock:
-                i = next(unstarted, None)
-            if i is None:
-                return
-            try:
-                results[i] = jobs[i]()
-            except Exception as exc:  # noqa: BLE001  (re-raised below, in job order)
-                with lock:
-                    errors[i] = exc
-                stop.set()
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(lane) for _ in range(workers)]
-        try:
-            lane()
-        finally:
-            stop.set()  # an interrupt in this lane stops the others after their job
-        for future in futures:
-            future.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
-def _setup_checks(check: Callable[..., IdentityCheck], setups: list[LinearSetup],
+def _setup_checks(check: Callable[..., list[IdentityCheck]], setups: list[LinearSetup],
                   modes: tuple[str, ...], replicas: int, seed: int,
                   threshold: float) -> dict[tuple[str, int], IdentityCheck]:
-    """check(params, x, t, eta, noise, replicas, seed + i, threshold) for
-    setup i under each noise mode, run in lanes, keyed (mode, i) in the
-    order mode by mode, then setup by setup."""
-    keys = [(mode, i) for mode in modes for i in range(len(setups))]
-    jobs = [partial(check, setups[i].params, setups[i].x, setups[i].t, setups[i].eta,
-                    NoiseSpec(mode=mode, sigma=setups[i].sigma), replicas, seed + i,
-                    threshold)
-            for mode, i in keys]
-    return dict(zip(keys, _in_lanes(jobs)))
+    """check(params, x, t, eta, noises, replicas, seed + i, threshold) for
+    setup i, noises being the setup's sigma under each noise mode, so every
+    mode steps on the same noise rows.  The setups run one at a time, each
+    check in lanes of its own (oracle.mc_lanes), and the checks are keyed
+    (mode, i) in the order mode by mode, then setup by setup."""
+    per_setup = [check(s.params, s.x, s.t, s.eta,
+                       tuple(NoiseSpec(mode=mode, sigma=s.sigma) for mode in modes),
+                       replicas, seed + i, threshold)
+                 for i, s in enumerate(setups)]
+    return {(mode, i): checks[j] for j, mode in enumerate(modes)
+            for i, checks in enumerate(per_setup)}
 
 
 def _cmd_verify(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
@@ -706,7 +642,7 @@ def _cmd_verify(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
         setups = random_linear_setups(oc.configs, oc.seed)
         checks = _setup_checks(check_post_update_loss, setups, ("iid", "proportional"),
                                oc.replicas, oc.seed + 1000, oc.threshold)
-        telemetry.lanes["post_update_mc"] = _lane_count(len(checks))
+        telemetry.lanes["post_update_mc"] = mc_lanes(oc.replicas)
         for (mode, i), check in checks.items():
             rows.append(ResultRow(eid, mode, "post_update_loss_z", check.z, None,
                                   check.seed))
@@ -718,7 +654,7 @@ def _cmd_verify(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
     with phase("cross_term"):
         checks = _setup_checks(check_cross_term_vanishes, setups[:10], ("iid", "proportional"),
                                oc.replicas, oc.seed + 2000, oc.threshold)
-        telemetry.lanes["cross_term"] = _lane_count(len(checks))
+        telemetry.lanes["cross_term"] = mc_lanes(oc.replicas)
         for (mode, i), check in checks.items():
             rows.append(ResultRow(eid, mode, "cross_term_z", check.z, None, check.seed))
             gate(f"{check.name}[{i}]", abs(check.z), check.threshold)

@@ -6,6 +6,7 @@ run is fully reproducible from its (seed, stream_id) pairs.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -24,7 +25,8 @@ class RngStream:
     whose output stream numpy guarantees stable.  Gaussian deviates are
     produced by the Box-Muller transform over 53-bit uniforms (pairs
     interleaved), so the normal sequence is pinned by this module rather
-    than by the numpy version in use.
+    than by the numpy version in use.  skip jumps the stream ahead, so
+    threads can each draw their own part of one sequence.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -54,8 +56,8 @@ class RngStream:
         consume the same uniforms as one call of size k*m and yield the
         same values, and normal_rows pads an odd size to compose as well.
         """
-        if std < 0:
-            raise ValueError(f"std must be nonnegative, got {std}")
+        if not (math.isfinite(std) and std >= 0):
+            raise ValueError(f"std must be a finite number >= 0, got {std!r}")
         n = _count(n)
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
@@ -74,6 +76,17 @@ class RngStream:
         wide, as such a call draws, and the pad column is dropped."""
         padded = width + width % 2
         return self.normal(1.0, rows * padded).reshape(rows, padded)[:, :width]
+
+    def skip(self, n: int) -> None:
+        """Move the stream past the next n normals without computing them:
+        skip(n) then normal(s, m) gives the bits that normal(1, n) then
+        normal(s, m) give.  n must be even and >= 0, as Box-Muller consumes
+        one uniform per deviate only in even-size calls; PCG64.advance
+        jumps over the n uniforms in O(log n) steps."""
+        n = _count(n)
+        if n < 0 or n % 2:
+            raise ValueError(f"n must be even and >= 0, got {n}")
+        self._gen.bit_generator.advance(n)
 
     def _box_muller(self, out: np.ndarray) -> None:
         """Fill the even-length `out` with standard normals, in place.

@@ -21,7 +21,8 @@ belong to the loss, so they come before the privacy mechanics.  Every row
 is computed exactly as the example would be on its own (see
 privreg.model), so batch size never changes an example's gradient bits.
 mechanism_step also takes R noise rows at once: that is how the oracle
-samples many noisy steps from one starting point.
+samples many noisy steps from one starting point, one block of rows at a
+time, stepping each block once per noise shape.
 
 A run is deterministic given its seed.  Three fixed substreams are used:
 STREAM_INIT for parameter init, STREAM_SHUFFLE for epoch permutations,
@@ -70,10 +71,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if self.clip_c is not None and not self.clip_c > 0:
-            raise ValueError(f"clip_c must be positive, got {self.clip_c}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be a finite number >= 0, got {self.sigma!r}")
+        if self.clip_c is not None and not (math.isfinite(self.clip_c) and self.clip_c > 0):
+            raise ValueError(f"clip_c must be a finite number > 0, got {self.clip_c!r}")
 
     @property
     def adds_noise(self) -> bool:
@@ -98,8 +99,8 @@ class TrainConfig:
     record_gradients: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.eta, numbers.Real) or not self.eta > 0:
-            raise ValueError(f"eta must be a positive number, got {self.eta!r}")
+        if not (isinstance(self.eta, numbers.Real) and math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be a finite number > 0, got {self.eta!r}")
         for name, low in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:

@@ -14,11 +14,15 @@ updated once by theta' = theta - eta * (g + eps):
 
 The post-update and cross-term Monte Carlo runs the trainer's own step
 (optimizers.mechanism_step: gradient, clip, mean, noise, step) once per
-replica, R noise rows at a time, and scores the stepped parameters, so a
-trainer bug in the noise scale, in which theta scales proportional noise,
-in bias handling or in clipping fails the check.  The closed forms are
-written out independently, with the bias folded in as a constant-1 feature
-and the clean gradient clipped when noise.clip_c is set.
+replica and noise shape, and scores the stepped parameters, so a trainer
+bug in the noise scale, in which theta scales proportional noise, in bias
+handling or in clipping fails the check.  The noise rows come in blocks
+of MC_CHUNK_ROWS: each block is drawn once and stepped once per noise
+shape, and the blocks of one check are split among lanes (threads), each
+lane jumping its stream ahead to its first block, so the estimates have
+the same bits at any lane count.  The closed forms are written out
+independently, with the bias folded in as a constant-1 feature and the
+clean gradient clipped when noise.clip_c is set.
 
 Monte Carlo estimates are compared to the closed forms through z-scores;
 gradients are compared to central finite differences.  Every sampler is
@@ -27,14 +31,16 @@ seeded, so a check either passes forever or fails forever.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .model import ModelSpec, ParameterSet, linear_unit_features
 from .numerics import RngStream
-from .optimizers import NoiseSpec, clip_gradient, gradient_noise, mechanism_step
+from .optimizers import NoiseSpec, clip_gradient, mechanism_step
 from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
                            pdp_grad, pdp_penalty)
 
@@ -83,42 +89,134 @@ def _scalar_target(t) -> float:
     return float(t[0])
 
 
-# Replicas per pass of a Monte Carlo loop (noise rows stepped, or product
-# draws binned).  2**14 rows keep a pass's temporaries in cache, and an even
-# row count makes every pass but the last draw an even number of normals, so
-# the passes together draw exactly what one call for all the rows would (see
-# RngStream.normal).
+# Replicas per block of a Monte Carlo loop (noise rows stepped, or product
+# draws binned).  2**14 rows keep a block's temporaries in cache, and an even
+# row count makes every block start at an even offset of its stream, so the
+# blocks together draw exactly what one call for all the rows would (see
+# RngStream.normal), and a lane can skip to any block (RngStream.skip).
 MC_CHUNK_ROWS = 1 << 14
 
 
-def _noisy_step_residuals(params: ParameterSet, x: np.ndarray, t, eta: float,
-                          noise: NoiseSpec, replicas: int,
-                          seed: int) -> tuple[float, np.ndarray]:
-    """y' - t after the trainer's noiseless step, and after each of
-    `replicas` noisy steps from the same parameters.
+def _lane_count(jobs: int) -> int:
+    """Lanes for `jobs` jobs: one per CPU this process may run on, at most
+    one per job.  Where the platform has no sched_getaffinity (macOS,
+    Windows), every CPU counts."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(jobs, len(os.sched_getaffinity(0)))
+    return min(jobs, os.cpu_count() or 1)
 
-    The noise rows come from stream 0 of `seed`, MC_CHUNK_ROWS at a time,
-    and each pass scores its rows into one preallocated (replicas,) vector.
-    mechanism_step refuses eta <= 0 for both callers.
+
+def mc_lanes(replicas: int) -> int:
+    """Lanes that the noisy-step Monte Carlo of `replicas` rows runs in:
+    one per CPU, at most one per MC_CHUNK_ROWS block."""
+    return _lane_count(-(-replicas // MC_CHUNK_ROWS))
+
+
+def _in_lanes(jobs: list[Callable[[], object]]) -> list:
+    """Every job's result, in job order, from jobs run side by side.
+
+    A lane is the calling thread or one of _lane_count(len(jobs)) - 1 worker
+    threads.  Each lane takes the first job no lane has started and runs it
+    whole, then the next.  The jobs mapped here share no state but disjoint
+    rows of arrays the caller made, draw from their own seeded streams, and
+    spend their time in numpy loops that release the GIL, so they overlap
+    and return the bits a serial run would.  Once a job raises, no lane
+    starts another, and the error raised is that of the lowest-numbered
+    failed job: every job before it ran, so it is the error a serial run
+    meets.
+
+    The calling thread runs jobs, rather than only waiting on a pool, to
+    keep peak memory down: glibc gives each thread its own malloc arena,
+    and memory freed on the calling thread is reused by the serial phases
+    after it.
+    """
+    workers = _lane_count(len(jobs)) - 1
+    if workers < 1:
+        return [job() for job in jobs]
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    results: list = [None] * len(jobs)
+    errors: dict[int, Exception] = {}
+    unstarted = iter(range(len(jobs)))
+    lock, stop = threading.Lock(), threading.Event()
+
+    def lane() -> None:
+        while not stop.is_set():
+            with lock:
+                i = next(unstarted, None)
+            if i is None:
+                return
+            try:
+                results[i] = jobs[i]()
+            except Exception as exc:  # noqa: BLE001  (re-raised below, in job order)
+                with lock:
+                    errors[i] = exc
+                stop.set()
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(lane) for _ in range(workers)]
+        try:
+            lane()
+        finally:
+            stop.set()  # an interrupt in this lane stops the others after their job
+        for future in futures:
+            future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _noisy_step_residuals(params: ParameterSet, x: np.ndarray, t, eta: float,
+                          noises: tuple[NoiseSpec, ...], replicas: int,
+                          seed: int) -> list[tuple[float, np.ndarray]]:
+    """Per noise shape in `noises`: y' - t after the trainer's noiseless
+    step, and a (replicas,) vector of y' - t after each noisy step from the
+    same parameters.
+
+    Every shape steps on the same noise rows, stream 0 of `seed`: each
+    MC_CHUNK_ROWS block is drawn once and stepped once per shape.  The
+    blocks are split into mc_lanes(replicas) runs of consecutive blocks,
+    one per lane (_in_lanes); a lane skips its stream to its first block
+    (RngStream.skip) and fills its rows of every shape's vector, so a block
+    holds the same bits at any lane count.  A shape that adds no noise
+    draws nothing and gets its clean value in every row.  mechanism_step
+    refuses eta <= 0.
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     theta, xv = _linear_neuron_vectors(params, x)
     t = _scalar_target(t)
     batch, target, reg = xv[None, :params.spec.input_dim], np.array([[t]]), RegSpec()
-    residuals = np.empty(replicas)
-    clean = float(mechanism_step(params, batch, target, eta, noise, reg).params @ xv)
-    rng = RngStream(seed, 0)
-    for start in range(0, replicas, MC_CHUNK_ROWS):
-        rows = residuals[start:start + MC_CHUNK_ROWS]
-        z = gradient_noise(noise, rng, (rows.size, theta.size))
-        if z is None:
-            residuals.fill(clean)
-            break
-        step = mechanism_step(params, batch, target, eta, noise, reg, z)
-        np.matmul(step.params, xv, out=rows)
-    residuals -= t
-    return clean - t, residuals
+    width = theta.size
+    results = []
+    for noise in noises:
+        clean = float(mechanism_step(params, batch, target, eta, noise, reg).params @ xv)
+        residuals = np.empty(replicas)
+        if not noise.adds_noise:
+            residuals.fill(clean - t)
+        results.append((clean - t, residuals))
+    noisy = [(noise, residuals) for noise, (_, residuals) in zip(noises, results)
+             if noise.adds_noise]
+
+    def fill(first: int, stop: int) -> None:
+        rng = RngStream(seed, 0)
+        rng.skip(first * width)
+        for start in range(first, stop, MC_CHUNK_ROWS):
+            rows = min(MC_CHUNK_ROWS, stop - start)
+            z = rng.normal(1.0, rows * width).reshape(rows, width)
+            for noise, residuals in noisy:
+                out = residuals[start:start + rows]
+                np.matmul(mechanism_step(params, batch, target, eta, noise, reg, z).params,
+                          xv, out=out)
+                out -= t
+
+    if noisy:
+        blocks, lanes = -(-replicas // MC_CHUNK_ROWS), mc_lanes(replicas)
+        bounds = [min(replicas, MC_CHUNK_ROWS * (blocks * k // lanes))
+                  for k in range(lanes + 1)]
+        _in_lanes([partial(fill, first, stop) for first, stop in zip(bounds, bounds[1:])])
+    return results
 
 
 def _mean_and_var(values: np.ndarray) -> tuple[np.float64, np.float64]:
@@ -143,17 +241,32 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.sqrt(var) / np.sqrt(values.size))
 
 
+def _mean_square_and_stderr(values: np.ndarray) -> tuple[float, float]:
+    """_mean_and_stderr of the squares of `values`, squared in place."""
+    return _mean_and_stderr(np.square(values, out=values))
+
+
+def _cross_term_mean_and_stderr(clean: float, residuals: np.ndarray) -> tuple[float, float]:
+    """_mean_and_stderr of 2*(y-t)*eta*(eps.x), read off each residual as
+    2 * clean * (clean - residual), in place."""
+    values = np.subtract(clean, residuals, out=residuals)
+    values *= 2.0 * clean
+    return _mean_and_stderr(values)
+
+
 def mc_post_update_loss(params: ParameterSet, x: np.ndarray, t, eta: float,
-                        noise: NoiseSpec, replicas: int, seed: int) -> tuple[float, float]:
+                        noises: tuple[NoiseSpec, ...], replicas: int,
+                        seed: int) -> list[tuple[float, float]]:
     """Sampled E[(y_tilde' - t)^2] after one noisy update of a linear
-    neuron, as (mean, standard error).
+    neuron, as (mean, standard error) per noise shape in `noises`.
 
     Each replica is one step of the trainer's mechanism (mechanism_step)
     with fresh gradient noise, scored by its post-update output against
-    the target.
+    the target; all shapes step on the same noise rows
+    (_noisy_step_residuals), and each shape's summary is one lane's job.
     """
-    _, residuals = _noisy_step_residuals(params, x, t, eta, noise, replicas, seed)
-    return _mean_and_stderr(np.square(residuals, out=residuals))
+    residuals = _noisy_step_residuals(params, x, t, eta, noises, replicas, seed)
+    return _in_lanes([partial(_mean_square_and_stderr, values) for _, values in residuals])
 
 
 def analytic_post_update_loss(params: ParameterSet, x: np.ndarray, t,
@@ -184,32 +297,35 @@ def analytic_post_update_loss(params: ParameterSet, x: np.ndarray, t,
 
 
 def check_post_update_loss(params: ParameterSet, x: np.ndarray, t, eta: float,
-                           noise: NoiseSpec, replicas: int, seed: int,
-                           threshold: float) -> IdentityCheck:
+                           noises: tuple[NoiseSpec, ...], replicas: int, seed: int,
+                           threshold: float) -> list[IdentityCheck]:
     """Monte Carlo (mc_post_update_loss) against closed-form
-    (analytic_post_update_loss) expected loss after one noisy step."""
-    analytic = analytic_post_update_loss(params, x, t, eta, noise)
-    mean, stderr = mc_post_update_loss(params, x, t, eta, noise, replicas, seed)
-    return _check(f"post_update_loss[{noise.mode}]", analytic, mean, stderr, seed,
-                  threshold)
+    (analytic_post_update_loss) expected loss after one noisy step, one
+    check per noise shape in `noises`."""
+    analytic = [analytic_post_update_loss(params, x, t, eta, noise) for noise in noises]
+    estimates = mc_post_update_loss(params, x, t, eta, noises, replicas, seed)
+    return [_check(f"post_update_loss[{noise.mode}]", value, mean, stderr, seed, threshold)
+            for noise, value, (mean, stderr) in zip(noises, analytic, estimates)]
 
 
 def check_cross_term_vanishes(params: ParameterSet, x: np.ndarray, t, eta: float,
-                              noise: NoiseSpec, replicas: int, seed: int,
-                              threshold: float) -> IdentityCheck:
-    """Zero-mean check of the cross term 2*(y-t)*eta*(eps.x).
+                              noises: tuple[NoiseSpec, ...], replicas: int, seed: int,
+                              threshold: float) -> list[IdentityCheck]:
+    """Zero-mean check of the cross term 2*(y-t)*eta*(eps.x), one check per
+    noise shape in `noises`.
 
     Because the noise is centered, the expansion of the expected
     post-update loss drops this term; its Monte Carlo mean must sit
     within `threshold` standard errors of zero.  Each replica is one step
     of the trainer's mechanism, and eta*(eps.x) is read off as the clean
-    post-update output minus the noisy one.
+    post-update output minus the noisy one; all shapes step on the same
+    noise rows (_noisy_step_residuals).
     """
-    clean, residuals = _noisy_step_residuals(params, x, t, eta, noise, replicas, seed)
-    values = np.subtract(clean, residuals, out=residuals)
-    values *= 2.0 * clean
-    mean, stderr = _mean_and_stderr(values)
-    return _check(f"cross_term[{noise.mode}]", 0.0, mean, stderr, seed, threshold)
+    residuals = _noisy_step_residuals(params, x, t, eta, noises, replicas, seed)
+    estimates = _in_lanes([partial(_cross_term_mean_and_stderr, clean, values)
+                           for clean, values in residuals])
+    return [_check(f"cross_term[{noise.mode}]", 0.0, mean, stderr, seed, threshold)
+            for noise, (mean, stderr) in zip(noises, estimates)]
 
 
 def check_moment_identities(sigma: float, replicas: int, seed: int,
@@ -226,14 +342,11 @@ def check_moment_identities(sigma: float, replicas: int, seed: int,
     # scratch buffer, each summarised in place with numpy's bits.
     w = RngStream(seed, 0).normal(sigma, n)
     np.multiply(w, w, out=w)
-    scratch = np.multiply(w, w)
-    fourth_mean, fourth_stderr = _mean_and_stderr(scratch)
-    # Var[s^2_W] ~ (mu4_W - var_W^2*(n-3)/(n-1)) / n, moments estimated in-sample.
-    # mu4_W is the mean of (w - w.mean()) ** 4, which differs in its bits
-    # from squaring the squared deviations, so it is taken first.
-    centered = np.subtract(w, np.add.reduce(w) / n, out=scratch)
-    mu4_w = float(np.add.reduce(np.power(centered, 4, out=centered)) / n)
+    fourth_mean, fourth_stderr = _mean_and_stderr(np.multiply(w, w))
+    # Var[s^2_W] ~ (mu4_W - var_W^2*(n-3)/(n-1)) / n, moments estimated in-sample;
+    # mu4_W is the mean of the squared deviations that _mean_and_var leaves, squared.
     mean_w, var_w = _mean_and_var(w)
+    mu4_w = float(np.add.reduce(np.square(w, out=w)) / n)
     var_w = float(var_w)
     stderr = float(np.sqrt(max(mu4_w - var_w ** 2 * (n - 3) / (n - 1), 0.0) / n))
 

@@ -27,6 +27,7 @@ gradient row per example; a single input is a batch of one row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,10 @@ class RegSpec:
     input_kappa: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0 or self.kappa < 0 or self.input_kappa < 0:
-            raise ValueError("penalty coefficients must be nonnegative")
+        for name in ("lam", "kappa", "input_kappa"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if self.kappa_mode not in KAPPA_MODES:
             raise ValueError(f"unknown kappa_mode {self.kappa_mode!r}")
 

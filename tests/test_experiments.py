@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 from privreg import experiments
 from privreg.cli import main as cli_main
 from privreg.experiments import (COMMANDS, ConfigError, OracleConfig, ResultRow,
-                                 _in_lanes, _step_expectation, apply_seed_override,
+                                 _step_expectation, apply_seed_override,
                                  generate_dataset, load_dataset, parse_config,
                                  read_result_rows, run, write_result_rows)
 from privreg.numerics import RngStream
 from privreg.optimizers import gradient_noise
+from privreg.oracle import MC_CHUNK_ROWS, _in_lanes
 from reference_solvers import regularized_least_squares_oracle
 
 
@@ -266,8 +267,8 @@ class TestRun:
             "post_update_mc", "cross_term", "equivalence", "trajectory",
             "step_expectation", "grad_checks", "moments_and_product_density"}
         assert all(seconds >= 0 for seconds in manifest["timings"].values())
-        lanes = min(8, len(os.sched_getaffinity(0)))  # 4 setups x 2 noise shapes
-        assert manifest["lanes"] == {"post_update_mc": lanes, "cross_term": lanes}
+        # 4000 replicas are one noise block, and a lane takes whole blocks
+        assert manifest["lanes"] == {"post_update_mc": 1, "cross_term": 1}
         assert manifest["peak_rss_mb"] > 0
         assert manifest["failed_checks"] == []
 
@@ -304,7 +305,7 @@ class TestRun:
                 out = tmp_path / f"cpus{cpus}"
                 cfg_path = tmp_path / f"cpus{cpus}.json"
                 cfg = minimal_verify_config(out)
-                cfg["oracle"]["replicas"] = 40_000  # three noise chunks per check
+                cfg["oracle"]["replicas"] = 40_000  # three noise blocks per check
                 cfg_path.write_text(json.dumps(cfg))
                 codes = []
                 runner = threading.Thread(target=lambda: codes.append(run("verify", cfg_path)))
@@ -312,31 +313,36 @@ class TestRun:
                 runner.join(timeout=120)
                 assert not runner.is_alive() and codes == [0]
                 manifest = json.loads((out / "verify_manifest.json").read_text())
-                assert manifest["lanes"] == {"post_update_mc": cpus, "cross_term": cpus}
+                lanes = min(3, cpus)
+                assert manifest["lanes"] == {"post_update_mc": lanes, "cross_term": lanes}
                 csvs[cpus] = (out / "verify_results.csv").read_bytes()
         finally:
             sys.setswitchinterval(switch)
         assert csvs[1] == csvs[4]
 
     def test_error_in_a_worker_lane_exits_1(self, tmp_path, monkeypatch, capsys):
+        # three noise blocks per check, so three lanes, each skipping its
+        # stream to its first block: the offset orders the lanes' jobs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        caller, real = threading.current_thread(), experiments.check_cross_term_vanishes
+        caller, real = threading.current_thread(), RngStream.skip
         raised = []
 
-        def check(*args, **kwargs):
+        def skip(self, n):
             if threading.current_thread() is not caller:
-                raised.append(args[6])
-                raise FloatingPointError(f"injected at seed {args[6]}")
+                raised.append(n)
+                raise FloatingPointError(f"injected at offset {n}")
             time.sleep(0.05)  # leave jobs for the worker lanes
-            return real(*args, **kwargs)
+            return real(self, n)
 
-        monkeypatch.setattr(experiments, "check_cross_term_vanishes", check)
+        monkeypatch.setattr(RngStream, "skip", skip)
+        cfg = minimal_verify_config(tmp_path / "out")
+        cfg["oracle"]["replicas"] = 2 * MC_CHUNK_ROWS + 100
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(minimal_verify_config(tmp_path / "out")))
+        cfg_path.write_text(json.dumps(cfg))
         assert run("verify", cfg_path) == 1
         err = json.loads(capsys.readouterr().err)
         assert raised and err == {"error": "FloatingPointError",
-                                  "message": f"injected at seed {min(raised)}"}
+                                  "message": f"injected at offset {min(raised)}"}
         assert not (tmp_path / "out" / "verify_results.csv").exists()
 
     def test_lanes_keep_job_order_and_raise_the_first_failure(self, monkeypatch):

@@ -152,6 +152,29 @@ class TestNormalRows:
         assert odd.normal(1.0, 4).tobytes() == even.normal(1.0, 4).tobytes()
 
 
+class TestSkip:
+    @pytest.mark.parametrize("width", [1, 2, 7])
+    @pytest.mark.parametrize("k", [0, 2, 6, 2 * numerics.BOX_MULLER_PAIRS + 10])
+    def test_skip_then_draw_is_draw_then_draw(self, k, width):
+        drawn, skipped = RngStream(37, 4), RngStream(37, 4)
+        if k:
+            drawn.normal(1.0, k)
+        skipped.skip(k)
+        assert skipped.normal(0.3, width).tobytes() == drawn.normal(0.3, width).tobytes()
+        assert skipped.normal(1.0, 3).tobytes() == drawn.normal(1.0, 3).tobytes()
+
+    def test_numpy_integer_count(self):
+        drawn, skipped = RngStream(38), RngStream(38)
+        drawn.normal(1.0, 4)
+        skipped.skip(np.int64(4))
+        assert skipped.normal(1.0, 5).tobytes() == drawn.normal(1.0, 5).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, -2, True, 2.0, "2", None])
+    def test_rejects_odd_negative_and_non_integer_counts(self, k):
+        with pytest.raises(ValueError, match="n must be"):
+            RngStream(39).skip(k)
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_reproducibility_across_stream_reconstruction(seed):

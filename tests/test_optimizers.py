@@ -580,3 +580,18 @@ class TestSpecs:
             with pytest.raises(ValueError, match="seed"):
                 TrainConfig(eta=0.1, seed=value)
         assert TrainConfig(eta=0.1, seed=np.int64(0)).seed == 0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field, make", [
+    ("sigma", lambda v: NoiseSpec(mode="iid", sigma=v)),
+    ("clip_c", lambda v: NoiseSpec(mode="iid", sigma=0.1, clip_c=v)),
+    ("lam", lambda v: RegSpec(lam=v)),
+    ("kappa", lambda v: RegSpec(kappa=v)),
+    ("input_kappa", lambda v: RegSpec(input_kappa=v)),
+    ("eta", lambda v: TrainConfig(eta=v)),
+    ("std", lambda v: RngStream(1).normal(v, 3)),
+])
+def test_non_finite_values_are_refused_naming_the_field(field, make, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be a finite number"):
+        make(value)

@@ -1,3 +1,5 @@
+import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -49,17 +51,19 @@ class TestAnalyticPostUpdateLoss:
 
 class TestMcPostUpdateLoss:
     def test_zero_sigma_exact(self):
-        mean, stderr = mc_post_update_loss(THETA, X, 1.0, 0.1, NoiseSpec(mode="none"),
-                                           replicas=100, seed=1)
+        [(mean, stderr)] = mc_post_update_loss(THETA, X, 1.0, 0.1, (NoiseSpec(mode="none"),),
+                                               replicas=100, seed=1)
         assert stderr == 0.0
         assert mean == pytest.approx(0.0)
 
     def test_iid_matches_analytic(self):
-        mean, stderr = mc_post_update_loss(THETA, X, 1.0, 0.1, IID, replicas=200_000, seed=3)
+        [(mean, stderr)] = mc_post_update_loss(THETA, X, 1.0, 0.1, (IID,), replicas=200_000,
+                                               seed=3)
         assert abs(mean - 0.002) <= 3 * stderr
 
     def test_proportional_matches_analytic(self):
-        mean, stderr = mc_post_update_loss(THETA, X, 1.0, 0.1, PROP, replicas=200_000, seed=4)
+        [(mean, stderr)] = mc_post_update_loss(THETA, X, 1.0, 0.1, (PROP,), replicas=200_000,
+                                               seed=4)
         assert abs(mean - 0.0008) <= 3 * stderr
 
     def test_stream_split_reduces_identically(self, monkeypatch):
@@ -69,9 +73,9 @@ class TestMcPostUpdateLoss:
 
         def estimates(noise, chunk_rows):
             monkeypatch.setattr(oracle, "MC_CHUNK_ROWS", chunk_rows)
-            loss = mc_post_update_loss(theta, x, 1.0, 0.1, noise, replicas, seed=5)
-            cross = check_cross_term_vanishes(theta, x, 1.0, 0.1, noise, replicas, seed=5,
-                                              threshold=3.0)
+            [loss] = mc_post_update_loss(theta, x, 1.0, 0.1, (noise,), replicas, seed=5)
+            [cross] = check_cross_term_vanishes(theta, x, 1.0, 0.1, (noise,), replicas, seed=5,
+                                                threshold=3.0)
             return loss, cross.mean, cross.stderr
 
         for noise in (IID, PROP):
@@ -87,8 +91,8 @@ class TestMcPostUpdateLoss:
     @pytest.mark.parametrize("mode", ["iid", "proportional"])
     def test_bias_neuron_matches_analytic(self, mode):
         noise = NoiseSpec(mode=mode, sigma=0.4)
-        mean, stderr = mc_post_update_loss(BIASED, X, 0.3, 0.15, noise, replicas=200_000,
-                                           seed=21)
+        [(mean, stderr)] = mc_post_update_loss(BIASED, X, 0.3, 0.15, (noise,),
+                                               replicas=200_000, seed=21)
         analytic = analytic_post_update_loss(BIASED, X, 0.3, 0.15, noise)
         assert abs(mean - analytic) <= 3 * stderr
 
@@ -100,8 +104,8 @@ class TestMcPostUpdateLoss:
         # the unclipped gradient 2*(y - t)*x has norm 4.9 or more here: the clip acts
         assert analytic_post_update_loss(params, X, 1.3, 0.15, noise) != \
             analytic_post_update_loss(params, X, 1.3, 0.15, replace(noise, clip_c=None))
-        mean, stderr = mc_post_update_loss(params, X, 1.3, 0.15, noise, replicas=200_000,
-                                           seed=22)
+        [(mean, stderr)] = mc_post_update_loss(params, X, 1.3, 0.15, (noise,),
+                                               replicas=200_000, seed=22)
         analytic = analytic_post_update_loss(params, X, 1.3, 0.15, noise)
         assert abs(mean - analytic) <= 3 * stderr
 
@@ -113,7 +117,8 @@ class TestMcPostUpdateLoss:
             return real_step(params, x, t, eta, noise, reg, None if z is None else 2 * z)
 
         monkeypatch.setattr(oracle, "mechanism_step", doubled)
-        mean, stderr = mc_post_update_loss(THETA, X, 1.0, 0.1, IID, replicas=200_000, seed=3)
+        [(mean, stderr)] = mc_post_update_loss(THETA, X, 1.0, 0.1, (IID,), replicas=200_000,
+                                               seed=3)
         assert abs(mean - 0.002) > 3 * stderr
 
     def test_bias_folds_into_constant_feature(self):
@@ -127,36 +132,97 @@ class TestMcPostUpdateLoss:
         assert a == b
 
 
+class TestBlocksInLanes:
+    # P = 3 (odd) and 5 blocks of 64 rows plus a short last block of 37:
+    # every block's draw is odd-sized, the last one drops its pad deviate
+    SHAPES = (NoiseSpec(mode="iid", sigma=0.4), NoiseSpec(mode="none"),
+              NoiseSpec(mode="proportional", sigma=0.4, clip_c=0.5))
+    CHUNK, REPLICAS = 64, 5 * 64 + 37
+
+    @pytest.fixture
+    def lanes(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MC_CHUNK_ROWS", self.CHUNK)
+
+        def use(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return use
+
+    def test_residuals_are_the_same_at_any_lane_count(self, lanes):
+        def residuals(cpus):
+            lanes(cpus)
+            assert oracle.mc_lanes(self.REPLICAS) == min(6, cpus)
+            return oracle._noisy_step_residuals(BIASED, X, 1.3, 0.15, self.SHAPES,
+                                                self.REPLICAS, seed=23)
+
+        one_lane = residuals(1)
+        assert len(np.unique(one_lane[0][1])) == self.REPLICAS  # every row drew
+        assert np.all(one_lane[1][1] == one_lane[1][0])         # mode "none" drew nothing
+        for cpus in (2, 3, 5):
+            for (clean, values), (clean_1, values_1) in zip(residuals(cpus), one_lane):
+                assert clean == clean_1 and np.array_equal(values, values_1)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_shapes_together_equal_each_shape_alone(self, lanes, cpus):
+        lanes(cpus)
+        args = (BIASED, X, 1.3, 0.15)
+        together = mc_post_update_loss(*args, self.SHAPES, self.REPLICAS, 24)
+        crosses = check_cross_term_vanishes(*args, self.SHAPES, self.REPLICAS, 24, 3.0)
+        checks = check_post_update_loss(*args, self.SHAPES, self.REPLICAS, 24, 3.0)
+        for i, noise in enumerate(self.SHAPES):
+            assert together[i] == mc_post_update_loss(*args, (noise,), self.REPLICAS, 24)[0]
+            assert crosses[i] == check_cross_term_vanishes(*args, (noise,), self.REPLICAS,
+                                                           24, 3.0)[0]
+            assert checks[i] == check_post_update_loss(*args, (noise,), self.REPLICAS,
+                                                       24, 3.0)[0]
+            assert checks[i].mean == together[i][0]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    @pytest.mark.parametrize("check", [check_post_update_loss, check_cross_term_vanishes])
+    def test_peak_allocation_is_two_residual_vectors_and_a_block_per_lane(self, lanes, cpus,
+                                                                          check):
+        lanes(cpus)
+        shapes, replicas = self.SHAPES[::2], 20_000
+        check(BIASED, X, 1.3, 0.15, shapes, 1000, 25, 3.0)  # imports and caches first
+        tracemalloc.start()
+        try:
+            check(BIASED, X, 1.3, 0.15, shapes, replicas, 25, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 4 * self.CHUNK * BIASED.flat.size * 8  # a block's draw and steps
+        assert peak <= 2 * replicas * 8 + cpus * block + 64 * 1024
+
+
 class TestCrossTerm:
     def test_zero_mean_at_scale(self):
-        check = check_cross_term_vanishes(THETA, X, 0.7, 0.1, IID,
-                                          replicas=100_000, seed=6, threshold=3.0)
+        [check] = check_cross_term_vanishes(THETA, X, 0.7, 0.1, (IID,),
+                                            replicas=100_000, seed=6, threshold=3.0)
         assert check.analytic == 0.0
         assert check.passed
 
     def test_zero_sigma_exact(self):
-        check = check_cross_term_vanishes(THETA, X, 0.7, 0.1, NoiseSpec(mode="none"),
-                                          replicas=100, seed=7, threshold=3.0)
+        [check] = check_cross_term_vanishes(THETA, X, 0.7, 0.1, (NoiseSpec(mode="none"),),
+                                            replicas=100, seed=7, threshold=3.0)
         assert check.mean == 0.0
         assert check.z == 0.0
 
     @pytest.mark.parametrize("eta", [0.0, -0.1])
     def test_nonpositive_eta_rejected(self, eta):
         with pytest.raises(ValueError, match="eta must be positive"):
-            check_cross_term_vanishes(THETA, X, 0.7, eta, IID, replicas=100, seed=8,
+            check_cross_term_vanishes(THETA, X, 0.7, eta, (IID,), replicas=100, seed=8,
                                       threshold=3.0)
         with pytest.raises(ValueError, match="eta must be positive"):
-            mc_post_update_loss(THETA, X, 0.7, eta, IID, replicas=100, seed=8)
+            mc_post_update_loss(THETA, X, 0.7, eta, (IID,), replicas=100, seed=8)
 
     @pytest.mark.parametrize("noise", [IID, PROP, NoiseSpec(mode="iid", sigma=0.2, clip_c=0.5)])
     def test_bias_neuron_zero_mean(self, noise):
-        check = check_cross_term_vanishes(BIASED, X, 0.7, 0.1, noise,
-                                          replicas=200_000, seed=9, threshold=3.0)
+        [check] = check_cross_term_vanishes(BIASED, X, 0.7, 0.1, (noise,),
+                                            replicas=200_000, seed=9, threshold=3.0)
         assert check.passed
 
     def test_zero_input_annihilates(self):
-        check = check_cross_term_vanishes(THETA, np.zeros(2), 0.7, 0.1, IID,
-                                          replicas=1000, seed=8, threshold=3.0)
+        [check] = check_cross_term_vanishes(THETA, np.zeros(2), 0.7, 0.1, (IID,),
+                                            replicas=1000, seed=8, threshold=3.0)
         assert check.mean == 0.0
 
 
