@@ -24,9 +24,9 @@ from .optimizers import (GradientRecord, NoiseSpec, Step, TrainConfig,
                          mechanism_label, mechanism_step, train)
 from .oracle import (IdentityCheck, ProductDensityReport,
                      analytic_post_update_loss, backprop_grad_check,
-                     check_cross_term_vanishes, check_moment_identities,
-                     check_post_update_loss, check_product_density,
-                     equivalence_chain_residuals, finite_difference_gradient,
-                     grad_check, mc_post_update_loss, random_linear_setups)
+                     check_moment_identities, check_noisy_step,
+                     check_product_density, equivalence_chain_residuals,
+                     finite_difference_gradient, grad_check,
+                     random_linear_setups)
 from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
                            pdp_grad, pdp_penalty)

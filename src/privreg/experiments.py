@@ -45,7 +45,6 @@ from time import perf_counter
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .attack import leakage_sweep, membership_inference
@@ -55,10 +54,9 @@ from .optimizers import (NOISE_MODES, NoiseSpec, TrainConfig, gradient_noise,
                          initial_params_for, mechanism_label, mechanism_step,
                          train)
 from .oracle import (IdentityCheck, LinearSetup, backprop_grad_check,
-                     check_cross_term_vanishes, check_moment_identities,
-                     check_post_update_loss, check_product_density,
-                     equivalence_chain_residuals, grad_check, mc_lanes,
-                     random_linear_setups)
+                     check_moment_identities, check_noisy_step,
+                     check_product_density, equivalence_chain_residuals,
+                     grad_check, mc_lanes, random_linear_setups)
 from .regularizers import KAPPA_MODES, RegSpec, dp_input_penalty
 
 OUT_DIR_ENV = "PRIVREG_OUT"
@@ -615,19 +613,25 @@ def _cmd_moments(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resu
     return rows
 
 
-def _setup_checks(check: Callable[..., list[IdentityCheck]], setups: list[LinearSetup],
-                  modes: tuple[str, ...], replicas: int, seed: int,
-                  threshold: float) -> dict[tuple[str, int], IdentityCheck]:
-    """check(params, x, t, eta, noises, replicas, seed + i, threshold) for
-    setup i, noises being the setup's sigma under each noise mode, so every
-    mode steps on the same noise rows.  The setups run one at a time, each
-    check in lanes of its own (oracle.mc_lanes), and the checks are keyed
-    (mode, i) in the order mode by mode, then setup by setup."""
-    per_setup = [check(s.params, s.x, s.t, s.eta,
-                       tuple(NoiseSpec(mode=mode, sigma=s.sigma) for mode in modes),
-                       replicas, seed + i, threshold)
+# The kinds of check that check_noisy_step returns, in its order.
+_NOISY_STEP_KINDS = ("post_update_loss", "cross_term")
+
+
+def _setup_checks(setups: list[LinearSetup], modes: tuple[str, ...], replicas: int,
+                  seed: int, threshold: float) -> dict[tuple[str, str, int], IdentityCheck]:
+    """check_noisy_step(params, x, t, eta, noises, replicas, seed + i,
+    threshold) for setup i, noises being the setup's sigma under each noise
+    mode, so every mode and both kinds of check read the same noise rows.
+    The setups run one at a time, each check in lanes of its own
+    (oracle.mc_lanes), and the checks are keyed (kind, mode, i) in the
+    order kind by kind (_NOISY_STEP_KINDS), mode by mode, then setup by
+    setup."""
+    per_setup = [check_noisy_step(s.params, s.x, s.t, s.eta,
+                                  tuple(NoiseSpec(mode=mode, sigma=s.sigma) for mode in modes),
+                                  replicas, seed + i, threshold)
                  for i, s in enumerate(setups)]
-    return {(mode, i): checks[j] for j, mode in enumerate(modes)
+    return {(kind, mode, i): checks[k * len(modes) + j]
+            for k, kind in enumerate(_NOISY_STEP_KINDS) for j, mode in enumerate(modes)
             for i, checks in enumerate(per_setup)}
 
 
@@ -637,26 +641,24 @@ def _cmd_verify(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
     rows: list[ResultRow] = []
     gate, phase = telemetry.gate, telemetry.phase
 
-    # Expected post-update loss identities, both noise shapes.
+    # Expected post-update loss identities, both noise shapes, and the cross
+    # term's zero mean, from the same noisy steps; the cross term is written
+    # for the first ten setups.
     with phase("post_update_mc"):
         setups = random_linear_setups(oc.configs, oc.seed)
-        checks = _setup_checks(check_post_update_loss, setups, ("iid", "proportional"),
-                               oc.replicas, oc.seed + 1000, oc.threshold)
+        checks = _setup_checks(setups, ("iid", "proportional"), oc.replicas,
+                               oc.seed + 1000, oc.threshold)
         telemetry.lanes["post_update_mc"] = mc_lanes(oc.replicas)
-        for (mode, i), check in checks.items():
-            rows.append(ResultRow(eid, mode, "post_update_loss_z", check.z, None,
-                                  check.seed))
-            rows.append(ResultRow(eid, mode, "post_update_loss_mc", check.mean,
-                                  check.stderr, check.seed))
-            gate(f"{check.name}[{i}]", abs(check.z), check.threshold)
-
-    # Cross term has mean zero.
-    with phase("cross_term"):
-        checks = _setup_checks(check_cross_term_vanishes, setups[:10], ("iid", "proportional"),
-                               oc.replicas, oc.seed + 2000, oc.threshold)
-        telemetry.lanes["cross_term"] = mc_lanes(oc.replicas)
-        for (mode, i), check in checks.items():
-            rows.append(ResultRow(eid, mode, "cross_term_z", check.z, None, check.seed))
+        for (kind, mode, i), check in checks.items():
+            if kind == "post_update_loss":
+                rows.append(ResultRow(eid, mode, "post_update_loss_z", check.z, None,
+                                      check.seed))
+                rows.append(ResultRow(eid, mode, "post_update_loss_mc", check.mean,
+                                      check.stderr, check.seed))
+            elif i < 10:
+                rows.append(ResultRow(eid, mode, "cross_term_z", check.z, None, check.seed))
+            else:
+                continue
             gate(f"{check.name}[{i}]", abs(check.z), check.threshold)
 
     # Analytic noisy-minus-clean gap equals the matching penalty.
@@ -882,7 +884,6 @@ def _write_manifest(path: Path, config: ExperimentConfig, command: str,
         "versions": {
             "privreg": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "created_utc": datetime.now(timezone.utc).isoformat(),

@@ -12,17 +12,20 @@ updated once by theta' = theta - eta * (g + eps):
   Var[X^2] = 2*sigma^4; and the product of two independent centered
   normals has density K0(|u|/(sx*sy)) / (pi*sx*sy).
 
-The post-update and cross-term Monte Carlo runs the trainer's own step
-(optimizers.mechanism_step: gradient, clip, mean, noise, step) once per
-replica and noise shape, and scores the stepped parameters, so a trainer
-bug in the noise scale, in which theta scales proportional noise, in bias
-handling or in clipping fails the check.  The noise rows come in blocks
-of MC_CHUNK_ROWS: each block is drawn once and stepped once per noise
-shape, and the blocks of one check are split among lanes (threads), each
-lane jumping its stream ahead to its first block, so the estimates have
-the same bits at any lane count.  The closed forms are written out
-independently, with the bias folded in as a constant-1 feature and the
-clean gradient clipped when noise.clip_c is set.
+The post-update loss and the cross term are two functionals of the same
+noisy step, so one Monte Carlo pass (check_noisy_step) checks both.  It
+runs the trainer's own step (optimizers.mechanism_step: gradient, clip,
+mean, noise, step) once per replica and noise shape, and scores the
+stepped parameters, so a trainer bug in the noise scale or its centre, in
+which theta scales proportional noise, in bias handling or in clipping
+fails the check.  The noise rows come in blocks of MC_CHUNK_ROWS: each
+block is drawn once and stepped once per noise shape, and the blocks of
+one check are split among lanes (threads), each lane jumping its stream
+ahead to its first block, so the estimates have the same bits at any
+lane count.  The closed forms are written out independently, with the
+bias folded in as a constant-1 feature and the clean gradient clipped
+when noise.clip_c is set; the product density's bin masses need only
+math.erfc.
 
 Monte Carlo estimates are compared to the closed forms through z-scores;
 gradients are compared to central finite differences.  Every sampler is
@@ -31,6 +34,7 @@ seeded, so a check either passes forever or fails forever.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -167,6 +171,15 @@ def _in_lanes(jobs: list[Callable[[], object]]) -> list:
     return results
 
 
+def _noise_moves_output(noise: NoiseSpec, theta: np.ndarray, xv: np.ndarray) -> bool:
+    """Whether noise of this shape reaches the output theta'.x of a linear
+    neuron: the noise sigma*z_i (iid) or sigma*theta_i*z_i (proportional)
+    on parameter i moves the output through feature x_i."""
+    if not noise.adds_noise:
+        return False
+    return bool(np.any(theta * xv if noise.mode == "proportional" else xv))
+
+
 def _noisy_step_residuals(params: ParameterSet, x: np.ndarray, t, eta: float,
                           noises: tuple[NoiseSpec, ...], replicas: int,
                           seed: int) -> list[tuple[float, np.ndarray]]:
@@ -179,9 +192,9 @@ def _noisy_step_residuals(params: ParameterSet, x: np.ndarray, t, eta: float,
     blocks are split into mc_lanes(replicas) runs of consecutive blocks,
     one per lane (_in_lanes); a lane skips its stream to its first block
     (RngStream.skip) and fills its rows of every shape's vector, so a block
-    holds the same bits at any lane count.  A shape that adds no noise
-    draws nothing and gets its clean value in every row.  mechanism_step
-    refuses eta <= 0.
+    holds the same bits at any lane count.  A shape whose noise cannot
+    move the output (_noise_moves_output) steps on no rows and gets its
+    clean value in every row.  mechanism_step refuses eta <= 0.
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
@@ -189,15 +202,15 @@ def _noisy_step_residuals(params: ParameterSet, x: np.ndarray, t, eta: float,
     t = _scalar_target(t)
     batch, target, reg = xv[None, :params.spec.input_dim], np.array([[t]]), RegSpec()
     width = theta.size
-    results = []
+    results, noisy = [], []
     for noise in noises:
         clean = float(mechanism_step(params, batch, target, eta, noise, reg).params @ xv)
         residuals = np.empty(replicas)
-        if not noise.adds_noise:
+        if _noise_moves_output(noise, theta, xv):
+            noisy.append((noise, residuals))
+        else:
             residuals.fill(clean - t)
         results.append((clean - t, residuals))
-    noisy = [(noise, residuals) for noise, (_, residuals) in zip(noises, results)
-             if noise.adds_noise]
 
     def fill(first: int, stop: int) -> None:
         rng = RngStream(seed, 0)
@@ -246,27 +259,27 @@ def _mean_square_and_stderr(values: np.ndarray) -> tuple[float, float]:
     return _mean_and_stderr(np.square(values, out=values))
 
 
-def _cross_term_mean_and_stderr(clean: float, residuals: np.ndarray) -> tuple[float, float]:
-    """_mean_and_stderr of 2*(y-t)*eta*(eps.x), read off each residual as
-    2 * clean * (clean - residual), in place."""
-    values = np.subtract(clean, residuals, out=residuals)
-    values *= 2.0 * clean
-    return _mean_and_stderr(values)
+def _noisy_step_summaries(clean: float, residuals: np.ndarray,
+                          moved: bool) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(mean, standard error) of the squared residuals r = y' - t, then of
+    the cross term 2*(y-t)*eta*(eps.x), read off each row as 2*c*(c - r)
+    with c = `clean`; `residuals` is squared in place.
 
-
-def mc_post_update_loss(params: ParameterSet, x: np.ndarray, t, eta: float,
-                        noises: tuple[NoiseSpec, ...], replicas: int,
-                        seed: int) -> list[tuple[float, float]]:
-    """Sampled E[(y_tilde' - t)^2] after one noisy update of a linear
-    neuron, as (mean, standard error) per noise shape in `noises`.
-
-    Each replica is one step of the trainer's mechanism (mechanism_step)
-    with fresh gradient noise, scored by its post-update output against
-    the target; all shapes step on the same noise rows
-    (_noisy_step_residuals), and each shape's summary is one lane's job.
+    The cross term is affine in r, so its mean is 2c(c - mean(r)) and its
+    standard error 2|c| sd(r) / sqrt(n), with sd(r) from one sum of r
+    taken before the squares and the squares' mean:
+    var(r) = n/(n-1) * (mean(r^2) - mean(r)^2).  The difference keeps about
+    16 - log10(mean(r)^2 / var(r)) significant digits.  Rows the noise
+    cannot move (`moved` false) all hold c, and their cross term is 0.
     """
-    residuals = _noisy_step_residuals(params, x, t, eta, noises, replicas, seed)
-    return _in_lanes([partial(_mean_square_and_stderr, values) for _, values in residuals])
+    n = residuals.size
+    residual_mean = float(np.add.reduce(residuals) / n)
+    squares = _mean_square_and_stderr(residuals)
+    if not moved:
+        return squares, (0.0, 0.0)
+    var = max(squares[0] - residual_mean * residual_mean, 0.0) * n / (n - 1)
+    return squares, (2.0 * clean * (clean - residual_mean),
+                     2.0 * abs(clean) * float(np.sqrt(var) / np.sqrt(n)))
 
 
 def analytic_post_update_loss(params: ParameterSet, x: np.ndarray, t,
@@ -296,36 +309,33 @@ def analytic_post_update_loss(params: ParameterSet, x: np.ndarray, t,
     return clean
 
 
-def check_post_update_loss(params: ParameterSet, x: np.ndarray, t, eta: float,
-                           noises: tuple[NoiseSpec, ...], replicas: int, seed: int,
-                           threshold: float) -> list[IdentityCheck]:
-    """Monte Carlo (mc_post_update_loss) against closed-form
-    (analytic_post_update_loss) expected loss after one noisy step, one
-    check per noise shape in `noises`."""
-    analytic = [analytic_post_update_loss(params, x, t, eta, noise) for noise in noises]
-    estimates = mc_post_update_loss(params, x, t, eta, noises, replicas, seed)
-    return [_check(f"post_update_loss[{noise.mode}]", value, mean, stderr, seed, threshold)
-            for noise, value, (mean, stderr) in zip(noises, analytic, estimates)]
+def check_noisy_step(params: ParameterSet, x: np.ndarray, t, eta: float,
+                     noises: tuple[NoiseSpec, ...], replicas: int, seed: int,
+                     threshold: float) -> list[IdentityCheck]:
+    """Monte Carlo checks of one noisy step of a linear neuron: per noise
+    shape in `noises`, the expected post-update loss E[(y_tilde' - t)^2]
+    against its closed form (analytic_post_update_loss), then per shape the
+    cross term 2*(y-t)*eta*(eps.x) against zero.
 
-
-def check_cross_term_vanishes(params: ParameterSet, x: np.ndarray, t, eta: float,
-                              noises: tuple[NoiseSpec, ...], replicas: int, seed: int,
-                              threshold: float) -> list[IdentityCheck]:
-    """Zero-mean check of the cross term 2*(y-t)*eta*(eps.x), one check per
-    noise shape in `noises`.
-
-    Because the noise is centered, the expansion of the expected
-    post-update loss drops this term; its Monte Carlo mean must sit
-    within `threshold` standard errors of zero.  Each replica is one step
-    of the trainer's mechanism, and eta*(eps.x) is read off as the clean
-    post-update output minus the noisy one; all shapes step on the same
-    noise rows (_noisy_step_residuals).
+    The cross term is the middle term of the expanded loss, which drops out
+    because the noise is centered, so both checks read the same noisy
+    steps: one pass of _noisy_step_residuals, where each replica is one
+    step of the trainer's mechanism (mechanism_step) scored by its
+    post-update residual, every shape stepping on the same noise rows.
+    eta*(eps.x) is the clean post-update output minus the noisy one
+    (_noisy_step_summaries); each shape's summaries are one lane's job.
     """
+    analytic = [analytic_post_update_loss(params, x, t, eta, noise) for noise in noises]
     residuals = _noisy_step_residuals(params, x, t, eta, noises, replicas, seed)
-    estimates = _in_lanes([partial(_cross_term_mean_and_stderr, clean, values)
-                           for clean, values in residuals])
-    return [_check(f"cross_term[{noise.mode}]", 0.0, mean, stderr, seed, threshold)
-            for noise, (mean, stderr) in zip(noises, estimates)]
+    theta, xv = _linear_neuron_vectors(params, x)
+    summaries = _in_lanes([partial(_noisy_step_summaries, clean, values,
+                                   _noise_moves_output(noise, theta, xv))
+                           for noise, (clean, values) in zip(noises, residuals)])
+    post_update = [_check(f"post_update_loss[{noise.mode}]", value, *squares, seed, threshold)
+                   for noise, value, (squares, _) in zip(noises, analytic, summaries)]
+    cross_term = [_check(f"cross_term[{noise.mode}]", 0.0, *cross, seed, threshold)
+                  for noise, (_, cross) in zip(noises, summaries)]
+    return post_update + cross_term
 
 
 def check_moment_identities(sigma: float, replicas: int, seed: int,
@@ -374,28 +384,32 @@ class ProductDensityReport:
     seed: int
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def _bin_masses(sigma_x: float, sigma_y: float, pos_edges: np.ndarray) -> np.ndarray:
     """Mass of the K0 product density on each interval of the positive,
-    increasing `pos_edges`.
+    increasing `pos_edges`: the difference of the tails at its edges.
 
-    A bin's mass is the difference of F(u/(sx*sy))/pi at its edges,
-    F(v) = int_0^v K0 = (pi*v/2)(K0 L_-1 + K1 L_0)(v) with L the modified
-    Struve function (Abramowitz & Stegun 11.1.8).  Each mass is within
-    3e-13 absolute: <= 1e-12 relative at sx*sy ~ 1, looser in far-tail
-    bins at small scales (1.8e-6 on a 5e-9 bin at sx*sy = 0.25).  A bin
-    whose mass comes out nonpositive raises ValueError.
+    For u > 0, P(XY > u) = int_0^inf erfc(u / (sqrt(2) sx sy y)) phi(y) dy,
+    phi the standard normal density (given |Y| = y, X passes u/y on one
+    side with probability erfc(...)/2, and Y takes either sign).  On
+    y = e^v the integrand decays double-exponentially at both ends, so the
+    trapezoid rule converges exponentially in 1/h (Trefethen & Weideman
+    2014).  It peaks at y^2 = u/(sx sy) with width (1/2) sqrt(sx sy / u) in
+    v, and the step h is at most 0.8 widths at the largest edge.  Nodes run
+    over v in [-30, 4.5]: phi(e^4.5) underflows to 0, and below e^-30 a
+    tail loses at most phi(0) e^-30 < 4e-14.  Each mass is within 1e-13
+    relative of adaptive quadrature of K0 at any scale from sx*sy = 0.02
+    to 10, far-tail bins included.
     """
-    from scipy import special  # slow to import; only this check needs it
-
-    v = pos_edges / (sigma_x * sigma_y)
-    cumulative = (0.5 * v) * (special.k0(v) * special.modstruve(-1, v)  # F(v) / pi
-                              + special.k1(v) * special.modstruve(0, v))
-    mass = np.diff(cumulative)
-    if not (mass > 0).all():
-        cut = pos_edges[np.argmin(mass > 0)]
-        raise ValueError(f"the bin from |u| = {cut:.4g} holds less mass than the closed form "
-                         f"resolves at sigma_x * sigma_y = {sigma_x * sigma_y:g}")
-    return mass
+    scale = sigma_x * sigma_y
+    h = min(0.1, 0.4 * math.sqrt(scale / pos_edges[-1]))
+    y = np.exp(np.arange(math.floor(-30.0 / h), math.ceil(4.5 / h) + 1) * h)
+    weight = y * np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)  # phi(y) dy/dv
+    arg = pos_edges[:, None] / (math.sqrt(2.0) * scale * y)
+    tails = np.trapezoid(_erfc(arg).astype(np.float64) * weight, dx=h, axis=1)
+    return tails[:-1] - tails[1:]
 
 
 def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
@@ -550,10 +564,11 @@ def equivalence_chain_residuals(setup: LinearSetup) -> tuple[float, float]:
     """|analytic(noisy) - analytic(clean) - penalty| for both noise shapes.
 
     The homogeneous-noise gap must equal the input-only penalty with
-    kappa = eta^2*sigma^2; the proportional-noise gap must equal the
-    parameter-input product penalty with the same kappa.
+    kappa = eta^2*sigma^2 (RegSpec's derived kappa, the weight the trainer
+    uses); the proportional-noise gap must equal the parameter-input
+    product penalty with the same kappa.
     """
-    kappa = setup.eta ** 2 * setup.sigma ** 2
+    kappa = RegSpec(kappa_mode="derived").effective_kappa(setup.eta, setup.sigma)
     clean = analytic_post_update_loss(setup.params, setup.x, setup.t, setup.eta,
                                       NoiseSpec(mode="none"))
     _, xv = _linear_neuron_vectors(setup.params, setup.x)

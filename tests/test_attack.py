@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -392,20 +393,34 @@ class TestMembershipInference:
             assert np.array_equal(_midranks(values), rankdata(values))
         assert np.isnan(_midranks(np.array([1.0, math.nan, 0.0]))).all()
 
-    def test_cli_import_leaves_scipy_stats_out(self):
+    def test_cli_import_leaves_scipy_stats_out(self, tmp_path):
+        # neither the import nor a verify run, which checks the product
+        # density, loads any scipy module
         src = Path(privreg.attack.__file__).resolve().parent.parent
-        for module in ("scipy.stats", "scipy.integrate", "jsonschema", "pydantic"):
+        for module in ("scipy", "scipy.stats", "scipy.integrate", "jsonschema", "pydantic"):
             probe = f"import sys, privreg.cli; print({module!r} in sys.modules)"
             out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                                  text=True, check=True,
                                  env={**os.environ, "PYTHONPATH": str(src)})
             assert out.stdout.strip() == "False", f"importing privreg.cli loads {module}"
+        cfg = {"experiment_id": "t",
+               "oracle": {"seed": 42, "replicas": 4000, "configs": 2, "sigmas": [1.0],
+                          "bins": 12, "product_replicas": 30000,
+                          "expectation_replicas": 400, "trajectory_epochs": 2},
+               "output": {"directory": str(tmp_path / "out")}}
+        (tmp_path / "verify.json").write_text(json.dumps(cfg))
+        probe = ("import sys; from privreg.cli import main; "
+                 f"code = main(['verify', '--config', {str(tmp_path / 'verify.json')!r}]); "
+                 "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "0 []"
 
     def test_product_density_check_leaves_scipy_integrate_out(self):
         src = Path(privreg.attack.__file__).resolve().parent.parent
         probe = ("import sys; from privreg.oracle import check_product_density; "
                  "check_product_density(1.0, 1.0, replicas=1000, bins=10, seed=0); "
-                 "print('scipy.integrate' in sys.modules)")
+                 "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                              text=True, check=True,
                              env={**os.environ, "PYTHONPATH": str(src)})

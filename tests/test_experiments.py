@@ -264,13 +264,29 @@ class TestRun:
         assert run("verify", cfg_path) == 0
         manifest = json.loads((tmp_path / "out" / "verify_manifest.json").read_text())
         assert set(manifest["timings"]) == {
-            "post_update_mc", "cross_term", "equivalence", "trajectory",
+            "post_update_mc", "equivalence", "trajectory",
             "step_expectation", "grad_checks", "moments_and_product_density"}
         assert all(seconds >= 0 for seconds in manifest["timings"].values())
         # 4000 replicas are one noise block, and a lane takes whole blocks
-        assert manifest["lanes"] == {"post_update_mc": 1, "cross_term": 1}
+        assert manifest["lanes"] == {"post_update_mc": 1}
         assert manifest["peak_rss_mb"] > 0
         assert manifest["failed_checks"] == []
+
+    def test_cross_term_reads_each_setups_post_update_stream(self, tmp_path):
+        # 12 setups: both checks of setup i draw from 42 + 1000 + i, and the
+        # cross term is written, mode by mode, for the first ten
+        cfg = minimal_verify_config(tmp_path / "out")
+        cfg["oracle"]["configs"] = 12
+        rows = experiments._cmd_verify(parse_config(cfg, "verify"), experiments.RunTelemetry())
+        post_update = [(r.mechanism, r.seed) for r in rows if r.metric == "post_update_loss_z"]
+        cross = [(r.mechanism, r.seed) for r in rows if r.metric == "cross_term_z"]
+        assert post_update == [(mode, 1042 + i) for mode in ("iid", "proportional")
+                               for i in range(12)]
+        assert cross == [(mode, 1042 + i) for mode in ("iid", "proportional")
+                         for i in range(10)]
+        metrics = [r.metric for r in rows]
+        assert metrics.index("cross_term_z") > max(
+            i for i, metric in enumerate(metrics) if metric.startswith("post_update_loss"))
 
     def test_failing_verify_names_its_failed_checks(self, tmp_path, capsys):
         cfg = minimal_verify_config(tmp_path / "out")
@@ -314,7 +330,7 @@ class TestRun:
                 assert not runner.is_alive() and codes == [0]
                 manifest = json.loads((out / "verify_manifest.json").read_text())
                 lanes = min(3, cpus)
-                assert manifest["lanes"] == {"post_update_mc": lanes, "cross_term": lanes}
+                assert manifest["lanes"] == {"post_update_mc": lanes}
                 csvs[cpus] = (out / "verify_results.csv").read_bytes()
         finally:
             sys.setswitchinterval(switch)

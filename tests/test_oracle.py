@@ -11,13 +11,13 @@ from privreg.experiments import _setup_checks
 from privreg.model import Dataset, ModelSpec, ParameterSet
 from privreg.numerics import RngStream
 from privreg import oracle
-from privreg.optimizers import NoiseSpec
+from privreg.optimizers import NoiseSpec, mechanism_step
 from privreg.oracle import (MC_CHUNK_ROWS, analytic_post_update_loss,
-                            backprop_grad_check, check_cross_term_vanishes,
-                            check_moment_identities, check_post_update_loss,
-                            check_product_density, equivalence_chain_residuals,
-                            finite_difference_gradient, mc_post_update_loss,
-                            random_linear_setups)
+                            backprop_grad_check, check_moment_identities,
+                            check_noisy_step, check_product_density,
+                            equivalence_chain_residuals,
+                            finite_difference_gradient, random_linear_setups)
+from privreg.regularizers import RegSpec
 from reference_solvers import regularized_least_squares_oracle
 
 LINEAR2 = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=False)
@@ -27,6 +27,19 @@ IID = NoiseSpec(mode="iid", sigma=0.2)
 PROP = NoiseSpec(mode="proportional", sigma=0.2)
 BIASED = ParameterSet(ModelSpec(layer_sizes=(2, 1), include_bias=True),
                       np.array([0.5, -1.0, 0.3]))
+
+
+def mc_post_update_loss(params, x, t, eta, noises, replicas, seed):
+    """(mean, stderr) of the sampled post-update loss per noise shape: the
+    first len(noises) checks of check_noisy_step."""
+    checks = check_noisy_step(params, x, t, eta, noises, replicas, seed, 3.0)
+    return [(c.mean, c.stderr) for c in checks[:len(noises)]]
+
+
+def cross_term_checks(params, x, t, eta, noises, replicas, seed, threshold):
+    """The cross-term checks of check_noisy_step, one per noise shape."""
+    return check_noisy_step(params, x, t, eta, noises, replicas, seed,
+                            threshold)[len(noises):]
 
 
 class TestAnalyticPostUpdateLoss:
@@ -73,10 +86,9 @@ class TestMcPostUpdateLoss:
 
         def estimates(noise, chunk_rows):
             monkeypatch.setattr(oracle, "MC_CHUNK_ROWS", chunk_rows)
-            [loss] = mc_post_update_loss(theta, x, 1.0, 0.1, (noise,), replicas, seed=5)
-            [cross] = check_cross_term_vanishes(theta, x, 1.0, 0.1, (noise,), replicas, seed=5,
-                                                threshold=3.0)
-            return loss, cross.mean, cross.stderr
+            loss, cross = check_noisy_step(theta, x, 1.0, 0.1, (noise,), replicas, seed=5,
+                                           threshold=3.0)
+            return loss.mean, loss.stderr, cross.mean, cross.stderr
 
         for noise in (IID, PROP):
             one_block = estimates(noise, replicas)
@@ -165,27 +177,23 @@ class TestBlocksInLanes:
     def test_shapes_together_equal_each_shape_alone(self, lanes, cpus):
         lanes(cpus)
         args = (BIASED, X, 1.3, 0.15)
-        together = mc_post_update_loss(*args, self.SHAPES, self.REPLICAS, 24)
-        crosses = check_cross_term_vanishes(*args, self.SHAPES, self.REPLICAS, 24, 3.0)
-        checks = check_post_update_loss(*args, self.SHAPES, self.REPLICAS, 24, 3.0)
+        checks = check_noisy_step(*args, self.SHAPES, self.REPLICAS, 24, 3.0)
+        shapes = len(self.SHAPES)
+        assert [c.name for c in checks] == (
+            [f"post_update_loss[{noise.mode}]" for noise in self.SHAPES]
+            + [f"cross_term[{noise.mode}]" for noise in self.SHAPES])
         for i, noise in enumerate(self.SHAPES):
-            assert together[i] == mc_post_update_loss(*args, (noise,), self.REPLICAS, 24)[0]
-            assert crosses[i] == check_cross_term_vanishes(*args, (noise,), self.REPLICAS,
-                                                           24, 3.0)[0]
-            assert checks[i] == check_post_update_loss(*args, (noise,), self.REPLICAS,
-                                                       24, 3.0)[0]
-            assert checks[i].mean == together[i][0]
+            alone = check_noisy_step(*args, (noise,), self.REPLICAS, 24, 3.0)
+            assert [checks[i], checks[shapes + i]] == alone
 
     @pytest.mark.parametrize("cpus", [1, 2, 5])
-    @pytest.mark.parametrize("check", [check_post_update_loss, check_cross_term_vanishes])
-    def test_peak_allocation_is_two_residual_vectors_and_a_block_per_lane(self, lanes, cpus,
-                                                                          check):
+    def test_peak_allocation_is_two_residual_vectors_and_a_block_per_lane(self, lanes, cpus):
         lanes(cpus)
         shapes, replicas = self.SHAPES[::2], 20_000
-        check(BIASED, X, 1.3, 0.15, shapes, 1000, 25, 3.0)  # imports and caches first
+        check_noisy_step(BIASED, X, 1.3, 0.15, shapes, 1000, 25, 3.0)  # imports and caches
         tracemalloc.start()
         try:
-            check(BIASED, X, 1.3, 0.15, shapes, replicas, 25, 3.0)
+            check_noisy_step(BIASED, X, 1.3, 0.15, shapes, replicas, 25, 3.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -195,35 +203,91 @@ class TestBlocksInLanes:
 
 class TestCrossTerm:
     def test_zero_mean_at_scale(self):
-        [check] = check_cross_term_vanishes(THETA, X, 0.7, 0.1, (IID,),
-                                            replicas=100_000, seed=6, threshold=3.0)
+        [check] = cross_term_checks(THETA, X, 0.7, 0.1, (IID,),
+                                    replicas=100_000, seed=6, threshold=3.0)
         assert check.analytic == 0.0
         assert check.passed
 
     def test_zero_sigma_exact(self):
-        [check] = check_cross_term_vanishes(THETA, X, 0.7, 0.1, (NoiseSpec(mode="none"),),
-                                            replicas=100, seed=7, threshold=3.0)
+        [check] = cross_term_checks(THETA, X, 0.7, 0.1, (NoiseSpec(mode="none"),),
+                                    replicas=100, seed=7, threshold=3.0)
         assert check.mean == 0.0
         assert check.z == 0.0
 
     @pytest.mark.parametrize("eta", [0.0, -0.1])
     def test_nonpositive_eta_rejected(self, eta):
         with pytest.raises(ValueError, match="eta must be positive"):
-            check_cross_term_vanishes(THETA, X, 0.7, eta, (IID,), replicas=100, seed=8,
-                                      threshold=3.0)
+            check_noisy_step(THETA, X, 0.7, eta, (IID,), replicas=100, seed=8, threshold=3.0)
         with pytest.raises(ValueError, match="eta must be positive"):
-            mc_post_update_loss(THETA, X, 0.7, eta, (IID,), replicas=100, seed=8)
+            oracle._noisy_step_residuals(THETA, X, 0.7, eta, (IID,), replicas=100, seed=8)
 
     @pytest.mark.parametrize("noise", [IID, PROP, NoiseSpec(mode="iid", sigma=0.2, clip_c=0.5)])
     def test_bias_neuron_zero_mean(self, noise):
-        [check] = check_cross_term_vanishes(BIASED, X, 0.7, 0.1, (noise,),
-                                            replicas=200_000, seed=9, threshold=3.0)
+        [check] = cross_term_checks(BIASED, X, 0.7, 0.1, (noise,),
+                                    replicas=200_000, seed=9, threshold=3.0)
         assert check.passed
 
     def test_zero_input_annihilates(self):
-        [check] = check_cross_term_vanishes(THETA, np.zeros(2), 0.7, 0.1, (IID,),
-                                            replicas=1000, seed=8, threshold=3.0)
+        [check] = cross_term_checks(THETA, np.zeros(2), 0.7, 0.1, (IID,),
+                                    replicas=1000, seed=8, threshold=3.0)
         assert check.mean == 0.0
+
+    def test_noise_off_the_inputs_annihilates(self):
+        # proportional noise scales theta_i, and theta_i * x_i = 0 for each i
+        params = ParameterSet(LINEAR2, np.array([0.0, -1.0]))
+        [check] = cross_term_checks(params, np.array([2.0, 0.0]), 0.7, 0.1, (PROP,),
+                                    replicas=1000, seed=8, threshold=3.0)
+        assert (check.mean, check.stderr, check.z) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("noise", [IID, PROP, NoiseSpec(mode="iid", sigma=0.4, clip_c=0.5)])
+    def test_summaries_are_those_of_the_stepped_rows(self, noise):
+        # r drawn again from the check's stream and stepped in one block: the
+        # post-update estimate is numpy's mean and std of r^2, and the cross
+        # term 2c(c - r) is summarised from the sum of r and the mean of r^2
+        replicas, seed, t, eta = 50_001, 27, 1.3, 0.15
+        post_update, cross = check_noisy_step(BIASED, X, t, eta, (noise,), replicas, seed,
+                                              threshold=3.0)
+        xv = np.append(X, 1.0)
+        batch, target = X[None, :], np.array([[t]])
+        c = float(mechanism_step(BIASED, batch, target, eta, noise, RegSpec()).params @ xv) - t
+        z = RngStream(seed, 0).normal(1.0, replicas * 3).reshape(replicas, 3)
+        r = mechanism_step(BIASED, batch, target, eta, noise, RegSpec(), z).params @ xv - t
+        n = replicas
+        assert (post_update.mean, post_update.stderr) == (
+            float((r * r).mean()), float((r * r).std(ddof=1) / np.sqrt(n)))
+        assert cross.mean == pytest.approx(2 * c * (c - r.mean()), rel=1e-9, abs=0)
+        assert cross.stderr == pytest.approx(2 * abs(c) * r.std(ddof=1) / np.sqrt(n),
+                                             rel=1e-9, abs=0)
+        assert cross.mean == pytest.approx(np.mean(2 * c * (c - r)), rel=1e-9, abs=0)
+
+    # The post-update checks of this call as computed before the cross term
+    # shared their rows: (analytic, mean, stderr, z) per noise shape.
+    POST_UPDATE_BITS = [
+        (0.6616000000000001, 0.6626272633942459, 0.001187341165424782, 0.8651796334193012),
+        (0.6738505385825232, 0.6725829281699318, 0.0007106574310155927, -1.7837151309032988),
+    ]
+
+    def test_post_update_checks_keep_their_bits(self):
+        shapes = (NoiseSpec(mode="iid", sigma=0.4),
+                  NoiseSpec(mode="proportional", sigma=0.4, clip_c=0.5))
+        checks = check_noisy_step(BIASED, X, 1.3, 0.15, shapes, 40_000, 26, 3.0)
+        assert [(c.analytic, c.mean, c.stderr, c.z) for c in checks[:2]] == \
+            self.POST_UPDATE_BITS
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_off_centre_noise_fails_the_cross_term_gate(self, monkeypatch, seed):
+        # a trainer whose noise is sigma * (z + 0.05) keeps the noise scale but
+        # shifts the noisy output by eta * sigma * 0.05 * sum(s_i x_i), s = 1
+        # (iid) or theta (proportional): about 50 standard errors here
+        real_step = oracle.mechanism_step
+
+        def off_centre(params, x, t, eta, noise, reg, z=None):
+            return real_step(params, x, t, eta, noise, reg, None if z is None else z + 0.05)
+
+        monkeypatch.setattr(oracle, "mechanism_step", off_centre)
+        params = ParameterSet(BIASED.spec, np.array([0.5, 1.0, 0.3]))
+        checks = cross_term_checks(params, X, 0.7, 0.1, (IID, PROP), 100_000, seed, 3.0)
+        assert [c.passed for c in checks] == [False, False]
 
 
 class TestMomentIdentities:
@@ -309,15 +373,19 @@ class TestProductDensity:
         assert np.array_equal(report.expected, np.concatenate([masses[::-1], masses]))
 
     @pytest.mark.parametrize("sigma_x,sigma_y", [(0.25, 1.0), (0.5, 0.5), (0.5, 0.3)])
-    def test_masses_within_stated_absolute_bound_at_small_scales(self, sigma_x, sigma_y):
+    def test_masses_within_stated_bound_at_small_scales(self, sigma_x, sigma_y):
         report = check_product_density(sigma_x, sigma_y, replicas=100, bins=40, seed=0)
         reference = quad_bin_masses(sigma_x, sigma_y, report.edges[41:])
-        assert np.abs(report.expected[40:] - reference).max() <= 3e-13
+        assert np.abs(report.expected[40:] / reference - 1.0).max() <= 1e-13
 
-    def test_unresolvable_tail_bins_rejected(self):
-        # at scale 0.1 the bins near |u| = 4 hold ~1e-19, below the 3e-13 accuracy
-        with pytest.raises(ValueError, match=r"resolves at sigma_x \* sigma_y = 0.1"):
-            check_product_density(0.1, 1.0, replicas=100, bins=40, seed=0)
+    @pytest.mark.parametrize("sigma_x", [0.1, 0.05])
+    def test_tail_bins_resolve_at_small_scales(self, sigma_x):
+        # the bins near |u| = 4 hold ~1e-19 at scale 0.1 and ~1e-36 at 0.05
+        report = check_product_density(sigma_x, 1.0, replicas=100, bins=40, seed=0)
+        masses = report.expected[40:]
+        assert masses[-1] < (1e-18 if sigma_x == 0.1 else 1e-35)
+        reference = quad_bin_masses(sigma_x, 1.0, report.edges[41:])
+        assert np.abs(masses / reference - 1.0).max() <= 1e-13
 
     def test_masses_sum_to_one_over_a_wide_support(self):
         # the mass outside (1e-12, 20) is (2/pi) * (int_0^1e-12 K0 + int_20^inf K0)
@@ -401,12 +469,13 @@ class TestFiniteDifferences:
 class TestRandomizedIdentitySuite:
     def test_fifty_setups_pass_both_modes(self):
         setups = random_linear_setups(50, seed=2024)
-        checks = _setup_checks(check_post_update_loss, setups, ("iid", "proportional"),
-                               20_000, 900, 3.0)
-        for (mode, i), check in checks.items():
-            assert check.name == f"post_update_loss[{mode}]"
+        checks = _setup_checks(setups, ("iid", "proportional"), 20_000, 900, 3.0)
+        assert len(checks) == 2 * 2 * 50
+        for (kind, mode, i), check in checks.items():
+            assert check.name == f"{kind}[{mode}]"
             assert check.seed == 900 + i
-            assert abs(check.z) <= 3.0, f"{mode}[{i}]: z = {check.z}"
+            if kind == "post_update_loss":
+                assert abs(check.z) <= 3.0, f"{mode}[{i}]: z = {check.z}"
 
     def test_equivalence_chain_is_algebraic(self):
         for setup in random_linear_setups(50, seed=2025):
