@@ -278,7 +278,7 @@ class TestCrossTerm:
     def test_off_centre_noise_fails_the_cross_term_gate(self, monkeypatch, seed):
         # a trainer whose noise is sigma * (z + 0.05) keeps the noise scale but
         # shifts the noisy output by eta * sigma * 0.05 * sum(s_i x_i), s = 1
-        # (iid) or theta (proportional): about 50 standard errors here
+        # (iid) or theta (proportional): about 25 standard errors here
         real_step = oracle.mechanism_step
 
         def off_centre(params, x, t, eta, noise, reg, z=None):
