@@ -5,9 +5,10 @@ so typos cannot silently change a run.  Results land as CSV rows with the
 fixed header ``experiment_id,mechanism,metric,value,stderr,seed`` (UTF-8,
 LF, 17 significant digits) next to a JSON manifest recording the config
 hash, seeds, library versions, the CSV's row count and the run's
-telemetry (seconds per phase for every subcommand, verify's lanes, peak
-RSS, failed checks).  Reruns of the same config produce byte-identical
-CSVs; only the manifest's timestamp and telemetry differ.
+telemetry (seconds per phase for every subcommand, the Monte Carlo lanes
+of verify and moments, peak RSS, failed checks).  Reruns of the same
+config produce byte-identical CSVs; only the manifest's timestamp and
+telemetry differ.
 
 Metric vocabulary by subcommand:
 
@@ -579,8 +580,11 @@ def _cmd_train(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Result
 
 def _moment_rows(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
     """The moment checks, sigma i drawing from seed + 3000 + i, and the
-    product density, drawing from seed + 1."""
+    product density, drawing from seed + 1, each in lanes of its own
+    (oracle.mc_lanes); the phase's lanes are the most any of them used."""
     oc = config.oracle
+    telemetry.lanes["moments_and_product_density"] = max(mc_lanes(oc.replicas),
+                                                         mc_lanes(oc.product_replicas))
     rows = []
     for i, sigma in enumerate(oc.sigmas):
         mech = f"gaussian(sigma={sigma:g})"

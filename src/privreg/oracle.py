@@ -18,14 +18,19 @@ runs the trainer's own step (optimizers.mechanism_step: gradient, clip,
 mean, noise, step) once per replica and noise shape, and scores the
 stepped parameters, so a trainer bug in the noise scale or its centre, in
 which theta scales proportional noise, in bias handling or in clipping
-fails the check.  The noise rows come in blocks of MC_CHUNK_ROWS: each
-block is drawn once and stepped once per noise shape, and the blocks of
-one check are split among lanes (threads), each lane jumping its stream
-ahead to its first block, so the estimates have the same bits at any
-lane count.  The closed forms are written out independently, with the
-bias folded in as a constant-1 feature and the clean gradient clipped
+fails the check.  The closed forms are written out independently, with
+the bias folded in as a constant-1 feature and the clean gradient clipped
 when noise.clip_c is set; the product density's bin masses need only
 math.erfc.
+
+Every Monte Carlo check runs on one engine (_block_sums): its rows come
+in blocks of MC_CHUNK_ROWS, each block drawn once and reduced to a short
+vector (power sums of the rows' deviations from a value near their mean,
+or histogram counts), and the block vectors are added in block order.
+The blocks of one check are split among lanes (threads), each lane
+jumping its streams ahead to its first block, so the estimates have the
+same bits at any lane count, and no check holds an array as long as its
+replicas.
 
 Monte Carlo estimates are compared to the closed forms through z-scores;
 gradients are compared to central finite differences.  Every sampler is
@@ -35,9 +40,11 @@ seeded, so a check either passes forever or fails forever.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -93,82 +100,125 @@ def _scalar_target(t) -> float:
     return float(t[0])
 
 
-# Replicas per block of a Monte Carlo loop (noise rows stepped, or product
-# draws binned).  2**14 rows keep a block's temporaries in cache, and an even
-# row count makes every block start at an even offset of its stream, so the
-# blocks together draw exactly what one call for all the rows would (see
-# RngStream.normal), and a lane can skip to any block (RngStream.skip).
+# Replicas per block of a Monte Carlo check.  2**14 rows keep a block's
+# temporaries in cache, and an even row count makes every block start at an
+# even offset of its streams, so the blocks together draw exactly what one
+# call for all the rows would (see RngStream.normal), and a lane can skip to
+# any block (RngStream.skip).
 MC_CHUNK_ROWS = 1 << 14
 
 
-def _lane_count(jobs: int) -> int:
-    """Lanes for `jobs` jobs: one per CPU this process may run on, at most
-    one per job.  Where the platform has no sched_getaffinity (macOS,
-    Windows), every CPU counts."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(jobs, len(os.sched_getaffinity(0)))
-    return min(jobs, os.cpu_count() or 1)
-
-
 def mc_lanes(replicas: int) -> int:
-    """Lanes that the noisy-step Monte Carlo of `replicas` rows runs in:
-    one per CPU, at most one per MC_CHUNK_ROWS block."""
-    return _lane_count(-(-replicas // MC_CHUNK_ROWS))
+    """Lanes that a Monte Carlo check of `replicas` rows runs in: one per
+    CPU this process may run on, at most one per MC_CHUNK_ROWS block.
+    Where the platform has no sched_getaffinity (macOS, Windows), every
+    CPU counts."""
+    blocks = -(-replicas // MC_CHUNK_ROWS)
+    if hasattr(os, "sched_getaffinity"):
+        return min(blocks, len(os.sched_getaffinity(0)))
+    return min(blocks, os.cpu_count() or 1)
 
 
 def _in_lanes(jobs: list[Callable[[], object]]) -> list:
-    """Every job's result, in job order, from jobs run side by side.
+    """Every job's result, in job order, from jobs run side by side, one
+    per lane: job 0 on the calling thread, every other job on a worker
+    thread of its own.
 
-    A lane is the calling thread or one of _lane_count(len(jobs)) - 1 worker
-    threads.  Each lane takes the first job no lane has started and runs it
-    whole, then the next.  The jobs mapped here share no state but disjoint
-    rows of arrays the caller made, draw from their own seeded streams, and
-    spend their time in numpy loops that release the GIL, so they overlap
-    and return the bits a serial run would.  Once a job raises, no lane
-    starts another, and the error raised is that of the lowest-numbered
-    failed job: every job before it ran, so it is the error a serial run
-    meets.
+    The jobs mapped here share no state, draw from their own seeded
+    streams and spend their time in numpy loops that release the GIL, so
+    they overlap and return the bits a serial run would.  Every job runs
+    to its end, and the error raised is that of the lowest-numbered failed
+    job: the error a serial run meets.
 
-    The calling thread runs jobs, rather than only waiting on a pool, to
+    The calling thread runs a job, rather than only waiting on a pool, to
     keep peak memory down: glibc gives each thread its own malloc arena,
     and memory freed on the calling thread is reused by the serial phases
     after it.
     """
-    workers = _lane_count(len(jobs)) - 1
-    if workers < 1:
-        return [job() for job in jobs]
-    import threading
+    if len(jobs) == 1:
+        return [jobs[0]()]
     from concurrent.futures import ThreadPoolExecutor
 
-    results: list = [None] * len(jobs)
-    errors: dict[int, Exception] = {}
-    unstarted = iter(range(len(jobs)))
-    lock, stop = threading.Lock(), threading.Event()
+    with ThreadPoolExecutor(max_workers=len(jobs) - 1) as pool:
+        others = [pool.submit(job) for job in jobs[1:]]
+        first = jobs[0]()
+        return [first] + [future.result() for future in others]
 
-    def lane() -> None:
-        while not stop.is_set():
-            with lock:
-                i = next(unstarted, None)
-            if i is None:
-                return
-            try:
-                results[i] = jobs[i]()
-            except Exception as exc:  # noqa: BLE001  (re-raised below, in job order)
-                with lock:
-                    errors[i] = exc
-                stop.set()
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(lane) for _ in range(workers)]
-        try:
-            lane()
-        finally:
-            stop.set()  # an interrupt in this lane stops the others after their job
-        for future in futures:
-            future.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
+def _require_replicas(replicas: int) -> None:
+    if isinstance(replicas, bool) or not isinstance(replicas, numbers.Integral) \
+            or replicas < 2:
+        raise ValueError(f"replicas must be an integer >= 2, got {replicas!r}")
+
+
+def _block_sums(summarise: Callable[..., np.ndarray], replicas: int, seed: int,
+                stds: tuple[float, ...], width: int) -> np.ndarray:
+    """The sum over the MC_CHUNK_ROWS blocks of `replicas` rows of
+    summarise(*draws), draws[i] being the block's rows of stream i of
+    `seed`, flat: `width` normals of std stds[i] per row.
+
+    summarise reduces a block's rows to a short vector (_power_sums, or
+    histogram counts), so only a block's rows and one short vector per
+    block are ever held.  The blocks are split into mc_lanes(replicas) runs
+    of consecutive blocks, one per lane (_in_lanes), and a lane skips its
+    streams to its first block (RngStream.skip), so every block draws the
+    bits it would in one serial pass.  The block vectors are added in
+    block order, not lane by lane, so the sum has the same bits at any
+    lane count.
+    """
+    blocks, lanes = -(-replicas // MC_CHUNK_ROWS), mc_lanes(replicas)
+    # Every block allocates and frees the same few arrays.  glibc's malloc
+    # returns freed heap to the OS once its free top passes twice the
+    # largest mmap-backed array freed so far, and a block's arrays add up
+    # to more than twice its largest, so each block would fault its pages
+    # in afresh.  Freeing one array of four blocks' draws (never written,
+    # so it maps no page) lifts that bound above a block's arrays for the
+    # rest of the process.
+    np.empty(4 * MC_CHUNK_ROWS * width * len(stds))
+
+    def lane(first: int, stop: int) -> list[np.ndarray]:
+        rngs = [RngStream(seed, i) for i in range(len(stds))]
+        for rng in rngs:
+            rng.skip(first * MC_CHUNK_ROWS * width)
+        sums = []
+        for block in range(first, stop):
+            rows = min(MC_CHUNK_ROWS, replicas - block * MC_CHUNK_ROWS)
+            sums.append(summarise(*(rng.normal(std, rows * width)
+                                    for rng, std in zip(rngs, stds))))
+        return sums
+
+    bounds = [blocks * k // lanes for k in range(lanes + 1)]
+    per_lane = _in_lanes([partial(lane, first, stop) for first, stop in zip(bounds, bounds[1:])])
+    return reduce(np.add, chain.from_iterable(per_lane))
+
+
+def _power_sums(values: np.ndarray) -> np.ndarray:
+    """[n, sum v, sum v^2, sum v^3, sum v^4] over the n `values` of a block."""
+    squares = values * values
+    return np.array([values.size, values.sum(), squares.sum(),
+                     (squares * values).sum(), (squares * squares).sum()])
+
+
+def _raw_moments(sums: np.ndarray) -> tuple[float, float, float, float, float]:
+    """(n, m1, m2, m3, m4), mk the mean of v^k, from the _power_sums of n
+    values v."""
+    n = float(sums[0])
+    return n, *(float(s) / n for s in sums[1:])
+
+
+def _square_estimate(c: float, n: float, m1: float, m2: float, m3: float,
+                     m4: float) -> tuple[float, float]:
+    """Mean and standard error of y^2 over n rows y = c + v, from the raw
+    moments of v (_raw_moments): y^2 = c^2 + (2cv + v^2), whose variance
+    (ddof 1) is that of the bracket, E[(2cv + v^2)^2] - E[2cv + v^2]^2.
+
+    Each check shifts its rows by a value near their mean, so v is centred
+    near 0 and the variance is no small difference of large sums: these
+    are the shifted power sums of Chan, Golub & LeVeque (1983,
+    Am. Statistician 37(3):242-247).
+    """
+    var = (4.0 * c * c * m2 + 4.0 * c * m3 + m4 - (2.0 * c * m1 + m2) ** 2) * n / (n - 1)
+    return c * c + (2.0 * c * m1 + m2), math.sqrt(max(var, 0.0) / n)
 
 
 def _noise_moves_output(noise: NoiseSpec, theta: np.ndarray, xv: np.ndarray) -> bool:
@@ -180,106 +230,15 @@ def _noise_moves_output(noise: NoiseSpec, theta: np.ndarray, xv: np.ndarray) -> 
     return bool(np.any(theta * xv if noise.mode == "proportional" else xv))
 
 
-def _noisy_step_residuals(params: ParameterSet, x: np.ndarray, t, eta: float,
-                          noises: tuple[NoiseSpec, ...], replicas: int,
-                          seed: int) -> list[tuple[float, np.ndarray]]:
-    """Per noise shape in `noises`: y' - t after the trainer's noiseless
-    step, and a (replicas,) vector of y' - t after each noisy step from the
-    same parameters.
-
-    Every shape steps on the same noise rows, stream 0 of `seed`: each
-    MC_CHUNK_ROWS block is drawn once and stepped once per shape.  The
-    blocks are split into mc_lanes(replicas) runs of consecutive blocks,
-    one per lane (_in_lanes); a lane skips its stream to its first block
-    (RngStream.skip) and fills its rows of every shape's vector, so a block
-    holds the same bits at any lane count.  A shape whose noise cannot
-    move the output (_noise_moves_output) steps on no rows and gets its
-    clean value in every row.  mechanism_step refuses eta <= 0.
-    """
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
-    theta, xv = _linear_neuron_vectors(params, x)
-    t = _scalar_target(t)
-    batch, target, reg = xv[None, :params.spec.input_dim], np.array([[t]]), RegSpec()
-    width = theta.size
-    results, noisy = [], []
-    for noise in noises:
-        clean = float(mechanism_step(params, batch, target, eta, noise, reg).params @ xv)
-        residuals = np.empty(replicas)
-        if _noise_moves_output(noise, theta, xv):
-            noisy.append((noise, residuals))
-        else:
-            residuals.fill(clean - t)
-        results.append((clean - t, residuals))
-
-    def fill(first: int, stop: int) -> None:
-        rng = RngStream(seed, 0)
-        rng.skip(first * width)
-        for start in range(first, stop, MC_CHUNK_ROWS):
-            rows = min(MC_CHUNK_ROWS, stop - start)
-            z = rng.normal(1.0, rows * width).reshape(rows, width)
-            for noise, residuals in noisy:
-                out = residuals[start:start + rows]
-                np.matmul(mechanism_step(params, batch, target, eta, noise, reg, z).params,
-                          xv, out=out)
-                out -= t
-
-    if noisy:
-        blocks, lanes = -(-replicas // MC_CHUNK_ROWS), mc_lanes(replicas)
-        bounds = [min(replicas, MC_CHUNK_ROWS * (blocks * k // lanes))
-                  for k in range(lanes + 1)]
-        _in_lanes([partial(fill, first, stop) for first, stop in zip(bounds, bounds[1:])])
-    return results
-
-
-def _mean_and_var(values: np.ndarray) -> tuple[np.float64, np.float64]:
-    """values.mean() and values.var(ddof=1), bit for bit, computed in place.
-
-    The steps are those of numpy's _mean and _var (sum over n; deviations
-    from that mean, squared, summed over n - 1), but the deviations are
-    formed in `values` itself rather than in a fresh (n,) temporary, so
-    `values` is left holding the squared deviations.
-    """
-    n = values.size
-    mean = np.add.reduce(values) / n
-    values -= mean
-    np.square(values, out=values)
-    return mean, np.add.reduce(values) / (n - 1)
-
-
-def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
-    """values.mean() and values.std(ddof=1) / sqrt(n), bit for bit; `values`
-    is overwritten (see _mean_and_var)."""
-    mean, var = _mean_and_var(values)
-    return float(mean), float(np.sqrt(var) / np.sqrt(values.size))
-
-
-def _mean_square_and_stderr(values: np.ndarray) -> tuple[float, float]:
-    """_mean_and_stderr of the squares of `values`, squared in place."""
-    return _mean_and_stderr(np.square(values, out=values))
-
-
-def _noisy_step_summaries(clean: float, residuals: np.ndarray,
-                          moved: bool) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(mean, standard error) of the squared residuals r = y' - t, then of
-    the cross term 2*(y-t)*eta*(eps.x), read off each row as 2*c*(c - r)
-    with c = `clean`; `residuals` is squared in place.
-
-    The cross term is affine in r, so its mean is 2c(c - mean(r)) and its
-    standard error 2|c| sd(r) / sqrt(n), with sd(r) from one sum of r
-    taken before the squares and the squares' mean:
-    var(r) = n/(n-1) * (mean(r^2) - mean(r)^2).  The difference keeps about
-    16 - log10(mean(r)^2 / var(r)) significant digits.  Rows the noise
-    cannot move (`moved` false) all hold c, and their cross term is 0.
-    """
-    n = residuals.size
-    residual_mean = float(np.add.reduce(residuals) / n)
-    squares = _mean_square_and_stderr(residuals)
-    if not moved:
-        return squares, (0.0, 0.0)
-    var = max(squares[0] - residual_mean * residual_mean, 0.0) * n / (n - 1)
-    return squares, (2.0 * clean * (clean - residual_mean),
-                     2.0 * abs(clean) * float(np.sqrt(var) / np.sqrt(n)))
+def _noisy_step_estimates(clean: float, sums: np.ndarray
+                          ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(mean, standard error) of the squared residual r^2, then of the
+    cross term 2*(y-t)*eta*(eps.x), read off each row as 2c(c - r) = -2ce,
+    from the _power_sums of e = r - c over the rows, c = `clean` being the
+    residual after the noiseless step (so e = -eta*(eps.x) is centred)."""
+    n, m1, m2, m3, m4 = _raw_moments(sums)
+    cross_stderr = 2.0 * abs(clean) * math.sqrt(max(m2 - m1 * m1, 0.0) / (n - 1))
+    return _square_estimate(clean, n, m1, m2, m3, m4), (-2.0 * clean * m1, cross_stderr)
 
 
 def analytic_post_update_loss(params: ParameterSet, x: np.ndarray, t,
@@ -319,52 +278,72 @@ def check_noisy_step(params: ParameterSet, x: np.ndarray, t, eta: float,
 
     The cross term is the middle term of the expanded loss, which drops out
     because the noise is centered, so both checks read the same noisy
-    steps: one pass of _noisy_step_residuals, where each replica is one
-    step of the trainer's mechanism (mechanism_step) scored by its
-    post-update residual, every shape stepping on the same noise rows.
-    eta*(eps.x) is the clean post-update output minus the noisy one
-    (_noisy_step_summaries); each shape's summaries are one lane's job.
+    steps.  A replica is one step of the trainer's mechanism
+    (mechanism_step) from `params`, scored by its post-update residual r;
+    every shape steps on the same noise rows, stream 0 of `seed`, each
+    block drawn once (_block_sums) and summed per shape as the power sums
+    of r minus the clean residual (_noisy_step_estimates).  A shape whose
+    noise cannot move the output (_noise_moves_output) steps on no rows:
+    every row holds its clean value.  mechanism_step refuses eta <= 0.
     """
+    _require_replicas(replicas)
     analytic = [analytic_post_update_loss(params, x, t, eta, noise) for noise in noises]
-    residuals = _noisy_step_residuals(params, x, t, eta, noises, replicas, seed)
     theta, xv = _linear_neuron_vectors(params, x)
-    summaries = _in_lanes([partial(_noisy_step_summaries, clean, values,
-                                   _noise_moves_output(noise, theta, xv))
-                           for noise, (clean, values) in zip(noises, residuals)])
+    t = _scalar_target(t)
+    batch, target, reg = xv[None, :params.spec.input_dim], np.array([[t]]), RegSpec()
+    cleans = [float(mechanism_step(params, batch, target, eta, noise, reg).params @ xv) - t
+              for noise in noises]
+    moved = [k for k, noise in enumerate(noises) if _noise_moves_output(noise, theta, xv)]
+
+    def summarise(z: np.ndarray) -> np.ndarray:
+        z = z.reshape(-1, theta.size)
+        sums = []
+        for k in moved:
+            e = mechanism_step(params, batch, target, eta, noises[k], reg, z).params @ xv
+            e -= t
+            e -= cleans[k]
+            sums.append(_power_sums(e))
+        return np.stack(sums)
+
+    sums = np.zeros((len(noises), 5))
+    sums[:, 0] = replicas
+    if moved:
+        sums[moved] = _block_sums(summarise, replicas, seed, (1.0,), theta.size)
+    estimates = [_noisy_step_estimates(c, shape_sums) for c, shape_sums in zip(cleans, sums)]
     post_update = [_check(f"post_update_loss[{noise.mode}]", value, *squares, seed, threshold)
-                   for noise, value, (squares, _) in zip(noises, analytic, summaries)]
+                   for noise, value, (squares, _) in zip(noises, analytic, estimates)]
     cross_term = [_check(f"cross_term[{noise.mode}]", 0.0, *cross, seed, threshold)
-                  for noise, (_, cross) in zip(noises, summaries)]
+                  for noise, (_, cross) in zip(noises, estimates)]
     return post_update + cross_term
 
 
 def check_moment_identities(sigma: float, replicas: int, seed: int,
                             threshold: float) -> list[IdentityCheck]:
     """E[X^2] = sigma^2, E[X^4] = 3*sigma^4, Var[X^2] = 2*sigma^4 for
-    X ~ N(0, sigma^2), each as a z-scored sample check."""
+    X ~ N(0, sigma^2), each as a z-scored sample check, from the power sums
+    of v = X^2 - sigma^2 (_block_sums)."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
-    n = replicas
+    _require_replicas(replicas)
     s2, s4 = sigma ** 2, sigma ** 4
-    # Two (n,) buffers in all: the draws, squared in place into w, and one
-    # scratch buffer, each summarised in place with numpy's bits.
-    w = RngStream(seed, 0).normal(sigma, n)
-    np.multiply(w, w, out=w)
-    fourth_mean, fourth_stderr = _mean_and_stderr(np.multiply(w, w))
-    # Var[s^2_W] ~ (mu4_W - var_W^2*(n-3)/(n-1)) / n, moments estimated in-sample;
-    # mu4_W is the mean of the squared deviations that _mean_and_var leaves, squared.
-    mean_w, var_w = _mean_and_var(w)
-    mu4_w = float(np.add.reduce(np.square(w, out=w)) / n)
-    var_w = float(var_w)
-    stderr = float(np.sqrt(max(mu4_w - var_w ** 2 * (n - 3) / (n - 1), 0.0) / n))
+
+    def summarise(draws: np.ndarray) -> np.ndarray:
+        np.multiply(draws, draws, out=draws)
+        draws -= s2
+        return _power_sums(draws)
+
+    n, m1, m2, m3, m4 = _raw_moments(_block_sums(summarise, replicas, seed, (sigma,), 1))
+    # Var[s^2_W] ~ (mu4_W - var_W^2*(n-3)/(n-1)) / n for W = X^2, moments
+    # estimated in-sample; mu4_W is W's central fourth moment.
+    var_w = max(m2 - m1 * m1, 0.0) * n / (n - 1)
+    mu4_w = m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1 ** 4
+    stderr = math.sqrt(max(mu4_w - var_w ** 2 * (n - 3) / (n - 1), 0.0) / n)
 
     return [
-        _check(f"second_moment[sigma={sigma:g}]", s2, float(mean_w),
-               float(np.sqrt(var_w) / np.sqrt(n)), seed, threshold),
-        _check(f"fourth_moment[sigma={sigma:g}]", 3.0 * s4, fourth_mean, fourth_stderr,
+        _check(f"second_moment[sigma={sigma:g}]", s2, s2 + m1, math.sqrt(var_w / n),
                seed, threshold),
+        _check(f"fourth_moment[sigma={sigma:g}]", 3.0 * s4,
+               *_square_estimate(s2, n, m1, m2, m3, m4), seed, threshold),
         _check(f"variance_of_square[sigma={sigma:g}]", 2.0 * s4, var_w, stderr,
                seed, threshold),
     ]
@@ -374,14 +353,9 @@ def check_moment_identities(sigma: float, replicas: int, seed: int,
 class ProductDensityReport:
     """Histogram of X*Y against the bin-integrated K0 density."""
 
-    edges: np.ndarray          # signed bin edges, negative side then positive
-    counts: np.ndarray         # observed count per signed bin
-    expected: np.ndarray       # expected probability mass per signed bin
     max_abs_z: float           # max over bins of |count - n*p| / sqrt(n*p*(1-p))
     chi2: float
     symmetry_z: np.ndarray     # mirror-bin (pos - neg)/sqrt(pos + neg)
-    replicas: int
-    seed: int
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -424,24 +398,19 @@ def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
         raise ValueError("sigmas must be positive")
     if bins < 10:
         raise ValueError(f"need at least 10 bins, got {bins}")
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
+    _require_replicas(replicas)
 
     pos_edges = np.linspace(0.05, 4.0, bins + 1)
     pos_mass = _bin_masses(sigma_x, sigma_y, pos_edges)
     expected = np.concatenate([pos_mass[::-1], pos_mass])
-
-    # X and Y are drawn and binned MC_CHUNK_ROWS at a time: every call but
-    # the last draws an even number of normals, so the calls together draw
-    # what one call of `replicas` would, and the integer counts add exactly.
-    x_rng, y_rng = RngStream(seed, 0), RngStream(seed, 1)
     edges = np.concatenate([-pos_edges[::-1], pos_edges])
-    raw_counts = np.zeros(edges.size - 1, dtype=np.intp)
-    for start in range(0, replicas, MC_CHUNK_ROWS):
-        rows = min(MC_CHUNK_ROWS, replicas - start)
-        u = x_rng.normal(sigma_x, rows)
-        u *= y_rng.normal(sigma_y, rows)
-        raw_counts += np.histogram(u, bins=edges)[0]
+
+    def summarise(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x *= y
+        return np.histogram(x, bins=edges)[0]
+
+    # X from stream 0, Y from stream 1; integer counts add exactly
+    raw_counts = _block_sums(summarise, replicas, seed, (sigma_x, sigma_y), 1)
     counts = np.delete(raw_counts, bins).astype(np.float64)  # drop the (-lo, lo) gap
 
     mean_counts = replicas * expected
@@ -454,10 +423,7 @@ def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
     with np.errstate(invalid="ignore", divide="ignore"):
         sym = np.where(totals > 0, (pos_counts - neg_counts) / np.sqrt(totals), 0.0)
 
-    return ProductDensityReport(
-        edges=edges, counts=counts, expected=expected, max_abs_z=float(np.abs(z).max()),
-        chi2=chi2, symmetry_z=sym, replicas=replicas, seed=seed,
-    )
+    return ProductDensityReport(max_abs_z=float(np.abs(z).max()), chi2=chi2, symmetry_z=sym)
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float], theta: np.ndarray,

@@ -188,7 +188,7 @@ def test_c7_gaussian_moments_and_product_density():
     report("C7 Gaussian moment and product-density checks",
            worst <= 3.0 and density.max_abs_z <= 4.0,
            f"moments max |z| = {worst:.2f}, density max |z| = "
-           f"{density.max_abs_z:.2f} over {density.counts.size} bins")
+           f"{density.max_abs_z:.2f} over {2 * density.symmetry_z.size} bins")
 
 
 def test_c8_leakage_baselines_and_noise_trend():

@@ -147,6 +147,39 @@ def small_moments_config(out_dir):
     }
 
 
+def csv_bytes_at_1_and_4_lanes(tmp_path, monkeypatch, command):
+    """`command`'s CSV bytes at 1 and 4 lanes, checking each manifest's
+    lanes; 4 lanes on any host: more lanes than cores, switching
+    threads as often as the interpreter allows."""
+    csvs = {}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)))
+            out = tmp_path / f"cpus{cpus}"
+            cfg_path = tmp_path / f"cpus{cpus}.json"
+            cfg = minimal_verify_config(out)
+            cfg["oracle"]["replicas"] = 250_000  # 16 blocks per check, 4 per lane
+            cfg["oracle"]["sigmas"] = [0.5, 2.0]
+            cfg_path.write_text(json.dumps(cfg))
+            codes = []
+            runner = threading.Thread(target=lambda: codes.append(run(command, cfg_path)))
+            runner.start()
+            runner.join(timeout=120)
+            assert not runner.is_alive() and codes == [0]
+            manifest = json.loads((out / f"{command}_manifest.json").read_text())
+            lanes = {"moments_and_product_density": cpus}
+            if command == "verify":
+                lanes["post_update_mc"] = cpus
+            assert manifest["lanes"] == lanes
+            csvs[cpus] = (out / f"{command}_results.csv").read_bytes()
+    finally:
+        sys.setswitchinterval(switch)
+    return csvs[1], csvs[4]
+
+
 def small_report_config(directory):
     """A report over two one-row result CSVs it writes into `directory`."""
     write_result_rows(directory / "a.csv", [ResultRow("e", "m", "loss", 1.0, None, 1)])
@@ -258,7 +291,8 @@ class TestRun:
         assert len({r.value for r in rows}) == len(rows) == 9
         assert [r.seed for r in rows] == [42 + 3000 + i for i in range(3) for _ in range(3)]
 
-    def test_verify_manifest_carries_telemetry(self, tmp_path):
+    def test_verify_manifest_carries_telemetry(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(minimal_verify_config(tmp_path / "out")))
         assert run("verify", cfg_path) == 0
@@ -267,8 +301,9 @@ class TestRun:
             "post_update_mc", "equivalence", "trajectory",
             "step_expectation", "grad_checks", "moments_and_product_density"}
         assert all(seconds >= 0 for seconds in manifest["timings"].values())
-        # 4000 replicas are one noise block, and a lane takes whole blocks
-        assert manifest["lanes"] == {"post_update_mc": 1}
+        # 4000 replicas are one noise block, and a lane takes whole blocks;
+        # 30,000 product draws are two
+        assert manifest["lanes"] == {"post_update_mc": 1, "moments_and_product_density": 2}
         assert manifest["peak_rss_mb"] > 0
         assert manifest["failed_checks"] == []
 
@@ -309,32 +344,12 @@ class TestRun:
         assert [r.value for r in rows if r.metric == "verify_pass"] == [0.0]
 
     def test_lane_count_leaves_verify_csv_bytes_unchanged(self, tmp_path, monkeypatch):
-        # 4 lanes on any host: more lanes than cores, switching threads as
-        # often as the interpreter allows.
-        csvs = {}
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for cpus in (1, 4):
-                monkeypatch.setattr(os, "sched_getaffinity",
-                                    lambda pid, cpus=cpus: set(range(cpus)))
-                out = tmp_path / f"cpus{cpus}"
-                cfg_path = tmp_path / f"cpus{cpus}.json"
-                cfg = minimal_verify_config(out)
-                cfg["oracle"]["replicas"] = 40_000  # three noise blocks per check
-                cfg_path.write_text(json.dumps(cfg))
-                codes = []
-                runner = threading.Thread(target=lambda: codes.append(run("verify", cfg_path)))
-                runner.start()
-                runner.join(timeout=120)
-                assert not runner.is_alive() and codes == [0]
-                manifest = json.loads((out / "verify_manifest.json").read_text())
-                lanes = min(3, cpus)
-                assert manifest["lanes"] == {"post_update_mc": lanes}
-                csvs[cpus] = (out / "verify_results.csv").read_bytes()
-        finally:
-            sys.setswitchinterval(switch)
-        assert csvs[1] == csvs[4]
+        one_lane, four_lanes = csv_bytes_at_1_and_4_lanes(tmp_path, monkeypatch, "verify")
+        assert one_lane == four_lanes
+
+    def test_lane_count_leaves_moments_csv_bytes_unchanged(self, tmp_path, monkeypatch):
+        one_lane, four_lanes = csv_bytes_at_1_and_4_lanes(tmp_path, monkeypatch, "moments")
+        assert one_lane == four_lanes
 
     def test_error_in_a_worker_lane_exits_1(self, tmp_path, monkeypatch, capsys):
         # three noise blocks per check, so three lanes, each skipping its
@@ -361,18 +376,24 @@ class TestRun:
                                   "message": f"injected at offset {min(raised)}"}
         assert not (tmp_path / "out" / "verify_results.csv").exists()
 
-    def test_lanes_keep_job_order_and_raise_the_first_failure(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    def test_lanes_keep_job_order_and_raise_the_first_failure(self):
+        # one job per lane; later jobs finish first
+        caller, threads = threading.current_thread(), {}
 
-        def job(i):
-            time.sleep(0.001 * (i % 3))
-            if i in (5, 9):
+        def job(i, failing=()):
+            threads[i] = threading.current_thread()
+            time.sleep(0.01 * (4 - i))
+            if i in failing:
                 raise ValueError(f"job {i}")
             return i * i
 
-        assert _in_lanes([lambda i=i: i * i for i in range(20)]) == [i * i for i in range(20)]
-        with pytest.raises(ValueError, match="job 5"):
-            _in_lanes([lambda i=i: job(i) for i in range(20)])
+        assert _in_lanes([lambda i=i: job(i) for i in range(4)]) == [0, 1, 4, 9]
+        assert threads[0] is caller and caller not in [threads[i] for i in (1, 2, 3)]
+        assert len(set(threads.values())) == 4
+        for failing, first in (((1, 3), "job 1"), ((0, 2), "job 0"), ((3,), "job 3")):
+            with pytest.raises(ValueError, match=first):
+                _in_lanes([lambda i=i: job(i, failing) for i in range(4)])
+        assert _in_lanes([lambda: job(0)]) == [0] and threads[0] is caller
 
     def test_step_expectation_fails_on_biased_noise(self, monkeypatch):
         oc = OracleConfig(seed=77)
@@ -655,14 +676,16 @@ class TestCli:
         assert all(seconds >= 0 for seconds in manifest["timings"].values())
         assert manifest["lanes"] == {}
 
-    def test_moments_manifest_carries_its_phase(self, tmp_path):
+    def test_moments_manifest_carries_its_phase(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_moments_config(tmp_path / "out")))
         assert run("moments", cfg_path) == 0
         manifest = json.loads((tmp_path / "out" / "moments_manifest.json").read_text())
         assert set(manifest["timings"]) == {"moments_and_product_density"}
         assert all(seconds >= 0 for seconds in manifest["timings"].values())
-        assert manifest["lanes"] == {}
+        # 20,000 moment and 30,000 product draws are two blocks each
+        assert manifest["lanes"] == {"moments_and_product_density": 2}
 
     def test_report_manifest_carries_phases(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
