@@ -10,6 +10,9 @@ of verify and moments, peak RSS, failed checks).  Reruns of the same
 config produce byte-identical CSVs; only the manifest's timestamp and
 telemetry differ.
 
+verify and moments run a table of (phase, check function) pairs through
+one runner (_run_checks), which times the phases and decides every gate.
+
 Metric vocabulary by subcommand:
 
 * train:   epoch_loss (one row per epoch), final_loss, final_param_norm
@@ -41,6 +44,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Callable
@@ -54,7 +58,7 @@ from .numerics import RngStream
 from .optimizers import (NOISE_MODES, NoiseSpec, TrainConfig, gradient_noise,
                          initial_params_for, mechanism_label, mechanism_step,
                          train)
-from .oracle import (IdentityCheck, LinearSetup, backprop_grad_check,
+from .oracle import (PENALTY_KINDS, LinearSetup, backprop_grad_check,
                      check_moment_identities, check_noisy_step,
                      check_product_density, equivalence_chain_residuals,
                      grad_check, mc_lanes, random_linear_setups)
@@ -420,7 +424,8 @@ _SECTIONS = {
     "oracle": Field(dict, fields={
         "seed": _SEED,
         "replicas": Field(int, rule=_at_least(2)),
-        "configs": Field(int, rule=_at_least(1)),
+        # setup i draws from seed + 1000 + i, sigma j's moments from seed + 3000 + j
+        "configs": Field(int, rule=("between 1 and 2000", lambda v: 1 <= v <= 2000)),
         "threshold": Field(float, rule=_POSITIVE),
         "sigmas": Field(list, rule=_NONEMPTY, items=Field(float, rule=_POSITIVE)),
         "bins": Field(int, rule=_at_least(10)),
@@ -557,10 +562,6 @@ class RunTelemetry:
         finally:
             self.timings[name] = self.timings.get(name, 0.0) + perf_counter() - started
 
-    def gate(self, name: str, value: float, bound: float) -> None:
-        if not value <= bound:
-            self.failed_checks.append((name, float(value), float(bound)))
-
 
 def _cmd_train(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
     with telemetry.phase("load_data"):
@@ -578,131 +579,116 @@ def _cmd_train(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Result
     return rows
 
 
-def _moment_rows(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
-    """The moment checks, sigma i drawing from seed + 3000 + i, and the
-    product density, drawing from seed + 1, each in lanes of its own
-    (oracle.mc_lanes); the phase's lanes are the most any of them used."""
-    oc = config.oracle
-    telemetry.lanes["moments_and_product_density"] = max(mc_lanes(oc.replicas),
-                                                         mc_lanes(oc.product_replicas))
-    rows = []
-    for i, sigma in enumerate(oc.sigmas):
-        mech = f"gaussian(sigma={sigma:g})"
-        for check in check_moment_identities(sigma, oc.replicas, oc.seed + 3000 + i,
-                                             oc.threshold):
-            metric = check.name.split("[")[0] + "_z"
-            rows.append(ResultRow(config.experiment_id, mech, metric, check.z,
-                                  None, check.seed))
-            telemetry.gate(check.name, abs(check.z), check.threshold)
+@dataclass(frozen=True)
+class _CheckRow:
+    """A verify or moments CSV row, less its experiment id; with a bound, its
+    check `check` (the metric if None) passes when |value| <= bound."""
 
-    density = check_product_density(1.0, 1.0, oc.product_replicas, oc.bins,
-                                    oc.seed + 1)
-    mech = "product(sigma_x=1,sigma_y=1)"
-    rows.append(ResultRow(config.experiment_id, mech, "product_density_max_abs_z",
-                          density.max_abs_z, None, oc.seed + 1))
-    rows.append(ResultRow(config.experiment_id, mech, "product_density_chi2",
-                          density.chi2, None, oc.seed + 1))
-    rows.append(ResultRow(config.experiment_id, mech, "product_density_symmetry_max_z",
-                          float(np.abs(density.symmetry_z).max()), None, oc.seed + 1))
-    telemetry.gate("product_density_max_abs_z", density.max_abs_z, 4.0)
-    return rows
+    mechanism: str
+    metric: str
+    value: float
+    seed: int
+    stderr: float | None = None
+    bound: float | None = None
+    check: str | None = None
 
 
-def _cmd_moments(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
-    with telemetry.phase("moments_and_product_density"):
-        rows = _moment_rows(config, telemetry)
-    ok = not telemetry.failed_checks
-    rows.append(ResultRow(config.experiment_id, "all", "moments_pass",
-                          1.0 if ok else 0.0, None, config.oracle.seed))
-    return rows
+# Lanes per phase run in lanes: the most that a check of the phase uses.
+_PHASE_LANES = {"post_update_mc": lambda oc: mc_lanes(oc.replicas),
+                "moments_and_product_density": lambda oc: max(
+                    mc_lanes(oc.replicas), mc_lanes(oc.product_replicas))}
 
 
-# The kinds of check that check_noisy_step returns, in its order.
-_NOISY_STEP_KINDS = ("post_update_loss", "cross_term")
-
-
-def _setup_checks(setups: list[LinearSetup], modes: tuple[str, ...], replicas: int,
-                  seed: int, threshold: float) -> dict[tuple[str, str, int], IdentityCheck]:
-    """check_noisy_step(params, x, t, eta, noises, replicas, seed + i,
-    threshold) for setup i, noises being the setup's sigma under each noise
-    mode, so every mode and both kinds of check read the same noise rows.
-    The setups run one at a time, each check in lanes of its own
-    (oracle.mc_lanes), and the checks are keyed (kind, mode, i) in the
-    order kind by kind (_NOISY_STEP_KINDS), mode by mode, then setup by
-    setup."""
-    per_setup = [check_noisy_step(s.params, s.x, s.t, s.eta,
-                                  tuple(NoiseSpec(mode=mode, sigma=s.sigma) for mode in modes),
-                                  replicas, seed + i, threshold)
-                 for i, s in enumerate(setups)]
-    return {(kind, mode, i): checks[k * len(modes) + j]
-            for k, kind in enumerate(_NOISY_STEP_KINDS) for j, mode in enumerate(modes)
-            for i, checks in enumerate(per_setup)}
+def _run_checks(config: ExperimentConfig, telemetry: RunTelemetry, verdict: str,
+                phases: list[tuple[str, Callable[[OracleConfig], list[_CheckRow]]]]
+                ) -> list[ResultRow]:
+    """The rows of each (phase, check function) in order, each function
+    timed as its phase, then the `verdict` row, 1 if every gate passed.
+    Every gate of verify and moments is decided here, in row order."""
+    oc, checked = config.oracle, []
+    for phase, checks in phases:
+        with telemetry.phase(phase):
+            checked += checks(oc)
+        if phase in _PHASE_LANES:
+            telemetry.lanes[phase] = _PHASE_LANES[phase](oc)
+    telemetry.failed_checks += [(r.check or r.metric, float(abs(r.value)), float(r.bound))
+                                for r in checked
+                                if r.bound is not None and not abs(r.value) <= r.bound]
+    eid = config.experiment_id
+    rows = [ResultRow(eid, r.mechanism, r.metric, r.value, r.stderr, r.seed) for r in checked]
+    return rows + [ResultRow(eid, "all", verdict, float(not telemetry.failed_checks), None,
+                             oc.seed)]
 
 
 def _cmd_verify(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
     oc = config.oracle
-    eid = config.experiment_id
-    rows: list[ResultRow] = []
-    gate, phase = telemetry.gate, telemetry.phase
+    setups = random_linear_setups(oc.configs, oc.seed)
+    return _run_checks(config, telemetry, "verify_pass", [
+        ("post_update_mc", partial(_noisy_step_rows, setups)),
+        ("equivalence", partial(_equivalence_rows, setups)),
+        ("trajectory", _trajectory_identity),
+        ("step_expectation", _step_expectation),
+        ("grad_checks", _grad_check_suite),
+        ("moments_and_product_density", _moment_rows),
+    ])
 
-    # Expected post-update loss identities, both noise shapes, and the cross
-    # term's zero mean, from the same noisy steps; the cross term is written
-    # for the first ten setups.
-    with phase("post_update_mc"):
-        setups = random_linear_setups(oc.configs, oc.seed)
-        checks = _setup_checks(setups, ("iid", "proportional"), oc.replicas,
-                               oc.seed + 1000, oc.threshold)
-        telemetry.lanes["post_update_mc"] = mc_lanes(oc.replicas)
-        for (kind, mode, i), check in checks.items():
-            if kind == "post_update_loss":
-                rows.append(ResultRow(eid, mode, "post_update_loss_z", check.z, None,
-                                      check.seed))
-                rows.append(ResultRow(eid, mode, "post_update_loss_mc", check.mean,
-                                      check.stderr, check.seed))
-            elif i < 10:
-                rows.append(ResultRow(eid, mode, "cross_term_z", check.z, None, check.seed))
-            else:
-                continue
-            gate(f"{check.name}[{i}]", abs(check.z), check.threshold)
 
-    # Analytic noisy-minus-clean gap equals the matching penalty.
-    with phase("equivalence"):
-        residuals = [equivalence_chain_residuals(s) for s in setups]
-        for mode_name, idx in (("iid", 0), ("proportional", 1)):
-            residual = max(r[idx] for r in residuals)
-            rows.append(ResultRow(eid, mode_name, "equivalence_residual", residual,
-                                  None, oc.seed))
-            gate(f"equivalence_residual[{mode_name}]", residual, 1e-12)
+def _cmd_moments(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
+    return _run_checks(config, telemetry, "moments_pass",
+                       [("moments_and_product_density", _moment_rows)])
 
-    # Input-only penalty leaves the trajectory bit-identical.
-    with phase("trajectory"):
-        for metric, value, bound in _trajectory_identity(oc):
-            rows.append(ResultRow(eid, "input_penalty", metric, value, None, oc.seed))
-            gate(metric, value, bound)
 
-    # One noisy step averages to the clean step.
-    with phase("step_expectation"):
-        err, bound = _step_expectation(oc)
-    rows.append(ResultRow(eid, "iid", "step_expectation_err", err, None, oc.seed))
-    rows.append(ResultRow(eid, "iid", "step_expectation_bound", bound, None, oc.seed))
-    gate("step_expectation_err", err, bound)
-
-    # Penalty gradients and backprop against finite differences.
-    with phase("grad_checks"):
-        for kind, worst, bound in _grad_check_suite(oc.seed):
-            metric = f"grad_check_{kind}_max_rel_err"
-            rows.append(ResultRow(eid, "gradients", metric, worst, None, oc.seed))
-            gate(metric, worst, bound)
-
-    with phase("moments_and_product_density"):
-        rows.extend(_moment_rows(config, telemetry))
-
-    ok = not telemetry.failed_checks
-    rows.append(ResultRow(eid, "all", "verify_pass", 1.0 if ok else 0.0, None, oc.seed))
+def _noisy_step_rows(setups: list[LinearSetup], oc: OracleConfig) -> list[_CheckRow]:
+    """The post-update loss and cross term checks: check_noisy_step for
+    setup i from seed + 1000 + i in both noise shapes, each check in lanes
+    of its own (oracle.mc_lanes).  Rows go kind by kind, shape by shape,
+    then setup by setup; the cross term is written for the first ten."""
+    per_setup = [check_noisy_step(s.params, s.x, s.t, s.eta,
+                                  tuple(NoiseSpec(mode=mode, sigma=s.sigma)
+                                        for mode in ("iid", "proportional")),
+                                  oc.replicas, oc.seed + 1000 + i, oc.threshold)
+                 for i, s in enumerate(setups)]
+    rows = []
+    for column in zip(*per_setup):
+        for i, c in enumerate(column):
+            if c.kind == "cross_term" and i >= 10:
+                break
+            rows.append(_CheckRow(c.label, f"{c.kind}_z", c.z, c.seed, bound=c.threshold,
+                                  check=f"{c.name}[{i}]"))
+            if c.kind == "post_update_loss":
+                rows.append(_CheckRow(c.label, "post_update_loss_mc", c.mean, c.seed, c.stderr))
     return rows
 
 
-def _trajectory_identity(oc: OracleConfig) -> list[tuple[str, float, float]]:
+def _equivalence_rows(setups: list[LinearSetup], oc: OracleConfig) -> list[_CheckRow]:
+    """Analytic noisy-minus-clean gap equals the matching penalty: the
+    worst residual over the setups, per noise shape."""
+    residuals = [equivalence_chain_residuals(s) for s in setups]
+    return [_CheckRow(mode, "equivalence_residual", max(r[k] for r in residuals), oc.seed,
+                      bound=1e-12, check=f"equivalence_residual[{mode}]")
+            for k, mode in enumerate(("iid", "proportional"))]
+
+
+def _moment_rows(oc: OracleConfig) -> list[_CheckRow]:
+    """The moment checks, sigma i drawing from seed + 3000 + i, and the
+    product density, drawing from seed + 1, each in lanes of its own
+    (oracle.mc_lanes)."""
+    rows = [_CheckRow(f"gaussian({c.label})", f"{c.kind}_z", c.z, c.seed, bound=c.threshold,
+                      check=c.name)
+            for i, sigma in enumerate(oc.sigmas)
+            for c in check_moment_identities(sigma, oc.replicas, oc.seed + 3000 + i,
+                                             oc.threshold)]
+    density = check_product_density(1.0, 1.0, oc.product_replicas, oc.bins, oc.seed + 1)
+    mech, seed = "product(sigma_x=1,sigma_y=1)", oc.seed + 1
+    return rows + [
+        _CheckRow(mech, "product_density_max_abs_z", density.max_abs_z, seed, bound=4.0),
+        _CheckRow(mech, "product_density_chi2", density.chi2, seed),
+        _CheckRow(mech, "product_density_symmetry_max_z",
+                  float(np.abs(density.symmetry_z).max()), seed),
+    ]
+
+
+def _trajectory_identity(oc: OracleConfig) -> list[_CheckRow]:
     """Train with and without the input-only penalty; compare trajectories."""
     data = generate_dataset("noisy_linear", 100, 5, 0.2, oc.seed + 31)
     spec = ModelSpec(layer_sizes=(5, 1), activation="identity", include_bias=True)
@@ -723,12 +709,13 @@ def _trajectory_identity(oc: OracleConfig) -> list[tuple[str, float, float]]:
     mean_input_sq = float(np.mean(dp_input_penalty(data.x, 0.7)))
     shift_residual = max(abs((s - p) - mean_input_sq)
                          for p, s in zip(plain.epoch_losses, shifted.epoch_losses))
-    return [("trajectory_param_diff", param_diff, 0.0),
-            ("trajectory_record_diff", record_diff, 0.0),
-            ("trajectory_loss_shift_residual", shift_residual, 1e-9)]
+    return [_CheckRow("input_penalty", f"trajectory_{metric}", value, oc.seed, bound=bound)
+            for metric, value, bound in (("param_diff", param_diff, 0.0),
+                                         ("record_diff", record_diff, 0.0),
+                                         ("loss_shift_residual", shift_residual, 1e-9))]
 
 
-def _step_expectation(oc: OracleConfig) -> tuple[float, float]:
+def _step_expectation(oc: OracleConfig) -> list[_CheckRow]:
     """Mean of many noisy steps vs the clean step, all from one start.
 
     The clean step is one full batch of the data in stored order; the
@@ -747,12 +734,19 @@ def _step_expectation(oc: OracleConfig) -> tuple[float, float]:
     noisy = mechanism_step(init, data.x, data.t, eta, noise, RegSpec(), z).params
     err = float(np.abs(noisy.sum(axis=0) / n - clean).max())
     bound = 3.0 * eta * sigma / np.sqrt(n)
-    return err, bound
+    return [_CheckRow("iid", "step_expectation_err", err, oc.seed, bound=bound),
+            _CheckRow("iid", "step_expectation_bound", bound, oc.seed)]
 
 
-def _grad_check_suite(seed: int) -> list[tuple[str, float, float]]:
-    rng = RngStream(seed, 7)
-    worst = {kind: 0.0 for kind in ("l2", "pdp", "combined", "dp_input")}
+# Bound on each gradient's worst relative error against finite differences.
+_GRAD_BOUNDS = {"l2": 1e-8, "pdp": 1e-8, "combined": 1e-8, "dp_input": 1e-10,
+                "backprop": 1e-6}
+
+
+def _grad_check_suite(oc: OracleConfig) -> list[_CheckRow]:
+    """Penalty gradients and backprop against finite differences."""
+    rng = RngStream(oc.seed, 7)
+    worst = dict.fromkeys(_GRAD_BOUNDS, 0.0)
     for _ in range(20):
         d = 2 + int(rng.uniform(1)[0] * 5)
         spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=False)
@@ -760,22 +754,19 @@ def _grad_check_suite(seed: int) -> list[tuple[str, float, float]]:
         x = rng.normal(1.0, d)
         lam = float(rng.uniform(1)[0] * 0.2)
         kappa = float(rng.uniform(1)[0] * 0.2)
-        for kind in worst:
+        for kind in PENALTY_KINDS:
             worst[kind] = max(worst[kind], grad_check(kind, params, x, lam, kappa))
 
-    backprop_worst = 0.0
     spec = ModelSpec(layer_sizes=(4, 6, 1), activation="tanh", include_bias=True)
-    init_rng = RngStream(seed, 8)
+    init_rng = RngStream(oc.seed, 8)
     for _ in range(5):
         params = init_params(spec, init_rng)
         x = rng.normal(1.0, 4)
         t = rng.normal(1.0, 1)
-        backprop_worst = max(backprop_worst, backprop_grad_check(params, x, t))
+        worst["backprop"] = max(worst["backprop"], backprop_grad_check(params, x, t))
 
-    return [("l2", worst["l2"], 1e-8), ("pdp", worst["pdp"], 1e-8),
-            ("combined", worst["combined"], 1e-8),
-            ("dp_input", worst["dp_input"], 1e-10),
-            ("backprop", backprop_worst, 1e-6)]
+    return [_CheckRow("gradients", f"grad_check_{kind}_max_rel_err", worst[kind], oc.seed,
+                      bound=bound) for kind, bound in _GRAD_BOUNDS.items()]
 
 
 def _cmd_attack(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:

@@ -58,10 +58,12 @@ from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """One analytic value against the Monte Carlo mean and standard error
-    drawn from `seed`, z-scored and gated at |z| <= threshold."""
+    """One analytic value of identity `kind` (post_update_loss, ...) under
+    `label` (the noise shape, or sigma=s) against the Monte Carlo mean and
+    standard error drawn from `seed`, z-scored and gated at |z| <= threshold."""
 
-    name: str
+    kind: str
+    label: str
     analytic: float
     mean: float
     stderr: float
@@ -70,6 +72,10 @@ class IdentityCheck:
     passed: bool
     threshold: float
 
+    @property
+    def name(self) -> str:
+        return f"{self.kind}[{self.label}]"
+
 
 def _z_score(mc_mean: float, stderr: float, analytic: float) -> float:
     if stderr == 0:
@@ -77,10 +83,10 @@ def _z_score(mc_mean: float, stderr: float, analytic: float) -> float:
     return (mc_mean - analytic) / stderr
 
 
-def _check(name: str, analytic: float, mean: float, stderr: float, seed: int,
+def _check(kind: str, label: str, analytic: float, mean: float, stderr: float, seed: int,
            threshold: float) -> IdentityCheck:
     z = _z_score(mean, stderr, analytic)
-    return IdentityCheck(name=name, analytic=analytic, mean=mean, stderr=stderr,
+    return IdentityCheck(kind=kind, label=label, analytic=analytic, mean=mean, stderr=stderr,
                          seed=seed, z=z, passed=abs(z) <= threshold, threshold=threshold)
 
 
@@ -310,9 +316,9 @@ def check_noisy_step(params: ParameterSet, x: np.ndarray, t, eta: float,
     if moved:
         sums[moved] = _block_sums(summarise, replicas, seed, (1.0,), theta.size)
     estimates = [_noisy_step_estimates(c, shape_sums) for c, shape_sums in zip(cleans, sums)]
-    post_update = [_check(f"post_update_loss[{noise.mode}]", value, *squares, seed, threshold)
+    post_update = [_check("post_update_loss", noise.mode, value, *squares, seed, threshold)
                    for noise, value, (squares, _) in zip(noises, analytic, estimates)]
-    cross_term = [_check(f"cross_term[{noise.mode}]", 0.0, *cross, seed, threshold)
+    cross_term = [_check("cross_term", noise.mode, 0.0, *cross, seed, threshold)
                   for noise, (_, cross) in zip(noises, estimates)]
     return post_update + cross_term
 
@@ -339,13 +345,12 @@ def check_moment_identities(sigma: float, replicas: int, seed: int,
     mu4_w = m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1 ** 4
     stderr = math.sqrt(max(mu4_w - var_w ** 2 * (n - 3) / (n - 1), 0.0) / n)
 
+    label = f"sigma={sigma:g}"
     return [
-        _check(f"second_moment[sigma={sigma:g}]", s2, s2 + m1, math.sqrt(var_w / n),
+        _check("second_moment", label, s2, s2 + m1, math.sqrt(var_w / n), seed, threshold),
+        _check("fourth_moment", label, 3.0 * s4, *_square_estimate(s2, n, m1, m2, m3, m4),
                seed, threshold),
-        _check(f"fourth_moment[sigma={sigma:g}]", 3.0 * s4,
-               *_square_estimate(s2, n, m1, m2, m3, m4), seed, threshold),
-        _check(f"variance_of_square[sigma={sigma:g}]", 2.0 * s4, var_w, stderr,
-               seed, threshold),
+        _check("variance_of_square", label, 2.0 * s4, var_w, stderr, seed, threshold),
     ]
 
 

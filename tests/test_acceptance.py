@@ -10,19 +10,20 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from privreg.attack import (_invert_records, _restart_starts, cosine_similarity,
                             invert_linear_gradient, leakage_sweep)
 from privreg.experiments import (RunTelemetry, _cmd_train, _cmd_verify,
-                                 _setup_checks, generate_dataset, parse_config,
-                                 run, write_result_rows)
+                                 generate_dataset, parse_config, run,
+                                 write_result_rows)
 from privreg.model import (Dataset, ModelSpec, ParameterSet, backward,
                            forward, init_params)
 from privreg.numerics import RngStream
 from privreg.optimizers import NoiseSpec, TrainConfig, initial_params_for, train
 from privreg.oracle import (backprop_grad_check, check_moment_identities,
-                            check_product_density, grad_check,
-                            random_linear_setups)
+                            check_noisy_step, check_product_density,
+                            grad_check, random_linear_setups)
 from privreg.regularizers import RegSpec, dp_input_penalty
 from reference_solvers import regularized_least_squares_oracle
 
@@ -35,35 +36,40 @@ def report(name: str, passed: bool, detail: str):
     assert passed, f"{name}: {detail}"
 
 
-def _post_update_checks(setups, mode: str) -> list:
-    """The post-update loss check of each setup under one noise mode, at 1e6
-    replicas from stream MC_SEED + i."""
-    return [check for (kind, _, _), check in
-            _setup_checks(setups, (mode,), 1_000_000, MC_SEED, 3.0).items()
-            if kind == "post_update_loss"]
+@pytest.fixture(scope="module")
+def noisy_steps():
+    """The checks of one check_noisy_step pass per setup under both noise
+    shapes, for 50 random setups at 1e6 replicas, setup i from stream
+    MC_SEED + i, and the seconds the pass took."""
+    started = time.perf_counter()
+    checks = []
+    for i, s in enumerate(random_linear_setups(50, seed=SETUP_SEED)):
+        noises = (NoiseSpec(mode="iid", sigma=s.sigma),
+                  NoiseSpec(mode="proportional", sigma=s.sigma))
+        checks += check_noisy_step(s.params, s.x, s.t, s.eta, noises, 1_000_000,
+                                   MC_SEED + i, 3.0)
+    return checks, time.perf_counter() - started
 
 
-def test_c1_iid_noise_expected_loss_identity():
+def _post_update_report(name: str, noisy_steps, mode: str) -> None:
+    checks, elapsed = noisy_steps
+    post_update = [c for c in checks if c.kind == "post_update_loss" and c.label == mode]
+    worst = max(abs(c.z) for c in post_update)
+    report(name, worst <= 3.0 and elapsed <= 120.0,
+           f"max |z| = {worst:.2f} over {len(post_update)} setups at 1e6 replicas "
+           f"in {elapsed:.0f}s (both shapes, one pass)")
+
+
+def test_c1_iid_noise_expected_loss_identity(noisy_steps):
     """Sampled post-update loss under homogeneous noise matches
     (y'-t)^2 + eta^2 sigma^2 sum(x^2) within |z| <= 3 on 50 random setups."""
-    started = time.perf_counter()
-    setups = random_linear_setups(50, seed=SETUP_SEED)
-    checks = _post_update_checks(setups, "iid")
-    elapsed = time.perf_counter() - started
-    worst = max(abs(c.z) for c in checks)
-    report("C1 iid expected-loss identity",
-           worst <= 3.0 and elapsed <= 120.0,
-           f"max |z| = {worst:.2f} over {len(checks)} setups at 1e6 replicas "
-           f"in {elapsed:.0f}s")
+    _post_update_report("C1 iid expected-loss identity", noisy_steps, "iid")
 
 
-def test_c2_proportional_noise_expected_loss_identity():
+def test_c2_proportional_noise_expected_loss_identity(noisy_steps):
     """Same protocol against (y'-t)^2 + eta^2 sigma^2 sum(theta^2 x^2)."""
-    setups = random_linear_setups(50, seed=SETUP_SEED)
-    checks = _post_update_checks(setups, "proportional")
-    worst = max(abs(c.z) for c in checks)
-    report("C2 proportional expected-loss identity", worst <= 3.0,
-           f"max |z| = {worst:.2f} over {len(checks)} setups at 1e6 replicas")
+    _post_update_report("C2 proportional expected-loss identity", noisy_steps,
+                        "proportional")
 
 
 def test_c3_input_penalty_leaves_trajectory_bit_identical():

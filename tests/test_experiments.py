@@ -323,6 +323,35 @@ class TestRun:
         assert metrics.index("cross_term_z") > max(
             i for i, metric in enumerate(metrics) if metric.startswith("post_update_loss"))
 
+    def test_verify_and_moments_write_their_rows_in_the_documented_order(self, tmp_path):
+        # 12 setups, so the cross term's cut at ten shows, and 2 sigmas
+        cfg = minimal_verify_config(tmp_path / "out")
+        cfg["oracle"].update(configs=12, sigmas=[0.5, 2.0])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        s, modes = 42, ("iid", "proportional")
+        moments = [(f"gaussian(sigma={sigma:g})", f"{kind}_z", s + 3000 + j)
+                   for j, sigma in enumerate((0.5, 2.0))
+                   for kind in ("second_moment", "fourth_moment", "variance_of_square")]
+        moments += [("product(sigma_x=1,sigma_y=1)", f"product_density_{metric}", s + 1)
+                    for metric in ("max_abs_z", "chi2", "symmetry_max_z")]
+        verify = [(mode, metric, s + 1000 + i) for mode in modes for i in range(12)
+                  for metric in ("post_update_loss_z", "post_update_loss_mc")]
+        verify += [(mode, "cross_term_z", s + 1000 + i) for mode in modes for i in range(10)]
+        verify += [(mode, "equivalence_residual", s) for mode in modes]
+        verify += [("input_penalty", f"trajectory_{metric}", s)
+                   for metric in ("param_diff", "record_diff", "loss_shift_residual")]
+        verify += [("iid", "step_expectation_err", s), ("iid", "step_expectation_bound", s)]
+        verify += [("gradients", f"grad_check_{kind}_max_rel_err", s)
+                   for kind in ("l2", "pdp", "combined", "dp_input", "backprop")]
+        expected = {"verify": verify + moments + [("all", "verify_pass", s)],
+                    "moments": moments + [("all", "moments_pass", s)]}
+        for command, sequence in expected.items():
+            # a failed gate writes the same rows (setup 5 fails at 4000 replicas)
+            assert run(command, cfg_path) in (0, 1)
+            rows = read_result_rows(tmp_path / "out" / f"{command}_results.csv")
+            assert [(r.mechanism, r.metric, r.seed) for r in rows] == sequence
+
     def test_failing_verify_names_its_failed_checks(self, tmp_path, capsys):
         cfg = minimal_verify_config(tmp_path / "out")
         cfg["oracle"]["threshold"] = 1e-9  # no sampled z-score is that close to 0
@@ -398,14 +427,15 @@ class TestRun:
     def test_step_expectation_fails_on_biased_noise(self, monkeypatch):
         oc = OracleConfig(seed=77)
         err, bound = _step_expectation(oc)
-        assert err <= bound
+        assert (err.metric, err.bound) == ("step_expectation_err", bound.value)
+        assert err.value <= bound.value
 
         def biased(noise, rng, shape):
             return gradient_noise(noise, rng, shape) + 0.1
 
         monkeypatch.setattr(experiments, "gradient_noise", biased)
         err, bound = _step_expectation(oc)
-        assert err > bound
+        assert err.value > bound.value
 
     def test_step_expectation_makes_a_fixed_number_of_streams(self, monkeypatch):
         made = []
@@ -760,6 +790,7 @@ BOUNDARY_PROBES = [
     _probe("layer-sizes-short", "train", {"model.layer_sizes": [3]}, "model.layer_sizes"),
     _probe("oracle-seed-negative", "verify", {"oracle.seed": -1}, "oracle.seed"),
     _probe("configs-zero", "verify", {"oracle.configs": 0}, "oracle.configs"),
+    _probe("configs-2001", "verify", {"oracle.configs": 2001}, "oracle.configs"),
     _probe("expectation-replicas-zero", "verify", {"oracle.expectation_replicas": 0},
            "oracle.expectation_replicas"),
     _probe("threshold-negative", "verify", {"oracle.threshold": -1}, "oracle.threshold"),

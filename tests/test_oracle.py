@@ -12,7 +12,6 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from privreg.experiments import _setup_checks
 from privreg.model import Dataset, ModelSpec, ParameterSet
 from privreg.numerics import RngStream
 from privreg import oracle
@@ -568,13 +567,17 @@ class TestFiniteDifferences:
 class TestRandomizedIdentitySuite:
     def test_fifty_setups_pass_both_modes(self):
         setups = random_linear_setups(50, seed=2024)
-        checks = _setup_checks(setups, ("iid", "proportional"), 20_000, 900, 3.0)
-        assert len(checks) == 2 * 2 * 50
-        for (kind, mode, i), check in checks.items():
-            assert check.name == f"{kind}[{mode}]"
-            assert check.seed == 900 + i
-            if kind == "post_update_loss":
-                assert abs(check.z) <= 3.0, f"{mode}[{i}]: z = {check.z}"
+        modes = ("iid", "proportional")
+        for i, s in enumerate(setups):
+            noises = tuple(NoiseSpec(mode=mode, sigma=s.sigma) for mode in modes)
+            checks = check_noisy_step(s.params, s.x, s.t, s.eta, noises, 20_000, 900 + i, 3.0)
+            assert [(c.kind, c.label) for c in checks] == [
+                (kind, mode) for kind in ("post_update_loss", "cross_term") for mode in modes]
+            for check in checks:
+                assert check.name == f"{check.kind}[{check.label}]"
+                assert check.seed == 900 + i
+                if check.kind == "post_update_loss":
+                    assert abs(check.z) <= 3.0, f"{check.label}[{i}]: z = {check.z}"
 
     def test_equivalence_chain_is_algebraic(self):
         for setup in random_linear_setups(50, seed=2025):
