@@ -20,8 +20,8 @@ from .model import (Dataset, ForwardTrace, ModelSpec, NonFiniteParametersError,
 from .numerics import RngStream
 from .optimizers import (GradientRecord, NoiseSpec, Step, TrainConfig,
                          TrainReport, TrainingDivergedError, clip_gradient,
-                         dataset_loss, gradient_noise, initial_params_for,
-                         mechanism_label, mechanism_step, train)
+                         dataset_loss, initial_params_for, mechanism_label,
+                         mechanism_step, train)
 from .oracle import (IdentityCheck, ProductDensityReport,
                      analytic_post_update_loss, backprop_grad_check,
                      check_moment_identities, check_noisy_step,

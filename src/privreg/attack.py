@@ -216,26 +216,6 @@ class LeakageReport:
     mse: np.ndarray
     cosine: np.ndarray
 
-    @property
-    def mean_mse(self) -> float:
-        return float(np.mean(self.mse))
-
-    @property
-    def median_mse(self) -> float:
-        return float(np.median(self.mse))
-
-    @property
-    def mean_cosine(self) -> float:
-        return float(np.mean(self.cosine))
-
-    @property
-    def median_cosine(self) -> float:
-        return float(np.median(self.cosine))
-
-    @property
-    def success_rate(self) -> float:
-        return float(np.mean(self.cosine >= COSINE_SUCCESS))
-
 
 def leakage_sweep(spec: ModelSpec, data: Dataset,
                   mechanisms: list[tuple[NoiseSpec, RegSpec]], trials: int,

@@ -52,12 +52,11 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .attack import leakage_sweep, membership_inference
+from .attack import COSINE_SUCCESS, leakage_sweep, membership_inference
 from .model import ACTIVATIONS, Dataset, ModelSpec, ParameterSet, init_params
 from .numerics import RngStream
-from .optimizers import (NOISE_MODES, NoiseSpec, TrainConfig, gradient_noise,
-                         initial_params_for, mechanism_label, mechanism_step,
-                         train)
+from .optimizers import (NOISE_MODES, NoiseSpec, TrainConfig, initial_params_for,
+                         mechanism_label, mechanism_step, train)
 from .oracle import (PENALTY_KINDS, LinearSetup, backprop_grad_check,
                      check_moment_identities, check_noisy_step,
                      check_product_density, equivalence_chain_residuals,
@@ -593,6 +592,12 @@ class _CheckRow:
     check: str | None = None
 
 
+def _worst(values) -> float:
+    """The largest |value|, NaN if any value is NaN: a worst case folded
+    with Python's max would drop a NaN and pass its gate."""
+    return float(np.max(np.abs(values)))
+
+
 # Lanes per phase run in lanes: the most that a check of the phase uses.
 _PHASE_LANES = {"post_update_mc": lambda oc: mc_lanes(oc.replicas),
                 "moments_and_product_density": lambda oc: max(
@@ -664,8 +669,8 @@ def _equivalence_rows(setups: list[LinearSetup], oc: OracleConfig) -> list[_Chec
     """Analytic noisy-minus-clean gap equals the matching penalty: the
     worst residual over the setups, per noise shape."""
     residuals = [equivalence_chain_residuals(s) for s in setups]
-    return [_CheckRow(mode, "equivalence_residual", max(r[k] for r in residuals), oc.seed,
-                      bound=1e-12, check=f"equivalence_residual[{mode}]")
+    return [_CheckRow(mode, "equivalence_residual", _worst([r[k] for r in residuals]),
+                      oc.seed, bound=1e-12, check=f"equivalence_residual[{mode}]")
             for k, mode in enumerate(("iid", "proportional"))]
 
 
@@ -683,8 +688,7 @@ def _moment_rows(oc: OracleConfig) -> list[_CheckRow]:
     return rows + [
         _CheckRow(mech, "product_density_max_abs_z", density.max_abs_z, seed, bound=4.0),
         _CheckRow(mech, "product_density_chi2", density.chi2, seed),
-        _CheckRow(mech, "product_density_symmetry_max_z",
-                  float(np.abs(density.symmetry_z).max()), seed),
+        _CheckRow(mech, "product_density_symmetry_max_z", _worst(density.symmetry_z), seed),
     ]
 
 
@@ -698,17 +702,13 @@ def _trajectory_identity(oc: OracleConfig) -> list[_CheckRow]:
     plain = train(spec, data, base)
     shifted = train(spec, data, with_term)
 
-    param_diff = float(np.abs(plain.final_params.flat - shifted.final_params.flat).max())
-    record_diff = 0.0
-    for a, b in zip(plain.records, shifted.records):
-        record_diff = max(record_diff,
-                          float(np.abs(a.clean - b.clean).max()),
-                          float(np.abs(a.noisy - b.noisy).max()),
-                          float(np.abs(a.batch_indices - b.batch_indices).max()))
-
+    param_diff = _worst(plain.final_params.flat - shifted.final_params.flat)
+    record_diff = _worst(np.concatenate([
+        diff for a, b in zip(plain.records, shifted.records)
+        for diff in (a.clean - b.clean, a.noisy - b.noisy, a.batch_indices - b.batch_indices)]))
     mean_input_sq = float(np.mean(dp_input_penalty(data.x, 0.7)))
-    shift_residual = max(abs((s - p) - mean_input_sq)
-                         for p, s in zip(plain.epoch_losses, shifted.epoch_losses))
+    shift_residual = _worst([(s - p) - mean_input_sq
+                             for p, s in zip(plain.epoch_losses, shifted.epoch_losses)])
     return [_CheckRow("input_penalty", f"trajectory_{metric}", value, oc.seed, bound=bound)
             for metric, value, bound in (("param_diff", param_diff, 0.0),
                                          ("record_diff", record_diff, 0.0),
@@ -730,9 +730,9 @@ def _step_expectation(oc: OracleConfig) -> list[_CheckRow]:
     clean = mechanism_step(init, data.x, data.t, eta, noise, RegSpec()).params
 
     n = oc.expectation_replicas
-    z = gradient_noise(noise, RngStream(oc.seed + 100, 0), (n, spec.n_params))
+    z = RngStream(oc.seed + 100, 0).normal(1.0, n * spec.n_params).reshape(n, spec.n_params)
     noisy = mechanism_step(init, data.x, data.t, eta, noise, RegSpec(), z).params
-    err = float(np.abs(noisy.sum(axis=0) / n - clean).max())
+    err = _worst(noisy.sum(axis=0) / n - clean)
     bound = 3.0 * eta * sigma / np.sqrt(n)
     return [_CheckRow("iid", "step_expectation_err", err, oc.seed, bound=bound),
             _CheckRow("iid", "step_expectation_bound", bound, oc.seed)]
@@ -746,7 +746,7 @@ _GRAD_BOUNDS = {"l2": 1e-8, "pdp": 1e-8, "combined": 1e-8, "dp_input": 1e-10,
 def _grad_check_suite(oc: OracleConfig) -> list[_CheckRow]:
     """Penalty gradients and backprop against finite differences."""
     rng = RngStream(oc.seed, 7)
-    worst = dict.fromkeys(_GRAD_BOUNDS, 0.0)
+    errors = {kind: [] for kind in _GRAD_BOUNDS}
     for _ in range(20):
         d = 2 + int(rng.uniform(1)[0] * 5)
         spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=False)
@@ -755,7 +755,7 @@ def _grad_check_suite(oc: OracleConfig) -> list[_CheckRow]:
         lam = float(rng.uniform(1)[0] * 0.2)
         kappa = float(rng.uniform(1)[0] * 0.2)
         for kind in PENALTY_KINDS:
-            worst[kind] = max(worst[kind], grad_check(kind, params, x, lam, kappa))
+            errors[kind].append(grad_check(kind, params, x, lam, kappa))
 
     spec = ModelSpec(layer_sizes=(4, 6, 1), activation="tanh", include_bias=True)
     init_rng = RngStream(oc.seed, 8)
@@ -763,10 +763,10 @@ def _grad_check_suite(oc: OracleConfig) -> list[_CheckRow]:
         params = init_params(spec, init_rng)
         x = rng.normal(1.0, 4)
         t = rng.normal(1.0, 1)
-        worst["backprop"] = max(worst["backprop"], backprop_grad_check(params, x, t))
+        errors["backprop"].append(backprop_grad_check(params, x, t))
 
-    return [_CheckRow("gradients", f"grad_check_{kind}_max_rel_err", worst[kind], oc.seed,
-                      bound=bound) for kind, bound in _GRAD_BOUNDS.items()]
+    return [_CheckRow("gradients", f"grad_check_{kind}_max_rel_err", _worst(errors[kind]),
+                      oc.seed, bound=bound) for kind, bound in _GRAD_BOUNDS.items()]
 
 
 def _cmd_attack(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
@@ -780,13 +780,12 @@ def _cmd_attack(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
     eid = config.experiment_id
     rows = []
     for rep in reports:
-        prefix = rep.attack
         values = [("cosine", cos) for cos in rep.cosine.tolist()] + [
-            ("cosine_median", rep.median_cosine), ("cosine_mean", rep.mean_cosine),
-            ("mse_median", rep.median_mse), ("mse_mean", rep.mean_mse),
-            ("success_rate", rep.success_rate)]
+            ("cosine_median", np.median(rep.cosine)), ("cosine_mean", np.mean(rep.cosine)),
+            ("mse_median", np.median(rep.mse)), ("mse_mean", np.mean(rep.mse)),
+            ("success_rate", np.mean(rep.cosine >= COSINE_SUCCESS))]
         for metric, value in values:
-            rows.append(ResultRow(eid, rep.mechanism, f"{prefix}_{metric}", value,
+            rows.append(ResultRow(eid, rep.mechanism, f"{rep.attack}_{metric}", float(value),
                                   None, ac.seed))
 
     if ac.membership:
@@ -869,7 +868,8 @@ def _write_manifest(path: Path, config: ExperimentConfig, command: str,
     """The run's record beside its CSV: config hash, seeds, versions, the
     CSV's row count, and telemetry (seconds per phase, lanes per phase run
     in lanes, the process's peak RSS so far, failed checks), which only the
-    manifest carries."""
+    manifest carries.  It is strict JSON: a failed check's non-finite value
+    or bound is written as the string "nan", "inf" or "-inf"."""
     canonical = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
     manifest = {
         "experiment_id": config.experiment_id,
@@ -886,10 +886,11 @@ def _write_manifest(path: Path, config: ExperimentConfig, command: str,
         "timings": telemetry.timings,
         "lanes": telemetry.lanes,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "failed_checks": [list(check) for check in telemetry.failed_checks],
+        "failed_checks": [[name, *(v if math.isfinite(v) else str(v) for v in numbers)]
+                          for name, *numbers in telemetry.failed_checks],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

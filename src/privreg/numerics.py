@@ -54,7 +54,7 @@ class RngStream:
         n draws exactly what a call of size n + n % 2 draws and returns its
         first n values.  Calls therefore compose: k calls of an even size m
         consume the same uniforms as one call of size k*m and yield the
-        same values, and normal_rows pads an odd size to compose as well.
+        same values.
         """
         if not (math.isfinite(std) and std >= 0):
             raise ValueError(f"std must be a finite number >= 0, got {std!r}")
@@ -68,14 +68,6 @@ class RngStream:
         if std != 1:  # a product with 1 is exact, so skipping it changes no bit
             out *= float(std)
         return out[:n] if n % 2 else out
-
-    def normal_rows(self, rows: int, width: int) -> np.ndarray:
-        """A (rows, width) block of standard normals, drawn in one call,
-        whose row i holds the bits of the i-th of `rows` successive
-        normal(1, width) calls.  Each row is drawn width + width % 2
-        wide, as such a call draws, and the pad column is dropped."""
-        padded = width + width % 2
-        return self.normal(1.0, rows * padded).reshape(rows, padded)[:, :width]
 
     def skip(self, n: int) -> None:
         """Move the stream past the next n normals without computing them:

@@ -28,8 +28,8 @@ A run is deterministic given its seed.  Three fixed substreams are used:
 STREAM_INIT for parameter init, STREAM_SHUFFLE for epoch permutations,
 STREAM_NOISE for gradient noise.  train() draws its noise in blocks of
 about NOISE_BLOCK normals, one call per block rather than one per step;
-RngStream.normal_rows pads each row as a per-step call would, so step s
-gets the bits it would get from the s-th of one draw per step.
+_noise_rows pads each row as a per-step call would, so step s gets the
+bits it would get from the s-th of one draw per step.
 """
 
 from __future__ import annotations
@@ -148,17 +148,6 @@ def clip_gradient(g: np.ndarray, c: float) -> np.ndarray:
     return g / np.maximum(1.0, norm / c)[..., None]
 
 
-def gradient_noise(noise: NoiseSpec, rng: RngStream,
-                   shape: tuple[int, ...]) -> np.ndarray | None:
-    """Standard normals of the given shape for mechanism_step to scale, or
-    None when the mechanism adds no noise (mode "none" or sigma 0) and so
-    draws nothing.  train() takes the bits of one (P,) call per batch from
-    blocks drawn by _noise_rows."""
-    if not noise.adds_noise:
-        return None
-    return rng.normal(1.0, math.prod(shape)).reshape(shape)
-
-
 class Step(NamedTuple):
     """One step of a mechanism: the averaged batch gradient before and after
     the noise, and the parameters it steps to.  With R noise rows, `noisy`
@@ -177,10 +166,10 @@ def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: floa
     gradient gets the penalty gradients and is clipped by its norm; the
     batch is averaged; the noise sigma * z (mode "iid") or sigma * theta * z
     (mode "proportional", theta pre-update) is added, z being standard
-    normals from gradient_noise(), one (P,) row or R of them as (R, P), or
-    None for a noiseless step; then theta - eta * g.  Every example's
-    gradient is computed exactly as on its own (see privreg.model), so
-    batch size never changes its bits.
+    normals, one (P,) row or R of them as (R, P), or None for a noiseless
+    step; then theta - eta * g.  Every example's gradient is computed
+    exactly as on its own (see privreg.model), so batch size never changes
+    its bits.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -239,15 +228,18 @@ def dataset_loss(params: ParameterSet, data: Dataset, reg: RegSpec,
 def _noise_rows(noise: NoiseSpec, rng: RngStream, steps: int,
                 width: int) -> Iterator[np.ndarray | None]:
     """train()'s noise, one (width,) row per step, or None per step when
-    the mechanism adds none.  Row s holds the bits of the s-th of `steps`
-    gradient_noise(noise, rng, (width,)) calls; the rows are drawn lazily,
-    a block of about NOISE_BLOCK normals at a time (RngStream.normal_rows)."""
+    the mechanism adds none (mode "none" or sigma 0) and so draws nothing.
+    Row s holds the bits of the s-th of `steps` rng.normal(1.0, width)
+    calls.  The rows are drawn lazily, k rows of about NOISE_BLOCK normals
+    in one call: each row is drawn width + width % 2 wide, as a call of
+    that width draws, and the pad column is dropped."""
     if not noise.adds_noise:
         return itertools.repeat(None, steps)
     per_block = max(1, NOISE_BLOCK // width)
+    blocks = (min(per_block, steps - start) for start in range(0, steps, per_block))
+    padded = width + width % 2
     return itertools.chain.from_iterable(
-        rng.normal_rows(min(per_block, steps - start), width)
-        for start in range(0, steps, per_block))
+        rng.normal(1.0, k * padded).reshape(k, padded)[:, :width] for k in blocks)
 
 
 # Divergence is raised naming where it happened; numpy's overflow warnings

@@ -218,9 +218,9 @@ def test_c8_leakage_baselines_and_noise_trend():
     reports = leakage_sweep(spec, data, mechanisms, trials=30, seed=883,
                             eta=0.1, iters=800, step=0.01, restarts=10)
     closed = [r for r in reports if r.attack == "closed_form"]
-    medians = [r.median_cosine for r in closed]
+    medians = [float(np.median(r.cosine)) for r in closed]
     monotone = all(a >= b for a, b in zip(medians, medians[1:]))
-    clean_sweep_mse = closed[0].mean_mse
+    clean_sweep_mse = float(np.mean(closed[0].mse))
 
     report("C8 leakage baselines and noise trend",
            exact_mse <= 1e-20 and iterative_cosine >= 0.999

@@ -1,7 +1,9 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
+import math
 import os
 import sys
 import threading
@@ -16,13 +18,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from privreg import experiments
+from privreg.attack import COSINE_SUCCESS
 from privreg.cli import main as cli_main
 from privreg.experiments import (COMMANDS, ConfigError, OracleConfig, ResultRow,
                                  _step_expectation, apply_seed_override,
                                  generate_dataset, load_dataset, parse_config,
                                  read_result_rows, run, write_result_rows)
 from privreg.numerics import RngStream
-from privreg.optimizers import gradient_noise
 from privreg.oracle import MC_CHUNK_ROWS, _in_lanes
 from reference_solvers import regularized_least_squares_oracle
 
@@ -145,6 +147,36 @@ def small_moments_config(out_dir):
                    "bins": 12, "product_replicas": 30000},
         "output": {"directory": str(out_dir)},
     }
+
+
+def nan_from(monkeypatch, fold):
+    """Make one check of verify return NaN where its worst case is folded:
+    every grad_check, every backprop_grad_check, the second setup's
+    equivalence residuals, or one later record or epoch loss of the
+    trajectory run with the input penalty.  Returns the failed checks."""
+    if fold in ("grad_check", "backprop_grad_check"):
+        monkeypatch.setattr(experiments, fold, lambda *args: math.nan)
+        kinds = ("backprop",) if fold == "backprop_grad_check" else (
+            "l2", "pdp", "combined", "dp_input")
+        return [f"grad_check_{kind}_max_rel_err" for kind in kinds]
+    if fold == "equivalence":
+        real, calls = experiments.equivalence_chain_residuals, itertools.count()
+        monkeypatch.setattr(experiments, "equivalence_chain_residuals", lambda setup: (
+            (math.nan, math.nan) if next(calls) == 1 else real(setup)))
+        return ["equivalence_residual[iid]", "equivalence_residual[proportional]"]
+    real_train = experiments.train
+
+    def train(spec, data, config):
+        report = real_train(spec, data, config)
+        if config.reg.input_kappa > 0:
+            if fold == "record_diff":
+                report.records[1].noisy[0] = math.nan
+            else:
+                report.epoch_losses[1] = math.nan
+        return report
+
+    monkeypatch.setattr(experiments, "train", train)
+    return [f"trajectory_{fold}"]
 
 
 def csv_bytes_at_1_and_4_lanes(tmp_path, monkeypatch, command):
@@ -372,6 +404,28 @@ class TestRun:
         rows = read_result_rows(tmp_path / "out" / "verify_results.csv")
         assert [r.value for r in rows if r.metric == "verify_pass"] == [0.0]
 
+    @pytest.mark.parametrize("fold", ["grad_check", "backprop_grad_check", "equivalence",
+                                      "record_diff", "loss_shift_residual"])
+    def test_a_nan_check_fails_verify_and_the_manifest_stays_strict_json(
+            self, tmp_path, monkeypatch, capsys, fold):
+        names = nan_from(monkeypatch, fold)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_verify_config(tmp_path / "out")))
+        assert run("verify", cfg_path) == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert all(f"{name} = nan > " in message for name in names)
+
+        def no_constants(token):
+            raise AssertionError(f"the manifest holds the bare JSON constant {token}")
+
+        manifest = json.loads((tmp_path / "out" / "verify_manifest.json").read_text(),
+                              parse_constant=no_constants)
+        assert [(name, value) for name, value, _ in manifest["failed_checks"]] == [
+            (name, "nan") for name in names]
+        rows = read_result_rows(tmp_path / "out" / "verify_results.csv")
+        assert sum(math.isnan(r.value) for r in rows) == len(names)
+        assert [r.value for r in rows if r.metric == "verify_pass"] == [0.0]
+
     def test_lane_count_leaves_verify_csv_bytes_unchanged(self, tmp_path, monkeypatch):
         one_lane, four_lanes = csv_bytes_at_1_and_4_lanes(tmp_path, monkeypatch, "verify")
         assert one_lane == four_lanes
@@ -430,10 +484,12 @@ class TestRun:
         assert (err.metric, err.bound) == ("step_expectation_err", bound.value)
         assert err.value <= bound.value
 
-        def biased(noise, rng, shape):
-            return gradient_noise(noise, rng, shape) + 0.1
+        step = experiments.mechanism_step
 
-        monkeypatch.setattr(experiments, "gradient_noise", biased)
+        def biased(params, x, t, eta, noise, reg, z=None):
+            return step(params, x, t, eta, noise, reg, None if z is None else z + 0.1)
+
+        monkeypatch.setattr(experiments, "mechanism_step", biased)
         err, bound = _step_expectation(oc)
         assert err.value > bound.value
 
@@ -590,6 +646,16 @@ class TestRun:
         assert "iterative_success_rate" in metrics
         mechanisms = {r.mechanism for r in rows}
         assert len(mechanisms) == 2
+        # each cosine aggregate is its numpy reduction of the per-trial rows
+        for mech in mechanisms:
+            value = {r.metric: r.value for r in rows if r.mechanism == mech}
+            for attack in ("closed_form", "iterative"):
+                cosine = np.array([r.value for r in rows
+                                   if r.mechanism == mech and r.metric == f"{attack}_cosine"])
+                assert cosine.size == 3
+                assert value[f"{attack}_cosine_median"] == np.median(cosine)
+                assert value[f"{attack}_cosine_mean"] == np.mean(cosine)
+                assert value[f"{attack}_success_rate"] == np.mean(cosine >= COSINE_SUCCESS)
 
     def test_report_aggregates_means(self, tmp_path, capsys):
         cfg = small_report_config(tmp_path)

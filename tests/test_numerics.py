@@ -133,19 +133,6 @@ class TestChunkedBoxMuller:
         joined = reference_normal(RngStream(34, 1), 1.0, 2 * width + 8)
         assert np.concatenate(parts).tobytes() == joined.tobytes()
 
-
-class TestNormalRows:
-    @pytest.mark.parametrize("width", range(1, 10))
-    @pytest.mark.parametrize("rows", [1, 2, 7])
-    def test_rows_are_the_bits_of_one_call_per_row(self, rows, width):
-        block_rng, per_call = RngStream(35, 2), RngStream(35, 2)
-        block = block_rng.normal_rows(rows, width)
-        assert block.shape == (rows, width)
-        for row in block:
-            assert row.tobytes() == per_call.normal(1.0, width).tobytes()
-        # both streams stand at the same place afterwards
-        assert block_rng.normal(1.0, 3).tobytes() == per_call.normal(1.0, 3).tobytes()
-
     def test_odd_call_consumes_the_next_even_count(self):
         odd, even = RngStream(36), RngStream(36)
         assert odd.normal(1.0, 5).tobytes() == even.normal(1.0, 6)[:5].tobytes()

@@ -7,12 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from privreg import optimizers
 from privreg.experiments import generate_dataset
 from privreg.model import Dataset, ModelSpec, ParameterSet, forward
 from privreg.numerics import RngStream
 from privreg.optimizers import (NOISE_BLOCK, STREAM_NOISE, STREAM_SHUFFLE,
                                 NoiseSpec, TrainConfig, TrainingDivergedError,
-                                clip_gradient, dataset_loss, gradient_noise,
+                                _noise_rows, clip_gradient, dataset_loss,
                                 initial_params_for, mechanism_step, train)
 from privreg.regularizers import RegSpec, dp_input_penalty
 from reference_solvers import regularized_least_squares_oracle
@@ -67,7 +68,7 @@ def noise_step(theta, noise, z, eta=0.1):
 class TestNoise:
     def test_iid_zero_sigma_is_identity(self):
         noise = NoiseSpec(mode="iid", sigma=0.0)
-        assert gradient_noise(noise, RngStream(1), (2,)) is None
+        assert not noise.adds_noise
         p = ParameterSet(LINEAR2, np.array([0.5, -1.0]))
         step = mechanism_step(p, X_ROW, np.array([[1.0]]), 0.1, noise, RegSpec())
         assert np.array_equal(step.noisy, step.clean)
@@ -77,7 +78,7 @@ class TestNoise:
         sigma, replicas = 0.3, 10 ** 5
         noise = NoiseSpec(mode="iid", sigma=sigma)
         deltas = noise_step([0.5, -1.0], noise,
-                            gradient_noise(noise, RngStream(55), (replicas, 2))).noisy
+                            RngStream(55).normal(1.0, replicas * 2).reshape(replicas, 2)).noisy
         assert deltas.shape == (replicas, 2)
         assert np.abs(deltas.mean(axis=0)).max() <= 3 * sigma / math.sqrt(replicas)
         var = deltas.var(axis=0, ddof=1)
@@ -87,7 +88,7 @@ class TestNoise:
         p = ParameterSet(LINEAR2, np.array([0.0, 2.0]))
         noise = NoiseSpec(mode="proportional", sigma=0.8)
         step = mechanism_step(p, X_ROW, np.array([[1.0]]), 0.1, noise, RegSpec(),
-                              gradient_noise(noise, RngStream(2), (2,)))
+                              RngStream(2).normal(1.0, 2))
         assert step.noisy[0] == step.clean[0]
         assert step.noisy[1] != step.clean[1]
 
@@ -95,14 +96,14 @@ class TestNoise:
         sigma, replicas = 0.5, 10 ** 5
         noise = NoiseSpec(mode="proportional", sigma=sigma)
         deltas = noise_step([1.0, 2.0], noise,
-                            gradient_noise(noise, RngStream(56), (replicas, 2))).noisy
+                            RngStream(56).normal(1.0, replicas * 2).reshape(replicas, 2)).noisy
         stds = deltas.std(axis=0, ddof=1)
         assert np.abs(stds - np.array([0.5, 1.0])).max() <= 0.05 * 1.0
         assert abs(stds[0] - 0.5) <= 0.05 * 0.5
 
     def test_proportional_zero_sigma_is_identity(self):
         noise = NoiseSpec(mode="proportional", sigma=0.0)
-        assert gradient_noise(noise, RngStream(3), (2,)) is None
+        assert not noise.adds_noise
         step = noise_step([1.0, 2.0], noise, None)
         assert np.array_equal(step.noisy, step.clean)
 
@@ -115,15 +116,14 @@ class TestNoise:
             NoiseSpec(mode="iid", sigma=-0.1)
 
     def test_noise_rows_rejected_without_noise(self):
-        assert gradient_noise(NoiseSpec(mode="none", sigma=0.5), RngStream(4), (2,)) is None
+        assert not NoiseSpec(mode="none", sigma=0.5).adds_noise
         with pytest.raises(ValueError, match="no noise rows"):
             noise_step([1.0, 2.0], NoiseSpec(mode="none", sigma=0.5), np.ones((1, 2)))
 
     def test_rows_drawn_at_once_match_rows_drawn_one_by_one(self):
-        noise = NoiseSpec(mode="iid", sigma=0.3)
-        at_once = gradient_noise(noise, RngStream(57), (9, 2))
+        at_once = RngStream(57).normal(1.0, 9 * 2).reshape(9, 2)
         one_rng = RngStream(57)
-        one_by_one = np.stack([gradient_noise(noise, one_rng, (2,)) for _ in range(9)])
+        one_by_one = np.stack([one_rng.normal(1.0, 2) for _ in range(9)])
         assert np.array_equal(at_once, one_by_one)
 
 
@@ -339,6 +339,20 @@ class TestNoiseBlocks:
         for record in records:
             z = per_step.normal(1.0, spec.n_params)
             assert np.array_equal(record.noisy, sigma * z + record.clean)
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    def test_noise_rows_are_the_bits_of_one_call_per_step(self, monkeypatch, steps, width):
+        # 8 normals a block: one to eight rows a block, and a short last block
+        monkeypatch.setattr(optimizers, "NOISE_BLOCK", 8)
+        block_rng, per_call = RngStream(35, 2), RngStream(35, 2)
+        rows = list(_noise_rows(NoiseSpec(mode="iid", sigma=0.3), block_rng, steps, width))
+        assert len(rows) == steps
+        for row in rows:
+            assert row.shape == (width,)
+            assert row.tobytes() == per_call.normal(1.0, width).tobytes()
+        # both streams stand at the same place afterwards
+        assert block_rng.normal(1.0, 3).tobytes() == per_call.normal(1.0, 3).tobytes()
 
     @pytest.mark.parametrize("noise", [NoiseSpec(mode="none", sigma=0.5),
                                        NoiseSpec(mode="iid", sigma=0.0)])
