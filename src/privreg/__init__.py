@@ -15,14 +15,14 @@ from .attack import (LeakageReport, NoLeakageError,
 from .experiments import (ConfigError, ExperimentConfig, ResultRow,
                           generate_dataset, load_dataset, parse_config,
                           read_result_rows, run, write_result_rows)
-from .model import (Dataset, ForwardTrace, ModelSpec, NonFiniteParametersError,
-                    ParameterSet, backward, forward, init_params, quadratic_loss)
+from .model import (Dataset, ModelSpec, NonFiniteParametersError, ParameterSet,
+                    backward, forward, init_params, quadratic_loss)
 from .numerics import RngStream
 from .optimizers import (GradientRecord, NoiseSpec, Step, TrainConfig,
                          TrainReport, TrainingDivergedError, clip_gradient,
                          dataset_loss, initial_params_for, mechanism_label,
                          mechanism_step, train)
-from .oracle import (IdentityCheck, ProductDensityReport,
+from .oracle import (IdentityEstimate, ProductDensityReport,
                      analytic_post_update_loss, backprop_grad_check,
                      check_moment_identities, check_noisy_step,
                      check_product_density, equivalence_chain_residuals,

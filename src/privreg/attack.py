@@ -197,7 +197,7 @@ def membership_inference(params: ParameterSet, members: Dataset,
         raise ValueError("member and non-member sets must have equal size")
 
     def scores(data: Dataset) -> np.ndarray:
-        return -quadratic_loss(forward(params, data.x).output, data.t)
+        return -quadratic_loss(forward(params, data.x)[-1], data.t)
 
     s_mem = scores(members)
     s_non = scores(non_members)

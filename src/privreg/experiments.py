@@ -99,7 +99,7 @@ def write_result_rows(path: Path, rows: list[ResultRow]) -> None:
                              "" if r.stderr is None else _fmt(r.stderr), str(r.seed)])
 
 
-def read_result_rows(path: Path, field: str = "report.inputs") -> list[ResultRow]:
+def read_result_rows(path: str | Path, field: str = "report.inputs") -> list[ResultRow]:
     """Read a result CSV written by write_result_rows; a bad file raises
     ConfigError naming `field`, the file and the 1-based line."""
     rows = []
@@ -133,10 +133,16 @@ def _read_csv(path, field: str, header_text: str,
               header_ok: Callable[[list[str]], bool]) -> list[tuple[int, list[str]]]:
     """(1-based line, record) for every row of a CSV file after its header.
 
-    An empty file, a header that fails `header_ok`, or a row not as long as
-    the header raises ConfigError naming `field`, the file and the line.
+    A file that cannot be opened, an empty file, a header that fails
+    `header_ok`, or a row not as long as the header raises ConfigError
+    naming `field`, the file and, past the opening, the line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"field '{field}': cannot read {str(path)!r}: "
+                          f"{exc.strerror or exc}") from None
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -448,6 +454,18 @@ _SECTIONS = {
     }, build=ReportConfig),
 }
 
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a key given twice raises
+    ConfigError, as json.load would keep only its last value."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise ConfigError(f"duplicate key {key!r} in the config")
+        members[key] = value
+    return members
+
+
 def parse_config(raw: dict, command: str) -> ExperimentConfig:
     """Validate the raw config dict for one subcommand.
 
@@ -648,20 +666,21 @@ def _noisy_step_rows(setups: list[LinearSetup], oc: OracleConfig) -> list[_Check
     setup i from seed + 1000 + i in both noise shapes, each check in lanes
     of its own (oracle.mc_lanes).  Rows go kind by kind, shape by shape,
     then setup by setup; the cross term is written for the first ten."""
+    seeds = [oc.seed + 1000 + i for i in range(len(setups))]
     per_setup = [check_noisy_step(s.params, s.x, s.t, s.eta,
                                   tuple(NoiseSpec(mode=mode, sigma=s.sigma)
                                         for mode in ("iid", "proportional")),
-                                  oc.replicas, oc.seed + 1000 + i, oc.threshold)
-                 for i, s in enumerate(setups)]
+                                  oc.replicas, seed)
+                 for s, seed in zip(setups, seeds)]
     rows = []
     for column in zip(*per_setup):
-        for i, c in enumerate(column):
+        for i, (c, seed) in enumerate(zip(column, seeds)):
             if c.kind == "cross_term" and i >= 10:
                 break
-            rows.append(_CheckRow(c.label, f"{c.kind}_z", c.z, c.seed, bound=c.threshold,
+            rows.append(_CheckRow(c.label, f"{c.kind}_z", c.z, seed, bound=oc.threshold,
                                   check=f"{c.name}[{i}]"))
             if c.kind == "post_update_loss":
-                rows.append(_CheckRow(c.label, "post_update_loss_mc", c.mean, c.seed, c.stderr))
+                rows.append(_CheckRow(c.label, "post_update_loss_mc", c.mean, seed, c.stderr))
     return rows
 
 
@@ -678,11 +697,10 @@ def _moment_rows(oc: OracleConfig) -> list[_CheckRow]:
     """The moment checks, sigma i drawing from seed + 3000 + i, and the
     product density, drawing from seed + 1, each in lanes of its own
     (oracle.mc_lanes)."""
-    rows = [_CheckRow(f"gaussian({c.label})", f"{c.kind}_z", c.z, c.seed, bound=c.threshold,
+    rows = [_CheckRow(f"gaussian({c.label})", f"{c.kind}_z", c.z, seed, bound=oc.threshold,
                       check=c.name)
-            for i, sigma in enumerate(oc.sigmas)
-            for c in check_moment_identities(sigma, oc.replicas, oc.seed + 3000 + i,
-                                             oc.threshold)]
+            for seed, sigma in enumerate(oc.sigmas, oc.seed + 3000)
+            for c in check_moment_identities(sigma, oc.replicas, seed)]
     density = check_product_density(1.0, 1.0, oc.product_replicas, oc.bins, oc.seed + 1)
     mech, seed = "product(sigma_x=1,sigma_y=1)", oc.seed + 1
     return rows + [
@@ -815,7 +833,7 @@ def _cmd_report(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
     groups: dict[tuple[str, str, str], list[ResultRow]] = {}
     with telemetry.phase("read_inputs"):
         for i, path in enumerate(config.report.inputs):
-            for row in read_result_rows(Path(path), f"report.inputs[{i}]"):
+            for row in read_result_rows(path, f"report.inputs[{i}]"):
                 groups.setdefault((row.experiment_id, row.mechanism, row.metric),
                                   []).append(row)
     rows = []
@@ -911,12 +929,15 @@ def _error_report(kind: str, message: str) -> str:
 def _output_directory(out_dir: str | None, config: ExperimentConfig) -> Path:
     """Create the output directory run() picks; ConfigError names its source."""
     env_dir = os.environ.get(OUT_DIR_ENV)
-    if out_dir:
-        source, directory = "--out", Path(out_dir)
+    if out_dir is not None:
+        source, name = "--out", out_dir
     elif env_dir:
-        source, directory = f"${OUT_DIR_ENV}", Path(env_dir)
+        source, name = f"${OUT_DIR_ENV}", env_dir
     else:
-        source, directory = "field 'output.directory'", Path(config.output.directory)
+        source, name = "field 'output.directory'", config.output.directory
+    if not name:
+        raise ConfigError(f"{source}: the output directory must not be empty")
+    directory = Path(name)
     try:
         directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -935,7 +956,7 @@ def run(command: str, config_path: str | Path, out_dir: str | None = None,
     """
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
         config = parse_config(raw, command)
         if seed_override is not None:
             config = apply_seed_override(config, seed_override)

@@ -9,13 +9,14 @@ scalar output has per-weight gradient 2*(y - t)*x_i and bias gradient
 2*(y - t).
 
 Every pass works on a batch: forward runs params.spec on (B, d) inputs and
-keeps (B, .) activations in a trace that carries params, and backward
-returns one gradient per example as a (B, P) array.  A single input is a
-batch of one row.  Each example's arithmetic is the same as on its own:
-matrix-vector products are stacked, (W @ a[:, :, None])[..., 0], which
-runs the same BLAS gemv per row as W @ a on one vector, and dot products
-go through np.vecdot, which sums a row as np.dot does.  A plain
-(B, d) @ W.T would sum in another order.
+returns the batch followed by each layer's (B, .) output, and backward
+runs forward and returns one gradient per example as a (B, P) array,
+reading each activation's derivative off that activation's output.  A
+single input is a batch of one row.  Each example's arithmetic is the
+same as on its own: matrix-vector products are stacked,
+(W @ a[:, :, None])[..., 0], which runs the same BLAS gemv per row as
+W @ a on one vector, and dot products go through np.vecdot, which sums a
+row as np.dot does.  A plain (B, d) @ W.T would sum in another order.
 """
 
 from __future__ import annotations
@@ -170,21 +171,6 @@ class Dataset:
         return self.x.shape[0]
 
 
-@dataclass
-class ForwardTrace:
-    """A pass's parameters, its (B, d) input x (layer l > 0 takes post[l - 1]),
-    and per-layer pre-activations and outputs, each (B, .)."""
-
-    params: ParameterSet
-    x: np.ndarray
-    pre: list[np.ndarray] = field(default_factory=list)
-    post: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.post[-1]
-
-
 def init_params(spec: ModelSpec, rng: RngStream) -> ParameterSet:
     """Seeded uniform init in [-r, r] with r = 1/sqrt(fan_in), per layer.
 
@@ -209,12 +195,13 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def _activate_prime(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _activate_prime(name: str, a: np.ndarray) -> np.ndarray:
+    """The activation's derivative, read off its output a."""
     if name == "identity":
-        return np.ones_like(z)
+        return np.ones_like(a)
     if name == "tanh":
         return 1.0 - a * a
-    return (z > 0.0).astype(np.float64)
+    return (a > 0.0).astype(np.float64)
 
 
 def _matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -222,8 +209,9 @@ def _matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (w @ a[:, :, None])[..., 0]
 
 
-def forward(params: ParameterSet, x: np.ndarray) -> ForwardTrace:
-    """Run params.spec on a (B, d) batch, keeping every intermediate value."""
+def forward(params: ParameterSet, x: np.ndarray) -> list[np.ndarray]:
+    """Run params.spec on a (B, d) batch: the batch, then each layer's
+    (B, .) output, the model's (B, k) output last."""
     spec = params.spec
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != spec.input_dim:
@@ -231,16 +219,14 @@ def forward(params: ParameterSet, x: np.ndarray) -> ForwardTrace:
     if a.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     layers = spec.layout
-    trace = ForwardTrace(params, a)
+    acts = [a]
     for layer, ls in enumerate(layers):
         z = _matvec(ls.weight_matrix(params.flat), a)
         if ls.bias is not None:
             z = z + params.flat[ls.bias]
-        act = spec.activation if layer < len(layers) - 1 else "identity"
-        trace.pre.append(z)
-        a = _activate(act, z)
-        trace.post.append(a)
-    return trace
+        a = _activate(spec.activation if layer < len(layers) - 1 else "identity", z)
+        acts.append(a)
+    return acts
 
 
 def quadratic_loss(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -254,14 +240,16 @@ def quadratic_loss(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.vecdot(diff, diff)
 
 
-def backward(trace: ForwardTrace, t: np.ndarray) -> np.ndarray:
+def backward(params: ParameterSet, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Exact per-example gradients of quadratic_loss(output, t) w.r.t. the
-    trace's flat parameters: row i of the (B, P) result belongs to example
-    i, and their mean is the gradient of the mean batch loss."""
-    spec = trace.params.spec
+    flat parameters, for a (B, d) batch x with (B, k) targets t: row i of
+    the (B, P) result belongs to example i, and their mean is the gradient
+    of the mean batch loss."""
+    acts = forward(params, x)
+    spec = params.spec
     layers = spec.layout
     t = np.asarray(t, dtype=np.float64)
-    y = trace.output
+    y = acts[-1]
     if y.shape != t.shape:
         raise ValueError(f"target shape {t.shape} does not match output shape {y.shape}")
 
@@ -270,12 +258,11 @@ def backward(trace: ForwardTrace, t: np.ndarray) -> np.ndarray:
     delta = 2.0 * (y - t)  # output layer is linear
     for layer in range(len(layers) - 1, -1, -1):
         ls = layers[layer]
-        a_in = trace.post[layer - 1] if layer > 0 else trace.x
+        a_in = acts[layer]
         grad[:, ls.weights] = (delta[:, :, None] * a_in[:, None, :]).reshape(batch, -1)
         if ls.bias is not None:
             grad[:, ls.bias] = delta
         if layer > 0:
-            back = _matvec(ls.weight_matrix(trace.params.flat).T, delta)
-            delta = back * _activate_prime(spec.activation, trace.pre[layer - 1],
-                                           trace.post[layer - 1])
+            back = _matvec(ls.weight_matrix(params.flat).T, delta)
+            delta = back * _activate_prime(spec.activation, a_in)
     return grad

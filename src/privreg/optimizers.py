@@ -174,7 +174,7 @@ def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: floa
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     x = np.asarray(x, dtype=np.float64)
-    grads = backward(forward(params, x), t)
+    grads = backward(params, x, t)
     kappa = reg.effective_kappa(eta, noise.sigma)
     if reg.lam > 0:
         grads = grads + l2_grad(params, reg.lam)
@@ -214,8 +214,7 @@ def dataset_loss(params: ParameterSet, data: Dataset, reg: RegSpec,
                  kappa: float) -> float:
     """Mean per-example loss over the dataset, penalties included, with
     `kappa` the weight of the parameter-input product term."""
-    trace = forward(params, data.x)
-    losses = quadratic_loss(trace.output, data.t)
+    losses = quadratic_loss(forward(params, data.x)[-1], data.t)
     if reg.lam > 0:
         losses = losses + l2_penalty(params, reg.lam)
     if kappa > 0:

@@ -27,8 +27,7 @@ BIAS_SPEC = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=Tr
 
 def clean_gradient(params, x, t):
     """The (P,) loss gradient of one example."""
-    trace = forward(params, x[None, :])
-    return backward(trace, np.atleast_1d(t)[None, :])[0]
+    return backward(params, x[None, :], np.atleast_1d(t)[None, :])[0]
 
 
 def invert_one(g, params, iters, step, seed, restarts=10):
@@ -51,7 +50,7 @@ def reference_inversion(g, spec, params, iters, step, seed, restarts):
     b0 = float(params.bias(0)[0])
 
     def objective(x, t):
-        diff = backward(forward(params, x[None, :]), np.array([[t]]))[0] - target
+        diff = backward(params, x[None, :], np.array([[t]]))[0] - target
         return float(np.dot(diff, diff))
 
     def gradient(x, t):
@@ -106,7 +105,7 @@ class TestClosedFormInversion:
     def test_loss_minimum_reveals_nothing(self):
         params = ParameterSet(BIAS_SPEC, np.array([0.5, -1.0, 0.1]))
         x = np.array([2.0, 1.0])
-        y = forward(params, x[None, :]).output[0, 0]
+        y = forward(params, x[None, :])[-1][0, 0]
         g = clean_gradient(params, x, y)
         with pytest.raises(NoLeakageError):
             invert_linear_gradient(g, BIAS_SPEC)
@@ -202,7 +201,7 @@ class TestIterativeInversion:
             x = rng.normal(1.0, d)
             t = float(rng.normal(1.0, 1)[0])
             obj, gx, gt = rows(x, t)
-            diff = backward(forward(params, x[None, :]), np.array([[t]]))[0] - g
+            diff = backward(params, x[None, :], np.array([[t]]))[0] - g
             assert obj[0] == float(np.dot(diff, diff))
             h = 1e-6
             for i in range(d):
@@ -378,7 +377,7 @@ class TestMembershipInference:
             members, non_members = draw(), draw()
 
             def scores(data):
-                return -quadratic_loss(forward(params, data.x).output, data.t)
+                return -quadratic_loss(forward(params, data.x)[-1], data.t)
 
             wins = sum(1.0 if a > b else 0.5 if a == b else 0.0
                        for a in scores(members) for b in scores(non_members))

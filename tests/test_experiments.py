@@ -626,14 +626,30 @@ class TestRun:
         assert f"line {line}:" in message and problem in message
         assert not (tmp_path / "out" / "train_results.csv").exists()
 
-    def test_runtime_failure_exits_1(self, tmp_path, capsys):
-        cfg = minimal_train_config(tmp_path / "out")
-        cfg["data"] = {"path": str(tmp_path / "missing.csv")}
+    def test_empty_out_flag_exits_2_naming_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PRIVREG_OUT", raising=False)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert run("train", cfg_path) == 1
+        cfg_path.write_text(json.dumps(minimal_train_config(tmp_path / "from_config")))
+        assert cli_main(["train", "--config", str(cfg_path), "--out", ""]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert "missing.csv" in err["message"]
+        assert err == {"error": "ConfigError",
+                       "message": "--out: the output directory must not be empty"}
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    @pytest.mark.parametrize("section,key,value", [("", "experiment_id", '"again"'),
+                                                   ("train", "eta", "0.2")])
+    def test_duplicate_key_exits_2_naming_it(self, tmp_path, capsys, section, key, value):
+        text = json.dumps(minimal_train_config(tmp_path / "out"))
+        opening = f'"{section}": {{' if section else "{"  # the first such text in it
+        text = text.replace(opening, f'{opening}"{key}": {value}, ', 1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert run("train", cfg_path) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError",
+                       "message": f"duplicate key {key!r} in the config"}
+        assert not (tmp_path / "out").exists()
 
     def test_attack_command_writes_aggregates(self, tmp_path):
         cfg = small_attack_config(tmp_path / "out")
@@ -871,6 +887,8 @@ BOUNDARY_PROBES = [
     _probe("attack-seed-negative", "attack", {"attack.seed": -1}, "attack.seed"),
     _probe("mechanisms-empty", "attack", {"attack.mechanisms": []}, "attack.mechanisms"),
     _probe("output-formats", "train", {"output.formats": ["csv"]}, "output.formats"),
+    _probe("output-directory-empty", "train", {"output.directory": ""}, "output.directory",
+           "must not be empty"),
     # cross-field rules
     _probe("d-mismatch", "train", {"data.d": 2}, "model.layer_sizes[0]", "data.d"),
     _probe("batch-exceeds-n", "train", {"train.batch_size": 40}, "train.batch_size",
@@ -886,6 +904,18 @@ BOUNDARY_PROBES = [
     _probe("file-batch-exceeds-rows", "train",
            {"data": {"path": "data.csv"}, "model.layer_sizes": [2, 1]},
            "train.batch_size", "data.csv", files={"data.csv": "x0,x1,t\n1,2,3\n"}),
+    # input files that cannot be opened
+    _probe("file-missing", "train", {"data": {"path": "missing.csv"}}, "data.path",
+           "cannot read 'missing.csv'"),
+    _probe("file-path-empty", "train", {"data": {"path": ""}}, "data.path", "cannot read ''"),
+    _probe("file-is-a-directory", "train", {"data": {"path": "."}}, "data.path",
+           "cannot read '.'"),
+    _probe("report-input-missing", "report", {"report.inputs.1": "missing.csv"},
+           "report.inputs[1]", "cannot read 'missing.csv'"),
+    _probe("report-input-empty", "report", {"report.inputs.1": ""}, "report.inputs[1]",
+           "cannot read ''"),
+    _probe("report-input-is-a-directory", "report", {"report.inputs.0": "."},
+           "report.inputs[0]", "cannot read '.'"),
     # report inputs
     _probe("report-empty-csv", "report", {}, "report.inputs[0]", "a.csv", "line 1:",
            files={"a.csv": ""}),
@@ -929,7 +959,7 @@ class TestBoundary:
         assert not (tmp_path / "out" / f"{command}_results.csv").exists()
 
 
-MUTATION_MENU = (-1, 0, 1, 2.5, NAN, INF, "x", True, None, [], {})
+MUTATION_MENU = (-1, 0, 1, 2.5, NAN, INF, "x", "", True, None, [], {})
 
 
 def _nodes(obj, path=()):
@@ -975,6 +1005,4 @@ class TestConfigMutations:
         error = json.loads(stderr.getvalue().splitlines()[-1])["error"]
         allowed = {2: {"ConfigError"},
                    1: {"VerificationFailure", "TrainingDivergedError"}}[code]
-        if command == "report":
-            allowed |= {"FileNotFoundError"}  # an input file that does not exist: exit 1
         assert error in allowed, (code, stderr.getvalue(), cfg)

@@ -23,24 +23,21 @@ def row(*values):
 
 class TestForward:
     def test_linear_hand_case(self):
-        trace = forward(params([0.5, -1.0]), row(2.0, 1.0))
-        assert trace.output[0, 0] == 0.0
+        assert forward(params([0.5, -1.0]), row(2.0, 1.0))[-1][0, 0] == 0.0
 
     def test_zero_parameters(self):
-        trace = forward(params([0.0, 0.0]), row(3.0, -7.0))
-        assert trace.output[0, 0] == 0.0
+        assert forward(params([0.0, 0.0]), row(3.0, -7.0))[-1][0, 0] == 0.0
 
     def test_basis_vector_extracts_coordinate(self):
         theta = np.array([0.3, -2.0, 1.7])
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
-        trace = forward(params(theta, spec), np.eye(3))
-        assert np.array_equal(trace.output[:, 0], theta)
+        assert np.array_equal(forward(params(theta, spec), np.eye(3))[-1][:, 0], theta)
 
     def test_repeated_calls_identical(self):
         spec = ModelSpec(layer_sizes=(3, 4, 1), activation="tanh")
         p = init_params(spec, RngStream(3))
         x = row(0.1, -0.2, 0.5)
-        assert np.array_equal(forward(p, x).output, forward(p, x).output)
+        assert np.array_equal(forward(p, x)[-1], forward(p, x)[-1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -73,8 +70,8 @@ class TestLinearUnit:
         other = ModelSpec(layer_sizes=(3, 1), activation=activation, include_bias=bias)
         theta = init_params(identity, RngStream(6)).flat * 40.0  # outputs far past tanh's knee
         x = RngStream(7).normal(3.0, 5 * 3).reshape(5, 3)
-        got = forward(ParameterSet(other, theta), x).output
-        assert np.array_equal(got, forward(ParameterSet(identity, theta), x).output)
+        got = forward(ParameterSet(other, theta), x)[-1]
+        assert np.array_equal(got, forward(ParameterSet(identity, theta), x)[-1])
         assert np.abs(got).max() > 2.0 and got.min() < 0.0
         assert other.is_linear_unit
         assert np.array_equal(linear_unit_features(other, x), linear_unit_features(identity, x))
@@ -109,21 +106,20 @@ class TestBackward:
     def test_linear_hand_case(self):
         p = params([0.5, -1.0])
         x = row(2.0, 1.0)
-        g = backward(forward(p, x), row(1.0))
+        g = backward(p, x, row(1.0))
         assert np.array_equal(g, np.array([[-4.0, -2.0]]))
 
     def test_zero_gradient_at_minimum(self):
         p = params([0.5, -1.0])
         x = row(2.0, 1.0)
-        trace = forward(p, x)
-        g = backward(trace, trace.output)
+        g = backward(p, x, forward(p, x)[-1])
         assert np.array_equal(g, np.zeros((1, 2)))
 
     def test_bias_gradient_is_twice_residual(self):
         spec = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=True)
         p = params([0.5, -1.0, 0.1], spec)
         x = row(2.0, 1.0)
-        g = backward(forward(p, x), row(1.0))
+        g = backward(p, x, row(1.0))
         assert np.allclose(g, [[-3.6, -1.8, -1.8]])
 
     @pytest.mark.parametrize("layer_sizes,activation,bias", [
@@ -132,6 +128,7 @@ class TestBackward:
         ((5, 16, 7, 1), "tanh", True),
         ((3, 6, 2), "tanh", False),
         ((4, 9, 1), "identity", True),
+        ((4, 8, 1), "relu", True),
     ])
     def test_matches_finite_differences(self, layer_sizes, activation, bias):
         spec = ModelSpec(layer_sizes=layer_sizes, activation=activation,
@@ -147,42 +144,43 @@ class TestBackward:
         spec = ModelSpec(layer_sizes=(1, 1, 1), activation="relu", include_bias=False)
         p = params([2.0, 3.0], spec)
         x = row(1.5)
-        trace = forward(p, x)
-        assert trace.output[0, 0] == 9.0
-        g = backward(trace, row(0.0))
+        assert forward(p, x)[-1][0, 0] == 9.0
+        g = backward(p, x, row(0.0))
         # dL/dw2 = 2y * relu(w1 x) = 54; dL/dw1 = 2y * w2 * x = 81
         assert np.allclose(g, [[81.0, 54.0]])
 
-    def test_trace_carries_its_parameters(self):
+    def test_forward_returns_the_batch_then_each_layer_output(self):
         spec = ModelSpec(layer_sizes=(2, 3, 1), activation="tanh")
         p = init_params(spec, RngStream(0))
-        trace = forward(p, row(2.0, 1.0))
-        assert trace.params is p
-        assert backward(trace, row(1.0)).shape == (1, spec.n_params)
+        x = row(2.0, 1.0)
+        batch, hidden, output = forward(p, x)
+        assert np.array_equal(batch, x)
+        assert np.array_equal(hidden, np.tanh(p.weights(0) @ x[0] + p.bias(0))[None, :])
+        assert output.shape == (1, 1)
+        assert backward(p, x, row(1.0)).shape == (1, spec.n_params)
         with pytest.raises(ValueError, match="target shape"):
-            backward(trace, row(1.0, 2.0))
+            backward(p, x, row(1.0, 2.0))
 
     def test_target_shape_must_match_output(self):
         p = params([0.5, -1.0])
-        trace = forward(p, np.array([[2.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
-            backward(trace, np.array([1.0, 2.0]))
+            backward(p, np.array([[2.0, 1.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
 
 
 class TestPerExampleGradients:
     def test_singleton_batch_equals_backward(self):
         p = params([0.5, -1.0])
-        [g] = backward(forward(p, row(2.0, 1.0)), row(1.0))
+        [g] = backward(p, row(2.0, 1.0), row(1.0))
         # 2 * (y - t) * x with y = 0
         assert np.array_equal(g, np.array([-4.0, -2.0]))
         x = np.array([[2.0, 1.0], [0.5, 3.0]])
-        pair = backward(forward(p, x), np.array([[1.0], [2.0]]))
+        pair = backward(p, x, np.array([[1.0], [2.0]]))
         assert np.array_equal(pair[0], g)
 
     def test_identical_examples_identical_gradients(self):
         p = params([0.5, -1.0])
         x = np.array([[2.0, 1.0], [2.0, 1.0]])
-        g1, g2 = backward(forward(p, x), np.ones((2, 1)))
+        g1, g2 = backward(p, x, np.ones((2, 1)))
         assert np.array_equal(g1, g2)
 
     def test_mean_equals_batch_gradient_of_mean_loss(self):
@@ -194,7 +192,7 @@ class TestPerExampleGradients:
         theta = rng.normal(1.0, d)
         spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=False)
         p = ParameterSet(spec, theta)
-        grads = backward(forward(p, x), t[:, None])
+        grads = backward(p, x, t[:, None])
         assert grads.shape == (n, d)
         mean_grad = grads.mean(axis=0)
         matrix_grad = (2.0 / n) * x.T @ (x @ theta - t)
@@ -206,14 +204,14 @@ class TestPerExampleGradients:
         rng = RngStream(7)
         x = rng.normal(1.0, 11 * 3).reshape(11, 3)
         t = rng.normal(1.0, 11 * 2).reshape(11, 2)
-        grads = backward(forward(p, x), t)
+        grads = backward(p, x, t)
         for i in range(11):
-            [single] = backward(forward(p, x[i:i + 1]), t[i:i + 1])
+            [single] = backward(p, x[i:i + 1], t[i:i + 1])
             assert np.array_equal(grads[i], single)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            backward(forward(params([1.0, 2.0]), np.empty((0, 2))), np.empty((0, 1)))
+            backward(params([1.0, 2.0]), np.empty((0, 2)), np.empty((0, 1)))
 
 
 class TestStackedProductsMatchPerRowProducts:

@@ -61,7 +61,7 @@ X_ROW = np.array([[2.0, 1.0]])
 def noise_step(theta, noise, z, eta=0.1):
     """mechanism_step at zero loss gradient: the noisy gradient is the noise."""
     p = ParameterSet(LINEAR2, np.asarray(theta, dtype=np.float64))
-    target = forward(p, X_ROW).output
+    target = forward(p, X_ROW)[-1]
     return mechanism_step(p, X_ROW, target, eta, noise, RegSpec(), z)
 
 

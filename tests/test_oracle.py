@@ -36,14 +36,13 @@ BIASED = ParameterSet(ModelSpec(layer_sizes=(2, 1), include_bias=True),
 def mc_post_update_loss(params, x, t, eta, noises, replicas, seed):
     """(mean, stderr) of the sampled post-update loss per noise shape: the
     first len(noises) checks of check_noisy_step."""
-    checks = check_noisy_step(params, x, t, eta, noises, replicas, seed, 3.0)
+    checks = check_noisy_step(params, x, t, eta, noises, replicas, seed)
     return [(c.mean, c.stderr) for c in checks[:len(noises)]]
 
 
-def cross_term_checks(params, x, t, eta, noises, replicas, seed, threshold):
-    """The cross-term checks of check_noisy_step, one per noise shape."""
-    return check_noisy_step(params, x, t, eta, noises, replicas, seed,
-                            threshold)[len(noises):]
+def cross_term_checks(params, x, t, eta, noises, replicas, seed):
+    """The cross-term estimates of check_noisy_step, one per noise shape."""
+    return check_noisy_step(params, x, t, eta, noises, replicas, seed)[len(noises):]
 
 
 class TestAnalyticPostUpdateLoss:
@@ -97,8 +96,7 @@ class TestMcPostUpdateLoss:
             rows = []
             monkeypatch.setattr(oracle, "_power_sums",
                                 lambda e: rows.append(e.copy()) or real_sums(e))
-            loss, cross = check_noisy_step(theta, x, 1.0, 0.1, (noise,), replicas, seed=5,
-                                           threshold=3.0)
+            loss, cross = check_noisy_step(theta, x, 1.0, 0.1, (noise,), replicas, seed=5)
             return np.concatenate(rows), (loss.mean, loss.stderr), (cross.mean, cross.stderr)
 
         for noise in (IID, PROP):
@@ -182,7 +180,7 @@ class TestBlocksInLanes:
         def checks(cpus):
             lanes(cpus)
             assert oracle.mc_lanes(self.REPLICAS) == min(6, cpus)
-            return check_noisy_step(BIASED, X, 1.3, 0.15, self.SHAPES, self.REPLICAS, 23, 3.0)
+            return check_noisy_step(BIASED, X, 1.3, 0.15, self.SHAPES, self.REPLICAS, 23)
 
         one_lane = checks(1)
         # every row drew (iid, then proportional, per block); mode "none" drew nothing
@@ -208,13 +206,13 @@ class TestBlocksInLanes:
     def test_shapes_together_equal_each_shape_alone(self, lanes, cpus):
         lanes(cpus)
         args = (BIASED, X, 1.3, 0.15)
-        checks = check_noisy_step(*args, self.SHAPES, self.REPLICAS, 24, 3.0)
+        checks = check_noisy_step(*args, self.SHAPES, self.REPLICAS, 24)
         shapes = len(self.SHAPES)
         assert [c.name for c in checks] == (
             [f"post_update_loss[{noise.mode}]" for noise in self.SHAPES]
             + [f"cross_term[{noise.mode}]" for noise in self.SHAPES])
         for i, noise in enumerate(self.SHAPES):
-            alone = check_noisy_step(*args, (noise,), self.REPLICAS, 24, 3.0)
+            alone = check_noisy_step(*args, (noise,), self.REPLICAS, 24)
             assert [checks[i], checks[shapes + i]] == alone
 
 
@@ -230,8 +228,8 @@ def _peak_allocation(run) -> int:
 # Each Monte Carlo check at `replicas` rows.
 MC_CHECKS = {
     "noisy_step": lambda replicas: check_noisy_step(BIASED, X, 1.3, 0.15, (IID, PROP),
-                                                    replicas, 25, 3.0),
-    "moments": lambda replicas: check_moment_identities(1.0, replicas, 25, 3.0),
+                                                    replicas, 25),
+    "moments": lambda replicas: check_moment_identities(1.0, replicas, 25),
     "product_density": lambda replicas: check_product_density(1.0, 1.0, replicas, 40, 25),
 }
 
@@ -257,7 +255,7 @@ from privreg.optimizers import NoiseSpec
 from privreg.oracle import check_noisy_step
 params = ParameterSet(ModelSpec(layer_sizes=(2, 1)), np.array([0.5, -1.0, 0.3]))
 shapes = (NoiseSpec(mode="iid", sigma=0.2), NoiseSpec(mode="proportional", sigma=0.2))
-run = lambda: check_noisy_step(params, np.array([2.0, 1.0]), 1.3, 0.15, shapes, 200_000, 25, 3.0)
+run = lambda: check_noisy_step(params, np.array([2.0, 1.0]), 1.3, 0.15, shapes, 200_000, 25)
 run()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 run()
@@ -281,37 +279,37 @@ def test_blocks_reuse_the_heap_they_free(cpus):
 class TestCrossTerm:
     def test_zero_mean_at_scale(self):
         [check] = cross_term_checks(THETA, X, 0.7, 0.1, (IID,),
-                                    replicas=100_000, seed=6, threshold=3.0)
-        assert check.analytic == 0.0
-        assert check.passed
+                                    replicas=100_000, seed=6)
+        assert check.z == check.mean / check.stderr  # against an analytic 0
+        assert abs(check.z) <= 3.0
 
     def test_zero_sigma_exact(self):
         [check] = cross_term_checks(THETA, X, 0.7, 0.1, (NoiseSpec(mode="none"),),
-                                    replicas=100, seed=7, threshold=3.0)
+                                    replicas=100, seed=7)
         assert check.mean == 0.0
         assert check.z == 0.0
 
     @pytest.mark.parametrize("eta", [0.0, -0.1])
     def test_nonpositive_eta_rejected(self, eta):
         with pytest.raises(ValueError, match="eta must be positive"):
-            check_noisy_step(THETA, X, 0.7, eta, (IID,), replicas=100, seed=8, threshold=3.0)
+            check_noisy_step(THETA, X, 0.7, eta, (IID,), replicas=100, seed=8)
 
     @pytest.mark.parametrize("noise", [IID, PROP, NoiseSpec(mode="iid", sigma=0.2, clip_c=0.5)])
     def test_bias_neuron_zero_mean(self, noise):
         [check] = cross_term_checks(BIASED, X, 0.7, 0.1, (noise,),
-                                    replicas=200_000, seed=9, threshold=3.0)
-        assert check.passed
+                                    replicas=200_000, seed=9)
+        assert abs(check.z) <= 3.0
 
     def test_zero_input_annihilates(self):
         [check] = cross_term_checks(THETA, np.zeros(2), 0.7, 0.1, (IID,),
-                                    replicas=1000, seed=8, threshold=3.0)
+                                    replicas=1000, seed=8)
         assert check.mean == 0.0
 
     def test_noise_off_the_inputs_annihilates(self):
         # proportional noise scales theta_i, and theta_i * x_i = 0 for each i
         params = ParameterSet(LINEAR2, np.array([0.0, -1.0]))
         [check] = cross_term_checks(params, np.array([2.0, 0.0]), 0.7, 0.1, (PROP,),
-                                    replicas=1000, seed=8, threshold=3.0)
+                                    replicas=1000, seed=8)
         assert (check.mean, check.stderr, check.z) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("noise", [IID, PROP, NoiseSpec(mode="iid", sigma=0.4, clip_c=0.5)])
@@ -320,8 +318,7 @@ class TestCrossTerm:
         # post-update estimate is numpy's mean and std of r^2, and the cross
         # term numpy's mean and std of 2c(c - r), to rounding
         replicas, seed, t, eta = 50_001, 27, 1.3, 0.15
-        post_update, cross = check_noisy_step(BIASED, X, t, eta, (noise,), replicas, seed,
-                                              threshold=3.0)
+        post_update, cross = check_noisy_step(BIASED, X, t, eta, (noise,), replicas, seed)
         xv = np.append(X, 1.0)
         batch, target = X[None, :], np.array([[t]])
         c = float(mechanism_step(BIASED, batch, target, eta, noise, RegSpec()).params @ xv) - t
@@ -348,9 +345,11 @@ class TestCrossTerm:
         # 1e-12, and z, which divides their difference, to 1e-9
         shapes = (NoiseSpec(mode="iid", sigma=0.4),
                   NoiseSpec(mode="proportional", sigma=0.4, clip_c=0.5))
-        checks = check_noisy_step(BIASED, X, 1.3, 0.15, shapes, 40_000, 26, 3.0)
-        for check, (analytic, mean, stderr, z) in zip(checks, self.POST_UPDATE_BITS):
-            assert check.analytic == analytic
+        checks = check_noisy_step(BIASED, X, 1.3, 0.15, shapes, 40_000, 26)
+        for shape, check, (analytic, mean, stderr, z) in zip(shapes, checks,
+                                                             self.POST_UPDATE_BITS):
+            assert analytic_post_update_loss(BIASED, X, 1.3, 0.15, shape) == analytic
+            assert check.z == (check.mean - analytic) / check.stderr
             assert (check.mean, check.stderr) == pytest.approx((mean, stderr), rel=1e-12, abs=0)
             assert check.z == pytest.approx(z, rel=1e-9, abs=0)
 
@@ -366,29 +365,30 @@ class TestCrossTerm:
 
         monkeypatch.setattr(oracle, "mechanism_step", off_centre)
         params = ParameterSet(BIASED.spec, np.array([0.5, 1.0, 0.3]))
-        checks = cross_term_checks(params, X, 0.7, 0.1, (IID, PROP), 100_000, seed, 3.0)
-        assert [c.passed for c in checks] == [False, False]
+        checks = cross_term_checks(params, X, 0.7, 0.1, (IID, PROP), 100_000, seed)
+        assert [abs(c.z) <= 3.0 for c in checks] == [False, False]
 
 
 class TestMomentIdentities:
     def test_analytic_triples(self):
         for sigma, triple in ((1.0, (1.0, 3.0, 2.0)), (2.0, (4.0, 48.0, 32.0))):
-            checks = check_moment_identities(sigma, replicas=1000, seed=9, threshold=3.0)
-            assert [c.analytic for c in checks] == list(triple)
+            checks = check_moment_identities(sigma, replicas=1000, seed=9)
+            assert [c.z for c in checks] == [(c.mean - analytic) / c.stderr
+                                             for c, analytic in zip(checks, triple)]
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     def test_checks_pass_at_scale(self, sigma):
-        checks = check_moment_identities(sigma, replicas=200_000, seed=10, threshold=3.0)
-        assert all(c.passed for c in checks)
+        checks = check_moment_identities(sigma, replicas=200_000, seed=10)
+        assert all(abs(c.z) <= 3.0 for c in checks)
 
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
-            check_moment_identities(0.0, replicas=100, seed=0, threshold=3.0)
+            check_moment_identities(0.0, replicas=100, seed=0)
 
     def test_non_integral_replicas_rejected(self):
         # a truncated count would draw 1,000 values and divide by 1000.5
         with pytest.raises(ValueError, match="replicas must be an integer"):
-            check_moment_identities(1.0, 1000.5, 3, 3.0)
+            check_moment_identities(1.0, 1000.5, 3)
 
     @pytest.mark.parametrize("sigma,replicas", [(0.5, 2), (1.0, 100_001), (2.0, 65_537)])
     def test_in_place_summaries_give_numpys_bits(self, sigma, replicas):
@@ -404,7 +404,7 @@ class TestMomentIdentities:
             (float((w * w).mean()), float((w * w).std(ddof=1) / np.sqrt(n))),
             (var_w, float(np.sqrt(max(mu4_w - var_w ** 2 * (n - 3) / (n - 1), 0.0) / n))),
         ]
-        checks = check_moment_identities(sigma, replicas, seed=31, threshold=3.0)
+        checks = check_moment_identities(sigma, replicas, seed=31)
         for check, estimate in zip(checks, expected):
             assert (check.mean, check.stderr) == pytest.approx(estimate, rel=1e-12, abs=0)
 
@@ -570,12 +570,11 @@ class TestRandomizedIdentitySuite:
         modes = ("iid", "proportional")
         for i, s in enumerate(setups):
             noises = tuple(NoiseSpec(mode=mode, sigma=s.sigma) for mode in modes)
-            checks = check_noisy_step(s.params, s.x, s.t, s.eta, noises, 20_000, 900 + i, 3.0)
+            checks = check_noisy_step(s.params, s.x, s.t, s.eta, noises, 20_000, 900 + i)
             assert [(c.kind, c.label) for c in checks] == [
                 (kind, mode) for kind in ("post_update_loss", "cross_term") for mode in modes]
             for check in checks:
                 assert check.name == f"{check.kind}[{check.label}]"
-                assert check.seed == 900 + i
                 if check.kind == "post_update_loss":
                     assert abs(check.z) <= 3.0, f"{check.label}[{i}]: z = {check.z}"
 

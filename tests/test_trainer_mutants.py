@@ -101,7 +101,7 @@ X = np.array([2.0, 1.0])
 def test_no_noise_on_the_bias_fails_the_iid_post_update_loss(monkeypatch, seed):
     monkeypatch.setattr(oracle, "mechanism_step", no_noise_on_the_bias)
     check = check_noisy_step(BIASED, X, 0.3, 0.15, (NoiseSpec(mode="iid", sigma=0.4),),
-                             REPLICAS, seed, 3.0)[0]
+                             REPLICAS, seed)[0]
     assert check.name == "post_update_loss[iid]"
     assert abs(check.z) >= MIN_Z
 
@@ -111,5 +111,5 @@ def test_clip_after_the_noise_fails_every_check(monkeypatch, seed):
     monkeypatch.setattr(oracle, "mechanism_step", clip_after_the_noise)
     noises = tuple(NoiseSpec(mode=mode, sigma=0.4, clip_c=0.5)
                    for mode in ("iid", "proportional"))
-    checks = check_noisy_step(BIASED, X, 1.3, 0.15, noises, REPLICAS, seed, 3.0)
+    checks = check_noisy_step(BIASED, X, 1.3, 0.15, noises, REPLICAS, seed)
     assert len(checks) == 4 and all(abs(c.z) >= MIN_Z for c in checks)
