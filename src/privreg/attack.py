@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset, ModelSpec, ParameterSet, forward, quadratic_loss
-from .numerics import RngStream
-from .optimizers import (STREAM_NOISE, STREAM_SHUFFLE, NoiseSpec, initial_params_for,
-                         mechanism_label, mechanism_step)
+from .numerics import (ATTACK_RESTART, ATTACK_TRIAL, TRAIN_NOISE, TRAIN_SHUFFLE,
+                       RngStream)
+from .optimizers import NoiseSpec, initial_params_for, mechanism_label, mechanism_step
 from .regularizers import RegSpec
 
 COSINE_SUCCESS = 0.99
@@ -142,10 +142,12 @@ def _descend(theta: np.ndarray, bias: np.ndarray, target: np.ndarray,
     return best_obj, best_x
 
 
-def _restart_starts(seed: int, restarts: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The descent's starting (x, t) for restarts r < restarts: x is one
-    normal(1, d) call of RngStream(seed, r), t one draw after it."""
-    rngs = [RngStream(seed, r) for r in range(restarts)]
+def _restart_starts(seed: int, trial: int, restarts: int,
+                    d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The descent's starting (x, t) for the restarts r < restarts of a
+    trial: x is one normal(1, d) call of RngStream(seed, ATTACK_RESTART,
+    trial, r), t one draw after it."""
+    rngs = [RngStream(seed, ATTACK_RESTART, trial, r) for r in range(restarts)]
     x0 = np.array([rng.normal(1.0, d) for rng in rngs])
     return x0, np.array([rng.normal(1.0, 1)[0] for rng in rngs])
 
@@ -225,10 +227,11 @@ def leakage_sweep(spec: ModelSpec, data: Dataset,
     (its first shuffled example, first noise row and starting
     parameters), attack its gradient with both inverters, and aggregate.
 
-    Trial k draws its start, example, noise row and restart starts once,
-    from seed + k, and every mechanism steps from them: identical mechanism
-    entries produce identical reports and different mechanisms see the
-    same data order and underlying noise draws.
+    Trial k's step is that of train() under the key prefix (ATTACK_TRIAL,
+    k), and its descent restarts start from (ATTACK_RESTART, k, r).  Each
+    is drawn once, and every mechanism steps from them: identical
+    mechanism entries produce identical reports and different mechanisms
+    see the same data order and underlying noise draws.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -239,12 +242,12 @@ def leakage_sweep(spec: ModelSpec, data: Dataset,
         raise ValueError(f"step must be positive, got {step}")
 
     d = spec.input_dim
-    params0 = [initial_params_for(spec, seed + k) for k in range(trials)]
-    first = np.array([RngStream(seed + k, STREAM_SHUFFLE).permutation(len(data))[:1]
-                      for k in range(trials)])
-    z = [RngStream(seed + k, STREAM_NOISE).normal(1.0, spec.n_params)
+    params0 = [initial_params_for(spec, seed, (ATTACK_TRIAL, k)) for k in range(trials)]
+    shuffles = [RngStream(seed, ATTACK_TRIAL, k, TRAIN_SHUFFLE) for k in range(trials)]
+    first = np.array([rng.permutation(len(data))[:1] for rng in shuffles])
+    z = [RngStream(seed, ATTACK_TRIAL, k, TRAIN_NOISE).normal(1.0, spec.n_params)
          for k in range(trials)]
-    starts = [_restart_starts(seed + k, restarts, d) for k in range(trials)]
+    starts = [_restart_starts(seed, k, restarts, d) for k in range(trials)]
     x0, t0 = np.array([x for x, _ in starts]), np.array([t for _, t in starts])
     target = np.array([
         mechanism_step(params0[k], data.x[first[k]], data.t[first[k]], eta, noise, reg,

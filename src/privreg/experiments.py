@@ -11,7 +11,11 @@ config produce byte-identical CSVs; only the manifest's timestamp and
 telemetry differ.
 
 verify and moments run a table of (phase, check function) pairs through
-one runner (_run_checks), which times the phases and decides every gate.
+one runner (_run_checks), which times the phases and decides every gate:
+each exact check at its own tolerance, and every z-score of the run as
+one family held to the false-failure rate that oracle.threshold names
+(_family_bound).  Every row of a run carries the run's seed; its draws
+come from streams keyed by purpose (see privreg.numerics).
 
 Metric vocabulary by subcommand:
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -54,7 +59,9 @@ import numpy as np
 from . import __version__
 from .attack import COSINE_SUCCESS, leakage_sweep, membership_inference
 from .model import ACTIVATIONS, Dataset, ModelSpec, ParameterSet, init_params
-from .numerics import RngStream
+from .numerics import (ATTACK_MEMBERSHIP, DATA_FEATURES, DATA_HIDDEN, DATA_TARGET_NOISE,
+                       TRAIN_NOISE, VERIFY_GRAD_CHECK, VERIFY_MOMENTS, VERIFY_NOISY_STEP,
+                       VERIFY_STEP_EXPECTATION, VERIFY_TRAJECTORY, RngStream)
 from .optimizers import (NOISE_MODES, NoiseSpec, TrainConfig, initial_params_for,
                          mechanism_label, mechanism_step, train)
 from .oracle import (PENALTY_KINDS, LinearSetup, backprop_grad_check,
@@ -133,29 +140,35 @@ def _read_csv(path, field: str, header_text: str,
               header_ok: Callable[[list[str]], bool]) -> list[tuple[int, list[str]]]:
     """(1-based line, record) for every row of a CSV file after its header.
 
-    A file that cannot be opened, an empty file, a header that fails
-    `header_ok`, or a row not as long as the header raises ConfigError
-    naming `field`, the file and, past the opening, the line.
+    A file that cannot be opened, a file that is not UTF-8 text, an empty
+    file, a header that fails `header_ok`, or a row not as long as the
+    header raises ConfigError naming `field`, the file and, past the
+    opening, the line.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"field '{field}': cannot read {str(path)!r}: "
                           f"{exc.strerror or exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise _file_error(field, path, 1, f"empty file, expected the header {header_text}")
-        if not header_ok(header):
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _file_error(field, path, raw.count(b"\n", 0, exc.start) + 1,
+                          f"not UTF-8 text: byte 0x{raw[exc.start]:02x}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise _file_error(field, path, 1, f"empty file, expected the header {header_text}")
+    if not header_ok(header):
+        raise _file_error(field, path, reader.line_num,
+                          f"header must be {header_text}, got {header}")
+    records = []
+    for rec in reader:
+        if len(rec) != len(header):
             raise _file_error(field, path, reader.line_num,
-                              f"header must be {header_text}, got {header}")
-        records = []
-        for rec in reader:
-            if len(rec) != len(header):
-                raise _file_error(field, path, reader.line_num,
-                                  f"expected {len(header)} values, got {len(rec)}")
-            records.append((reader.line_num, rec))
+                              f"expected {len(header)} values, got {len(rec)}")
+        records.append((reader.line_num, rec))
     return records
 
 
@@ -164,8 +177,9 @@ def _read_csv(path, field: str, header_text: str,
 
 
 def generate_dataset(kind: str, n: int, d: int, noise_level: float,
-                     seed: int) -> Dataset:
-    """Synthetic regression data with per-column standardized features.
+                     seed: int, key: tuple[int, ...] = ()) -> Dataset:
+    """Synthetic regression data with per-column standardized features,
+    drawn from the streams (*key, DATA_...) of `seed`.
 
     noisy_linear: t = w*.x + N(0, noise_level^2) for a hidden seeded w*
     (at noise_level 0 a least-squares fit recovers w* exactly).  clusters:
@@ -179,9 +193,9 @@ def generate_dataset(kind: str, n: int, d: int, noise_level: float,
     if noise_level < 0:
         raise ValueError("noise_level must be nonnegative")
 
-    features = RngStream(seed, 0)
-    target_noise = RngStream(seed, 1)
-    hidden = RngStream(seed, 2)
+    features = RngStream(seed, *key, DATA_FEATURES)
+    target_noise = RngStream(seed, *key, DATA_TARGET_NOISE)
+    hidden = RngStream(seed, *key, DATA_HIDDEN)
 
     if kind == "noisy_linear":
         x = features.normal(1.0, n * d).reshape(n, d)
@@ -429,8 +443,7 @@ _SECTIONS = {
     "oracle": Field(dict, fields={
         "seed": _SEED,
         "replicas": Field(int, rule=_at_least(2)),
-        # setup i draws from seed + 1000 + i, sigma j's moments from seed + 3000 + j
-        "configs": Field(int, rule=("between 1 and 2000", lambda v: 1 <= v <= 2000)),
+        "configs": Field(int, rule=_at_least(1)),
         "threshold": Field(float, rule=_POSITIVE),
         "sigmas": Field(list, rule=_NONEMPTY, items=Field(float, rule=_POSITIVE)),
         "bins": Field(int, rule=_at_least(10)),
@@ -563,12 +576,14 @@ def _load_data(config: ExperimentConfig, command: str) -> Dataset:
 class RunTelemetry:
     """What a run says about itself in its manifest, never in its CSV:
     wall seconds per phase, lanes per phase run in lanes (see oracle.mc_lanes),
-    and every failed check as (name, value, bound), a check passing when
-    value <= bound."""
+    the family gate of verify and moments (its size k, rate alpha and
+    bound on |z|; None for the other subcommands), and every failed check
+    as (name, value, bound), a check passing when value <= bound."""
 
     def __init__(self):
         self.timings: dict[str, float] = {}
         self.lanes: dict[str, int] = {}
+        self.family_gate: dict[str, float] | None = None
         self.failed_checks: list[tuple[str, float, float]] = []
 
     @contextmanager
@@ -598,16 +613,23 @@ def _cmd_train(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Result
 
 @dataclass(frozen=True)
 class _CheckRow:
-    """A verify or moments CSV row, less its experiment id; with a bound, its
-    check `check` (the metric if None) passes when |value| <= bound."""
+    """A verify or moments CSV row, less its experiment id and its seed (the
+    run's).  A gated row's check `check` (the metric if None) passes when
+    |value| <= its bound: `bound` for an exact check, or for a row that
+    stands for `zs` z-scores of the run's family, the family's bound on |z|
+    times `unit`, the standard error that |value| is measured in.  A row
+    with a `bound_metric` is followed by a row of that name holding its
+    bound."""
 
     mechanism: str
     metric: str
     value: float
-    seed: int
     stderr: float | None = None
     bound: float | None = None
+    zs: int = 0
+    unit: float = 1.0
     check: str | None = None
+    bound_metric: str | None = None
 
 
 def _worst(values) -> float:
@@ -622,23 +644,54 @@ _PHASE_LANES = {"post_update_mc": lambda oc: mc_lanes(oc.replicas),
                     mc_lanes(oc.replicas), mc_lanes(oc.product_replicas))}
 
 
+def _family_bound(threshold: float, tests: int) -> tuple[float, float]:
+    """(alpha, b) for a family of `tests` z-scores: alpha = erfc(threshold
+    / sqrt 2) is the rate at which one |z| <= threshold test fails a
+    correct program, and b solves erfc(b / sqrt 2) = alpha / tests.  Gating
+    every z of the family at |z| <= b fails a correct program with
+    probability at most alpha (Bonferroni), however the z-scores depend on
+    each other.  b is found by bisection on math.erfc, to the last bit, and
+    errs high by at most one ulp."""
+    alpha = math.erfc(threshold / math.sqrt(2.0))
+    target = alpha / max(tests, 1)
+
+    def tail(b: float) -> float:
+        return math.erfc(b / math.sqrt(2.0))
+
+    lo, hi = threshold, 2.0 * threshold
+    while tail(hi) > target:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if tail(mid) > target else (lo, mid)
+    return alpha, hi
+
+
 def _run_checks(config: ExperimentConfig, telemetry: RunTelemetry, verdict: str,
                 phases: list[tuple[str, Callable[[OracleConfig], list[_CheckRow]]]]
                 ) -> list[ResultRow]:
     """The rows of each (phase, check function) in order, each function
     timed as its phase, then the `verdict` row, 1 if every gate passed.
-    Every gate of verify and moments is decided here, in row order."""
+    Every gate of verify and moments is decided here, in row order: each
+    exact check at its own bound, and all the run's z-scores as one family
+    at the bound _family_bound gives for oracle.threshold."""
     oc, checked = config.oracle, []
     for phase, checks in phases:
         with telemetry.phase(phase):
             checked += checks(oc)
         if phase in _PHASE_LANES:
             telemetry.lanes[phase] = _PHASE_LANES[phase](oc)
-    telemetry.failed_checks += [(r.check or r.metric, float(abs(r.value)), float(r.bound))
-                                for r in checked
-                                if r.bound is not None and not abs(r.value) <= r.bound]
-    eid = config.experiment_id
-    rows = [ResultRow(eid, r.mechanism, r.metric, r.value, r.stderr, r.seed) for r in checked]
+    tests = sum(r.zs for r in checked)
+    alpha, z_bound = _family_bound(oc.threshold, tests)
+    telemetry.family_gate = {"k": tests, "alpha": alpha, "z_bound": z_bound}
+    eid, rows = config.experiment_id, []
+    for r in checked:
+        bound = z_bound * r.unit if r.zs else r.bound
+        rows.append(ResultRow(eid, r.mechanism, r.metric, r.value, r.stderr, oc.seed))
+        if r.bound_metric is not None:
+            rows.append(ResultRow(eid, r.mechanism, r.bound_metric, bound, None, oc.seed))
+        if bound is not None and not abs(r.value) <= bound:
+            telemetry.failed_checks.append((r.check or r.metric, float(abs(r.value)),
+                                            float(bound)))
     return rows + [ResultRow(eid, "all", verdict, float(not telemetry.failed_checks), None,
                              oc.seed)]
 
@@ -663,24 +716,23 @@ def _cmd_moments(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resu
 
 def _noisy_step_rows(setups: list[LinearSetup], oc: OracleConfig) -> list[_CheckRow]:
     """The post-update loss and cross term checks: check_noisy_step for
-    setup i from seed + 1000 + i in both noise shapes, each check in lanes
-    of its own (oracle.mc_lanes).  Rows go kind by kind, shape by shape,
-    then setup by setup; the cross term is written for the first ten."""
-    seeds = [oc.seed + 1000 + i for i in range(len(setups))]
+    setup i from the key (VERIFY_NOISY_STEP, i) in both noise shapes, each
+    check in lanes of its own (oracle.mc_lanes).  Rows go kind by kind,
+    shape by shape, then setup by setup; the cross term is written, and
+    gated, for the first ten."""
     per_setup = [check_noisy_step(s.params, s.x, s.t, s.eta,
                                   tuple(NoiseSpec(mode=mode, sigma=s.sigma)
                                         for mode in ("iid", "proportional")),
-                                  oc.replicas, seed)
-                 for s, seed in zip(setups, seeds)]
+                                  oc.replicas, oc.seed, (VERIFY_NOISY_STEP, i))
+                 for i, s in enumerate(setups)]
     rows = []
     for column in zip(*per_setup):
-        for i, (c, seed) in enumerate(zip(column, seeds)):
+        for i, c in enumerate(column):
             if c.kind == "cross_term" and i >= 10:
                 break
-            rows.append(_CheckRow(c.label, f"{c.kind}_z", c.z, seed, bound=oc.threshold,
-                                  check=f"{c.name}[{i}]"))
+            rows.append(_CheckRow(c.label, f"{c.kind}_z", c.z, zs=1, check=f"{c.name}[{i}]"))
             if c.kind == "post_update_loss":
-                rows.append(_CheckRow(c.label, "post_update_loss_mc", c.mean, seed, c.stderr))
+                rows.append(_CheckRow(c.label, "post_update_loss_mc", c.mean, c.stderr))
     return rows
 
 
@@ -689,36 +741,38 @@ def _equivalence_rows(setups: list[LinearSetup], oc: OracleConfig) -> list[_Chec
     worst residual over the setups, per noise shape."""
     residuals = [equivalence_chain_residuals(s) for s in setups]
     return [_CheckRow(mode, "equivalence_residual", _worst([r[k] for r in residuals]),
-                      oc.seed, bound=1e-12, check=f"equivalence_residual[{mode}]")
+                      bound=1e-12, check=f"equivalence_residual[{mode}]")
             for k, mode in enumerate(("iid", "proportional"))]
 
 
 def _moment_rows(oc: OracleConfig) -> list[_CheckRow]:
-    """The moment checks, sigma i drawing from seed + 3000 + i, and the
-    product density, drawing from seed + 1, each in lanes of its own
+    """The moment checks, sigma j drawing from the key (VERIFY_MOMENTS, j),
+    and the product density, whose 2 * bins bin z-scores join the family
+    through their largest |z|, each check in lanes of its own
     (oracle.mc_lanes)."""
-    rows = [_CheckRow(f"gaussian({c.label})", f"{c.kind}_z", c.z, seed, bound=oc.threshold,
-                      check=c.name)
-            for seed, sigma in enumerate(oc.sigmas, oc.seed + 3000)
-            for c in check_moment_identities(sigma, oc.replicas, seed)]
-    density = check_product_density(1.0, 1.0, oc.product_replicas, oc.bins, oc.seed + 1)
-    mech, seed = "product(sigma_x=1,sigma_y=1)", oc.seed + 1
+    rows = [_CheckRow(f"gaussian({c.label})", f"{c.kind}_z", c.z, zs=1, check=c.name)
+            for j, sigma in enumerate(oc.sigmas)
+            for c in check_moment_identities(sigma, oc.replicas, oc.seed, (VERIFY_MOMENTS, j))]
+    density = check_product_density(1.0, 1.0, oc.product_replicas, oc.bins, oc.seed)
+    mech = "product(sigma_x=1,sigma_y=1)"
     return rows + [
-        _CheckRow(mech, "product_density_max_abs_z", density.max_abs_z, seed, bound=4.0),
-        _CheckRow(mech, "product_density_chi2", density.chi2, seed),
-        _CheckRow(mech, "product_density_symmetry_max_z", _worst(density.symmetry_z), seed),
+        _CheckRow(mech, "product_density_max_abs_z", density.max_abs_z, zs=2 * oc.bins),
+        _CheckRow(mech, "product_density_chi2", density.chi2),
+        _CheckRow(mech, "product_density_symmetry_max_z", _worst(density.symmetry_z)),
     ]
 
 
 def _trajectory_identity(oc: OracleConfig) -> list[_CheckRow]:
-    """Train with and without the input-only penalty; compare trajectories."""
-    data = generate_dataset("noisy_linear", 100, 5, 0.2, oc.seed + 31)
+    """Train with and without the input-only penalty; compare trajectories.
+    Both runs draw from the same streams, keyed VERIFY_TRAJECTORY, so
+    only the penalty may tell them apart."""
+    key = (VERIFY_TRAJECTORY,)
+    data = generate_dataset("noisy_linear", 100, 5, 0.2, oc.seed, key)
     spec = ModelSpec(layer_sizes=(5, 1), activation="identity", include_bias=True)
     base = TrainConfig(eta=0.05, batch_size=10, epochs=oc.trajectory_epochs,
-                       seed=oc.seed + 32, record_gradients=True)
-    with_term = replace(base, reg=RegSpec(input_kappa=0.7))
-    plain = train(spec, data, base)
-    shifted = train(spec, data, with_term)
+                       seed=oc.seed, record_gradients=True)
+    plain, shifted = (train(spec, data, replace(base, reg=reg), key=key)
+                      for reg in (RegSpec(), RegSpec(input_kappa=0.7)))
 
     param_diff = _worst(plain.final_params.flat - shifted.final_params.flat)
     record_diff = _worst(np.concatenate([
@@ -727,7 +781,7 @@ def _trajectory_identity(oc: OracleConfig) -> list[_CheckRow]:
     mean_input_sq = float(np.mean(dp_input_penalty(data.x, 0.7)))
     shift_residual = _worst([(s - p) - mean_input_sq
                              for p, s in zip(plain.epoch_losses, shifted.epoch_losses)])
-    return [_CheckRow("input_penalty", f"trajectory_{metric}", value, oc.seed, bound=bound)
+    return [_CheckRow("input_penalty", f"trajectory_{metric}", value, bound=bound)
             for metric, value, bound in (("param_diff", param_diff, 0.0),
                                          ("record_diff", record_diff, 0.0),
                                          ("loss_shift_residual", shift_residual, 1e-9))]
@@ -737,23 +791,25 @@ def _step_expectation(oc: OracleConfig) -> list[_CheckRow]:
     """Mean of many noisy steps vs the clean step, all from one start.
 
     The clean step is one full batch of the data in stored order; the
-    noisy steps are the same batch with each of n rows of one noise block
-    from RngStream(seed + 100, 0), taken as one mechanism_step.
+    noisy steps are the same batch with each of n rows of one noise block,
+    taken as one mechanism_step.  The data, the start and the noise are
+    keyed VERIFY_STEP_EXPECTATION.  Each coordinate of the mean step is off
+    the clean one by eta * sigma * mean(z_i), so the worst error joins the
+    family as one z-score per coordinate, in units of eta * sigma / sqrt(n).
     """
-    eta, sigma = 0.1, 0.3
-    data = generate_dataset("noisy_linear", 8, 3, 0.1, oc.seed + 41)
+    eta, sigma, key = 0.1, 0.3, (VERIFY_STEP_EXPECTATION,)
+    data = generate_dataset("noisy_linear", 8, 3, 0.1, oc.seed, key)
     spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
-    init = initial_params_for(spec, oc.seed + 42)
+    init = initial_params_for(spec, oc.seed, key)
     noise = NoiseSpec(mode="iid", sigma=sigma)
     clean = mechanism_step(init, data.x, data.t, eta, noise, RegSpec()).params
 
-    n = oc.expectation_replicas
-    z = RngStream(oc.seed + 100, 0).normal(1.0, n * spec.n_params).reshape(n, spec.n_params)
+    n, width = oc.expectation_replicas, spec.n_params
+    z = RngStream(oc.seed, *key, TRAIN_NOISE).normal(1.0, n * width).reshape(n, width)
     noisy = mechanism_step(init, data.x, data.t, eta, noise, RegSpec(), z).params
-    err = _worst(noisy.sum(axis=0) / n - clean)
-    bound = 3.0 * eta * sigma / np.sqrt(n)
-    return [_CheckRow("iid", "step_expectation_err", err, oc.seed, bound=bound),
-            _CheckRow("iid", "step_expectation_bound", bound, oc.seed)]
+    return [_CheckRow("iid", "step_expectation_err", _worst(noisy.sum(axis=0) / n - clean),
+                      zs=width, unit=eta * sigma / math.sqrt(n),
+                      bound_metric="step_expectation_bound")]
 
 
 # Bound on each gradient's worst relative error against finite differences.
@@ -763,7 +819,7 @@ _GRAD_BOUNDS = {"l2": 1e-8, "pdp": 1e-8, "combined": 1e-8, "dp_input": 1e-10,
 
 def _grad_check_suite(oc: OracleConfig) -> list[_CheckRow]:
     """Penalty gradients and backprop against finite differences."""
-    rng = RngStream(oc.seed, 7)
+    rng = RngStream(oc.seed, VERIFY_GRAD_CHECK, 0)
     errors = {kind: [] for kind in _GRAD_BOUNDS}
     for _ in range(20):
         d = 2 + int(rng.uniform(1)[0] * 5)
@@ -776,7 +832,7 @@ def _grad_check_suite(oc: OracleConfig) -> list[_CheckRow]:
             errors[kind].append(grad_check(kind, params, x, lam, kappa))
 
     spec = ModelSpec(layer_sizes=(4, 6, 1), activation="tanh", include_bias=True)
-    init_rng = RngStream(oc.seed, 8)
+    init_rng = RngStream(oc.seed, VERIFY_GRAD_CHECK, 1)
     for _ in range(5):
         params = init_params(spec, init_rng)
         x = rng.normal(1.0, 4)
@@ -784,7 +840,7 @@ def _grad_check_suite(oc: OracleConfig) -> list[_CheckRow]:
         errors["backprop"].append(backprop_grad_check(params, x, t))
 
     return [_CheckRow("gradients", f"grad_check_{kind}_max_rel_err", _worst(errors[kind]),
-                      oc.seed, bound=bound) for kind, bound in _GRAD_BOUNDS.items()]
+                      bound=bound) for kind, bound in _GRAD_BOUNDS.items()]
 
 
 def _cmd_attack(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
@@ -822,7 +878,7 @@ def _membership_rows(config: ExperimentConfig, data: Dataset) -> list[ResultRow]
         label = mechanism_label(noise, reg)
         train_config = TrainConfig(eta=ac.eta, batch_size=min(8, half), epochs=50,
                                    seed=ac.seed, noise=noise, reg=reg)
-        report = train(config.model, members, train_config)
+        report = train(config.model, members, train_config, key=(ATTACK_MEMBERSHIP,))
         auc = membership_inference(report.final_params, members, fresh)
         rows.append(ResultRow(config.experiment_id, label, "membership_auc", auc,
                               None, ac.seed))
@@ -885,8 +941,8 @@ def _write_manifest(path: Path, config: ExperimentConfig, command: str,
                     telemetry: RunTelemetry, rows: int) -> None:
     """The run's record beside its CSV: config hash, seeds, versions, the
     CSV's row count, and telemetry (seconds per phase, lanes per phase run
-    in lanes, the process's peak RSS so far, failed checks), which only the
-    manifest carries.  It is strict JSON: a failed check's non-finite value
+    in lanes, the family gate, the process's peak RSS so far, failed
+    checks), which only the manifest carries.  It is strict JSON: a failed check's non-finite value
     or bound is written as the string "nan", "inf" or "-inf"."""
     canonical = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
     manifest = {
@@ -903,6 +959,7 @@ def _write_manifest(path: Path, config: ExperimentConfig, command: str,
         "rows": rows,
         "timings": telemetry.timings,
         "lanes": telemetry.lanes,
+        "family_gate": telemetry.family_gate,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "failed_checks": [[name, *(v if math.isfinite(v) else str(v) for v in numbers)]
                           for name, *numbers in telemetry.failed_checks],

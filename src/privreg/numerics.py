@@ -1,7 +1,15 @@
 """Seeded sampling.
 
 All stochastic code in the package draws through :class:`RngStream`, so a
-run is fully reproducible from its (seed, stream_id) pairs.
+run is fully reproducible from the (seed, key) pairs of its streams.  A
+stream's key names what it is for: a purpose from the table below, then
+the indices of the draw (a trial, a restart, a Monte Carlo check and
+block).  A function that draws on behalf of its caller takes the caller's
+key as a prefix and puts its own purpose after it, as train does under an
+attack trial's key.  Keys of different purposes never match, and runs of
+different seeds never share a stream, so no two draws of a run, or of two
+runs, are secretly the same numbers.  This is the keyed-stream design of
+Salmon et al. (SC'11, "Parallel random numbers: as easy as 1, 2, 3").
 """
 
 from __future__ import annotations
@@ -11,35 +19,61 @@ import numbers
 
 import numpy as np
 
+# Stream purposes, the first part of every key.  Data and train purposes
+# also follow a caller's prefix: (ATTACK_TRIAL, k, TRAIN_NOISE) is the
+# noise of trial k's training step.
+DATA_FEATURES = 1
+DATA_TARGET_NOISE = 2
+DATA_HIDDEN = 3              # noisy_linear's w*, or the clusters' direction
+TRAIN_INIT = 4
+TRAIN_SHUFFLE = 5
+TRAIN_NOISE = 6
+ATTACK_TRIAL = 7             # (ATTACK_TRIAL, trial): that trial's train draws
+ATTACK_RESTART = 8           # (ATTACK_RESTART, trial, restart): a descent's start
+ATTACK_MEMBERSHIP = 9        # prefix of the membership attack's training runs
+VERIFY_SETUPS = 10           # the randomized linear-neuron setups
+VERIFY_NOISY_STEP = 11       # (VERIFY_NOISY_STEP, setup, stream, block)
+VERIFY_MOMENTS = 12          # (VERIFY_MOMENTS, sigma index, stream, block)
+VERIFY_PRODUCT_DENSITY = 13  # (VERIFY_PRODUCT_DENSITY, stream, block)
+VERIFY_TRAJECTORY = 14       # prefix of the trajectory check's data and runs
+VERIFY_STEP_EXPECTATION = 15  # prefix of the step expectation's data, start, noise
+VERIFY_GRAD_CHECK = 16       # (VERIFY_GRAD_CHECK, 0): cases; (..., 1): net inits
+
+# SeedSequence takes a key as 32-bit words, so each part is one word and
+# no two keys give the same words.
+KEY_PART_LIMIT = 1 << 32
+
 # Box-Muller pairs computed per pass over the scratch: 2**15 pairs keep the
 # three scratch rows (768 KB) in cache.
 BOX_MULLER_PAIRS = 1 << 15
 
 
 class RngStream:
-    """Deterministic random stream keyed by (seed, stream_id).
+    """Deterministic random stream keyed by (seed, *key).
 
     The same key replays the same sample sequence on every run; distinct
-    stream_ids give statistically independent substreams.  The underlying
-    bit source is PCG64 seeded via SeedSequence(seed, spawn_key=(stream_id,)),
-    whose output stream numpy guarantees stable.  Gaussian deviates are
-    produced by the Box-Muller transform over 53-bit uniforms (pairs
-    interleaved), so the normal sequence is pinned by this module rather
-    than by the numpy version in use.  skip jumps the stream ahead, so
-    threads can each draw their own part of one sequence.
+    keys give statistically independent streams.  The underlying bit
+    source is PCG64 seeded via SeedSequence(seed, spawn_key=key), whose
+    output stream numpy guarantees stable.  Gaussian deviates are produced
+    by the Box-Muller transform over 53-bit uniforms (pairs interleaved),
+    so the normal sequence is pinned by this module rather than by the
+    numpy version in use.
     """
 
-    def __init__(self, seed: int, stream_id: int = 0):
-        for name, value in (("seed", seed), ("stream_id", stream_id)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    def __init__(self, seed: int, *key: int):
+        checks = [("seed", seed, math.inf, "an integer >= 0")]
+        checks += [("key part", part, KEY_PART_LIMIT, "an integer in [0, 2**32)") for part in key]
+        for name, value, limit, rule in checks:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or not 0 <= value < limit:
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
         self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+        self.key = tuple(int(part) for part in key)
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
     def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+        return f"RngStream(seed={self.seed}, key={self.key})"
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
@@ -68,17 +102,6 @@ class RngStream:
         if std != 1:  # a product with 1 is exact, so skipping it changes no bit
             out *= float(std)
         return out[:n] if n % 2 else out
-
-    def skip(self, n: int) -> None:
-        """Move the stream past the next n normals without computing them:
-        skip(n) then normal(s, m) gives the bits that normal(1, n) then
-        normal(s, m) give.  n must be even and >= 0, as Box-Muller consumes
-        one uniform per deviate only in even-size calls; PCG64.advance
-        jumps over the n uniforms in O(log n) steps."""
-        n = _count(n)
-        if n < 0 or n % 2:
-            raise ValueError(f"n must be even and >= 0, got {n}")
-        self._gen.bit_generator.advance(n)
 
     def _box_muller(self, out: np.ndarray) -> None:
         """Fill the even-length `out` with standard normals, in place.

@@ -24,12 +24,15 @@ mechanism_step also takes R noise rows at once: that is how the oracle
 samples many noisy steps from one starting point, one block of rows at a
 time, stepping each block once per noise shape.
 
-A run is deterministic given its seed.  Three fixed substreams are used:
-STREAM_INIT for parameter init, STREAM_SHUFFLE for epoch permutations,
-STREAM_NOISE for gradient noise.  train() draws its noise in blocks of
-about NOISE_BLOCK normals, one call per block rather than one per step;
-_noise_rows pads each row as a per-step call would, so step s gets the
-bits it would get from the s-th of one draw per step.
+A run is deterministic given its seed and its key prefix (see
+privreg.numerics): it draws its init, its epoch permutations and its
+gradient noise from the keys (*prefix, TRAIN_INIT), (*prefix,
+TRAIN_SHUFFLE) and (*prefix, TRAIN_NOISE).  A run on its own takes the
+empty prefix; a caller that trains for a purpose of its own (an attack
+trial, verify's trajectory check) passes its key.  train() draws its
+noise in blocks of about NOISE_BLOCK normals, one call per block rather
+than one per step; _noise_rows pads each row as a per-step call would, so
+step s gets the bits it would get from the s-th of one draw per step.
 """
 
 from __future__ import annotations
@@ -44,15 +47,11 @@ import numpy as np
 
 from .model import (Dataset, ModelSpec, ParameterSet, backward, forward,
                     init_params, quadratic_loss)
-from .numerics import RngStream
+from .numerics import TRAIN_INIT, TRAIN_NOISE, TRAIN_SHUFFLE, RngStream
 from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
                            pdp_grad, pdp_penalty)
 
 NOISE_MODES = ("none", "iid", "proportional")
-
-STREAM_INIT = 0
-STREAM_SHUFFLE = 1
-STREAM_NOISE = 2
 
 # Standard normals per block of train()'s noise draws: a block holds
 # NOISE_BLOCK // P whole (P,) rows (at least one), so a run makes one
@@ -205,9 +204,9 @@ def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: floa
     return Step(clean, noisy, stepped)
 
 
-def initial_params_for(spec: ModelSpec, seed: int) -> ParameterSet:
-    """The parameter vector train() starts from under this seed."""
-    return init_params(spec, RngStream(seed, STREAM_INIT))
+def initial_params_for(spec: ModelSpec, seed: int, key: tuple[int, ...] = ()) -> ParameterSet:
+    """The parameter vector train() starts from under this seed and key prefix."""
+    return init_params(spec, RngStream(seed, *key, TRAIN_INIT))
 
 
 def dataset_loss(params: ParameterSet, data: Dataset, reg: RegSpec,
@@ -245,18 +244,19 @@ def _noise_rows(noise: NoiseSpec, rng: RngStream, steps: int,
 # on the way there would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
 def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
-          init: ParameterSet | None = None) -> TrainReport:
+          init: ParameterSet | None = None,
+          key: tuple[int, ...] = ()) -> TrainReport:
     """Run the configured mechanism at config.eta; report per-epoch losses.
 
-    Deterministic given config.seed: one full shuffle per epoch from the
-    shuffle stream, the last partial batch kept, and one (P,) noise row per
-    batch applied to the averaged gradient (drawn in blocks, with the bits
-    of one draw per batch).  Proportional noise scales with the pre-update
-    parameters.  The epoch losses take the kappa the steps take
-    (RegSpec.effective_kappa).  Pass `init`, built for `spec`, to start
-    from explicit parameters instead of the seeded default.  Raises
-    TrainingDivergedError, naming the epoch, step and mechanism, when the
-    parameters or an epoch loss stop being finite.
+    Deterministic given config.seed and the key prefix `key`: one full
+    shuffle per epoch from the shuffle stream, the last partial batch kept,
+    and one (P,) noise row per batch applied to the averaged gradient
+    (drawn in blocks, with the bits of one draw per batch).  Proportional
+    noise scales with the pre-update parameters.  The epoch losses take
+    the kappa the steps take (RegSpec.effective_kappa).  Pass `init`,
+    built for `spec`, to start from explicit parameters instead of the
+    seeded default.  Raises TrainingDivergedError, naming the epoch, step
+    and mechanism, when the parameters or an epoch loss stop being finite.
     """
     if len(data) == 0:
         raise ValueError("dataset must be nonempty")
@@ -272,11 +272,11 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
     eta = config.eta
     kappa = reg.effective_kappa(eta, noise.sigma)
     n = len(data)
-    shuffle_rng = RngStream(config.seed, STREAM_SHUFFLE)
-    noise_rows = _noise_rows(noise, RngStream(config.seed, STREAM_NOISE),
+    shuffle_rng = RngStream(config.seed, *key, TRAIN_SHUFFLE)
+    noise_rows = _noise_rows(noise, RngStream(config.seed, *key, TRAIN_NOISE),
                              config.epochs * -(-n // config.batch_size), spec.n_params)
     # One ParameterSet for the run, its flat vector rebound after each step.
-    params = init.copy() if init is not None else initial_params_for(spec, config.seed)
+    params = init.copy() if init is not None else initial_params_for(spec, config.seed, key)
 
     def diverged(epoch: int, step: int, what: str) -> TrainingDivergedError:
         return TrainingDivergedError(

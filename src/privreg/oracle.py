@@ -24,17 +24,19 @@ when noise.clip_c is set; the product density's bin masses need only
 math.erfc.
 
 Every Monte Carlo check runs on one engine (_block_sums): its rows come
-in blocks of MC_CHUNK_ROWS, each block drawn once and reduced to a short
-vector (power sums of the rows' deviations from a value near their mean,
-or histogram counts), and the block vectors are added in block order.
-The blocks of one check are split among lanes (threads), each lane
-jumping its streams ahead to its first block, so the estimates have the
-same bits at any lane count, and no check holds an array as long as its
-replicas.
+in blocks of MC_CHUNK_ROWS, each block drawn once, from streams keyed by
+the check and the block, and reduced to a short vector (power sums of the
+rows' deviations from a value near their mean, or histogram counts), and
+the block vectors are added in block order.  The blocks of one check are
+split among lanes (threads), each lane opening its own blocks' streams,
+so the estimates have the same bits at any lane count, and no check holds
+an array as long as its replicas.
 
 Monte Carlo estimates are z-scored against the closed forms, gradients
 compared to central finite differences; the caller (experiments._run_checks)
-decides what passes.  Every sampler is seeded, so each value is reproducible.
+decides what passes.  Every sampler is seeded, and a check draws from the
+stream key prefix its caller passes (see privreg.numerics), so each value
+is reproducible.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .model import ModelSpec, ParameterSet, linear_unit_features
-from .numerics import RngStream
+from .numerics import VERIFY_PRODUCT_DENSITY, VERIFY_SETUPS, RngStream
 from .optimizers import NoiseSpec, clip_gradient, mechanism_step
 from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
                            pdp_grad, pdp_penalty)
@@ -100,10 +102,8 @@ def _scalar_target(t) -> float:
 
 
 # Replicas per block of a Monte Carlo check.  2**14 rows keep a block's
-# temporaries in cache, and an even row count makes every block start at an
-# even offset of its streams, so the blocks together draw exactly what one
-# call for all the rows would (see RngStream.normal), and a lane can skip to
-# any block (RngStream.skip).
+# temporaries in cache; each block draws from streams of its own, so the
+# block size is part of what pins a check's draws.
 MC_CHUNK_ROWS = 1 << 14
 
 
@@ -151,19 +151,18 @@ def _require_replicas(replicas: int) -> None:
 
 
 def _block_sums(summarise: Callable[..., np.ndarray], replicas: int, seed: int,
-                stds: tuple[float, ...], width: int) -> np.ndarray:
+                key: tuple[int, ...], stds: tuple[float, ...], width: int) -> np.ndarray:
     """The sum over the MC_CHUNK_ROWS blocks of `replicas` rows of
-    summarise(*draws), draws[i] being the block's rows of stream i of
-    `seed`, flat: `width` normals of std stds[i] per row.
+    summarise(*draws), draws[i] being block b's rows, flat, of the stream
+    RngStream(seed, *key, i, b): `width` normals of std stds[i] per row.
 
     summarise reduces a block's rows to a short vector (_power_sums, or
     histogram counts), so only a block's rows and one short vector per
     block are ever held.  The blocks are split into mc_lanes(replicas) runs
-    of consecutive blocks, one per lane (_in_lanes), and a lane skips its
-    streams to its first block (RngStream.skip), so every block draws the
-    bits it would in one serial pass.  The block vectors are added in
-    block order, not lane by lane, so the sum has the same bits at any
-    lane count.
+    of consecutive blocks, one per lane (_in_lanes); every block opens its
+    own streams, so it draws the same bits in whichever lane runs it.  The
+    block vectors are added in block order, not lane by lane, so the sum
+    has the same bits at any lane count.
     """
     blocks, lanes = -(-replicas // MC_CHUNK_ROWS), mc_lanes(replicas)
     # Every block allocates and frees the same few arrays.  glibc's malloc
@@ -176,14 +175,11 @@ def _block_sums(summarise: Callable[..., np.ndarray], replicas: int, seed: int,
     np.empty(4 * MC_CHUNK_ROWS * width * len(stds))
 
     def lane(first: int, stop: int) -> list[np.ndarray]:
-        rngs = [RngStream(seed, i) for i in range(len(stds))]
-        for rng in rngs:
-            rng.skip(first * MC_CHUNK_ROWS * width)
         sums = []
         for block in range(first, stop):
             rows = min(MC_CHUNK_ROWS, replicas - block * MC_CHUNK_ROWS)
-            sums.append(summarise(*(rng.normal(std, rows * width)
-                                    for rng, std in zip(rngs, stds))))
+            sums.append(summarise(*(RngStream(seed, *key, i, block).normal(std, rows * width)
+                                    for i, std in enumerate(stds))))
         return sums
 
     bounds = [blocks * k // lanes for k in range(lanes + 1)]
@@ -268,8 +264,8 @@ def analytic_post_update_loss(params: ParameterSet, x: np.ndarray, t,
 
 
 def check_noisy_step(params: ParameterSet, x: np.ndarray, t, eta: float,
-                     noises: tuple[NoiseSpec, ...], replicas: int,
-                     seed: int) -> list[IdentityEstimate]:
+                     noises: tuple[NoiseSpec, ...], replicas: int, seed: int,
+                     key: tuple[int, ...] = ()) -> list[IdentityEstimate]:
     """Monte Carlo estimates of one noisy step of a linear neuron: per noise
     shape in `noises`, the expected post-update loss E[(y_tilde' - t)^2]
     z-scored against its closed form (analytic_post_update_loss), then per
@@ -279,8 +275,8 @@ def check_noisy_step(params: ParameterSet, x: np.ndarray, t, eta: float,
     because the noise is centered, so both estimates read the same noisy
     steps.  A replica is one step of the trainer's mechanism
     (mechanism_step) from `params`, scored by its post-update residual r;
-    every shape steps on the same noise rows, stream 0 of `seed`, each
-    block drawn once (_block_sums) and summed per shape as the power sums
+    every shape steps on the same noise rows, stream 0 of `key` at `seed`,
+    each block drawn once (_block_sums) and summed per shape as the power sums
     of r minus the clean residual (_noisy_step_estimates).  A shape whose
     noise cannot move the output (_noise_moves_output) steps on no rows:
     every row holds its clean value.  mechanism_step refuses eta <= 0.
@@ -307,7 +303,7 @@ def check_noisy_step(params: ParameterSet, x: np.ndarray, t, eta: float,
     sums = np.zeros((len(noises), 5))
     sums[:, 0] = replicas
     if moved:
-        sums[moved] = _block_sums(summarise, replicas, seed, (1.0,), theta.size)
+        sums[moved] = _block_sums(summarise, replicas, seed, key, (1.0,), theta.size)
     estimates = [_noisy_step_estimates(c, shape_sums) for c, shape_sums in zip(cleans, sums)]
     post_update = [_estimate("post_update_loss", noise.mode, value, *squares)
                    for noise, value, (squares, _) in zip(noises, analytic, estimates)]
@@ -316,11 +312,11 @@ def check_noisy_step(params: ParameterSet, x: np.ndarray, t, eta: float,
     return post_update + cross_term
 
 
-def check_moment_identities(sigma: float, replicas: int,
-                            seed: int) -> list[IdentityEstimate]:
+def check_moment_identities(sigma: float, replicas: int, seed: int,
+                            key: tuple[int, ...] = ()) -> list[IdentityEstimate]:
     """E[X^2] = sigma^2, E[X^4] = 3*sigma^4, Var[X^2] = 2*sigma^4 for
     X ~ N(0, sigma^2), each a z-scored Monte Carlo estimate, from the power sums
-    of v = X^2 - sigma^2 (_block_sums)."""
+    of v = X^2 - sigma^2 over the draws of `key` at `seed` (_block_sums)."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     _require_replicas(replicas)
@@ -331,7 +327,7 @@ def check_moment_identities(sigma: float, replicas: int,
         draws -= s2
         return _power_sums(draws)
 
-    n, m1, m2, m3, m4 = _raw_moments(_block_sums(summarise, replicas, seed, (sigma,), 1))
+    n, m1, m2, m3, m4 = _raw_moments(_block_sums(summarise, replicas, seed, key, (sigma,), 1))
     # Var[s^2_W] ~ (mu4_W - var_W^2*(n-3)/(n-1)) / n for W = X^2, moments
     # estimated in-sample; mu4_W is W's central fourth moment.
     var_w = max(m2 - m1 * m1, 0.0) * n / (n - 1)
@@ -385,7 +381,8 @@ def _bin_masses(sigma_x: float, sigma_y: float, pos_edges: np.ndarray) -> np.nda
 
 def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
                           bins: int, seed: int) -> ProductDensityReport:
-    """Compare samples of X*Y to the K0 product-of-normals density.
+    """Compare samples of X*Y, keyed VERIFY_PRODUCT_DENSITY, to the K0
+    product-of-normals density.
 
     `bins` intervals of |u| over [0.05, 4] are mirrored into signed bins,
     each expected to hold its closed-form mass (_bin_masses).  The range
@@ -407,7 +404,8 @@ def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
         return np.histogram(x, bins=edges)[0]
 
     # X from stream 0, Y from stream 1; integer counts add exactly
-    raw_counts = _block_sums(summarise, replicas, seed, (sigma_x, sigma_y), 1)
+    raw_counts = _block_sums(summarise, replicas, seed, (VERIFY_PRODUCT_DENSITY,),
+                             (sigma_x, sigma_y), 1)
     counts = np.delete(raw_counts, bins).astype(np.float64)  # drop the (-lo, lo) gap
 
     mean_counts = replicas * expected
@@ -506,9 +504,10 @@ class LinearSetup:
 
 
 def random_linear_setups(n: int, seed: int) -> list[LinearSetup]:
-    """Seeded draws of (theta, x, t, eta, sigma) for the randomized suite:
-    dimension 2..6, eta in [0.02, 0.3), sigma in [0.05, 0.5)."""
-    rng = RngStream(seed, 0)
+    """Seeded draws of (theta, x, t, eta, sigma) for the randomized suite,
+    one after another from one stream: dimension 2..6, eta in [0.02, 0.3),
+    sigma in [0.05, 0.5)."""
+    rng = RngStream(seed, VERIFY_SETUPS)
     setups = []
     for _ in range(n):
         d = min(int(2 + rng.uniform(1)[0] * 5), 6)

@@ -205,7 +205,7 @@ def test_c8_leakage_baselines_and_noise_trend():
     x = np.array([2.0, 1.0, -0.5, 0.8])
     g = backward(params, x[None, :], np.array([[1.0]]))
     exact_mse = float(np.mean((invert_linear_gradient(g, spec)[0] - x) ** 2))
-    x0, t0 = _restart_starts(881, 10, 4)
+    x0, t0 = _restart_starts(881, 0, 10, 4)
     x_it = _invert_records(params.weights(0), params.bias(0), g, x0[None], t0[None],
                            iters=2000, step=0.02)
     iterative_cosine = float(cosine_similarity(x_it[0], x))

@@ -18,7 +18,7 @@ from privreg.attack import (DIVERGENCE_PATIENCE, NoLeakageError,
 from privreg.experiments import generate_dataset
 from privreg.model import (Dataset, ModelSpec, ParameterSet, backward, forward,
                            init_params, quadratic_loss)
-from privreg.numerics import RngStream
+from privreg.numerics import ATTACK_RESTART, ATTACK_TRIAL, RngStream
 from privreg.optimizers import NoiseSpec, TrainConfig, initial_params_for, train
 from privreg.regularizers import RegSpec
 
@@ -30,16 +30,17 @@ def clean_gradient(params, x, t):
     return backward(params, x[None, :], np.atleast_1d(t)[None, :])[0]
 
 
-def invert_one(g, params, iters, step, seed, restarts=10):
+def invert_one(g, params, iters, step, seed, restarts=10, trial=0):
     """Gradient matching on one observed gradient g, as leakage_sweep runs
-    it for a trial of seed `seed`: the best x over the restarts."""
-    x0, t0 = _restart_starts(seed, restarts, params.spec.input_dim)
+    it for trial `trial` of seed `seed`: the best x over the restarts."""
+    x0, t0 = _restart_starts(seed, trial, restarts, params.spec.input_dim)
     return _invert_records(params.weights(0), params.bias(0), np.asarray(g)[None, :],
                            x0[None], t0[None], iters, step)[0]
 
 
-def reference_inversion(g, spec, params, iters, step, seed, restarts):
-    """The one-restart-at-a-time descent the batched attack must reproduce.
+def reference_inversion(g, spec, params, iters, step, seed, restarts, trial=0):
+    """The one-restart-at-a-time descent the batched attack must reproduce,
+    for trial `trial` of seed `seed`.
 
     Returns (best_x, best_objective, stops), where stops names why each
     restart ended: "iters", "converged", "patience" or "nonfinite".
@@ -65,7 +66,7 @@ def reference_inversion(g, spec, params, iters, step, seed, restarts):
     stops = []
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(restarts):
-            rng = RngStream(seed, r)
+            rng = RngStream(seed, ATTACK_RESTART, trial, r)
             x = rng.normal(1.0, d)
             t = float(rng.normal(1.0, 1)[0])
             obj = objective(x, t)
@@ -245,15 +246,16 @@ def _reference_case(name):
             # The streak reaches DIVERGENCE_PATIENCE on the final step, so the
             # lone restart stops for patience; one step fewer and it would run
             # out of steps instead.
-            "patience_at_last_step": (g, spec, params, 257, 0.0172, 1, 1, "patience"),
+            "patience_at_last_step": (g, spec, params, 1324, 0.0172, 0, 1, "patience"),
             "overflow": (g, spec, params, 500, 1e6, 1, 3, "nonfinite"),
         }[name]
     d, sigma = {"iid_noisy": (3, 0.5), "odd_d": (5, 0.3), "converged": (2, 0.0)}[name]
     spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=True)
-    params = init_params(spec, RngStream(101))
-    g = clean_gradient(params, RngStream(201).normal(1.0, d), 0.7)
+    # key (0,): the problems these cases were chosen on
+    params = init_params(spec, RngStream(101, 0))
+    g = clean_gradient(params, RngStream(201, 0).normal(1.0, d), 0.7)
     if sigma:
-        g = g + RngStream(301).normal(sigma, g.size)
+        g = g + RngStream(301, 0).normal(sigma, g.size)
     stop = "converged" if name == "converged" else "iters"
     return g, spec, params, 1500 if name == "converged" else 400, 0.01, 1, 4, stop
 
@@ -269,7 +271,7 @@ class TestBatchedDescentMatchesReference:
                                                     seed, restarts)
         assert stop in stops
         assert np.array_equal(invert_one(g, params, iters, step, seed, restarts), ref_x)
-        x0, t0 = _restart_starts(seed, restarts, spec.input_dim)
+        x0, t0 = _restart_starts(seed, 0, restarts, spec.input_dim)
         best_obj, _ = _descend(np.repeat(params.weights(0), restarts, axis=0),
                                np.repeat(params.bias(0), restarts),
                                np.repeat(g[None, :], restarts, axis=0), x0, t0,
@@ -299,13 +301,14 @@ class TestBatchedDescentMatchesReference:
         outcomes = set()
         for m, (noise, reg) in enumerate(mechanisms):
             for k in range(trials):
-                config = TrainConfig(eta=0.1, batch_size=1, epochs=1, seed=seed + k,
+                # trial k takes the first step of train() under its key
+                config = TrainConfig(eta=0.1, batch_size=1, epochs=1, seed=seed,
                                      noise=noise, reg=reg, record_gradients=True)
-                noisy = train(spec, data, config).records[0].noisy
-                params0 = initial_params_for(spec, seed + k)
-                x = invert_one(noisy, params0, seed=seed + k, **kwargs)
+                noisy = train(spec, data, config, key=(ATTACK_TRIAL, k)).records[0].noisy
+                params0 = initial_params_for(spec, seed, (ATTACK_TRIAL, k))
+                x = invert_one(noisy, params0, seed=seed, trial=k, **kwargs)
                 assert np.array_equal(swept[m * trials + k], x)
-                stops = reference_inversion(noisy, spec, params0, seed=seed + k,
+                stops = reference_inversion(noisy, spec, params0, seed=seed, trial=k,
                                             **kwargs)[2]
                 outcomes.add("all restarts diverged"
                              if set(stops) <= {"nonfinite", "patience"} else "returned")

@@ -16,15 +16,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from privreg import experiments
 from privreg.attack import COSINE_SUCCESS
 from privreg.cli import main as cli_main
 from privreg.experiments import (COMMANDS, ConfigError, OracleConfig, ResultRow,
-                                 _step_expectation, apply_seed_override,
+                                 _family_bound, _step_expectation, apply_seed_override,
                                  generate_dataset, load_dataset, parse_config,
                                  read_result_rows, run, write_result_rows)
-from privreg.numerics import RngStream
+from privreg.numerics import VERIFY_NOISY_STEP, RngStream
 from privreg.oracle import MC_CHUNK_ROWS, _in_lanes
 from reference_solvers import regularized_least_squares_oracle
 
@@ -166,8 +167,8 @@ def nan_from(monkeypatch, fold):
         return ["equivalence_residual[iid]", "equivalence_residual[proportional]"]
     real_train = experiments.train
 
-    def train(spec, data, config):
-        report = real_train(spec, data, config)
+    def train(spec, data, config, **kwargs):
+        report = real_train(spec, data, config, **kwargs)
         if config.reg.input_kappa > 0:
             if fold == "record_diff":
                 report.records[1].noisy[0] = math.nan
@@ -179,15 +180,15 @@ def nan_from(monkeypatch, fold):
     return [f"trajectory_{fold}"]
 
 
-def csv_bytes_at_1_and_4_lanes(tmp_path, monkeypatch, command):
-    """`command`'s CSV bytes at 1 and 4 lanes, checking each manifest's
-    lanes; 4 lanes on any host: more lanes than cores, switching
+def csv_bytes_by_lanes(tmp_path, monkeypatch, command, lane_counts):
+    """`command`'s CSV bytes at each of `lane_counts` lanes, checking each
+    manifest's lanes; more lanes than cores on any host, switching
     threads as often as the interpreter allows."""
     csvs = {}
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for cpus in (1, 4):
+        for cpus in lane_counts:
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid, cpus=cpus: set(range(cpus)))
             out = tmp_path / f"cpus{cpus}"
@@ -209,7 +210,7 @@ def csv_bytes_at_1_and_4_lanes(tmp_path, monkeypatch, command):
             csvs[cpus] = (out / f"{command}_results.csv").read_bytes()
     finally:
         sys.setswitchinterval(switch)
-    return csvs[1], csvs[4]
+    return list(csvs.values())
 
 
 def small_report_config(directory):
@@ -288,6 +289,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="model"):
             parse_config(cfg, "verify")
 
+    def test_oracle_configs_has_no_cap(self, tmp_path):
+        # setups draw from keys of their own, so no count reaches other streams
+        cfg = minimal_verify_config(tmp_path)
+        cfg["oracle"]["configs"] = 2001
+        assert parse_config(cfg, "verify").oracle.configs == 2001
+
     def test_seed_override_applies_everywhere(self, tmp_path):
         cfg = parse_config(minimal_train_config(tmp_path), "train")
         overridden = apply_seed_override(cfg, 99)
@@ -321,7 +328,7 @@ class TestRun:
         rows = gaussian_rows["moments"]
         assert rows == gaussian_rows["verify"]
         assert len({r.value for r in rows}) == len(rows) == 9
-        assert [r.seed for r in rows] == [42 + 3000 + i for i in range(3) for _ in range(3)]
+        assert [r.seed for r in rows] == [42] * 9
 
     def test_verify_manifest_carries_telemetry(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
@@ -339,18 +346,51 @@ class TestRun:
         assert manifest["peak_rss_mb"] > 0
         assert manifest["failed_checks"] == []
 
-    def test_cross_term_reads_each_setups_post_update_stream(self, tmp_path):
-        # 12 setups: both checks of setup i draw from 42 + 1000 + i, and the
-        # cross term is written, mode by mode, for the first ten
+    def test_manifest_records_the_family_gate(self, tmp_path):
+        # 4 setups: 8 post-update and 8 cross-term z, 3 moment z for one
+        # sigma, 24 product-density bins and 3 step-expectation coordinates
+        cfg = minimal_verify_config(tmp_path / "out")
+        cfg["oracle"]["threshold"] = 2.5
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run("verify", cfg_path) == 0
+        gate = json.loads((tmp_path / "out" / "verify_manifest.json").read_text())["family_gate"]
+        alpha = float(special.erfc(2.5 / np.sqrt(2.0)))
+        assert gate["k"] == 8 + 8 + 3 + 24 + 3
+        assert gate["alpha"] == pytest.approx(alpha, rel=1e-14)
+        assert gate["z_bound"] == pytest.approx(np.sqrt(2.0) * special.erfcinv(alpha / 46),
+                                                rel=1e-12)
+        rows = read_result_rows(tmp_path / "out" / "verify_results.csv")
+        step = {r.metric: r.value for r in rows if r.metric.startswith("step_expectation")}
+        unit = 0.1 * 0.3 / np.sqrt(400)  # eta * sigma / sqrt(expectation_replicas)
+        assert step["step_expectation_bound"] == pytest.approx(gate["z_bound"] * unit,
+                                                               rel=1e-15)
+
+    @pytest.mark.parametrize("threshold,tests,bound", [(3.0, 132, 4.26), (3.0, 212, 4.36),
+                                                       (3.0, 1, 3.0), (2.0, 10, 2.84)])
+    def test_family_bound_holds_the_family_to_one_tests_rate(self, threshold, tests, bound):
+        alpha, b = _family_bound(threshold, tests)
+        assert alpha == math.erfc(threshold / math.sqrt(2.0))
+        assert b == pytest.approx(bound, abs=5e-3)
+        assert math.erfc(b / math.sqrt(2.0)) <= alpha / tests
+        assert b == pytest.approx(np.sqrt(2.0) * special.erfcinv(alpha / tests), rel=1e-12)
+
+    def test_cross_term_reads_each_setups_post_update_stream(self, tmp_path, monkeypatch):
+        # 12 setups: both checks of setup i draw from the key
+        # (VERIFY_NOISY_STEP, i), and the cross term is written, mode by
+        # mode, for the first ten
         cfg = minimal_verify_config(tmp_path / "out")
         cfg["oracle"]["configs"] = 12
+        keys, init = [], RngStream.__init__
+        monkeypatch.setattr(RngStream, "__init__",
+                            lambda self, seed, *key: keys.append(key) or init(self, seed, *key))
         rows = experiments._cmd_verify(parse_config(cfg, "verify"), experiments.RunTelemetry())
+        assert sorted(k for k in keys if k[0] == VERIFY_NOISY_STEP) == [
+            (VERIFY_NOISY_STEP, i, 0, 0) for i in range(12)]  # 4000 replicas: one block
         post_update = [(r.mechanism, r.seed) for r in rows if r.metric == "post_update_loss_z"]
         cross = [(r.mechanism, r.seed) for r in rows if r.metric == "cross_term_z"]
-        assert post_update == [(mode, 1042 + i) for mode in ("iid", "proportional")
-                               for i in range(12)]
-        assert cross == [(mode, 1042 + i) for mode in ("iid", "proportional")
-                         for i in range(10)]
+        assert post_update == [(mode, 42) for mode in ("iid", "proportional") for i in range(12)]
+        assert cross == [(mode, 42) for mode in ("iid", "proportional") for i in range(10)]
         metrics = [r.metric for r in rows]
         assert metrics.index("cross_term_z") > max(
             i for i, metric in enumerate(metrics) if metric.startswith("post_update_loss"))
@@ -362,14 +402,14 @@ class TestRun:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         s, modes = 42, ("iid", "proportional")
-        moments = [(f"gaussian(sigma={sigma:g})", f"{kind}_z", s + 3000 + j)
-                   for j, sigma in enumerate((0.5, 2.0))
+        moments = [(f"gaussian(sigma={sigma:g})", f"{kind}_z", s)
+                   for sigma in (0.5, 2.0)
                    for kind in ("second_moment", "fourth_moment", "variance_of_square")]
-        moments += [("product(sigma_x=1,sigma_y=1)", f"product_density_{metric}", s + 1)
+        moments += [("product(sigma_x=1,sigma_y=1)", f"product_density_{metric}", s)
                     for metric in ("max_abs_z", "chi2", "symmetry_max_z")]
-        verify = [(mode, metric, s + 1000 + i) for mode in modes for i in range(12)
+        verify = [(mode, metric, s) for mode in modes for i in range(12)
                   for metric in ("post_update_loss_z", "post_update_loss_mc")]
-        verify += [(mode, "cross_term_z", s + 1000 + i) for mode in modes for i in range(10)]
+        verify += [(mode, "cross_term_z", s) for mode in modes for i in range(10)]
         verify += [(mode, "equivalence_residual", s) for mode in modes]
         verify += [("input_penalty", f"trajectory_{metric}", s)
                    for metric in ("param_diff", "record_diff", "loss_shift_residual")]
@@ -379,14 +419,15 @@ class TestRun:
         expected = {"verify": verify + moments + [("all", "verify_pass", s)],
                     "moments": moments + [("all", "moments_pass", s)]}
         for command, sequence in expected.items():
-            # a failed gate writes the same rows (setup 5 fails at 4000 replicas)
+            # a failed gate would write the same rows
             assert run(command, cfg_path) in (0, 1)
             rows = read_result_rows(tmp_path / "out" / f"{command}_results.csv")
             assert [(r.mechanism, r.metric, r.seed) for r in rows] == sequence
 
-    def test_failing_verify_names_its_failed_checks(self, tmp_path, capsys):
+    def test_failing_verify_names_its_failed_checks(self, tmp_path, monkeypatch, capsys):
+        # a family bound that no sampled z-score passes
+        monkeypatch.setattr(experiments, "_family_bound", lambda threshold, tests: (1.0, 1e-9))
         cfg = minimal_verify_config(tmp_path / "out")
-        cfg["oracle"]["threshold"] = 1e-9  # no sampled z-score is that close to 0
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run("verify", cfg_path) == 1
@@ -400,7 +441,9 @@ class TestRun:
                 for i in range(4)} <= set(failed)
         assert {f"cross_term[{mode}][{i}]" for mode in ("iid", "proportional")
                 for i in range(4)} <= set(failed)
-        assert all(value > bound == 1e-9 for value, bound in failed.values())
+        assert all(value > bound == 1e-9 for name, (value, bound) in failed.items()
+                   if name.startswith(("post_update_loss[", "cross_term[")))
+        assert failed["step_expectation_err"][1] == pytest.approx(1e-9 * 0.03 / 20)
         rows = read_result_rows(tmp_path / "out" / "verify_results.csv")
         assert [r.value for r in rows if r.metric == "verify_pass"] == [0.0]
 
@@ -427,36 +470,38 @@ class TestRun:
         assert [r.value for r in rows if r.metric == "verify_pass"] == [0.0]
 
     def test_lane_count_leaves_verify_csv_bytes_unchanged(self, tmp_path, monkeypatch):
-        one_lane, four_lanes = csv_bytes_at_1_and_4_lanes(tmp_path, monkeypatch, "verify")
-        assert one_lane == four_lanes
+        one_lane, *more = csv_bytes_by_lanes(tmp_path, monkeypatch, "verify", (1, 2, 3, 5))
+        assert all(csv == one_lane for csv in more)
 
     def test_lane_count_leaves_moments_csv_bytes_unchanged(self, tmp_path, monkeypatch):
-        one_lane, four_lanes = csv_bytes_at_1_and_4_lanes(tmp_path, monkeypatch, "moments")
+        one_lane, four_lanes = csv_bytes_by_lanes(tmp_path, monkeypatch, "moments", (1, 4))
         assert one_lane == four_lanes
 
     def test_error_in_a_worker_lane_exits_1(self, tmp_path, monkeypatch, capsys):
-        # three noise blocks per check, so three lanes, each skipping its
-        # stream to its first block: the offset orders the lanes' jobs
+        # three noise blocks per check, so three lanes, one block each; a
+        # worker lane fails as it opens its block's stream, the key's last
+        # part, and the error raised is that of the lowest block
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        caller, real = threading.current_thread(), RngStream.skip
+        caller, real = threading.current_thread(), RngStream.__init__
         raised = []
 
-        def skip(self, n):
-            if threading.current_thread() is not caller:
-                raised.append(n)
-                raise FloatingPointError(f"injected at offset {n}")
-            time.sleep(0.05)  # leave jobs for the worker lanes
-            return real(self, n)
+        def init(self, seed, *key):
+            if key[:1] == (VERIFY_NOISY_STEP,):
+                if threading.current_thread() is not caller:
+                    raised.append(key[-1])
+                    raise FloatingPointError(f"injected at block {key[-1]}")
+                time.sleep(0.05)  # leave jobs for the worker lanes
+            real(self, seed, *key)
 
-        monkeypatch.setattr(RngStream, "skip", skip)
+        monkeypatch.setattr(RngStream, "__init__", init)
         cfg = minimal_verify_config(tmp_path / "out")
         cfg["oracle"]["replicas"] = 2 * MC_CHUNK_ROWS + 100
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run("verify", cfg_path) == 1
         err = json.loads(capsys.readouterr().err)
-        assert raised and err == {"error": "FloatingPointError",
-                                  "message": f"injected at offset {min(raised)}"}
+        assert sorted(raised) == [1, 2] and err == {"error": "FloatingPointError",
+                                                    "message": "injected at block 1"}
         assert not (tmp_path / "out" / "verify_results.csv").exists()
 
     def test_lanes_keep_job_order_and_raise_the_first_failure(self):
@@ -479,10 +524,15 @@ class TestRun:
         assert _in_lanes([lambda: job(0)]) == [0] and threads[0] is caller
 
     def test_step_expectation_fails_on_biased_noise(self, monkeypatch):
+        # its worst error, in units of eta * sigma / sqrt(n), against the
+        # family bound of the shipped verify config
         oc = OracleConfig(seed=77)
-        err, bound = _step_expectation(oc)
-        assert (err.metric, err.bound) == ("step_expectation_err", bound.value)
-        assert err.value <= bound.value
+        _, bound = _family_bound(oc.threshold, 212)
+        [err] = _step_expectation(oc)
+        assert (err.metric, err.bound_metric) == ("step_expectation_err",
+                                                  "step_expectation_bound")
+        assert (err.zs, err.unit) == (3, 0.1 * 0.3 / math.sqrt(oc.expectation_replicas))
+        assert err.value <= bound * err.unit
 
         step = experiments.mechanism_step
 
@@ -490,8 +540,8 @@ class TestRun:
             return step(params, x, t, eta, noise, reg, None if z is None else z + 0.1)
 
         monkeypatch.setattr(experiments, "mechanism_step", biased)
-        err, bound = _step_expectation(oc)
-        assert err.value > bound.value
+        [err] = _step_expectation(oc)
+        assert err.value > bound * err.unit
 
     def test_step_expectation_makes_a_fixed_number_of_streams(self, monkeypatch):
         made = []
@@ -872,7 +922,6 @@ BOUNDARY_PROBES = [
     _probe("layer-sizes-short", "train", {"model.layer_sizes": [3]}, "model.layer_sizes"),
     _probe("oracle-seed-negative", "verify", {"oracle.seed": -1}, "oracle.seed"),
     _probe("configs-zero", "verify", {"oracle.configs": 0}, "oracle.configs"),
-    _probe("configs-2001", "verify", {"oracle.configs": 2001}, "oracle.configs"),
     _probe("expectation-replicas-zero", "verify", {"oracle.expectation_replicas": 0},
            "oracle.expectation_replicas"),
     _probe("threshold-negative", "verify", {"oracle.threshold": -1}, "oracle.threshold"),
@@ -916,6 +965,13 @@ BOUNDARY_PROBES = [
            "cannot read ''"),
     _probe("report-input-is-a-directory", "report", {"report.inputs.0": "."},
            "report.inputs[0]", "cannot read '.'"),
+    # input files that are not UTF-8
+    _probe("file-not-utf8", "train", {"data": {"path": "data.csv"}}, "data.path",
+           "data.csv, line 2: not UTF-8 text: byte 0xff",
+           files={"data.csv": b"x0,x1,x2,t\n1,2,3,\xff\n"}),
+    _probe("report-input-not-utf8", "report", {"report.inputs.1": "b.csv"},
+           "report.inputs[1]", "b.csv, line 3: not UTF-8 text: byte 0xfe",
+           files={"b.csv": RESULT_HEADER.encode() + b"e,m,loss,1,,1\ne,m,loss,\xfe,,1\n"}),
     # report inputs
     _probe("report-empty-csv", "report", {}, "report.inputs[0]", "a.csv", "line 1:",
            files={"a.csv": ""}),
@@ -948,7 +1004,10 @@ class TestBoundary:
         for path, value in changes.items():
             _set(cfg, path, value)
         for name, content in files.items():
-            (tmp_path / name).write_text(content, encoding="utf-8")
+            if isinstance(content, bytes):
+                (tmp_path / name).write_bytes(content)
+            else:
+                (tmp_path / name).write_text(content, encoding="utf-8")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run(command, cfg_path, seed_override=seed) == 2

@@ -15,10 +15,19 @@ class TestRngStream:
         b = RngStream(123, 4).normal(1.0, 257)
         assert np.array_equal(a, b)
 
-    def test_distinct_stream_ids_differ(self):
-        a = RngStream(123, 0).normal(1.0, 64)
-        b = RngStream(123, 1).normal(1.0, 64)
-        assert not np.array_equal(a, b)
+    def test_distinct_keys_differ(self):
+        draws = [RngStream(123, *key).normal(1.0, 64).tobytes()
+                 for key in ((), (0,), (1,), (0, 0), (1, 0), (0, 1), (1, 2, 3))]
+        assert len(set(draws)) == len(draws)
+        assert RngStream(123, 1, 2).normal(1.0, 64).tobytes() != \
+            RngStream(124, 1, 2).normal(1.0, 64).tobytes()
+
+    def test_key_is_the_seed_sequence_spawn_key(self):
+        ss = np.random.SeedSequence(entropy=77, spawn_key=(5, 0, 9))
+        want = np.random.Generator(np.random.PCG64(ss)).random(4)
+        stream = RngStream(77, 5, 0, 9)
+        assert stream.key == (5, 0, 9)
+        assert stream.uniform(4).tobytes() == want.tobytes()
 
     def test_even_sized_calls_compose(self):
         split = RngStream(9, 0)
@@ -33,13 +42,15 @@ class TestRngStream:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RngStream(-1)
-        for seed, stream_id, name in ((2.7, 1, "seed"), (True, 0, "seed"), (2.0, 0, "seed"),
-                                      (2, 1.5, "stream_id"), (2, False, "stream_id"),
-                                      (2, -1, "stream_id")):
+        for seed, part, name in ((2.7, 1, "seed"), (True, 0, "seed"), (2.0, 0, "seed"),
+                                 (2, 1.5, "key part"), (2, False, "key part"),
+                                 (2, -1, "key part"), (2, 2 ** 32, "key part")):
             with pytest.raises(ValueError, match=name):
-                RngStream(seed, stream_id)
+                RngStream(seed, 3, part)
         assert np.array_equal(RngStream(np.int64(2), np.uint8(1)).uniform(3),
                               RngStream(2, 1).uniform(3))
+        # a part of 2**32 would be two words of the key, the words of (0, 1)
+        assert RngStream(2, 2 ** 32 - 1).key == (2 ** 32 - 1,)
 
 
 class TestGaussianSample:
@@ -137,29 +148,6 @@ class TestChunkedBoxMuller:
         odd, even = RngStream(36), RngStream(36)
         assert odd.normal(1.0, 5).tobytes() == even.normal(1.0, 6)[:5].tobytes()
         assert odd.normal(1.0, 4).tobytes() == even.normal(1.0, 4).tobytes()
-
-
-class TestSkip:
-    @pytest.mark.parametrize("width", [1, 2, 7])
-    @pytest.mark.parametrize("k", [0, 2, 6, 2 * numerics.BOX_MULLER_PAIRS + 10])
-    def test_skip_then_draw_is_draw_then_draw(self, k, width):
-        drawn, skipped = RngStream(37, 4), RngStream(37, 4)
-        if k:
-            drawn.normal(1.0, k)
-        skipped.skip(k)
-        assert skipped.normal(0.3, width).tobytes() == drawn.normal(0.3, width).tobytes()
-        assert skipped.normal(1.0, 3).tobytes() == drawn.normal(1.0, 3).tobytes()
-
-    def test_numpy_integer_count(self):
-        drawn, skipped = RngStream(38), RngStream(38)
-        drawn.normal(1.0, 4)
-        skipped.skip(np.int64(4))
-        assert skipped.normal(1.0, 5).tobytes() == drawn.normal(1.0, 5).tobytes()
-
-    @pytest.mark.parametrize("k", [1, 3, -2, True, 2.0, "2", None])
-    def test_rejects_odd_negative_and_non_integer_counts(self, k):
-        with pytest.raises(ValueError, match="n must be"):
-            RngStream(39).skip(k)
 
 
 @settings(max_examples=30)

@@ -9,10 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 from privreg import optimizers
 from privreg.experiments import generate_dataset
-from privreg.model import Dataset, ModelSpec, ParameterSet, forward
-from privreg.numerics import RngStream
-from privreg.optimizers import (NOISE_BLOCK, STREAM_NOISE, STREAM_SHUFFLE,
-                                NoiseSpec, TrainConfig, TrainingDivergedError,
+from privreg.model import Dataset, ModelSpec, ParameterSet, forward, init_params
+from privreg.numerics import TRAIN_INIT, TRAIN_NOISE, TRAIN_SHUFFLE, RngStream
+from privreg.optimizers import (NOISE_BLOCK, NoiseSpec, TrainConfig, TrainingDivergedError,
                                 _noise_rows, clip_gradient, dataset_loss,
                                 initial_params_for, mechanism_step, train)
 from privreg.regularizers import RegSpec, dp_input_penalty
@@ -335,7 +334,7 @@ class TestNoiseBlocks:
                              record_gradients=True)
         records = train(spec, data, config).records
         assert len(records) == epochs * steps_per_epoch > 3 * per_block
-        per_step = RngStream(config.seed, STREAM_NOISE)
+        per_step = RngStream(config.seed, TRAIN_NOISE)
         for record in records:
             z = per_step.normal(1.0, spec.n_params)
             assert np.array_equal(record.noisy, sigma * z + record.clean)
@@ -464,14 +463,15 @@ def _ref_example_loss(spec, params, x, t, reg, kappa):
     return loss
 
 
-def reference_train(spec, data, config):
+def reference_train(spec, data, config, key=()):
     """train() as it was before batching: forward, backward, penalties and
-    clipping one example at a time.  Returns (epoch losses, final params,
-    records as (clean, noisy, batch indices), one per step)."""
+    clipping one example at a time, drawing from the streams (*key,
+    TRAIN_...).  Returns (epoch losses, final params, records as (clean,
+    noisy, batch indices), one per step)."""
     noise, reg = config.noise, config.reg
-    shuffle_rng = RngStream(config.seed, STREAM_SHUFFLE)
-    noise_rng = RngStream(config.seed, STREAM_NOISE)
-    params = initial_params_for(spec, config.seed)
+    shuffle_rng = RngStream(config.seed, *key, TRAIN_SHUFFLE)
+    noise_rng = RngStream(config.seed, *key, TRAIN_NOISE)
+    params = init_params(spec, RngStream(config.seed, *key, TRAIN_INIT))
     losses, records = [], []
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(len(data))
@@ -560,6 +560,22 @@ class TestTrainMatchesPerExampleReference:
             assert np.array_equal(got.clean, clean)
             assert np.array_equal(got.noisy, noisy)
             assert np.array_equal(got.batch_indices, batch_idx)
+
+    @pytest.mark.parametrize("model,mechanism", [("linear-bias", "iid-clip"),
+                                                 ("tanh", "proportional")])
+    def test_key_prefix_picks_the_streams(self, model, mechanism):
+        # a caller's prefix goes in front of train's own purposes
+        spec = REFERENCE_MODELS[model]
+        data = reference_data(model, mechanism)
+        config = TrainConfig(eta=0.05, batch_size=4, epochs=2, seed=17,
+                             **REFERENCE_MECHANISMS[mechanism])
+        prefixed = train(spec, data, config, key=(9, 2))
+        losses, params, _ = reference_train(spec, data, config, key=(9, 2))
+        assert prefixed.epoch_losses == losses
+        assert np.array_equal(prefixed.final_params.flat, params.flat)
+        assert np.array_equal(initial_params_for(spec, 17, (9, 2)).flat,
+                              init_params(spec, RngStream(17, 9, 2, TRAIN_INIT)).flat)
+        assert train(spec, data, config).epoch_losses != losses
 
     @pytest.mark.parametrize("batch_size", [1, 7, REFERENCE_N])
     @pytest.mark.parametrize("model", PDP_REFUSED)

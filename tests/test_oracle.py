@@ -13,7 +13,8 @@ from scipy import special
 from scipy.integrate import quad
 
 from privreg.model import Dataset, ModelSpec, ParameterSet
-from privreg.numerics import RngStream
+from privreg.experiments import _family_bound
+from privreg.numerics import VERIFY_NOISY_STEP, VERIFY_PRODUCT_DENSITY, RngStream
 from privreg import oracle
 from privreg.optimizers import NoiseSpec, mechanism_step
 from privreg.oracle import (MC_CHUNK_ROWS, analytic_post_update_loss,
@@ -31,6 +32,15 @@ IID = NoiseSpec(mode="iid", sigma=0.2)
 PROP = NoiseSpec(mode="proportional", sigma=0.2)
 BIASED = ParameterSet(ModelSpec(layer_sizes=(2, 1), include_bias=True),
                       np.array([0.5, -1.0, 0.3]))
+
+
+def block_rows(seed, key, replicas, width, std=1.0, stream=0, chunk_rows=MC_CHUNK_ROWS):
+    """The draws of stream `stream` of a Monte Carlo check keyed `key`, as
+    its blocks of chunk_rows rows draw them: block b's rows come from
+    RngStream(seed, *key, stream, b)."""
+    return np.concatenate([
+        RngStream(seed, *key, stream, b).normal(std, min(chunk_rows, replicas - start) * width)
+        for b, start in enumerate(range(0, replicas, chunk_rows))])
 
 
 def mc_post_update_loss(params, x, t, eta, noises, replicas, seed):
@@ -82,36 +92,32 @@ class TestMcPostUpdateLoss:
                                                seed=4)
         assert abs(mean - 0.0008) <= 3 * stderr
 
-    def test_stream_split_reduces_identically(self, monkeypatch):
-        # R = 10,001 is a multiple of no chunk size here, and R * d is odd.
-        # The blocks step exactly the rows one block steps; the block sums
-        # are added in another order, so the estimates agree to rounding.
+    def test_each_block_steps_the_rows_of_its_own_stream(self, monkeypatch):
+        # R = 10,001 is a multiple of no chunk size here, and R * d is odd:
+        # at any block size, block b steps the rows of RngStream(seed, *key,
+        # 0, b), each block drawn on its own
         theta = ParameterSet(ModelSpec(layer_sizes=(3, 1)), np.array([0.5, -1.0, 0.25, 0.1]))
-        x, replicas = np.array([2.0, 1.0, -0.5]), 10_001
+        x, t, eta, replicas, key = np.array([2.0, 1.0, -0.5]), 1.0, 0.1, 10_001, (3, 1)
+        xv, batch, target = np.append(x, 1.0), x[None, :], np.array([[t]])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # blocks in order
         real_sums = oracle._power_sums
-
-        def estimates(noise, chunk_rows):
-            monkeypatch.setattr(oracle, "MC_CHUNK_ROWS", chunk_rows)
-            rows = []
-            monkeypatch.setattr(oracle, "_power_sums",
-                                lambda e: rows.append(e.copy()) or real_sums(e))
-            loss, cross = check_noisy_step(theta, x, 1.0, 0.1, (noise,), replicas, seed=5)
-            return np.concatenate(rows), (loss.mean, loss.stderr), (cross.mean, cross.stderr)
-
         for noise in (IID, PROP):
-            rows, loss, cross = estimates(noise, replicas)
-            assert rows.size == replicas
-            for chunk_rows in (2, 64, 1000, 4096):
-                assert replicas % chunk_rows and (replicas * x.size) % 2
-                chunked_rows, chunked_loss, chunked_cross = estimates(noise, chunk_rows)
-                assert np.array_equal(chunked_rows, rows)
-                assert chunked_loss == pytest.approx(loss, rel=1e-12, abs=0)
-                assert chunked_cross == pytest.approx(cross, rel=1e-9, abs=0)
-
-    def test_chunk_rows_even(self):
-        # every chunk but the last must draw an even count to compose
-        assert oracle.MC_CHUNK_ROWS % 2 == 0
+            clean = float(mechanism_step(theta, batch, target, eta, noise, RegSpec()).params
+                          @ xv) - t
+            for chunk_rows in (2, 64, 1000, 4096, replicas):
+                monkeypatch.setattr(oracle, "MC_CHUNK_ROWS", chunk_rows)
+                rows = []
+                monkeypatch.setattr(oracle, "_power_sums",
+                                    lambda e: rows.append(e.copy()) or real_sums(e))
+                check_noisy_step(theta, x, t, eta, (noise,), replicas, 5, key)
+                assert len(rows) == -(-replicas // chunk_rows)
+                for b, got in enumerate(rows):
+                    z = RngStream(5, *key, 0, b).normal(1.0, got.size * 4).reshape(-1, 4)
+                    e = mechanism_step(theta, batch, target, eta, noise, RegSpec(),
+                                       z).params @ xv
+                    e -= t
+                    e -= clean
+                    assert got.tobytes() == e.tobytes()
 
     @pytest.mark.parametrize("mode", ["iid", "proportional"])
     def test_bias_neuron_matches_analytic(self, mode):
@@ -195,11 +201,12 @@ class TestBlocksInLanes:
         # lanes, would round differently
         monkeypatch.setattr(oracle, "MC_CHUNK_ROWS", 2)
         replicas = 1001
-        z = RngStream(29, 0).normal(0.5, replicas)
+        z = block_rows(29, (4,), replicas, 1, 0.5, chunk_rows=2)
         expected = reduce(np.add, [z[i:i + 2].sum(keepdims=True) for i in range(0, replicas, 2)])
         for cpus in (1, 2, 3, 5):
             lanes(cpus)
-            total = oracle._block_sums(lambda d: d.sum(keepdims=True), replicas, 29, (0.5,), 1)
+            total = oracle._block_sums(lambda d: d.sum(keepdims=True), replicas, 29, (4,),
+                                       (0.5,), 1)
             assert total == expected
 
     @pytest.mark.parametrize("cpus", [1, 3])
@@ -322,7 +329,7 @@ class TestCrossTerm:
         xv = np.append(X, 1.0)
         batch, target = X[None, :], np.array([[t]])
         c = float(mechanism_step(BIASED, batch, target, eta, noise, RegSpec()).params @ xv) - t
-        z = RngStream(seed, 0).normal(1.0, replicas * 3).reshape(replicas, 3)
+        z = block_rows(seed, (), replicas, 3).reshape(replicas, 3)
         r = mechanism_step(BIASED, batch, target, eta, noise, RegSpec(), z).params @ xv - t
         n = replicas
         assert (post_update.mean, post_update.stderr) == pytest.approx(
@@ -332,12 +339,12 @@ class TestCrossTerm:
                                              rel=1e-9, abs=0)
         assert cross.mean == pytest.approx(np.mean(2 * c * (c - r)), rel=1e-9, abs=0)
 
-    # The post-update checks of this call as computed before the cross term
-    # shared their rows, with numpy's whole-array mean and std of r^2:
+    # The post-update checks of this call with numpy's whole-array mean and
+    # std of r^2 over the same keyed rows (block_rows):
     # (analytic, mean, stderr, z) per noise shape.
     POST_UPDATE_BITS = [
-        (0.6616000000000001, 0.6626272633942459, 0.001187341165424782, 0.8651796334193012),
-        (0.6738505385825232, 0.6725829281699318, 0.0007106574310155927, -1.7837151309032988),
+        (0.6616000000000001, 0.6628281029958295, 0.0011821229425847948, 1.0388961685694842),
+        (0.6738505385825232, 0.6742497127447631, 0.000708974611523904, 0.5630302633572255),
     ]
 
     def test_post_update_checks_keep_their_bits(self):
@@ -394,7 +401,7 @@ class TestMomentIdentities:
     def test_in_place_summaries_give_numpys_bits(self, sigma, replicas):
         # the reference is the whole-array form, with numpy's mean/std/var;
         # the block sums give it to 1e-12
-        x = RngStream(31, 0).normal(sigma, replicas)
+        x = block_rows(31, (), replicas, 1, sigma)
         w = x * x
         n = replicas
         var_w = float(w.var(ddof=1))
@@ -498,8 +505,8 @@ class TestProductDensity:
         # check does: the integer counts add exactly, so every bit agrees
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         report = check_product_density(0.7, 1.3, replicas, bins=15, seed=14)
-        x = RngStream(14, 0).normal(0.7, replicas)
-        y = RngStream(14, 1).normal(1.3, replicas)
+        x = block_rows(14, (VERIFY_PRODUCT_DENSITY,), replicas, 1, 0.7, stream=0)
+        y = block_rows(14, (VERIFY_PRODUCT_DENSITY,), replicas, 1, 1.3, stream=1)
         pos_edges = np.linspace(0.05, 4.0, 16)
         masses = oracle._bin_masses(0.7, 1.3, pos_edges)
         expected = np.concatenate([masses[::-1], masses])
@@ -566,17 +573,21 @@ class TestFiniteDifferences:
 
 class TestRandomizedIdentitySuite:
     def test_fifty_setups_pass_both_modes(self):
+        # the 100 post-update z-scores as verify gates them: one family at
+        # the Bonferroni bound that holds all of them to a 3-sigma rate
         setups = random_linear_setups(50, seed=2024)
         modes = ("iid", "proportional")
+        _, bound = _family_bound(3.0, 2 * len(setups))
         for i, s in enumerate(setups):
             noises = tuple(NoiseSpec(mode=mode, sigma=s.sigma) for mode in modes)
-            checks = check_noisy_step(s.params, s.x, s.t, s.eta, noises, 20_000, 900 + i)
+            checks = check_noisy_step(s.params, s.x, s.t, s.eta, noises, 20_000, 2024,
+                                      (VERIFY_NOISY_STEP, i))
             assert [(c.kind, c.label) for c in checks] == [
                 (kind, mode) for kind in ("post_update_loss", "cross_term") for mode in modes]
             for check in checks:
                 assert check.name == f"{check.kind}[{check.label}]"
                 if check.kind == "post_update_loss":
-                    assert abs(check.z) <= 3.0, f"{check.label}[{i}]: z = {check.z}"
+                    assert abs(check.z) <= bound, f"{check.label}[{i}]: z = {check.z}"
 
     def test_equivalence_chain_is_algebraic(self):
         for setup in random_linear_setups(50, seed=2025):

@@ -1,6 +1,6 @@
 """The package exports nothing that only its tests use, its public
-functions take each model input from one source, and no public parameter
-has a default that only tests override.
+functions take each model input from one source, no public parameter
+has a default that only tests override, and no stream seed is computed.
 
 Every public top-level function and class of privreg must be named by
 package code outside its own definition.  Re-exports in __init__ do not
@@ -127,3 +127,49 @@ def test_every_default_is_passed_by_some_package_call():
         f"defaulted parameters no package call passes: "
         f"{sorted(unpassed - UNPASSED_DEFAULTS_ALLOWED)}; "
         f"allowed but now passed or gone: {sorted(UNPASSED_DEFAULTS_ALLOWED - unpassed)}")
+
+
+
+def _seed_positions(trees: list[ast.Module]) -> dict[str, int]:
+    """Call name -> position of the `seed` argument, for every package
+    function, and class by its __init__, that takes one."""
+    positions = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs = [(node.name, fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
+            elif isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node)]
+            else:
+                continue
+            for name, fn in defs:
+                params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+                if "seed" in params:
+                    positions[name] = params.index("seed") - (params[0] == "self")
+    return positions
+
+
+def test_no_stream_seed_is_computed():
+    """A stream's key names what it draws for (privreg.numerics), so no
+    seed is offset to tell draws apart: a package call that passes an
+    arithmetic expression as the seed of RngStream, or as the `seed`
+    argument of any package function, fails here."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    positions = _seed_positions(list(trees.values()))
+    assert positions["RngStream"] == 0 and "generate_dataset" in positions
+    offsets = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = (func.id if isinstance(func, ast.Name)
+                      else func.attr if isinstance(func, ast.Attribute) else None)
+            seeds = [kw.value for kw in node.keywords if kw.arg == "seed"]
+            if callee in positions and positions[callee] < len(node.args):
+                seeds.append(node.args[positions[callee]])
+            offsets += [f"{name}:{node.lineno}: {ast.unparse(seed)}" for seed in seeds
+                        if isinstance(seed, (ast.BinOp, ast.UnaryOp))]
+    assert offsets == [], f"computed stream seeds: {offsets}"

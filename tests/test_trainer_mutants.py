@@ -2,11 +2,13 @@
 
 Each mutant breaks one rule of optimizers.mechanism_step or of the kappa
 formula, and must fail the check that covers that rule on every seed of
-ORACLE_SEEDS, far outside its gate: a z-scored check by |z| >= MIN_Z on
-at least one of its rows.  The noise and kappa mutants run verify's own
-rows on verify's random setups; those setups have neither a bias nor a
-clip, so the bias and clip mutants call check_noisy_step directly on a
-unit that has them.  A later change to the gates keeps its power if these
+ORACLE_SEEDS, outside its gate: a z-scored check by |z| >= MIN_Z on at
+least one of its rows, MIN_Z being above the family bound that verify
+gates configs/verify.json's 212 z-scores at.  The noise and kappa mutants
+run verify's own rows on verify's random setups; those setups have
+neither a bias nor a clip, so the bias and clip mutants call
+check_noisy_step directly on a unit that has them, under the key verify
+gives setup 0.  A later change to the gates keeps its power if these
 still fail.
 """
 
@@ -16,9 +18,10 @@ import numpy as np
 import pytest
 
 from privreg import oracle
-from privreg.experiments import (OracleConfig, _equivalence_rows,
+from privreg.experiments import (OracleConfig, _equivalence_rows, _family_bound,
                                  _noisy_step_rows)
 from privreg.model import ModelSpec, ParameterSet
+from privreg.numerics import VERIFY_NOISY_STEP
 from privreg.optimizers import NoiseSpec, Step, clip_gradient
 from privreg.oracle import check_noisy_step, random_linear_setups
 from privreg.regularizers import RegSpec
@@ -27,6 +30,11 @@ ORACLE_SEEDS = (101, 202, 303)
 SETUPS = 10
 REPLICAS = 200_000
 MIN_Z = 5.0
+KEY = (VERIFY_NOISY_STEP, 0)
+
+
+def test_min_z_is_outside_the_shipped_family_gate():
+    assert _family_bound(3.0, 212)[1] < MIN_Z
 
 real_step = oracle.mechanism_step
 
@@ -66,7 +74,7 @@ def worst_post_update_z(seed: int) -> dict[str, float]:
     worst = {}
     for mode in ("iid", "proportional"):
         z = [r for r in rows if r.metric == "post_update_loss_z" and r.mechanism == mode]
-        assert len(z) == SETUPS and all(r.bound == 3.0 for r in z)
+        assert len(z) == SETUPS and all(r.zs == 1 and r.unit == 1.0 for r in z)
         worst[mode] = max(abs(r.value) for r in z)
     return worst
 
@@ -101,7 +109,7 @@ X = np.array([2.0, 1.0])
 def test_no_noise_on_the_bias_fails_the_iid_post_update_loss(monkeypatch, seed):
     monkeypatch.setattr(oracle, "mechanism_step", no_noise_on_the_bias)
     check = check_noisy_step(BIASED, X, 0.3, 0.15, (NoiseSpec(mode="iid", sigma=0.4),),
-                             REPLICAS, seed)[0]
+                             REPLICAS, seed, KEY)[0]
     assert check.name == "post_update_loss[iid]"
     assert abs(check.z) >= MIN_Z
 
@@ -111,5 +119,5 @@ def test_clip_after_the_noise_fails_every_check(monkeypatch, seed):
     monkeypatch.setattr(oracle, "mechanism_step", clip_after_the_noise)
     noises = tuple(NoiseSpec(mode=mode, sigma=0.4, clip_c=0.5)
                    for mode in ("iid", "proportional"))
-    checks = check_noisy_step(BIASED, X, 1.3, 0.15, noises, REPLICAS, seed)
+    checks = check_noisy_step(BIASED, X, 1.3, 0.15, noises, REPLICAS, seed, KEY)
     assert len(checks) == 4 and all(abs(c.z) >= MIN_Z for c in checks)
