@@ -23,10 +23,8 @@ from .optimizers import (GradientRecord, NoiseSpec, Step, TrainConfig,
                          dataset_loss, initial_params_for, mechanism_label,
                          mechanism_step, train)
 from .oracle import (IdentityEstimate, ProductDensityReport,
-                     analytic_post_update_loss, backprop_grad_check,
-                     check_moment_identities, check_noisy_step,
+                     analytic_post_update_loss, check_moment_identities, check_noisy_step,
                      check_product_density, equivalence_chain_residuals,
                      finite_difference_gradient, grad_check,
                      random_linear_setups)
-from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
-                           pdp_grad, pdp_penalty)
+from .regularizers import RegSpec

@@ -170,28 +170,13 @@ def _invert_records(theta: np.ndarray, bias: np.ndarray, target: np.ndarray,
     return best_x[pick]
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties given the mean of the ranks they span.
-
-    A NaN anywhere makes every rank NaN, so the AUC built on them is NaN.
-    """
-    if np.isnan(values).any():
-        return np.full(values.size, math.nan)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    group = np.cumsum(starts) - 1
-    bounds = np.append(np.flatnonzero(starts), values.size)
-    ranks = np.empty(values.size)
-    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
-    return ranks
-
-
 def membership_inference(params: ParameterSet, members: Dataset,
                          non_members: Dataset) -> float:
-    """The AUC of -loss as a score of members against non-members.
-
-    AUC uses midranks, so constant scores give exactly 0.5.
+    """The AUC of -loss as a score of members against non-members: the
+    share of (member, non-member) pairs in which the member scores higher,
+    a tie counting one half, so constant scores give exactly 0.5.  Each
+    member's count comes from a sorted search of the non-member scores.
+    A NaN score anywhere makes the AUC NaN.
     """
     if len(members) == 0 or len(non_members) == 0:
         raise ValueError("member and non-member sets must be nonempty")
@@ -202,10 +187,12 @@ def membership_inference(params: ParameterSet, members: Dataset,
         return -quadratic_loss(forward(params, data.x)[-1], data.t)
 
     s_mem = scores(members)
-    s_non = scores(non_members)
-    n1, n0 = s_mem.size, s_non.size
-    ranks = _midranks(np.concatenate([s_mem, s_non]))
-    return float((ranks[:n1].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+    s_non = np.sort(scores(non_members))
+    if np.isnan(s_mem).any() or np.isnan(s_non).any():
+        return math.nan
+    below = np.searchsorted(s_non, s_mem, "left")
+    tied = np.searchsorted(s_non, s_mem, "right") - below
+    return float((below.sum() + 0.5 * tied.sum()) / (s_mem.size * s_non.size))
 
 
 @dataclass

@@ -58,17 +58,17 @@ import numpy as np
 
 from . import __version__
 from .attack import COSINE_SUCCESS, leakage_sweep, membership_inference
-from .model import ACTIVATIONS, Dataset, ModelSpec, ParameterSet, init_params
+from .model import (ACTIVATIONS, Dataset, ModelSpec, ParameterSet, backward, forward,
+                    init_params, quadratic_loss)
 from .numerics import (ATTACK_MEMBERSHIP, DATA_FEATURES, DATA_HIDDEN, DATA_TARGET_NOISE,
                        TRAIN_NOISE, VERIFY_GRAD_CHECK, VERIFY_MOMENTS, VERIFY_NOISY_STEP,
                        VERIFY_STEP_EXPECTATION, VERIFY_TRAJECTORY, RngStream)
 from .optimizers import (NOISE_MODES, NoiseSpec, TrainConfig, initial_params_for,
                          mechanism_label, mechanism_step, train)
-from .oracle import (PENALTY_KINDS, LinearSetup, backprop_grad_check,
-                     check_moment_identities, check_noisy_step,
+from .oracle import (LinearSetup, check_moment_identities, check_noisy_step,
                      check_product_density, equivalence_chain_residuals,
                      grad_check, mc_lanes, random_linear_setups)
-from .regularizers import KAPPA_MODES, RegSpec, dp_input_penalty
+from .regularizers import KAPPA_MODES, RegSpec
 
 OUT_DIR_ENV = "PRIVREG_OUT"
 CSV_HEADER = ("experiment_id", "mechanism", "metric", "value", "stderr", "seed")
@@ -517,11 +517,11 @@ def _check_model_use(config: ExperimentConfig, command: str) -> None:
     if command == "train" and not config.model.is_linear_unit:
         # The parameter-input product stands in for proportional noise on
         # one linear output unit only (see privreg.regularizers).
-        reg, sigma = config.train.reg, config.train.noise.sigma
-        if reg.kappa_mode == "explicit" and reg.kappa > 0:
-            raise ConfigError(f"field 'train.reg.kappa' must be 0 unless the model is a "
-                              f"single linear output unit, got {reg.kappa}")
-        if reg.kappa_mode == "derived" and sigma > 0:
+        reg = config.train.reg
+        if reg.effective_kappa(config.train.eta, config.train.noise.sigma) > 0:
+            if reg.kappa_mode == "explicit":
+                raise ConfigError(f"field 'train.reg.kappa' must be 0 unless the model is "
+                                  f"a single linear output unit, got {reg.kappa}")
             raise ConfigError("field 'train.reg.kappa_mode' must not be 'derived' with "
                               "train.noise.sigma > 0 unless the model is a single "
                               "linear output unit")
@@ -771,14 +771,16 @@ def _trajectory_identity(oc: OracleConfig) -> list[_CheckRow]:
     spec = ModelSpec(layer_sizes=(5, 1), activation="identity", include_bias=True)
     base = TrainConfig(eta=0.05, batch_size=10, epochs=oc.trajectory_epochs,
                        seed=oc.seed, record_gradients=True)
+    shift = RegSpec(input_kappa=0.7)
     plain, shifted = (train(spec, data, replace(base, reg=reg), key=key)
-                      for reg in (RegSpec(), RegSpec(input_kappa=0.7)))
+                      for reg in (RegSpec(), shift))
 
     param_diff = _worst(plain.final_params.flat - shifted.final_params.flat)
     record_diff = _worst(np.concatenate([
         diff for a, b in zip(plain.records, shifted.records)
         for diff in (a.clean - b.clean, a.noisy - b.noisy, a.batch_indices - b.batch_indices)]))
-    mean_input_sq = float(np.mean(dp_input_penalty(data.x, 0.7)))
+    mean_input_sq = float(np.mean(shift.add_penalties(np.zeros(len(data)), plain.final_params,
+                                                      data.x, 0.0)))
     shift_residual = _worst([(s - p) - mean_input_sq
                              for p, s in zip(plain.epoch_losses, shifted.epoch_losses)])
     return [_CheckRow("input_penalty", f"trajectory_{metric}", value, bound=bound)
@@ -817,8 +819,29 @@ _GRAD_BOUNDS = {"l2": 1e-8, "pdp": 1e-8, "combined": 1e-8, "dp_input": 1e-10,
                 "backprop": 1e-6}
 
 
+def _penalty_grad_error(reg: RegSpec, params: ParameterSet, x: np.ndarray) -> float:
+    """grad_check of reg's penalty gradient at the one input x, both as the
+    trainer adds them (RegSpec.add_gradients, RegSpec.add_penalties), with
+    the product term at reg's explicit kappa."""
+    row = x[None, :]
+    return grad_check(lambda p: reg.add_penalties(np.zeros(1), p, row, reg.kappa)[0],
+                      reg.add_gradients(np.zeros((1, params.flat.size)), params, row,
+                                        reg.kappa)[0],
+                      params, 1e-5)
+
+
+def _backprop_grad_error(params: ParameterSet, x: np.ndarray, t: np.ndarray) -> float:
+    """grad_check of backward's gradient at the one example (x, t) against
+    its quadratic loss."""
+    row, target = x[None, :], t[None, :]
+    return grad_check(lambda p: quadratic_loss(forward(p, row)[-1], target)[0],
+                      backward(params, row, target)[0], params, 1e-6)
+
+
 def _grad_check_suite(oc: OracleConfig) -> list[_CheckRow]:
-    """Penalty gradients and backprop against finite differences."""
+    """Penalty gradients and backprop against finite differences of their
+    losses: each penalty row is one RegSpec, the combined row weight decay
+    and the product term together."""
     rng = RngStream(oc.seed, VERIFY_GRAD_CHECK, 0)
     errors = {kind: [] for kind in _GRAD_BOUNDS}
     for _ in range(20):
@@ -828,8 +851,10 @@ def _grad_check_suite(oc: OracleConfig) -> list[_CheckRow]:
         x = rng.normal(1.0, d)
         lam = float(rng.uniform(1)[0] * 0.2)
         kappa = float(rng.uniform(1)[0] * 0.2)
-        for kind in PENALTY_KINDS:
-            errors[kind].append(grad_check(kind, params, x, lam, kappa))
+        for kind, reg in (("l2", RegSpec(lam=lam)), ("pdp", RegSpec(kappa=kappa)),
+                          ("dp_input", RegSpec(input_kappa=kappa)),
+                          ("combined", RegSpec(lam=lam, kappa=kappa))):
+            errors[kind].append(_penalty_grad_error(reg, params, x))
 
     spec = ModelSpec(layer_sizes=(4, 6, 1), activation="tanh", include_bias=True)
     init_rng = RngStream(oc.seed, VERIFY_GRAD_CHECK, 1)
@@ -837,7 +862,7 @@ def _grad_check_suite(oc: OracleConfig) -> list[_CheckRow]:
         params = init_params(spec, init_rng)
         x = rng.normal(1.0, 4)
         t = rng.normal(1.0, 1)
-        errors["backprop"].append(backprop_grad_check(params, x, t))
+        errors["backprop"].append(_backprop_grad_error(params, x, t))
 
     return [_CheckRow("gradients", f"grad_check_{kind}_max_rel_err", _worst(errors[kind]),
                       bound=bound) for kind, bound in _GRAD_BOUNDS.items()]

@@ -14,15 +14,19 @@ Four mechanisms share one loop:
                                 term needs a single linear output unit
 
 Order per batch (mechanism_step): one forward/backward pass over the
-batch's (B, d) rows gives the (B, P) per-example loss gradients; penalty
-gradients are added row by row, each row is clipped by its norm, the rows
-are averaged, then one optional noise draw and the step.  Penalties
-belong to the loss, so they come before the privacy mechanics.  Every row
-is computed exactly as the example would be on its own (see
+batch's (B, d) rows gives the (B, P) per-example loss gradients; the
+penalty gradients are added row by row (RegSpec.add_gradients), each row
+is clipped by its norm, the rows are averaged, then one optional noise
+draw and the step.  Penalties belong to the loss, so they come before the
+privacy mechanics.  Every row is computed exactly as the example would be
+on its own (see
 privreg.model), so batch size never changes an example's gradient bits.
 mechanism_step also takes R noise rows at once: that is how the oracle
 samples many noisy steps from one starting point, one block of rows at a
-time, stepping each block once per noise shape.
+time, stepping each block once per noise shape.  dataset_loss, which
+train() reports per epoch, adds the same terms to the losses
+(RegSpec.add_penalties) at the same kappa, so the loss reported is the
+loss the steps descend.
 
 A run is deterministic given its seed and its key prefix (see
 privreg.numerics): it draws its init, its epoch permutations and its
@@ -48,8 +52,7 @@ import numpy as np
 from .model import (Dataset, ModelSpec, ParameterSet, backward, forward,
                     init_params, quadratic_loss)
 from .numerics import TRAIN_INIT, TRAIN_NOISE, TRAIN_SHUFFLE, RngStream
-from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
-                           pdp_grad, pdp_penalty)
+from .regularizers import RegSpec
 
 NOISE_MODES = ("none", "iid", "proportional")
 
@@ -174,11 +177,7 @@ def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: floa
         raise ValueError(f"eta must be positive, got {eta}")
     x = np.asarray(x, dtype=np.float64)
     grads = backward(params, x, t)
-    kappa = reg.effective_kappa(eta, noise.sigma)
-    if reg.lam > 0:
-        grads = grads + l2_grad(params, reg.lam)
-    if kappa > 0:
-        grads = grads + pdp_grad(params, x, kappa)
+    grads = reg.add_gradients(grads, params, x, reg.effective_kappa(eta, noise.sigma))
     if noise.clip_c is not None:
         grads = clip_gradient(grads, noise.clip_c)
     # np.mean's sum and division, without its per-call overhead
@@ -211,16 +210,11 @@ def initial_params_for(spec: ModelSpec, seed: int, key: tuple[int, ...] = ()) ->
 
 def dataset_loss(params: ParameterSet, data: Dataset, reg: RegSpec,
                  kappa: float) -> float:
-    """Mean per-example loss over the dataset, penalties included, with
-    `kappa` the weight of the parameter-input product term."""
+    """Mean per-example loss over the dataset, penalties included
+    (RegSpec.add_penalties), with `kappa` the weight of the parameter-input
+    product term."""
     losses = quadratic_loss(forward(params, data.x)[-1], data.t)
-    if reg.lam > 0:
-        losses = losses + l2_penalty(params, reg.lam)
-    if kappa > 0:
-        losses = losses + pdp_penalty(params, data.x, kappa)
-    if reg.input_kappa > 0:
-        losses = losses + dp_input_penalty(data.x, reg.input_kappa)
-    return float(np.mean(losses))
+    return float(np.mean(reg.add_penalties(losses, params, data.x, kappa)))
 
 
 def _noise_rows(noise: NoiseSpec, rng: RngStream, steps: int,

@@ -32,11 +32,11 @@ split among lanes (threads), each lane opening its own blocks' streams,
 so the estimates have the same bits at any lane count, and no check holds
 an array as long as its replicas.
 
-Monte Carlo estimates are z-scored against the closed forms, gradients
-compared to central finite differences; the caller (experiments._run_checks)
-decides what passes.  Every sampler is seeded, and a check draws from the
-stream key prefix its caller passes (see privreg.numerics), so each value
-is reproducible.
+Monte Carlo estimates are z-scored against the closed forms, and every
+gradient is compared to central finite differences of its loss by one
+grad_check; the caller (experiments._run_checks) decides what passes.
+Every sampler is seeded, and a check draws from the stream key prefix its
+caller passes (see privreg.numerics), so each value is reproducible.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ import numpy as np
 from .model import ModelSpec, ParameterSet, linear_unit_features
 from .numerics import VERIFY_PRODUCT_DENSITY, VERIFY_SETUPS, RngStream
 from .optimizers import NoiseSpec, clip_gradient, mechanism_step
-from .regularizers import (RegSpec, dp_input_penalty, l2_grad, l2_penalty,
-                           pdp_grad, pdp_penalty)
+from .regularizers import RegSpec
 
 
 @dataclass(frozen=True)
@@ -438,58 +437,15 @@ def finite_difference_gradient(f: Callable[[np.ndarray], float], theta: np.ndarr
     return grad
 
 
-def _max_rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
-    return float(np.max(np.abs(analytic - fd) / denom))
-
-
-PENALTY_KINDS = ("l2", "pdp", "dp_input", "combined")
-
-
-def grad_check(kind: str, params: ParameterSet, x: np.ndarray,
-               lam: float = 0.0, kappa: float = 0.0) -> float:
-    """Worst relative error of a penalty gradient against central differences.
-
-    Kind "combined" checks l2_grad + pdp_grad, the sum mechanism_step adds.
-    """
-    if kind not in PENALTY_KINDS:
-        raise ValueError(f"unknown penalty kind {kind!r}")
-    spec = params.spec
-
-    row = np.asarray(x, dtype=np.float64)[None, :]
-
-    if kind == "l2":
-        f = lambda th: l2_penalty(ParameterSet(spec, th), lam)
-        analytic = l2_grad(params, lam)
-    elif kind == "pdp":
-        f = lambda th: pdp_penalty(ParameterSet(spec, th), row, kappa)[0]
-        analytic = pdp_grad(params, row, kappa)[0]
-    elif kind == "dp_input":
-        f = lambda th: dp_input_penalty(x, kappa)
-        analytic = np.zeros_like(params.flat)
-    else:
-        f = lambda th: (l2_penalty(ParameterSet(spec, th), lam)
-                        + pdp_penalty(ParameterSet(spec, th), row, kappa)[0])
-        analytic = l2_grad(params, lam) + pdp_grad(params, row, kappa)[0]
-
-    fd = finite_difference_gradient(f, params.flat, 1e-5)
-    return _max_rel_err(analytic, fd)
-
-
-def backprop_grad_check(params: ParameterSet, x: np.ndarray, t) -> float:
-    """Worst relative error of backward() against central differences of the loss."""
-    from .model import backward, forward, quadratic_loss
-
-    row = np.asarray(x, dtype=np.float64)[None, :]
-    target = np.atleast_1d(np.asarray(t, dtype=np.float64))[None, :]
-
-    def loss_at(th: np.ndarray) -> float:
-        p = ParameterSet(params.spec, th)
-        return quadratic_loss(forward(p, row)[-1], target)[0]
-
-    analytic = backward(params, row, target)[0]
-    fd = finite_difference_gradient(loss_at, params.flat, 1e-6)
-    return _max_rel_err(analytic, fd)
+def grad_check(loss: Callable[[ParameterSet], float], grad: np.ndarray,
+               params: ParameterSet, h_scale: float) -> float:
+    """Worst relative error of `grad`, the gradient of `loss` at `params`,
+    against central differences of `loss` (finite_difference_gradient):
+    max_i |grad_i - fd_i| / max(1, |grad_i|, |fd_i|)."""
+    fd = finite_difference_gradient(lambda theta: loss(ParameterSet(params.spec, theta)),
+                                    params.flat, h_scale)
+    denom = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(fd)))
+    return float(np.max(np.abs(grad - fd) / denom))
 
 
 @dataclass(frozen=True)
@@ -528,16 +484,19 @@ def equivalence_chain_residuals(setup: LinearSetup) -> tuple[float, float]:
     The homogeneous-noise gap must equal the input-only penalty with
     kappa = eta^2*sigma^2 (RegSpec's derived kappa, the weight the trainer
     uses); the proportional-noise gap must equal the parameter-input
-    product penalty with the same kappa.
+    product penalty with the same kappa.  Both penalties are the trainer's
+    own terms (RegSpec.add_penalties).
     """
-    kappa = RegSpec(kappa_mode="derived").effective_kappa(setup.eta, setup.sigma)
+    reg = RegSpec(kappa_mode="derived")
+    kappa = reg.effective_kappa(setup.eta, setup.sigma)
     clean = analytic_post_update_loss(setup.params, setup.x, setup.t, setup.eta,
                                       NoiseSpec(mode="none"))
-    _, xv = _linear_neuron_vectors(setup.params, setup.x)
     iid_gap = analytic_post_update_loss(setup.params, setup.x, setup.t, setup.eta,
                                         NoiseSpec(mode="iid", sigma=setup.sigma)) - clean
     prop_gap = analytic_post_update_loss(setup.params, setup.x, setup.t, setup.eta,
                                          NoiseSpec(mode="proportional", sigma=setup.sigma)) - clean
-    iid_resid = abs(iid_gap - dp_input_penalty(xv, kappa))
-    prop_resid = abs(prop_gap - pdp_penalty(setup.params, setup.x[None, :], kappa)[0])
+    row, base = setup.x[None, :], np.zeros(1)
+    input_term = RegSpec(input_kappa=kappa).add_penalties(base, setup.params, row, 0.0)[0]
+    iid_resid = abs(iid_gap - input_term)
+    prop_resid = abs(prop_gap - reg.add_penalties(base, setup.params, row, kappa)[0])
     return float(iid_resid), float(prop_resid)

@@ -1,14 +1,16 @@
-"""Penalty terms and their exact parameter gradients.
+"""The penalty terms of a training loss and their exact parameter gradients.
 
-Three terms appear in training losses here:
+RegSpec is the one home of the penalized loss: add_penalties adds its
+terms to per-example losses and add_gradients their gradients to
+per-example loss gradients, in this order:
 
 * classic weight decay        lam * sum_i theta_i^2
-* input-only term             kappa * sum_i x_i^2        (parameter gradient: zero)
 * parameter-input product     kappa * sum_i theta_i^2 * x_i^2
+* input-only term             input_kappa * sum_i x_i^2   (parameter gradient: zero)
 
 The input-only term is what adding homogeneous Gaussian gradient noise of
 variance sigma^2 does to the expected loss of a linear neuron trained with
-learning rate eta (with kappa = eta^2 * sigma^2): it shifts loss values
+learning rate eta (with weight eta^2 * sigma^2): it shifts loss values
 but, being independent of the parameters, steers nothing.  The
 parameter-input product is the analogous expected-loss shift when the
 per-coordinate noise scale is theta_i * sigma, and that one does steer.
@@ -18,11 +20,11 @@ Both identities hold for one linear output unit only.  Off it the shift
 is, to second order, (1/2) * kappa * sum_i theta_i^2 * H_ii (proportional)
 or (1/2) * kappa * sum_i H_ii (iid), H the loss Hessian: on a (3, 4, 1)
 tanh net the parameter-input product is ~22x the Monte Carlo shift.  So
-pdp_penalty and pdp_grad raise ValueError on any other model.  The
-input-only term steers nothing and stays accepted everywhere.
+the product term raises ValueError on any other model.  The input-only
+term steers nothing and stays accepted everywhere.
 
-The input-dependent terms work on a (B, d) batch, one value or one (P,)
-gradient row per example; a single input is a batch of one row.
+The terms work on a (B, d) batch, one value or one (P,) gradient row per
+example; a single input is a batch of one row.
 """
 
 from __future__ import annotations
@@ -64,47 +66,33 @@ class RegSpec:
         """The product-term weight of a run at rate eta and noise scale sigma."""
         return eta * eta * sigma * sigma if self.kappa_mode == "derived" else self.kappa
 
+    def add_penalties(self, losses: np.ndarray, params: ParameterSet, x: np.ndarray,
+                      kappa: float) -> np.ndarray:
+        """`losses`, one per row of the (B, d) batch x, plus the penalty
+        terms: lam * sum(theta^2), then kappa * sum_i theta_i^2 * x_i^2
+        (biases paired with constant 1; raises ValueError unless the model
+        is a single linear output unit), then input_kappa * sum(x^2).
+        kappa is the run's product-term weight (effective_kappa); a term
+        whose weight is 0 is not added."""
+        if self.lam > 0:
+            losses = losses + self.lam * np.dot(params.flat, params.flat)
+        if kappa > 0:
+            f = linear_unit_features(params.spec, x)
+            losses = losses + kappa * np.vecdot(params.flat * params.flat, f * f)
+        if self.input_kappa > 0:
+            x = np.asarray(x, dtype=np.float64)
+            losses = losses + self.input_kappa * np.vecdot(x, x)
+        return losses
 
-def l2_penalty(params: ParameterSet, lam: float) -> float:
-    """lam * sum(theta^2)."""
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
-    return float(lam * np.dot(params.flat, params.flat))
-
-
-def l2_grad(params: ParameterSet, lam: float) -> np.ndarray:
-    """Coordinate-wise 2 * lam * theta."""
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
-    return 2.0 * lam * params.flat
-
-
-def dp_input_penalty(x: np.ndarray, kappa: float) -> np.ndarray:
-    """kappa * sum(x^2) over the last axis, one value per row of a batch.
-    Constant in the parameters, so its parameter gradient is identically
-    zero."""
-    if kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    x = np.asarray(x, dtype=np.float64)
-    return kappa * np.vecdot(x, x)
-
-
-def pdp_penalty(params: ParameterSet, x: np.ndarray, kappa: float) -> np.ndarray:
-    """kappa * sum_i theta_i^2 * x_i^2 per row of the (B, d) batch x,
-    biases paired with constant 1.  Raises ValueError unless the model is
-    a single linear output unit."""
-    if kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    f = linear_unit_features(params.spec, x)
-    theta = params.flat
-    return kappa * np.vecdot(theta * theta, f * f)
-
-
-def pdp_grad(params: ParameterSet, x: np.ndarray, kappa: float) -> np.ndarray:
-    """Coordinate-wise 2 * kappa * x_i^2 * theta_i (2 * kappa * theta_i on
-    the bias), one (P,) row per row of the batch x.  Raises ValueError
-    unless the model is a single linear output unit."""
-    if kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    f = linear_unit_features(params.spec, x)
-    return 2.0 * kappa * (f * f) * params.flat
+    def add_gradients(self, grads: np.ndarray, params: ParameterSet, x: np.ndarray,
+                      kappa: float) -> np.ndarray:
+        """`grads`, one (P,) row per row of the (B, d) batch x, plus the
+        parameter gradients of add_penalties' terms: 2 * lam * theta, then
+        2 * kappa * x_i^2 * theta_i (2 * kappa * theta_i on the bias).  The
+        input-only term has none."""
+        if self.lam > 0:
+            grads = grads + 2.0 * self.lam * params.flat
+        if kappa > 0:
+            f = linear_unit_features(params.spec, x)
+            grads = grads + 2.0 * kappa * (f * f) * params.flat
+        return grads

@@ -8,10 +8,12 @@ from statistics import median
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import privreg.attack
 from privreg.attack import (DIVERGENCE_PATIENCE, NoLeakageError,
-                            _descend, _invert_records, _midranks,
+                            _descend, _invert_records,
                             _objective_and_gradient, _restart_starts,
                             cosine_similarity, invert_linear_gradient, leakage_sweep,
                             mechanism_label, membership_inference)
@@ -386,14 +388,30 @@ class TestMembershipInference:
                        for a in scores(members) for b in scores(non_members))
             assert membership_inference(params, members, non_members) == wins / (n * n)
 
-    def test_midranks_match_scipy_rankdata(self):
-        from scipy.stats import rankdata
-        for case in range(200):
-            rng = RngStream(600 + case)
-            n = 1 + int(rng.uniform(1)[0] * 40)
-            values = np.floor(rng.uniform(n) * (1 + case % 7)) - 2.0
-            assert np.array_equal(_midranks(values), rankdata(values))
-        assert np.isnan(_midranks(np.array([1.0, math.nan, 0.0]))).all()
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.lists(st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0]), st.floats(-3.0, 3.0)),
+                 min_size=2 * n, max_size=2 * n),
+        st.none() | st.integers(0, 2 * n - 1))))
+    def test_auc_matches_the_pairwise_count_with_ties_and_nan(self, case):
+        # y = x and t = 0 make each score -x^2, so x and -x tie; a NaN input
+        # gives a NaN score, and the AUC is then NaN
+        inputs, nan_at = case
+        spec = ModelSpec(layer_sizes=(1, 1), activation="identity", include_bias=False)
+        params = ParameterSet(spec, np.array([1.0]))
+        x = np.array(inputs)[:, None]
+        if nan_at is not None:
+            x[nan_at] = math.nan
+        n = len(inputs) // 2
+        members, non_members = (Dataset(x[part], np.zeros((n, 1)))
+                                for part in (slice(0, n), slice(n, None)))
+        s_mem, s_non = -x[:n, 0] ** 2, -x[n:, 0] ** 2
+        auc = membership_inference(params, members, non_members)
+        if np.isnan(x).any():
+            assert math.isnan(auc)
+        else:
+            wins = sum(1.0 if a > b else 0.5 if a == b else 0.0
+                       for a in s_mem for b in s_non)
+            assert auc == wins / (n * n)
 
     def test_cli_import_leaves_scipy_stats_out(self, tmp_path):
         # neither the import nor a verify run, which checks the product

@@ -152,14 +152,13 @@ def small_moments_config(out_dir):
 
 def nan_from(monkeypatch, fold):
     """Make one check of verify return NaN where its worst case is folded:
-    every grad_check, every backprop_grad_check, the second setup's
-    equivalence residuals, or one later record or epoch loss of the
-    trajectory run with the input penalty.  Returns the failed checks."""
-    if fold in ("grad_check", "backprop_grad_check"):
+    every grad_check (the four penalty rows and backprop), the second
+    setup's equivalence residuals, or one later record or epoch loss of
+    the trajectory run with the input penalty.  Returns the failed checks."""
+    if fold == "grad_check":
         monkeypatch.setattr(experiments, fold, lambda *args: math.nan)
-        kinds = ("backprop",) if fold == "backprop_grad_check" else (
-            "l2", "pdp", "combined", "dp_input")
-        return [f"grad_check_{kind}_max_rel_err" for kind in kinds]
+        return [f"grad_check_{kind}_max_rel_err"
+                for kind in ("l2", "pdp", "combined", "dp_input", "backprop")]
     if fold == "equivalence":
         real, calls = experiments.equivalence_chain_residuals, itertools.count()
         monkeypatch.setattr(experiments, "equivalence_chain_residuals", lambda setup: (
@@ -447,8 +446,8 @@ class TestRun:
         rows = read_result_rows(tmp_path / "out" / "verify_results.csv")
         assert [r.value for r in rows if r.metric == "verify_pass"] == [0.0]
 
-    @pytest.mark.parametrize("fold", ["grad_check", "backprop_grad_check", "equivalence",
-                                      "record_diff", "loss_shift_residual"])
+    @pytest.mark.parametrize("fold", ["grad_check", "equivalence", "record_diff",
+                                      "loss_shift_residual"])
     def test_a_nan_check_fails_verify_and_the_manifest_stays_strict_json(
             self, tmp_path, monkeypatch, capsys, fold):
         names = nan_from(monkeypatch, fold)

@@ -14,7 +14,8 @@ from privreg.numerics import TRAIN_INIT, TRAIN_NOISE, TRAIN_SHUFFLE, RngStream
 from privreg.optimizers import (NOISE_BLOCK, NoiseSpec, TrainConfig, TrainingDivergedError,
                                 _noise_rows, clip_gradient, dataset_loss,
                                 initial_params_for, mechanism_step, train)
-from privreg.regularizers import RegSpec, dp_input_penalty
+from privreg.oracle import grad_check
+from privreg.regularizers import KAPPA_MODES, RegSpec
 from reference_solvers import regularized_least_squares_oracle
 
 LINEAR2 = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=False)
@@ -212,7 +213,8 @@ class TestTrain:
         for ra, rb in zip(plain.records, shifted.records):
             assert np.array_equal(ra.clean, rb.clean)
             assert np.array_equal(ra.noisy, rb.noisy)
-        mean_shift = np.mean(dp_input_penalty(data.x, 0.4))
+        mean_shift = np.mean(shifted_config.reg.add_penalties(
+            np.zeros(len(data)), plain.final_params, data.x, 0.0))
         for la, lb in zip(plain.epoch_losses, shifted.epoch_losses):
             assert lb - la == pytest.approx(mean_shift, abs=1e-12)
 
@@ -309,6 +311,33 @@ class TestTrain:
             dataset_loss(report.final_params, data, config.reg,
                          config.reg.effective_kappa(config.eta, config.noise.sigma)),
             abs=1e-15)
+
+
+class TestReportedLossIsDescended:
+    """train reports dataset_loss at the kappa its steps take; a full batch's
+    clean step must be the gradient of that loss, penalties included."""
+
+    def test_clean_step_is_the_gradient_of_the_dataset_loss(self):
+        worst = 0.0
+        for case in range(300):
+            rng = RngStream(71, case)
+            d, n = 2 + int(rng.uniform(1)[0] * 5), 2 + int(rng.uniform(1)[0] * 7)
+            spec = ModelSpec(layer_sizes=(d, 1), activation="identity",
+                             include_bias=bool(rng.uniform(1)[0] < 0.5))
+            params = ParameterSet(spec, rng.normal(1.0, spec.n_params))
+            data = Dataset(rng.normal(1.0, n * d).reshape(n, d),
+                           rng.normal(1.0, n).reshape(n, 1))
+            u = rng.uniform(6)
+            eta, sigma = 0.02 + 0.3 * u[0], 0.05 + 0.5 * u[1]
+            # each coefficient is 0 in about a quarter of the cases
+            lam, kappa, input_kappa = (0.0 if v < 0.25 else 0.4 * v for v in u[2:5])
+            reg = RegSpec(lam=lam, kappa=kappa, input_kappa=input_kappa,
+                          kappa_mode=KAPPA_MODES[int(u[5] < 0.5)])
+            step = mechanism_step(params, data.x, data.t, eta, NoiseSpec("none", sigma), reg)
+            steps_kappa = reg.effective_kappa(eta, sigma)
+            worst = max(worst, grad_check(lambda p: dataset_loss(p, data, reg, steps_kappa),
+                                          step.clean, params, 1e-5))
+        assert worst <= 1e-8
 
 
 class TestNoiseBlocks:

@@ -13,12 +13,12 @@ from scipy import special
 from scipy.integrate import quad
 
 from privreg.model import Dataset, ModelSpec, ParameterSet
-from privreg.experiments import _family_bound
+from privreg.experiments import _backprop_grad_error, _family_bound
 from privreg.numerics import VERIFY_NOISY_STEP, VERIFY_PRODUCT_DENSITY, RngStream
 from privreg import oracle
 from privreg.optimizers import NoiseSpec, mechanism_step
 from privreg.oracle import (MC_CHUNK_ROWS, analytic_post_update_loss,
-                            backprop_grad_check, check_moment_identities,
+                            check_moment_identities,
                             check_noisy_step, check_product_density,
                             equivalence_chain_residuals,
                             finite_difference_gradient, random_linear_setups)
@@ -568,7 +568,7 @@ class TestFiniteDifferences:
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
         p = ParameterSet(spec, np.array([1.0, 2.0, 3.0]))
         x = np.array([0.5, -1.0, 2.0])
-        assert backprop_grad_check(p, x, np.array([1.0])) <= 1e-8
+        assert _backprop_grad_error(p, x, np.array([1.0])) <= 1e-8
 
 
 class TestRandomizedIdentitySuite:

@@ -173,3 +173,21 @@ def test_no_stream_seed_is_computed():
             offsets += [f"{name}:{node.lineno}: {ast.unparse(seed)}" for seed in seeds
                         if isinstance(seed, (ast.BinOp, ast.UnaryOp))]
     assert offsets == [], f"computed stream seeds: {offsets}"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """An import that no code of its module reads is left over from a cut.
+    __init__ imports to re-export, so it is exempt."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                unread += [f"{path.stem}:{node.lineno}: {name}" for name in
+                           (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                           if name not in read]
+    assert unread == [], f"imported names never read: {unread}"
