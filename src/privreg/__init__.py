@@ -23,8 +23,9 @@ from .optimizers import (GradientRecord, NoiseSpec, Step, TrainConfig,
                          dataset_loss, initial_params_for, mechanism_label,
                          mechanism_step, train)
 from .oracle import (IdentityEstimate, ProductDensityReport,
-                     analytic_post_update_loss, check_moment_identities, check_noisy_step,
+                     analytic_post_update_loss, backprop_grad_error,
+                     check_moment_identities, check_noisy_step,
                      check_product_density, equivalence_chain_residuals,
-                     finite_difference_gradient, grad_check,
+                     finite_difference_gradient, grad_check, penalty_grad_error,
                      random_linear_setups)
-from .regularizers import RegSpec
+from .regularizers import RegSpec, add_gradients, add_penalties

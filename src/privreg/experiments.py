@@ -58,17 +58,16 @@ import numpy as np
 
 from . import __version__
 from .attack import COSINE_SUCCESS, leakage_sweep, membership_inference
-from .model import (ACTIVATIONS, Dataset, ModelSpec, ParameterSet, backward, forward,
-                    init_params, quadratic_loss)
+from .model import ACTIVATIONS, Dataset, ModelSpec, ParameterSet, init_params
 from .numerics import (ATTACK_MEMBERSHIP, DATA_FEATURES, DATA_HIDDEN, DATA_TARGET_NOISE,
                        TRAIN_NOISE, VERIFY_GRAD_CHECK, VERIFY_MOMENTS, VERIFY_NOISY_STEP,
                        VERIFY_STEP_EXPECTATION, VERIFY_TRAJECTORY, RngStream)
 from .optimizers import (NOISE_MODES, NoiseSpec, TrainConfig, initial_params_for,
                          mechanism_label, mechanism_step, train)
-from .oracle import (LinearSetup, check_moment_identities, check_noisy_step,
-                     check_product_density, equivalence_chain_residuals,
-                     grad_check, mc_lanes, random_linear_setups)
-from .regularizers import KAPPA_MODES, RegSpec
+from .oracle import (LinearSetup, backprop_grad_error, check_moment_identities,
+                     check_noisy_step, check_product_density, equivalence_chain_residuals,
+                     mc_lanes, penalty_grad_error, random_linear_setups)
+from .regularizers import KAPPA_MODES, RegSpec, add_penalties
 
 OUT_DIR_ENV = "PRIVREG_OUT"
 CSV_HEADER = ("experiment_id", "mechanism", "metric", "value", "stderr", "seed")
@@ -779,8 +778,8 @@ def _trajectory_identity(oc: OracleConfig) -> list[_CheckRow]:
     record_diff = _worst(np.concatenate([
         diff for a, b in zip(plain.records, shifted.records)
         for diff in (a.clean - b.clean, a.noisy - b.noisy, a.batch_indices - b.batch_indices)]))
-    mean_input_sq = float(np.mean(shift.add_penalties(np.zeros(len(data)), plain.final_params,
-                                                      data.x, 0.0)))
+    mean_input_sq = float(np.mean(add_penalties(shift, np.zeros(len(data)), plain.final_params,
+                                                data.x, 0.0)))
     shift_residual = _worst([(s - p) - mean_input_sq
                              for p, s in zip(plain.epoch_losses, shifted.epoch_losses)])
     return [_CheckRow("input_penalty", f"trajectory_{metric}", value, bound=bound)
@@ -819,25 +818,6 @@ _GRAD_BOUNDS = {"l2": 1e-8, "pdp": 1e-8, "combined": 1e-8, "dp_input": 1e-10,
                 "backprop": 1e-6}
 
 
-def _penalty_grad_error(reg: RegSpec, params: ParameterSet, x: np.ndarray) -> float:
-    """grad_check of reg's penalty gradient at the one input x, both as the
-    trainer adds them (RegSpec.add_gradients, RegSpec.add_penalties), with
-    the product term at reg's explicit kappa."""
-    row = x[None, :]
-    return grad_check(lambda p: reg.add_penalties(np.zeros(1), p, row, reg.kappa)[0],
-                      reg.add_gradients(np.zeros((1, params.flat.size)), params, row,
-                                        reg.kappa)[0],
-                      params, 1e-5)
-
-
-def _backprop_grad_error(params: ParameterSet, x: np.ndarray, t: np.ndarray) -> float:
-    """grad_check of backward's gradient at the one example (x, t) against
-    its quadratic loss."""
-    row, target = x[None, :], t[None, :]
-    return grad_check(lambda p: quadratic_loss(forward(p, row)[-1], target)[0],
-                      backward(params, row, target)[0], params, 1e-6)
-
-
 def _grad_check_suite(oc: OracleConfig) -> list[_CheckRow]:
     """Penalty gradients and backprop against finite differences of their
     losses: each penalty row is one RegSpec, the combined row weight decay
@@ -854,7 +834,7 @@ def _grad_check_suite(oc: OracleConfig) -> list[_CheckRow]:
         for kind, reg in (("l2", RegSpec(lam=lam)), ("pdp", RegSpec(kappa=kappa)),
                           ("dp_input", RegSpec(input_kappa=kappa)),
                           ("combined", RegSpec(lam=lam, kappa=kappa))):
-            errors[kind].append(_penalty_grad_error(reg, params, x))
+            errors[kind].append(penalty_grad_error(reg, params, x))
 
     spec = ModelSpec(layer_sizes=(4, 6, 1), activation="tanh", include_bias=True)
     init_rng = RngStream(oc.seed, VERIFY_GRAD_CHECK, 1)
@@ -862,7 +842,7 @@ def _grad_check_suite(oc: OracleConfig) -> list[_CheckRow]:
         params = init_params(spec, init_rng)
         x = rng.normal(1.0, 4)
         t = rng.normal(1.0, 1)
-        errors["backprop"].append(_backprop_grad_error(params, x, t))
+        errors["backprop"].append(backprop_grad_error(params, x, t))
 
     return [_CheckRow("gradients", f"grad_check_{kind}_max_rel_err", _worst(errors[kind]),
                       bound=bound) for kind, bound in _GRAD_BOUNDS.items()]

@@ -15,18 +15,18 @@ Four mechanisms share one loop:
 
 Order per batch (mechanism_step): one forward/backward pass over the
 batch's (B, d) rows gives the (B, P) per-example loss gradients; the
-penalty gradients are added row by row (RegSpec.add_gradients), each row
-is clipped by its norm, the rows are averaged, then one optional noise
+penalty gradients are added row by row (regularizers.add_gradients), each
+row is clipped by its norm, the rows are averaged, then one optional noise
 draw and the step.  Penalties belong to the loss, so they come before the
 privacy mechanics.  Every row is computed exactly as the example would be
-on its own (see
-privreg.model), so batch size never changes an example's gradient bits.
+on its own (see privreg.model), so batch size never changes an example's
+gradient bits.
 mechanism_step also takes R noise rows at once: that is how the oracle
 samples many noisy steps from one starting point, one block of rows at a
 time, stepping each block once per noise shape.  dataset_loss, which
 train() reports per epoch, adds the same terms to the losses
-(RegSpec.add_penalties) at the same kappa, so the loss reported is the
-loss the steps descend.
+(regularizers.add_penalties) at the same kappa, so the loss reported is
+the loss the steps descend.
 
 A run is deterministic given its seed and its key prefix (see
 privreg.numerics): it draws its init, its epoch permutations and its
@@ -52,7 +52,7 @@ import numpy as np
 from .model import (Dataset, ModelSpec, ParameterSet, backward, forward,
                     init_params, quadratic_loss)
 from .numerics import TRAIN_INIT, TRAIN_NOISE, TRAIN_SHUFFLE, RngStream
-from .regularizers import RegSpec
+from .regularizers import RegSpec, add_gradients, add_penalties
 
 NOISE_MODES = ("none", "iid", "proportional")
 
@@ -177,7 +177,7 @@ def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: floa
         raise ValueError(f"eta must be positive, got {eta}")
     x = np.asarray(x, dtype=np.float64)
     grads = backward(params, x, t)
-    grads = reg.add_gradients(grads, params, x, reg.effective_kappa(eta, noise.sigma))
+    grads = add_gradients(reg, grads, params, x, reg.effective_kappa(eta, noise.sigma))
     if noise.clip_c is not None:
         grads = clip_gradient(grads, noise.clip_c)
     # np.mean's sum and division, without its per-call overhead
@@ -211,10 +211,10 @@ def initial_params_for(spec: ModelSpec, seed: int, key: tuple[int, ...] = ()) ->
 def dataset_loss(params: ParameterSet, data: Dataset, reg: RegSpec,
                  kappa: float) -> float:
     """Mean per-example loss over the dataset, penalties included
-    (RegSpec.add_penalties), with `kappa` the weight of the parameter-input
-    product term."""
+    (regularizers.add_penalties), with `kappa` the weight of the
+    parameter-input product term."""
     losses = quadratic_loss(forward(params, data.x)[-1], data.t)
-    return float(np.mean(reg.add_penalties(losses, params, data.x, kappa)))
+    return float(np.mean(add_penalties(reg, losses, params, data.x, kappa)))
 
 
 def _noise_rows(noise: NoiseSpec, rng: RngStream, steps: int,

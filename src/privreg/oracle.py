@@ -51,10 +51,11 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ModelSpec, ParameterSet, linear_unit_features
+from .model import (ModelSpec, ParameterSet, backward, forward, linear_unit_features,
+                    quadratic_loss)
 from .numerics import VERIFY_PRODUCT_DENSITY, VERIFY_SETUPS, RngStream
 from .optimizers import NoiseSpec, clip_gradient, mechanism_step
-from .regularizers import RegSpec
+from .regularizers import RegSpec, add_gradients, add_penalties
 
 
 @dataclass(frozen=True)
@@ -448,6 +449,25 @@ def grad_check(loss: Callable[[ParameterSet], float], grad: np.ndarray,
     return float(np.max(np.abs(grad - fd) / denom))
 
 
+def penalty_grad_error(reg: RegSpec, params: ParameterSet, x: np.ndarray) -> float:
+    """grad_check of reg's penalty gradient at the one input x, both as the
+    trainer adds them (regularizers.add_gradients, add_penalties), with the
+    product term at reg's explicit kappa."""
+    row = x[None, :]
+    return grad_check(lambda p: add_penalties(reg, np.zeros(1), p, row, reg.kappa)[0],
+                      add_gradients(reg, np.zeros((1, params.flat.size)), params, row,
+                                    reg.kappa)[0],
+                      params, 1e-5)
+
+
+def backprop_grad_error(params: ParameterSet, x: np.ndarray, t: np.ndarray) -> float:
+    """grad_check of backward's gradient at the one example (x, t) against
+    its quadratic loss."""
+    row, target = x[None, :], t[None, :]
+    return grad_check(lambda p: quadratic_loss(forward(p, row)[-1], target)[0],
+                      backward(params, row, target)[0], params, 1e-6)
+
+
 @dataclass(frozen=True)
 class LinearSetup:
     """One randomly drawn linear-neuron configuration for the identity suite."""
@@ -485,7 +505,9 @@ def equivalence_chain_residuals(setup: LinearSetup) -> tuple[float, float]:
     kappa = eta^2*sigma^2 (RegSpec's derived kappa, the weight the trainer
     uses); the proportional-noise gap must equal the parameter-input
     product penalty with the same kappa.  Both penalties are the trainer's
-    own terms (RegSpec.add_penalties).
+    own terms (regularizers.add_penalties); the input-only term is taken of
+    the neuron's input vector, the bias's constant 1 included, since the
+    noise on the bias shifts the loss too.
     """
     reg = RegSpec(kappa_mode="derived")
     kappa = reg.effective_kappa(setup.eta, setup.sigma)
@@ -495,8 +517,11 @@ def equivalence_chain_residuals(setup: LinearSetup) -> tuple[float, float]:
                                         NoiseSpec(mode="iid", sigma=setup.sigma)) - clean
     prop_gap = analytic_post_update_loss(setup.params, setup.x, setup.t, setup.eta,
                                          NoiseSpec(mode="proportional", sigma=setup.sigma)) - clean
-    row, base = setup.x[None, :], np.zeros(1)
-    input_term = RegSpec(input_kappa=kappa).add_penalties(base, setup.params, row, 0.0)[0]
+    _, xv = _linear_neuron_vectors(setup.params, setup.x)
+    base = np.zeros(1)
+    input_term = add_penalties(RegSpec(input_kappa=kappa), base, setup.params, xv[None, :],
+                               0.0)[0]
     iid_resid = abs(iid_gap - input_term)
-    prop_resid = abs(prop_gap - reg.add_penalties(base, setup.params, row, kappa)[0])
+    prop_resid = abs(prop_gap - add_penalties(reg, base, setup.params, setup.x[None, :],
+                                              kappa)[0])
     return float(iid_resid), float(prop_resid)

@@ -1,8 +1,8 @@
 """The penalty terms of a training loss and their exact parameter gradients.
 
-RegSpec is the one home of the penalized loss: add_penalties adds its
-terms to per-example losses and add_gradients their gradients to
-per-example loss gradients, in this order:
+This module is the one home of the penalized loss: add_penalties adds a
+RegSpec's terms to per-example losses and add_gradients their gradients
+to per-example loss gradients, in this order:
 
 * classic weight decay        lam * sum_i theta_i^2
 * parameter-input product     kappa * sum_i theta_i^2 * x_i^2
@@ -66,33 +66,35 @@ class RegSpec:
         """The product-term weight of a run at rate eta and noise scale sigma."""
         return eta * eta * sigma * sigma if self.kappa_mode == "derived" else self.kappa
 
-    def add_penalties(self, losses: np.ndarray, params: ParameterSet, x: np.ndarray,
-                      kappa: float) -> np.ndarray:
-        """`losses`, one per row of the (B, d) batch x, plus the penalty
-        terms: lam * sum(theta^2), then kappa * sum_i theta_i^2 * x_i^2
-        (biases paired with constant 1; raises ValueError unless the model
-        is a single linear output unit), then input_kappa * sum(x^2).
-        kappa is the run's product-term weight (effective_kappa); a term
-        whose weight is 0 is not added."""
-        if self.lam > 0:
-            losses = losses + self.lam * np.dot(params.flat, params.flat)
-        if kappa > 0:
-            f = linear_unit_features(params.spec, x)
-            losses = losses + kappa * np.vecdot(params.flat * params.flat, f * f)
-        if self.input_kappa > 0:
-            x = np.asarray(x, dtype=np.float64)
-            losses = losses + self.input_kappa * np.vecdot(x, x)
-        return losses
 
-    def add_gradients(self, grads: np.ndarray, params: ParameterSet, x: np.ndarray,
-                      kappa: float) -> np.ndarray:
-        """`grads`, one (P,) row per row of the (B, d) batch x, plus the
-        parameter gradients of add_penalties' terms: 2 * lam * theta, then
-        2 * kappa * x_i^2 * theta_i (2 * kappa * theta_i on the bias).  The
-        input-only term has none."""
-        if self.lam > 0:
-            grads = grads + 2.0 * self.lam * params.flat
-        if kappa > 0:
-            f = linear_unit_features(params.spec, x)
-            grads = grads + 2.0 * kappa * (f * f) * params.flat
-        return grads
+def add_penalties(reg: RegSpec, losses: np.ndarray, params: ParameterSet, x: np.ndarray,
+                  kappa: float) -> np.ndarray:
+    """`losses`, one per row of the (B, d) batch x, plus reg's penalty
+    terms: lam * sum(theta^2), then kappa * sum_i theta_i^2 * x_i^2
+    (biases paired with constant 1; raises ValueError unless the model is
+    a single linear output unit), then input_kappa * sum(x^2).  kappa is
+    the run's product-term weight (RegSpec.effective_kappa); a term whose
+    weight is 0 is not added."""
+    if reg.lam > 0:
+        losses = losses + reg.lam * np.dot(params.flat, params.flat)
+    if kappa > 0:
+        f = linear_unit_features(params.spec, x)
+        losses = losses + kappa * np.vecdot(params.flat * params.flat, f * f)
+    if reg.input_kappa > 0:
+        x = np.asarray(x, dtype=np.float64)
+        losses = losses + reg.input_kappa * np.vecdot(x, x)
+    return losses
+
+
+def add_gradients(reg: RegSpec, grads: np.ndarray, params: ParameterSet, x: np.ndarray,
+                  kappa: float) -> np.ndarray:
+    """`grads`, one (P,) row per row of the (B, d) batch x, plus the
+    parameter gradients of add_penalties' terms: 2 * lam * theta, then
+    2 * kappa * x_i^2 * theta_i (2 * kappa * theta_i on the bias).  The
+    input-only term has none."""
+    if reg.lam > 0:
+        grads = grads + 2.0 * reg.lam * params.flat
+    if kappa > 0:
+        f = linear_unit_features(params.spec, x)
+        grads = grads + 2.0 * kappa * (f * f) * params.flat
+    return grads

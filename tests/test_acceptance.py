@@ -14,15 +14,16 @@ import pytest
 
 from privreg.attack import (_invert_records, _restart_starts, cosine_similarity,
                             invert_linear_gradient, leakage_sweep)
-from privreg.experiments import (RunTelemetry, _backprop_grad_error, _cmd_train,
-                                 _cmd_verify, _penalty_grad_error, generate_dataset,
-                                 parse_config, run, write_result_rows)
+from privreg.experiments import (RunTelemetry, _cmd_train, _cmd_verify,
+                                 generate_dataset, parse_config, run,
+                                 write_result_rows)
 from privreg.model import Dataset, ModelSpec, ParameterSet, backward, init_params
 from privreg.numerics import RngStream
 from privreg.optimizers import NoiseSpec, TrainConfig, initial_params_for, train
-from privreg.oracle import (check_moment_identities, check_noisy_step,
-                            check_product_density, random_linear_setups)
-from privreg.regularizers import RegSpec
+from privreg.oracle import (backprop_grad_error, check_moment_identities, check_noisy_step,
+                            check_product_density, penalty_grad_error,
+                            random_linear_setups)
+from privreg.regularizers import RegSpec, add_penalties
 from reference_solvers import regularized_least_squares_oracle
 
 SETUP_SEED = 20260810
@@ -87,8 +88,8 @@ def test_c3_input_penalty_leaves_trajectory_bit_identical():
         np.array_equal(a.clean, b.clean) and np.array_equal(a.noisy, b.noisy)
         and np.array_equal(a.batch_indices, b.batch_indices)
         for a, b in zip(plain.records, shifted.records))
-    mean_shift = float(np.mean(shifted_config.reg.add_penalties(
-        np.zeros(len(data)), plain.final_params, data.x, 0.0)))
+    mean_shift = float(np.mean(add_penalties(
+        shifted_config.reg, np.zeros(len(data)), plain.final_params, data.x, 0.0)))
     losses_shift = all(abs((b - a) - mean_shift) <= 1e-12
                        for a, b in zip(plain.epoch_losses, shifted.epoch_losses))
     report("C3 zero-gradient trajectory identity",
@@ -131,7 +132,7 @@ def test_c5_gradient_formulas_match_finite_differences():
         lam = float(rng.uniform(1)[0] * 0.3)
         kappa = float(rng.uniform(1)[0] * 0.3)
         for reg in (RegSpec(lam=lam), RegSpec(kappa=kappa), RegSpec(lam=lam, kappa=kappa)):
-            worst_penalty = max(worst_penalty, _penalty_grad_error(reg, params, x))
+            worst_penalty = max(worst_penalty, penalty_grad_error(reg, params, x))
 
     worst_backprop = 0.0
     for trial in range(10):
@@ -143,7 +144,7 @@ def test_c5_gradient_formulas_match_finite_differences():
         params = init_params(spec, RngStream(552, trial))
         x = rng.normal(1.0, 4)
         t = rng.normal(1.0, 1)
-        worst_backprop = max(worst_backprop, _backprop_grad_error(params, x, t))
+        worst_backprop = max(worst_backprop, backprop_grad_error(params, x, t))
 
     report("C5 gradient correctness",
            worst_penalty <= 1e-8 and worst_backprop <= 1e-6,

@@ -152,13 +152,14 @@ def small_moments_config(out_dir):
 
 def nan_from(monkeypatch, fold):
     """Make one check of verify return NaN where its worst case is folded:
-    every grad_check (the four penalty rows and backprop), the second
+    every penalty_grad_error, every backprop_grad_error, the second
     setup's equivalence residuals, or one later record or epoch loss of
     the trajectory run with the input penalty.  Returns the failed checks."""
-    if fold == "grad_check":
+    if fold in ("penalty_grad_error", "backprop_grad_error"):
         monkeypatch.setattr(experiments, fold, lambda *args: math.nan)
-        return [f"grad_check_{kind}_max_rel_err"
-                for kind in ("l2", "pdp", "combined", "dp_input", "backprop")]
+        kinds = ("backprop",) if fold == "backprop_grad_error" else (
+            "l2", "pdp", "combined", "dp_input")
+        return [f"grad_check_{kind}_max_rel_err" for kind in kinds]
     if fold == "equivalence":
         real, calls = experiments.equivalence_chain_residuals, itertools.count()
         monkeypatch.setattr(experiments, "equivalence_chain_residuals", lambda setup: (
@@ -446,8 +447,8 @@ class TestRun:
         rows = read_result_rows(tmp_path / "out" / "verify_results.csv")
         assert [r.value for r in rows if r.metric == "verify_pass"] == [0.0]
 
-    @pytest.mark.parametrize("fold", ["grad_check", "equivalence", "record_diff",
-                                      "loss_shift_residual"])
+    @pytest.mark.parametrize("fold", ["penalty_grad_error", "backprop_grad_error",
+                                      "equivalence", "record_diff", "loss_shift_residual"])
     def test_a_nan_check_fails_verify_and_the_manifest_stays_strict_json(
             self, tmp_path, monkeypatch, capsys, fold):
         names = nan_from(monkeypatch, fold)

@@ -7,7 +7,7 @@ from privreg.model import (Dataset, ModelSpec, ParameterSet, backward, forward,
                            init_params, linear_unit_features, quadratic_loss)
 from privreg.numerics import RngStream
 from privreg.optimizers import TrainConfig, train
-from privreg.experiments import _backprop_grad_error
+from privreg.oracle import backprop_grad_error
 
 LINEAR2 = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=False)
 
@@ -137,7 +137,7 @@ class TestBackward:
         rng = RngStream(42, sum(layer_sizes))
         x = rng.normal(1.0, spec.input_dim)
         t = rng.normal(1.0, spec.output_dim)
-        assert _backprop_grad_error(p, x, t) <= 1e-6
+        assert backprop_grad_error(p, x, t) <= 1e-6
 
     def test_relu_hand_case(self):
         # one hidden relu unit: y = w2 * relu(w1 * x); active for w1*x > 0

@@ -15,7 +15,7 @@ from privreg.optimizers import (NOISE_BLOCK, NoiseSpec, TrainConfig, TrainingDiv
                                 _noise_rows, clip_gradient, dataset_loss,
                                 initial_params_for, mechanism_step, train)
 from privreg.oracle import grad_check
-from privreg.regularizers import KAPPA_MODES, RegSpec
+from privreg.regularizers import KAPPA_MODES, RegSpec, add_penalties
 from reference_solvers import regularized_least_squares_oracle
 
 LINEAR2 = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=False)
@@ -213,8 +213,8 @@ class TestTrain:
         for ra, rb in zip(plain.records, shifted.records):
             assert np.array_equal(ra.clean, rb.clean)
             assert np.array_equal(ra.noisy, rb.noisy)
-        mean_shift = np.mean(shifted_config.reg.add_penalties(
-            np.zeros(len(data)), plain.final_params, data.x, 0.0))
+        mean_shift = np.mean(add_penalties(
+            shifted_config.reg, np.zeros(len(data)), plain.final_params, data.x, 0.0))
         for la, lb in zip(plain.epoch_losses, shifted.epoch_losses):
             assert lb - la == pytest.approx(mean_shift, abs=1e-12)
 

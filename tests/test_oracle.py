@@ -13,12 +13,12 @@ from scipy import special
 from scipy.integrate import quad
 
 from privreg.model import Dataset, ModelSpec, ParameterSet
-from privreg.experiments import _backprop_grad_error, _family_bound
+from privreg.experiments import _family_bound
 from privreg.numerics import VERIFY_NOISY_STEP, VERIFY_PRODUCT_DENSITY, RngStream
 from privreg import oracle
 from privreg.optimizers import NoiseSpec, mechanism_step
 from privreg.oracle import (MC_CHUNK_ROWS, analytic_post_update_loss,
-                            check_moment_identities,
+                            backprop_grad_error, check_moment_identities,
                             check_noisy_step, check_product_density,
                             equivalence_chain_residuals,
                             finite_difference_gradient, random_linear_setups)
@@ -568,7 +568,7 @@ class TestFiniteDifferences:
         spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
         p = ParameterSet(spec, np.array([1.0, 2.0, 3.0]))
         x = np.array([0.5, -1.0, 2.0])
-        assert _backprop_grad_error(p, x, np.array([1.0])) <= 1e-8
+        assert backprop_grad_error(p, x, np.array([1.0])) <= 1e-8
 
 
 class TestRandomizedIdentitySuite:
@@ -590,7 +590,15 @@ class TestRandomizedIdentitySuite:
                     assert abs(check.z) <= bound, f"{check.label}[{i}]: z = {check.z}"
 
     def test_equivalence_chain_is_algebraic(self):
+        # each drawn unit also with a bias: the noise on the bias adds its
+        # own kappa to the iid gap, which the input term must carry too
+        bias_rng = RngStream(2025, 1)
         for setup in random_linear_setups(50, seed=2025):
-            iid_resid, prop_resid = equivalence_chain_residuals(setup)
-            assert iid_resid <= 1e-12
-            assert prop_resid <= 1e-12
+            spec = ModelSpec(layer_sizes=(setup.x.size, 1), activation="identity",
+                             include_bias=True)
+            biased = replace(setup, params=ParameterSet(
+                spec, np.append(setup.params.flat, bias_rng.normal(1.0, 1))))
+            for unit in (setup, biased):
+                iid_resid, prop_resid = equivalence_chain_residuals(unit)
+                assert iid_resid <= 1e-12
+                assert prop_resid <= 1e-12

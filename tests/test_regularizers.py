@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from privreg.model import Dataset, ModelSpec, ParameterSet, init_params
 from privreg.numerics import RngStream
 from privreg.optimizers import NoiseSpec, TrainConfig, mechanism_label, train
-from privreg.experiments import _penalty_grad_error
-from privreg.regularizers import RegSpec
+from privreg.oracle import penalty_grad_error
+from privreg.regularizers import RegSpec, add_gradients, add_penalties
 
 
 def row(*values):
@@ -24,12 +24,12 @@ def linear_params(values):
 def penalty(reg, p, x):
     """reg's penalty terms alone, one value per row of the batch x, with
     the product term at reg's explicit kappa."""
-    return reg.add_penalties(np.zeros(len(x)), p, x, reg.kappa)
+    return add_penalties(reg, np.zeros(len(x)), p, x, reg.kappa)
 
 
 def penalty_grad(reg, p, x):
     """The parameter gradients of penalty(reg, p, x), one row per row of x."""
-    return reg.add_gradients(np.zeros((len(x), p.flat.size)), p, x, reg.kappa)
+    return add_gradients(reg, np.zeros((len(x), p.flat.size)), p, x, reg.kappa)
 
 
 class TestL2:
@@ -71,7 +71,7 @@ class TestInputPenalty:
     def test_parameter_gradient_is_exactly_zero(self):
         p = linear_params([1.2, -0.7, 3.0])
         x = np.array([0.5, 2.0, -1.0])
-        assert _penalty_grad_error(RegSpec(input_kappa=0.3), p, x) == 0.0
+        assert penalty_grad_error(RegSpec(input_kappa=0.3), p, x) == 0.0
         assert np.array_equal(penalty_grad(RegSpec(input_kappa=0.3), p, x[None, :]),
                               np.zeros((1, 3)))
 
@@ -180,12 +180,12 @@ class TestCombined:
         reg = RegSpec(lam=0.03, kappa=0.2, input_kappa=0.4)
         terms = [penalty(RegSpec(lam=0.03), p, x), penalty(RegSpec(kappa=0.2), p, x),
                  penalty(RegSpec(input_kappa=0.4), p, x)]
-        assert np.array_equal(reg.add_penalties(base, p, x, 0.2),
+        assert np.array_equal(add_penalties(reg, base, p, x, 0.2),
                               ((base + terms[0]) + terms[1]) + terms[2])
         grad_base = RngStream(7).normal(1.0, 6).reshape(2, 3)
         grad_terms = [penalty_grad(RegSpec(lam=0.03), p, x),
                       penalty_grad(RegSpec(kappa=0.2), p, x)]
-        assert np.array_equal(reg.add_gradients(grad_base, p, x, 0.2),
+        assert np.array_equal(add_gradients(reg, grad_base, p, x, 0.2),
                               (grad_base + grad_terms[0]) + grad_terms[1])
 
     def test_the_passed_kappa_weights_the_product_term(self):
@@ -194,9 +194,9 @@ class TestCombined:
         x = row(3.0, 1.0)
         reg = RegSpec(kappa_mode="derived")
         kappa = reg.effective_kappa(0.5, 0.2)
-        assert np.array_equal(reg.add_penalties(np.zeros(1), p, x, kappa),
+        assert np.array_equal(add_penalties(reg, np.zeros(1), p, x, kappa),
                               penalty(RegSpec(kappa=kappa), p, x))
-        assert np.array_equal(reg.add_gradients(np.zeros((1, 2)), p, x, kappa),
+        assert np.array_equal(add_gradients(reg, np.zeros((1, 2)), p, x, kappa),
                               penalty_grad(RegSpec(kappa=kappa), p, x))
 
 
@@ -222,7 +222,7 @@ class TestGradientsAgainstFiniteDifferences:
             x = rng.normal(1.0, d)
             lam = float(rng.uniform(1)[0] * 0.3)
             kappa = float(rng.uniform(1)[0] * 0.3)
-            assert _penalty_grad_error(PENALTY_ROWS[kind](lam, kappa), p, x) <= bound
+            assert penalty_grad_error(PENALTY_ROWS[kind](lam, kappa), p, x) <= bound
 
 
 class TestRegSpec:
