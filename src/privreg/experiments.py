@@ -5,10 +5,10 @@ so typos cannot silently change a run.  Results land as CSV rows with the
 fixed header ``experiment_id,mechanism,metric,value,stderr,seed`` (UTF-8,
 LF, 17 significant digits) next to a JSON manifest recording the config
 hash, seeds, library versions, the CSV's row count and the run's
-telemetry (seconds per phase for every subcommand, the Monte Carlo lanes
-of verify and moments, peak RSS, failed checks).  Reruns of the same
-config produce byte-identical CSVs; only the manifest's timestamp and
-telemetry differ.
+telemetry (seconds per phase for every subcommand, the Monte Carlo lanes,
+replicas and normals of verify and moments, peak RSS, failed checks).
+Reruns of the same config produce byte-identical CSVs; only the
+manifest's timestamp and telemetry differ.
 
 verify and moments run a table of (phase, check function) pairs through
 one runner (_run_checks), which times the phases and decides every gate:
@@ -52,7 +52,7 @@ from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 from time import perf_counter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -575,13 +575,15 @@ def _load_data(config: ExperimentConfig, command: str) -> Dataset:
 class RunTelemetry:
     """What a run says about itself in its manifest, never in its CSV:
     wall seconds per phase, lanes per phase run in lanes (see oracle.mc_lanes),
-    the family gate of verify and moments (its size k, rate alpha and
+    the replicas scored and the normals drawn per Monte Carlo phase, the
+    family gate of verify and moments (its size k, rate alpha and
     bound on |z|; None for the other subcommands), and every failed check
     as (name, value, bound), a check passing when value <= bound."""
 
     def __init__(self):
         self.timings: dict[str, float] = {}
         self.lanes: dict[str, int] = {}
+        self.mc_work: dict[str, dict[str, int]] = {}
         self.family_gate: dict[str, float] | None = None
         self.failed_checks: list[tuple[str, float, float]] = []
 
@@ -637,10 +639,14 @@ def _worst(values) -> float:
     return float(np.max(np.abs(values)))
 
 
-# Lanes per phase run in lanes: the most that a check of the phase uses.
-_PHASE_LANES = {"post_update_mc": lambda oc: mc_lanes(oc.replicas),
-                "moments_and_product_density": lambda oc: max(
-                    mc_lanes(oc.replicas), mc_lanes(oc.product_replicas))}
+class _McWork(NamedTuple):
+    """A Monte Carlo phase's work: the most lanes a check of the phase runs
+    in (oracle.mc_lanes), the replicas its checks score, and the normals
+    they draw."""
+
+    lanes: int
+    replicas: int
+    normals: int
 
 
 def _family_bound(threshold: float, tests: int) -> tuple[float, float]:
@@ -666,19 +672,22 @@ def _family_bound(threshold: float, tests: int) -> tuple[float, float]:
 
 
 def _run_checks(config: ExperimentConfig, telemetry: RunTelemetry, verdict: str,
-                phases: list[tuple[str, Callable[[OracleConfig], list[_CheckRow]]]]
-                ) -> list[ResultRow]:
+                phases: list[tuple[str, Callable[[OracleConfig], list[_CheckRow]]]],
+                mc_work: dict[str, Callable[[OracleConfig], _McWork]]) -> list[ResultRow]:
     """The rows of each (phase, check function) in order, each function
     timed as its phase, then the `verdict` row, 1 if every gate passed.
-    Every gate of verify and moments is decided here, in row order: each
-    exact check at its own bound, and all the run's z-scores as one family
-    at the bound _family_bound gives for oracle.threshold."""
+    A phase named in `mc_work` has its Monte Carlo work recorded in the
+    telemetry.  Every gate of verify and moments is decided here, in row
+    order: each exact check at its own bound, and all the run's z-scores as
+    one family at the bound _family_bound gives for oracle.threshold."""
     oc, checked = config.oracle, []
     for phase, checks in phases:
         with telemetry.phase(phase):
             checked += checks(oc)
-        if phase in _PHASE_LANES:
-            telemetry.lanes[phase] = _PHASE_LANES[phase](oc)
+        if phase in mc_work:
+            work = mc_work[phase](oc)
+            telemetry.lanes[phase] = work.lanes
+            telemetry.mc_work[phase] = {"replicas": work.replicas, "normals": work.normals}
     tests = sum(r.zs for r in checked)
     alpha, z_bound = _family_bound(oc.threshold, tests)
     telemetry.family_gate = {"k": tests, "alpha": alpha, "z_bound": z_bound}
@@ -705,25 +714,31 @@ def _cmd_verify(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
         ("step_expectation", _step_expectation),
         ("grad_checks", _grad_check_suite),
         ("moments_and_product_density", _moment_rows),
-    ])
+    ], {"post_update_mc": partial(_noisy_step_work, setups),
+        "moments_and_product_density": _moment_work})
 
 
 def _cmd_moments(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
     return _run_checks(config, telemetry, "moments_pass",
-                       [("moments_and_product_density", _moment_rows)])
+                       [("moments_and_product_density", _moment_rows)],
+                       {"moments_and_product_density": _moment_work})
+
+
+# The noise shapes of verify's noisy-step checks and equivalence residuals.
+_NOISY_STEP_MODES = ("iid", "proportional")
 
 
 def _noisy_step_rows(setups: list[LinearSetup], oc: OracleConfig) -> list[_CheckRow]:
-    """The post-update loss and cross term checks: check_noisy_step for
-    setup i from the key (VERIFY_NOISY_STEP, i) in both noise shapes, each
-    check in lanes of its own (oracle.mc_lanes).  Rows go kind by kind,
-    shape by shape, then setup by setup; the cross term is written, and
-    gated, for the first ten."""
-    per_setup = [check_noisy_step(s.params, s.x, s.t, s.eta,
-                                  tuple(NoiseSpec(mode=mode, sigma=s.sigma)
-                                        for mode in ("iid", "proportional")),
-                                  oc.replicas, oc.seed, (VERIFY_NOISY_STEP, i))
-                 for i, s in enumerate(setups)]
+    """The post-update loss and cross term checks: one check_noisy_step of
+    every setup in both noise shapes, each clipped at the setup's clip_c,
+    from the key (VERIFY_NOISY_STEP,), in one set of lanes
+    (oracle.mc_lanes).  Rows go kind by kind, shape by shape, then setup by
+    setup; the cross term is written, and gated, for the first ten."""
+    per_setup = check_noisy_step(
+        [(s.params, s.x, s.t, s.eta, tuple(NoiseSpec(mode=mode, sigma=s.sigma, clip_c=s.clip_c)
+                                           for mode in _NOISY_STEP_MODES))
+         for s in setups],
+        oc.replicas, oc.seed, (VERIFY_NOISY_STEP,))
     rows = []
     for column in zip(*per_setup):
         for i, c in enumerate(column):
@@ -735,13 +750,20 @@ def _noisy_step_rows(setups: list[LinearSetup], oc: OracleConfig) -> list[_Check
     return rows
 
 
+def _noisy_step_work(setups: list[LinearSetup], oc: OracleConfig) -> _McWork:
+    """_noisy_step_rows scores every setup's replicas in both noise shapes,
+    all stepping on rows as wide as the widest setup."""
+    return _McWork(mc_lanes(oc.replicas), len(_NOISY_STEP_MODES) * len(setups) * oc.replicas,
+                   max(s.params.flat.size for s in setups) * oc.replicas)
+
+
 def _equivalence_rows(setups: list[LinearSetup], oc: OracleConfig) -> list[_CheckRow]:
     """Analytic noisy-minus-clean gap equals the matching penalty: the
     worst residual over the setups, per noise shape."""
     residuals = [equivalence_chain_residuals(s) for s in setups]
     return [_CheckRow(mode, "equivalence_residual", _worst([r[k] for r in residuals]),
                       bound=1e-12, check=f"equivalence_residual[{mode}]")
-            for k, mode in enumerate(("iid", "proportional"))]
+            for k, mode in enumerate(_NOISY_STEP_MODES)]
 
 
 def _moment_rows(oc: OracleConfig) -> list[_CheckRow]:
@@ -759,6 +781,14 @@ def _moment_rows(oc: OracleConfig) -> list[_CheckRow]:
         _CheckRow(mech, "product_density_chi2", density.chi2),
         _CheckRow(mech, "product_density_symmetry_max_z", _worst(density.symmetry_z)),
     ]
+
+
+def _moment_work(oc: OracleConfig) -> _McWork:
+    """_moment_rows draws one normal per moment replica of each sigma and
+    two, X and Y, per product replica."""
+    moments = len(oc.sigmas) * oc.replicas
+    return _McWork(max(mc_lanes(oc.replicas), mc_lanes(oc.product_replicas)),
+                   moments + oc.product_replicas, moments + 2 * oc.product_replicas)
 
 
 def _trajectory_identity(oc: OracleConfig) -> list[_CheckRow]:
@@ -946,8 +976,9 @@ def _write_manifest(path: Path, config: ExperimentConfig, command: str,
                     telemetry: RunTelemetry, rows: int) -> None:
     """The run's record beside its CSV: config hash, seeds, versions, the
     CSV's row count, and telemetry (seconds per phase, lanes per phase run
-    in lanes, the family gate, the process's peak RSS so far, failed
-    checks), which only the manifest carries.  It is strict JSON: a failed check's non-finite value
+    in lanes, replicas and normals per Monte Carlo phase, the family gate,
+    the process's peak RSS so far, failed checks), which only the manifest
+    carries.  It is strict JSON: a failed check's non-finite value
     or bound is written as the string "nan", "inf" or "-inf"."""
     canonical = json.dumps(config.raw, sort_keys=True, separators=(",", ":"))
     manifest = {
@@ -964,6 +995,7 @@ def _write_manifest(path: Path, config: ExperimentConfig, command: str,
         "rows": rows,
         "timings": telemetry.timings,
         "lanes": telemetry.lanes,
+        "mc_work": telemetry.mc_work,
         "family_gate": telemetry.family_gate,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "failed_checks": [[name, *(v if math.isfinite(v) else str(v) for v in numbers)]

@@ -32,7 +32,7 @@ ATTACK_TRIAL = 7             # (ATTACK_TRIAL, trial): that trial's train draws
 ATTACK_RESTART = 8           # (ATTACK_RESTART, trial, restart): a descent's start
 ATTACK_MEMBERSHIP = 9        # prefix of the membership attack's training runs
 VERIFY_SETUPS = 10           # the randomized linear-neuron setups
-VERIFY_NOISY_STEP = 11       # (VERIFY_NOISY_STEP, setup, stream, block)
+VERIFY_NOISY_STEP = 11       # (VERIFY_NOISY_STEP, stream, block)
 VERIFY_MOMENTS = 12          # (VERIFY_MOMENTS, sigma index, stream, block)
 VERIFY_PRODUCT_DENSITY = 13  # (VERIFY_PRODUCT_DENSITY, stream, block)
 VERIFY_TRAJECTORY = 14       # prefix of the trajectory check's data and runs

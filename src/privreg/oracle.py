@@ -13,15 +13,18 @@ updated once by theta' = theta - eta * (g + eps):
   normals has density K0(|u|/(sx*sy)) / (pi*sx*sy).
 
 The post-update loss and the cross term are two functionals of the same
-noisy step, so one Monte Carlo pass (check_noisy_step) checks both.  It
-runs the trainer's own step (optimizers.mechanism_step: gradient, clip,
-mean, noise, step) once per replica and noise shape, and scores the
-stepped parameters, so a trainer bug in the noise scale or its centre, in
-which theta scales proportional noise, in bias handling or in clipping
-fails the check.  The closed forms are written out independently, with
-the bias folded in as a constant-1 feature and the clean gradient clipped
-when noise.clip_c is set; the product density's bin masses need only
-math.erfc.
+noisy step, so one Monte Carlo pass (check_noisy_step) checks both, for
+every case it is given at once.  It runs the trainer's own step
+(optimizers.mechanism_step: gradient, clip, mean, noise, step) once per
+replica, case and noise shape, and scores the stepped parameters, so a
+trainer bug in the noise scale or its centre, in which theta scales
+proportional noise, in bias handling or in clipping fails the check.
+All cases step on the same noise rows (common random numbers), each
+case on as many of a row's leading columns as it has parameters, so a
+block of rows is drawn once for every case rather than once per case.
+The closed forms are written out independently, with the bias folded in
+as a constant-1 feature and the clean gradient clipped when noise.clip_c
+is set; the product density's bin masses need only math.erfc.
 
 Every Monte Carlo check runs on one engine (_block_sums): its rows come
 in blocks of MC_CHUNK_ROWS, each block drawn once, from streams keyed by
@@ -47,7 +50,7 @@ import os
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -263,53 +266,92 @@ def analytic_post_update_loss(params: ParameterSet, x: np.ndarray, t,
     return clean
 
 
-def check_noisy_step(params: ParameterSet, x: np.ndarray, t, eta: float,
-                     noises: tuple[NoiseSpec, ...], replicas: int, seed: int,
-                     key: tuple[int, ...] = ()) -> list[IdentityEstimate]:
-    """Monte Carlo estimates of one noisy step of a linear neuron: per noise
-    shape in `noises`, the expected post-update loss E[(y_tilde' - t)^2]
-    z-scored against its closed form (analytic_post_update_loss), then per
-    shape the cross term 2*(y-t)*eta*(eps.x) z-scored against zero.
+class _SteppedCase(NamedTuple):
+    """A case of check_noisy_step as it steps: per noise shape the closed
+    form of the post-update loss; its one-row batch and target, the scalar
+    target t and the input vector xv with the bias feature; per noise shape
+    the residual of the noiseless step; and the shapes whose noise moves
+    the output."""
+
+    analytic: list[float]
+    batch: np.ndarray
+    target: np.ndarray
+    t: float
+    xv: np.ndarray
+    cleans: list[float]
+    moved: list[int]
+
+
+def _stepped_case(params: ParameterSet, x: np.ndarray, t, eta: float,
+                  noises: tuple[NoiseSpec, ...]) -> _SteppedCase:
+    analytic = [analytic_post_update_loss(params, x, t, eta, noise) for noise in noises]
+    theta, xv = _linear_neuron_vectors(params, x)
+    t = _scalar_target(t)
+    batch, target = xv[None, :params.spec.input_dim], np.array([[t]])
+    cleans = [float(mechanism_step(params, batch, target, eta, noise, RegSpec()).params @ xv) - t
+              for noise in noises]
+    moved = [k for k, noise in enumerate(noises) if _noise_moves_output(noise, theta, xv)]
+    return _SteppedCase(analytic, batch, target, t, xv, cleans, moved)
+
+
+def check_noisy_step(cases: Sequence[tuple[ParameterSet, np.ndarray, float, float,
+                                           tuple[NoiseSpec, ...]]],
+                     replicas: int, seed: int,
+                     key: tuple[int, ...] = ()) -> list[list[IdentityEstimate]]:
+    """Monte Carlo estimates of one noisy step of a linear neuron, per case
+    (params, x, t, eta, noises) of `cases`: per noise shape in noises, the
+    expected post-update loss E[(y_tilde' - t)^2] z-scored against its
+    closed form (analytic_post_update_loss), then per shape the cross term
+    2*(y-t)*eta*(eps.x) z-scored against zero.
 
     The cross term is the middle term of the expanded loss, which drops out
     because the noise is centered, so both estimates read the same noisy
     steps.  A replica is one step of the trainer's mechanism
-    (mechanism_step) from `params`, scored by its post-update residual r;
-    every shape steps on the same noise rows, stream 0 of `key` at `seed`,
-    each block drawn once (_block_sums) and summed per shape as the power sums
-    of r minus the clean residual (_noisy_step_estimates).  A shape whose
-    noise cannot move the output (_noise_moves_output) steps on no rows:
-    every row holds its clean value.  mechanism_step refuses eta <= 0.
+    (mechanism_step) from the case's params, scored by its post-update
+    residual r.  Every case and shape steps on the same noise rows, drawn
+    once per block by one _block_sums: W normals a row from stream 0 of
+    `key` at `seed`, W being the largest parameter count of the cases, of
+    which a case of P parameters steps on the first P.  The rows are summed
+    per case and shape as the power sums of r minus the clean residual
+    (_noisy_step_estimates).  The cases' estimates thus share their draws
+    (common random numbers); with one case, W is that case's own parameter
+    count.  A shape whose noise cannot move the output
+    (_noise_moves_output) steps on no rows: every row holds its clean
+    value.  mechanism_step refuses eta <= 0.
     """
     _require_replicas(replicas)
-    analytic = [analytic_post_update_loss(params, x, t, eta, noise) for noise in noises]
-    theta, xv = _linear_neuron_vectors(params, x)
-    t = _scalar_target(t)
-    batch, target, reg = xv[None, :params.spec.input_dim], np.array([[t]]), RegSpec()
-    cleans = [float(mechanism_step(params, batch, target, eta, noise, reg).params @ xv) - t
-              for noise in noises]
-    moved = [k for k, noise in enumerate(noises) if _noise_moves_output(noise, theta, xv)]
+    stepped = [_stepped_case(*case) for case in cases]
+    width = max((case[0].flat.size for case in cases), default=0)
+    reg = RegSpec()
 
     def summarise(z: np.ndarray) -> np.ndarray:
-        z = z.reshape(-1, theta.size)
+        z = z.reshape(-1, width)
         sums = []
-        for k in moved:
-            e = mechanism_step(params, batch, target, eta, noises[k], reg, z).params @ xv
-            e -= t
-            e -= cleans[k]
-            sums.append(_power_sums(e))
+        for (params, _, _, eta, noises), case in zip(cases, stepped):
+            rows = z[:, :params.flat.size]
+            for k in case.moved:
+                e = mechanism_step(params, case.batch, case.target, eta, noises[k], reg,
+                                   rows).params @ case.xv
+                e -= case.t
+                e -= case.cleans[k]
+                sums.append(_power_sums(e))
         return np.stack(sums)
 
-    sums = np.zeros((len(noises), 5))
-    sums[:, 0] = replicas
-    if moved:
-        sums[moved] = _block_sums(summarise, replicas, seed, key, (1.0,), theta.size)
-    estimates = [_noisy_step_estimates(c, shape_sums) for c, shape_sums in zip(cleans, sums)]
-    post_update = [_estimate("post_update_loss", noise.mode, value, *squares)
-                   for noise, value, (squares, _) in zip(noises, analytic, estimates)]
-    cross_term = [_estimate("cross_term", noise.mode, 0.0, *cross)
-                  for noise, (_, cross) in zip(noises, estimates)]
-    return post_update + cross_term
+    moved_sums = iter(_block_sums(summarise, replicas, seed, key, (1.0,), width)
+                      if any(case.moved for case in stepped) else ())
+    checks = []
+    for (*_, noises), case in zip(cases, stepped):
+        sums = np.zeros((len(noises), 5))
+        sums[:, 0] = replicas
+        for k in case.moved:
+            sums[k] = next(moved_sums)
+        estimates = [_noisy_step_estimates(c, shape_sums)
+                     for c, shape_sums in zip(case.cleans, sums)]
+        checks.append([_estimate("post_update_loss", noise.mode, value, *squares)
+                       for noise, value, (squares, _) in zip(noises, case.analytic, estimates)]
+                      + [_estimate("cross_term", noise.mode, 0.0, *cross)
+                         for noise, (_, cross) in zip(noises, estimates)])
+    return checks
 
 
 def check_moment_identities(sigma: float, replicas: int, seed: int,
@@ -470,21 +512,28 @@ def backprop_grad_error(params: ParameterSet, x: np.ndarray, t: np.ndarray) -> f
 
 @dataclass(frozen=True)
 class LinearSetup:
-    """One randomly drawn linear-neuron configuration for the identity suite."""
+    """One randomly drawn linear-neuron configuration for the identity
+    suite, with the clip threshold of its noisy steps (None: no clip)."""
 
     params: ParameterSet
     x: np.ndarray
     t: float
     eta: float
     sigma: float
+    clip_c: float | None = None
 
 
 def random_linear_setups(n: int, seed: int) -> list[LinearSetup]:
     """Seeded draws of (theta, x, t, eta, sigma) for the randomized suite,
     one after another from one stream: dimension 2..6, eta in [0.02, 0.3),
-    sigma in [0.05, 0.5)."""
+    sigma in [0.05, 0.5).  Then, from the same stream, setup by setup, a
+    bias with probability 1/2 (the unit's bias, drawn N(0, 1)) and a clip
+    with probability 1/2 (clip_c in [0.5, 5), which the clean gradient's
+    norm passes in about two clipped setups of three).  The bias and clip
+    draws come after every setup's first draws, so a seed's dimensions,
+    weights and inputs are what they were before setups had either."""
     rng = RngStream(seed, VERIFY_SETUPS)
-    setups = []
+    drawn = []
     for _ in range(n):
         d = min(int(2 + rng.uniform(1)[0] * 5), 6)
         theta = rng.normal(1.0, d)
@@ -492,14 +541,25 @@ def random_linear_setups(n: int, seed: int) -> list[LinearSetup]:
         t = float(rng.normal(1.0, 1)[0])
         eta = float(0.02 + rng.uniform(1)[0] * (0.3 - 0.02))
         sigma = float(0.05 + rng.uniform(1)[0] * (0.5 - 0.05))
-        spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=False)
+        drawn.append((theta, x, t, eta, sigma))
+    setups = []
+    for theta, x, t, eta, sigma in drawn:
+        include_bias = bool(rng.uniform(1)[0] < 0.5)
+        if include_bias:
+            theta = np.append(theta, rng.normal(1.0, 1))
+        clip_c = None
+        if rng.uniform(1)[0] < 0.5:
+            clip_c = float(0.5 + rng.uniform(1)[0] * (5.0 - 0.5))
+        spec = ModelSpec(layer_sizes=(x.size, 1), activation="identity",
+                         include_bias=include_bias)
         setups.append(LinearSetup(params=ParameterSet(spec, theta), x=x, t=t,
-                                  eta=eta, sigma=sigma))
+                                  eta=eta, sigma=sigma, clip_c=clip_c))
     return setups
 
 
 def equivalence_chain_residuals(setup: LinearSetup) -> tuple[float, float]:
-    """|analytic(noisy) - analytic(clean) - penalty| for both noise shapes.
+    """|analytic(noisy) - analytic(clean) - penalty| for both noise shapes,
+    each step clipped at the setup's clip_c.
 
     The homogeneous-noise gap must equal the input-only penalty with
     kappa = eta^2*sigma^2 (RegSpec's derived kappa, the weight the trainer
@@ -511,17 +571,15 @@ def equivalence_chain_residuals(setup: LinearSetup) -> tuple[float, float]:
     """
     reg = RegSpec(kappa_mode="derived")
     kappa = reg.effective_kappa(setup.eta, setup.sigma)
-    clean = analytic_post_update_loss(setup.params, setup.x, setup.t, setup.eta,
-                                      NoiseSpec(mode="none"))
-    iid_gap = analytic_post_update_loss(setup.params, setup.x, setup.t, setup.eta,
-                                        NoiseSpec(mode="iid", sigma=setup.sigma)) - clean
-    prop_gap = analytic_post_update_loss(setup.params, setup.x, setup.t, setup.eta,
-                                         NoiseSpec(mode="proportional", sigma=setup.sigma)) - clean
+    clean, iid_loss, prop_loss = (
+        analytic_post_update_loss(setup.params, setup.x, setup.t, setup.eta,
+                                  NoiseSpec(mode=mode, sigma=sigma, clip_c=setup.clip_c))
+        for mode, sigma in (("none", 0.0), ("iid", setup.sigma), ("proportional", setup.sigma)))
     _, xv = _linear_neuron_vectors(setup.params, setup.x)
     base = np.zeros(1)
     input_term = add_penalties(RegSpec(input_kappa=kappa), base, setup.params, xv[None, :],
                                0.0)[0]
-    iid_resid = abs(iid_gap - input_term)
-    prop_resid = abs(prop_gap - add_penalties(reg, base, setup.params, setup.x[None, :],
-                                              kappa)[0])
+    iid_resid = abs((iid_loss - clean) - input_term)
+    prop_resid = abs((prop_loss - clean) - add_penalties(reg, base, setup.params,
+                                                         setup.x[None, :], kappa)[0])
     return float(iid_resid), float(prop_resid)

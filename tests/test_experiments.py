@@ -25,8 +25,9 @@ from privreg.experiments import (COMMANDS, ConfigError, OracleConfig, ResultRow,
                                  _family_bound, _step_expectation, apply_seed_override,
                                  generate_dataset, load_dataset, parse_config,
                                  read_result_rows, run, write_result_rows)
-from privreg.numerics import VERIFY_NOISY_STEP, RngStream
-from privreg.oracle import MC_CHUNK_ROWS, _in_lanes
+from privreg.numerics import (VERIFY_MOMENTS, VERIFY_NOISY_STEP, VERIFY_PRODUCT_DENSITY,
+                              RngStream)
+from privreg.oracle import MC_CHUNK_ROWS, _in_lanes, random_linear_setups
 from reference_solvers import regularized_least_squares_oracle
 
 
@@ -346,6 +347,40 @@ class TestRun:
         assert manifest["peak_rss_mb"] > 0
         assert manifest["failed_checks"] == []
 
+    def test_manifest_counts_each_monte_carlo_phases_work(self, tmp_path, monkeypatch):
+        # the normals each phase's manifest entry records are the normals
+        # its streams hand out, counted here as they are drawn
+        drawn, lock, real = {}, threading.Lock(), RngStream.normal
+
+        def normal(self, std, n):
+            with lock:
+                drawn[self.key[0]] = drawn.get(self.key[0], 0) + n
+            return real(self, std, n)
+
+        monkeypatch.setattr(RngStream, "normal", normal)
+        for command, cfg in (("verify", minimal_verify_config(tmp_path / "verify")),
+                             ("moments", small_moments_config(tmp_path / "moments"))):
+            drawn.clear()
+            cfg_path = tmp_path / f"{command}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            assert run(command, cfg_path) == 0
+            oc = cfg["oracle"]
+            work = json.loads((Path(cfg["output"]["directory"]) / f"{command}_manifest.json")
+                              .read_text())["mc_work"]
+            moments = {"replicas": oc["replicas"] + oc["product_replicas"],
+                       "normals": drawn[VERIFY_MOMENTS] + drawn[VERIFY_PRODUCT_DENSITY]}
+            assert moments["normals"] == oc["replicas"] + 2 * oc["product_replicas"]
+            if command == "moments":
+                assert work == {"moments_and_product_density": moments}
+                continue
+            # 4 setups, each scored in 2 shapes, on rows as wide as the widest
+            setups = random_linear_setups(oc["configs"], oc["seed"])
+            width = max(s.params.flat.size for s in setups)
+            assert drawn[VERIFY_NOISY_STEP] == oc["replicas"] * width
+            assert work == {"post_update_mc": {"replicas": 2 * 4 * oc["replicas"],
+                                               "normals": drawn[VERIFY_NOISY_STEP]},
+                            "moments_and_product_density": moments}
+
     def test_manifest_records_the_family_gate(self, tmp_path):
         # 4 setups: 8 post-update and 8 cross-term z, 3 moment z for one
         # sigma, 24 product-density bins and 3 step-expectation coordinates
@@ -376,17 +411,17 @@ class TestRun:
         assert b == pytest.approx(np.sqrt(2.0) * special.erfcinv(alpha / tests), rel=1e-12)
 
     def test_cross_term_reads_each_setups_post_update_stream(self, tmp_path, monkeypatch):
-        # 12 setups: both checks of setup i draw from the key
-        # (VERIFY_NOISY_STEP, i), and the cross term is written, mode by
-        # mode, for the first ten
+        # 12 setups: every check of every setup steps on the rows of one key
+        # per block, (VERIFY_NOISY_STEP, 0, b), and the cross term is
+        # written, mode by mode, for the first ten
         cfg = minimal_verify_config(tmp_path / "out")
         cfg["oracle"]["configs"] = 12
         keys, init = [], RngStream.__init__
         monkeypatch.setattr(RngStream, "__init__",
                             lambda self, seed, *key: keys.append(key) or init(self, seed, *key))
         rows = experiments._cmd_verify(parse_config(cfg, "verify"), experiments.RunTelemetry())
-        assert sorted(k for k in keys if k[0] == VERIFY_NOISY_STEP) == [
-            (VERIFY_NOISY_STEP, i, 0, 0) for i in range(12)]  # 4000 replicas: one block
+        assert [k for k in keys if k[0] == VERIFY_NOISY_STEP] == [
+            (VERIFY_NOISY_STEP, 0, 0)]  # 4000 replicas: one block
         post_update = [(r.mechanism, r.seed) for r in rows if r.metric == "post_update_loss_z"]
         cross = [(r.mechanism, r.seed) for r in rows if r.metric == "cross_term_z"]
         assert post_update == [(mode, 42) for mode in ("iid", "proportional") for i in range(12)]
@@ -836,7 +871,7 @@ class TestCli:
         manifest = json.loads((tmp_path / "out" / "attack_manifest.json").read_text())
         assert set(manifest["timings"]) == {"load_data", "sweep", "membership"}
         assert all(seconds >= 0 for seconds in manifest["timings"].values())
-        assert manifest["lanes"] == {}
+        assert manifest["lanes"] == manifest["mc_work"] == {}
 
     def test_moments_manifest_carries_its_phase(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})

@@ -14,7 +14,8 @@ from scipy.integrate import quad
 
 from privreg.model import Dataset, ModelSpec, ParameterSet
 from privreg.experiments import _family_bound
-from privreg.numerics import VERIFY_NOISY_STEP, VERIFY_PRODUCT_DENSITY, RngStream
+from privreg.numerics import (VERIFY_NOISY_STEP, VERIFY_PRODUCT_DENSITY, VERIFY_SETUPS,
+                              RngStream)
 from privreg import oracle
 from privreg.optimizers import NoiseSpec, mechanism_step
 from privreg.oracle import (MC_CHUNK_ROWS, analytic_post_update_loss,
@@ -46,13 +47,14 @@ def block_rows(seed, key, replicas, width, std=1.0, stream=0, chunk_rows=MC_CHUN
 def mc_post_update_loss(params, x, t, eta, noises, replicas, seed):
     """(mean, stderr) of the sampled post-update loss per noise shape: the
     first len(noises) checks of check_noisy_step."""
-    checks = check_noisy_step(params, x, t, eta, noises, replicas, seed)
+    [checks] = check_noisy_step([(params, x, t, eta, noises)], replicas, seed)
     return [(c.mean, c.stderr) for c in checks[:len(noises)]]
 
 
 def cross_term_checks(params, x, t, eta, noises, replicas, seed):
     """The cross-term estimates of check_noisy_step, one per noise shape."""
-    return check_noisy_step(params, x, t, eta, noises, replicas, seed)[len(noises):]
+    [checks] = check_noisy_step([(params, x, t, eta, noises)], replicas, seed)
+    return checks[len(noises):]
 
 
 class TestAnalyticPostUpdateLoss:
@@ -109,7 +111,7 @@ class TestMcPostUpdateLoss:
                 rows = []
                 monkeypatch.setattr(oracle, "_power_sums",
                                     lambda e: rows.append(e.copy()) or real_sums(e))
-                check_noisy_step(theta, x, t, eta, (noise,), replicas, 5, key)
+                check_noisy_step([(theta, x, t, eta, (noise,))], replicas, 5, key)
                 assert len(rows) == -(-replicas // chunk_rows)
                 for b, got in enumerate(rows):
                     z = RngStream(5, *key, 0, b).normal(1.0, got.size * 4).reshape(-1, 4)
@@ -186,7 +188,9 @@ class TestBlocksInLanes:
         def checks(cpus):
             lanes(cpus)
             assert oracle.mc_lanes(self.REPLICAS) == min(6, cpus)
-            return check_noisy_step(BIASED, X, 1.3, 0.15, self.SHAPES, self.REPLICAS, 23)
+            [checks] = check_noisy_step([(BIASED, X, 1.3, 0.15, self.SHAPES)], self.REPLICAS,
+                                        23)
+            return checks
 
         one_lane = checks(1)
         # every row drew (iid, then proportional, per block); mode "none" drew nothing
@@ -209,17 +213,58 @@ class TestBlocksInLanes:
                                        (0.5,), 1)
             assert total == expected
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_each_case_steps_the_leading_columns_of_the_shared_rows(self, lanes, cpus):
+        # cases of 2, 3 and 5 parameters: block b draws 5 normals a row from
+        # RngStream(seed, VERIFY_NOISY_STEP, 0, b), and each case's
+        # estimates are those of stepping a copy of its first P columns,
+        # the block sums added in block order, to the bit
+        lanes(cpus)
+        wide = ParameterSet(ModelSpec(layer_sizes=(4, 1)), np.array([0.3, -0.2, 0.8, 0.1, -0.4]))
+        cases = [(THETA, X, 0.7, 0.1, (IID, PROP)),
+                 (BIASED, X, 1.3, 0.15, self.SHAPES),
+                 (wide, np.array([1.0, -0.5, 0.25, 2.0]), -0.4, 0.2,
+                  (NoiseSpec(mode="proportional", sigma=0.3, clip_c=0.5),))]
+        seed, key, width = 31, (VERIFY_NOISY_STEP,), 5
+        got = check_noisy_step(cases, self.REPLICAS, seed, key)
+        assert len(got) == len(cases)
+        for (params, x, t, eta, noises), checks in zip(cases, got):
+            xv = np.append(x, 1.0) if params.spec.include_bias else x
+            batch, target = x[None, :], np.array([[t]])
+            for k, noise in enumerate(noises):
+                clean = float(mechanism_step(params, batch, target, eta, noise,
+                                             RegSpec()).params @ xv) - t
+                sums = np.array([self.REPLICAS, 0.0, 0.0, 0.0, 0.0])
+                if noise.adds_noise:
+                    blocks = []
+                    for b, start in enumerate(range(0, self.REPLICAS, self.CHUNK)):
+                        rows = min(self.CHUNK, self.REPLICAS - start)
+                        z = RngStream(seed, *key, 0, b).normal(1.0, rows * width)
+                        z = z.reshape(rows, width)[:, :params.flat.size].copy()
+                        e = mechanism_step(params, batch, target, eta, noise, RegSpec(),
+                                           z).params @ xv
+                        e -= t
+                        e -= clean
+                        blocks.append(oracle._power_sums(e))
+                    sums = reduce(np.add, blocks)
+                (square, cross) = oracle._noisy_step_estimates(clean, sums)
+                analytic = analytic_post_update_loss(params, x, t, eta, noise)
+                assert checks[k] == oracle._estimate("post_update_loss", noise.mode, analytic,
+                                                     *square)
+                assert checks[len(noises) + k] == oracle._estimate("cross_term", noise.mode,
+                                                                   0.0, *cross)
+
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_shapes_together_equal_each_shape_alone(self, lanes, cpus):
         lanes(cpus)
         args = (BIASED, X, 1.3, 0.15)
-        checks = check_noisy_step(*args, self.SHAPES, self.REPLICAS, 24)
+        [checks] = check_noisy_step([(*args, self.SHAPES)], self.REPLICAS, 24)
         shapes = len(self.SHAPES)
         assert [c.name for c in checks] == (
             [f"post_update_loss[{noise.mode}]" for noise in self.SHAPES]
             + [f"cross_term[{noise.mode}]" for noise in self.SHAPES])
         for i, noise in enumerate(self.SHAPES):
-            alone = check_noisy_step(*args, (noise,), self.REPLICAS, 24)
+            [alone] = check_noisy_step([(*args, (noise,))], self.REPLICAS, 24)
             assert [checks[i], checks[shapes + i]] == alone
 
 
@@ -234,7 +279,7 @@ def _peak_allocation(run) -> int:
 
 # Each Monte Carlo check at `replicas` rows.
 MC_CHECKS = {
-    "noisy_step": lambda replicas: check_noisy_step(BIASED, X, 1.3, 0.15, (IID, PROP),
+    "noisy_step": lambda replicas: check_noisy_step([(BIASED, X, 1.3, 0.15, (IID, PROP))],
                                                     replicas, 25),
     "moments": lambda replicas: check_moment_identities(1.0, replicas, 25),
     "product_density": lambda replicas: check_product_density(1.0, 1.0, replicas, 40, 25),
@@ -262,7 +307,7 @@ from privreg.optimizers import NoiseSpec
 from privreg.oracle import check_noisy_step
 params = ParameterSet(ModelSpec(layer_sizes=(2, 1)), np.array([0.5, -1.0, 0.3]))
 shapes = (NoiseSpec(mode="iid", sigma=0.2), NoiseSpec(mode="proportional", sigma=0.2))
-run = lambda: check_noisy_step(params, np.array([2.0, 1.0]), 1.3, 0.15, shapes, 200_000, 25)
+run = lambda: check_noisy_step([(params, np.array([2.0, 1.0]), 1.3, 0.15, shapes)], 200_000, 25)
 run()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 run()
@@ -299,7 +344,7 @@ class TestCrossTerm:
     @pytest.mark.parametrize("eta", [0.0, -0.1])
     def test_nonpositive_eta_rejected(self, eta):
         with pytest.raises(ValueError, match="eta must be positive"):
-            check_noisy_step(THETA, X, 0.7, eta, (IID,), replicas=100, seed=8)
+            check_noisy_step([(THETA, X, 0.7, eta, (IID,))], replicas=100, seed=8)
 
     @pytest.mark.parametrize("noise", [IID, PROP, NoiseSpec(mode="iid", sigma=0.2, clip_c=0.5)])
     def test_bias_neuron_zero_mean(self, noise):
@@ -325,7 +370,8 @@ class TestCrossTerm:
         # post-update estimate is numpy's mean and std of r^2, and the cross
         # term numpy's mean and std of 2c(c - r), to rounding
         replicas, seed, t, eta = 50_001, 27, 1.3, 0.15
-        post_update, cross = check_noisy_step(BIASED, X, t, eta, (noise,), replicas, seed)
+        [[post_update, cross]] = check_noisy_step([(BIASED, X, t, eta, (noise,))], replicas,
+                                                  seed)
         xv = np.append(X, 1.0)
         batch, target = X[None, :], np.array([[t]])
         c = float(mechanism_step(BIASED, batch, target, eta, noise, RegSpec()).params @ xv) - t
@@ -352,7 +398,7 @@ class TestCrossTerm:
         # 1e-12, and z, which divides their difference, to 1e-9
         shapes = (NoiseSpec(mode="iid", sigma=0.4),
                   NoiseSpec(mode="proportional", sigma=0.4, clip_c=0.5))
-        checks = check_noisy_step(BIASED, X, 1.3, 0.15, shapes, 40_000, 26)
+        [checks] = check_noisy_step([(BIASED, X, 1.3, 0.15, shapes)], 40_000, 26)
         for shape, check, (analytic, mean, stderr, z) in zip(shapes, checks,
                                                              self.POST_UPDATE_BITS):
             assert analytic_post_update_loss(BIASED, X, 1.3, 0.15, shape) == analytic
@@ -574,14 +620,17 @@ class TestFiniteDifferences:
 class TestRandomizedIdentitySuite:
     def test_fifty_setups_pass_both_modes(self):
         # the 100 post-update z-scores as verify gates them: one family at
-        # the Bonferroni bound that holds all of them to a 3-sigma rate
+        # the Bonferroni bound that holds all of them to a 3-sigma rate,
+        # however the setups' shared noise rows tie them together
         setups = random_linear_setups(50, seed=2024)
         modes = ("iid", "proportional")
         _, bound = _family_bound(3.0, 2 * len(setups))
-        for i, s in enumerate(setups):
-            noises = tuple(NoiseSpec(mode=mode, sigma=s.sigma) for mode in modes)
-            checks = check_noisy_step(s.params, s.x, s.t, s.eta, noises, 20_000, 2024,
-                                      (VERIFY_NOISY_STEP, i))
+        cases = [(s.params, s.x, s.t, s.eta,
+                  tuple(NoiseSpec(mode=mode, sigma=s.sigma, clip_c=s.clip_c) for mode in modes))
+                 for s in setups]
+        per_setup = check_noisy_step(cases, 20_000, 2024, (VERIFY_NOISY_STEP,))
+        assert len(per_setup) == len(setups)
+        for i, checks in enumerate(per_setup):
             assert [(c.kind, c.label) for c in checks] == [
                 (kind, mode) for kind in ("post_update_loss", "cross_term") for mode in modes]
             for check in checks:
@@ -589,16 +638,41 @@ class TestRandomizedIdentitySuite:
                 if check.kind == "post_update_loss":
                     assert abs(check.z) <= bound, f"{check.label}[{i}]: z = {check.z}"
 
+    def test_setups_draw_both_forms_after_their_first_draws(self):
+        # the bias and clip draws follow every setup's first draws, so
+        # those are the draws of one pass of (d, theta, x, t, eta, sigma)
+        seed, n = 2026, 40
+        setups = random_linear_setups(n, seed)
+        rng = RngStream(seed, VERIFY_SETUPS)
+        for s in setups:
+            d = min(int(2 + rng.uniform(1)[0] * 5), 6)
+            theta, x = rng.normal(1.0, d), rng.normal(1.0, d)
+            first = (float(rng.normal(1.0, 1)[0]),
+                     float(0.02 + rng.uniform(1)[0] * (0.3 - 0.02)),
+                     float(0.05 + rng.uniform(1)[0] * (0.5 - 0.05)))
+            bias = s.params.spec.include_bias
+            assert s.params.flat.size == d + bias and s.params.spec.input_dim == d
+            assert np.array_equal(s.params.flat[:d], theta) and np.array_equal(s.x, x)
+            assert (s.t, s.eta, s.sigma) == first
+            assert s.clip_c is None or 0.5 <= s.clip_c < 5.0
+        forms = {(s.params.spec.include_bias, s.clip_c is not None) for s in setups}
+        assert forms == {(False, False), (False, True), (True, False), (True, True)}
+
     def test_equivalence_chain_is_algebraic(self):
-        # each drawn unit also with a bias: the noise on the bias adds its
-        # own kappa to the iid gap, which the input term must carry too
+        # each drawn unit also with its bias and its clip toggled: the noise
+        # on a bias adds its own kappa to the iid gap, which the input term
+        # must carry too, and a clip moves the clean loss, not the gap
         bias_rng = RngStream(2025, 1)
-        for setup in random_linear_setups(50, seed=2025):
-            spec = ModelSpec(layer_sizes=(setup.x.size, 1), activation="identity",
-                             include_bias=True)
-            biased = replace(setup, params=ParameterSet(
-                spec, np.append(setup.params.flat, bias_rng.normal(1.0, 1))))
-            for unit in (setup, biased):
+        setups = random_linear_setups(50, seed=2025)
+        assert {s.params.spec.include_bias for s in setups} == {False, True}
+        for setup in setups:
+            d, flat = setup.x.size, setup.params.flat
+            toggled = not setup.params.spec.include_bias
+            spec = ModelSpec(layer_sizes=(d, 1), activation="identity", include_bias=toggled)
+            other = replace(setup, params=ParameterSet(
+                spec, np.append(flat, bias_rng.normal(1.0, 1)) if toggled else flat[:d]),
+                clip_c=None if setup.clip_c else 1.0)
+            for unit in (setup, other):
                 iid_resid, prop_resid = equivalence_chain_residuals(unit)
                 assert iid_resid <= 1e-12
                 assert prop_resid <= 1e-12

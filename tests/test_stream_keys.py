@@ -21,7 +21,7 @@ from privreg import attack, optimizers
 from privreg.attack import leakage_sweep
 from privreg.experiments import generate_dataset, run
 from privreg.model import ModelSpec, ParameterSet
-from privreg.numerics import RngStream
+from privreg.numerics import VERIFY_NOISY_STEP, RngStream
 from privreg.optimizers import NoiseSpec, TrainConfig, mechanism_step, train
 from privreg.regularizers import RegSpec
 
@@ -106,6 +106,16 @@ def test_no_key_is_built_on_two_call_paths(keys, command):
 def test_runs_at_neighbouring_seeds_share_no_stream(keys, command):
     shared = keys[command, SEED].keys() & keys[command, SEED + 1].keys()
     assert not shared, f"{command} at seeds {SEED} and {SEED + 1} share {sorted(shared)}"
+
+
+def test_verify_steps_every_setup_on_one_stream_per_noise_block(keys):
+    # 20,000 replicas are two blocks: every setup's noisy steps read the
+    # same two streams, (VERIFY_NOISY_STEP, 0, b), built on one call path
+    for seed in (SEED, SEED + 1):
+        noisy = [(key, paths) for (_, key), paths in keys["verify", seed].items()
+                 if key[:1] == (VERIFY_NOISY_STEP,)]
+        assert sorted(key for key, _ in noisy) == [(VERIFY_NOISY_STEP, 0, b) for b in range(2)]
+        assert all(len(paths) == 1 for _, paths in noisy)
 
 
 def test_hidden_weights_are_not_the_first_noise_row():
