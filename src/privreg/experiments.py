@@ -575,7 +575,8 @@ def _load_data(config: ExperimentConfig, command: str) -> Dataset:
 class RunTelemetry:
     """What a run says about itself in its manifest, never in its CSV:
     wall seconds per phase, lanes per phase run in lanes (see oracle.mc_lanes),
-    the replicas scored and the normals drawn per Monte Carlo phase, the
+    units of work per phase (replicas scored and normals drawn by a Monte
+    Carlo phase, steps and example-steps by a training phase), the
     family gate of verify and moments (its size k, rate alpha and
     bound on |z|; None for the other subcommands), and every failed check
     as (name, value, bound), a check passing when value <= bound."""
@@ -583,7 +584,7 @@ class RunTelemetry:
     def __init__(self):
         self.timings: dict[str, float] = {}
         self.lanes: dict[str, int] = {}
-        self.mc_work: dict[str, dict[str, int]] = {}
+        self.work: dict[str, dict[str, int]] = {}
         self.family_gate: dict[str, float] | None = None
         self.failed_checks: list[tuple[str, float, float]] = []
 
@@ -595,12 +596,25 @@ class RunTelemetry:
         finally:
             self.timings[name] = self.timings.get(name, 0.0) + perf_counter() - started
 
+    def count(self, phase: str, **units: int) -> None:
+        """Add units of work to a phase's counts."""
+        counts = self.work.setdefault(phase, {})
+        for unit, amount in units.items():
+            counts[unit] = counts.get(unit, 0) + amount
+
+
+def _train_work(n: int, config: TrainConfig) -> dict[str, int]:
+    """The steps and example-steps of one train() run on n examples."""
+    return {"steps": config.epochs * -(-n // config.batch_size),
+            "example_steps": config.epochs * n}
+
 
 def _cmd_train(config: ExperimentConfig, telemetry: RunTelemetry) -> list[ResultRow]:
     with telemetry.phase("load_data"):
         data = _load_data(config, "train")
     with telemetry.phase("train"):
         report = train(config.model, data, config.train)
+    telemetry.count("train", **_train_work(len(data), config.train))
     mech = mechanism_label(config.train.noise, config.train.reg)
     seed = config.train.seed
     rows = [ResultRow(config.experiment_id, mech, "epoch_loss", loss, None, seed)
@@ -676,10 +690,11 @@ def _run_checks(config: ExperimentConfig, telemetry: RunTelemetry, verdict: str,
                 mc_work: dict[str, Callable[[OracleConfig], _McWork]]) -> list[ResultRow]:
     """The rows of each (phase, check function) in order, each function
     timed as its phase, then the `verdict` row, 1 if every gate passed.
-    A phase named in `mc_work` has its Monte Carlo work recorded in the
-    telemetry.  Every gate of verify and moments is decided here, in row
-    order: each exact check at its own bound, and all the run's z-scores as
-    one family at the bound _family_bound gives for oracle.threshold."""
+    A phase named in `mc_work` has its lanes and its Monte Carlo work
+    recorded in the telemetry.  Every gate of verify and moments is decided
+    here, in row order: each exact check at its own bound, and all the
+    run's z-scores as one family at the bound _family_bound gives for
+    oracle.threshold."""
     oc, checked = config.oracle, []
     for phase, checks in phases:
         with telemetry.phase(phase):
@@ -687,7 +702,7 @@ def _run_checks(config: ExperimentConfig, telemetry: RunTelemetry, verdict: str,
         if phase in mc_work:
             work = mc_work[phase](oc)
             telemetry.lanes[phase] = work.lanes
-            telemetry.mc_work[phase] = {"replicas": work.replicas, "normals": work.normals}
+            telemetry.count(phase, replicas=work.replicas, normals=work.normals)
     tests = sum(r.zs for r in checked)
     alpha, z_bound = _family_bound(oc.threshold, tests)
     telemetry.family_gate = {"k": tests, "alpha": alpha, "z_bound": z_bound}
@@ -899,11 +914,12 @@ def _cmd_attack(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
 
     if ac.membership:
         with telemetry.phase("membership"):
-            rows.extend(_membership_rows(config, data))
+            rows.extend(_membership_rows(config, data, telemetry))
     return rows
 
 
-def _membership_rows(config: ExperimentConfig, data: Dataset) -> list[ResultRow]:
+def _membership_rows(config: ExperimentConfig, data: Dataset,
+                     telemetry: RunTelemetry) -> list[ResultRow]:
     ac = config.attack
     half = len(data) // 2
     members = Dataset(data.x[:half], data.t[:half])
@@ -914,6 +930,7 @@ def _membership_rows(config: ExperimentConfig, data: Dataset) -> list[ResultRow]
         train_config = TrainConfig(eta=ac.eta, batch_size=min(8, half), epochs=50,
                                    seed=ac.seed, noise=noise, reg=reg)
         report = train(config.model, members, train_config, key=(ATTACK_MEMBERSHIP,))
+        telemetry.count("membership", **_train_work(len(members), train_config))
         auc = membership_inference(report.final_params, members, fresh)
         rows.append(ResultRow(config.experiment_id, label, "membership_auc", auc,
                               None, ac.seed))
@@ -976,7 +993,7 @@ def _write_manifest(path: Path, config: ExperimentConfig, command: str,
                     telemetry: RunTelemetry, rows: int) -> None:
     """The run's record beside its CSV: config hash, seeds, versions, the
     CSV's row count, and telemetry (seconds per phase, lanes per phase run
-    in lanes, replicas and normals per Monte Carlo phase, the family gate,
+    in lanes, units of work per phase, the family gate,
     the process's peak RSS so far, failed checks), which only the manifest
     carries.  It is strict JSON: a failed check's non-finite value
     or bound is written as the string "nan", "inf" or "-inf"."""
@@ -995,7 +1012,7 @@ def _write_manifest(path: Path, config: ExperimentConfig, command: str,
         "rows": rows,
         "timings": telemetry.timings,
         "lanes": telemetry.lanes,
-        "mc_work": telemetry.mc_work,
+        "work": telemetry.work,
         "family_gate": telemetry.family_gate,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "failed_checks": [[name, *(v if math.isfinite(v) else str(v) for v in numbers)]

@@ -3,7 +3,11 @@
 A model is a chain of affine layers; hidden layers share one activation,
 the output layer is always linear.  Parameters live in a single flat
 float64 vector with per-layer weight and bias slices, which keeps the
-noise mechanisms and regularizers coordinate-aligned.  The loss is the
+noise mechanisms and regularizers coordinate-aligned.  A ParameterSet
+makes each layer's (fan_out, fan_in) weight matrix and bias as views of
+its flat vector once, when it is made; the passes read those views, so a
+trainer that writes each step into the flat vector in place never slices
+or reshapes per call, and never holds a stale view.  The loss is the
 plain squared error sum((y - t)^2), so a one-layer linear model with
 scalar output has per-weight gradient 2*(y - t)*x_i and bias gradient
 2*(y - t).
@@ -36,10 +40,6 @@ class LayerSlices:
     bias: slice | None
     fan_in: int
     fan_out: int
-
-    def weight_matrix(self, flat: np.ndarray) -> np.ndarray:
-        """This layer's (fan_out, fan_in) weight view of a flat vector."""
-        return flat[self.weights].reshape(self.fan_out, self.fan_in)
 
 
 @dataclass(frozen=True)
@@ -122,27 +122,46 @@ class NonFiniteParametersError(ValueError):
     """A parameter vector holds NaN or infinity."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParameterSet:
-    """Flat parameter vector tied to the architecture that shapes it."""
+    """Flat parameter vector tied to the architecture that shapes it.
+
+    `flat` is never rebound.  `views` holds each layer's (fan_out, fan_in)
+    weight matrix and its (fan_out,) bias (None without one), views of
+    `flat` made once, when the set is made: the passes, weights() and
+    bias() read them, and an in-place write to `flat` shows in all of them.
+    """
 
     spec: ModelSpec
     flat: np.ndarray
+    views: tuple[tuple[np.ndarray, np.ndarray | None], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.flat = np.asarray(self.flat, dtype=np.float64).ravel()
+        # ravel copies a strided vector, so flat is contiguous and every
+        # reshape below is a view of it
+        flat = np.asarray(self.flat, dtype=np.float64).ravel()
         expected = self.spec.n_params
-        if self.flat.size != expected:
-            raise ValueError(f"expected {expected} parameters, got {self.flat.size}")
-        if not np.isfinite(self.flat).all():
+        if flat.size != expected:
+            raise ValueError(f"expected {expected} parameters, got {flat.size}")
+        if not np.isfinite(flat).all():
             raise NonFiniteParametersError("parameters must be finite")
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "views", tuple(
+            (flat[ls.weights].reshape(ls.fan_out, ls.fan_in),
+             None if ls.bias is None else flat[ls.bias])
+            for ls in self.spec.layout))
+
+    def __reduce__(self):
+        # copy.deepcopy and pickle copy arrays one by one, which would cut
+        # the views loose from flat; rebuild them instead
+        return ParameterSet, (self.spec, self.flat)
 
     def weights(self, layer: int) -> np.ndarray:
-        return self.spec.layout[layer].weight_matrix(self.flat)
+        return self.views[layer][0]
 
     def bias(self, layer: int) -> np.ndarray | None:
-        ls = self.spec.layout[layer]
-        return None if ls.bias is None else self.flat[ls.bias]
+        return self.views[layer][1]
 
     def copy(self) -> "ParameterSet":
         return ParameterSet(self.spec, self.flat.copy())
@@ -188,11 +207,12 @@ def init_params(spec: ModelSpec, rng: RngStream) -> ParameterSet:
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return z
+    """The activation applied to z in place (z is a fresh pre-activation)."""
     if name == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
+        np.tanh(z, out=z)
+    elif name == "relu":
+        np.maximum(z, 0.0, out=z)
+    return z
 
 
 def _activate_prime(name: str, a: np.ndarray) -> np.ndarray:
@@ -218,13 +238,14 @@ def forward(params: ParameterSet, x: np.ndarray) -> list[np.ndarray]:
         raise ValueError(f"input batch has shape {a.shape}, expected (B, {spec.input_dim})")
     if a.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    layers = spec.layout
+    last = spec.n_layers - 1
     acts = [a]
-    for layer, ls in enumerate(layers):
-        z = _matvec(ls.weight_matrix(params.flat), a)
-        if ls.bias is not None:
-            z = z + params.flat[ls.bias]
-        a = _activate(spec.activation if layer < len(layers) - 1 else "identity", z)
+    for layer, (w, b) in enumerate(params.views):
+        a = _matvec(w, a)
+        if b is not None:
+            a += b
+        if layer < last:
+            a = _activate(spec.activation, a)
         acts.append(a)
     return acts
 
@@ -259,10 +280,11 @@ def backward(params: ParameterSet, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     for layer in range(len(layers) - 1, -1, -1):
         ls = layers[layer]
         a_in = acts[layer]
-        grad[:, ls.weights] = (delta[:, :, None] * a_in[:, None, :]).reshape(batch, -1)
+        np.multiply(delta[:, :, None], a_in[:, None, :],
+                    out=grad[:, ls.weights].reshape(batch, ls.fan_out, ls.fan_in))
         if ls.bias is not None:
             grad[:, ls.bias] = delta
         if layer > 0:
-            back = _matvec(ls.weight_matrix(params.flat).T, delta)
-            delta = back * _activate_prime(spec.activation, a_in)
+            delta = _matvec(params.views[layer][0].T, delta)
+            delta *= _activate_prime(spec.activation, a_in)
     return grad

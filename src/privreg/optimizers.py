@@ -37,6 +37,13 @@ trial, verify's trajectory check) passes its key.  train() draws its
 noise in blocks of about NOISE_BLOCK normals, one call per block rather
 than one per step; _noise_rows pads each row as a per-step call would, so
 step s gets the bits it would get from the s-th of one draw per step.
+
+At batch 1 a step costs its numpy calls' fixed overhead, not arithmetic,
+so train() keeps that overhead low without changing a bit: it permutes
+the data once per epoch and steps on slices of that copy, it keeps one
+ParameterSet for the run and writes each step into its flat vector in
+place (the set's layer views, made once, see privreg.model, follow it),
+and mechanism_step takes a one-row batch's gradient as its own mean.
 """
 
 from __future__ import annotations
@@ -180,9 +187,12 @@ def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: floa
     grads = add_gradients(reg, grads, params, x, reg.effective_kappa(eta, noise.sigma))
     if noise.clip_c is not None:
         grads = clip_gradient(grads, noise.clip_c)
-    # np.mean's sum and division, without its per-call overhead
-    clean = np.add.reduce(grads, axis=0)
-    clean /= len(grads)
+    if len(grads) == 1:
+        clean = grads[0]  # the mean of one row is that row, to the bit
+    else:
+        # np.mean's sum and division, without its per-call overhead
+        clean = np.add.reduce(grads, axis=0)
+        clean /= len(grads)
 
     if z is None:
         noisy = clean
@@ -269,7 +279,8 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
     shuffle_rng = RngStream(config.seed, *key, TRAIN_SHUFFLE)
     noise_rows = _noise_rows(noise, RngStream(config.seed, *key, TRAIN_NOISE),
                              config.epochs * -(-n // config.batch_size), spec.n_params)
-    # One ParameterSet for the run, its flat vector rebound after each step.
+    # One ParameterSet for the run: each step is written into its flat
+    # vector, so its layer views (see privreg.model) stay current.
     params = init.copy() if init is not None else initial_params_for(spec, config.seed, key)
 
     def diverged(epoch: int, step: int, what: str) -> TrainingDivergedError:
@@ -282,17 +293,19 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
     step = 0
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
+        # One permuted copy per epoch: each batch is then a slice of it
+        xs, ts = data.x[order], data.t[order]
         for start in range(0, n, config.batch_size):
-            batch_idx = order[start:start + config.batch_size]
-            taken = mechanism_step(params, data.x[batch_idx], data.t[batch_idx],
+            stop = start + config.batch_size
+            taken = mechanism_step(params, xs[start:stop], ts[start:stop],
                                    eta, noise, reg, next(noise_rows))
             if records is not None:
                 records.append(GradientRecord(clean=taken.clean.copy(),
                                               noisy=taken.noisy.copy(),
-                                              batch_indices=batch_idx.copy()))
+                                              batch_indices=order[start:stop].copy()))
             if not np.isfinite(taken.params).all():
                 raise diverged(epoch, step, "the parameters")
-            params.flat = taken.params
+            params.flat[:] = taken.params
             step += 1
 
         loss = dataset_loss(params, data, reg, kappa)

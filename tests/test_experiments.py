@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from privreg import experiments
+from privreg import experiments, optimizers
 from privreg.attack import COSINE_SUCCESS
 from privreg.cli import main as cli_main
 from privreg.experiments import (COMMANDS, ConfigError, OracleConfig, ResultRow,
@@ -214,6 +214,21 @@ def csv_bytes_by_lanes(tmp_path, monkeypatch, command, lane_counts):
     return list(csvs.values())
 
 
+def _count_train_steps(monkeypatch) -> dict[str, int]:
+    """Counts of the steps train() takes and of the examples in them, kept
+    as it calls mechanism_step from here on."""
+    counts = {"steps": 0, "example_steps": 0}
+    real = optimizers.mechanism_step
+
+    def counted(params, x, *args, **kwargs):
+        counts["steps"] += 1
+        counts["example_steps"] += len(x)
+        return real(params, x, *args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "mechanism_step", counted)
+    return counts
+
+
 def small_report_config(directory):
     """A report over two one-row result CSVs it writes into `directory`."""
     write_result_rows(directory / "a.csv", [ResultRow("e", "m", "loss", 1.0, None, 1)])
@@ -366,7 +381,7 @@ class TestRun:
             assert run(command, cfg_path) == 0
             oc = cfg["oracle"]
             work = json.loads((Path(cfg["output"]["directory"]) / f"{command}_manifest.json")
-                              .read_text())["mc_work"]
+                              .read_text())["work"]
             moments = {"replicas": oc["replicas"] + oc["product_replicas"],
                        "normals": drawn[VERIFY_MOMENTS] + drawn[VERIFY_PRODUCT_DENSITY]}
             assert moments["normals"] == oc["replicas"] + 2 * oc["product_replicas"]
@@ -853,25 +868,36 @@ class TestCli:
             csvs.append((tmp_path / name / "out" / f"{command}_results.csv").read_bytes())
         assert csvs[0] == csvs[1]
 
-    def test_train_manifest_carries_phases_and_rows(self, tmp_path):
+    def test_train_manifest_carries_phases_and_rows(self, tmp_path, monkeypatch):
+        cfg = minimal_train_config(tmp_path / "out")
+        cfg["train"]["batch_size"] = 3  # a last partial batch in every epoch
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(minimal_train_config(tmp_path / "out")))
+        cfg_path.write_text(json.dumps(cfg))
+        steps = _count_train_steps(monkeypatch)
         assert run("train", cfg_path) == 0
         manifest = json.loads((tmp_path / "out" / "train_manifest.json").read_text())
         assert set(manifest["timings"]) == {"load_data", "train"}
         assert all(seconds >= 0 for seconds in manifest["timings"].values())
         assert manifest["rows"] == 3 + 2  # one epoch_loss per epoch, final loss and norm
+        assert manifest["lanes"] == {}
+        assert steps["steps"] == 3 * -(-cfg["data"]["n"] // 3)
+        assert manifest["work"] == {"train": steps}
 
-    def test_attack_manifest_carries_phases(self, tmp_path):
+    def test_attack_manifest_carries_phases(self, tmp_path, monkeypatch):
         cfg = small_attack_config(tmp_path / "out")
         cfg["attack"]["membership"] = True
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
+        steps = _count_train_steps(monkeypatch)
         assert run("attack", cfg_path) == 0
         manifest = json.loads((tmp_path / "out" / "attack_manifest.json").read_text())
         assert set(manifest["timings"]) == {"load_data", "sweep", "membership"}
         assert all(seconds >= 0 for seconds in manifest["timings"].values())
-        assert manifest["lanes"] == manifest["mc_work"] == {}
+        assert manifest["lanes"] == {}
+        # 50 epochs per mechanism on half the rows
+        half = cfg["data"]["n"] // 2
+        assert steps["example_steps"] == len(cfg["attack"]["mechanisms"]) * 50 * half
+        assert manifest["work"] == {"membership": steps}
 
     def test_moments_manifest_carries_its_phase(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import copy
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -278,6 +279,29 @@ class TestStructures:
         assert p.bias(0).shape == (3,)
         assert p.weights(1).shape == (1, 3)
         assert p.flat.size == 2 * 3 + 3 + 3 * 1 + 1
+
+    def test_layer_views_share_flat_and_follow_writes(self):
+        spec = ModelSpec(layer_sizes=(3, 4, 1), activation="tanh", include_bias=True)
+        p = init_params(spec, RngStream(2))
+        with pytest.raises(FrozenInstanceError):
+            p.flat = p.flat.copy()
+        for layer, ls in enumerate(spec.layout):
+            assert np.shares_memory(p.weights(layer), p.flat)
+            assert np.shares_memory(p.bias(layer), p.flat)
+            assert np.array_equal(p.weights(layer).ravel(), p.flat[ls.weights])
+        x = RngStream(3).normal(1.0, 15).reshape(5, 3)
+        t = RngStream(4).normal(1.0, 5).reshape(5, 1)
+        before = forward(p, x)[-1]
+        p.flat[:] *= -1.5
+        fresh = ParameterSet(spec, p.flat.copy())
+        assert not np.array_equal(forward(p, x)[-1], before)
+        for got, want in zip(forward(p, x), forward(fresh, x)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(backward(p, x, t), backward(fresh, x, t))
+        twin = copy.deepcopy(p)
+        assert not np.shares_memory(twin.flat, p.flat)
+        twin.flat[:] = 0.0
+        assert not twin.weights(1).any() and p.weights(1).any()
 
     def test_init_bounds_and_determinism(self):
         spec = ModelSpec(layer_sizes=(9, 4, 1), activation="tanh", include_bias=True)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,8 @@ from reference_solvers import regularized_least_squares_oracle
 
 LINEAR2 = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=False)
 LINEAR3 = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
+TANH3 = ModelSpec(layer_sizes=(3, 5, 1), activation="tanh", include_bias=True)
+IID_CLIP = NoiseSpec(mode="iid", sigma=0.5, clip_c=1.0)
 
 
 class TestClipGradient:
@@ -405,12 +408,24 @@ class TestOneParameterSetPerRun:
         assert report.final_params is not init
         assert not np.shares_memory(report.final_params.flat, init.flat)
 
-    @pytest.mark.parametrize("eta,step", [(1e200, 1), (1e150, 2), (1e100, 3)])
-    def test_divergence_names_epoch_and_step(self, eta, step):
-        config = TrainConfig(eta=eta, epochs=3, seed=6)
+    # (model, mechanism, eta, the first step whose parameters are not
+    # finite), the same at batch 1 and 7.  Epoch 1 ends at step 23 (batch
+    # 1) or 3 (batch 7, four steps), so a check made only at the end of an
+    # epoch would name another step.  The tanh net's hidden layer saturates,
+    # its backward pass meets inf * 0, and the NaN passes the clip.
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("spec,noise,eta,step", [
+        (LINEAR3, NoiseSpec(), 1e200, 1), (LINEAR3, NoiseSpec(), 1e150, 2),
+        (LINEAR3, NoiseSpec(), 1e100, 3), (TANH3, NoiseSpec(), 1e200, 1),
+        (TANH3, NoiseSpec(), 1e150, 2), (TANH3, IID_CLIP, 1e200, 1),
+    ], ids=["linear-1e200", "linear-1e150", "linear-1e100", "tanh-1e200", "tanh-1e150",
+            "tanh-iid-clip-1e200"])
+    def test_divergence_names_epoch_and_step(self, spec, noise, eta, step, batch):
+        config = TrainConfig(eta=eta, batch_size=batch, epochs=3, seed=6, noise=noise)
+        label = re.escape(optimizers.mechanism_label(noise, RegSpec()))
         with pytest.raises(TrainingDivergedError, match=rf"epoch 1 of 3 at step {step} "
-                                                        r"under noise=none.*the parameters"):
-            train(LINEAR3, small_dataset(), config)
+                                                        rf"under {label}: the parameters"):
+            train(spec, small_dataset(), config)
 
 
 class TestOneLayerActivation:
