@@ -838,10 +838,11 @@ def _step_expectation(oc: OracleConfig) -> list[_CheckRow]:
 
     The clean step is one full batch of the data in stored order; the
     noisy steps are the same batch with each of n rows of one noise block,
-    taken as one mechanism_step.  The data, the start and the noise are
-    keyed VERIFY_STEP_EXPECTATION.  Each coordinate of the mean step is off
-    the clean one by eta * sigma * mean(z_i), so the worst error joins the
-    family as one z-score per coordinate, in units of eta * sigma / sqrt(n).
+    taken as one mechanism_step on the block's (P, n) transpose.  The data,
+    the start and the noise are keyed VERIFY_STEP_EXPECTATION.  Each
+    coordinate of the mean step is off the clean one by eta * sigma *
+    mean(z_i), so the worst error joins the family as one z-score per
+    coordinate, in units of eta * sigma / sqrt(n).
     """
     eta, sigma, key = 0.1, 0.3, (VERIFY_STEP_EXPECTATION,)
     data = generate_dataset("noisy_linear", 8, 3, 0.1, oc.seed, key)
@@ -852,8 +853,9 @@ def _step_expectation(oc: OracleConfig) -> list[_CheckRow]:
 
     n, width = oc.expectation_replicas, spec.n_params
     z = RngStream(oc.seed, *key, TRAIN_NOISE).normal(1.0, n * width).reshape(n, width)
-    noisy = mechanism_step(init, data.x, data.t, eta, noise, RegSpec(), z).params
-    return [_CheckRow("iid", "step_expectation_err", _worst(noisy.sum(axis=0) / n - clean),
+    noisy = mechanism_step(init, data.x, data.t, eta, noise, RegSpec(),
+                           np.ascontiguousarray(z.T)).params
+    return [_CheckRow("iid", "step_expectation_err", _worst(noisy.sum(axis=1) / n - clean),
                       zs=width, unit=eta * sigma / math.sqrt(n),
                       bound_metric="step_expectation_bound")]
 

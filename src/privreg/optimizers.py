@@ -21,12 +21,14 @@ draw and the step.  Penalties belong to the loss, so they come before the
 privacy mechanics.  Every row is computed exactly as the example would be
 on its own (see privreg.model), so batch size never changes an example's
 gradient bits.
-mechanism_step also takes R noise rows at once: that is how the oracle
-samples many noisy steps from one starting point, one block of rows at a
-time, stepping each block once per noise shape.  dataset_loss, which
-train() reports per epoch, adds the same terms to the losses
-(regularizers.add_penalties) at the same kappa, so the loss reported is
-the loss the steps descend.
+train() and the attacks pass one (P,) noise vector per step.
+mechanism_step also takes R noise vectors at once, as the columns of a
+(P, R) block, the parameter axis first so that each broadcast over P runs
+along R: that is how the oracle and verify's step expectation sample
+many noisy steps from one starting point, one block at a time.
+dataset_loss, which train() reports per epoch, adds the same terms to the
+losses (regularizers.add_penalties) at the same kappa, so the loss
+reported is the loss the steps descend.
 
 A run is deterministic given its seed and its key prefix (see
 privreg.numerics): it draws its init, its epoch permutations and its
@@ -159,8 +161,9 @@ def clip_gradient(g: np.ndarray, c: float) -> np.ndarray:
 
 class Step(NamedTuple):
     """One step of a mechanism: the averaged batch gradient before and after
-    the noise, and the parameters it steps to.  With R noise rows, `noisy`
-    and `params` hold one (P,) row per noise row."""
+    the noise, and the parameters it steps to.  `noisy` and `params` take
+    the noise's layout: (P,) for one noise vector, (P, R) for a block of R
+    noise columns, column j being the step on column j."""
 
     clean: np.ndarray
     noisy: np.ndarray
@@ -175,10 +178,13 @@ def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: floa
     gradient gets the penalty gradients and is clipped by its norm; the
     batch is averaged; the noise sigma * z (mode "iid") or sigma * theta * z
     (mode "proportional", theta pre-update) is added, z being standard
-    normals, one (P,) row or R of them as (R, P), or None for a noiseless
-    step; then theta - eta * g.  Every example's gradient is computed
-    exactly as on its own (see privreg.model), so batch size never changes
-    its bits.
+    normals, one (P,) vector, R of them as the columns of a (P, R) block,
+    or None for a noiseless step; then theta - eta * g.  Each column of a
+    block steps to the bits that it would step to as a (P,) vector on its
+    own.  A z whose first axis is not P raises ValueError; a square (P, P)
+    block cannot be told from its transpose by shape, and is read as
+    (P, R).  Every example's gradient is computed exactly as on its own
+    (see privreg.model), so batch size never changes its bits.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -199,18 +205,21 @@ def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: floa
     else:
         if noise.mode == "none":
             raise ValueError("noise mode 'none' takes no noise rows")
-        if z.shape[-1:] != params.flat.shape:
-            raise ValueError(f"noise rows of shape {z.shape} do not match "
-                             f"parameters {params.flat.shape}")
+        if z.ndim > 2 or z.shape[:1] != params.flat.shape:
+            raise ValueError(f"noise of shape {z.shape} does not match "
+                             f"parameters {params.flat.shape}: give (P,) or (P, R)")
         scale = noise.sigma * params.flat if noise.mode == "proportional" else noise.sigma
-        # In place, as fresh (R, P) temporaries cost more than the arithmetic;
-        # addition commutes, so these are the bits of clean + scale * z and
-        # of theta - eta * noisy.
-        noisy = scale * z
+        # The (P,) vectors broadcast against z.T, the (R, P) view of a
+        # (P, R) block (a (P,) vector is its own transpose), and each
+        # result keeps z's memory order, so numpy's inner loops run along
+        # R rather than along the short P.  In place, as fresh temporaries
+        # cost more than the arithmetic; addition commutes, so these are
+        # the bits of clean + scale * z and of theta - eta * noisy.
+        noisy = scale * z.T
         noisy += clean
     stepped = np.multiply(eta, noisy)
     np.subtract(params.flat, stepped, stepped)
-    return Step(clean, noisy, stepped)
+    return Step(clean, noisy.T, stepped.T)
 
 
 def initial_params_for(spec: ModelSpec, seed: int, key: tuple[int, ...] = ()) -> ParameterSet:
@@ -282,6 +291,10 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
     # One ParameterSet for the run: each step is written into its flat
     # vector, so its layer views (see privreg.model) stay current.
     params = init.copy() if init is not None else initial_params_for(spec, config.seed, key)
+    # A step's parameters are finite iff their dot with zeros is: 0 * inf
+    # and 0 * nan are nan, 0 * x is 0 for every finite x, so no large
+    # finite value can overflow it.  One dot costs less than isfinite().all().
+    zeros = np.zeros(spec.n_params)
 
     def diverged(epoch: int, step: int, what: str) -> TrainingDivergedError:
         return TrainingDivergedError(
@@ -303,7 +316,7 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
                 records.append(GradientRecord(clean=taken.clean.copy(),
                                               noisy=taken.noisy.copy(),
                                               batch_indices=order[start:stop].copy()))
-            if not np.isfinite(taken.params).all():
+            if not math.isfinite(np.dot(taken.params, zeros)):
                 raise diverged(epoch, step, "the parameters")
             params.flat[:] = taken.params
             step += 1

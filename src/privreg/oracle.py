@@ -20,8 +20,10 @@ replica, case and noise shape, and scores the stepped parameters, so a
 trainer bug in the noise scale or its centre, in which theta scales
 proportional noise, in bias handling or in clipping fails the check.
 All cases step on the same noise rows (common random numbers), each
-case on as many of a row's leading columns as it has parameters, so a
+case on as many of a row's leading normals as it has parameters, so a
 block of rows is drawn once for every case rather than once per case.
+The block is transposed once, parameter axis first, so each case steps
+on a contiguous (P, rows) block (see optimizers.mechanism_step).
 The closed forms are written out independently, with the bias folded in
 as a constant-1 feature and the clean gradient clipped when noise.clip_c
 is set; the product density's bin masses need only math.erfc.
@@ -153,36 +155,40 @@ def _require_replicas(replicas: int) -> None:
         raise ValueError(f"replicas must be an integer >= 2, got {replicas!r}")
 
 
-def _block_sums(summarise: Callable[..., np.ndarray], replicas: int, seed: int,
-                key: tuple[int, ...], stds: tuple[float, ...], width: int) -> np.ndarray:
+def _block_sums(summarise: Callable[[list[np.ndarray]], np.ndarray], replicas: int,
+                seed: int, key: tuple[int, ...], stds: tuple[float, ...],
+                width: int) -> np.ndarray:
     """The sum over the MC_CHUNK_ROWS blocks of `replicas` rows of
-    summarise(*draws), draws[i] being block b's rows, flat, of the stream
+    summarise(draws), draws[i] being block b's rows, flat, of the stream
     RngStream(seed, *key, i, b): `width` normals of std stds[i] per row.
 
     summarise reduces a block's rows to a short vector (_power_sums, or
     histogram counts), so only a block's rows and one short vector per
-    block are ever held.  The blocks are split into mc_lanes(replicas) runs
+    block are ever held.  The draws list is summarise's own, kept nowhere
+    else, so summarise may pop a block's draws and free them as soon as it
+    is done with them.  The blocks are split into mc_lanes(replicas) runs
     of consecutive blocks, one per lane (_in_lanes); every block opens its
     own streams, so it draws the same bits in whichever lane runs it.  The
     block vectors are added in block order, not lane by lane, so the sum
     has the same bits at any lane count.
     """
     blocks, lanes = -(-replicas // MC_CHUNK_ROWS), mc_lanes(replicas)
-    # Every block allocates and frees the same few arrays.  glibc's malloc
-    # returns freed heap to the OS once its free top passes twice the
-    # largest mmap-backed array freed so far, and a block's arrays add up
-    # to more than twice its largest, so each block would fault its pages
-    # in afresh.  Freeing one array of four blocks' draws (never written,
-    # so it maps no page) lifts that bound above a block's arrays for the
-    # rest of the process.
+    # Every block allocates and frees the same few arrays (its draws, the
+    # noisy-step check's transposed copy of them, the steps' temporaries).
+    # glibc's malloc returns freed heap to the OS once its free top passes
+    # twice the largest mmap-backed array freed so far, and a block's
+    # arrays add up to more than twice its largest, so each block would
+    # fault its pages in afresh.  Freeing one array of four blocks' draws
+    # (never written, so it maps no page) lifts that bound above a block's
+    # arrays for the rest of the process.
     np.empty(4 * MC_CHUNK_ROWS * width * len(stds))
 
     def lane(first: int, stop: int) -> list[np.ndarray]:
         sums = []
         for block in range(first, stop):
             rows = min(MC_CHUNK_ROWS, replicas - block * MC_CHUNK_ROWS)
-            sums.append(summarise(*(RngStream(seed, *key, i, block).normal(std, rows * width)
-                                    for i, std in enumerate(stds))))
+            sums.append(summarise([RngStream(seed, *key, i, block).normal(std, rows * width)
+                                   for i, std in enumerate(stds)]))
         return sums
 
     bounds = [blocks * k // lanes for k in range(lanes + 1)]
@@ -311,8 +317,11 @@ def check_noisy_step(cases: Sequence[tuple[ParameterSet, np.ndarray, float, floa
     residual r.  Every case and shape steps on the same noise rows, drawn
     once per block by one _block_sums: W normals a row from stream 0 of
     `key` at `seed`, W being the largest parameter count of the cases, of
-    which a case of P parameters steps on the first P.  The rows are summed
-    per case and shape as the power sums of r minus the clean residual
+    which a case of P parameters steps on the first P.  Each block is
+    transposed once into a contiguous (W, rows) array, the drawn rows freed
+    as it is made, and a case steps on its first P rows as one (P, rows)
+    noise block, scored as xv @ theta'.  The rows are summed per case and
+    shape as the power sums of r minus the clean residual
     (_noisy_step_estimates).  The cases' estimates thus share their draws
     (common random numbers); with one case, W is that case's own parameter
     count.  A shape whose noise cannot move the output
@@ -324,14 +333,16 @@ def check_noisy_step(cases: Sequence[tuple[ParameterSet, np.ndarray, float, floa
     width = max((case[0].flat.size for case in cases), default=0)
     reg = RegSpec()
 
-    def summarise(z: np.ndarray) -> np.ndarray:
-        z = z.reshape(-1, width)
+    def summarise(draws: list[np.ndarray]) -> np.ndarray:
+        # One contiguous (W, rows) copy of the block, the drawn rows freed
+        # as it is made: each case steps on its leading P rows
+        zt = np.ascontiguousarray(draws.pop().reshape(-1, width).T)
         sums = []
         for (params, _, _, eta, noises), case in zip(cases, stepped):
-            rows = z[:, :params.flat.size]
+            z = zt[:params.flat.size]
             for k in case.moved:
-                e = mechanism_step(params, case.batch, case.target, eta, noises[k], reg,
-                                   rows).params @ case.xv
+                e = case.xv @ mechanism_step(params, case.batch, case.target, eta, noises[k],
+                                             reg, z).params
                 e -= case.t
                 e -= case.cleans[k]
                 sums.append(_power_sums(e))
@@ -364,10 +375,11 @@ def check_moment_identities(sigma: float, replicas: int, seed: int,
     _require_replicas(replicas)
     s2, s4 = sigma ** 2, sigma ** 4
 
-    def summarise(draws: np.ndarray) -> np.ndarray:
-        np.multiply(draws, draws, out=draws)
-        draws -= s2
-        return _power_sums(draws)
+    def summarise(draws: list[np.ndarray]) -> np.ndarray:
+        [x] = draws
+        np.multiply(x, x, out=x)
+        x -= s2
+        return _power_sums(x)
 
     n, m1, m2, m3, m4 = _raw_moments(_block_sums(summarise, replicas, seed, key, (sigma,), 1))
     # Var[s^2_W] ~ (mu4_W - var_W^2*(n-3)/(n-1)) / n for W = X^2, moments
@@ -441,7 +453,8 @@ def check_product_density(sigma_x: float, sigma_y: float, replicas: int,
     expected = np.concatenate([pos_mass[::-1], pos_mass])
     edges = np.concatenate([-pos_edges[::-1], pos_edges])
 
-    def summarise(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def summarise(draws: list[np.ndarray]) -> np.ndarray:
+        x, y = draws
         x *= y
         return np.histogram(x, bins=edges)[0]
 

@@ -81,10 +81,10 @@ class TestNoise:
         sigma, replicas = 0.3, 10 ** 5
         noise = NoiseSpec(mode="iid", sigma=sigma)
         deltas = noise_step([0.5, -1.0], noise,
-                            RngStream(55).normal(1.0, replicas * 2).reshape(replicas, 2)).noisy
-        assert deltas.shape == (replicas, 2)
-        assert np.abs(deltas.mean(axis=0)).max() <= 3 * sigma / math.sqrt(replicas)
-        var = deltas.var(axis=0, ddof=1)
+                            RngStream(55).normal(1.0, replicas * 2).reshape(replicas, 2).T).noisy
+        assert deltas.shape == (2, replicas)
+        assert np.abs(deltas.mean(axis=1)).max() <= 3 * sigma / math.sqrt(replicas)
+        var = deltas.var(axis=1, ddof=1)
         assert np.abs(var - sigma ** 2).max() <= 0.05 * sigma ** 2
 
     def test_proportional_zero_parameter_coordinate_gets_no_noise(self):
@@ -99,8 +99,9 @@ class TestNoise:
         sigma, replicas = 0.5, 10 ** 5
         noise = NoiseSpec(mode="proportional", sigma=sigma)
         deltas = noise_step([1.0, 2.0], noise,
-                            RngStream(56).normal(1.0, replicas * 2).reshape(replicas, 2)).noisy
-        stds = deltas.std(axis=0, ddof=1)
+                            RngStream(56).normal(1.0, replicas * 2).reshape(replicas, 2).T).noisy
+        assert deltas.shape == (2, replicas)
+        stds = deltas.std(axis=1, ddof=1)
         assert np.abs(stds - np.array([0.5, 1.0])).max() <= 0.05 * 1.0
         assert abs(stds[0] - 0.5) <= 0.05 * 0.5
 
@@ -128,6 +129,40 @@ class TestNoise:
         one_rng = RngStream(57)
         one_by_one = np.stack([one_rng.normal(1.0, 2) for _ in range(9)])
         assert np.array_equal(at_once, one_by_one)
+
+
+class TestNoiseBlockLayout:
+    """mechanism_step takes z as one (P,) vector or as a (P, R) block of R
+    noise columns, the parameter axis first.  A block's column j steps to
+    the bits of the (P,) step on that column alone.  Only the first axis
+    is checked against P, so a square (P, P) block cannot be told apart
+    from its transpose by shape: it is read as (P, R)."""
+
+    @pytest.mark.parametrize("clip_c", [None, 0.5], ids=["no-clip", "clip"])
+    @pytest.mark.parametrize("mode", ["iid", "proportional"])
+    def test_block_columns_step_as_single_vectors(self, mode, clip_c):
+        data = small_dataset(n=5)
+        params = init_params(TANH3, RngStream(71))
+        noise = NoiseSpec(mode=mode, sigma=0.4, clip_c=clip_c)
+        block = RngStream(72).normal(1.0, TANH3.n_params * 7).reshape(TANH3.n_params, 7)
+        step = mechanism_step(params, data.x, data.t, 0.1, noise, RegSpec(), block)
+        assert step.noisy.shape == step.params.shape == block.shape
+        for j in range(block.shape[1]):
+            alone = mechanism_step(params, data.x, data.t, 0.1, noise, RegSpec(),
+                                   block[:, j].copy())
+            assert alone.clean.tobytes() == step.clean.tobytes()
+            assert alone.noisy.tobytes() == step.noisy[:, j].tobytes()
+            assert alone.params.tobytes() == step.params[:, j].tobytes()
+
+    @pytest.mark.parametrize("mode", ["iid", "proportional"])
+    def test_rows_layout_is_rejected(self, mode):
+        # R = 7 noise rows of P = 26 as (R, P): the first axis is not P
+        params = init_params(TANH3, RngStream(71))
+        data = small_dataset(n=5)
+        rows = np.ones((7, TANH3.n_params))
+        with pytest.raises(ValueError, match=r"noise of shape \(7, 26\) does not match"):
+            mechanism_step(params, data.x, data.t, 0.1, NoiseSpec(mode=mode, sigma=0.4),
+                           RegSpec(), rows)
 
 
 class TestSgdStep:
@@ -426,6 +461,20 @@ class TestOneParameterSetPerRun:
         with pytest.raises(TrainingDivergedError, match=rf"epoch 1 of 3 at step {step} "
                                                         rf"under {label}: the parameters"):
             train(spec, small_dataset(), config)
+
+
+    def test_large_finite_parameters_are_not_divergence(self):
+        # zero inputs leave only the noise in each step: parameters at the
+        # largest float stay finite, though their sum or their squares
+        # would overflow
+        big = np.finfo(np.float64).max
+        init = ParameterSet(LINEAR3, np.array([big, 0.75 * big, -0.5 * big]))
+        data = Dataset(np.zeros((6, 3)), np.zeros((6, 1)))
+        config = TrainConfig(eta=0.1, batch_size=2, epochs=2, seed=7, noise=IID_CLIP)
+        report = train(LINEAR3, data, config, init=init)
+        assert report.epoch_losses == [0.0, 0.0]
+        assert np.isfinite(report.final_params.flat).all()
+        assert np.abs(report.final_params.flat).min() > 1e307
 
 
 class TestOneLayerActivation:

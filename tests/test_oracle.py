@@ -115,8 +115,8 @@ class TestMcPostUpdateLoss:
                 assert len(rows) == -(-replicas // chunk_rows)
                 for b, got in enumerate(rows):
                     z = RngStream(5, *key, 0, b).normal(1.0, got.size * 4).reshape(-1, 4)
-                    e = mechanism_step(theta, batch, target, eta, noise, RegSpec(),
-                                       z).params @ xv
+                    e = xv @ mechanism_step(theta, batch, target, eta, noise, RegSpec(),
+                                            z.T.copy()).params
                     e -= t
                     e -= clean
                     assert got.tobytes() == e.tobytes()
@@ -209,16 +209,17 @@ class TestBlocksInLanes:
         expected = reduce(np.add, [z[i:i + 2].sum(keepdims=True) for i in range(0, replicas, 2)])
         for cpus in (1, 2, 3, 5):
             lanes(cpus)
-            total = oracle._block_sums(lambda d: d.sum(keepdims=True), replicas, 29, (4,),
-                                       (0.5,), 1)
+            total = oracle._block_sums(lambda draws: draws[0].sum(keepdims=True), replicas,
+                                       29, (4,), (0.5,), 1)
             assert total == expected
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_each_case_steps_the_leading_columns_of_the_shared_rows(self, lanes, cpus):
         # cases of 2, 3 and 5 parameters: block b draws 5 normals a row from
         # RngStream(seed, VERIFY_NOISY_STEP, 0, b), and each case's
-        # estimates are those of stepping a copy of its first P columns,
-        # the block sums added in block order, to the bit
+        # estimates are those of stepping the first P rows of a (5, rows)
+        # transposed copy of the block, the block sums added in block
+        # order, to the bit
         lanes(cpus)
         wide = ParameterSet(ModelSpec(layer_sizes=(4, 1)), np.array([0.3, -0.2, 0.8, 0.1, -0.4]))
         cases = [(THETA, X, 0.7, 0.1, (IID, PROP)),
@@ -240,9 +241,9 @@ class TestBlocksInLanes:
                     for b, start in enumerate(range(0, self.REPLICAS, self.CHUNK)):
                         rows = min(self.CHUNK, self.REPLICAS - start)
                         z = RngStream(seed, *key, 0, b).normal(1.0, rows * width)
-                        z = z.reshape(rows, width)[:, :params.flat.size].copy()
-                        e = mechanism_step(params, batch, target, eta, noise, RegSpec(),
-                                           z).params @ xv
+                        z = z.reshape(rows, width).T.copy()[:params.flat.size]
+                        e = xv @ mechanism_step(params, batch, target, eta, noise, RegSpec(),
+                                                z).params
                         e -= t
                         e -= clean
                         blocks.append(oracle._power_sums(e))
@@ -375,8 +376,8 @@ class TestCrossTerm:
         xv = np.append(X, 1.0)
         batch, target = X[None, :], np.array([[t]])
         c = float(mechanism_step(BIASED, batch, target, eta, noise, RegSpec()).params @ xv) - t
-        z = block_rows(seed, (), replicas, 3).reshape(replicas, 3)
-        r = mechanism_step(BIASED, batch, target, eta, noise, RegSpec(), z).params @ xv - t
+        z = block_rows(seed, (), replicas, 3).reshape(replicas, 3).T.copy()
+        r = xv @ mechanism_step(BIASED, batch, target, eta, noise, RegSpec(), z).params - t
         n = replicas
         assert (post_update.mean, post_update.stderr) == pytest.approx(
             ((r * r).mean(), (r * r).std(ddof=1) / np.sqrt(n)), rel=1e-12, abs=0)

@@ -52,14 +52,14 @@ def noise_scaled_by_stepped_theta(params, x, t, eta, noise, reg, z=None):
     if z is None or noise.mode != "proportional":
         return real_step(params, x, t, eta, noise, reg, z)
     moved = real_step(params, x, t, eta, noise, reg)
-    noisy = moved.clean + noise.sigma * moved.params * z
-    return Step(moved.clean, noisy, params.flat - eta * noisy)
+    noisy = moved.clean[:, None] + noise.sigma * moved.params[:, None] * z
+    return Step(moved.clean, noisy, params.flat[:, None] - eta * noisy)
 
 
 def no_noise_on_the_bias(params, x, t, eta, noise, reg, z=None):
     if z is not None and params.spec.include_bias:
         z = z.copy()
-        z[..., params.spec.layout[-1].bias] = 0.0
+        z[params.spec.layout[-1].bias] = 0.0
     return real_step(params, x, t, eta, noise, reg, z)
 
 
@@ -67,9 +67,9 @@ def clip_after_the_noise(params, x, t, eta, noise, reg, z=None):
     if noise.clip_c is None:
         return real_step(params, x, t, eta, noise, reg, z)
     unclipped = real_step(params, x, t, eta, replace(noise, clip_c=None), reg, z)
-    noisy = clip_gradient(unclipped.noisy, noise.clip_c)
-    return Step(clip_gradient(unclipped.clean, noise.clip_c), noisy,
-                params.flat - eta * noisy)
+    noisy = clip_gradient(unclipped.noisy.T, noise.clip_c)  # each (P,) column of z
+    return Step(clip_gradient(unclipped.clean, noise.clip_c), noisy.T,
+                (params.flat - eta * noisy).T)
 
 
 def worst_z(seed: int, metric: str) -> dict[str, float]:
