@@ -462,7 +462,6 @@ class TestOneParameterSetPerRun:
                                                         rf"under {label}: the parameters"):
             train(spec, small_dataset(), config)
 
-
     def test_large_finite_parameters_are_not_divergence(self):
         # zero inputs leave only the noise in each step: parameters at the
         # largest float stay finite, though their sum or their squares
