@@ -20,8 +20,8 @@ come from streams keyed by purpose (see privreg.numerics).
 Metric vocabulary by subcommand:
 
 * train:   epoch_loss (one row per epoch), final_loss, final_param_norm
-* verify:  post_update_loss_z / post_update_loss_mc (per drawn setup),
-           cross_term_z, equivalence_residual, trajectory_param_diff,
+* verify:  post_update_loss_z / post_update_loss_mc and cross_term_z
+           (per drawn setup), equivalence_residual, trajectory_param_diff,
            trajectory_record_diff, trajectory_loss_shift_residual,
            step_expectation_err / step_expectation_bound,
            grad_check_{l2,pdp,combined,dp_input,backprop}_max_rel_err,
@@ -748,7 +748,7 @@ def _noisy_step_rows(setups: list[LinearSetup], oc: OracleConfig) -> list[_Check
     every setup in both noise shapes, each clipped at the setup's clip_c,
     from the key (VERIFY_NOISY_STEP,), in one set of lanes
     (oracle.mc_lanes).  Rows go kind by kind, shape by shape, then setup by
-    setup; the cross term is written, and gated, for the first ten."""
+    setup; every setup's cross term is written and gated."""
     per_setup = check_noisy_step(
         [(s.params, s.x, s.t, s.eta, tuple(NoiseSpec(mode=mode, sigma=s.sigma, clip_c=s.clip_c)
                                            for mode in _NOISY_STEP_MODES))
@@ -757,8 +757,6 @@ def _noisy_step_rows(setups: list[LinearSetup], oc: OracleConfig) -> list[_Check
     rows = []
     for column in zip(*per_setup):
         for i, c in enumerate(column):
-            if c.kind == "cross_term" and i >= 10:
-                break
             rows.append(_CheckRow(c.label, f"{c.kind}_z", c.z, zs=1, check=f"{c.name}[{i}]"))
             if c.kind == "post_update_loss":
                 rows.append(_CheckRow(c.label, "post_update_loss_mc", c.mean, c.stderr))

@@ -10,6 +10,8 @@ attack trial's key.  Keys of different purposes never match, and runs of
 different seeds never share a stream, so no two draws of a run, or of two
 runs, are secretly the same numbers.  This is the keyed-stream design of
 Salmon et al. (SC'11, "Parallel random numbers: as easy as 1, 2, 3").
+Gaussians are numpy's own standard normals on the keyed PCG64 stream, so
+draws of any size compose: k calls of m values give one call of k*m.
 """
 
 from __future__ import annotations
@@ -43,21 +45,18 @@ VERIFY_GRAD_CHECK = 16       # (VERIFY_GRAD_CHECK, 0): cases; (..., 1): net init
 # no two keys give the same words.
 KEY_PART_LIMIT = 1 << 32
 
-# Box-Muller pairs computed per pass over the scratch: 2**15 pairs keep the
-# three scratch rows (768 KB) in cache.
-BOX_MULLER_PAIRS = 1 << 15
-
 
 class RngStream:
     """Deterministic random stream keyed by (seed, *key).
 
     The same key replays the same sample sequence on every run; distinct
     keys give statistically independent streams.  The underlying bit
-    source is PCG64 seeded via SeedSequence(seed, spawn_key=key), whose
-    output stream numpy guarantees stable.  Gaussian deviates are produced
-    by the Box-Muller transform over 53-bit uniforms (pairs interleaved),
-    so the normal sequence is pinned by this module rather than by the
-    numpy version in use.
+    source is PCG64 seeded via SeedSequence(seed, spawn_key=key).  Gaussian
+    deviates are numpy's Generator.standard_normal, the ziggurat method of
+    Marsaglia & Tsang (2000).  It builds each deviate from the stream's
+    integer bits in scalar C, through none of numpy's SIMD loops, so its
+    bits do not depend on the CPU features numpy dispatches to; the numpy
+    version in use pins them.
     """
 
     def __init__(self, seed: int, *key: int):
@@ -80,15 +79,11 @@ class RngStream:
         return self._gen.random(_count(n))
 
     def normal(self, std: float, n: int) -> np.ndarray:
-        """n draws from N(0, std^2) via Box-Muller.
+        """n draws from N(0, std^2).
 
-        std == 0 returns zeros without consuming draws.
-        Box-Muller turns uniforms into deviates two at a time, so an odd n
-        consumes n + 1 uniforms and drops the last deviate: a call of size
-        n draws exactly what a call of size n + n % 2 draws and returns its
-        first n values.  Calls therefore compose: k calls of an even size m
-        consume the same uniforms as one call of size k*m and yield the
-        same values.
+        std == 0 returns zeros without consuming draws.  numpy keeps no
+        deviate back between calls, so calls compose at any size: k calls
+        of size m yield the values of one call of size k*m.
         """
         if not (math.isfinite(std) and std >= 0):
             raise ValueError(f"std must be a finite number >= 0, got {std!r}")
@@ -97,40 +92,10 @@ class RngStream:
             raise ValueError(f"need n >= 1, got {n}")
         if std == 0:
             return np.zeros(n)
-        out = np.empty(n + n % 2)
-        self._box_muller(out)
+        out = self._gen.standard_normal(n)
         if std != 1:  # a product with 1 is exact, so skipping it changes no bit
             out *= float(std)
-        return out[:n] if n % 2 else out
-
-    def _box_muller(self, out: np.ndarray) -> None:
-        """Fill the even-length `out` with standard normals, in place.
-
-        Works through BOX_MULLER_PAIRS pairs at a time, so the scratch stays
-        in cache.  Every pair is computed on its own (cos and sin of one
-        angle, from the uniforms 2i and 2i+1), so chunking changes no bit.
-        log, cos and sin run on contiguous arrays, as they always have:
-        numpy may pick another loop for strided input, and loops can differ
-        by an ulp.
-        """
-        width = min(out.size // 2, BOX_MULLER_PAIRS)
-        r, angle, cos = np.empty(width), np.empty(width), np.empty(width)
-        for start in range(0, out.size, 2 * width):
-            chunk = out[start:start + 2 * width]
-            if chunk.size < 2 * width:  # the last chunk is shorter
-                k = chunk.size // 2
-                r, angle, cos = r[:k], angle[:k], cos[:k]
-            self._gen.random(out=chunk)
-            even, odd = chunk[0::2], chunk[1::2]
-            np.subtract(1.0, even, r)  # (0, 1]: log-safe
-            np.log(r, r)
-            np.multiply(-2.0, r, r)
-            np.sqrt(r, r)
-            np.multiply(2.0 * np.pi, odd, angle)
-            np.cos(angle, cos)
-            np.sin(angle, angle)
-            np.multiply(r, cos, even)
-            np.multiply(r, angle, odd)
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform random permutation of range(n)."""

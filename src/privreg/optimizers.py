@@ -37,8 +37,8 @@ TRAIN_SHUFFLE) and (*prefix, TRAIN_NOISE).  A run on its own takes the
 empty prefix; a caller that trains for a purpose of its own (an attack
 trial, verify's trajectory check) passes its key.  train() draws its
 noise in blocks of about NOISE_BLOCK normals, one call per block rather
-than one per step; _noise_rows pads each row as a per-step call would, so
-step s gets the bits it would get from the s-th of one draw per step.
+than one per step; draws compose at any size, so step s gets the bits it
+would get from the s-th of one draw per step.
 
 At batch 1 a step costs its numpy calls' fixed overhead, not arithmetic,
 so train() keeps that overhead low without changing a bit: it permutes
@@ -242,15 +242,13 @@ def _noise_rows(noise: NoiseSpec, rng: RngStream, steps: int,
     the mechanism adds none (mode "none" or sigma 0) and so draws nothing.
     Row s holds the bits of the s-th of `steps` rng.normal(1.0, width)
     calls.  The rows are drawn lazily, k rows of about NOISE_BLOCK normals
-    in one call: each row is drawn width + width % 2 wide, as a call of
-    that width draws, and the pad column is dropped."""
+    in one call, which draws what k calls of `width` would."""
     if not noise.adds_noise:
         return itertools.repeat(None, steps)
     per_block = max(1, NOISE_BLOCK // width)
     blocks = (min(per_block, steps - start) for start in range(0, steps, per_block))
-    padded = width + width % 2
     return itertools.chain.from_iterable(
-        rng.normal(1.0, k * padded).reshape(k, padded)[:, :width] for k in blocks)
+        rng.normal(1.0, k * width).reshape(k, width) for k in blocks)
 
 
 # Divergence is raised naming where it happened; numpy's overflow warnings

@@ -537,16 +537,14 @@ class LinearSetup:
 
 
 def random_linear_setups(n: int, seed: int) -> list[LinearSetup]:
-    """Seeded draws of (theta, x, t, eta, sigma) for the randomized suite,
-    one after another from one stream: dimension 2..6, eta in [0.02, 0.3),
-    sigma in [0.05, 0.5).  Then, from the same stream, setup by setup, a
-    bias with probability 1/2 (the unit's bias, drawn N(0, 1)) and a clip
-    with probability 1/2 (clip_c in [0.5, 5), which the clean gradient's
-    norm passes in about two clipped setups of three).  The bias and clip
-    draws come after every setup's first draws, so a seed's dimensions,
-    weights and inputs are what they were before setups had either."""
+    """Seeded setups for the randomized suite, drawn one after another
+    from one stream, each in turn: dimension 2..6, theta, x, t, eta in
+    [0.02, 0.3), sigma in [0.05, 0.5), a bias with probability 1/2 (the
+    unit's bias, drawn N(0, 1)) and a clip with probability 1/2 (clip_c in
+    [0.5, 5), which the clean gradient's norm passes in about two clipped
+    setups of three)."""
     rng = RngStream(seed, VERIFY_SETUPS)
-    drawn = []
+    setups = []
     for _ in range(n):
         d = min(int(2 + rng.uniform(1)[0] * 5), 6)
         theta = rng.normal(1.0, d)
@@ -554,16 +552,13 @@ def random_linear_setups(n: int, seed: int) -> list[LinearSetup]:
         t = float(rng.normal(1.0, 1)[0])
         eta = float(0.02 + rng.uniform(1)[0] * (0.3 - 0.02))
         sigma = float(0.05 + rng.uniform(1)[0] * (0.5 - 0.05))
-        drawn.append((theta, x, t, eta, sigma))
-    setups = []
-    for theta, x, t, eta, sigma in drawn:
         include_bias = bool(rng.uniform(1)[0] < 0.5)
         if include_bias:
             theta = np.append(theta, rng.normal(1.0, 1))
         clip_c = None
         if rng.uniform(1)[0] < 0.5:
             clip_c = float(0.5 + rng.uniform(1)[0] * (5.0 - 0.5))
-        spec = ModelSpec(layer_sizes=(x.size, 1), activation="identity",
+        spec = ModelSpec(layer_sizes=(d, 1), activation="identity",
                          include_bias=include_bias)
         setups.append(LinearSetup(params=ParameterSet(spec, theta), x=x, t=t,
                                   eta=eta, sigma=sigma, clip_c=clip_c))

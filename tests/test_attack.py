@@ -248,7 +248,7 @@ def _reference_case(name):
             # The streak reaches DIVERGENCE_PATIENCE on the final step, so the
             # lone restart stops for patience; one step fewer and it would run
             # out of steps instead.
-            "patience_at_last_step": (g, spec, params, 1324, 0.0172, 0, 1, "patience"),
+            "patience_at_last_step": (g, spec, params, 618, 0.0172, 1, 1, "patience"),
             "overflow": (g, spec, params, 500, 1e6, 1, 3, "nonfinite"),
         }[name]
     d, sigma = {"iid_noisy": (3, 0.5), "odd_d": (5, 0.3), "converged": (2, 0.0)}[name]
@@ -259,7 +259,7 @@ def _reference_case(name):
     if sigma:
         g = g + RngStream(301, 0).normal(sigma, g.size)
     stop = "converged" if name == "converged" else "iters"
-    return g, spec, params, 1500 if name == "converged" else 400, 0.01, 1, 4, stop
+    return g, spec, params, 3300 if name == "converged" else 400, 0.01, 1, 4, stop
 
 
 class TestBatchedDescentMatchesReference:

@@ -417,7 +417,8 @@ class TestRun:
                                                                rel=1e-15)
 
     @pytest.mark.parametrize("threshold,tests,bound", [(3.0, 132, 4.26), (3.0, 212, 4.36),
-                                                       (3.0, 1, 3.0), (2.0, 10, 2.84)])
+                                                       (3.0, 292, 4.43), (3.0, 1, 3.0),
+                                                       (2.0, 10, 2.84)])
     def test_family_bound_holds_the_family_to_one_tests_rate(self, threshold, tests, bound):
         alpha, b = _family_bound(threshold, tests)
         assert alpha == math.erfc(threshold / math.sqrt(2.0))
@@ -428,7 +429,7 @@ class TestRun:
     def test_cross_term_reads_each_setups_post_update_stream(self, tmp_path, monkeypatch):
         # 12 setups: every check of every setup steps on the rows of one key
         # per block, (VERIFY_NOISY_STEP, 0, b), and the cross term is
-        # written, mode by mode, for the first ten
+        # written, mode by mode, for every setup
         cfg = minimal_verify_config(tmp_path / "out")
         cfg["oracle"]["configs"] = 12
         keys, init = [], RngStream.__init__
@@ -440,13 +441,13 @@ class TestRun:
         post_update = [(r.mechanism, r.seed) for r in rows if r.metric == "post_update_loss_z"]
         cross = [(r.mechanism, r.seed) for r in rows if r.metric == "cross_term_z"]
         assert post_update == [(mode, 42) for mode in ("iid", "proportional") for i in range(12)]
-        assert cross == [(mode, 42) for mode in ("iid", "proportional") for i in range(10)]
+        assert cross == [(mode, 42) for mode in ("iid", "proportional") for i in range(12)]
         metrics = [r.metric for r in rows]
         assert metrics.index("cross_term_z") > max(
             i for i, metric in enumerate(metrics) if metric.startswith("post_update_loss"))
 
     def test_verify_and_moments_write_their_rows_in_the_documented_order(self, tmp_path):
-        # 12 setups, so the cross term's cut at ten shows, and 2 sigmas
+        # 12 setups, each with its cross term, and 2 sigmas
         cfg = minimal_verify_config(tmp_path / "out")
         cfg["oracle"].update(configs=12, sigmas=[0.5, 2.0])
         cfg_path = tmp_path / "cfg.json"
@@ -459,7 +460,7 @@ class TestRun:
                     for metric in ("max_abs_z", "chi2", "symmetry_max_z")]
         verify = [(mode, metric, s) for mode in modes for i in range(12)
                   for metric in ("post_update_loss_z", "post_update_loss_mc")]
-        verify += [(mode, "cross_term_z", s) for mode in modes for i in range(10)]
+        verify += [(mode, "cross_term_z", s) for mode in modes for i in range(12)]
         verify += [(mode, "equivalence_residual", s) for mode in modes]
         verify += [("input_penalty", f"trajectory_{metric}", s)
                    for metric in ("param_diff", "record_diff", "loss_shift_residual")]
@@ -577,7 +578,7 @@ class TestRun:
         # its worst error, in units of eta * sigma / sqrt(n), against the
         # family bound of the shipped verify config
         oc = OracleConfig(seed=77)
-        _, bound = _family_bound(oc.threshold, 212)
+        _, bound = _family_bound(oc.threshold, 292)
         [err] = _step_expectation(oc)
         assert (err.metric, err.bound_metric) == ("step_expectation_err",
                                                   "step_expectation_bound")

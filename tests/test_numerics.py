@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,11 +34,14 @@ class TestRngStream:
         assert stream.key == (5, 0, 9)
         assert stream.uniform(4).tobytes() == want.tobytes()
 
-    def test_even_sized_calls_compose(self):
-        split = RngStream(9, 0)
-        joined = RngStream(9, 0)
-        chunks = np.concatenate([split.normal(1.0, 4) for _ in range(6)])
-        assert np.array_equal(chunks, joined.normal(1.0, 24))
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 113, 2 ** 12])
+    @pytest.mark.parametrize("std", [1.0, 0.3])
+    def test_calls_compose_at_any_size(self, m, std):
+        split, joined = RngStream(9, 0), RngStream(9, 0)
+        chunks = np.concatenate([split.normal(std, m) for _ in range(6)])
+        assert chunks.tobytes() == joined.normal(std, 6 * m).tobytes()
+        # and the streams stay in step after calls of mixed sizes
+        assert split.normal(1.0, 7).tobytes() == joined.normal(1.0, 7).tobytes()
 
     def test_permutation_is_seeded(self):
         assert np.array_equal(RngStream(5, 1).permutation(40),
@@ -54,9 +62,14 @@ class TestRngStream:
 
 
 class TestGaussianSample:
-    def test_zero_std_returns_zeros(self):
-        out = RngStream(1).normal(0.0, 3)
-        assert np.array_equal(out, np.zeros(3))
+    def test_zero_std_returns_zeros_and_draws_nothing(self):
+        stream = RngStream(1)
+        assert np.array_equal(stream.normal(0.0, 3), np.zeros(3))
+        assert stream.normal(1.0, 6).tobytes() == RngStream(1).normal(1.0, 6).tobytes()
+
+    def test_std_scales_the_standard_draws(self):
+        assert RngStream(34, 1).normal(0.3, 99).tobytes() == \
+            (0.3 * RngStream(34, 1).normal(1.0, 99)).tobytes()
 
     def test_seeded_sample_variance(self):
         # Var = sigma^2 = 4 with stderr ~ sigma^2 * sqrt(2/n)
@@ -99,55 +112,25 @@ class TestGaussianSample:
         assert abs(sq.var(ddof=1) - 2 * sigma ** 4) <= 0.05 * 2 * sigma ** 4
 
 
-def reference_normal(stream, std, n):
-    """RngStream.normal as it was before the chunked, in-place core: one
-    block of uniforms, then Box-Muller on fresh arrays."""
-    if std == 0:
-        return np.zeros(n)
-    pairs = (n + 1) // 2
-    u = stream._gen.random(2 * pairs)
-    u1 = 1.0 - u[0::2]
-    u2 = u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = r * np.cos(angle)
-    out[1::2] = r * np.sin(angle)
-    return float(std) * out[:n]
+DRAW_DIGEST = ("import hashlib; from privreg.numerics import RngStream; "
+               "print(hashlib.sha256(RngStream(1, 2).normal(1.0, 2 ** 16).tobytes()).hexdigest())")
 
 
-class TestChunkedBoxMuller:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 113, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
-                                   4 * numerics.BOX_MULLER_PAIRS + 3, 10 ** 6])
-    @pytest.mark.parametrize("std", [1.0, 0.3, 4.0])
-    def test_same_bits_as_reference(self, n, std):
-        got = RngStream(31, 2).normal(std, n)
-        want = reference_normal(RngStream(31, 2), std, n)
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("pairs", [1, 3, 64])
-    def test_same_bits_at_any_chunk_width(self, monkeypatch, pairs):
-        monkeypatch.setattr(numerics, "BOX_MULLER_PAIRS", pairs)
-        for n in (1, 5, 113, 1001):
-            got = RngStream(32, 0).normal(2.0, n)
-            assert got.tobytes() == reference_normal(RngStream(32, 0), 2.0, n).tobytes()
-
-    def test_zero_std_draws_nothing(self):
-        stream = RngStream(33)
-        assert np.array_equal(stream.normal(0.0, 7), np.zeros(7))
-        assert np.array_equal(stream.normal(1.0, 6), reference_normal(RngStream(33), 1.0, 6))
-
-    def test_even_calls_compose_across_a_chunk_boundary(self):
-        width = 2 * numerics.BOX_MULLER_PAIRS
-        split = RngStream(34, 1)
-        parts = [split.normal(1.0, m) for m in (width - 6, 10, width + 2, 2)]
-        joined = reference_normal(RngStream(34, 1), 1.0, 2 * width + 8)
-        assert np.concatenate(parts).tobytes() == joined.tobytes()
-
-    def test_odd_call_consumes_the_next_even_count(self):
-        odd, even = RngStream(36), RngStream(36)
-        assert odd.normal(1.0, 5).tobytes() == even.normal(1.0, 6)[:5].tobytes()
-        assert odd.normal(1.0, 4).tobytes() == even.normal(1.0, 4).tobytes()
+def test_draws_do_not_depend_on_the_cpu_features_numpy_dispatches_to():
+    # numpy picks a SIMD loop per CPU feature at run time; a child with
+    # every feature it may dispatch to beyond its baseline switched off
+    # must draw this process's bytes.
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    enabled = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    if not enabled:
+        pytest.skip("numpy dispatches to no CPU feature beyond its baseline here")
+    src = str(pathlib.Path(numerics.__file__).parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(enabled),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", DRAW_DIGEST], env=env, check=True,
+                           capture_output=True, text=True)
+    here = hashlib.sha256(RngStream(1, 2).normal(1.0, 2 ** 16).tobytes()).hexdigest()
+    assert child.stdout.strip() == here
 
 
 @settings(max_examples=30)

@@ -4,7 +4,7 @@ Each mutant breaks one rule of optimizers.mechanism_step or of the kappa
 formula, and must fail the check that covers that rule on every seed of
 ORACLE_SEEDS, outside its gate: a z-scored check by |z| >= MIN_Z on at
 least one of its rows, MIN_Z being above the family bound that verify
-gates configs/verify.json's 212 z-scores at.  Every mutant runs verify's
+gates configs/verify.json's 292 z-scores at.  Every mutant runs verify's
 own rows on verify's random setups, which have a bias or a clip at
 random: the noise mutants through the one check_noisy_step call that
 steps every setup, the kappa mutant through the equivalence residuals.
@@ -29,7 +29,7 @@ MIN_Z = 5.0
 
 
 def test_min_z_is_outside_the_shipped_family_gate():
-    assert _family_bound(3.0, 212)[1] < MIN_Z
+    assert _family_bound(3.0, 292)[1] < MIN_Z
 
 
 def test_every_seeds_setups_have_both_a_bias_and_a_clip():
