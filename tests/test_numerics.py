@@ -112,6 +112,30 @@ class TestGaussianSample:
         assert abs(sq.var(ddof=1) - 2 * sigma ** 4) <= 0.05 * 2 * sigma ** 4
 
 
+def reference_normal(seed, key, std, n):
+    """RngStream.normal written out from numpy: a fresh Generator on the
+    keyed PCG64, its standard normals, then one product with std."""
+    if std == 0:
+        return np.zeros(n)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
+    return float(std) * np.random.Generator(np.random.PCG64(ss)).standard_normal(n)
+
+
+class TestKeyedStandardNormal:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 113, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
+                                   2 ** 17 + 3, 10 ** 6])
+    @pytest.mark.parametrize("std", [1.0, 0.3, 4.0])
+    def test_same_bits_as_reference(self, n, std):
+        got = RngStream(31, 2).normal(std, n)
+        assert got.tobytes() == reference_normal(31, (2,), std, n).tobytes()
+
+    def test_mixed_size_calls_follow_the_reference(self):
+        split = RngStream(34, 1)
+        parts = [split.normal(1.0, m) for m in (2 ** 14 - 6, 10, 2 ** 14 + 3, 1, 2)]
+        joined = reference_normal(34, (1,), 1.0, 2 ** 15 + 10)
+        assert np.concatenate(parts).tobytes() == joined.tobytes()
+
+
 DRAW_DIGEST = ("import hashlib; from privreg.numerics import RngStream; "
                "print(hashlib.sha256(RngStream(1, 2).normal(1.0, 2 ** 16).tobytes()).hexdigest())")
 
