@@ -15,12 +15,15 @@ scalar output has per-weight gradient 2*(y - t)*x_i and bias gradient
 Every pass works on a batch: forward runs params.spec on (B, d) inputs and
 returns the batch followed by each layer's (B, .) output, and backward
 runs forward and returns one gradient per example as a (B, P) array,
-reading each activation's derivative off that activation's output.  A
-single input is a batch of one row.  Each example's arithmetic is the
-same as on its own: matrix-vector products are stacked,
-(W @ a[:, :, None])[..., 0], which runs the same BLAS gemv per row as
-W @ a on one vector, and dot products go through np.vecdot, which sums a
-row as np.dot does.  A plain (B, d) @ W.T would sum in another order.
+reading each activation's derivative off that activation's output.  Both
+check their inputs, then run an unchecked core (_forward, _backward) that
+also takes one example as a (d,) vector and writes into the layer views
+(_layer_views) of a caller's buffer, as the trainer's step plan does.
+Each example's arithmetic is the same as on its own: matrix-vector
+products are stacked, (W @ a[:, :, None])[..., 0], which runs the same
+BLAS gemv per row as W @ a on one vector, and dot products go through
+np.vecdot, which sums a row as np.dot does.  A plain (B, d) @ W.T would
+sum in another order.
 """
 
 from __future__ import annotations
@@ -103,19 +106,23 @@ class ModelSpec:
         return self.n_layers == 1 and self.output_dim == 1
 
 
-def linear_unit_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """A linear unit's (B, P) features for a (B, d) batch: each input row,
-    then a constant 1 for the bias, so that the output is features @ theta.
-    Raises ValueError for any model that is not a linear unit."""
+def _require_linear_unit(spec: ModelSpec) -> None:
     if not spec.is_linear_unit:
         raise ValueError(f"a single linear output unit is needed, got layer sizes "
                          f"{spec.layer_sizes}")
+
+
+def linear_unit_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """A linear unit's features for a (B, d) batch or one (d,) example: each
+    input, then a constant 1 for the bias, so that the output is features @
+    theta.  Raises ValueError for any model that is not a linear unit."""
+    _require_linear_unit(spec)
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.input_dim:
         raise ValueError(f"input batch has shape {x.shape}, expected (B, {spec.input_dim})")
     if not spec.include_bias:
         return x
-    return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
 class NonFiniteParametersError(ValueError):
@@ -147,10 +154,7 @@ class ParameterSet:
         if not np.isfinite(flat).all():
             raise NonFiniteParametersError("parameters must be finite")
         object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "views", tuple(
-            (flat[ls.weights].reshape(ls.fan_out, ls.fan_in),
-             None if ls.bias is None else flat[ls.bias])
-            for ls in self.spec.layout))
+        object.__setattr__(self, "views", _layer_views(self.spec, flat))
 
     def __reduce__(self):
         # copy.deepcopy and pickle copy arrays one by one, which would cut
@@ -224,20 +228,22 @@ def _activate_prime(name: str, a: np.ndarray) -> np.ndarray:
     return (a > 0.0).astype(np.float64)
 
 
+def _layer_views(spec: ModelSpec, flat: np.ndarray) -> tuple:
+    """Each layer's (..., fan_out, fan_in) weights and (..., fan_out) bias
+    (or None), as views of a (P,) or (B, P) array."""
+    lead = flat.shape[:-1]
+    return tuple([(flat[..., ls.weights].reshape(lead + (ls.fan_out, ls.fan_in)),
+                   None if ls.bias is None else flat[..., ls.bias]) for ls in spec.layout])
+
+
 def _matvec(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """w @ a[i] for every row a[i], each row bit-identical to one gemv."""
-    return (w @ a[:, :, None])[..., 0]
+    """w @ a for one (n,) vector, or for each row of a (B, n) batch as one gemv."""
+    return w @ a if a.ndim == 1 else (w @ a[:, :, None])[..., 0]
 
 
-def forward(params: ParameterSet, x: np.ndarray) -> list[np.ndarray]:
-    """Run params.spec on a (B, d) batch: the batch, then each layer's
-    (B, .) output, the model's (B, k) output last."""
+def _forward(params: ParameterSet, a: np.ndarray) -> list[np.ndarray]:
+    """forward's arithmetic, unchecked, on one (d,) example or a (B, d) batch."""
     spec = params.spec
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2 or a.shape[1] != spec.input_dim:
-        raise ValueError(f"input batch has shape {a.shape}, expected (B, {spec.input_dim})")
-    if a.shape[0] == 0:
-        raise ValueError("batch must be nonempty")
     last = spec.n_layers - 1
     acts = [a]
     for layer, (w, b) in enumerate(params.views):
@@ -248,6 +254,43 @@ def forward(params: ParameterSet, x: np.ndarray) -> list[np.ndarray]:
             a = _activate(spec.activation, a)
         acts.append(a)
     return acts
+
+
+def _backward(params: ParameterSet, acts: list[np.ndarray], t: np.ndarray,
+              grad_views: tuple) -> None:
+    """backward's arithmetic, unchecked, from _forward's activations and the
+    targets t, into the layer views (_layer_views) of a (P,) or (B, P) array."""
+    activation = params.spec.activation
+    delta = 2.0 * (acts[-1] - t)  # output layer is linear
+    for layer in range(len(grad_views) - 1, -1, -1):
+        weights, bias = grad_views[layer]
+        a_in = acts[layer]
+        np.multiply(delta[..., :, None], a_in[..., None, :], out=weights)
+        if bias is not None:
+            bias[...] = delta
+        if layer > 0:
+            delta = _matvec(params.views[layer][0].T, delta)
+            delta *= _activate_prime(activation, a_in)
+
+
+def _check_batch(spec: ModelSpec, x: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """x as a nonempty float64 (B, d) batch for spec, or ValueError, as also
+    for targets t, when given, whose shape is not (B, k)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ValueError(f"input batch has shape {x.shape}, expected (B, {spec.input_dim})")
+    if x.shape[0] == 0:
+        raise ValueError("batch must be nonempty")
+    if t is not None and np.shape(t) != (len(x), spec.output_dim):
+        raise ValueError(f"target shape {np.shape(t)} does not match output shape "
+                         f"{(len(x), spec.output_dim)}")
+    return x
+
+
+def forward(params: ParameterSet, x: np.ndarray) -> list[np.ndarray]:
+    """Run params.spec on a (B, d) batch: the batch, then each layer's
+    (B, .) output, the model's (B, k) output last."""
+    return _forward(params, _check_batch(params.spec, x))
 
 
 def quadratic_loss(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -266,25 +309,8 @@ def backward(params: ParameterSet, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     flat parameters, for a (B, d) batch x with (B, k) targets t: row i of
     the (B, P) result belongs to example i, and their mean is the gradient
     of the mean batch loss."""
-    acts = forward(params, x)
     spec = params.spec
-    layers = spec.layout
-    t = np.asarray(t, dtype=np.float64)
-    y = acts[-1]
-    if y.shape != t.shape:
-        raise ValueError(f"target shape {t.shape} does not match output shape {y.shape}")
-
-    batch = y.shape[0]
-    grad = np.empty((batch, spec.n_params))
-    delta = 2.0 * (y - t)  # output layer is linear
-    for layer in range(len(layers) - 1, -1, -1):
-        ls = layers[layer]
-        a_in = acts[layer]
-        np.multiply(delta[:, :, None], a_in[:, None, :],
-                    out=grad[:, ls.weights].reshape(batch, ls.fan_out, ls.fan_in))
-        if ls.bias is not None:
-            grad[:, ls.bias] = delta
-        if layer > 0:
-            delta = _matvec(params.views[layer][0].T, delta)
-            delta *= _activate_prime(spec.activation, a_in)
+    x = _check_batch(spec, x, t)
+    grad = np.empty((len(x), spec.n_params))
+    _backward(params, _forward(params, x), t, _layer_views(spec, grad))
     return grad

@@ -13,14 +13,15 @@ Four mechanisms share one loop:
                                 gradient, no noise required; the product
                                 term needs a single linear output unit
 
-Order per batch (mechanism_step): one forward/backward pass over the
-batch's (B, d) rows gives the (B, P) per-example loss gradients; the
-penalty gradients are added row by row (regularizers.add_gradients), each
-row is clipped by its norm, the rows are averaged, then one optional noise
-draw and the step.  Penalties belong to the loss, so they come before the
+Order per batch (_StepPlan): one forward/backward pass over the batch's
+(B, d) rows gives the (B, P) per-example loss gradients; the penalty
+gradients are added row by row (regularizers.add_gradients), each row is
+clipped by its norm, the rows are averaged, then one optional noise draw
+and the step.  Penalties belong to the loss, so they come before the
 privacy mechanics.  Every row is computed exactly as the example would be
 on its own (see privreg.model), so batch size never changes an example's
-gradient bits.
+gradient bits.  train() builds one plan per batch size, and
+mechanism_step one per call, so every caller steps through one path.
 train() and the attacks pass one (P,) noise vector per step.
 mechanism_step also takes R noise vectors at once, as the columns of a
 (P, R) block, the parameter axis first so that each broadcast over P runs
@@ -42,10 +43,10 @@ would get from the s-th of one draw per step.
 
 At batch 1 a step costs its numpy calls' fixed overhead, not arithmetic,
 so train() keeps that overhead low without changing a bit: it permutes
-the data once per epoch and steps on slices of that copy, it keeps one
-ParameterSet for the run and writes each step into its flat vector in
-place (the set's layer views, made once, see privreg.model, follow it),
-and mechanism_step takes a one-row batch's gradient as its own mean.
+the data once per epoch and steps on slices of that copy, a one-row batch
+as its (d,) example; it keeps one ParameterSet for the run and writes each
+step into its flat vector in place (the set's layer views, made once, see
+privreg.model, follow it), and its plans reuse their buffers.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import (Dataset, ModelSpec, ParameterSet, backward, forward,
-                    init_params, quadratic_loss)
+from .model import (Dataset, ModelSpec, ParameterSet, _backward, _check_batch, _forward,
+                    _layer_views, _require_linear_unit, forward, init_params, quadratic_loss)
 from .numerics import TRAIN_INIT, TRAIN_NOISE, TRAIN_SHUFFLE, RngStream
 from .regularizers import RegSpec, add_gradients, add_penalties
 
@@ -170,6 +171,51 @@ class Step(NamedTuple):
     params: np.ndarray
 
 
+class _StepPlan:
+    """A mechanism's step on batches of B examples, with what never changes
+    within a run worked out once (kappa, refusing a product term off a
+    linear unit; which penalty and clip branches apply) and the buffers
+    each call writes.  plan(params, x, t, z), unchecked, gives (clean,
+    noisy) for a (B, d) batch, or for one (d,) example with (k,) targets
+    when B is 1, and z as in mechanism_step: noisy is (P,) for a (P,) z,
+    (R, P) for a (P, R) block, and clean itself for None.  Either may be a
+    buffer that the next call overwrites."""
+
+    def __init__(self, spec: ModelSpec, batch: int, eta: float, noise: NoiseSpec, reg: RegSpec):
+        self.noise, self.reg, self.batch = noise, reg, batch
+        self.kappa = reg.effective_kappa(eta, noise.sigma)
+        if self.kappa > 0:
+            _require_linear_unit(spec)
+        self.penalized = reg.lam > 0 or self.kappa > 0
+        self.grads = np.empty(spec.n_params if batch == 1 else (batch, spec.n_params))
+        self.grad_views = _layer_views(spec, self.grads)
+        self.mean = np.empty(spec.n_params) if batch > 1 else None
+        self.noisy = np.empty(spec.n_params)
+
+    def __call__(self, params: ParameterSet, x: np.ndarray, t: np.ndarray,
+                 z: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        _backward(params, _forward(params, x), t, self.grad_views)
+        clean, noise = self.grads, self.noise
+        if self.penalized:
+            clean = add_gradients(self.reg, clean, params, x, self.kappa)
+        if noise.clip_c is not None:
+            clean = clip_gradient(clean, noise.clip_c)
+        if self.batch > 1:
+            # np.mean's sum and division, without its per-call overhead; the
+            # mean of one example's gradient is that gradient, to the bit
+            clean = np.add.reduce(clean, axis=0, out=self.mean)
+            clean /= self.batch
+        if z is None:
+            return clean, clean
+        scale = noise.sigma * params.flat if noise.mode == "proportional" else noise.sigma
+        # (P,) vectors broadcast against z.T, the (R, P) view of a (P, R)
+        # block, in z's memory order, so numpy's inner loops run along R,
+        # not the short P; in place, to the bits of clean + scale * z
+        noisy = np.multiply(scale, z.T, out=self.noisy if z.ndim == 1 else None)
+        noisy += clean
+        return clean, noisy
+
+
 def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: float,
                    noise: NoiseSpec, reg: RegSpec, z: np.ndarray | None = None) -> Step:
     """One step of the configured mechanism on a batch of examples.
@@ -184,39 +230,20 @@ def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: floa
     own.  A z whose first axis is not P raises ValueError; a square (P, P)
     block cannot be told from its transpose by shape, and is read as
     (P, R).  Every example's gradient is computed exactly as on its own
-    (see privreg.model), so batch size never changes its bits.
+    (see privreg.model), so batch size never changes its bits.  train()
+    takes this step too (_StepPlan), but on buffers it reuses.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    x = np.asarray(x, dtype=np.float64)
-    grads = backward(params, x, t)
-    grads = add_gradients(reg, grads, params, x, reg.effective_kappa(eta, noise.sigma))
-    if noise.clip_c is not None:
-        grads = clip_gradient(grads, noise.clip_c)
-    if len(grads) == 1:
-        clean = grads[0]  # the mean of one row is that row, to the bit
-    else:
-        # np.mean's sum and division, without its per-call overhead
-        clean = np.add.reduce(grads, axis=0)
-        clean /= len(grads)
-
-    if z is None:
-        noisy = clean
-    else:
+    x = _check_batch(params.spec, x, t)
+    if z is not None:
         if noise.mode == "none":
             raise ValueError("noise mode 'none' takes no noise rows")
         if z.ndim > 2 or z.shape[:1] != params.flat.shape:
             raise ValueError(f"noise of shape {z.shape} does not match "
                              f"parameters {params.flat.shape}: give (P,) or (P, R)")
-        scale = noise.sigma * params.flat if noise.mode == "proportional" else noise.sigma
-        # The (P,) vectors broadcast against z.T, the (R, P) view of a
-        # (P, R) block (a (P,) vector is its own transpose), and each
-        # result keeps z's memory order, so numpy's inner loops run along
-        # R rather than along the short P.  In place, as fresh temporaries
-        # cost more than the arithmetic; addition commutes, so these are
-        # the bits of clean + scale * z and of theta - eta * noisy.
-        noisy = scale * z.T
-        noisy += clean
+    plan = _StepPlan(params.spec, len(x), eta, noise, reg)
+    clean, noisy = plan(params, x[0], t[0], z) if len(x) == 1 else plan(params, x, t, z)
     stepped = np.multiply(eta, noisy)
     np.subtract(params.flat, stepped, stepped)
     return Step(clean, noisy.T, stepped.T)
@@ -273,6 +300,7 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
         raise ValueError("dataset must be nonempty")
     if data.dim != spec.input_dim:
         raise ValueError(f"dataset dimension {data.dim} does not match model input {spec.input_dim}")
+    _check_batch(spec, data.x, data.t)
     if config.batch_size > len(data):
         raise ValueError("batch_size exceeds dataset size")
     if init is not None and init.spec != spec:
@@ -287,12 +315,20 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
     noise_rows = _noise_rows(noise, RngStream(config.seed, *key, TRAIN_NOISE),
                              config.epochs * -(-n // config.batch_size), spec.n_params)
     # One ParameterSet for the run: each step is written into its flat
-    # vector, so its layer views (see privreg.model) stay current.
+    # vector in place, so its layer views (see privreg.model) stay current.
     params = init.copy() if init is not None else initial_params_for(spec, config.seed, key)
+    stepped = np.empty(spec.n_params)
     # A step's parameters are finite iff their dot with zeros is: 0 * inf
     # and 0 * nan are nan, 0 * x is 0 for every finite x, so no large
     # finite value can overflow it.  One dot costs less than isfinite().all().
     zeros = np.zeros(spec.n_params)
+    # A plan per batch size; a one-row batch steps as its (d,) example
+    size = config.batch_size
+    plans = {b: _StepPlan(spec, b, eta, noise, reg) for b in {size, n % size} - {0}}
+    batches = []
+    for start in range(0, n, size):
+        plan, span = plans[min(size, n - start)], slice(start, start + size)
+        batches.append((plan, start if plan.batch == 1 else span, span))
 
     def diverged(epoch: int, step: int, what: str) -> TrainingDivergedError:
         return TrainingDivergedError(
@@ -306,17 +342,15 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
         order = shuffle_rng.permutation(n)
         # One permuted copy per epoch: each batch is then a slice of it
         xs, ts = data.x[order], data.t[order]
-        for start in range(0, n, config.batch_size):
-            stop = start + config.batch_size
-            taken = mechanism_step(params, xs[start:stop], ts[start:stop],
-                                   eta, noise, reg, next(noise_rows))
+        for plan, rows, span in batches:
+            clean, noisy = plan(params, xs[rows], ts[rows], next(noise_rows))
             if records is not None:
-                records.append(GradientRecord(clean=taken.clean.copy(),
-                                              noisy=taken.noisy.copy(),
-                                              batch_indices=order[start:stop].copy()))
-            if not math.isfinite(np.dot(taken.params, zeros)):
+                records.append(GradientRecord(clean=clean.copy(), noisy=noisy.copy(),
+                                              batch_indices=order[span].copy()))
+            # flat - eta * noisy in place: a diverged step raises below
+            np.subtract(params.flat, np.multiply(eta, noisy, out=stepped), out=params.flat)
+            if not math.isfinite(np.dot(params.flat, zeros)):
                 raise diverged(epoch, step, "the parameters")
-            params.flat[:] = taken.params
             step += 1
 
         loss = dataset_loss(params, data, reg, kappa)

@@ -24,7 +24,7 @@ the product term raises ValueError on any other model.  The input-only
 term steers nothing and stays accepted everywhere.
 
 The terms work on a (B, d) batch, one value or one (P,) gradient row per
-example; a single input is a batch of one row.
+example; add_gradients also takes one (d,) example with its (P,) gradient.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import inspect
 import io
 import itertools
 import json
@@ -216,16 +217,21 @@ def csv_bytes_by_lanes(tmp_path, monkeypatch, command, lane_counts):
 
 def _count_train_steps(monkeypatch) -> dict[str, int]:
     """Counts of the steps train() takes and of the examples in them, kept
-    as it calls mechanism_step from here on."""
+    at the step plan as train() calls it from here on, each call stepping
+    the plan's batch of examples.  mechanism_step's own calls of a plan
+    (the attack sweep's single steps) are no training steps, so they are
+    left out."""
     counts = {"steps": 0, "example_steps": 0}
-    real = optimizers.mechanism_step
+    real = optimizers._StepPlan.__call__
+    train_code = inspect.unwrap(optimizers.train).__code__
 
-    def counted(params, x, *args, **kwargs):
-        counts["steps"] += 1
-        counts["example_steps"] += len(x)
-        return real(params, x, *args, **kwargs)
+    def counted(plan, params, x, t, z):
+        if sys._getframe(1).f_code is train_code:
+            counts["steps"] += 1
+            counts["example_steps"] += plan.batch
+        return real(plan, params, x, t, z)
 
-    monkeypatch.setattr(optimizers, "mechanism_step", counted)
+    monkeypatch.setattr(optimizers._StepPlan, "__call__", counted)
     return counts
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -462,6 +463,39 @@ class TestOneParameterSetPerRun:
                                                         rf"under {label}: the parameters"):
             train(spec, small_dataset(), config)
 
+    # A step plan reuses its buffers from step to step; none of them may
+    # reach a caller.  Without a penalty, the clean gradient is the plan's
+    # gradient buffer at batch 1 (its mean buffer above), and a plain
+    # step's noisy gradient is the same array.
+    @pytest.mark.parametrize("z_shape", [None, (26,), (26, 3)], ids=["plain", "vector", "block"])
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_a_step_keeps_its_arrays_through_the_next(self, batch, z_shape):
+        data = small_dataset(n=8)
+        params = init_params(TANH3, RngStream(81))
+        noise = NoiseSpec() if z_shape is None else IID_CLIP
+        steps, kept = [], []
+        for k in range(2):
+            z = None if z_shape is None else RngStream(82, k).normal(
+                1.0, math.prod(z_shape)).reshape(z_shape)
+            rows = slice(k * batch, (k + 1) * batch)
+            steps.append(mechanism_step(params, data.x[rows], data.t[rows], 0.1, noise,
+                                        RegSpec(), z))
+            kept.append([a.copy() for a in steps[-1]])
+        for got, want in zip(steps[0], kept[0]):
+            assert got.tobytes() == want.tobytes()
+        for a in steps[0]:
+            assert not any(np.shares_memory(a, b) for b in steps[1])
+        assert not np.array_equal(kept[0][0], kept[1][0])
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_records_hold_copies(self, batch):
+        config = TrainConfig(eta=0.05, batch_size=batch, epochs=2, seed=8, noise=IID_CLIP,
+                             record_gradients=True)
+        report = train(TANH3, small_dataset(n=15), config)
+        arrays = [a for r in report.records for a in (r.clean, r.noisy)]
+        arrays.append(report.final_params.flat)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+
     def test_large_finite_parameters_are_not_divergence(self):
         # zero inputs leave only the noise in each step: parameters at the
         # largest float stay finite, though their sum or their squares
@@ -636,7 +670,9 @@ def reference_data(model, mechanism):
 
 
 class TestTrainMatchesPerExampleReference:
-    @pytest.mark.parametrize("batch_size", [1, 7, REFERENCE_N])
+    # batch 4 leaves a stacked tail of 3 rows, batch 7 a one-row tail and
+    # REFERENCE_N none: train() steps each through a plan of its own size
+    @pytest.mark.parametrize("batch_size", [1, 4, 7, REFERENCE_N])
     @pytest.mark.parametrize("model,mechanism", REFERENCE_CASES)
     def test_bit_identical(self, model, mechanism, batch_size):
         spec = REFERENCE_MODELS[model]
