@@ -57,7 +57,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .attack import COSINE_SUCCESS, leakage_sweep, membership_inference
+from .attack import COSINE_SUCCESS, _median, leakage_sweep, membership_inference
 from .model import ACTIVATIONS, Dataset, ModelSpec, ParameterSet, init_params
 from .numerics import (ATTACK_MEMBERSHIP, DATA_FEATURES, DATA_HIDDEN, DATA_TARGET_NOISE,
                        TRAIN_NOISE, VERIFY_GRAD_CHECK, VERIFY_MOMENTS, VERIFY_NOISY_STEP,
@@ -905,8 +905,8 @@ def _cmd_attack(config: ExperimentConfig, telemetry: RunTelemetry) -> list[Resul
     rows = []
     for rep in reports:
         values = [("cosine", cos) for cos in rep.cosine.tolist()] + [
-            ("cosine_median", np.median(rep.cosine)), ("cosine_mean", np.mean(rep.cosine)),
-            ("mse_median", np.median(rep.mse)), ("mse_mean", np.mean(rep.mse)),
+            ("cosine_median", _median(rep.cosine)), ("cosine_mean", np.mean(rep.cosine)),
+            ("mse_median", _median(rep.mse)), ("mse_mean", np.mean(rep.mse)),
             ("success_rate", np.mean(rep.cosine >= COSINE_SUCCESS))]
         for metric, value in values:
             rows.append(ResultRow(eid, rep.mechanism, f"{rep.attack}_{metric}", float(value),

@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain
@@ -139,14 +140,23 @@ def _in_lanes(jobs: list[Callable[[], object]]) -> list:
     and memory freed on the calling thread is reused by the serial phases
     after it.
     """
-    if len(jobs) == 1:
-        return [jobs[0]()]
-    from concurrent.futures import ThreadPoolExecutor
+    results, errors = [None] * len(jobs), [None] * len(jobs)
 
-    with ThreadPoolExecutor(max_workers=len(jobs) - 1) as pool:
-        others = [pool.submit(job) for job in jobs[1:]]
-        first = jobs[0]()
-        return [first] + [future.result() for future in others]
+    def lane(i: int) -> None:
+        try:
+            results[i] = jobs[i]()
+        except BaseException as error:  # raised on the calling thread, in job order
+            errors[i] = error
+
+    workers = [threading.Thread(target=lane, args=(i,)) for i in range(1, len(jobs))]
+    for worker in workers:
+        worker.start()
+    lane(0)
+    for worker in workers:
+        worker.join()
+    for error in filter(None, errors):
+        raise error
+    return results
 
 
 def _require_replicas(replicas: int) -> None:

@@ -87,14 +87,15 @@ def add_penalties(reg: RegSpec, losses: np.ndarray, params: ParameterSet, x: np.
 
 
 def add_gradients(reg: RegSpec, grads: np.ndarray, params: ParameterSet, x: np.ndarray,
-                  kappa: float) -> np.ndarray:
+                  kappa: float, out: np.ndarray | None = None) -> np.ndarray:
     """`grads`, one (P,) row per row of the (B, d) batch x, plus the
     parameter gradients of add_penalties' terms: 2 * lam * theta, then
-    2 * kappa * x_i^2 * theta_i (2 * kappa * theta_i on the bias).  The
-    input-only term has none."""
+    2 * kappa * x_i^2 * theta_i (2 * kappa * theta_i on the bias), written
+    into `out` when given (which may be grads).  The input-only term has
+    none."""
     if reg.lam > 0:
-        grads = grads + 2.0 * reg.lam * params.flat
+        grads = np.add(grads, 2.0 * reg.lam * params.flat, out=out)
     if kappa > 0:
         f = linear_unit_features(params.spec, x)
-        grads = grads + 2.0 * kappa * (f * f) * params.flat
+        grads = np.add(grads, 2.0 * kappa * (f * f) * params.flat, out=out)
     return grads

@@ -506,3 +506,22 @@ class TestLeakageSweep:
         label = mechanism_label(NoiseSpec(mode="iid", sigma=0.5, clip_c=1.0),
                                 RegSpec(lam=0.01, kappa=0.2))
         assert label == "noise=iid:sigma=0.5:clip=1|l2=0.01|pdp=0.2"
+
+
+# inf - inf and overflow warn in both
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 39])
+def test_median_has_the_bits_of_np_median(size):
+    # signed zeros, subnormals, infinities and NaN among normal values
+    odd = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e308, -1e308]
+    rng = RngStream(size, 29)
+    for share in (0.0, 0.3, 0.7, 1.0):
+        for trial in range(200):
+            values = rng.normal(1.0, size)
+            picks = rng.uniform(2 * size).reshape(2, size)
+            chosen = picks[0] < share
+            values[chosen] = np.array(odd)[(picks[1][chosen] * len(odd)).astype(int)]
+            want, got = np.median(values), privreg.attack._median(values)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes() or (
+                math.isnan(got) and math.isnan(want)), values

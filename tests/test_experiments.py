@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -225,11 +226,11 @@ def _count_train_steps(monkeypatch) -> dict[str, int]:
     real = optimizers._StepPlan.__call__
     train_code = inspect.unwrap(optimizers.train).__code__
 
-    def counted(plan, params, x, t, z):
+    def counted(plan, x, t, z):
         if sys._getframe(1).f_code is train_code:
             counts["steps"] += 1
             counts["example_steps"] += plan.batch
-        return real(plan, params, x, t, z)
+        return real(plan, x, t, z)
 
     monkeypatch.setattr(optimizers._StepPlan, "__call__", counted)
     return counts
@@ -779,6 +780,17 @@ class TestRun:
                 assert value[f"{attack}_cosine_median"] == np.median(cosine)
                 assert value[f"{attack}_cosine_mean"] == np.mean(cosine)
                 assert value[f"{attack}_success_rate"] == np.mean(cosine >= COSINE_SUCCESS)
+
+    def test_attack_run_leaves_numpy_ma_out(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_attack_config(tmp_path / "out")))
+        probe = ("import sys; from privreg.cli import main; "
+                 f"code = main(['attack', '--config', {str(cfg_path)!r}]); "
+                 "print(code, 'numpy.ma' in sys.modules)")
+        src = Path(experiments.__file__).resolve().parent.parent
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "0 False"
 
     def test_report_aggregates_means(self, tmp_path, capsys):
         cfg = small_report_config(tmp_path)

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from privreg.model import (Dataset, ModelSpec, ParameterSet, backward, forward,
+from privreg.model import (Dataset, ModelSpec, ParameterSet, _ExamplePass, backward, forward,
                            init_params, linear_unit_features, quadratic_loss)
 from privreg.numerics import RngStream
 from privreg.optimizers import TrainConfig, train
@@ -214,6 +214,34 @@ class TestPerExampleGradients:
         with pytest.raises(ValueError):
             backward(params([1.0, 2.0]), np.empty((0, 2)), np.empty((0, 1)))
 
+    # The one-example pass a batch-1 step runs: two outputs, two hidden
+    # layers, hidden layers without a bias (their deltas get buffers of
+    # their own), an identity hidden layer, and a linear unit; one pass
+    # steps many examples into the same buffer.
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(layer_sizes=(3, 4, 2), activation="relu"),
+        ModelSpec(layer_sizes=(4, 6, 5, 1), activation="tanh"),
+        ModelSpec(layer_sizes=(3, 5, 4, 2), activation="relu", include_bias=False),
+        ModelSpec(layer_sizes=(5, 8, 1), activation="tanh", include_bias=False),
+        ModelSpec(layer_sizes=(3, 4, 1), activation="identity"),
+        ModelSpec(layer_sizes=(4, 2), include_bias=False),
+        ModelSpec(layer_sizes=(5, 1)),
+    ], ids=["relu-2out", "tanh-2hidden", "relu-nobias", "tanh-nobias", "identity-hidden",
+            "linear-2out", "linear-bias"])
+    def test_one_example_pass_matches_backward_bit_for_bit(self, spec):
+        p = init_params(spec, RngStream(spec.n_params, 3))
+        before = p.flat.copy()
+        rng = RngStream(spec.n_params, 4)
+        x = rng.normal(2.0, 11 * spec.input_dim).reshape(11, -1)
+        t = rng.normal(1.0, 11 * spec.output_dim).reshape(11, -1)
+        grads = backward(p, x, t)
+        grad = np.empty(spec.n_params)
+        pass_ = _ExamplePass(p, grad)
+        for i in range(11):
+            pass_(x[i], t[i].tolist())
+            assert grad.tobytes() == grads[i].tobytes()
+        assert p.flat.tobytes() == before.tobytes()
+
 
 class TestStackedProductsMatchPerRowProducts:
     """The batched core relies on two facts of the installed numpy/BLAS:
@@ -238,6 +266,9 @@ class TestStackedProductsMatchPerRowProducts:
             stacked = (w @ a[:, :, None])[..., 0]
             back = (w.T @ d[:, :, None])[..., 0]
             for i in range(batch):
+                # the one-example pass writes each gemv through np.dot's out=
+                assert np.array_equal(np.dot(w, a[i], out=np.empty(fan_out)), w @ a[i])
+                assert np.array_equal(np.dot(w.T, d[i], out=np.empty(fan_in)), w.T @ d[i])
                 assert np.array_equal(stacked[i], w @ a[i]), (
                     f"stacked W @ a differs from per-row gemv for W {w.shape}, "
                     f"batch {batch}: this numpy/BLAS build breaks the batched "

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from privreg import optimizers
 from privreg.experiments import generate_dataset
-from privreg.model import Dataset, ModelSpec, ParameterSet, forward, init_params
+from privreg.model import Dataset, ModelSpec, ParameterSet, backward, forward, init_params
 from privreg.numerics import TRAIN_INIT, TRAIN_NOISE, TRAIN_SHUFFLE, RngStream
 from privreg.optimizers import (NOISE_BLOCK, NoiseSpec, TrainConfig, TrainingDivergedError,
                                 _noise_rows, clip_gradient, dataset_loss,
@@ -44,6 +44,31 @@ class TestClipGradient:
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(ValueError):
             clip_gradient(np.ones(2), 0.0)
+
+    # A one-example step clips in place, dividing by |g| / c only when that
+    # is not <= 1: the bits of clip_gradient below, exactly at and above
+    # the threshold.
+    @pytest.mark.parametrize("scale", [2.0, 1.0, 0.75, 1e-3])
+    @pytest.mark.parametrize("spec", [LINEAR3, TANH3], ids=["linear", "tanh"])
+    def test_one_example_step_clips_as_clip_gradient(self, spec, scale):
+        params = init_params(spec, RngStream(31))
+        rng = RngStream(32)
+        for _ in range(20):
+            x, t = rng.normal(1.0, 3).reshape(1, 3), rng.normal(3.0, 1).reshape(1, 1)
+            [g] = backward(params, x, t)
+            c = math.sqrt(np.dot(g, g)) * scale  # scale 1: |g| / c is 1 exactly
+            step = mechanism_step(params, x, t, 0.1, replace(IID_CLIP, clip_c=c), RegSpec())
+            assert step.clean.tobytes() == clip_gradient(g, c).tobytes()
+
+    def test_one_example_step_keeps_a_nan_gradient(self):
+        # inf * 0 in the gradient of an infinite input: the norm is NaN,
+        # which clip_gradient passes on to every coordinate
+        x, t = np.array([[math.inf, 0.0, 1.0]]), np.array([[0.5]])
+        params = ParameterSet(LINEAR3, np.array([0.3, -0.2, 0.1]))
+        with np.errstate(invalid="ignore"):
+            want = clip_gradient(backward(params, x, t)[0], 1.0)
+            step = mechanism_step(params, x, t, 0.1, IID_CLIP, RegSpec())
+        assert np.isnan(want).all() and step.clean.tobytes() == want.tobytes()
 
     @given(arrays(np.float64, 4, elements=st.floats(-100, 100)),
            st.floats(0.01, 50))
@@ -643,6 +668,7 @@ REFERENCE_MODELS = {
     "tanh": ModelSpec(layer_sizes=(5, 16, 1), activation="tanh"),
     "relu-2out": ModelSpec(layer_sizes=(3, 4, 2), activation="relu"),
     "tanh-2hidden": ModelSpec(layer_sizes=(4, 6, 5, 1), activation="tanh"),
+    "relu-nobias": ModelSpec(layer_sizes=(3, 5, 4, 2), activation="relu", include_bias=False),
 }
 REFERENCE_MECHANISMS = {
     "plain": {},
@@ -704,6 +730,27 @@ class TestTrainMatchesPerExampleReference:
         assert np.array_equal(initial_params_for(spec, 17, (9, 2)).flat,
                               init_params(spec, RngStream(17, 9, 2, TRAIN_INIT)).flat)
         assert train(spec, data, config).epoch_losses != losses
+
+    # Batch-1 runs that diverge, in the epoch and at the step, and on the
+    # value, that the stacked core's step named before single examples took
+    # the one-example pass
+    @pytest.mark.parametrize("model,mechanism,eta,epoch,step,what", [
+        ("relu-2out", "plain", 1.0, 2, 28, "the parameters"),
+        ("relu-2out", "proportional", 30.0, 1, 7, "the parameters"),
+        ("tanh-2hidden", "plain", 1e10, 1, 14, "the epoch loss"),
+        ("relu-nobias", "proportional", 3.0, 1, 12, "the parameters"),
+        ("relu-nobias", "plain", 1e30, 1, 7, "the parameters"),
+        ("linear-bias", "plain", 1e10, 2, 29, "the epoch loss"),
+        ("linear-bias", "iid-clip", 1e200, 1, 14, "the epoch loss"),
+    ])
+    def test_batch_one_divergence_names_epoch_and_step(self, model, mechanism, eta, epoch,
+                                                       step, what):
+        config = TrainConfig(eta=eta, batch_size=1, epochs=3, seed=17,
+                             **REFERENCE_MECHANISMS[mechanism])
+        label = re.escape(optimizers.mechanism_label(config.noise, config.reg))
+        with pytest.raises(TrainingDivergedError, match=rf"epoch {epoch} of 3 at step {step} "
+                                                        rf"under {label}: {what} became"):
+            train(REFERENCE_MODELS[model], reference_data(model, mechanism), config)
 
     @pytest.mark.parametrize("batch_size", [1, 7, REFERENCE_N])
     @pytest.mark.parametrize("model", PDP_REFUSED)

@@ -297,8 +297,11 @@ def test_peak_allocation_does_not_grow_with_replicas(monkeypatch, check):
     assert _peak_allocation(lambda: run(200_000)) <= small + 64 * 1024
 
 
-# Two noisy-step checks at 200,000 replicas in a fresh interpreter: the
-# minor page faults of the second.
+# Noisy-step checks in a fresh interpreter, after a warm-up at 400,000
+# replicas: the fewest minor page faults of three checks at 400,000, less
+# the fewest of three at 200,000, so the faults of the extra blocks alone.
+# (A check can also fault a few hundred pages once, as a new worker thread
+# sets up; that happens at any replica count and says nothing of blocks.)
 FAULTS_PROBE = """
 import os, resource
 import numpy as np
@@ -308,11 +311,16 @@ from privreg.optimizers import NoiseSpec
 from privreg.oracle import check_noisy_step
 params = ParameterSet(ModelSpec(layer_sizes=(2, 1)), np.array([0.5, -1.0, 0.3]))
 shapes = (NoiseSpec(mode="iid", sigma=0.2), NoiseSpec(mode="proportional", sigma=0.2))
-run = lambda: check_noisy_step([(params, np.array([2.0, 1.0]), 1.3, 0.15, shapes)], 200_000, 25)
-run()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-run()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+def faults(replicas):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    check_noisy_step([(params, np.array([2.0, 1.0]), 1.3, 0.15, shapes)], replicas, 25)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+faults(400_000)
+runs = {{200_000: [], 400_000: []}}
+for _ in range(3):
+    for replicas in runs:
+        runs[replicas].append(faults(replicas))
+print(min(runs[400_000]) - min(runs[200_000]))
 """
 
 
@@ -320,8 +328,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_blocks_reuse_the_heap_they_free(cpus):
     # glibc would return a block's freed arrays to the OS and fault them in
-    # again for the next block: about 3,000 faults per check here, against
-    # a handful once the engine has lifted its trim bound
+    # again for the next block: about 3,000 to 4,400 more faults for the 12
+    # extra blocks here, against none once the engine has lifted its trim
+    # bound
     src = Path(oracle.__file__).resolve().parent.parent
     out = subprocess.run([sys.executable, "-c", FAULTS_PROBE.format(cpus=cpus)],
                          capture_output=True, text=True, check=True,
