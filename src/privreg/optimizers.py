@@ -20,13 +20,17 @@ clipped by its norm, the rows are averaged, then one optional noise draw
 and the step.  Penalties belong to the loss, so they come before the
 privacy mechanics.  Every row is computed exactly as the example would be
 on its own (see privreg.model), so batch size never changes an example's
-gradient bits.  train() builds one plan per batch size, and
-mechanism_step one per call, so every caller steps through one path.
-train() and the attacks pass one (P,) noise vector per step.
-mechanism_step also takes R noise vectors at once, as the columns of a
-(P, R) block, the parameter axis first so that each broadcast over P runs
-along R: that is how the oracle and verify's step expectation sample
-many noisy steps from one starting point, one block at a time.
+gradient bits.  train() builds one plan per batch size, mechanism_step
+one per call, and block_stepper one per stepper, so every caller steps
+through one path.  train() and the attacks pass one (P,) noise vector
+per step.  mechanism_step also takes R noise vectors at once, as the
+columns of a (P, R) block, the parameter axis first so that each
+broadcast over P runs along R: that is how verify's step expectation
+samples many noisy steps from one starting point.  block_stepper does
+the same block arithmetic (_noisy_block, _descend) for one batch and
+many blocks: it checks, plans and takes the clean gradient once, then
+writes each block's steps into one fresh (P, R) array, which is how the
+oracle samples its noisy steps, one block at a time.
 dataset_loss, which train() reports per epoch, adds the same terms to the
 losses (regularizers.add_penalties) at the same kappa, so the loss
 reported is the loss the steps descend.
@@ -59,7 +63,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -176,16 +180,22 @@ class Step(NamedTuple):
     params: np.ndarray
 
 
+def _noise_scale(noise: NoiseSpec, theta: np.ndarray):
+    """What a step's standard normals are scaled by: sigma, or sigma * theta
+    (theta pre-update) under proportional noise."""
+    return noise.sigma * theta if noise.mode == "proportional" else noise.sigma
+
+
 class _StepPlan:
     """A mechanism's step on batches of B examples from `params`, with what
     never changes within a run worked out once (kappa, refusing a product
     term off a linear unit; which penalty and clip branches apply) and the
     buffers each call writes.  plan(x, t, z), unchecked, gives (clean,
     noisy) for a (B, d) batch with (B, k) targets, or at B = 1 for one (d,)
-    example with k float targets (model._ExamplePass), and z as in
-    mechanism_step: noisy is (P,) for a (P,) z, (R, P) for a (P, R) block,
-    and clean itself for None.  Either may be a buffer the next call
-    overwrites."""
+    example with k float targets (model._ExamplePass), and z one (P,)
+    noise vector or None: noisy is (P,), clean itself for None.  Either
+    may be a buffer the next call overwrites; a (P, R) block of noise is
+    mechanism_step's and block_stepper's (_noisy_block)."""
 
     def __init__(self, params: ParameterSet, batch: int, eta: float, noise: NoiseSpec,
                  reg: RegSpec):
@@ -221,13 +231,44 @@ class _StepPlan:
                 clean /= q
         if z is None:
             return clean, clean
-        scale = noise.sigma * params.flat if noise.mode == "proportional" else noise.sigma
-        # (P,) vectors broadcast against z.T, the (R, P) view of a (P, R)
-        # block, in z's memory order, so numpy's inner loops run along R,
-        # not the short P; in place, to the bits of clean + scale * z
-        noisy = np.multiply(scale, z.T, out=self.noisy if z.ndim == 1 else None)
+        # in place, to the bits of clean + scale * z
+        noisy = np.multiply(_noise_scale(noise, params.flat), z, out=self.noisy)
         noisy += clean
         return clean, noisy
+
+
+def _checked_batch(params: ParameterSet, x: np.ndarray, t: np.ndarray,
+                   eta: float) -> tuple[int, np.ndarray, object]:
+    """mechanism_step's checks of eta and of the batch; then the batch size
+    and the batch as a plan takes it, a one-row batch as its (d,) example
+    with its targets as floats."""
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    x = _check_batch(params.spec, x, t)
+    if len(x) == 1:
+        return 1, x[0], np.asarray(t[0], dtype=np.float64).tolist()
+    return len(x), x, t
+
+
+# The block arithmetic of mechanism_step and block_stepper: for a (P, R)
+# noise block z, theta and clean are (P, 1) columns and the scale sigma or
+# a (P, 1) column sigma * theta, so every broadcast runs along R.  Column j
+# gets the bits of the step on column j alone: the same IEEE operations as
+# _StepPlan's (P,) noise and the step after it, elementwise, in one order.
+
+def _noisy_block(clean: np.ndarray, scale, z: np.ndarray) -> np.ndarray:
+    """clean + scale * z, in a fresh (P, R) array."""
+    noisy = np.multiply(scale, z)
+    noisy += clean
+    return noisy
+
+
+def _descend(theta: np.ndarray, eta: float, noisy: np.ndarray,
+             out: np.ndarray | None) -> np.ndarray:
+    """theta - eta * noisy, into `out` (noisy itself, for a step in place)
+    or a fresh array."""
+    stepped = np.multiply(eta, noisy, out=out)
+    return np.subtract(theta, stepped, out=stepped)
 
 
 def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: float,
@@ -247,22 +288,50 @@ def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: floa
     (see privreg.model), so batch size never changes its bits.  train()
     takes this step too (_StepPlan), but on buffers it reuses.
     """
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    x = _check_batch(params.spec, x, t)
+    batch, x, t = _checked_batch(params, x, t, eta)
+    block = z is not None and z.ndim == 2
     if z is not None:
         if noise.mode == "none":
             raise ValueError("noise mode 'none' takes no noise rows")
         if z.ndim > 2 or z.shape[:1] != params.flat.shape:
             raise ValueError(f"noise of shape {z.shape} does not match "
                              f"parameters {params.flat.shape}: give (P,) or (P, R)")
-    plan = _StepPlan(params, len(x), eta, noise, reg)
-    if len(x) == 1:  # one example, its targets as floats
-        x, t = x[0], np.asarray(t[0], dtype=np.float64).tolist()
-    clean, noisy = plan(x, t, z)
-    stepped = np.multiply(eta, noisy)
-    np.subtract(params.flat, stepped, stepped)
-    return Step(clean, noisy.T, stepped.T)
+    clean, noisy = _StepPlan(params, batch, eta, noise, reg)(x, t, None if block else z)
+    theta = params.flat
+    if block:
+        theta = theta[:, None]
+        noisy = _noisy_block(clean[:, None], _noise_scale(noise, theta), z)
+    return Step(clean, noisy, _descend(theta, eta, noisy, None))
+
+
+def block_stepper(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: float,
+                  noise: NoiseSpec, reg: RegSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """mechanism_step's parameters from one batch, one noise block at a time.
+
+    Checks what mechanism_step checks, refuses mode "none", builds one
+    step plan and takes the batch's clean gradient once, then returns
+    step(z): for a (P, R) block z of standard normals, the (P, R)
+    parameters that mechanism_step(params, x, t, eta, noise, reg, z).params
+    holds, to the bit, in one fresh array.  A z that is not (P, R) raises
+    ValueError.  The stepper keeps its own copies of theta and of the
+    clean gradient, so steppers share nothing that a step writes, and a
+    later change to params does not reach it.
+    """
+    batch, x, t = _checked_batch(params, x, t, eta)
+    if noise.mode == "none":
+        raise ValueError("noise mode 'none' takes no noise rows")
+    theta = params.flat[:, None].copy()
+    clean = _StepPlan(params, batch, eta, noise, reg)(x, t, None)[0][:, None].copy()
+    scale = _noise_scale(noise, theta)
+
+    def step(z: np.ndarray) -> np.ndarray:
+        if z.ndim != 2 or z.shape[0] != len(theta):
+            raise ValueError(f"noise of shape {z.shape} does not match "
+                             f"parameters {params.flat.shape}: give (P, R)")
+        noisy = _noisy_block(clean, scale, z)
+        return _descend(theta, eta, noisy, noisy)
+
+    return step
 
 
 def initial_params_for(spec: ModelSpec, seed: int, key: tuple[int, ...] = ()) -> ParameterSet:

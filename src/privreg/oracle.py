@@ -15,15 +15,17 @@ updated once by theta' = theta - eta * (g + eps):
 The post-update loss and the cross term are two functionals of the same
 noisy step, so one Monte Carlo pass (check_noisy_step) checks both, for
 every case it is given at once.  It runs the trainer's own step
-(optimizers.mechanism_step: gradient, clip, mean, noise, step) once per
-replica, case and noise shape, and scores the stepped parameters, so a
-trainer bug in the noise scale or its centre, in which theta scales
-proportional noise, in bias handling or in clipping fails the check.
+(gradient, clip, mean, noise, step) once per replica, case and noise
+shape, through one optimizers.block_stepper per case and shape, built
+once and called on each block of noise, and scores the stepped
+parameters, so a trainer bug in the noise scale or its centre, in which
+theta scales proportional noise, in bias handling or in clipping fails
+the check.
 All cases step on the same noise rows (common random numbers), each
 case on as many of a row's leading normals as it has parameters, so a
 block of rows is drawn once for every case rather than once per case.
 The block is transposed once, parameter axis first, so each case steps
-on a contiguous (P, rows) block (see optimizers.mechanism_step).
+on a contiguous (P, rows) block (see optimizers.block_stepper).
 The closed forms are written out independently, with the bias folded in
 as a constant-1 feature and the clean gradient clipped when noise.clip_c
 is set; the product density's bin masses need only math.erfc.
@@ -60,7 +62,7 @@ import numpy as np
 from .model import (ModelSpec, ParameterSet, backward, forward, linear_unit_features,
                     quadratic_loss)
 from .numerics import VERIFY_PRODUCT_DENSITY, VERIFY_SETUPS, RngStream
-from .optimizers import NoiseSpec, clip_gradient, mechanism_step
+from .optimizers import NoiseSpec, block_stepper, clip_gradient, mechanism_step
 from .regularizers import RegSpec, add_gradients, add_penalties
 
 
@@ -183,8 +185,9 @@ def _block_sums(summarise: Callable[[list[np.ndarray]], np.ndarray], replicas: i
     has the same bits at any lane count.
     """
     blocks, lanes = -(-replicas // MC_CHUNK_ROWS), mc_lanes(replicas)
-    # Every block allocates and frees the same few arrays (its draws, the
-    # noisy-step check's transposed copy of them, the steps' temporaries).
+    # Every block allocates and frees the same few arrays (its draws; in
+    # the noisy-step check, their transposed copy, then per case and shape
+    # one (P, rows) array of steps and the (rows,) residuals scored off it).
     # glibc's malloc returns freed heap to the OS once its free top passes
     # twice the largest mmap-backed array freed so far, and a block's
     # arrays add up to more than twice its largest, so each block would
@@ -322,39 +325,46 @@ def check_noisy_step(cases: Sequence[tuple[ParameterSet, np.ndarray, float, floa
 
     The cross term is the middle term of the expanded loss, which drops out
     because the noise is centered, so both estimates read the same noisy
-    steps.  A replica is one step of the trainer's mechanism
-    (mechanism_step) from the case's params, scored by its post-update
-    residual r.  Every case and shape steps on the same noise rows, drawn
-    once per block by one _block_sums: W normals a row from stream 0 of
-    `key` at `seed`, W being the largest parameter count of the cases, of
-    which a case of P parameters steps on the first P.  Each block is
-    transposed once into a contiguous (W, rows) array, the drawn rows freed
-    as it is made, and a case steps on its first P rows as one (P, rows)
-    noise block, scored as xv @ theta'.  The rows are summed per case and
-    shape as the power sums of r minus the clean residual
+    steps.  A replica is one step of the trainer's mechanism from the
+    case's params, scored by its post-update residual r: each case and
+    shape whose noise moves the output gets one optimizers.block_stepper,
+    built before the first block, with its own plan and clean gradient,
+    which every block and lane steps through.  Every case and shape steps
+    on the same noise rows, drawn once per block by one _block_sums: W
+    normals a row from stream 0 of `key` at `seed`, W being the largest
+    parameter count of the cases, of which a case of P parameters steps on
+    the first P.  Each block is transposed once into a contiguous (W, rows)
+    array, the drawn rows freed as it is made, and a case's steppers step
+    on its first P rows as one (P, rows) noise block, each into one fresh
+    (P, rows) array, scored as xv @ theta'.  The rows are summed per case
+    and shape as the power sums of r minus the clean residual
     (_noisy_step_estimates).  The cases' estimates thus share their draws
     (common random numbers); with one case, W is that case's own parameter
     count.  A shape whose noise cannot move the output
     (_noise_moves_output) steps on no rows: every row holds its clean
-    value.  mechanism_step refuses eta <= 0.
+    value.  eta <= 0 is refused.
     """
     _require_replicas(replicas)
     stepped = [_stepped_case(*case) for case in cases]
     width = max((case[0].flat.size for case in cases), default=0)
     reg = RegSpec()
+    # One stepper per case and moved shape, each with its own plan and
+    # clean gradient, shared by every block in every lane
+    steppers = [[(block_stepper(params, case.batch, case.target, eta, noises[k], reg),
+                  case.cleans[k]) for k in case.moved]
+                for (params, _, _, eta, noises), case in zip(cases, stepped)]
 
     def summarise(draws: list[np.ndarray]) -> np.ndarray:
         # One contiguous (W, rows) copy of the block, the drawn rows freed
         # as it is made: each case steps on its leading P rows
         zt = np.ascontiguousarray(draws.pop().reshape(-1, width).T)
         sums = []
-        for (params, _, _, eta, noises), case in zip(cases, stepped):
+        for (params, *_), case, shapes in zip(cases, stepped, steppers):
             z = zt[:params.flat.size]
-            for k in case.moved:
-                e = case.xv @ mechanism_step(params, case.batch, case.target, eta, noises[k],
-                                             reg, z).params
+            for step, clean in shapes:
+                e = case.xv @ step(z)
                 e -= case.t
-                e -= case.cleans[k]
+                e -= clean
                 sums.append(_power_sums(e))
         return np.stack(sums)
 

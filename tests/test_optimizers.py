@@ -14,7 +14,7 @@ from privreg.experiments import generate_dataset
 from privreg.model import Dataset, ModelSpec, ParameterSet, backward, forward, init_params
 from privreg.numerics import TRAIN_INIT, TRAIN_NOISE, TRAIN_SHUFFLE, RngStream
 from privreg.optimizers import (NOISE_BLOCK, NoiseSpec, TrainConfig, TrainingDivergedError,
-                                _noise_rows, clip_gradient, dataset_loss,
+                                _noise_rows, block_stepper, clip_gradient, dataset_loss,
                                 initial_params_for, mechanism_step, train)
 from privreg.oracle import grad_check
 from privreg.regularizers import KAPPA_MODES, RegSpec, add_penalties
@@ -189,6 +189,76 @@ class TestNoiseBlockLayout:
         with pytest.raises(ValueError, match=r"noise of shape \(7, 26\) does not match"):
             mechanism_step(params, data.x, data.t, 0.1, NoiseSpec(mode=mode, sigma=0.4),
                            RegSpec(), rows)
+
+
+class TestBlockStepper:
+    """block_stepper(params, x, t, eta, noise, reg) checks once and returns
+    step(z): for a (P, R) noise block, the parameters of mechanism_step on
+    that block, column j being the (P,) step on column j alone, to the bit."""
+
+    SPECS = {"linear": LINEAR3, "linear-bias": ModelSpec(layer_sizes=(3, 1)), "tanh": TANH3}
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("clip", [False, True], ids=["no-clip", "clip"])
+    @pytest.mark.parametrize("model", SPECS)
+    @pytest.mark.parametrize("mode", ["iid", "proportional"])
+    def test_columns_step_as_single_vectors(self, mode, model, clip, batch):
+        spec = self.SPECS[model]
+        data = small_dataset(n=5)
+        x, t = data.x[:batch], data.t[:batch]
+        params = init_params(spec, RngStream(73))
+        # a clip at half the shortest example gradient clips every example
+        norms = np.linalg.norm(backward(params, x, t), axis=1)
+        noise = NoiseSpec(mode=mode, sigma=0.4, clip_c=0.5 * norms.min() if clip else None)
+        step = block_stepper(params, x, t, 0.1, noise, RegSpec())
+        blocks = [RngStream(74, r).normal(1.0, spec.n_params * r).reshape(spec.n_params, r)
+                  for r in (1, 7)]
+        for block in blocks:
+            stepped = step(block)
+            assert stepped.shape == block.shape and stepped.flags.c_contiguous
+            assert not np.shares_memory(stepped, block)
+            assert stepped.tobytes() == mechanism_step(params, x, t, 0.1, noise,
+                                                       RegSpec(), block).params.tobytes()
+            for j in range(block.shape[1]):
+                alone = mechanism_step(params, x, t, 0.1, noise, RegSpec(),
+                                       block[:, j].copy())
+                assert alone.params.tobytes() == stepped[:, j].tobytes()
+        # a step writes nothing that the next one reads
+        assert step(blocks[1]).tobytes() == stepped.tobytes()
+
+    def test_keeps_its_own_theta(self):
+        params = init_params(LINEAR3, RngStream(73))
+        data = small_dataset(n=2)
+        noise = NoiseSpec(mode="proportional", sigma=0.4)
+        block = RngStream(74).normal(1.0, 3 * 4).reshape(3, 4)
+        step = block_stepper(params, data.x, data.t, 0.1, noise, RegSpec())
+        before = step(block)
+        expected = mechanism_step(params, data.x, data.t, 0.1, noise, RegSpec(), block).params
+        params.flat[:] += 1.0
+        assert before.tobytes() == step(block).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("eta", [0.0, -0.1])
+    def test_nonpositive_eta_rejected(self, eta):
+        data = small_dataset(n=2)
+        with pytest.raises(ValueError, match="eta must be positive"):
+            block_stepper(init_params(LINEAR3, RngStream(73)), data.x, data.t, eta,
+                          NoiseSpec(mode="iid", sigma=0.4), RegSpec())
+
+    def test_noise_mode_none_rejected(self):
+        data = small_dataset(n=2)
+        with pytest.raises(ValueError, match="noise mode 'none' takes no noise rows"):
+            block_stepper(init_params(LINEAR3, RngStream(73)), data.x, data.t, 0.1,
+                          NoiseSpec(mode="none"), RegSpec())
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3,), (2,), (3, 2, 2)])
+    def test_noise_not_parameters_first_rejected(self, shape):
+        # P = 3: (R, P) rows, one (P,) vector, a short vector, three axes
+        data = small_dataset(n=2)
+        step = block_stepper(init_params(LINEAR3, RngStream(73)), data.x, data.t, 0.1,
+                             NoiseSpec(mode="iid", sigma=0.4), RegSpec())
+        with pytest.raises(ValueError, match=re.escape(f"noise of shape {shape} does not "
+                                                       "match parameters (3,): give (P, R)")):
+            step(np.ones(shape))
 
 
 class TestSgdStep:

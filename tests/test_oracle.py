@@ -16,7 +16,7 @@ from privreg.model import Dataset, ModelSpec, ParameterSet
 from privreg.experiments import _family_bound
 from privreg.numerics import (VERIFY_MOMENTS, VERIFY_NOISY_STEP, VERIFY_PRODUCT_DENSITY,
                               VERIFY_SETUPS, RngStream)
-from privreg import oracle
+from privreg import optimizers, oracle
 from privreg.optimizers import NoiseSpec, mechanism_step
 from privreg.oracle import (MC_CHUNK_ROWS, analytic_post_update_loss,
                             backprop_grad_error, check_moment_identities,
@@ -149,10 +149,37 @@ class TestMcPostUpdateLoss:
         def doubled(params, x, t, eta, noise, reg, z=None):
             return real_step(params, x, t, eta, noise, reg, None if z is None else 2 * z)
 
-        monkeypatch.setattr(oracle, "mechanism_step", doubled)
+        monkeypatch.setattr(oracle, "block_stepper", lambda *a: lambda z: doubled(*a, z).params)
         [(mean, stderr)] = mc_post_update_loss(THETA, X, 1.0, 0.1, (IID,), replicas=200_000,
                                                seed=3)
         assert abs(mean - 0.002) > 3 * stderr
+
+    @pytest.mark.parametrize("replicas", [2, 1000, 5000])
+    def test_one_plan_per_case_and_moved_shape(self, monkeypatch, replicas):
+        # Two cases, four shapes each: iid and proportional noise move the
+        # output, mode "none" and sigma 0 do not.  Each shape takes one plan
+        # for its noiseless step (_stepped_case) and each moved shape one
+        # for its stepper, whatever the number of blocks; every block steps
+        # each moved shape through the stepper once.
+        monkeypatch.setattr(oracle, "MC_CHUNK_ROWS", 64)
+        shapes = (IID, PROP, NoiseSpec(mode="none"), NoiseSpec(mode="iid", sigma=0.0))
+        cases = [(THETA, X, 1.0, 0.1, shapes), (BIASED, X, 0.3, 0.15, shapes)]
+        plans, steps = [], []
+        real_plan, real_stepper = optimizers._StepPlan.__init__, oracle.block_stepper
+
+        def counted_plan(plan, *args):
+            plans.append(args)
+            real_plan(plan, *args)
+
+        def counted_stepper(*args):
+            step = real_stepper(*args)
+            return lambda z: steps.append(z.shape) or step(z)
+
+        monkeypatch.setattr(optimizers._StepPlan, "__init__", counted_plan)
+        monkeypatch.setattr(oracle, "block_stepper", counted_stepper)
+        check_noisy_step(cases, replicas, 31)
+        assert len(plans) == len(cases) * (len(shapes) + 2)
+        assert len(steps) == -(-replicas // 64) * len(cases) * 2
 
     def test_bias_folds_into_constant_feature(self):
         spec = ModelSpec(layer_sizes=(2, 1), activation="identity", include_bias=True)
@@ -426,7 +453,8 @@ class TestCrossTerm:
         def off_centre(params, x, t, eta, noise, reg, z=None):
             return real_step(params, x, t, eta, noise, reg, None if z is None else z + 0.05)
 
-        monkeypatch.setattr(oracle, "mechanism_step", off_centre)
+        monkeypatch.setattr(oracle, "block_stepper",
+                            lambda *a: lambda z: off_centre(*a, z).params)
         params = ParameterSet(BIASED.spec, np.array([0.5, 1.0, 0.3]))
         checks = cross_term_checks(params, X, 0.7, 0.1, (IID, PROP), 100_000, seed)
         assert [abs(c.z) <= 3.0 for c in checks] == [False, False]

@@ -7,7 +7,9 @@ least one of its rows, MIN_Z being above the family bound that verify
 gates configs/verify.json's 292 z-scores at.  Every mutant runs verify's
 own rows on verify's random setups, which have a bias or a clip at
 random: the noise mutants through the one check_noisy_step call that
-steps every setup, the kappa mutant through the equivalence residuals.
+steps every setup, each as the block stepper that call steps each noise
+block through (optimizers.block_stepper), the kappa mutant through the
+equivalence residuals.
 A later change to the gates keeps its power if these still fail.
 """
 
@@ -72,6 +74,12 @@ def clip_after_the_noise(params, x, t, eta, noise, reg, z=None):
                 (params.flat - eta * noisy).T)
 
 
+def stepper(mutant):
+    """oracle.block_stepper stepping through `mutant`, a broken
+    mechanism_step, on each noise block."""
+    return lambda *a: lambda z: mutant(*a, z).params
+
+
 def worst_z(seed: int, metric: str) -> dict[str, float]:
     """The largest |z| of verify's gated `metric` rows (post_update_loss_z
     or cross_term_z) at this seed, per noise shape."""
@@ -87,13 +95,13 @@ def worst_z(seed: int, metric: str) -> dict[str, float]:
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_doubled_noise_fails_the_post_update_loss(monkeypatch, seed):
-    monkeypatch.setattr(oracle, "mechanism_step", doubled_noise)
+    monkeypatch.setattr(oracle, "block_stepper", stepper(doubled_noise))
     assert min(worst_z(seed, "post_update_loss_z").values()) >= MIN_Z
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_noise_scaled_by_stepped_theta_fails_the_post_update_loss(monkeypatch, seed):
-    monkeypatch.setattr(oracle, "mechanism_step", noise_scaled_by_stepped_theta)
+    monkeypatch.setattr(oracle, "block_stepper", stepper(noise_scaled_by_stepped_theta))
     assert worst_z(seed, "post_update_loss_z")["proportional"] >= MIN_Z
 
 
@@ -108,13 +116,13 @@ def test_kappa_eta_sigma_squared_fails_the_equivalence_residual(monkeypatch, see
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_no_noise_on_the_bias_fails_the_iid_post_update_loss(monkeypatch, seed):
-    monkeypatch.setattr(oracle, "mechanism_step", no_noise_on_the_bias)
+    monkeypatch.setattr(oracle, "block_stepper", stepper(no_noise_on_the_bias))
     assert worst_z(seed, "post_update_loss_z")["iid"] >= MIN_Z
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_clip_after_the_noise_fails_every_check(monkeypatch, seed):
-    monkeypatch.setattr(oracle, "mechanism_step", clip_after_the_noise)
+    monkeypatch.setattr(oracle, "block_stepper", stepper(clip_after_the_noise))
     worst = [*worst_z(seed, "post_update_loss_z").values(),
              *worst_z(seed, "cross_term_z").values()]
     assert min(worst) >= MIN_Z
