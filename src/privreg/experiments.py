@@ -62,8 +62,8 @@ from .model import ACTIVATIONS, Dataset, ModelSpec, ParameterSet, init_params
 from .numerics import (ATTACK_MEMBERSHIP, DATA_FEATURES, DATA_HIDDEN, DATA_TARGET_NOISE,
                        TRAIN_NOISE, VERIFY_GRAD_CHECK, VERIFY_MOMENTS, VERIFY_NOISY_STEP,
                        VERIFY_STEP_EXPECTATION, VERIFY_TRAJECTORY, RngStream)
-from .optimizers import (NOISE_MODES, NoiseSpec, TrainConfig, initial_params_for,
-                         mechanism_label, mechanism_step, train)
+from .optimizers import (NOISE_MODES, NoiseSpec, TrainConfig, block_stepper,
+                         initial_params_for, mechanism_label, train)
 from .oracle import (LinearSetup, backprop_grad_error, check_moment_identities,
                      check_noisy_step, check_product_density, equivalence_chain_residuals,
                      mc_lanes, penalty_grad_error, random_linear_setups)
@@ -183,12 +183,12 @@ def generate_dataset(kind: str, n: int, d: int, noise_level: float,
     noisy_linear: t = w*.x + N(0, noise_level^2) for a hidden seeded w*
     (at noise_level 0 a least-squares fit recovers w* exactly).  clusters:
     two Gaussian blobs of spread noise_level around opposite centers,
-    targets +/-1.
+    targets +/-1.  n < 2 is refused: one row standardises to all zeros.
     """
     if kind not in DATASET_KINDS:
         raise ValueError(f"unknown dataset kind {kind!r}")
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
+    if n < 2 or d < 1:
+        raise ValueError(f"n must be >= 2 and d >= 1, got n={n}, d={d}")
     if noise_level < 0:
         raise ValueError("noise_level must be nonnegative")
 
@@ -425,7 +425,7 @@ _SECTIONS = {
     }, build=ModelSpec),
     "data": Field(dict, fields={
         "kind": Field(str, rule=_one_of(DATASET_KINDS)),
-        "n": Field(int, rule=_at_least(1)),
+        "n": Field(int, rule=_at_least(2)),
         "d": Field(int, rule=_at_least(1)),
         "noise_level": Field(float, rule=_NONNEGATIVE),
         "seed": Field(int, rule=_NONNEGATIVE),
@@ -836,8 +836,9 @@ def _step_expectation(oc: OracleConfig) -> list[_CheckRow]:
 
     The clean step is one full batch of the data in stored order; the
     noisy steps are the same batch with each of n rows of one noise block,
-    taken as one mechanism_step on the block's (P, n) transpose.  The data,
-    the start and the noise are keyed VERIFY_STEP_EXPECTATION.  Each
+    both from one optimizers.block_stepper, the noisy ones as one step on
+    the block's (P, n) transpose.  The data, the start and the noise are
+    keyed VERIFY_STEP_EXPECTATION.  Each
     coordinate of the mean step is off the clean one by eta * sigma *
     mean(z_i), so the worst error joins the family as one z-score per
     coordinate, in units of eta * sigma / sqrt(n).
@@ -846,13 +847,11 @@ def _step_expectation(oc: OracleConfig) -> list[_CheckRow]:
     data = generate_dataset("noisy_linear", 8, 3, 0.1, oc.seed, key)
     spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=False)
     init = initial_params_for(spec, oc.seed, key)
-    noise = NoiseSpec(mode="iid", sigma=sigma)
-    clean = mechanism_step(init, data.x, data.t, eta, noise, RegSpec()).params
-
+    clean, step = block_stepper(init, data.x, data.t, eta, NoiseSpec(mode="iid", sigma=sigma),
+                                RegSpec())
     n, width = oc.expectation_replicas, spec.n_params
     z = RngStream(oc.seed, *key, TRAIN_NOISE).normal(1.0, n * width).reshape(n, width)
-    noisy = mechanism_step(init, data.x, data.t, eta, noise, RegSpec(),
-                           np.ascontiguousarray(z.T)).params
+    noisy = step(np.ascontiguousarray(z.T))
     return [_CheckRow("iid", "step_expectation_err", _worst(noisy.sum(axis=1) / n - clean),
                       zs=width, unit=eta * sigma / math.sqrt(n),
                       bound_metric="step_expectation_bound")]

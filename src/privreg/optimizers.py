@@ -23,14 +23,13 @@ on its own (see privreg.model), so batch size never changes an example's
 gradient bits.  train() builds one plan per batch size, mechanism_step
 one per call, and block_stepper one per stepper, so every caller steps
 through one path.  train() and the attacks pass one (P,) noise vector
-per step.  mechanism_step also takes R noise vectors at once, as the
-columns of a (P, R) block, the parameter axis first so that each
-broadcast over P runs along R: that is how verify's step expectation
-samples many noisy steps from one starting point.  block_stepper does
-the same block arithmetic (_noisy_block, _descend) for one batch and
-many blocks: it checks, plans and takes the clean gradient once, then
-writes each block's steps into one fresh (P, R) array, which is how the
-oracle samples its noisy steps, one block at a time.
+per step.  block_stepper is the one home of many noisy steps from one
+start: it checks, plans and takes the clean gradient once, hands out the
+noiseless step, then writes each (P, R) block of R noise columns, the
+parameter axis first so that each broadcast over P runs along R, into
+one fresh (P, R) array of steps.  That is how the oracle samples its
+noisy steps, one block at a time, and verify's step expectation its
+mean step.
 dataset_loss, which train() reports per epoch, adds the same terms to the
 losses (regularizers.add_penalties) at the same kappa, so the loss
 reported is the loss the steps descend.
@@ -170,10 +169,8 @@ def clip_gradient(g: np.ndarray, c: float) -> np.ndarray:
 
 
 class Step(NamedTuple):
-    """One step of a mechanism: the averaged batch gradient before and after
-    the noise, and the parameters it steps to.  `noisy` and `params` take
-    the noise's layout: (P,) for one noise vector, (P, R) for a block of R
-    noise columns, column j being the step on column j."""
+    """One step of a mechanism: the (P,) averaged batch gradient before and
+    after the noise, and the (P,) parameters it steps to."""
 
     clean: np.ndarray
     noisy: np.ndarray
@@ -195,7 +192,7 @@ class _StepPlan:
     example with k float targets (model._ExamplePass), and z one (P,)
     noise vector or None: noisy is (P,), clean itself for None.  Either
     may be a buffer the next call overwrites; a (P, R) block of noise is
-    mechanism_step's and block_stepper's (_noisy_block)."""
+    block_stepper's."""
 
     def __init__(self, params: ParameterSet, batch: int, eta: float, noise: NoiseSpec,
                  reg: RegSpec):
@@ -250,23 +247,11 @@ def _checked_batch(params: ParameterSet, x: np.ndarray, t: np.ndarray,
     return len(x), x, t
 
 
-# The block arithmetic of mechanism_step and block_stepper: for a (P, R)
-# noise block z, theta and clean are (P, 1) columns and the scale sigma or
-# a (P, 1) column sigma * theta, so every broadcast runs along R.  Column j
-# gets the bits of the step on column j alone: the same IEEE operations as
-# _StepPlan's (P,) noise and the step after it, elementwise, in one order.
-
-def _noisy_block(clean: np.ndarray, scale, z: np.ndarray) -> np.ndarray:
-    """clean + scale * z, in a fresh (P, R) array."""
-    noisy = np.multiply(scale, z)
-    noisy += clean
-    return noisy
-
-
 def _descend(theta: np.ndarray, eta: float, noisy: np.ndarray,
              out: np.ndarray | None) -> np.ndarray:
     """theta - eta * noisy, into `out` (noisy itself, for a step in place)
-    or a fresh array."""
+    or a fresh array.  Elementwise, so column j of a (P, R) block gets the
+    bits of the (P,) step on column j alone."""
     stepped = np.multiply(eta, noisy, out=out)
     return np.subtract(theta, stepped, out=stepped)
 
@@ -278,60 +263,59 @@ def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: floa
     x is a (B, d) batch with (B, k) targets t.  Each example's loss
     gradient gets the penalty gradients and is clipped by its norm; the
     batch is averaged; the noise sigma * z (mode "iid") or sigma * theta * z
-    (mode "proportional", theta pre-update) is added, z being standard
-    normals, one (P,) vector, R of them as the columns of a (P, R) block,
-    or None for a noiseless step; then theta - eta * g.  Each column of a
-    block steps to the bits that it would step to as a (P,) vector on its
-    own.  A z whose first axis is not P raises ValueError; a square (P, P)
-    block cannot be told from its transpose by shape, and is read as
-    (P, R).  Every example's gradient is computed exactly as on its own
-    (see privreg.model), so batch size never changes its bits.  train()
-    takes this step too (_StepPlan), but on buffers it reuses.
+    (mode "proportional", theta pre-update) is added, z being one (P,)
+    vector of standard normals, or None for a noiseless step; then
+    theta - eta * g.  A z of any other shape raises ValueError: many noise
+    vectors from one start are block_stepper's.  Every example's gradient
+    is computed exactly as on its own (see privreg.model), so batch size
+    never changes its bits.  train() takes this step too (_StepPlan), but
+    on buffers it reuses.
     """
     batch, x, t = _checked_batch(params, x, t, eta)
-    block = z is not None and z.ndim == 2
     if z is not None:
         if noise.mode == "none":
             raise ValueError("noise mode 'none' takes no noise rows")
-        if z.ndim > 2 or z.shape[:1] != params.flat.shape:
+        if z.shape != params.flat.shape:
             raise ValueError(f"noise of shape {z.shape} does not match "
-                             f"parameters {params.flat.shape}: give (P,) or (P, R)")
-    clean, noisy = _StepPlan(params, batch, eta, noise, reg)(x, t, None if block else z)
-    theta = params.flat
-    if block:
-        theta = theta[:, None]
-        noisy = _noisy_block(clean[:, None], _noise_scale(noise, theta), z)
-    return Step(clean, noisy, _descend(theta, eta, noisy, None))
+                             f"parameters {params.flat.shape}: give (P,)")
+    clean, noisy = _StepPlan(params, batch, eta, noise, reg)(x, t, z)
+    return Step(clean, noisy, _descend(params.flat, eta, noisy, None))
 
 
 def block_stepper(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: float,
-                  noise: NoiseSpec, reg: RegSpec) -> Callable[[np.ndarray], np.ndarray]:
+                  noise: NoiseSpec, reg: RegSpec
+                  ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """mechanism_step's parameters from one batch, one noise block at a time.
 
     Checks what mechanism_step checks, refuses mode "none", builds one
     step plan and takes the batch's clean gradient once, then returns
-    step(z): for a (P, R) block z of standard normals, the (P, R)
-    parameters that mechanism_step(params, x, t, eta, noise, reg, z).params
-    holds, to the bit, in one fresh array.  A z that is not (P, R) raises
-    ValueError.  The stepper keeps its own copies of theta and of the
-    clean gradient, so steppers share nothing that a step writes, and a
-    later change to params does not reach it.
+    (clean, step).  clean is the (P,) noiseless step, theta - eta * g, the
+    bits of mechanism_step(params, x, t, eta, noise, reg).params.  step(z),
+    for a (P, R) block z of standard normals, gives in one fresh (P, R)
+    array theta - eta * (g + scale * z), scale being sigma or the column
+    sigma * theta: column j holds mechanism_step's parameters on z[:, j]
+    alone, to the bit, the same IEEE operations elementwise in one order.
+    A z that is not (P, R) raises ValueError.  The stepper keeps its own
+    copies of theta and of the clean gradient, so steppers share nothing
+    that a step writes, and a later change to params does not reach it.
     """
     batch, x, t = _checked_batch(params, x, t, eta)
     if noise.mode == "none":
         raise ValueError("noise mode 'none' takes no noise rows")
-    theta = params.flat[:, None].copy()
-    clean = _StepPlan(params, batch, eta, noise, reg)(x, t, None)[0][:, None].copy()
+    grad = _StepPlan(params, batch, eta, noise, reg)(x, t, None)[0]
+    clean = _descend(params.flat, eta, grad, None)
+    theta, grad = params.flat[:, None].copy(), grad[:, None].copy()
     scale = _noise_scale(noise, theta)
 
     def step(z: np.ndarray) -> np.ndarray:
         if z.ndim != 2 or z.shape[0] != len(theta):
             raise ValueError(f"noise of shape {z.shape} does not match "
                              f"parameters {params.flat.shape}: give (P, R)")
-        noisy = _noisy_block(clean, scale, z)
+        noisy = np.multiply(scale, z)
+        noisy += grad
         return _descend(theta, eta, noisy, noisy)
 
-    return step
+    return clean, step
 
 
 def initial_params_for(spec: ModelSpec, seed: int, key: tuple[int, ...] = ()) -> ParameterSet:

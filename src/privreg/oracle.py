@@ -18,9 +18,9 @@ every case it is given at once.  It runs the trainer's own step
 (gradient, clip, mean, noise, step) once per replica, case and noise
 shape, through one optimizers.block_stepper per case and shape, built
 once and called on each block of noise, and scores the stepped
-parameters, so a trainer bug in the noise scale or its centre, in which
-theta scales proportional noise, in bias handling or in clipping fails
-the check.
+parameters against the stepper's own noiseless step, so a trainer bug
+in the noise scale or its centre, in which theta scales proportional
+noise, in bias handling or in clipping fails the check.
 All cases step on the same noise rows (common random numbers), each
 case on as many of a row's leading normals as it has parameters, so a
 block of rows is drawn once for every case rather than once per case.
@@ -287,18 +287,16 @@ def analytic_post_update_loss(params: ParameterSet, x: np.ndarray, t,
 
 class _SteppedCase(NamedTuple):
     """A case of check_noisy_step as it steps: per noise shape the closed
-    form of the post-update loss; its one-row batch and target, the scalar
-    target t and the input vector xv with the bias feature; per noise shape
-    the residual of the noiseless step; and the shapes whose noise moves
-    the output."""
+    form of the post-update loss; the scalar target t and the input vector
+    xv with the bias feature; per noise shape the residual of the
+    noiseless step; and per shape whose noise moves the output, by its
+    index, the step of its block stepper."""
 
     analytic: list[float]
-    batch: np.ndarray
-    target: np.ndarray
     t: float
     xv: np.ndarray
     cleans: list[float]
-    moved: list[int]
+    steps: dict[int, Callable[[np.ndarray], np.ndarray]]
 
 
 def _stepped_case(params: ParameterSet, x: np.ndarray, t, eta: float,
@@ -306,11 +304,15 @@ def _stepped_case(params: ParameterSet, x: np.ndarray, t, eta: float,
     analytic = [analytic_post_update_loss(params, x, t, eta, noise) for noise in noises]
     theta, xv = _linear_neuron_vectors(params, x)
     t = _scalar_target(t)
-    batch, target = xv[None, :params.spec.input_dim], np.array([[t]])
-    cleans = [float(mechanism_step(params, batch, target, eta, noise, RegSpec()).params @ xv) - t
-              for noise in noises]
-    moved = [k for k, noise in enumerate(noises) if _noise_moves_output(noise, theta, xv)]
-    return _SteppedCase(analytic, batch, target, t, xv, cleans, moved)
+    batch, target, reg = xv[None, :params.spec.input_dim], np.array([[t]]), RegSpec()
+    cleans, steps = [], {}
+    for k, noise in enumerate(noises):
+        if _noise_moves_output(noise, theta, xv):
+            clean, steps[k] = block_stepper(params, batch, target, eta, noise, reg)
+        else:
+            clean = mechanism_step(params, batch, target, eta, noise, reg).params
+        cleans.append(float(clean @ xv) - t)
+    return _SteppedCase(analytic, t, xv, cleans, steps)
 
 
 def check_noisy_step(cases: Sequence[tuple[ParameterSet, np.ndarray, float, float,
@@ -329,7 +331,8 @@ def check_noisy_step(cases: Sequence[tuple[ParameterSet, np.ndarray, float, floa
     case's params, scored by its post-update residual r: each case and
     shape whose noise moves the output gets one optimizers.block_stepper,
     built before the first block, with its own plan and clean gradient,
-    which every block and lane steps through.  Every case and shape steps
+    which every block and lane steps through, and whose noiseless step
+    gives the shape's clean residual.  Every case and shape steps
     on the same noise rows, drawn once per block by one _block_sums: W
     normals a row from stream 0 of `key` at `seed`, W being the largest
     parameter count of the cases, of which a case of P parameters steps on
@@ -342,39 +345,36 @@ def check_noisy_step(cases: Sequence[tuple[ParameterSet, np.ndarray, float, floa
     (common random numbers); with one case, W is that case's own parameter
     count.  A shape whose noise cannot move the output
     (_noise_moves_output) steps on no rows: every row holds its clean
-    value.  eta <= 0 is refused.
+    value, the residual of a noiseless optimizers.mechanism_step.
+    eta <= 0 is refused.
     """
     _require_replicas(replicas)
-    stepped = [_stepped_case(*case) for case in cases]
-    width = max((case[0].flat.size for case in cases), default=0)
-    reg = RegSpec()
     # One stepper per case and moved shape, each with its own plan and
     # clean gradient, shared by every block in every lane
-    steppers = [[(block_stepper(params, case.batch, case.target, eta, noises[k], reg),
-                  case.cleans[k]) for k in case.moved]
-                for (params, _, _, eta, noises), case in zip(cases, stepped)]
+    stepped = [_stepped_case(*case) for case in cases]
+    width = max((case[0].flat.size for case in cases), default=0)
 
     def summarise(draws: list[np.ndarray]) -> np.ndarray:
         # One contiguous (W, rows) copy of the block, the drawn rows freed
         # as it is made: each case steps on its leading P rows
         zt = np.ascontiguousarray(draws.pop().reshape(-1, width).T)
         sums = []
-        for (params, *_), case, shapes in zip(cases, stepped, steppers):
+        for (params, *_), case in zip(cases, stepped):
             z = zt[:params.flat.size]
-            for step, clean in shapes:
+            for k, step in case.steps.items():
                 e = case.xv @ step(z)
                 e -= case.t
-                e -= clean
+                e -= case.cleans[k]
                 sums.append(_power_sums(e))
         return np.stack(sums)
 
     moved_sums = iter(_block_sums(summarise, replicas, seed, key, (1.0,), width)
-                      if any(case.moved for case in stepped) else ())
+                      if any(case.steps for case in stepped) else ())
     checks = []
     for (*_, noises), case in zip(cases, stepped):
         sums = np.zeros((len(noises), 5))
         sums[:, 0] = replicas
-        for k in case.moved:
+        for k in case.steps:
             sums[k] = next(moved_sums)
         estimates = [_noisy_step_estimates(c, shape_sums)
                      for c, shape_sums in zip(case.cleans, sums)]

@@ -72,6 +72,9 @@ class TestGenerateDataset:
             generate_dataset("spiral", 10, 2, 0.0, seed=1)
         with pytest.raises(ValueError):
             generate_dataset("clusters", 0, 2, 0.0, seed=1)
+        # a column standardised over one row is all zeros
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            generate_dataset("noisy_linear", 1, 3, 0.0, seed=9)
 
 
 class TestDatasetFileRoundTrip:
@@ -592,14 +595,24 @@ class TestRun:
         assert (err.zs, err.unit) == (3, 0.1 * 0.3 / math.sqrt(oc.expectation_replicas))
         assert err.value <= bound * err.unit
 
-        step = experiments.mechanism_step
+        real = experiments.block_stepper
 
-        def biased(params, x, t, eta, noise, reg, z=None):
-            return step(params, x, t, eta, noise, reg, None if z is None else z + 0.1)
+        def biased(*args):
+            clean, step = real(*args)
+            return clean, lambda z: step(z + 0.1)
 
-        monkeypatch.setattr(experiments, "mechanism_step", biased)
+        monkeypatch.setattr(experiments, "block_stepper", biased)
         [err] = _step_expectation(oc)
         assert err.value > bound * err.unit
+
+    def test_step_expectation_builds_one_plan(self, monkeypatch):
+        # its clean and its noisy steps come from one block stepper
+        plans = []
+        real = optimizers._StepPlan.__init__
+        monkeypatch.setattr(optimizers._StepPlan, "__init__",
+                            lambda plan, *args: plans.append(args) or real(plan, *args))
+        _step_expectation(OracleConfig(seed=77, expectation_replicas=1000))
+        assert len(plans) == 1
 
     def test_step_expectation_makes_a_fixed_number_of_streams(self, monkeypatch):
         made = []
@@ -1026,8 +1039,10 @@ BOUNDARY_PROBES = [
     _probe("attack-hidden-layer", "attack", {"model.layer_sizes": [3, 4, 1]},
            "model.layer_sizes"),
     _probe("attack-no-bias", "attack", {"model.include_bias": False}, "model.include_bias"),
-    _probe("membership-one-row", "attack", {"attack.membership": True, "data.n": 1},
-           "attack.membership", "data.n"),
+    _probe("data-one-row", "attack", {"data.n": 1}, "data.n", ">= 2"),
+    _probe("membership-one-row", "attack",
+           {"attack.membership": True, "data": {"path": "data.csv"}}, "attack.membership",
+           "the number of rows in data.csv", files={"data.csv": "x0,x1,x2,t\n1,2,3,4\n"}),
     _probe("file-d-mismatch", "train", {"data": {"path": "data.csv"}},
            "model.layer_sizes[0]", "data.csv", files={"data.csv": "x0,x1,t\n1,2,3\n"}),
     _probe("file-batch-exceeds-rows", "train",

@@ -94,6 +94,16 @@ def noise_step(theta, noise, z, eta=0.1):
     return mechanism_step(p, X_ROW, target, eta, noise, RegSpec(), z)
 
 
+def noise_deltas(theta, noise, replicas, seed, eta=0.1):
+    """The noisy gradients less the clean one of `replicas` steps at zero
+    loss gradient from one block_stepper, read off its steps as
+    (clean - step(z)) / eta: one (P,) column per replica."""
+    p = ParameterSet(LINEAR2, np.asarray(theta, dtype=np.float64))
+    clean, step = block_stepper(p, X_ROW, forward(p, X_ROW)[-1], eta, noise, RegSpec())
+    z = RngStream(seed).normal(1.0, replicas * 2).reshape(replicas, 2).T
+    return (clean[:, None] - step(z)) / eta
+
+
 class TestNoise:
     def test_iid_zero_sigma_is_identity(self):
         noise = NoiseSpec(mode="iid", sigma=0.0)
@@ -106,8 +116,7 @@ class TestNoise:
     def test_iid_statistics(self):
         sigma, replicas = 0.3, 10 ** 5
         noise = NoiseSpec(mode="iid", sigma=sigma)
-        deltas = noise_step([0.5, -1.0], noise,
-                            RngStream(55).normal(1.0, replicas * 2).reshape(replicas, 2).T).noisy
+        deltas = noise_deltas([0.5, -1.0], noise, replicas, 55)
         assert deltas.shape == (2, replicas)
         assert np.abs(deltas.mean(axis=1)).max() <= 3 * sigma / math.sqrt(replicas)
         var = deltas.var(axis=1, ddof=1)
@@ -124,8 +133,7 @@ class TestNoise:
     def test_proportional_statistics(self):
         sigma, replicas = 0.5, 10 ** 5
         noise = NoiseSpec(mode="proportional", sigma=sigma)
-        deltas = noise_step([1.0, 2.0], noise,
-                            RngStream(56).normal(1.0, replicas * 2).reshape(replicas, 2).T).noisy
+        deltas = noise_deltas([1.0, 2.0], noise, replicas, 56)
         assert deltas.shape == (2, replicas)
         stds = deltas.std(axis=1, ddof=1)
         assert np.abs(stds - np.array([0.5, 1.0])).max() <= 0.05 * 1.0
@@ -157,44 +165,27 @@ class TestNoise:
         assert np.array_equal(at_once, one_by_one)
 
 
-class TestNoiseBlockLayout:
-    """mechanism_step takes z as one (P,) vector or as a (P, R) block of R
-    noise columns, the parameter axis first.  A block's column j steps to
-    the bits of the (P,) step on that column alone.  Only the first axis
-    is checked against P, so a square (P, P) block cannot be told apart
-    from its transpose by shape: it is read as (P, R)."""
+class TestOneNoiseVector:
+    """mechanism_step takes z as one (P,) vector or None; many noise vectors
+    from one start are block_stepper's.  Any 2-D z is refused, a (P, 1)
+    column and a square (P, P) block included."""
 
-    @pytest.mark.parametrize("clip_c", [None, 0.5], ids=["no-clip", "clip"])
+    @pytest.mark.parametrize("shape", [(26, 7), (7, 26), (26, 1), (1, 26), (26, 26)])
     @pytest.mark.parametrize("mode", ["iid", "proportional"])
-    def test_block_columns_step_as_single_vectors(self, mode, clip_c):
-        data = small_dataset(n=5)
-        params = init_params(TANH3, RngStream(71))
-        noise = NoiseSpec(mode=mode, sigma=0.4, clip_c=clip_c)
-        block = RngStream(72).normal(1.0, TANH3.n_params * 7).reshape(TANH3.n_params, 7)
-        step = mechanism_step(params, data.x, data.t, 0.1, noise, RegSpec(), block)
-        assert step.noisy.shape == step.params.shape == block.shape
-        for j in range(block.shape[1]):
-            alone = mechanism_step(params, data.x, data.t, 0.1, noise, RegSpec(),
-                                   block[:, j].copy())
-            assert alone.clean.tobytes() == step.clean.tobytes()
-            assert alone.noisy.tobytes() == step.noisy[:, j].tobytes()
-            assert alone.params.tobytes() == step.params[:, j].tobytes()
-
-    @pytest.mark.parametrize("mode", ["iid", "proportional"])
-    def test_rows_layout_is_rejected(self, mode):
-        # R = 7 noise rows of P = 26 as (R, P): the first axis is not P
+    def test_a_noise_block_is_rejected(self, mode, shape):
         params = init_params(TANH3, RngStream(71))
         data = small_dataset(n=5)
-        rows = np.ones((7, TANH3.n_params))
-        with pytest.raises(ValueError, match=r"noise of shape \(7, 26\) does not match"):
+        with pytest.raises(ValueError, match=re.escape(f"noise of shape {shape} does not match "
+                                                       "parameters (26,): give (P,)")):
             mechanism_step(params, data.x, data.t, 0.1, NoiseSpec(mode=mode, sigma=0.4),
-                           RegSpec(), rows)
+                           RegSpec(), np.ones(shape))
 
 
 class TestBlockStepper:
     """block_stepper(params, x, t, eta, noise, reg) checks once and returns
-    step(z): for a (P, R) noise block, the parameters of mechanism_step on
-    that block, column j being the (P,) step on column j alone, to the bit."""
+    (clean, step): clean the (P,) parameters of the noiseless mechanism_step,
+    and step(z), for a (P, R) noise block, the (P, R) parameters whose
+    column j is mechanism_step's on column j alone, each to the bit."""
 
     SPECS = {"linear": LINEAR3, "linear-bias": ModelSpec(layer_sizes=(3, 1)), "tanh": TANH3}
 
@@ -210,15 +201,16 @@ class TestBlockStepper:
         # a clip at half the shortest example gradient clips every example
         norms = np.linalg.norm(backward(params, x, t), axis=1)
         noise = NoiseSpec(mode=mode, sigma=0.4, clip_c=0.5 * norms.min() if clip else None)
-        step = block_stepper(params, x, t, 0.1, noise, RegSpec())
+        clean, step = block_stepper(params, x, t, 0.1, noise, RegSpec())
+        assert clean.shape == (spec.n_params,)
+        assert clean.tobytes() == mechanism_step(params, x, t, 0.1, noise,
+                                                 RegSpec()).params.tobytes()
         blocks = [RngStream(74, r).normal(1.0, spec.n_params * r).reshape(spec.n_params, r)
                   for r in (1, 7)]
         for block in blocks:
             stepped = step(block)
             assert stepped.shape == block.shape and stepped.flags.c_contiguous
             assert not np.shares_memory(stepped, block)
-            assert stepped.tobytes() == mechanism_step(params, x, t, 0.1, noise,
-                                                       RegSpec(), block).params.tobytes()
             for j in range(block.shape[1]):
                 alone = mechanism_step(params, x, t, 0.1, noise, RegSpec(),
                                        block[:, j].copy())
@@ -231,11 +223,25 @@ class TestBlockStepper:
         data = small_dataset(n=2)
         noise = NoiseSpec(mode="proportional", sigma=0.4)
         block = RngStream(74).normal(1.0, 3 * 4).reshape(3, 4)
-        step = block_stepper(params, data.x, data.t, 0.1, noise, RegSpec())
-        before = step(block)
-        expected = mechanism_step(params, data.x, data.t, 0.1, noise, RegSpec(), block).params
+        clean, step = block_stepper(params, data.x, data.t, 0.1, noise, RegSpec())
+        before, kept = step(block), clean.copy()
         params.flat[:] += 1.0
-        assert before.tobytes() == step(block).tobytes() == expected.tobytes()
+        assert before.tobytes() == step(block).tobytes() and clean.tobytes() == kept.tobytes()
+
+    # Nothing a stepper hands out is written by its next step, and no two
+    # of its arrays share memory.
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_a_step_keeps_its_arrays_through_the_next(self, batch):
+        data = small_dataset(n=8)
+        clean, step = block_stepper(init_params(TANH3, RngStream(81)), data.x[:batch],
+                                    data.t[:batch], 0.1, IID_CLIP, RegSpec())
+        blocks = [RngStream(82, k).normal(1.0, 26 * 3).reshape(26, 3) for k in range(2)]
+        first = step(blocks[0])
+        kept = [clean.copy(), first.copy()]
+        second = step(blocks[1])
+        assert [clean.tobytes(), first.tobytes()] == [a.tobytes() for a in kept]
+        arrays = [clean, first, second]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
     @pytest.mark.parametrize("eta", [0.0, -0.1])
     def test_nonpositive_eta_rejected(self, eta):
@@ -254,8 +260,8 @@ class TestBlockStepper:
     def test_noise_not_parameters_first_rejected(self, shape):
         # P = 3: (R, P) rows, one (P,) vector, a short vector, three axes
         data = small_dataset(n=2)
-        step = block_stepper(init_params(LINEAR3, RngStream(73)), data.x, data.t, 0.1,
-                             NoiseSpec(mode="iid", sigma=0.4), RegSpec())
+        _, step = block_stepper(init_params(LINEAR3, RngStream(73)), data.x, data.t, 0.1,
+                                NoiseSpec(mode="iid", sigma=0.4), RegSpec())
         with pytest.raises(ValueError, match=re.escape(f"noise of shape {shape} does not "
                                                        "match parameters (3,): give (P, R)")):
             step(np.ones(shape))
@@ -561,8 +567,9 @@ class TestOneParameterSetPerRun:
     # A step plan reuses its buffers from step to step; none of them may
     # reach a caller.  Without a penalty, the clean gradient is the plan's
     # gradient buffer at batch 1 (its mean buffer above), and a plain
-    # step's noisy gradient is the same array.
-    @pytest.mark.parametrize("z_shape", [None, (26,), (26, 3)], ids=["plain", "vector", "block"])
+    # step's noisy gradient is the same array.  A block stepper's arrays:
+    # TestBlockStepper.
+    @pytest.mark.parametrize("z_shape", [None, (26,)], ids=["plain", "vector"])
     @pytest.mark.parametrize("batch", [1, 4])
     def test_a_step_keeps_its_arrays_through_the_next(self, batch, z_shape):
         data = small_dataset(n=8)

@@ -17,7 +17,7 @@ from privreg.experiments import _family_bound
 from privreg.numerics import (VERIFY_MOMENTS, VERIFY_NOISY_STEP, VERIFY_PRODUCT_DENSITY,
                               VERIFY_SETUPS, RngStream)
 from privreg import optimizers, oracle
-from privreg.optimizers import NoiseSpec, mechanism_step
+from privreg.optimizers import NoiseSpec, block_stepper, mechanism_step
 from privreg.oracle import (MC_CHUNK_ROWS, analytic_post_update_loss,
                             backprop_grad_error, check_moment_identities,
                             check_noisy_step, check_product_density,
@@ -106,6 +106,7 @@ class TestMcPostUpdateLoss:
         for noise in (IID, PROP):
             clean = float(mechanism_step(theta, batch, target, eta, noise, RegSpec()).params
                           @ xv) - t
+            _, step = block_stepper(theta, batch, target, eta, noise, RegSpec())
             for chunk_rows in (2, 64, 1000, 4096, replicas):
                 monkeypatch.setattr(oracle, "MC_CHUNK_ROWS", chunk_rows)
                 rows = []
@@ -115,8 +116,7 @@ class TestMcPostUpdateLoss:
                 assert len(rows) == -(-replicas // chunk_rows)
                 for b, got in enumerate(rows):
                     z = RngStream(5, *key, 0, b).normal(1.0, got.size * 4).reshape(-1, 4)
-                    e = xv @ mechanism_step(theta, batch, target, eta, noise, RegSpec(),
-                                            z.T.copy()).params
+                    e = xv @ step(z.T.copy())
                     e -= t
                     e -= clean
                     assert got.tobytes() == e.tobytes()
@@ -144,12 +144,13 @@ class TestMcPostUpdateLoss:
 
     def test_steps_through_the_trainer(self, monkeypatch):
         # a trainer that doubled its noise would fail the identity
-        real_step = oracle.mechanism_step
+        real = oracle.block_stepper
 
-        def doubled(params, x, t, eta, noise, reg, z=None):
-            return real_step(params, x, t, eta, noise, reg, None if z is None else 2 * z)
+        def doubled(*args):
+            clean, step = real(*args)
+            return clean, lambda z: step(2 * z)
 
-        monkeypatch.setattr(oracle, "block_stepper", lambda *a: lambda z: doubled(*a, z).params)
+        monkeypatch.setattr(oracle, "block_stepper", doubled)
         [(mean, stderr)] = mc_post_update_loss(THETA, X, 1.0, 0.1, (IID,), replicas=200_000,
                                                seed=3)
         assert abs(mean - 0.002) > 3 * stderr
@@ -157,10 +158,11 @@ class TestMcPostUpdateLoss:
     @pytest.mark.parametrize("replicas", [2, 1000, 5000])
     def test_one_plan_per_case_and_moved_shape(self, monkeypatch, replicas):
         # Two cases, four shapes each: iid and proportional noise move the
-        # output, mode "none" and sigma 0 do not.  Each shape takes one plan
-        # for its noiseless step (_stepped_case) and each moved shape one
-        # for its stepper, whatever the number of blocks; every block steps
-        # each moved shape through the stepper once.
+        # output, mode "none" and sigma 0 do not.  Each moved shape takes
+        # one plan, its stepper's, which also gives its noiseless step, and
+        # each other shape one for its noiseless mechanism_step, whatever
+        # the number of blocks; every block steps each moved shape through
+        # the stepper once.
         monkeypatch.setattr(oracle, "MC_CHUNK_ROWS", 64)
         shapes = (IID, PROP, NoiseSpec(mode="none"), NoiseSpec(mode="iid", sigma=0.0))
         cases = [(THETA, X, 1.0, 0.1, shapes), (BIASED, X, 0.3, 0.15, shapes)]
@@ -172,13 +174,13 @@ class TestMcPostUpdateLoss:
             real_plan(plan, *args)
 
         def counted_stepper(*args):
-            step = real_stepper(*args)
-            return lambda z: steps.append(z.shape) or step(z)
+            clean, step = real_stepper(*args)
+            return clean, lambda z: steps.append(z.shape) or step(z)
 
         monkeypatch.setattr(optimizers._StepPlan, "__init__", counted_plan)
         monkeypatch.setattr(oracle, "block_stepper", counted_stepper)
         check_noisy_step(cases, replicas, 31)
-        assert len(plans) == len(cases) * (len(shapes) + 2)
+        assert len(plans) == len(cases) * len(shapes)
         assert len(steps) == -(-replicas // 64) * len(cases) * 2
 
     def test_bias_folds_into_constant_feature(self):
@@ -264,13 +266,13 @@ class TestBlocksInLanes:
                                              RegSpec()).params @ xv) - t
                 sums = np.array([self.REPLICAS, 0.0, 0.0, 0.0, 0.0])
                 if noise.adds_noise:
+                    _, step = block_stepper(params, batch, target, eta, noise, RegSpec())
                     blocks = []
                     for b, start in enumerate(range(0, self.REPLICAS, self.CHUNK)):
                         rows = min(self.CHUNK, self.REPLICAS - start)
                         z = RngStream(seed, *key, 0, b).normal(1.0, rows * width)
                         z = z.reshape(rows, width).T.copy()[:params.flat.size]
-                        e = xv @ mechanism_step(params, batch, target, eta, noise, RegSpec(),
-                                                z).params
+                        e = xv @ step(z)
                         e -= t
                         e -= clean
                         blocks.append(oracle._power_sums(e))
@@ -413,7 +415,8 @@ class TestCrossTerm:
         batch, target = X[None, :], np.array([[t]])
         c = float(mechanism_step(BIASED, batch, target, eta, noise, RegSpec()).params @ xv) - t
         z = block_rows(seed, (), replicas, 3).reshape(replicas, 3).T.copy()
-        r = xv @ mechanism_step(BIASED, batch, target, eta, noise, RegSpec(), z).params - t
+        _, step = block_stepper(BIASED, batch, target, eta, noise, RegSpec())
+        r = xv @ step(z) - t
         n = replicas
         assert (post_update.mean, post_update.stderr) == pytest.approx(
             ((r * r).mean(), (r * r).std(ddof=1) / np.sqrt(n)), rel=1e-12, abs=0)
@@ -448,13 +451,13 @@ class TestCrossTerm:
         # a trainer whose noise is sigma * (z + 0.05) keeps the noise scale but
         # shifts the noisy output by eta * sigma * 0.05 * sum(s_i x_i), s = 1
         # (iid) or theta (proportional): about 25 standard errors here
-        real_step = oracle.mechanism_step
+        real = oracle.block_stepper
 
-        def off_centre(params, x, t, eta, noise, reg, z=None):
-            return real_step(params, x, t, eta, noise, reg, None if z is None else z + 0.05)
+        def off_centre(*args):
+            clean, step = real(*args)
+            return clean, lambda z: step(z + 0.05)
 
-        monkeypatch.setattr(oracle, "block_stepper",
-                            lambda *a: lambda z: off_centre(*a, z).params)
+        monkeypatch.setattr(oracle, "block_stepper", off_centre)
         params = ParameterSet(BIASED.spec, np.array([0.5, 1.0, 0.3]))
         checks = cross_term_checks(params, X, 0.7, 0.1, (IID, PROP), 100_000, seed)
         assert [abs(c.z) <= 3.0 for c in checks] == [False, False]

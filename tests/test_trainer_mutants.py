@@ -1,15 +1,15 @@
 """Power of today's checks against broken trainers.
 
-Each mutant breaks one rule of optimizers.mechanism_step or of the kappa
+Each mutant breaks one rule of the trainer's noisy step or of the kappa
 formula, and must fail the check that covers that rule on every seed of
 ORACLE_SEEDS, outside its gate: a z-scored check by |z| >= MIN_Z on at
 least one of its rows, MIN_Z being above the family bound that verify
 gates configs/verify.json's 292 z-scores at.  Every mutant runs verify's
 own rows on verify's random setups, which have a bias or a clip at
 random: the noise mutants through the one check_noisy_step call that
-steps every setup, each as the block stepper that call steps each noise
-block through (optimizers.block_stepper), the kappa mutant through the
-equivalence residuals.
+steps every setup, each a wrapper of the real block stepper
+(optimizers.block_stepper) that the call steps each noise block through,
+the kappa mutant through the equivalence residuals.
 A later change to the gates keeps its power if these still fail.
 """
 
@@ -20,7 +20,7 @@ import pytest
 from privreg import oracle
 from privreg.experiments import (OracleConfig, _equivalence_rows, _family_bound,
                                  _noisy_step_rows)
-from privreg.optimizers import Step, clip_gradient
+from privreg.optimizers import clip_gradient
 from privreg.oracle import random_linear_setups
 from privreg.regularizers import RegSpec
 
@@ -42,42 +42,49 @@ def test_every_seeds_setups_have_both_a_bias_and_a_clip():
         assert any(s.clip_c is not None for s in setups)
 
 
-real_step = oracle.mechanism_step
+real = oracle.block_stepper
 
 
-def doubled_noise(params, x, t, eta, noise, reg, z=None):
-    return real_step(params, x, t, eta, noise, reg, None if z is None else 2 * z)
+def doubled_noise(*args):
+    clean, step = real(*args)
+    return clean, lambda z: step(2 * z)
 
 
-def noise_scaled_by_stepped_theta(params, x, t, eta, noise, reg, z=None):
+def noise_scaled_by_stepped_theta(params, x, t, eta, noise, reg):
     """Proportional noise scaled by the noiseless step's theta', not theta."""
-    if z is None or noise.mode != "proportional":
-        return real_step(params, x, t, eta, noise, reg, z)
-    moved = real_step(params, x, t, eta, noise, reg)
-    noisy = moved.clean[:, None] + noise.sigma * moved.params[:, None] * z
-    return Step(moved.clean, noisy, params.flat[:, None] - eta * noisy)
+    if noise.mode != "proportional":
+        return real(params, x, t, eta, noise, reg)
+    clean, iid = real(params, x, t, eta, replace(noise, mode="iid"), reg)
+    return clean, lambda z: iid(clean[:, None] * z)
 
 
-def no_noise_on_the_bias(params, x, t, eta, noise, reg, z=None):
-    if z is not None and params.spec.include_bias:
+def no_noise_on_the_bias(params, x, t, eta, noise, reg):
+    clean, step = real(params, x, t, eta, noise, reg)
+    if not params.spec.include_bias:
+        return clean, step
+
+    def unbiased(z):
         z = z.copy()
         z[params.spec.layout[-1].bias] = 0.0
-    return real_step(params, x, t, eta, noise, reg, z)
+        return step(z)
+
+    return clean, unbiased
 
 
-def clip_after_the_noise(params, x, t, eta, noise, reg, z=None):
+def clip_after_the_noise(params, x, t, eta, noise, reg):
+    """Each noisy gradient clipped, rather than the clean one before the
+    noise; the noiseless step is the same either way."""
     if noise.clip_c is None:
-        return real_step(params, x, t, eta, noise, reg, z)
-    unclipped = real_step(params, x, t, eta, replace(noise, clip_c=None), reg, z)
-    noisy = clip_gradient(unclipped.noisy.T, noise.clip_c)  # each (P,) column of z
-    return Step(clip_gradient(unclipped.clean, noise.clip_c), noisy.T,
-                (params.flat - eta * noisy).T)
+        return real(params, x, t, eta, noise, reg)
+    clean, _ = real(params, x, t, eta, noise, reg)
+    _, unclipped = real(params, x, t, eta, replace(noise, clip_c=None), reg)
+    theta = params.flat[:, None].copy()
 
+    def step(z):
+        noisy = (theta - unclipped(z)) / eta  # each (P,) column of z
+        return theta - eta * clip_gradient(noisy.T, noise.clip_c).T
 
-def stepper(mutant):
-    """oracle.block_stepper stepping through `mutant`, a broken
-    mechanism_step, on each noise block."""
-    return lambda *a: lambda z: mutant(*a, z).params
+    return clean, step
 
 
 def worst_z(seed: int, metric: str) -> dict[str, float]:
@@ -95,13 +102,13 @@ def worst_z(seed: int, metric: str) -> dict[str, float]:
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_doubled_noise_fails_the_post_update_loss(monkeypatch, seed):
-    monkeypatch.setattr(oracle, "block_stepper", stepper(doubled_noise))
+    monkeypatch.setattr(oracle, "block_stepper", doubled_noise)
     assert min(worst_z(seed, "post_update_loss_z").values()) >= MIN_Z
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_noise_scaled_by_stepped_theta_fails_the_post_update_loss(monkeypatch, seed):
-    monkeypatch.setattr(oracle, "block_stepper", stepper(noise_scaled_by_stepped_theta))
+    monkeypatch.setattr(oracle, "block_stepper", noise_scaled_by_stepped_theta)
     assert worst_z(seed, "post_update_loss_z")["proportional"] >= MIN_Z
 
 
@@ -116,13 +123,13 @@ def test_kappa_eta_sigma_squared_fails_the_equivalence_residual(monkeypatch, see
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_no_noise_on_the_bias_fails_the_iid_post_update_loss(monkeypatch, seed):
-    monkeypatch.setattr(oracle, "block_stepper", stepper(no_noise_on_the_bias))
+    monkeypatch.setattr(oracle, "block_stepper", no_noise_on_the_bias)
     assert worst_z(seed, "post_update_loss_z")["iid"] >= MIN_Z
 
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS)
 def test_clip_after_the_noise_fails_every_check(monkeypatch, seed):
-    monkeypatch.setattr(oracle, "block_stepper", stepper(clip_after_the_noise))
+    monkeypatch.setattr(oracle, "block_stepper", clip_after_the_noise)
     worst = [*worst_z(seed, "post_update_loss_z").values(),
              *worst_z(seed, "cross_term_z").values()]
     assert min(worst) >= MIN_Z
