@@ -24,11 +24,12 @@ which runs the same BLAS gemv per row as W @ a on one vector, and dot
 products go through np.vecdot, which sums a row as np.dot does.  A plain
 (B, d) @ W.T would sum in another order.  One example (a batch-1 step)
 takes a one-example pass (_ExamplePass) instead: the same gemvs, through
-np.dot into buffers made once, and each output unit's y + b and
-2 * (y - t) as Python floats, the same IEEE operations at tens of ns
-where a numpy call on one element costs about 1 us: a batch-1 training
-step of a (5, 16, 1) tanh net under clip and noise fell from about 29 to
-16 us (2-core x86-64 host, BENCH_29.json).
+ndarray.dot into buffers made once (np.dot runs them behind a Python
+__array_function__ dispatch), and each output unit's y + b and 2 * (y - t)
+as Python floats, the same IEEE operations at tens of ns where a numpy
+call on one element costs about 1 us: a batch-1 training step of a
+(5, 16, 1) tanh net under clip and noise takes about 13 us, against 29
+before the pass (2-core x86-64, BENCH_29.json and BENCH_32.json).
 """
 
 from __future__ import annotations
@@ -224,12 +225,17 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
+# tanh's 1 in 1 - a^2, never written: a ufunc takes a 0-d array without
+# converting it, as it would a Python float on every call, to the same bits
+_ONE = np.array(1.0)
+
+
 def _activate_prime(name: str, a: np.ndarray) -> np.ndarray:
     """The derivative of a tanh or relu activation, read off its output a
     and written over it (identity's is 1, a product its callers skip)."""
     if name == "tanh":
         np.multiply(a, a, out=a)
-        return np.subtract(1.0, a, out=a)
+        return np.subtract(_ONE, a, out=a)
     return np.greater(a, 0.0, out=a)
 
 
@@ -304,18 +310,18 @@ class _ExamplePass:
     def __call__(self, x: np.ndarray, t: list[float]) -> None:
         activation, a = self.activation, x
         for w, b, out in self.hidden:
-            np.dot(w, a, out=out)
+            w.dot(a, out)
             if b is not None:
                 out += b
             a = _activate(activation, out)
-        ys = np.dot(self.w, a, out=self.y).tolist()
+        ys = self.w.dot(a, self.y).tolist()
         if self.b is not None:
             ys = [y + b for y, b in zip(ys, self.b.tolist())]
         for j, y in enumerate(ys):
             self.delta[j] = 2.0 * (y - t[j])  # output layer is linear
         np.multiply(self.column, a, out=self.weights)
         for w_t, above, delta, column, out, weights, a_in in self.back:
-            np.dot(w_t, above, out=delta)
+            w_t.dot(above, delta)
             if activation != "identity":
                 delta *= _activate_prime(activation, out)
             np.multiply(column, x if a_in is None else a_in, out=weights)

@@ -15,21 +15,21 @@ Four mechanisms share one loop:
 
 Order per batch (_StepPlan): one forward/backward pass over the batch's
 (B, d) rows gives the (B, P) per-example loss gradients; the penalty
-gradients are added row by row (regularizers.add_gradients), each row is
-clipped by its norm, the rows are averaged, then one optional noise draw
-and the step.  Penalties belong to the loss, so they come before the
-privacy mechanics.  Every row is computed exactly as the example would be
-on its own (see privreg.model), so batch size never changes an example's
-gradient bits.  train() builds one plan per batch size, mechanism_step
-one per call, and block_stepper one per stepper, so every caller steps
-through one path.  train() and the attacks pass one (P,) noise vector
-per step.  block_stepper is the one home of many noisy steps from one
-start: it checks, plans and takes the clean gradient once, hands out the
-noiseless step, then writes each (P, R) block of R noise columns, the
-parameter axis first so that each broadcast over P runs along R, into
-one fresh (P, R) array of steps.  That is how the oracle samples its
-noisy steps, one block at a time, and verify's step expectation its
-mean step.
+gradients are added row by row (regularizers._add_factor_gradients, on
+factors made once per run), each row is clipped by its norm, the rows
+are averaged, then one optional noise draw and the step.  Penalties
+belong to the loss, so they come before the privacy mechanics.  Every
+row is computed exactly as the example would be on its own (see
+privreg.model), so batch size never changes an example's gradient bits.
+train() builds one plan per batch size, mechanism_step one per call, and
+block_stepper one per stepper, so every caller steps through one path.
+train() and the attacks pass one (P,) noise vector per step.
+block_stepper is the one home of many noisy steps from one start: it
+checks, plans and takes the clean gradient once, hands out the noiseless
+step, then writes each (P, R) block of R noise columns, the parameter
+axis first so that each broadcast over P runs along R, into one fresh
+(P, R) array of steps.  That is how the oracle samples its noisy steps,
+one block at a time, and verify's step expectation its mean step.
 dataset_loss, which train() reports per epoch, adds the same terms to the
 losses (regularizers.add_penalties) at the same kappa, so the loss
 reported is the loss the steps descend.
@@ -46,14 +46,15 @@ would get from the s-th of one draw per step.
 
 At batch 1 a step costs its numpy calls' fixed overhead, not arithmetic,
 so train() keeps that overhead low without changing a bit: it permutes
-the data once per epoch and steps on slices of that copy, a one-row batch
-as its (d,) example, with float targets, through the model's one-example
-pass; it keeps one ParameterSet for the run and writes each step into its
-flat vector in place (the set's layer views, made once, see
-privreg.model, follow it), and its plans reuse their buffers and clip in
-place.  A batch-1 step then takes about 6 us on a (5, 1) unit with bias
-(plain SGD) to 16 us on a (5, 16, 1) tanh net (clip and noise), against 9
-and 29 us before the one-example pass (2-core x86-64, BENCH_29.json).
+the data and penalty factors once per epoch and steps on slices of them,
+a one-row batch as its (d,) example, with float targets, through the
+model's one-example pass; it writes each step into one ParameterSet's
+flat vector in place (its layer views follow, see privreg.model); its
+plans reuse their buffers and clip in place; eta, sigma and 2 * lam reach
+the ufuncs as 0-d arrays, which need no per-call conversion; it checks
+the parameters once per epoch.  A batch-1 step takes about 3.8 us on a
+(5, 1) unit without bias (plain SGD) to 13 us on a (5, 16, 1) tanh net
+(clip and noise), against 5.2 and 16 us before (2-core x86-64, BENCH_32.json).
 """
 
 from __future__ import annotations
@@ -67,10 +68,9 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .model import (Dataset, ModelSpec, ParameterSet, _backward, _check_batch, _ExamplePass,
-                    _forward, _layer_views, _require_linear_unit, forward, init_params,
-                    quadratic_loss)
+                    _forward, _layer_views, forward, init_params, quadratic_loss)
 from .numerics import TRAIN_INIT, TRAIN_NOISE, TRAIN_SHUFFLE, RngStream
-from .regularizers import RegSpec, add_gradients, add_penalties
+from .regularizers import RegSpec, _add_factor_gradients, _gradient_factors, add_penalties
 
 NOISE_MODES = ("none", "iid", "proportional")
 
@@ -177,61 +177,60 @@ class Step(NamedTuple):
     params: np.ndarray
 
 
-def _noise_scale(noise: NoiseSpec, theta: np.ndarray):
-    """What a step's standard normals are scaled by: sigma, or sigma * theta
-    (theta pre-update) under proportional noise."""
-    return noise.sigma * theta if noise.mode == "proportional" else noise.sigma
-
-
 class _StepPlan:
     """A mechanism's step on batches of B examples from `params`, with what
-    never changes within a run worked out once (kappa, refusing a product
-    term off a linear unit; which penalty and clip branches apply) and the
-    buffers each call writes.  plan(x, t, z), unchecked, gives (clean,
-    noisy) for a (B, d) batch with (B, k) targets, or at B = 1 for one (d,)
-    example with k float targets (model._ExamplePass), and z one (P,)
-    noise vector or None: noisy is (P,), clean itself for None.  Either
-    may be a buffer the next call overwrites; a (P, R) block of noise is
-    block_stepper's."""
+    never changes within a run worked out once and the buffers each call
+    writes.  plan(x, t, factor, noise), unchecked, gives (clean, noisy) for
+    a (B, d) batch with (B, k) targets, or at B = 1 for one (d,) example
+    with k float targets (model._ExamplePass); factor is the batch's
+    product-term factor (regularizers._gradient_factors) or None, noise one
+    (P,) row as _noise_rows draws it or None: noisy is (P,), clean itself
+    for None.  Either may be a buffer the next call overwrites; a (P, R)
+    block of noise is block_stepper's."""
 
-    def __init__(self, params: ParameterSet, batch: int, eta: float, noise: NoiseSpec,
-                 reg: RegSpec):
+    def __init__(self, params: ParameterSet, batch: int, noise: NoiseSpec,
+                 lam: np.ndarray | None):
         spec = params.spec
-        self.params, self.noise, self.reg, self.batch = params, noise, reg, batch
-        self.kappa = reg.effective_kappa(eta, noise.sigma)
-        if self.kappa > 0:
-            _require_linear_unit(spec)
-        self.penalized = reg.lam > 0 or self.kappa > 0
+        self.params, self.clip_c, self.batch, self.lam = params, noise.clip_c, batch, lam
         self.grads = np.empty(spec.n_params if batch == 1 else (batch, spec.n_params))
+        self.term = np.empty_like(self.grads)
         if batch == 1:
             self.gradients = _ExamplePass(params, self.grads)
         else:
             self.mean, views = np.empty(spec.n_params), _layer_views(spec, self.grads)
             self.gradients = lambda x, t: _backward(params, _forward(params, x), t, views)
-        self.noisy = np.empty(spec.n_params)
+        self.noisy, self.scale = np.empty(spec.n_params), np.empty(spec.n_params)
+        self.sigma = np.array(noise.sigma) if noise.mode == "proportional" else None
 
-    def __call__(self, x: np.ndarray, t, z: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, x: np.ndarray, t, factor: np.ndarray | None,
+                 noise: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         self.gradients(x, t)
-        clean, noise, params = self.grads, self.noise, self.params
-        if self.penalized:
-            add_gradients(self.reg, clean, params, x, self.kappa, out=clean)
+        clean, flat = self.grads, self.params.flat
+        if self.lam is not None or factor is not None:
+            _add_factor_gradients(clean, flat, self.lam, factor, clean, self.term)
         if self.batch > 1:
-            if noise.clip_c is not None:
-                clean = clip_gradient(clean, noise.clip_c)
+            if self.clip_c is not None:
+                clean = clip_gradient(clean, self.clip_c)
             # np.mean's sum and division, without its per-call overhead
             clean = np.add.reduce(clean, axis=0, out=self.mean)
             clean /= self.batch
-        elif noise.clip_c is not None:
+        elif self.clip_c is not None:
             # clip_gradient's g / max(1, |g|/c), in place, NaN included
-            q = math.sqrt(np.dot(clean, clean)) / noise.clip_c
+            q = math.sqrt(clean.dot(clean)) / self.clip_c
             if not q <= 1.0:
                 clean /= q
-        if z is None:
+        if noise is None:
             return clean, clean
-        # in place, to the bits of clean + scale * z
-        noisy = np.multiply(_noise_scale(noise, params.flat), z, out=self.noisy)
-        noisy += clean
-        return clean, noisy
+        if self.sigma is not None:  # z scaled by sigma * theta, theta pre-update
+            noise = np.multiply(np.multiply(self.sigma, flat, out=self.scale), noise,
+                                out=self.noisy)
+        return clean, np.add(noise, clean, out=self.noisy)
+
+
+def _drawn_std(noise: NoiseSpec) -> float:
+    """The scale a plan's noise rows are drawn at: sigma (iid), or 1 for the
+    standard normals that the plan scales by sigma * theta (proportional)."""
+    return noise.sigma if noise.mode == "iid" else 1.0
 
 
 def _checked_batch(params: ParameterSet, x: np.ndarray, t: np.ndarray,
@@ -278,7 +277,9 @@ def mechanism_step(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: floa
         if z.shape != params.flat.shape:
             raise ValueError(f"noise of shape {z.shape} does not match "
                              f"parameters {params.flat.shape}: give (P,)")
-    clean, noisy = _StepPlan(params, batch, eta, noise, reg)(x, t, z)
+        z = _drawn_std(noise) * z
+    lam, factor = _gradient_factors(reg, params.spec, x, reg.effective_kappa(eta, noise.sigma))
+    clean, noisy = _StepPlan(params, batch, noise, lam)(x, t, factor, z)
     return Step(clean, noisy, _descend(params.flat, eta, noisy, None))
 
 
@@ -302,10 +303,11 @@ def block_stepper(params: ParameterSet, x: np.ndarray, t: np.ndarray, eta: float
     batch, x, t = _checked_batch(params, x, t, eta)
     if noise.mode == "none":
         raise ValueError("noise mode 'none' takes no noise rows")
-    grad = _StepPlan(params, batch, eta, noise, reg)(x, t, None)[0]
+    lam, factor = _gradient_factors(reg, params.spec, x, reg.effective_kappa(eta, noise.sigma))
+    grad = _StepPlan(params, batch, noise, lam)(x, t, factor, None)[0]
     clean = _descend(params.flat, eta, grad, None)
     theta, grad = params.flat[:, None].copy(), grad[:, None].copy()
-    scale = _noise_scale(noise, theta)
+    scale = noise.sigma * theta if noise.mode == "proportional" else noise.sigma
 
     def step(z: np.ndarray) -> np.ndarray:
         if z.ndim != 2 or z.shape[0] != len(theta):
@@ -336,19 +338,20 @@ def _noise_rows(noise: NoiseSpec, rng: RngStream, steps: int,
                 width: int) -> Iterator[np.ndarray | None]:
     """train()'s noise, one (width,) row per step, or None per step when
     the mechanism adds none (mode "none" or sigma 0) and so draws nothing.
-    Row s holds the bits of the s-th of `steps` rng.normal(1.0, width)
-    calls.  The rows are drawn lazily, k rows of about NOISE_BLOCK normals
-    in one call, which draws what k calls of `width` would."""
+    Row s holds the bits of the s-th of `steps` rng.normal(std, width)
+    calls, std being _drawn_std(noise).  The rows are drawn lazily, k rows
+    of about NOISE_BLOCK normals in one call, which draws what k calls of
+    `width` would."""
     if not noise.adds_noise:
         return itertools.repeat(None, steps)
     per_block = max(1, NOISE_BLOCK // width)
     blocks = (min(per_block, steps - start) for start in range(0, steps, per_block))
     return itertools.chain.from_iterable(
-        rng.normal(1.0, k * width).reshape(k, width) for k in blocks)
+        rng.normal(_drawn_std(noise), k * width).reshape(k, width) for k in blocks)
 
 
 # Divergence is raised naming where it happened; numpy's overflow warnings
-# on the way there would only repeat it.
+# on the way there, and on an epoch's steps past it, would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
 def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
           init: ParameterSet | None = None,
@@ -374,26 +377,34 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
         raise ValueError("batch_size exceeds dataset size")
     if init is not None and init.spec != spec:
         raise ValueError(f"init was built for {init.spec}, not for the model {spec}")
+    # theta - eta * g keeps a non-finite coordinate non-finite, so a run
+    # checks its parameters at each epoch's end; one that diverged replays
+    # from the same streams and start, checked at every step, to name it.
+    return (_train_run(spec, data, config, init, key, False)
+            or _train_run(spec, data, config, init, key, True))
 
-    noise = config.noise
-    reg = config.reg
-    eta = config.eta
+
+def _train_run(spec: ModelSpec, data: Dataset, config: TrainConfig, init: ParameterSet | None,
+               key: tuple[int, ...], every_step: bool) -> TrainReport | None:
+    """train()'s run, or None if an epoch ends on parameters that are not
+    finite; with every_step, the first such step raises, named."""
+    noise, reg, eta, n, size = config.noise, config.reg, config.eta, len(data), config.batch_size
     kappa = reg.effective_kappa(eta, noise.sigma)
-    n = len(data)
+    # the penalty gradients' factors of theta, for every example at once
+    lam, factors = _gradient_factors(reg, spec, data.x, kappa)
     shuffle_rng = RngStream(config.seed, *key, TRAIN_SHUFFLE)
     noise_rows = _noise_rows(noise, RngStream(config.seed, *key, TRAIN_NOISE),
-                             config.epochs * -(-n // config.batch_size), spec.n_params)
+                             config.epochs * -(-n // size), spec.n_params)
     # One ParameterSet for the run: each step is written into its flat
     # vector in place, so its layer views (see privreg.model) stay current.
     params = init.copy() if init is not None else initial_params_for(spec, config.seed, key)
-    stepped = np.empty(spec.n_params)
-    # A step's parameters are finite iff their dot with zeros is: 0 * inf
-    # and 0 * nan are nan, 0 * x is 0 for every finite x, so no large
-    # finite value can overflow it.  One dot costs less than isfinite().all().
+    flat, stepped, rate = params.flat, np.empty(spec.n_params), np.array(eta)
+    # The parameters are finite iff their dot with zeros is: 0 * inf and
+    # 0 * nan are nan, 0 * x is 0 for every finite x, so no large finite
+    # value can overflow it.  One dot costs less than isfinite().all().
     zeros = np.zeros(spec.n_params)
     # A plan per batch size; a one-row batch steps as its (d,) example
-    size = config.batch_size
-    plans = {b: _StepPlan(params, b, eta, noise, reg) for b in {size, n % size} - {0}}
+    plans = {b: _StepPlan(params, b, noise, lam) for b in {size, n % size} - {0}}
     batches = []
     for start in range(0, n, size):
         plan, span = plans[min(size, n - start)], slice(start, start + size)
@@ -411,20 +422,22 @@ def train(spec: ModelSpec, data: Dataset, config: TrainConfig,
         order = shuffle_rng.permutation(n)
         # One permuted copy per epoch: each batch is then a slice of it
         xs, ts = data.x[order], data.t[order]
+        fs = None if factors is None else factors[order]
         # and a one-example plan's targets, as floats
         floats = ts.tolist() if 1 in plans else None
         for plan, rows, span in batches:
             t = ts[rows] if plan.batch > 1 else floats[rows]
-            clean, noisy = plan(xs[rows], t, next(noise_rows))
+            clean, noisy = plan(xs[rows], t, None if fs is None else fs[rows], next(noise_rows))
             if records is not None:
                 records.append(GradientRecord(clean=clean.copy(), noisy=noisy.copy(),
                                               batch_indices=order[span].copy()))
-            # flat - eta * noisy in place: a diverged step raises below
-            np.subtract(params.flat, np.multiply(eta, noisy, out=stepped), out=params.flat)
-            if not math.isfinite(np.dot(params.flat, zeros)):
+            np.subtract(flat, np.multiply(rate, noisy, out=stepped), out=flat)
+            if every_step and not math.isfinite(flat.dot(zeros)):
                 raise diverged(epoch, step, "the parameters")
             step += 1
 
+        if not math.isfinite(flat.dot(zeros)):
+            return None
         loss = dataset_loss(params, data, reg, kappa)
         if not math.isfinite(loss):
             raise diverged(epoch, step - 1, "the epoch loss")

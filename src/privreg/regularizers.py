@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ParameterSet, linear_unit_features
+from .model import ModelSpec, ParameterSet, linear_unit_features
 
 KAPPA_MODES = ("explicit", "derived")
 
@@ -86,16 +86,37 @@ def add_penalties(reg: RegSpec, losses: np.ndarray, params: ParameterSet, x: np.
     return losses
 
 
+def _gradient_factors(reg: RegSpec, spec: ModelSpec, x: np.ndarray, kappa: float
+                      ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """What add_gradients' terms multiply theta by, made once per run: 2 * lam
+    as a 0-d array, and 2 * kappa * x_i^2 (2 * kappa on the bias) per row
+    of the (B, d) batch x, or for one (d,) example; None for a term of
+    weight 0.  The second raises ValueError off a single linear unit."""
+    lam = np.array(2.0 * reg.lam) if reg.lam > 0 else None
+    if not kappa > 0:
+        return lam, None
+    f = linear_unit_features(spec, x)
+    return lam, 2.0 * kappa * (f * f)
+
+
+def _add_factor_gradients(grads: np.ndarray, theta: np.ndarray, lam: np.ndarray | None,
+                          factor: np.ndarray | None, out: np.ndarray | None = None,
+                          term: np.ndarray | None = None) -> np.ndarray:
+    """grads plus lam * theta, then plus factor * theta (_gradient_factors;
+    None adds nothing), into `out` when given (which may be grads), each
+    product first into `term`, a buffer of grads' shape, when given."""
+    if lam is not None:
+        grads = np.add(grads, np.multiply(lam, theta, out=term), out=out)
+    if factor is not None:
+        grads = np.add(grads, np.multiply(factor, theta, out=term), out=out)
+    return grads
+
+
 def add_gradients(reg: RegSpec, grads: np.ndarray, params: ParameterSet, x: np.ndarray,
-                  kappa: float, out: np.ndarray | None = None) -> np.ndarray:
+                  kappa: float) -> np.ndarray:
     """`grads`, one (P,) row per row of the (B, d) batch x, plus the
     parameter gradients of add_penalties' terms: 2 * lam * theta, then
-    2 * kappa * x_i^2 * theta_i (2 * kappa * theta_i on the bias), written
-    into `out` when given (which may be grads).  The input-only term has
-    none."""
-    if reg.lam > 0:
-        grads = np.add(grads, 2.0 * reg.lam * params.flat, out=out)
-    if kappa > 0:
-        f = linear_unit_features(params.spec, x)
-        grads = np.add(grads, 2.0 * kappa * (f * f) * params.flat, out=out)
-    return grads
+    2 * kappa * x_i^2 * theta_i (2 * kappa * theta_i on the bias), through
+    the factors the trainer takes.  The input-only term has none."""
+    return _add_factor_gradients(grads, params.flat,
+                                 *_gradient_factors(reg, params.spec, x, kappa))

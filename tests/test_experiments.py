@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import inspect
 import io
 import itertools
 import json
@@ -221,19 +220,19 @@ def csv_bytes_by_lanes(tmp_path, monkeypatch, command, lane_counts):
 
 def _count_train_steps(monkeypatch) -> dict[str, int]:
     """Counts of the steps train() takes and of the examples in them, kept
-    at the step plan as train() calls it from here on, each call stepping
-    the plan's batch of examples.  mechanism_step's own calls of a plan
-    (the attack sweep's single steps) are no training steps, so they are
-    left out."""
+    at the step plan as train()'s run calls it from here on, each call
+    stepping the plan's batch of examples.  mechanism_step's own calls of
+    a plan (the attack sweep's single steps) are no training steps, so
+    they are left out."""
     counts = {"steps": 0, "example_steps": 0}
     real = optimizers._StepPlan.__call__
-    train_code = inspect.unwrap(optimizers.train).__code__
+    run_code = optimizers._train_run.__code__
 
-    def counted(plan, x, t, z):
-        if sys._getframe(1).f_code is train_code:
+    def counted(plan, *args):
+        if sys._getframe(1).f_code is run_code:
             counts["steps"] += 1
             counts["example_steps"] += plan.batch
-        return real(plan, x, t, z)
+        return real(plan, *args)
 
     monkeypatch.setattr(optimizers._StepPlan, "__call__", counted)
     return counts
@@ -700,6 +699,7 @@ class TestRun:
         err = json.loads(capsys.readouterr().err)
         assert "train.learning_rate" in err["message"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("eta,epochs,where", [
         (100.0, 3, "epoch 3 of 3 at step 89"),   # losses overflow first
         (1e200, 1, "epoch 1 of 1 at step 1"),    # one step overflows the parameters

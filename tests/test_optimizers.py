@@ -508,17 +508,22 @@ class TestNoiseBlocks:
             z = per_step.normal(1.0, spec.n_params)
             assert np.array_equal(record.noisy, sigma * z + record.clean)
 
+    # iid rows carry their scale, the bits of sigma * z; proportional rows
+    # are standard normals, which the step scales by sigma * theta
+    @pytest.mark.parametrize("mode,std", [("iid", 0.3), ("proportional", 1.0)],
+                             ids=["iid", "proportional"])
     @pytest.mark.parametrize("width", range(1, 10))
     @pytest.mark.parametrize("steps", [1, 2, 7])
-    def test_noise_rows_are_the_bits_of_one_call_per_step(self, monkeypatch, steps, width):
+    def test_noise_rows_are_the_bits_of_one_call_per_step(self, monkeypatch, steps, width,
+                                                          mode, std):
         # 8 normals a block: one to eight rows a block, and a short last block
         monkeypatch.setattr(optimizers, "NOISE_BLOCK", 8)
         block_rng, per_call = RngStream(35, 2), RngStream(35, 2)
-        rows = list(_noise_rows(NoiseSpec(mode="iid", sigma=0.3), block_rng, steps, width))
+        rows = list(_noise_rows(NoiseSpec(mode=mode, sigma=0.3), block_rng, steps, width))
         assert len(rows) == steps
         for row in rows:
             assert row.shape == (width,)
-            assert row.tobytes() == per_call.normal(1.0, width).tobytes()
+            assert row.tobytes() == per_call.normal(std, width).tobytes()
         # both streams stand at the same place afterwards
         assert block_rng.normal(1.0, 3).tobytes() == per_call.normal(1.0, 3).tobytes()
 
@@ -550,6 +555,7 @@ class TestOneParameterSetPerRun:
     # 1) or 3 (batch 7, four steps), so a check made only at the end of an
     # epoch would name another step.  The tanh net's hidden layer saturates,
     # its backward pass meets inf * 0, and the NaN passes the clip.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("batch", [1, 7])
     @pytest.mark.parametrize("spec,noise,eta,step", [
         (LINEAR3, NoiseSpec(), 1e200, 1), (LINEAR3, NoiseSpec(), 1e150, 2),
@@ -563,6 +569,46 @@ class TestOneParameterSetPerRun:
         with pytest.raises(TrainingDivergedError, match=rf"epoch 1 of 3 at step {step} "
                                                         rf"under {label}: the parameters"):
             train(spec, small_dataset(), config)
+
+    # A (2, 2, 1) tanh net whose first hidden unit saturates on every
+    # example but the one with the largest float for x_0 (its x_1 is 0, and
+    # the unit's weight on x_1 is 1e10).  There the unit's weight on x_0,
+    # 0, takes a gradient step past the largest float and becomes inf; from
+    # then on the unit saturates everywhere, so its gradient is 0, the
+    # weight stays inf and the output and every epoch loss stay finite.  A
+    # check of the epoch losses alone would let the run end; the seed puts
+    # that example at the named step of epoch 1 (of six).
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed,step", [(8, 4), (2, 2)])
+    def test_an_inf_weight_behind_a_saturated_unit_is_divergence(self, seed, step):
+        spec = ModelSpec(layer_sizes=(2, 2, 1), activation="tanh", include_bias=True)
+        init = ParameterSet(spec, np.array([0.0, 1e10, 0.3, -0.4, 0.1, 0.2, 0.5, -0.5, 0.0]))
+        big = np.finfo(np.float64).max
+        data = Dataset(np.array([[1.0, 1.0], [-1.0, 2.0], [2.0, -1.0], [big, 0.0],
+                                 [1.0, -2.0], [-2.0, 1.0]]),
+                       np.array([[0.5], [-0.3], [0.2], [10.0], [0.1], [-0.4]]))
+        assert RngStream(seed, TRAIN_SHUFFLE).permutation(6)[step] == 3
+        config = TrainConfig(eta=0.2, epochs=3, seed=seed)
+        label = re.escape(optimizers.mechanism_label(config.noise, config.reg))
+        with pytest.raises(TrainingDivergedError, match=rf"epoch 1 of 3 at step {step} "
+                                                        rf"under {label}: the parameters"):
+            train(spec, data, config, init=init)
+
+    # The parameters are checked once per epoch and a run is replayed only
+    # when they are not finite: a finite run steps each batch once.
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_a_finite_run_never_replays(self, monkeypatch, batch):
+        batches = []
+        real = optimizers._StepPlan.__call__
+
+        def counted(plan, *args):
+            batches.append(plan.batch)
+            return real(plan, *args)
+        monkeypatch.setattr(optimizers._StepPlan, "__call__", counted)
+        config = TrainConfig(eta=0.05, batch_size=batch, epochs=3, seed=8, noise=IID_CLIP)
+        train(TANH3, small_dataset(), config)
+        assert len(batches) == 3 * -(-24 // batch)
+        assert sum(batches) == 3 * 24
 
     # A step plan reuses its buffers from step to step; none of them may
     # reach a caller.  Without a penalty, the clean gradient is the plan's
@@ -598,6 +644,7 @@ class TestOneParameterSetPerRun:
         arrays.append(report.final_params.flat)
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_finite_parameters_are_not_divergence(self):
         # zero inputs leave only the noise in each step: parameters at the
         # largest float stay finite, though their sum or their squares
@@ -820,6 +867,7 @@ class TestTrainMatchesPerExampleReference:
         ("linear-bias", "plain", 1e10, 2, 29, "the epoch loss"),
         ("linear-bias", "iid-clip", 1e200, 1, 14, "the epoch loss"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_batch_one_divergence_names_epoch_and_step(self, model, mechanism, eta, epoch,
                                                        step, what):
         config = TrainConfig(eta=eta, batch_size=1, epochs=3, seed=17,

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from privreg.model import Dataset, ModelSpec, ParameterSet, init_params
+from privreg.model import (Dataset, ModelSpec, ParameterSet, backward, init_params,
+                           linear_unit_features)
 from privreg.numerics import RngStream
-from privreg.optimizers import NoiseSpec, TrainConfig, mechanism_label, train
+from privreg.optimizers import (NoiseSpec, TrainConfig, initial_params_for, mechanism_label,
+                                train)
 from privreg.oracle import penalty_grad_error
 from privreg.regularizers import RegSpec, add_gradients, add_penalties
 
@@ -198,6 +200,51 @@ class TestCombined:
                               penalty(RegSpec(kappa=kappa), p, x))
         assert np.array_equal(add_gradients(reg, np.zeros((1, 2)), p, x, kappa),
                               penalty_grad(RegSpec(kappa=kappa), p, x))
+
+
+def reference_add_gradients(reg, grads, params, x, kappa):
+    """add_gradients as written term by term, each from the batch at hand:
+    the bits the trainer's penalized gradients must carry."""
+    if reg.lam > 0:
+        grads = grads + 2.0 * reg.lam * params.flat
+    if kappa > 0:
+        f = linear_unit_features(params.spec, x)
+        grads = grads + 2.0 * kappa * (f * f) * params.flat
+    return grads
+
+
+class TestTrainerPenaltyGradient:
+    """train() works the penalty gradients' factors out once per run and
+    permutes them with the data; each step's clean gradient must still hold
+    the bits of backward plus the penalty gradients of that step's batch,
+    averaged, at the parameters before the step."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 20])
+    @pytest.mark.parametrize("bias", [False, True], ids=["no-bias", "bias"])
+    @pytest.mark.parametrize("reg,sigma", [
+        (RegSpec(lam=0.03), 0.0), (RegSpec(kappa=0.2), 0.0),
+        (RegSpec(lam=0.03, kappa=0.2), 0.0), (RegSpec(kappa_mode="derived"), 0.5),
+        (RegSpec(lam=0.03, kappa_mode="derived"), 0.5),
+    ], ids=["lam", "kappa", "lam-kappa", "derived", "lam-derived"])
+    def test_steps_carry_the_bits_of_add_gradients(self, reg, sigma, bias, batch):
+        spec = ModelSpec(layer_sizes=(3, 1), activation="identity", include_bias=bias)
+        rng = RngStream(41, batch)
+        data = Dataset(rng.normal(1.0, 60).reshape(20, 3), rng.normal(1.0, 20).reshape(20, 1))
+        config = TrainConfig(eta=0.05, batch_size=batch, epochs=2, seed=43,
+                             noise=NoiseSpec(mode="none", sigma=sigma), reg=reg,
+                             record_gradients=True)
+        kappa = reg.effective_kappa(config.eta, sigma)
+        assert kappa > 0 or reg.lam > 0
+        report = train(spec, data, config)
+        params = initial_params_for(spec, config.seed)
+        for record in report.records:
+            x, t = data.x[record.batch_indices], data.t[record.batch_indices]
+            g = backward(params, x, t)
+            want = reference_add_gradients(reg, g, params, x, kappa)
+            assert add_gradients(reg, g, params, x, kappa).tobytes() == want.tobytes()
+            assert record.clean.tobytes() == np.mean(want, axis=0).tobytes()
+            params = ParameterSet(spec, params.flat - config.eta * record.noisy)
+        assert params.flat.tobytes() == report.final_params.flat.tobytes()
 
 
 # Each row of verify's gradient check as the RegSpec it checks, from the
